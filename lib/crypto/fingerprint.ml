@@ -4,52 +4,57 @@ let size = 16
 
 let of_string s =
   Tally.note_digest (String.length s);
-  Md5.digest s
-
-(* One scratch context per entry point; none of these nest. *)
-let scratch = Md5.init ()
+  Digest.string s
 
 let of_substring s ~off ~len =
   Tally.note_digest len;
-  Md5.reset scratch;
-  Md5.update_sub scratch s off len;
-  Md5.finalize scratch
+  Digest.substring s off len
 
 let of_bytes b ~off ~len =
   Tally.note_digest len;
-  Md5.reset scratch;
-  Md5.update_bytes scratch b off len;
-  Md5.finalize scratch
+  Digest.subbytes b off len
 
 (* Multi-part digests frame every part with a little-endian 64-bit length,
-   so part boundaries are unambiguous. [builder] exposes the same framing
-   incrementally so hot paths can feed scratch buffers without first
+   so part boundaries are unambiguous. [builder] stages the framed parts in
+   one reusable scratch buffer, grown on demand, and digests it with one
+   call in [finish]; hot paths feed scratch buffers without first
    materialising part strings. *)
-type builder = { ctx : Md5.ctx; len8 : Bytes.t; mutable fed : int }
+type builder = { mutable buf : Bytes.t; mutable pos : int; mutable fed : int }
 
-let create_builder () = { ctx = Md5.init (); len8 = Bytes.create 8; fed = 0 }
+let create_builder () = { buf = Bytes.create 256; pos = 0; fed = 0 }
 
 let reset_builder b =
-  Md5.reset b.ctx;
+  b.pos <- 0;
   b.fed <- 0
 
+(* Append the length prefix and leave room for the [len] part bytes. *)
 let add_len b len =
-  Bytes.set_int64_le b.len8 0 (Int64.of_int len);
-  Md5.update_bytes b.ctx b.len8 0 8
+  let need = b.pos + 8 + len in
+  if need > Bytes.length b.buf then begin
+    let buf = Bytes.create (Stdlib.max need (2 * Bytes.length b.buf)) in
+    Bytes.blit b.buf 0 buf 0 b.pos;
+    b.buf <- buf
+  end;
+  Bytes.set_int64_le b.buf b.pos (Int64.of_int len);
+  b.pos <- b.pos + 8;
+  b.fed <- b.fed + len
 
 let add_part b part =
-  add_len b (String.length part);
-  b.fed <- b.fed + String.length part;
-  Md5.update b.ctx part
+  let len = String.length part in
+  add_len b len;
+  Bytes.blit_string part 0 b.buf b.pos len;
+  b.pos <- b.pos + len
 
 let add_part_bytes b buf ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length buf - len then
+    invalid_arg "Fingerprint.add_part_bytes";
   add_len b len;
-  b.fed <- b.fed + len;
-  Md5.update_bytes b.ctx buf off len
+  Bytes.blit buf off b.buf b.pos len;
+  b.pos <- b.pos + len
 
 let finish b =
   Tally.note_digest b.fed;
-  Md5.finalize b.ctx
+  Digest.subbytes b.buf 0 b.pos
 
 let parts_builder = create_builder ()
 

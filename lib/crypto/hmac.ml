@@ -1,7 +1,7 @@
 let block_size = 64
 
 let normalise_key key =
-  let key = if String.length key > block_size then Md5.digest key else key in
+  let key = if String.length key > block_size then Digest.string key else key in
   if String.length key = block_size then key
   else key ^ String.make (block_size - String.length key) '\000'
 
@@ -16,8 +16,7 @@ let prepare key =
   { ipad = xor_with 0x36 key; opad = xor_with 0x5c key }
 
 let mac ~key msg =
-  let key = normalise_key key in
-  let inner = Md5.digest (xor_with 0x36 key ^ msg) in
-  Md5.digest (xor_with 0x5c key ^ inner)
+  let k = prepare key in
+  Digest.string (k.opad ^ Digest.string (k.ipad ^ msg))
 
 let hex ~key msg = Md5.to_hex (mac ~key msg)

@@ -1,163 +1,7 @@
-(* MD5 per RFC 1321. Word arithmetic is on native ints masked to 32 bits:
-   on 64-bit platforms this produces bit-identical output to the reference
-   Int32 formulation while avoiding the per-operation Int32 boxing that
-   dominated the hot path (one digest per message sent and received). *)
+(* MD5 per RFC 1321, computed by the C implementation that ships in the
+   OCaml runtime ([Stdlib.Digest]). *)
 
-type ctx = {
-  mutable a : int;
-  mutable b : int;
-  mutable c : int;
-  mutable d : int;
-  block : Bytes.t; (* 64-byte staging buffer *)
-  m : int array; (* decoded words of the block being compressed *)
-  mutable block_len : int;
-  mutable total_len : int64; (* bytes fed so far *)
-}
-
-let s =
-  [|
-    7; 12; 17; 22; 7; 12; 17; 22; 7; 12; 17; 22; 7; 12; 17; 22;
-    5; 9; 14; 20; 5; 9; 14; 20; 5; 9; 14; 20; 5; 9; 14; 20;
-    4; 11; 16; 23; 4; 11; 16; 23; 4; 11; 16; 23; 4; 11; 16; 23;
-    6; 10; 15; 21; 6; 10; 15; 21; 6; 10; 15; 21; 6; 10; 15; 21;
-  |]
-
-(* T[i] = floor(2^32 * abs(sin(i+1))) *)
-let t_table =
-  [|
-    0xd76aa478; 0xe8c7b756; 0x242070db; 0xc1bdceee; 0xf57c0faf;
-    0x4787c62a; 0xa8304613; 0xfd469501; 0x698098d8; 0x8b44f7af;
-    0xffff5bb1; 0x895cd7be; 0x6b901122; 0xfd987193; 0xa679438e;
-    0x49b40821; 0xf61e2562; 0xc040b340; 0x265e5a51; 0xe9b6c7aa;
-    0xd62f105d; 0x02441453; 0xd8a1e681; 0xe7d3fbc8; 0x21e1cde6;
-    0xc33707d6; 0xf4d50d87; 0x455a14ed; 0xa9e3e905; 0xfcefa3f8;
-    0x676f02d9; 0x8d2a4c8a; 0xfffa3942; 0x8771f681; 0x6d9d6122;
-    0xfde5380c; 0xa4beea44; 0x4bdecfa9; 0xf6bb4b60; 0xbebfbc70;
-    0x289b7ec6; 0xeaa127fa; 0xd4ef3085; 0x04881d05; 0xd9d4d039;
-    0xe6db99e5; 0x1fa27cf8; 0xc4ac5665; 0xf4292244; 0x432aff97;
-    0xab9423a7; 0xfc93a039; 0x655b59c3; 0x8f0ccc92; 0xffeff47d;
-    0x85845dd1; 0x6fa87e4f; 0xfe2ce6e0; 0xa3014314; 0x4e0811a1;
-    0xf7537e82; 0xbd3af235; 0x2ad7d2bb; 0xeb86d391;
-  |]
-
-let mask = 0xFFFFFFFF
-
-let init () =
-  {
-    a = 0x67452301;
-    b = 0xefcdab89;
-    c = 0x98badcfe;
-    d = 0x10325476;
-    block = Bytes.create 64;
-    m = Array.make 16 0;
-    block_len = 0;
-    total_len = 0L;
-  }
-
-let reset ctx =
-  ctx.a <- 0x67452301;
-  ctx.b <- 0xefcdab89;
-  ctx.c <- 0x98badcfe;
-  ctx.d <- 0x10325476;
-  ctx.block_len <- 0;
-  ctx.total_len <- 0L
-
-let[@inline] rotl32 x n = ((x lsl n) lor (x lsr (32 - n))) land mask
-
-let process_block ctx block off =
-  let m = ctx.m in
-  for i = 0 to 15 do
-    m.(i) <- Int32.to_int (Bytes.get_int32_le block (off + (4 * i))) land mask
-  done;
-  let a = ref ctx.a and b = ref ctx.b and c = ref ctx.c and d = ref ctx.d in
-  for i = 0 to 63 do
-    let f, g =
-      if i < 16 then ((!b land !c) lor (lnot !b land !d) land mask, i)
-      else if i < 32 then
-        ((!d land !b) lor (lnot !d land !c) land mask, ((5 * i) + 1) mod 16)
-      else if i < 48 then (!b lxor !c lxor !d, ((3 * i) + 5) mod 16)
-      else (!c lxor (!b lor (lnot !d land mask)), (7 * i) mod 16)
-    in
-    let tmp = !d in
-    d := !c;
-    c := !b;
-    let sum = (!a + f + t_table.(i) + m.(g)) land mask in
-    b := (!b + rotl32 sum s.(i)) land mask;
-    a := tmp
-  done;
-  ctx.a <- (ctx.a + !a) land mask;
-  ctx.b <- (ctx.b + !b) land mask;
-  ctx.c <- (ctx.c + !c) land mask;
-  ctx.d <- (ctx.d + !d) land mask
-
-let update_bytes ctx src off len =
-  if off < 0 || len < 0 || off + len > Bytes.length src then
-    invalid_arg "Md5.update_bytes";
-  ctx.total_len <- Int64.add ctx.total_len (Int64.of_int len);
-  let pos = ref off and remaining = ref len in
-  (* Fill a partial staged block first. *)
-  if ctx.block_len > 0 then begin
-    let take = Stdlib.min !remaining (64 - ctx.block_len) in
-    Bytes.blit src !pos ctx.block ctx.block_len take;
-    ctx.block_len <- ctx.block_len + take;
-    pos := !pos + take;
-    remaining := !remaining - take;
-    if ctx.block_len = 64 then begin
-      process_block ctx ctx.block 0;
-      ctx.block_len <- 0
-    end
-  end;
-  (* Whole blocks straight from the input, no staging copy. *)
-  while !remaining >= 64 do
-    process_block ctx src !pos;
-    pos := !pos + 64;
-    remaining := !remaining - 64
-  done;
-  if !remaining > 0 then begin
-    Bytes.blit src !pos ctx.block 0 !remaining;
-    ctx.block_len <- !remaining
-  end
-
-let update_sub ctx src off len =
-  if off < 0 || len < 0 || off + len > String.length src then
-    invalid_arg "Md5.update_sub";
-  (* Reading through [unsafe_of_string] is safe: [update_bytes] never
-     writes to [src]. *)
-  update_bytes ctx (Bytes.unsafe_of_string src) off len
-
-let update ctx s = update_sub ctx s 0 (String.length s)
-
-(* 0x80 then zeros; finalize feeds the prefix of this that pads the
-   message to 56 mod 64 bytes. *)
-let padding = String.init 64 (fun i -> if i = 0 then '\x80' else '\000')
-
-let finalize ctx =
-  let bit_len = Int64.mul ctx.total_len 8L in
-  let pad_len =
-    let r = Int64.to_int (Int64.rem ctx.total_len 64L) in
-    if r < 56 then 56 - r else 120 - r
-  in
-  update_sub ctx padding 0 pad_len;
-  (* The staged block now holds exactly 56 bytes; append the 64-bit bit
-     length in place and compress the final block. *)
-  Bytes.set_int64_le ctx.block 56 bit_len;
-  process_block ctx ctx.block 0;
-  ctx.block_len <- 0;
-  let out = Bytes.create 16 in
-  Bytes.set_int32_le out 0 (Int32.of_int ctx.a);
-  Bytes.set_int32_le out 4 (Int32.of_int ctx.b);
-  Bytes.set_int32_le out 8 (Int32.of_int ctx.c);
-  Bytes.set_int32_le out 12 (Int32.of_int ctx.d);
-  Bytes.unsafe_to_string out
-
-(* One-shot digests reuse a single scratch context; nothing in the body
-   can re-enter [digest]. *)
-let digest_ctx = init ()
-
-let digest s =
-  reset digest_ctx;
-  update digest_ctx s;
-  finalize digest_ctx
+let digest = Digest.string
 
 let to_hex s =
   let buf = Buffer.create (2 * String.length s) in

@@ -1,29 +1,8 @@
-(** MD5 message digest, implemented from RFC 1321.
+(** MD5 message digest (RFC 1321).
 
     The BFT library of the paper computes MD5 digests of requests and
-    replies; this is a from-scratch implementation validated against the
-    RFC 1321 test vectors in the test suite. *)
-
-type ctx
-
-val init : unit -> ctx
-
-val reset : ctx -> unit
-(** Return a context to its initial state so it can be reused; hot paths
-    keep one scratch context instead of allocating per digest. *)
-
-val update : ctx -> string -> unit
-
-val update_sub : ctx -> string -> int -> int -> unit
-(** [update_sub ctx s off len] feeds a substring without copying it out. *)
-
-val update_bytes : ctx -> Bytes.t -> int -> int -> unit
-(** [update_bytes ctx b off len] feeds a byte-array slice without copying
-    it into an intermediate string. *)
-
-val finalize : ctx -> string
-(** 16-byte binary digest. The context must not be reused afterwards
-    unless [reset]. *)
+    replies. Digests come from the C MD5 in the OCaml runtime
+    ([Stdlib.Digest]); the test suite pins them to the RFC 1321 vectors. *)
 
 val digest : string -> string
 (** One-shot 16-byte binary digest. *)

@@ -1,5 +1,6 @@
 (* Tests for Bft_crypto: MD5 against the RFC 1321 suite, HMAC against
-   RFC 2202, MAC tags, keychain epochs and MAC-vector authenticators. *)
+   RFC 2202, MAC tags against HMAC and fixed vectors, fingerprint framing,
+   keychain epochs and MAC-vector authenticators. *)
 
 open Bft_crypto
 
@@ -25,41 +26,27 @@ let test_md5_vectors () =
     (fun (input, expected) -> check Alcotest.string input expected (Md5.hex input))
     rfc1321_vectors
 
-let test_md5_incremental_equals_oneshot () =
-  (* Feed the same bytes in many chunkings; all must agree. *)
-  let data = String.init 1000 (fun i -> Char.chr (i mod 256)) in
-  let expected = Md5.digest data in
-  List.iter
-    (fun chunk ->
-      let ctx = Md5.init () in
-      let rec go off =
-        if off < String.length data then begin
-          let len = Stdlib.min chunk (String.length data - off) in
-          Md5.update_sub ctx data off len;
-          go (off + len)
-        end
-      in
-      go 0;
-      check Alcotest.string
-        (Printf.sprintf "chunk %d" chunk)
-        (Md5.to_hex expected)
-        (Md5.to_hex (Md5.finalize ctx)))
-    [ 1; 3; 63; 64; 65; 128; 1000 ]
+let test_md5_million_a () =
+  (* The standard long-input vector: 1,000,000 repetitions of 'a'. *)
+  check Alcotest.string "million a" "7707d6ae4e027c70eea2a935c2296f21"
+    (Md5.hex (String.make 1_000_000 'a'))
 
 let test_md5_block_boundaries () =
-  (* Lengths around the 64-byte block and 56-byte padding boundary. *)
+  (* Lengths around the 64-byte block and 56-byte padding boundary: the
+     slice entry points must hash exactly the slice, wherever it sits. *)
   List.iter
     (fun n ->
       let s = String.make n 'x' in
-      let ctx = Md5.init () in
-      Md5.update ctx s;
-      check Alcotest.string (string_of_int n) (Md5.hex s) (Md5.to_hex (Md5.finalize ctx)))
+      let framed = "<<<" ^ s ^ ">>" in
+      check Alcotest.string
+        (Printf.sprintf "substring %d" n)
+        (Md5.hex s)
+        (Md5.to_hex (Fingerprint.of_substring framed ~off:3 ~len:n));
+      check Alcotest.string
+        (Printf.sprintf "bytes %d" n)
+        (Md5.hex s)
+        (Md5.to_hex (Fingerprint.of_bytes (Bytes.of_string framed) ~off:3 ~len:n)))
     [ 0; 1; 55; 56; 57; 63; 64; 65; 119; 120; 121; 127; 128; 129 ]
-
-let test_md5_update_sub_bounds () =
-  let ctx = Md5.init () in
-  Alcotest.check_raises "bad range" (Invalid_argument "Md5.update_sub") (fun () ->
-      Md5.update_sub ctx "abc" 1 5)
 
 let test_to_hex () =
   check Alcotest.string "hex" "00ff10" (Md5.to_hex "\x00\xff\x10")
@@ -103,6 +90,51 @@ let test_mac_verify () =
 let test_mac_equal_lengths () =
   check Alcotest.bool "different lengths" false (Mac.equal "abc" "abcd");
   check Alcotest.bool "equal" true (Mac.equal "abcd" "abcd")
+
+(* Tags generated before the MD5 backend moved to the runtime's C
+   implementation; any change to the tag bytes breaks the wire. *)
+let test_mac_vectors () =
+  List.iter
+    (fun (name, key, nonce, msg, expected) ->
+      check Alcotest.string name expected (Md5.to_hex (Mac.compute ~key ~nonce msg)))
+    [
+      ("empty message", "0123456789abcdef", 1L, "", "1a760aa0df460b4e");
+      ( "hashed 80-byte key",
+        String.make 80 '\xaa',
+        0x0102030405060708L,
+        "The quick brown fox jumps over the lazy dog",
+        "6269e105f792611c" );
+      ( "all-ones nonce",
+        "k",
+        -1L,
+        String.init 200 (fun i -> Char.chr (i land 0xff)),
+        "29f699fefaf5052d" );
+    ]
+
+(* Message lengths that put the inner hash input ([ipad ‖ nonce ‖ msg],
+   72 bytes before [msg]) or [msg] itself on an MD5 padding edge. *)
+let padding_edge_lengths =
+  List.concat_map
+    (fun e -> List.filter (fun n -> n >= 0) [ e - 1; e; e + 1; e - 73; e - 72; e - 71 ])
+    [ 55; 56; 64; 119; 120; 128 ]
+
+let mac_is_truncated_hmac_prop =
+  QCheck.Test.make ~name:"mac = truncated hmac" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (k, n, m) ->
+          Printf.sprintf "key %d bytes, nonce %Ld, msg %d bytes" (String.length k) n
+            (String.length m))
+        Gen.(
+          triple
+            (string_size (int_range 0 100))
+            int64
+            (string_size (oneof [ oneofl padding_edge_lengths; int_range 0 300 ]))))
+    (fun (key, nonce, msg) ->
+      let nonce_le = Bytes.create 8 in
+      Bytes.set_int64_le nonce_le 0 nonce;
+      Mac.compute ~key ~nonce msg
+      = String.sub (Hmac.mac ~key (Bytes.to_string nonce_le ^ msg)) 0 Mac.tag_size)
 
 (* --- keychain ------------------------------------------------------------ *)
 
@@ -249,15 +281,93 @@ let test_fingerprint_basic () =
     (Fingerprint.equal (Fingerprint.of_string "x") (Fingerprint.of_string "x"));
   check Alcotest.int "zero size" 16 (String.length Fingerprint.zero)
 
-let md5_incremental_prop =
-  QCheck.Test.make ~name:"md5 split point irrelevant" ~count:100
-    QCheck.(pair string small_nat)
-    (fun (s, k) ->
-      let k = if String.length s = 0 then 0 else k mod (String.length s + 1) in
-      let ctx = Md5.init () in
-      Md5.update ctx (String.sub s 0 k);
-      Md5.update ctx (String.sub s k (String.length s - k));
-      Md5.finalize ctx = Md5.digest s)
+(* The framing of [of_parts] and [builder], built by hand: each part is
+   preceded by its length as a little-endian 64-bit integer. *)
+let hand_framed parts =
+  String.concat ""
+    (List.concat_map
+       (fun p ->
+         let len = Bytes.create 8 in
+         Bytes.set_int64_le len 0 (Int64.of_int (String.length p));
+         [ Bytes.to_string len; p ])
+       parts)
+
+let test_fingerprint_vector () =
+  (* Generated before the MD5 backend moved to the runtime's C
+     implementation. *)
+  check Alcotest.string "of_parts" "28c03012637459ed931d0eacee9f91ed"
+    (Md5.to_hex (Fingerprint.of_parts [ "alpha"; ""; String.make 300 'z'; "beta" ]))
+
+let test_builder_hand_framed () =
+  (* Many part sizes fed to one builder, across MD5 block edges. *)
+  let data = String.init 1000 (fun i -> Char.chr (i mod 256)) in
+  let b = Fingerprint.create_builder () in
+  List.iter
+    (fun chunk ->
+      let rec split off =
+        if off >= String.length data then []
+        else
+          let len = Stdlib.min chunk (String.length data - off) in
+          String.sub data off len :: split (off + len)
+      in
+      let parts = split 0 in
+      Fingerprint.reset_builder b;
+      List.iter (Fingerprint.add_part b) parts;
+      check Alcotest.string
+        (Printf.sprintf "chunk %d" chunk)
+        (Md5.hex (hand_framed parts))
+        (Md5.to_hex (Fingerprint.finish b)))
+    [ 1; 3; 55; 56; 63; 64; 65; 128; 1000 ]
+
+let test_builder_grows_then_reuses () =
+  (* One part far beyond the staging buffer's initial capacity, then a
+     small part on the same builder after a reset. *)
+  let b = Fingerprint.create_builder () in
+  let big = String.init 100_000 (fun i -> Char.chr ((i * 7) land 0xff)) in
+  Fingerprint.add_part b "head";
+  Fingerprint.add_part_bytes b (Bytes.of_string ("xx" ^ big ^ "yy")) ~off:2
+    ~len:(String.length big);
+  check Alcotest.string "large part"
+    (Md5.hex (hand_framed [ "head"; big ]))
+    (Md5.to_hex (Fingerprint.finish b));
+  Fingerprint.reset_builder b;
+  Fingerprint.add_part b "small";
+  check Alcotest.string "small part after reset"
+    (Md5.hex (hand_framed [ "small" ]))
+    (Md5.to_hex (Fingerprint.finish b))
+
+let test_fingerprint_slice_bounds () =
+  let raises name f =
+    match f () with
+    | (_ : Fingerprint.t) -> Alcotest.failf "%s: no exception" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "of_substring past end" (fun () -> Fingerprint.of_substring "abc" ~off:1 ~len:5);
+  raises "of_substring negative offset" (fun () ->
+      Fingerprint.of_substring "abc" ~off:(-1) ~len:2);
+  raises "of_bytes past end" (fun () ->
+      Fingerprint.of_bytes (Bytes.of_string "abc") ~off:2 ~len:2);
+  raises "of_bytes negative length" (fun () ->
+      Fingerprint.of_bytes (Bytes.of_string "abc") ~off:0 ~len:(-1));
+  raises "add_part_bytes past end" (fun () ->
+      let b = Fingerprint.create_builder () in
+      Fingerprint.add_part_bytes b (Bytes.of_string "abc") ~off:1 ~len:3;
+      Fingerprint.finish b)
+
+let builder_framing_prop =
+  QCheck.Test.make ~name:"builder = hand-framed digest" ~count:200
+    QCheck.(list_of_size Gen.(int_range 0 8) (string_of_size Gen.(int_range 0 600)))
+    (fun parts ->
+      let b = Fingerprint.create_builder () in
+      List.iteri
+        (fun i p ->
+          if i mod 2 = 0 then Fingerprint.add_part b p
+          else
+            Fingerprint.add_part_bytes b (Bytes.of_string ("#" ^ p)) ~off:1
+              ~len:(String.length p))
+        parts;
+      Fingerprint.finish b = Md5.digest (hand_framed parts)
+      && Fingerprint.of_parts parts = Md5.digest (hand_framed parts))
 
 let () =
   let q = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20010701 |]) in
@@ -266,18 +376,17 @@ let () =
       ( "md5",
         [
           Alcotest.test_case "RFC 1321 vectors" `Quick test_md5_vectors;
-          Alcotest.test_case "incremental = one-shot" `Quick
-            test_md5_incremental_equals_oneshot;
+          Alcotest.test_case "million-a vector" `Quick test_md5_million_a;
           Alcotest.test_case "block boundaries" `Quick test_md5_block_boundaries;
-          Alcotest.test_case "update_sub bounds" `Quick test_md5_update_sub_bounds;
           Alcotest.test_case "to_hex" `Quick test_to_hex;
-          q md5_incremental_prop;
         ] );
       ("hmac", [ Alcotest.test_case "RFC 2202 vectors" `Quick test_hmac_rfc2202 ]);
       ( "mac",
         [
           Alcotest.test_case "verify and reject" `Quick test_mac_verify;
           Alcotest.test_case "length handling" `Quick test_mac_equal_lengths;
+          Alcotest.test_case "tag vectors" `Quick test_mac_vectors;
+          q mac_is_truncated_hmac_prop;
         ] );
       ( "keychain",
         [
@@ -304,5 +413,11 @@ let () =
           Alcotest.test_case "basics" `Quick test_fingerprint_basic;
           Alcotest.test_case "slices and builder" `Quick
             test_fingerprint_slices_and_builder;
+          Alcotest.test_case "of_parts vector" `Quick test_fingerprint_vector;
+          Alcotest.test_case "builder chunkings" `Quick test_builder_hand_framed;
+          Alcotest.test_case "builder grows then reuses" `Quick
+            test_builder_grows_then_reuses;
+          Alcotest.test_case "slice bounds" `Quick test_fingerprint_slice_bounds;
+          q builder_framing_prop;
         ] );
     ]
