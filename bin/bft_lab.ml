@@ -1,7 +1,11 @@
 (* bft_lab: command-line driver for the reproduction experiments.
 
    Each subcommand regenerates one figure of the paper (or a piece of one)
-   and prints the measured table together with the paper anchors. *)
+   and prints the measured table together with the paper anchors. Every
+   number it reports is on the simulated clock; what the simulator costs
+   to run on the host is measured by the performance ledger
+   (bench/ledger). Flags that several subcommands take are declared once
+   below and mean the same thing everywhere. *)
 
 open Cmdliner
 module E_micro = Bft_workloads.Experiments_micro
@@ -9,17 +13,100 @@ module E_fs = Bft_workloads.Experiments_fs
 module Ablations = Bft_workloads.Ablations
 module Report = Bft_workloads.Report
 module Microbench = Bft_workloads.Microbench
+module Nfs_rig = Bft_workloads.Nfs_rig
+module Calibration = Bft_sim.Calibration
+module Config = Bft_core.Config
+module Trace = Bft_trace.Trace
+module Monitor = Bft_trace.Monitor
+module Plan = Bft_chaos.Plan
+module Campaign = Bft_chaos.Campaign
+
+(* --- output helpers --------------------------------------------------- *)
+
+let die ?(code = 1) fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bft_lab: " ^ msg);
+      exit code)
+    fmt
+
+let read_file path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg -> die ~code:2 "cannot read %s" msg
+
+let write_file ?(append = false) path contents =
+  let mode = if append then Open_append else Open_trunc in
+  try
+    Out_channel.with_open_gen [ Open_wronly; Open_creat; mode ] 0o644 path
+      (fun oc -> output_string oc contents)
+  with Sys_error msg -> die "cannot write %s" msg
+
+let dump_trace trace path =
+  write_file path (Trace.jsonl trace);
+  Printf.printf "wrote %d events to %s (%d recorded, %d evicted)\n"
+    (Trace.length trace) path (Trace.total trace) (Trace.dropped trace)
+
+let print_latency label (r : Microbench.latency_result) =
+  Printf.printf "%s %8.1f us (+/- %.1f, %d ops)\n" label
+    (r.Microbench.mean *. 1e6)
+    (r.Microbench.stddev *. 1e6)
+    r.Microbench.ops
+
+let print_health monitor =
+  Printf.printf "health: %s\n" (Monitor.summary monitor);
+  List.iter
+    (fun a -> Printf.printf "  alert: %s\n" (Monitor.alert_detail a))
+    (Monitor.alerts monitor)
+
+let write_bundle monitor = function
+  | None -> ()
+  | Some path -> (
+    match Monitor.last_bundle monitor with
+    | Some bundle ->
+      write_file path bundle;
+      Printf.printf "wrote post-mortem bundle to %s (%d dumped during the run)\n"
+        path
+        (Monitor.bundle_count monitor)
+    | None -> print_endline "no post-mortem bundle (nothing fired)")
+
+let check_balanced profile =
+  if not (Bft_trace.Profile.balanced profile) then
+    die "profile balance: FAILED — category totals do not sum to busy time"
+
+let read_plan_file ~n file =
+  let checked =
+    Result.bind (Plan.of_string (read_file file)) (fun plan ->
+        Result.map (fun () -> plan) (Plan.validate ~n plan))
+  in
+  match checked with Ok plan -> plan | Error msg -> die ~code:2 "%s: %s" file msg
+
+let print_sections sections = List.iter Report.print sections
+
+(* --- flags ------------------------------------------------------------ *)
+
+let flag_arg name ~doc = Arg.(value & flag & info [ name ] ~doc)
+let int_arg name default ~doc = Arg.(value & opt int default & info [ name ] ~doc)
+
+let float_arg name default ~doc =
+  Arg.(value & opt float default & info [ name ] ~doc)
+
+let file_arg name ~doc =
+  Arg.(value & opt (some string) None & info [ name ] ~doc ~docv:"FILE")
+
+let path_arg ?(aliases = []) name default ~doc =
+  Arg.(value & opt string default & info (name :: aliases) ~doc ~docv:"FILE")
 
 let quick_arg =
-  let doc = "Shrink sweep grids for a fast smoke run." in
-  Arg.(value & flag & info [ "quick" ] ~doc)
+  flag_arg "quick"
+    ~doc:"Shrink sweep grids and iteration counts for a fast smoke run."
 
-(* Shared cost-profile flag: every subcommand that simulates takes the
-   same named Calibration profile (testbed-2001 unless asked). *)
+let seed_arg =
+  int_arg "seed" 42
+    ~doc:"Random seed; the same seed reproduces the run exactly."
+
 let cost_profile_arg =
-  let module Calibration = Bft_sim.Calibration in
   let doc =
-    Printf.sprintf "Cost profile the simulation is calibrated to; one of %s."
+    Printf.sprintf "Cost profile the simulation is calibrated to; %s."
       (Arg.doc_alts Calibration.profile_names)
   in
   Arg.(
@@ -27,147 +114,80 @@ let cost_profile_arg =
     & opt (enum Calibration.profiles) Calibration.default
     & info [ "cost-profile" ] ~doc ~docv:"PROFILE")
 
-(* Shared tracing flags: every subcommand that can emit a protocol trace
-   takes the same --trace-out/--trace-cap pair. *)
-let trace_out_arg ?default ?(extra_names = []) () =
-  let doc = "Write the protocol trace of the run as JSONL to $(docv)." in
-  Arg.(
-    value
-    & opt (some string) default
-    & info (("trace-out" :: extra_names)) ~doc ~docv:"FILE")
+let arg_arg default = int_arg "arg" default ~doc:"Argument size in bytes."
+let res_arg default = int_arg "res" default ~doc:"Result size in bytes."
+let read_only_arg = flag_arg "read-only" ~doc:"Issue read-only operations."
+let ops_arg = int_arg "ops" 200 ~doc:"Measured operations."
+
+let health_arg =
+  flag_arg "health"
+    ~doc:
+      "Run under the always-on health monitor and print its summary. \
+       Observation is pure: the measured numbers do not change."
+
+let json_arg = file_arg "json" ~doc:"Write the result as JSON to $(docv)."
+
+let bundle_out_arg =
+  file_arg "bundle-out"
+    ~doc:
+      "Write the newest post-mortem bundle as JSONL to $(docv) (one exists \
+       only if the flight recorder fired)."
 
 let trace_cap_arg =
   let doc = "Trace ring capacity in events; the newest $(docv) are kept." in
   Arg.(value & opt int (1 lsl 20) & info [ "trace-cap" ] ~doc ~docv:"N")
 
-let write_file path contents =
-  let oc =
-    try open_out path
-    with Sys_error msg ->
-      Printf.eprintf "bft_lab: cannot write %s: %s\n" path msg;
-      exit 1
+(* --trace-out/--trace-cap of the subcommands whose trace is opt-in: a
+   live trace ring plus its output path when a file is named, the nil
+   sink otherwise. *)
+let trace_term =
+  let out =
+    file_arg "trace-out"
+      ~doc:"Write the protocol trace of the run as JSONL to $(docv)."
   in
-  output_string oc contents;
-  close_out oc
-
-let dump_trace trace path =
-  let module Trace = Bft_trace.Trace in
-  write_file path (Trace.jsonl trace);
-  Printf.printf "wrote %d events to %s (%d recorded, %d evicted)\n"
-    (Trace.length trace) path (Trace.total trace) (Trace.dropped trace)
-
-let print_sections sections = List.iter Report.print sections
-
-let backend_conv =
-  Arg.enum
-    [ ("bfs", Bft_workloads.Nfs_rig.Bfs);
-      ("norep", Bft_workloads.Nfs_rig.Norep_fs);
-      ("nfs-std", Bft_workloads.Nfs_rig.Nfs_std_fs) ]
-
-(* Shared by chaos and monitor: parse + validate a chaos plan file. *)
-let read_plan_file ~n file =
-  let module Plan = Bft_chaos.Plan in
-  let ic =
-    try open_in file
-    with Sys_error msg ->
-      Printf.eprintf "bft_lab: %s\n" msg;
-      exit 2
+  let make out cap =
+    match out with
+    | Some _ -> (Trace.create ~capacity:cap (), out)
+    | None -> (Trace.nil, None)
   in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  match Plan.of_string s with
-  | Error msg ->
-    Printf.eprintf "bft_lab: %s: %s\n" file msg;
-    exit 2
-  | Ok plan -> (
-    match Plan.validate ~n plan with
-    | Error msg ->
-      Printf.eprintf "bft_lab: %s: %s\n" file msg;
-      exit 2
-    | Ok () -> plan)
+  Term.(const make $ out $ trace_cap_arg)
 
-let figure_cmd name summary (run : ?quick:bool -> unit -> Report.section list) =
-  let doc = summary in
+(* --- subcommands ------------------------------------------------------ *)
+
+let figure_cmd name doc (run : ?quick:bool -> unit -> Report.section list) =
   Cmd.v (Cmd.info name ~doc)
     Term.(const (fun quick -> print_sections (run ~quick ())) $ quick_arg)
 
 let latency_cmd =
   let doc = "One latency point: BFT and NO-REP for a given op shape." in
-  let arg_size =
-    Arg.(value & opt int 8 & info [ "arg" ] ~doc:"Argument size in bytes.")
-  in
-  let res_size =
-    Arg.(value & opt int 8 & info [ "res" ] ~doc:"Result size in bytes.")
-  in
-  let read_only = Arg.(value & flag & info [ "read-only" ] ~doc:"Read-only op.") in
-  let run arg res read_only trace_out trace_cap =
-    let module Trace = Bft_trace.Trace in
-    let trace =
-      match trace_out with
-      | Some _ -> Trace.create ~capacity:trace_cap ()
-      | None -> Trace.nil
-    in
+  let run arg res read_only (trace, trace_out) =
     let b = Microbench.bft_latency ~trace ~arg ~res ~read_only () in
     let n = Microbench.norep_latency ~arg ~res () in
-    Printf.printf "BFT    : %8.1f us (+/- %.1f, %d ops)\n" (b.Microbench.mean *. 1e6)
-      (b.Microbench.stddev *. 1e6) b.Microbench.ops;
-    Printf.printf "NO-REP : %8.1f us (+/- %.1f, %d ops)\n" (n.Microbench.mean *. 1e6)
-      (n.Microbench.stddev *. 1e6) n.Microbench.ops;
+    print_latency "BFT    :" b;
+    print_latency "NO-REP :" n;
     Printf.printf "slowdown: %.2f\n" (b.Microbench.mean /. n.Microbench.mean);
     Option.iter (dump_trace trace) trace_out
   in
-  Cmd.v
-    (Cmd.info "latency" ~doc)
-    Term.(
-      const run $ arg_size $ res_size $ read_only $ trace_out_arg ()
-      $ trace_cap_arg)
+  Cmd.v (Cmd.info "latency" ~doc)
+    Term.(const run $ arg_arg 8 $ res_arg 8 $ read_only_arg $ trace_term)
 
 let throughput_cmd =
   let doc = "One throughput point: BFT for a given op shape and client count." in
-  let arg_size = Arg.(value & opt int 0 & info [ "arg" ] ~doc:"Argument bytes.") in
-  let res_size = Arg.(value & opt int 0 & info [ "res" ] ~doc:"Result bytes.") in
-  let clients = Arg.(value & opt int 50 & info [ "clients" ] ~doc:"Client count.") in
+  let clients = int_arg "clients" 50 ~doc:"Client count." in
   let groups =
-    Arg.(
-      value & opt int 1
-      & info [ "groups" ]
-          ~doc:
-            "Replica groups. With more than one, runs the sharded \
-             uniform-key KV workload ($(b,--clients) proxies spread over \
-             the groups; $(b,--arg)/$(b,--res)/$(b,--read-only) do not \
-             apply).")
+    int_arg "groups" 1
+      ~doc:
+        "Replica groups. With more than one, runs the sharded uniform-key KV \
+         workload ($(b,--clients) proxies spread over the groups; \
+         $(b,--arg)/$(b,--res)/$(b,--read-only) do not apply)."
   in
-  let read_only = Arg.(value & flag & info [ "read-only" ] ~doc:"Read-only ops.") in
-  let health =
-    Arg.(
-      value & flag
-      & info [ "health" ]
-          ~doc:
-            "Attach an always-on health monitor (per group) and print its \
-             summary after the run. Observation is pure: the measured \
-             numbers do not change.")
-  in
-  let run arg res clients groups read_only health cal trace_out trace_cap =
-    let module Trace = Bft_trace.Trace in
-    let module Monitor = Bft_trace.Monitor in
-    let trace =
-      match trace_out with
-      | Some _ -> Trace.create ~capacity:trace_cap ()
-      | None -> Trace.nil
-    in
-    Printf.printf "cost profile: %s\n" (Bft_sim.Calibration.name cal);
-    let drops t =
-      List.iter
-        (fun (host, dropped, overflowed) ->
-          Printf.printf "  %s: %d datagrams dropped (%d receive-buffer overflows)\n"
-            host dropped overflowed)
-        t
-    in
-    let print_alerts alerts =
-      List.iter
-        (fun a -> Printf.printf "  alert: %s\n" (Monitor.alert_detail a))
-        alerts
+  let run arg res clients groups read_only health cal (trace, trace_out) =
+    Printf.printf "cost profile: %s\n" (Calibration.name cal);
+    let print_drops =
+      List.iter (fun (host, dropped, overflowed) ->
+          Printf.printf
+            "  %s: %d datagrams dropped (%d receive-buffer overflows)\n" host
+            dropped overflowed)
     in
     if groups > 1 then begin
       let clients_per_group = Stdlib.max 1 (clients / groups) in
@@ -183,13 +203,9 @@ let throughput_cmd =
       Array.iteri
         (fun g c -> Printf.printf "  group %d: %d completed\n" g c)
         t.Microbench.sh_per_group;
-      drops t.Microbench.sh_drops_by_node;
+      print_drops t.Microbench.sh_drops_by_node;
       if health then begin
-        Array.iter
-          (fun m ->
-            Printf.printf "  health %s\n" (Monitor.summary m);
-            print_alerts (Monitor.alerts m))
-          t.Microbench.sh_monitors;
+        Array.iter print_health t.Microbench.sh_monitors;
         print_endline
           (Bft_shard.Rig.rollup_line
              (Bft_shard.Rig.health_rollup t.Microbench.sh_monitors))
@@ -205,20 +221,15 @@ let throughput_cmd =
         "BFT %d/%d, %d clients: %.0f ops/s (%d completed, %d retransmissions)\n"
         arg res clients t.Microbench.ops_per_sec t.Microbench.completed
         t.Microbench.retransmissions;
-      drops t.Microbench.drops_by_node;
-      Option.iter
-        (fun m ->
-          Printf.printf "health: %s\n" (Monitor.summary m);
-          print_alerts (Monitor.alerts m))
-        monitor
+      print_drops t.Microbench.drops_by_node;
+      Option.iter print_health monitor
     end;
     Option.iter (dump_trace trace) trace_out
   in
-  Cmd.v
-    (Cmd.info "throughput" ~doc)
+  Cmd.v (Cmd.info "throughput" ~doc)
     Term.(
-      const run $ arg_size $ res_size $ clients $ groups $ read_only $ health
-      $ cost_profile_arg $ trace_out_arg () $ trace_cap_arg)
+      const run $ arg_arg 0 $ res_arg 0 $ clients $ groups $ read_only_arg
+      $ health_arg $ cost_profile_arg $ trace_term)
 
 let trace_cmd =
   let doc =
@@ -228,34 +239,20 @@ let trace_cmd =
      time-series. Deterministic: the same seed and operation shape produce \
      byte-identical files."
   in
-  let arg_size =
-    Arg.(value & opt int 0 & info [ "arg" ] ~doc:"Argument size in bytes.")
-  in
-  let res_size =
-    Arg.(value & opt int 0 & info [ "res" ] ~doc:"Result size in bytes.")
-  in
-  let ops = Arg.(value & opt int 200 & info [ "ops" ] ~doc:"Measured operations.") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
-  let read_only = Arg.(value & flag & info [ "read-only" ] ~doc:"Read-only op.") in
+  let module Timeline = Bft_trace.Timeline in
+  let module Span = Bft_trace.Span in
+  let module Series = Bft_trace.Series in
   let sim_events =
-    Arg.(
-      value & flag
-      & info [ "sim-events" ] ~doc:"Also record per-event simulator firings.")
+    flag_arg "sim-events" ~doc:"Also record per-event simulator firings."
   in
   let chrome =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chrome" ]
-          ~doc:"Export a Chrome trace-event JSON file to $(docv)." ~docv:"FILE")
+    file_arg "chrome" ~doc:"Export a Chrome trace-event JSON file to $(docv)."
   in
   let series_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "series" ]
-          ~doc:"Sample cluster metrics on a virtual-time cadence and write \
-                them as JSONL to $(docv)." ~docv:"FILE")
+    file_arg "series"
+      ~doc:
+        "Sample cluster metrics on a virtual-time cadence and write them as \
+         JSONL to $(docv)."
   in
   let series_every =
     Arg.(
@@ -264,12 +261,16 @@ let trace_cmd =
           ~doc:"Virtual-time sampling interval in seconds for $(b,--series)."
           ~docv:"SECONDS")
   in
+  (* trace keeps its historical --out spelling as an alias and always
+     writes the JSONL dump, unlike the subcommands where it is opt-in. *)
+  let trace_out =
+    path_arg "trace-out" ~aliases:[ "out" ] "bft_trace.jsonl"
+      ~doc:"Write the protocol trace of the run as JSONL to $(docv)."
+  in
   let run arg res ops seed read_only sim_events cal trace_out trace_cap chrome
       series_out series_every =
-    let module Trace = Bft_trace.Trace in
-    let module Timeline = Bft_trace.Timeline in
     let trace = Trace.create ~capacity:trace_cap ~sim_events () in
-    Printf.printf "cost profile: %s\n" (Bft_sim.Calibration.name cal);
+    Printf.printf "cost profile: %s\n" (Calibration.name cal);
     let pr =
       Microbench.bft_profile ~arg ~res ~ops ~seed ~cal ~trace ~read_only
         ?series_every:(Option.map (fun _ -> series_every) series_out)
@@ -277,53 +278,39 @@ let trace_cmd =
     in
     let r = pr.Microbench.pf_latency in
     dump_trace trace trace_out;
-    (match chrome with
-    | Some path ->
-      write_file path (Bft_trace.Chrome.of_events (Trace.events trace));
-      Printf.printf "wrote Chrome trace to %s\n" path
-    | None -> ());
+    Option.iter
+      (fun path ->
+        write_file path (Bft_trace.Chrome.of_events (Trace.events trace));
+        Printf.printf "wrote Chrome trace to %s\n" path)
+      chrome;
     (match (series_out, pr.Microbench.pf_series) with
     | Some path, Some s ->
-      write_file path (Bft_trace.Series.jsonl s);
+      write_file path (Series.jsonl s);
       Printf.printf "wrote %d series samples to %s (%d taken, %d evicted)\n"
-        (Bft_trace.Series.length s)
-        path
-        (Bft_trace.Series.total s)
-        (Bft_trace.Series.dropped s)
+        (Series.length s) path (Series.total s) (Series.dropped s)
     | _ -> ());
     let tl = Timeline.of_trace ~skip:Microbench.latency_warmup trace in
     Report.print (Report.breakdown_section tl);
-    let dag = Bft_trace.Span.of_events (Trace.events trace) in
-    Printf.printf "\ncausal DAG: %s\n" (Bft_trace.Span.summary dag);
-    let phase_sum = Bft_util.Stats.mean tl.Timeline.end_to_end in
+    let dag = Span.of_events (Trace.events trace) in
+    Printf.printf "\ncausal DAG: %s\n" (Span.summary dag);
     Printf.printf
       "microbench mean %8.1f us (+/- %.1f, %d ops); phase sum %8.1f us\n"
       (r.Microbench.mean *. 1e6)
       (r.Microbench.stddev *. 1e6)
-      r.Microbench.ops (phase_sum *. 1e6);
-    if not (Bft_trace.Span.complete dag) then begin
+      r.Microbench.ops
+      (Bft_util.Stats.mean tl.Timeline.end_to_end *. 1e6);
+    if not (Span.complete dag) then begin
       List.iter
         (fun (req, reason) ->
           Printf.eprintf "incomplete DAG for request %Ld: %s\n" req reason)
-        (Bft_trace.Span.check dag);
+        (Span.check dag);
       exit 1
     end
   in
-  let trace_out_required =
-    (* trace keeps its historical --out spelling as an alias and always
-       writes the JSONL dump, unlike the other subcommands where the trace
-       is opt-in. *)
-    let doc = "Write the protocol trace of the run as JSONL to $(docv)." in
-    Arg.(
-      value
-      & opt string "bft_trace.jsonl"
-      & info [ "trace-out"; "out" ] ~doc ~docv:"FILE")
-  in
-  Cmd.v
-    (Cmd.info "trace" ~doc)
+  Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const run $ arg_size $ res_size $ ops $ seed $ read_only $ sim_events
-      $ cost_profile_arg $ trace_out_required $ trace_cap_arg $ chrome
+      const run $ arg_arg 0 $ res_arg 0 $ ops_arg $ seed_arg $ read_only_arg
+      $ sim_events $ cost_profile_arg $ trace_out $ trace_cap_arg $ chrome
       $ series_out $ series_every)
 
 let profile_cmd =
@@ -334,49 +321,27 @@ let profile_cmd =
      crypto operation counts. The per-node category totals sum exactly to \
      the engine's busy time; the command fails if they do not."
   in
-  let arg_size =
-    Arg.(value & opt int 0 & info [ "arg" ] ~doc:"Argument size in bytes.")
-  in
-  let res_size =
-    Arg.(value & opt int 0 & info [ "res" ] ~doc:"Result size in bytes.")
-  in
-  let ops = Arg.(value & opt int 200 & info [ "ops" ] ~doc:"Measured operations.") in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
-  let read_only = Arg.(value & flag & info [ "read-only" ] ~doc:"Read-only op.") in
   let rotating =
-    Arg.(
-      value & flag
-      & info [ "rotating" ]
-          ~doc:
-            "Run under rotating ordering so the per-owner breakdown shows \
-             proposals spread over all replicas (with any null fills and \
-             reclaims).")
+    flag_arg "rotating"
+      ~doc:
+        "Run under rotating ordering so the per-owner breakdown shows \
+         proposals spread over all replicas (with any null fills and \
+         reclaims)."
   in
   let epoch_length =
-    Arg.(
-      value & opt int 4
-      & info [ "epoch-length" ]
-          ~doc:"Epoch length (slots per owner) for $(b,--rotating).")
+    int_arg "epoch-length" 4
+      ~doc:"Epoch length (slots per owner) for $(b,--rotating)."
   in
-  let run arg res ops seed read_only rotating epoch_length cal trace_out
-      trace_cap =
-    let module Trace = Bft_trace.Trace in
-    let trace =
-      match trace_out with
-      | Some _ -> Trace.create ~capacity:trace_cap ()
-      | None -> Trace.nil
-    in
-    Printf.printf "cost profile: %s\n" (Bft_sim.Calibration.name cal);
-    let config =
-      if rotating then
-        Bft_core.Config.make ~f:1
-          ~ordering:(Bft_core.Config.Rotating { epoch_length })
-          ()
-      else Bft_core.Config.make ~f:1 ()
+  let run arg res ops seed read_only rotating epoch_length cal
+      (trace, trace_out) =
+    Printf.printf "cost profile: %s\n" (Calibration.name cal);
+    let ordering =
+      if rotating then Config.Rotating { epoch_length } else Config.Single_primary
     in
     let pr =
-      Microbench.bft_profile ~config ~arg ~res ~ops ~seed ~cal ~trace
-        ~read_only ()
+      Microbench.bft_profile
+        ~config:(Config.make ~f:1 ~ordering ())
+        ~arg ~res ~ops ~seed ~cal ~trace ~read_only ()
     in
     let r = pr.Microbench.pf_latency in
     Report.print (Report.profile_section pr.Microbench.pf_profile);
@@ -395,29 +360,40 @@ let profile_cmd =
           o.Microbench.ow_batches o.Microbench.ow_null_fill
           o.Microbench.ow_reclaim)
       pr.Microbench.pf_owners;
-    Printf.printf "\nlatency: %8.1f us (+/- %.1f, %d ops)\n"
-      (r.Microbench.mean *. 1e6)
-      (r.Microbench.stddev *. 1e6)
-      r.Microbench.ops;
+    print_newline ();
+    print_latency "latency:" r;
     Option.iter (dump_trace trace) trace_out;
-    if Bft_trace.Profile.balanced pr.Microbench.pf_profile then
-      print_endline "profile balance: OK (category totals = engine busy time)"
-    else begin
-      prerr_endline
-        "profile balance: FAILED — category totals do not sum to busy time";
-      exit 1
-    end
+    check_balanced pr.Microbench.pf_profile;
+    print_endline "profile balance: OK (category totals = engine busy time)"
   in
-  Cmd.v
-    (Cmd.info "profile" ~doc)
+  Cmd.v (Cmd.info "profile" ~doc)
     Term.(
-      const run $ arg_size $ res_size $ ops $ seed $ read_only $ rotating
-      $ epoch_length $ cost_profile_arg $ trace_out_arg () $ trace_cap_arg)
+      const run $ arg_arg 0 $ res_arg 0 $ ops_arg $ seed_arg $ read_only_arg
+      $ rotating $ epoch_length $ cost_profile_arg $ trace_term)
+
+let backend_arg =
+  Arg.(
+    value
+    & opt
+        (enum
+           [
+             ("bfs", Nfs_rig.Bfs);
+             ("norep", Nfs_rig.Norep_fs);
+             ("nfs-std", Nfs_rig.Nfs_std_fs);
+           ])
+        Nfs_rig.Bfs
+    & info [ "backend" ] ~doc:"Backend.")
+
+let observe_arg =
+  flag_arg "profile"
+    ~doc:
+      "Observed run: also print the per-phase breakdown, the per-machine CPU \
+       cost attribution, and the health-monitor summary. The benchmark \
+       numbers are identical to an unobserved run."
 
 (* Shared by andrew and postmark: phase table, CPU profile attribution and
    health summary of an observed file-system run. *)
 let print_observed (ob : E_fs.observed) =
-  let module Monitor = Bft_trace.Monitor in
   if ob.E_fs.ob_phases <> [] then begin
     print_endline "phases:";
     List.iter
@@ -426,84 +402,52 @@ let print_observed (ob : E_fs.observed) =
   end;
   print_newline ();
   Report.print (Report.profile_section ob.E_fs.ob_profile);
-  Printf.printf "\nhealth: %s\n" (Monitor.summary ob.E_fs.ob_monitor);
-  List.iter
-    (fun a -> Printf.printf "  alert: %s\n" (Monitor.alert_detail a))
-    (Monitor.alerts ob.E_fs.ob_monitor);
-  if not (Bft_trace.Profile.balanced ob.E_fs.ob_profile) then begin
-    prerr_endline
-      "profile balance: FAILED — category totals do not sum to busy time";
-    exit 1
-  end
-
-let profile_flag =
-  Arg.(
-    value & flag
-    & info [ "profile" ]
-        ~doc:
-          "Observed run: also print the per-phase breakdown, the per-machine \
-           CPU cost attribution, and the health-monitor summary. The \
-           benchmark numbers are identical to an unobserved run.")
+  print_newline ();
+  print_health ob.E_fs.ob_monitor;
+  check_balanced ob.E_fs.ob_profile
 
 let andrew_cmd =
   let doc = "Run the modified Andrew benchmark on one backend." in
-  let n = Arg.(value & opt int 100 & info [ "n" ] ~doc:"Number of tree copies.") in
-  let backend =
-    Arg.(
-      value
-      & opt backend_conv Bft_workloads.Nfs_rig.Bfs
-      & info [ "backend" ] ~doc:"Backend.")
-  in
-  let run n backend profile =
-    if profile then begin
-      let ob = E_fs.observe_andrew ~n backend in
+  let n = int_arg "n" 100 ~doc:"Number of tree copies." in
+  let run n backend observe =
+    let line elapsed calls =
       Printf.printf "Andrew%d on %s: %.1f s elapsed, %d NFS calls\n" n
-        (Bft_workloads.Nfs_rig.backend_name backend)
-        ob.E_fs.ob_elapsed ob.E_fs.ob_calls;
+        (Nfs_rig.backend_name backend)
+        elapsed calls
+    in
+    if observe then begin
+      let ob = E_fs.observe_andrew ~n backend in
+      line ob.E_fs.ob_elapsed ob.E_fs.ob_calls;
       print_observed ob
     end
-    else begin
+    else
       let elapsed, calls = E_fs.run_andrew ~n backend in
-      Printf.printf "Andrew%d on %s: %.1f s elapsed, %d NFS calls\n" n
-        (Bft_workloads.Nfs_rig.backend_name backend)
-        elapsed calls
-    end
+      line elapsed calls
   in
-  Cmd.v (Cmd.info "andrew" ~doc) Term.(const run $ n $ backend $ profile_flag)
+  Cmd.v (Cmd.info "andrew" ~doc) Term.(const run $ n $ backend_arg $ observe_arg)
 
 let postmark_cmd =
   let doc = "Run the PostMark benchmark on one backend." in
-  let files =
-    Arg.(value & opt int 1000 & info [ "files" ] ~doc:"Initial file count.")
-  in
-  let transactions =
-    Arg.(value & opt int 5000 & info [ "transactions" ] ~doc:"Transactions.")
-  in
-  let backend =
-    Arg.(
-      value
-      & opt backend_conv Bft_workloads.Nfs_rig.Bfs
-      & info [ "backend" ] ~doc:"Backend.")
-  in
-  let run files transactions backend profile =
-    let line backend elapsed txns =
+  let files = int_arg "files" 1000 ~doc:"Initial file count." in
+  let transactions = int_arg "transactions" 5000 ~doc:"Transactions." in
+  let run files transactions backend observe =
+    let line elapsed txns =
       Printf.printf "PostMark on %s: %.1f s elapsed, %d transactions (%.0f txn/s)\n"
-        (Bft_workloads.Nfs_rig.backend_name backend)
+        (Nfs_rig.backend_name backend)
         elapsed txns
         (float_of_int txns /. elapsed)
     in
-    if profile then begin
+    if observe then begin
       let ob, txns = E_fs.observe_postmark ~files ~transactions backend in
-      line backend ob.E_fs.ob_elapsed txns;
+      line ob.E_fs.ob_elapsed txns;
       print_observed ob
     end
-    else begin
+    else
       let elapsed, txns = E_fs.run_postmark ~files ~transactions backend in
-      line backend elapsed txns
-    end
+      line elapsed txns
   in
   Cmd.v (Cmd.info "postmark" ~doc)
-    Term.(const run $ files $ transactions $ backend $ profile_flag)
+    Term.(const run $ files $ transactions $ backend_arg $ observe_arg)
 
 let chaos_cmd =
   let doc =
@@ -514,66 +458,43 @@ let chaos_cmd =
      failing plan. Emits one JSON line per campaign; exits non-zero on \
      any violation."
   in
-  let module Plan = Bft_chaos.Plan in
-  let module Campaign = Bft_chaos.Campaign in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Campaign seed.") in
-  let campaigns =
-    Arg.(value & opt int 20 & info [ "campaigns" ] ~doc:"Number of campaigns.")
-  in
+  let campaigns = int_arg "campaigns" 20 ~doc:"Number of campaigns." in
   let plan_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "plan" ] ~doc:"Replay one plan from $(docv) instead of generating."
-          ~docv:"FILE")
+    file_arg "plan" ~doc:"Replay one plan from $(docv) instead of generating."
   in
   let horizon =
-    Arg.(
-      value & opt float 6.0
-      & info [ "horizon" ] ~doc:"Virtual seconds of faulted window per campaign.")
+    float_arg "horizon" 6.0 ~doc:"Virtual seconds of faulted window per campaign."
   in
   let shrunk_out =
-    Arg.(
-      value
-      & opt string "chaos_shrunk.plan"
-      & info [ "shrunk-out" ]
-          ~doc:"Where to write the minimal failing plan." ~docv:"FILE")
+    path_arg "shrunk-out" "chaos_shrunk.plan"
+      ~doc:"Where to write the minimal failing plan."
   in
   let unsafe =
-    Arg.(
-      value & flag
-      & info
-          [ "unsafe-no-commit-quorum" ]
-          ~doc:
-            "Self-test: run the deliberately unsound protocol variant that \
-             treats prepared batches as committed, to prove the checker \
-             catches (and shrinks) real safety violations.")
-  in
-  let health =
-    Arg.(
-      value & flag
-      & info [ "health" ]
-          ~doc:
-            "Print each campaign's health-monitor summary to stderr (the \
-             typed alerts are always part of the JSON line).")
+    flag_arg "unsafe-no-commit-quorum"
+      ~doc:
+        "Self-test: run the deliberately unsound protocol variant that treats \
+         prepared batches as committed, to prove the checker catches (and \
+         shrinks) real safety violations."
   in
   let rotating =
-    Arg.(
-      value & flag
-      & info [ "rotating" ]
-          ~doc:
-            "Run every campaign under rotating ordering (epoch length 2) \
-             and let the generator aim half its crash events at whichever \
-             replica owns the epoch when they fire — the handoff-window \
-             stress test for the rotation protocol.")
+    flag_arg "rotating"
+      ~doc:
+        "Run every campaign under rotating ordering (epoch length 2) and let \
+         the generator aim half its crash events at whichever replica owns \
+         the epoch when they fire — the handoff-window stress test for the \
+         rotation protocol."
+  in
+  let trace_out =
+    path_arg "trace-out" "chaos_failure_trace.jsonl"
+      ~doc:
+        "Write the protocol trace of the (shrunk) minimal failing plan as \
+         JSONL to $(docv); the path is recorded in the failure's JSON line."
   in
   let n_replicas = 4 in
   let run seed campaigns plan_file horizon shrunk_out unsafe health rotating
       trace_out trace_cap =
-    let module Monitor = Bft_trace.Monitor in
     let ordering =
-      if rotating then Bft_core.Config.Rotating { epoch_length = 2 }
-      else Bft_core.Config.Single_primary
+      if rotating then Config.Rotating { epoch_length = 2 } else Config.Single_primary
     in
     let run_plan ~seed plan =
       let o =
@@ -598,42 +519,26 @@ let chaos_cmd =
         (fun v ->
           Printf.eprintf "  %s: %s\n" v.Campaign.invariant v.Campaign.detail)
         shrunk_outcome.Campaign.violations;
-      (try
-         let oc = open_out shrunk_out in
-         output_string oc (Plan.to_string shrunk);
-         close_out oc;
-         Printf.eprintf "  minimal plan written to %s (replay with --plan)\n"
-           shrunk_out
-       with Sys_error msg -> Printf.eprintf "  cannot write %s: %s\n" shrunk_out msg);
+      write_file shrunk_out (Plan.to_string shrunk);
+      Printf.eprintf "  minimal plan written to %s (replay with --plan)\n"
+        shrunk_out;
       (* Re-run the minimal failing plan with a live trace sink so the
          failure is inspectable event by event; the re-run is deterministic,
          so the traced outcome matches the reported one. *)
-      let module Trace = Bft_trace.Trace in
       let trace = Trace.create ~capacity:trace_cap () in
       ignore
         (Campaign.run ~ordering ~unsafe_no_commit_quorum:unsafe ~trace ~seed
            ~plan:shrunk ());
-      let trace_path =
-        try
-          let oc = open_out trace_out in
-          output_string oc (Trace.jsonl trace);
-          close_out oc;
-          Printf.eprintf
-            "  protocol trace of the minimal failure written to %s (%d \
-             events)\n"
-            trace_out (Trace.length trace);
-          Some trace_out
-        with Sys_error msg ->
-          Printf.eprintf "  cannot write %s: %s\n" trace_out msg;
-          None
-      in
-      print_endline (Campaign.jsonl ~campaign ?trace_path shrunk_outcome);
+      write_file trace_out (Trace.jsonl trace);
+      Printf.eprintf
+        "  protocol trace of the minimal failure written to %s (%d events)\n"
+        trace_out (Trace.length trace);
+      print_endline (Campaign.jsonl ~campaign ~trace_path:trace_out shrunk_outcome);
       exit 1
     in
     match plan_file with
     | Some file ->
-      let plan = read_plan_file ~n:n_replicas file in
-      let outcome = run_plan ~seed plan in
+      let outcome = run_plan ~seed (read_plan_file ~n:n_replicas file) in
       print_endline (Campaign.jsonl outcome);
       if Campaign.failed outcome then report_failure ~campaign:0 ~seed outcome
     | None ->
@@ -648,20 +553,10 @@ let chaos_cmd =
           report_failure ~campaign ~seed:campaign_seed outcome
       done
   in
-  let trace_out =
-    let doc =
-      "Write the protocol trace of the (shrunk) minimal failing plan as \
-       JSONL to $(docv); the path is recorded in the failure's JSON line."
-    in
-    Arg.(
-      value
-      & opt string "chaos_failure_trace.jsonl"
-      & info [ "trace-out" ] ~doc ~docv:"FILE")
-  in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
-      const run $ seed $ campaigns $ plan_file $ horizon $ shrunk_out $ unsafe
-      $ health $ rotating $ trace_out $ trace_cap_arg)
+      const run $ seed_arg $ campaigns $ plan_file $ horizon $ shrunk_out
+      $ unsafe $ health_arg $ rotating $ trace_out $ trace_cap_arg)
 
 let txn_cmd =
   let doc =
@@ -690,181 +585,104 @@ let txn_cmd =
              and COMMIT), $(b,mid-migration) (a donor-group replica \
              crashes during the reshard).")
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Campaign seed.") in
   let no_recovery =
-    Arg.(
-      value & flag
-      & info [ "no-recovery" ]
-          ~doc:
-            "Disable client-driven lock recovery: a dead coordinator's \
-             locks linger, which the txn.atomic audit must catch.")
+    flag_arg "no-recovery"
+      ~doc:
+        "Disable client-driven lock recovery: a dead coordinator's locks \
+         linger, which the txn.atomic audit must catch."
   in
   let expect_violation =
-    Arg.(
-      value & flag
-      & info [ "expect-violation" ]
-          ~doc:
-            "Self-test: exit zero only if the audits DO flag a violation \
-             (pair with --no-recovery and --scenario coordinator-crash to \
-             prove the checker catches a wedged transaction).")
+    flag_arg "expect-violation"
+      ~doc:
+        "Self-test: exit zero only if the audits DO flag a violation (pair \
+         with --no-recovery and --scenario coordinator-crash to prove the \
+         checker catches a wedged transaction)."
   in
-  let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~doc:"Also append the JSON line to $(docv)."
-          ~docv:"FILE")
-  in
+  let json_out = file_arg "json" ~doc:"Also append the JSON line to $(docv)." in
   let run scenario seed no_recovery expect_violation json_out =
     let o = Sc.run ~scenario ~recovery:(not no_recovery) ~seed () in
     let line = Sc.jsonl o in
     print_endline line;
-    (match json_out with
-    | Some file ->
-      let oc =
-        open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 file
-      in
-      output_string oc (line ^ "\n");
-      close_out oc
-    | None -> ());
+    Option.iter (fun path -> write_file ~append:true path (line ^ "\n")) json_out;
     List.iter
       (fun v -> Printf.eprintf "  %s: %s\n" v.Sc.invariant v.Sc.detail)
       o.Sc.violations;
-    if expect_violation then begin
-      if not (Sc.failed o) then begin
-        Printf.eprintf
-          "bft_lab txn: expected an invariant violation but the audits \
-           passed\n";
-        exit 1
-      end
-    end
-    else if Sc.failed o then exit 1
+    match (expect_violation, Sc.failed o) with
+    | true, false ->
+      die "txn: expected an invariant violation but the audits passed"
+    | false, true -> exit 1
+    | _ -> ()
   in
   Cmd.v (Cmd.info "txn" ~doc)
     Term.(
-      const run $ scenario $ seed $ no_recovery $ expect_violation $ json_out)
+      const run $ scenario $ seed_arg $ no_recovery $ expect_violation
+      $ json_out)
 
 let bench_cmd =
   let doc =
-    "Saturation bench suite: 0/0, 4/0, 0/4 micro-ops and the batched \
-     throughput curve, reporting virtual-time results (deterministic for a \
-     fixed seed; the golden regression surface) and wall-clock simulator \
-     throughput (the perf trajectory). Writes the full result as JSON and \
-     optionally compares the virtual-time part against a golden file."
+    "Saturation bench suite: 0/0, 4/0, 0/4 micro-ops, the batched \
+     throughput curve and the scaling, rotating-ordering and cross-shard \
+     rows, all on the simulated clock (deterministic for a fixed seed). \
+     Optionally writes the result as JSON and compares its golden part \
+     against a golden file."
   in
   let module Saturation = Bft_workloads.Saturation in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"Small iteration counts (CI smoke run).")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   let groups =
-    Arg.(
-      value & opt int 4
-      & info [ "groups" ]
-          ~doc:
-            "Upper bound of the scaling sweep: the scaling section runs 1, \
-             2, 4, ... groups up to this count.")
-  in
-  let json_out =
-    Arg.(
-      value
-      & opt string "BENCH_micro.json"
-      & info [ "json" ] ~doc:"Write the full (wall-clock included) result here."
-          ~docv:"FILE")
+    int_arg "groups" 4
+      ~doc:
+        "Upper bound of the scaling sweep: the scaling section runs 1, 2, 4, \
+         ... groups up to this count."
   in
   let golden =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "golden" ]
-          ~doc:
-            "Compare virtual-time results byte-for-byte against this golden \
-             file; exit non-zero on any difference."
-          ~docv:"FILE")
+    file_arg "golden"
+      ~doc:
+        "Compare the golden part byte-for-byte against $(docv); exit non-zero \
+         on any difference."
   in
   let write_golden =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "write-golden" ]
-          ~doc:"Write the virtual-time results to this golden file."
-          ~docv:"FILE")
-  in
-  let health =
-    Arg.(
-      value & flag
-      & info [ "health" ]
-          ~doc:
-            "Run every bench under an always-on health monitor and print \
-             the per-bench summaries. Virtual-time results — and so the \
-             golden comparison — are byte-identical either way.")
+    file_arg "write-golden" ~doc:"Write the golden part to $(docv)."
   in
   let run quick seed groups health cal json_out golden write_golden =
-    let default_profile =
-      String.equal
-        (Bft_sim.Calibration.name cal)
-        (Bft_sim.Calibration.name Bft_sim.Calibration.default)
-    in
-    (if (not default_profile) && (golden <> None || write_golden <> None) then begin
-       Printf.eprintf
-         "bft_lab bench: the golden surface is pinned to the %s profile; \
-          --golden/--write-golden cannot be used with --cost-profile %s\n"
-         (Bft_sim.Calibration.name Bft_sim.Calibration.default)
-         (Bft_sim.Calibration.name cal);
-       exit 2
-     end);
+    let pinned = Calibration.name Calibration.default in
+    if Calibration.name cal <> pinned && (golden <> None || write_golden <> None)
+    then
+      die ~code:2
+        "bench: the golden surface is pinned to the %s profile; \
+         --golden/--write-golden cannot be used with --cost-profile %s"
+        pinned (Calibration.name cal);
     let t = Saturation.run ~quick ~seed ~max_groups:groups ~health ~cal () in
     Saturation.print t;
-    if health && Saturation.health_alerts t > 0 then begin
-      Printf.eprintf
-        "bft_lab bench: %d health alert(s) during a healthy bench run\n"
+    if health && Saturation.health_alerts t > 0 then
+      die "bench: %d health alert(s) during a healthy bench run"
         (Saturation.health_alerts t);
-      exit 1
-    end;
-    let write path contents =
-      let oc =
-        try open_out path
-        with Sys_error msg ->
-          Printf.eprintf "bft_lab: cannot write %s: %s\n" path msg;
-          exit 1
-      in
-      output_string oc contents;
-      close_out oc
-    in
-    write json_out (Saturation.to_json t);
-    Printf.printf "wrote %s\n" json_out;
-    (match write_golden with
-    | Some path ->
-      write path (Saturation.virtual_json t);
-      Printf.printf "wrote golden %s\n" path
-    | None -> ());
-    match golden with
-    | None -> ()
-    | Some path ->
-      let expected =
-        try In_channel.with_open_bin path In_channel.input_all
-        with Sys_error msg ->
-          Printf.eprintf "bft_lab: cannot read golden %s: %s\n" path msg;
-          exit 1
-      in
-      let actual = Saturation.virtual_json t in
-      if String.equal expected actual then
-        Printf.printf "golden check: OK (%s)\n" path
-      else begin
-        Printf.eprintf
-          "golden check FAILED: virtual-time results differ from %s\n\
-           --- expected ---\n\
-           %s--- actual ---\n\
-           %s" path expected actual;
-        exit 1
-      end
+    Option.iter
+      (fun path ->
+        write_file path (Saturation.to_json t);
+        Printf.printf "wrote %s\n" path)
+      json_out;
+    Option.iter
+      (fun path ->
+        write_file path (Saturation.virtual_json t);
+        Printf.printf "wrote golden %s\n" path)
+      write_golden;
+    Option.iter
+      (fun path ->
+        let expected = read_file path and actual = Saturation.virtual_json t in
+        if String.equal expected actual then
+          Printf.printf "golden check: OK (%s)\n" path
+        else
+          die
+            "golden check FAILED: results differ from %s\n\
+             --- expected ---\n\
+             %s--- actual ---\n\
+             %s"
+            path expected actual)
+      golden
   in
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(
-      const run $ quick $ seed $ groups $ health $ cost_profile_arg $ json_out
-      $ golden $ write_golden)
+      const run $ quick_arg $ seed_arg $ groups $ health_arg $ cost_profile_arg
+      $ json_arg $ golden $ write_golden)
 
 let monitor_cmd =
   let doc =
@@ -875,51 +693,25 @@ let monitor_cmd =
      the flight recorder's post-mortem bundle (replayable JSONL: the \
      header's seed and plan pin down the whole run)."
   in
-  let module Plan = Bft_chaos.Plan in
-  let module Campaign = Bft_chaos.Campaign in
-  let module Monitor = Bft_trace.Monitor in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Campaign seed.") in
   let crash_primary =
-    Arg.(
-      value & flag
-      & info [ "crash-primary" ]
-          ~doc:
-            "Crash replica 0 (the view-0 primary) one virtual second in: \
-             the stalled-commit and silent-leader detectors must fire \
-             before the 0.25 s view-change timeout recovers the group.")
+    flag_arg "crash-primary"
+      ~doc:
+        "Crash replica 0 (the view-0 primary) one virtual second in: the \
+         stalled-commit and silent-leader detectors must fire before the \
+         0.25 s view-change timeout recovers the group."
   in
   let plan_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "plan" ]
-          ~doc:"Run this chaos plan (overrides $(b,--crash-primary))."
-          ~docv:"FILE")
-  in
-  let bundle_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bundle-out" ]
-          ~doc:"Write the newest post-mortem bundle as JSONL to $(docv)."
-          ~docv:"FILE")
+    file_arg "plan" ~doc:"Run this chaos plan (overrides $(b,--crash-primary))."
   in
   let fail_on_alert =
-    Arg.(
-      value & flag
-      & info [ "fail-on-alert" ]
-          ~doc:"Exit non-zero if any alert fired (healthy-run smoke).")
+    flag_arg "fail-on-alert"
+      ~doc:"Exit non-zero if any alert fired (healthy-run smoke)."
   in
   let require_alert =
-    Arg.(
-      value & flag
-      & info [ "require-alert" ]
-          ~doc:"Exit non-zero if no alert fired (detector smoke).")
+    flag_arg "require-alert" ~doc:"Exit non-zero if no alert fired (detector smoke)."
   in
   let jsonl =
-    Arg.(
-      value & flag
-      & info [ "jsonl" ] ~doc:"Also print the campaign's JSON line (stdout).")
+    flag_arg "jsonl" ~doc:"Also print the campaign's JSON line (stdout)."
   in
   let run seed crash_primary plan_file bundle_out fail_on_alert require_alert
       jsonl =
@@ -942,36 +734,19 @@ let monitor_cmd =
         Printf.printf "violation: %s: %s\n" v.Campaign.invariant
           v.Campaign.detail)
       o.Campaign.violations;
-    List.iter
-      (fun a -> Printf.printf "alert: %s\n" (Monitor.alert_detail a))
-      o.Campaign.alerts;
-    Printf.printf "health: %s\n" (Monitor.summary o.Campaign.monitor);
+    print_health o.Campaign.monitor;
     if jsonl then print_endline (Campaign.jsonl o);
-    (match bundle_out with
-    | None -> ()
-    | Some path -> (
-      match Monitor.last_bundle o.Campaign.monitor with
-      | Some bundle ->
-        write_file path bundle;
-        Printf.printf
-          "wrote post-mortem bundle to %s (%d bundle(s) dumped during the run)\n"
-          path
-          (Monitor.bundle_count o.Campaign.monitor)
-      | None -> Printf.printf "no post-mortem bundle (no alerts, no violations)\n"));
+    write_bundle o.Campaign.monitor bundle_out;
     if o.Campaign.violations <> [] then exit 1;
-    if fail_on_alert && o.Campaign.alerts <> [] then begin
-      prerr_endline "bft_lab monitor: alerts fired (--fail-on-alert)";
-      exit 1
-    end;
-    if require_alert && o.Campaign.alerts = [] then begin
-      prerr_endline "bft_lab monitor: no alert fired (--require-alert)";
-      exit 1
-    end
+    if fail_on_alert && o.Campaign.alerts <> [] then
+      die "monitor: alerts fired (--fail-on-alert)";
+    if require_alert && o.Campaign.alerts = [] then
+      die "monitor: no alert fired (--require-alert)"
   in
   Cmd.v (Cmd.info "monitor" ~doc)
     Term.(
-      const run $ seed $ crash_primary $ plan_file $ bundle_out $ fail_on_alert
-      $ require_alert $ jsonl)
+      const run $ seed_arg $ crash_primary $ plan_file $ bundle_out_arg
+      $ fail_on_alert $ require_alert $ jsonl)
 
 let overload_cmd =
   let doc =
@@ -984,91 +759,47 @@ let overload_cmd =
      batch — and exits non-zero if any fails."
   in
   let module Openloop = Bft_workloads.Openloop in
-  let module Monitor = Bft_trace.Monitor in
   let module Stats = Bft_util.Stats in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Run seed.") in
   let rate =
-    Arg.(
-      value & opt float 2000.0
-      & info [ "rate" ] ~doc:"Baseline arrival rate (ops per virtual second).")
+    float_arg "rate" 2000.0 ~doc:"Baseline arrival rate (ops per virtual second)."
   in
   let burst =
-    Arg.(
-      value & opt float 10.0
-      & info [ "burst" ]
-          ~doc:
-            "Burst multiplier: during the on-phase of each period arrivals \
-             come at $(b,--rate) times this factor. 1 degenerates to a \
-             plain Poisson stream.")
+    float_arg "burst" 10.0
+      ~doc:
+        "Burst multiplier: during the on-phase of each period arrivals come \
+         at $(b,--rate) times this factor. 1 degenerates to a plain Poisson \
+         stream."
   in
-  let period =
-    Arg.(
-      value & opt float 1.0
-      & info [ "period" ] ~doc:"Square-wave period (virtual seconds).")
-  in
-  let duty =
-    Arg.(
-      value & opt float 0.2
-      & info [ "duty" ] ~doc:"Fraction of each period spent bursting.")
-  in
+  let period = float_arg "period" 1.0 ~doc:"Square-wave period (virtual seconds)." in
+  let duty = float_arg "duty" 0.2 ~doc:"Fraction of each period spent bursting." in
   let duration =
-    Arg.(
-      value & opt float 5.0
-      & info [ "duration" ] ~doc:"Arrival horizon (virtual seconds).")
+    float_arg "duration" 5.0 ~doc:"Arrival horizon (virtual seconds)."
   in
   let stubs =
-    Arg.(
-      value & opt int 256
-      & info [ "stubs" ]
-          ~doc:
-            "Client stubs multiplexing the arrival stream (the pool must \
-             be deep enough for the burst to actually pile up at the \
-             primary, or the pool itself becomes the bottleneck).")
+    int_arg "stubs" 256
+      ~doc:
+        "Client stubs multiplexing the arrival stream (the pool must be deep \
+         enough for the burst to actually pile up at the primary, or the \
+         pool itself becomes the bottleneck)."
   in
   let queue_limit =
-    Arg.(
-      value & opt int 16
-      & info [ "queue-limit" ]
-          ~doc:
-            "Replica admission-queue limit (0 disables shedding; with it \
-             disabled the run must drain without a single BUSY).")
+    int_arg "queue-limit" 16
+      ~doc:
+        "Replica admission-queue limit (0 disables shedding; with it disabled \
+         the run must drain without a single BUSY)."
   in
   let drop_oldest =
-    Arg.(
-      value & flag
-      & info [ "drop-oldest" ]
-          ~doc:"Shed the oldest queued request instead of the newest.")
+    flag_arg "drop-oldest" ~doc:"Shed the oldest queued request instead of the newest."
   in
   let retry_budget =
-    Arg.(
-      value & opt int 8
-      & info [ "retry-budget" ]
-          ~doc:"Client retries after a BUSY before reporting rejection.")
-  in
-  let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~doc:"Write the run's result JSONL to $(docv)."
-          ~docv:"FILE")
-  in
-  let bundle_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bundle-out" ]
-          ~doc:
-            "Write the newest post-mortem bundle as JSONL to $(docv) (only \
-             produced if an alert fired)."
-          ~docv:"FILE")
+    int_arg "retry-budget" 8
+      ~doc:"Client retries after a BUSY before reporting rejection."
   in
   let require_shed =
-    Arg.(
-      value & flag
-      & info [ "require-shed" ]
-          ~doc:
-            "Exit non-zero if admission control never shed (overload smoke: \
-             proves the burst actually exceeded capacity).")
+    flag_arg "require-shed"
+      ~doc:
+        "Exit non-zero if admission control never shed (overload smoke: \
+         proves the burst actually exceeded capacity)."
   in
   let run seed rate burst period duty duration stubs queue_limit drop_oldest
       retry_budget cal json_out bundle_out require_shed =
@@ -1079,75 +810,54 @@ let overload_cmd =
           { base_rate = rate; burst_rate = rate *. burst; period; duty }
     in
     let config =
-      Bft_core.Config.make ~f:1 ~admission_queue_limit:queue_limit
-        ~shed_policy:
-          (if drop_oldest then Bft_core.Config.Drop_oldest
-           else Bft_core.Config.Reject_new)
+      Config.make ~f:1 ~admission_queue_limit:queue_limit
+        ~shed_policy:(if drop_oldest then Config.Drop_oldest else Config.Reject_new)
         ~shed_retry_budget:retry_budget ()
     in
     let r = Openloop.run ~config ~seed ~cal ~stubs ~duration process () in
-    Printf.printf "cost profile: %s\n" (Bft_sim.Calibration.name cal);
+    Printf.printf "cost profile: %s\n" (Calibration.name cal);
     Printf.printf "overload seed %d, %.0f ops/s x%.0f burst (duty %.2f): %s\n"
       seed rate burst duty (Openloop.summary r);
-    Printf.printf "health: %s\n" (Monitor.summary r.Openloop.ol_monitor);
-    List.iter
-      (fun a -> Printf.printf "alert: %s\n" (Monitor.alert_detail a))
-      (Monitor.alerts r.Openloop.ol_monitor);
-    let jsonl =
-      let b = Buffer.create 256 in
-      Printf.bprintf b
-        "{\"schema\":\"bft-lab/overload/v2\",\"cost_profile\":%S,\"seed\":%d,\"rate\":%.3f,\"burst\":%.3f,\"period\":%.3f,\"duty\":%.3f,\"duration\":%.3f,\"stubs\":%d,\"queue_limit\":%d,\"offered\":%d,\"completed\":%d,\"rejected\":%d,\"unresolved\":%d,\"sheds\":%d,\"shed_rate\":%.3f,\"goodput\":%.3f,\"peak_backlog\":%d,\"peak_queue\":%d,\"p50_ms\":%.3f,\"p99_ms\":%.3f,\"retransmissions\":%d,\"safety_violations\":%d,\"alerts\":["
-        (Bft_sim.Calibration.name cal)
-        seed rate burst period duty duration stubs queue_limit
-        r.Openloop.ol_offered r.Openloop.ol_completed r.Openloop.ol_rejected
-        r.Openloop.ol_unresolved r.Openloop.ol_sheds r.Openloop.ol_shed_rate
-        r.Openloop.ol_goodput r.Openloop.ol_peak_backlog
-        r.Openloop.ol_peak_queue
-        (Stats.p50 r.Openloop.ol_latency *. 1e3)
-        (Stats.p99 r.Openloop.ol_latency *. 1e3)
-        r.Openloop.ol_retransmissions r.Openloop.ol_safety_violations;
-      List.iteri
-        (fun i a ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (Monitor.alert_json a))
-        (Monitor.alerts r.Openloop.ol_monitor);
-      Buffer.add_string b "]}";
-      Buffer.contents b
-    in
-    (match json_out with
-    | None -> ()
-    | Some path ->
-      write_file path (jsonl ^ "\n");
-      Printf.printf "wrote %s\n" path);
-    (match bundle_out with
-    | None -> ()
-    | Some path -> (
-      match Monitor.last_bundle r.Openloop.ol_monitor with
-      | Some bundle ->
-        write_file path bundle;
-        Printf.printf "wrote post-mortem bundle to %s\n" path
-      | None -> Printf.printf "no post-mortem bundle (no alerts)\n"));
-    let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("bft_lab overload: " ^ m); exit 1) fmt in
+    print_health r.Openloop.ol_monitor;
+    Option.iter
+      (fun path ->
+        write_file path
+          (Printf.sprintf
+             "{\"schema\":\"bft-lab/overload/v2\",\"cost_profile\":%S,\"seed\":%d,\"rate\":%.3f,\"burst\":%.3f,\"period\":%.3f,\"duty\":%.3f,\"duration\":%.3f,\"stubs\":%d,\"queue_limit\":%d,\"offered\":%d,\"completed\":%d,\"rejected\":%d,\"unresolved\":%d,\"sheds\":%d,\"shed_rate\":%.3f,\"goodput\":%.3f,\"peak_backlog\":%d,\"peak_queue\":%d,\"p50_ms\":%.3f,\"p99_ms\":%.3f,\"retransmissions\":%d,\"safety_violations\":%d,\"alerts\":%s}\n"
+             (Calibration.name cal) seed rate burst period duty duration stubs
+             queue_limit r.Openloop.ol_offered r.Openloop.ol_completed
+             r.Openloop.ol_rejected r.Openloop.ol_unresolved
+             r.Openloop.ol_sheds r.Openloop.ol_shed_rate r.Openloop.ol_goodput
+             r.Openloop.ol_peak_backlog r.Openloop.ol_peak_queue
+             (Stats.p50 r.Openloop.ol_latency *. 1e3)
+             (Stats.p99 r.Openloop.ol_latency *. 1e3)
+             r.Openloop.ol_retransmissions r.Openloop.ol_safety_violations
+             (Monitor.alerts_json r.Openloop.ol_monitor));
+        Printf.printf "wrote %s\n" path)
+      json_out;
+    write_bundle r.Openloop.ol_monitor bundle_out;
     if r.Openloop.ol_safety_violations > 0 then
-      fail "%d safety violation(s): replicas disagree on executed batches"
+      die "overload: %d safety violation(s): replicas disagree on executed batches"
         r.Openloop.ol_safety_violations;
     if r.Openloop.ol_unresolved <> 0 then
-      fail
-        "silent loss: %d of %d arrivals neither committed nor were rejected"
+      die "overload: silent loss: %d of %d arrivals neither committed nor were \
+           rejected"
         r.Openloop.ol_unresolved r.Openloop.ol_offered;
     if queue_limit > 0 && r.Openloop.ol_peak_queue > queue_limit then
-      fail "admission queue reached %d, past the configured limit %d"
+      die "overload: admission queue reached %d, past the configured limit %d"
         r.Openloop.ol_peak_queue queue_limit;
     if queue_limit = 0 && r.Openloop.ol_sheds > 0 then
-      fail "%d sheds with admission control disabled" r.Openloop.ol_sheds;
+      die "overload: %d sheds with admission control disabled"
+        r.Openloop.ol_sheds;
     if require_shed && r.Openloop.ol_sheds = 0 then
-      fail "no load was shed (--require-shed): burst never exceeded capacity"
+      die "overload: no load was shed (--require-shed): burst never exceeded \
+           capacity"
   in
   Cmd.v (Cmd.info "overload" ~doc)
     Term.(
-      const run $ seed $ rate $ burst $ period $ duty $ duration $ stubs
-      $ queue_limit $ drop_oldest $ retry_budget $ cost_profile_arg $ json_out
-      $ bundle_out $ require_shed)
+      const run $ seed_arg $ rate $ burst $ period $ duty $ duration $ stubs
+      $ queue_limit $ drop_oldest $ retry_budget $ cost_profile_arg $ json_arg
+      $ bundle_out_arg $ require_shed)
 
 let model_cmd =
   let doc =
@@ -1159,49 +869,33 @@ let model_cmd =
      (the CI gate on the default profile)."
   in
   let module Model = Bft_workloads.Model in
-  let module Calibration = Bft_sim.Calibration in
   let golden_file =
-    Arg.(
-      value
-      & opt string "bench/golden_bench_virtual.json"
-      & info [ "golden" ]
-          ~doc:"Golden virtual-time bench surface to compare against."
-          ~docv:"FILE")
+    path_arg "golden" "bench/golden_bench_virtual.json"
+      ~doc:"Golden virtual-time bench surface to compare against."
   in
   let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Exit non-zero when any predicted row is outside the tolerance \
-             band, or when the golden file was benched under a different \
-             cost profile than the one selected.")
+    flag_arg "check"
+      ~doc:
+        "Exit non-zero when any predicted row is outside the tolerance band, \
+         or when the golden file was benched under a different cost profile \
+         than the one selected."
   in
   let tolerance =
     Arg.(
       value
       & opt float Model.default_tolerance
-      & info [ "tolerance" ]
-          ~doc:"Relative-error band for $(b,--check)." ~docv:"FRACTION")
+      & info [ "tolerance" ] ~doc:"Relative-error band for $(b,--check)."
+          ~docv:"FRACTION")
   in
   let run cal golden_file check tolerance =
-    let contents =
-      try In_channel.with_open_bin golden_file In_channel.input_all
-      with Sys_error msg ->
-        Printf.eprintf "bft_lab: cannot read golden %s: %s\n" golden_file msg;
-        exit 2
-    in
     let golden =
-      try Model.Golden.parse contents
-      with Failure msg ->
-        Printf.eprintf "bft_lab: %s: %s\n" golden_file msg;
-        exit 2
+      try Model.Golden.parse (read_file golden_file)
+      with Failure msg -> die ~code:2 "%s: %s" golden_file msg
     in
-    if not (String.equal golden.Model.Golden.g_profile (Calibration.name cal))
-    then begin
+    if golden.Model.Golden.g_profile <> Calibration.name cal then begin
       Printf.eprintf
-        "bft_lab model: golden %s was benched under profile %s, not %s — \
-         the observed column would compare apples to oranges\n"
+        "bft_lab model: golden %s was benched under profile %s, not %s — the \
+         observed column would compare apples to oranges\n"
         golden_file golden.Model.Golden.g_profile (Calibration.name cal);
       if check then exit 1
     end;
@@ -1215,24 +909,44 @@ let model_cmd =
       if Model.report_ok report then
         Printf.printf "\nmodel check: OK (every row within %.0f%%)\n"
           (tolerance *. 100.0)
-      else begin
-        Printf.eprintf "\nmodel check FAILED: prediction outside the %.0f%% band\n"
-          (tolerance *. 100.0);
-        exit 1
-      end
+      else
+        die "model check FAILED: prediction outside the %.0f%% band"
+          (tolerance *. 100.0)
   in
   Cmd.v (Cmd.info "model" ~doc)
     Term.(const run $ cost_profile_arg $ golden_file $ check $ tolerance)
 
 let all_cmd =
-  let doc = "Run every figure (the full benchmark suite)." in
-  Cmd.v (Cmd.info "all" ~doc)
-    Term.(
-      const (fun quick ->
-          print_sections (E_micro.all ~quick ());
-          print_sections (E_fs.all ~quick ());
-          print_sections (Ablations.all ~quick ()))
-      $ quick_arg)
+  let doc =
+    "Run every figure (the full benchmark suite), then summarize which paper \
+     anchors hold."
+  in
+  let run quick =
+    let sections =
+      List.concat_map
+        (fun (figures : ?quick:bool -> unit -> Report.section list) ->
+          let s = figures ~quick () in
+          print_sections s;
+          s)
+        [ E_micro.all; E_fs.all; Ablations.all ]
+    in
+    let anchors =
+      List.concat_map
+        (fun s -> List.map (fun a -> (s.Report.id, a)) s.Report.anchors)
+        sections
+    in
+    let missed = List.filter (fun (_, a) -> not a.Report.ok) anchors in
+    print_endline "\nAnchor summary (paper vs measured):";
+    List.iter
+      (fun (id, a) ->
+        Printf.printf "  [??] %s — %s: paper %s, measured %s\n" id
+          a.Report.description a.Report.paper a.Report.measured)
+      missed;
+    Printf.printf "anchors holding: %d/%d\n"
+      (List.length anchors - List.length missed)
+      (List.length anchors)
+  in
+  Cmd.v (Cmd.info "all" ~doc) Term.(const run $ quick_arg)
 
 let cmds =
   [

@@ -542,7 +542,7 @@ module Golden = struct
   let parse s =
     let schema = str_field s "schema" in
     if
-      schema <> "bft-lab/bench-virtual/v2" && schema <> "bft-lab/bench-micro/v2"
+      schema <> "bft-lab/bench-virtual/v2" && schema <> "bft-lab/bench-micro/v3"
     then fail "golden: unsupported schema %S" schema;
     let g_profile = str_field s "cost_profile" in
     let g_seed = int_field s "seed" in

@@ -1,11 +1,9 @@
 (* The saturation bench suite: the paper's 0/0, 4/0, 0/4 micro-operations
-   plus a batched-throughput curve driven to saturation, reported on two
-   clocks at once. Virtual-time results (latencies and ops/s on the
-   simulated clock) are paper-comparable and must be byte-identical for a
-   fixed seed across hosts and hot-path refactors — they are the golden
-   regression surface. Wall-clock numbers (how many simulated requests the
-   simulator itself retires per real second) measure the simulator's hot
-   path and are what the perf trajectory in BENCH_micro.json tracks. *)
+   plus a batched-throughput curve driven to saturation, all on the
+   simulated clock. The results are deterministic for a fixed seed and
+   byte-identical across hosts and hot-path refactors — the golden
+   regression surface. What the simulator costs to run on the host is
+   measured by the performance ledger (bench/ledger), not here. *)
 
 type micro = {
   mi_label : string;
@@ -14,7 +12,6 @@ type micro = {
   mi_mean_us : float;
   mi_stddev_us : float;
   mi_ops : int;
-  mi_wall_s : float;
 }
 
 type point = {
@@ -22,8 +19,6 @@ type point = {
   pt_ops_per_sec : float;
   pt_completed : int;
   pt_retransmissions : int;
-  pt_wall_s : float;
-  pt_sim_rps : float;
 }
 
 type scale_point = {
@@ -32,8 +27,7 @@ type scale_point = {
   sc_completed : int;
   sc_retransmissions : int;
   sc_per_group : int array;
-  sc_sim_rps : float;
-  sc_wall_s : float;
+  sc_ops_per_sec : float;
 }
 
 type rotating_row = {
@@ -44,7 +38,6 @@ type rotating_row = {
   ro_completed : int;
   ro_retransmissions : int;
   ro_speedup : float;
-  ro_wall_s : float;
 }
 
 type cross_row = {
@@ -53,7 +46,6 @@ type cross_row = {
   cx_completed : int;
   cx_cross_committed : int;
   cx_cross_aborted : int;
-  cx_wall_s : float;
 }
 
 type health_row = { hl_label : string; hl_alerts : int; hl_line : string }
@@ -126,7 +118,6 @@ let run ?(quick = false) ?(seed = 42) ?(max_groups = 4) ?(health = false)
   let micro =
     List.map
       (fun (label, arg, res) ->
-        let t0 = Unix.gettimeofday () in
         let r =
           Microbench.bft_latency ~ops ~seed ~cal
             ?monitor:(fresh_monitor ("micro " ^ label))
@@ -139,7 +130,6 @@ let run ?(quick = false) ?(seed = 42) ?(max_groups = 4) ?(health = false)
           mi_mean_us = r.Microbench.mean *. 1e6;
           mi_stddev_us = r.Microbench.stddev *. 1e6;
           mi_ops = r.Microbench.ops;
-          mi_wall_s = Unix.gettimeofday () -. t0;
         })
       micro_shapes
   in
@@ -147,38 +137,26 @@ let run ?(quick = false) ?(seed = 42) ?(max_groups = 4) ?(health = false)
   let curve =
     List.map
       (fun clients ->
-        let t0 = Unix.gettimeofday () in
         let r =
           Microbench.bft_throughput ~seed ~window ~cal
             ?monitor:(fresh_monitor (Printf.sprintf "curve %d clients" clients))
             ~arg:0 ~res:0 ~read_only:false ~clients ()
         in
-        let wall = Unix.gettimeofday () -. t0 in
         {
           pt_clients = clients;
           pt_ops_per_sec = r.Microbench.ops_per_sec;
           pt_completed = r.Microbench.completed;
           pt_retransmissions = r.Microbench.retransmissions;
-          pt_wall_s = wall;
-          (* Requests retired per real second over the whole run (warmup
-             included): the simulator hot-path metric. *)
-          pt_sim_rps = (if wall > 0.0 then float_of_int r.Microbench.completed /. wall else 0.0);
         })
       (curve_clients ~quick)
   in
   (* Scaling out: the same uniform-key workload against 1, 2 and 4 replica
-     groups sharing one simulation. Unlike the curve's [pt_sim_rps], a
-     scaling row's [sc_sim_rps] is on the {e simulated} clock (requests
-     retired per simulated second): scaling out is a property of the
-     modelled system — more groups retire more requests in the same
-     simulated window — while the simulator's wall-clock rate stays flat
-     because it also has proportionally more events to process. The wall
-     cost is recorded separately in [sc_wall_s]. *)
+     groups sharing one simulation — more groups retire more requests in
+     the same simulated window. *)
   let per_group = scaling_clients_per_group ~quick in
   let scaling =
     List.map
       (fun groups ->
-        let t0 = Unix.gettimeofday () in
         let r =
           Microbench.sharded_throughput ~seed ~window ~cal ~health ~groups
             ~clients_per_group:per_group ()
@@ -201,8 +179,7 @@ let run ?(quick = false) ?(seed = 42) ?(max_groups = 4) ?(health = false)
           sc_completed = r.Microbench.sh_completed;
           sc_retransmissions = r.Microbench.sh_retransmissions;
           sc_per_group = r.Microbench.sh_per_group;
-          sc_sim_rps = r.Microbench.sh_ops_per_sec;
-          sc_wall_s = Unix.gettimeofday () -. t0;
+          sc_ops_per_sec = r.Microbench.sh_ops_per_sec;
         })
       (scaling_groups ~max_groups)
   in
@@ -210,19 +187,13 @@ let run ?(quick = false) ?(seed = 42) ?(max_groups = 4) ?(health = false)
      after the scaling sweep on fresh clusters of their own, so the
      pre-existing golden sections are byte-identical with the mode off. *)
   let rotating =
-    let t0 = Unix.gettimeofday () in
     let throughput config label =
-      let r =
-        Microbench.bft_throughput ~config ~seed ~window ~cal
-          ?monitor:(fresh_monitor label) ~arg:0 ~res:0 ~read_only:false
-          ~clients:rotating_clients ()
-      in
-      (r.Microbench.ops_per_sec, r.Microbench.completed, r.Microbench.retransmissions)
+      Microbench.bft_throughput ~config ~seed ~window ~cal
+        ?monitor:(fresh_monitor label) ~arg:0 ~res:0 ~read_only:false
+        ~clients:rotating_clients ()
     in
-    let single_ops, _, _ =
-      throughput (Bft_core.Config.make ~f:1 ()) "rotating baseline"
-    in
-    let ops, completed, retransmissions =
+    let single = throughput (Bft_core.Config.make ~f:1 ()) "rotating baseline" in
+    let r =
       throughput
         (Bft_core.Config.make ~f:1
            ~ordering:
@@ -230,27 +201,28 @@ let run ?(quick = false) ?(seed = 42) ?(max_groups = 4) ?(health = false)
            ())
         "rotating"
     in
+    let single_ops = single.Microbench.ops_per_sec in
     {
       ro_clients = rotating_clients;
       ro_epoch_length = rotating_epoch_length;
       ro_single_ops_per_sec = single_ops;
-      ro_ops_per_sec = ops;
-      ro_completed = completed;
-      ro_retransmissions = retransmissions;
+      ro_ops_per_sec = r.Microbench.ops_per_sec;
+      ro_completed = r.Microbench.completed;
+      ro_retransmissions = r.Microbench.retransmissions;
       (* 0.0 sentinel, not nan: the field is serialized with %.2f into
-         both JSON surfaces and a bare nan is invalid JSON. A zero-op
+         both JSON documents and a bare nan is invalid JSON. A zero-op
          baseline is degenerate anyway, so a zero speedup (which also
          fails the >= 1.3x gate) is the honest report. *)
-      ro_speedup = (if single_ops > 0.0 then ops /. single_ops else 0.0);
-      ro_wall_s = Unix.gettimeofday () -. t0;
+      ro_speedup =
+        (if single_ops > 0.0 then r.Microbench.ops_per_sec /. single_ops
+         else 0.0);
     }
   in
   (* Cross-shard transaction cost: fresh rigs of their own, after every
-     golden section, so the pre-existing virtual surface is untouched. *)
+     golden section, so the pre-existing golden surface is untouched. *)
   let cross_shard =
     List.map
       (fun fraction ->
-        let t0 = Unix.gettimeofday () in
         let r =
           Microbench.mixed_txn_throughput ~seed ~window ~cal
             ~groups:cross_groups
@@ -263,7 +235,6 @@ let run ?(quick = false) ?(seed = 42) ?(max_groups = 4) ?(health = false)
           cx_completed = r.Microbench.mx_completed;
           cx_cross_committed = r.Microbench.mx_cross_committed;
           cx_cross_aborted = r.Microbench.mx_cross_aborted;
-          cx_wall_s = Unix.gettimeofday () -. t0;
         })
       cross_fractions
   in
@@ -286,6 +257,7 @@ let run ?(quick = false) ?(seed = 42) ?(max_groups = 4) ?(health = false)
 let health_alerts t =
   List.fold_left (fun acc h -> acc + h.hl_alerts) 0 t.health
 
+(* Curve point with the highest throughput. *)
 let peak t =
   List.fold_left
     (fun acc p ->
@@ -294,181 +266,126 @@ let peak t =
       | _ -> Some p)
     None t.curve
 
-(* Aggregate wall-clock throughput of the batched saturation curve: total
-   simulated requests retired over total real seconds. This is the number
-   the >=25%-improvement acceptance gate compares across trees. *)
-let batched_sim_rps t =
-  let completed, wall =
-    List.fold_left
-      (fun (c, w) p -> (c + p.pt_completed, w +. p.pt_wall_s))
-      (0, 0.0) t.curve
-  in
-  if wall > 0.0 then float_of_int completed /. wall else 0.0
-
-(* Throughput ratio of the [groups]-group scaling row over the single-group
-   row (nan when either row is missing or degenerate) — the scale-out gate:
-   2 groups should be >= 1.7x. *)
-let scaling_speedup t ~groups =
+(* Throughput ratio of the 2-group scaling row over the single-group row
+   (nan when either row is missing or degenerate) — the scale-out gate:
+   it should be >= 1.7x. *)
+let scaling_speedup_2g t =
   let row g = List.find_opt (fun s -> s.sc_groups = g) t.scaling in
-  match (row 1, row groups) with
-  | Some base, Some s when base.sc_sim_rps > 0.0 -> s.sc_sim_rps /. base.sc_sim_rps
+  match (row 1, row 2) with
+  | Some base, Some s when base.sc_ops_per_sec > 0.0 ->
+    s.sc_ops_per_sec /. base.sc_ops_per_sec
   | _ -> nan
 
-(* Headline metric of the rotating row on the simulated clock (same
-   convention as [sc_sim_rps]): requests per virtual second the rotating
-   cluster retires at the saturation-point load. The rotation acceptance
-   gate checks it against the single-primary ceiling via
-   [rotating_speedup]. *)
-let rotating_sim_rps t = t.rotating.ro_ops_per_sec
-
-(* Rotating over single-primary throughput at the same offered load — the
-   >= 1.3x rotation gate. *)
-let rotating_speedup t = t.rotating.ro_speedup
-
 (* Hand-rolled JSON: stable field order and fixed float formats, because
-   the virtual part is compared byte-for-byte against a golden file. *)
-let buf_addf buf fmt = Printf.ksprintf (Buffer.add_string buf) fmt
-
-let micro_virtual_fields profile buf m =
-  buf_addf buf "\"cost_profile\":%S," profile;
-  buf_addf buf
-    "\"label\":%S,\"arg\":%d,\"res\":%d,\"mean_us\":%.3f,\"stddev_us\":%.3f,\"ops\":%d"
-    m.mi_label m.mi_arg m.mi_res m.mi_mean_us m.mi_stddev_us m.mi_ops
-
-let point_virtual_fields profile buf p =
-  buf_addf buf "\"cost_profile\":%S," profile;
-  buf_addf buf
-    "\"clients\":%d,\"ops_per_sec\":%.1f,\"completed\":%d,\"retransmissions\":%d"
-    p.pt_clients p.pt_ops_per_sec p.pt_completed p.pt_retransmissions
-
-let scale_virtual_fields profile buf s =
-  buf_addf buf "\"cost_profile\":%S," profile;
-  buf_addf buf
-    "\"groups\":%d,\"clients\":%d,\"sim_rps\":%.1f,\"completed\":%d,\"retransmissions\":%d,\"per_group\":[%s]"
-    s.sc_groups s.sc_clients s.sc_sim_rps s.sc_completed s.sc_retransmissions
-    (String.concat ","
-       (Array.to_list (Array.map string_of_int s.sc_per_group)))
-
-let rotating_virtual_fields profile buf r =
-  buf_addf buf "\"cost_profile\":%S," profile;
-  buf_addf buf
-    "\"clients\":%d,\"epoch_length\":%d,\"single_ops_per_sec\":%.1f,\"ops_per_sec\":%.1f,\"completed\":%d,\"retransmissions\":%d,\"speedup\":%.2f"
-    r.ro_clients r.ro_epoch_length r.ro_single_ops_per_sec r.ro_ops_per_sec
-    r.ro_completed r.ro_retransmissions r.ro_speedup
-
-let json_list buf items emit =
+   the golden part is compared byte-for-byte against a checked-in file.
+   Every row object starts with the cost profile it ran under. *)
+let json_rows buf profile rows emit =
   Buffer.add_char buf '[';
   List.iteri
-    (fun i item ->
+    (fun i row ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '{';
-      emit buf item;
+      Printf.bprintf buf "{\"cost_profile\":%S," profile;
+      emit row;
       Buffer.add_char buf '}')
-    items;
+    rows;
   Buffer.add_char buf ']'
 
+(* The golden surface under [schema], left open so [to_json] can append
+   its extra fields before the closing brace. *)
+let golden_fields ~schema t =
+  let buf = Buffer.create 2048 in
+  let add fmt = Printf.bprintf buf fmt in
+  add "{\"schema\":%S,\"seed\":%d,\"quick\":%b,\"cost_profile\":%S,\"micro\":"
+    schema t.seed t.quick t.cost_profile;
+  json_rows buf t.cost_profile t.micro (fun m ->
+      add
+        "\"label\":%S,\"arg\":%d,\"res\":%d,\"mean_us\":%.3f,\"stddev_us\":%.3f,\"ops\":%d"
+        m.mi_label m.mi_arg m.mi_res m.mi_mean_us m.mi_stddev_us m.mi_ops);
+  add ",\"saturation\":";
+  json_rows buf t.cost_profile t.curve (fun p ->
+      add "\"clients\":%d,\"ops_per_sec\":%.1f,\"completed\":%d,\"retransmissions\":%d"
+        p.pt_clients p.pt_ops_per_sec p.pt_completed p.pt_retransmissions);
+  add ",\"scaling\":";
+  json_rows buf t.cost_profile t.scaling (fun s ->
+      add
+        "\"groups\":%d,\"clients\":%d,\"sim_rps\":%.1f,\"completed\":%d,\"retransmissions\":%d,\"per_group\":[%s]"
+        s.sc_groups s.sc_clients s.sc_ops_per_sec s.sc_completed
+        s.sc_retransmissions
+        (String.concat ","
+           (Array.to_list (Array.map string_of_int s.sc_per_group))));
+  let r = t.rotating in
+  add
+    ",\"rotating\":{\"cost_profile\":%S,\"clients\":%d,\"epoch_length\":%d,\"single_ops_per_sec\":%.1f,\"ops_per_sec\":%.1f,\"completed\":%d,\"retransmissions\":%d,\"speedup\":%.2f}"
+    t.cost_profile r.ro_clients r.ro_epoch_length r.ro_single_ops_per_sec
+    r.ro_ops_per_sec r.ro_completed r.ro_retransmissions r.ro_speedup;
+  buf
+
 let virtual_json t =
-  let buf = Buffer.create 1024 in
-  buf_addf buf
-    "{\"schema\":\"bft-lab/bench-virtual/v2\",\"seed\":%d,\"quick\":%b,\"cost_profile\":%S,"
-    t.seed t.quick t.cost_profile;
-  Buffer.add_string buf "\"micro\":";
-  json_list buf t.micro (micro_virtual_fields t.cost_profile);
-  Buffer.add_string buf ",\"saturation\":";
-  json_list buf t.curve (point_virtual_fields t.cost_profile);
-  Buffer.add_string buf ",\"scaling\":";
-  json_list buf t.scaling (scale_virtual_fields t.cost_profile);
-  Buffer.add_string buf ",\"rotating\":{";
-  rotating_virtual_fields t.cost_profile buf t.rotating;
-  Buffer.add_string buf "}}\n";
+  let buf = golden_fields ~schema:"bft-lab/bench-virtual/v2" t in
+  Buffer.add_string buf "}\n";
   Buffer.contents buf
 
 let to_json t =
-  let buf = Buffer.create 2048 in
-  buf_addf buf
-    "{\"schema\":\"bft-lab/bench-micro/v2\",\"seed\":%d,\"quick\":%b,\"cost_profile\":%S,"
-    t.seed t.quick t.cost_profile;
-  Buffer.add_string buf "\"micro\":";
-  json_list buf t.micro (fun buf m ->
-      micro_virtual_fields t.cost_profile buf m;
-      buf_addf buf ",\"wall_s\":%.3f" m.mi_wall_s);
-  Buffer.add_string buf ",\"saturation\":";
-  json_list buf t.curve (fun buf p ->
-      point_virtual_fields t.cost_profile buf p;
-      buf_addf buf ",\"wall_s\":%.3f,\"sim_rps\":%.0f" p.pt_wall_s p.pt_sim_rps);
-  (match peak t with
-  | Some p ->
-    buf_addf buf ",\"peak\":{\"clients\":%d,\"ops_per_sec\":%.1f}" p.pt_clients
-      p.pt_ops_per_sec
-  | None -> ());
-  Buffer.add_string buf ",\"scaling\":";
-  json_list buf t.scaling (fun buf s ->
-      scale_virtual_fields t.cost_profile buf s;
-      buf_addf buf ",\"wall_s\":%.3f" s.sc_wall_s);
-  let speedup = scaling_speedup t ~groups:2 in
-  if not (Float.is_nan speedup) then
-    buf_addf buf ",\"scaling_speedup_2g\":%.2f" speedup;
-  Buffer.add_string buf ",\"rotating\":{";
-  rotating_virtual_fields t.cost_profile buf t.rotating;
-  buf_addf buf ",\"wall_s\":%.3f}" t.rotating.ro_wall_s;
-  buf_addf buf ",\"rotating_sim_rps\":%.0f,\"rotating_speedup\":%.2f"
-    (rotating_sim_rps t) (rotating_speedup t);
-  Buffer.add_string buf ",\"cross_shard\":";
-  json_list buf t.cross_shard (fun buf c ->
-      buf_addf buf "\"cost_profile\":%S," t.cost_profile;
-      buf_addf buf
-        "\"cross_fraction\":%.2f,\"groups\":%d,\"ops_per_sec\":%.1f,\"completed\":%d,\"cross_committed\":%d,\"cross_aborted\":%d,\"wall_s\":%.3f"
+  let buf = golden_fields ~schema:"bft-lab/bench-micro/v3" t in
+  let add fmt = Printf.bprintf buf fmt in
+  Option.iter
+    (fun p ->
+      add ",\"peak\":{\"clients\":%d,\"ops_per_sec\":%.1f}" p.pt_clients
+        p.pt_ops_per_sec)
+    (peak t);
+  let speedup = scaling_speedup_2g t in
+  if not (Float.is_nan speedup) then add ",\"scaling_speedup_2g\":%.2f" speedup;
+  add ",\"cross_shard\":";
+  json_rows buf t.cost_profile t.cross_shard (fun c ->
+      add
+        "\"cross_fraction\":%.2f,\"groups\":%d,\"ops_per_sec\":%.1f,\"completed\":%d,\"cross_committed\":%d,\"cross_aborted\":%d"
         c.cx_fraction cross_groups c.cx_ops_per_sec c.cx_completed
-        c.cx_cross_committed c.cx_cross_aborted c.cx_wall_s);
-  buf_addf buf ",\"batched_sim_rps\":%.0f}\n" (batched_sim_rps t);
+        c.cx_cross_committed c.cx_cross_aborted);
+  add "}\n";
   Buffer.contents buf
 
 let print t =
-  Printf.printf "micro-ops (seed %d%s, cost profile %s):\n" t.seed
+  Printf.printf "micro-ops (seed %d%s, cost profile %s, simulated clock):\n"
+    t.seed
     (if t.quick then ", quick" else "")
     t.cost_profile;
   List.iter
     (fun m ->
-      Printf.printf "  %-4s %8.1f us (+/- %.1f, %d ops)  [%.2fs wall]\n"
-        m.mi_label m.mi_mean_us m.mi_stddev_us m.mi_ops m.mi_wall_s)
+      Printf.printf "  %-4s %8.1f us (+/- %.1f, %d ops)\n" m.mi_label
+        m.mi_mean_us m.mi_stddev_us m.mi_ops)
     t.micro;
   Printf.printf "batched throughput saturation (0/0):\n";
   List.iter
     (fun p ->
-      Printf.printf
-        "  %3d clients: %8.1f ops/s virtual  (%5d completed, %d retrans)  \
-         %8.0f sim-req/s wall\n"
-        p.pt_clients p.pt_ops_per_sec p.pt_completed p.pt_retransmissions
-        p.pt_sim_rps)
+      Printf.printf "  %3d clients: %8.1f ops/s  (%5d completed, %d retrans)\n"
+        p.pt_clients p.pt_ops_per_sec p.pt_completed p.pt_retransmissions)
     t.curve;
-  (match peak t with
-  | Some p ->
-    Printf.printf "peak: %.1f ops/s virtual at %d clients\n" p.pt_ops_per_sec
-      p.pt_clients
-  | None -> ());
+  Option.iter
+    (fun p ->
+      Printf.printf "peak: %.1f ops/s at %d clients\n" p.pt_ops_per_sec
+        p.pt_clients)
+    (peak t);
   Printf.printf "scaling out (uniform-key KV, %d clients/group):\n"
     (scaling_clients_per_group ~quick:t.quick);
   List.iter
     (fun s ->
       Printf.printf
-        "  %d group%s: %8.1f sim-req/s virtual  (%5d completed, %d retrans, \
-         per-group [%s])  [%.2fs wall]\n"
+        "  %d group%s: %8.1f ops/s  (%5d completed, %d retrans, per-group [%s])\n"
         s.sc_groups
         (if s.sc_groups = 1 then " " else "s")
-        s.sc_sim_rps s.sc_completed s.sc_retransmissions
+        s.sc_ops_per_sec s.sc_completed s.sc_retransmissions
         (String.concat "; "
-           (Array.to_list (Array.map string_of_int s.sc_per_group)))
-        s.sc_wall_s)
+           (Array.to_list (Array.map string_of_int s.sc_per_group))))
     t.scaling;
-  let speedup = scaling_speedup t ~groups:2 in
+  let speedup = scaling_speedup_2g t in
   if not (Float.is_nan speedup) then
     Printf.printf "2-group speedup over 1 group: %.2fx\n" speedup;
   let r = t.rotating in
   Printf.printf
-    "rotating ordering (epoch length %d, %d clients): %8.1f ops/s virtual \
-     vs %8.1f single-primary (%.2fx)  [%.2fs wall]\n"
+    "rotating ordering (epoch length %d, %d clients): %8.1f ops/s vs %8.1f \
+     single-primary (%.2fx)\n"
     r.ro_epoch_length r.ro_clients r.ro_ops_per_sec r.ro_single_ops_per_sec
-    r.ro_speedup r.ro_wall_s;
+    r.ro_speedup;
   Printf.printf
     "cross-shard transactions (%d groups, %d clients/group, txn layer):\n"
     cross_groups
@@ -476,14 +393,11 @@ let print t =
   List.iter
     (fun c ->
       Printf.printf
-        "  %.0f%% cross: %8.1f ops/s virtual  (%5d completed, %d cross \
-         committed, %d aborted)  [%.2fs wall]\n"
+        "  %.0f%% cross: %8.1f ops/s  (%5d completed, %d cross committed, %d \
+         aborted)\n"
         (100.0 *. c.cx_fraction)
-        c.cx_ops_per_sec c.cx_completed c.cx_cross_committed c.cx_cross_aborted
-        c.cx_wall_s)
+        c.cx_ops_per_sec c.cx_completed c.cx_cross_committed c.cx_cross_aborted)
     t.cross_shard;
-  Printf.printf "batched wall-clock throughput: %.0f simulated requests/s\n"
-    (batched_sim_rps t);
   if t.health <> [] then begin
     Printf.printf "health (always-on monitors, %d alert%s total):\n"
       (health_alerts t)

@@ -1,30 +1,26 @@
-(** Saturation bench suite: the 0/0, 4/0, 0/4 micro-operations and a
-    batched-throughput curve driven to saturation, measured on two clocks.
+(** Saturation bench suite: the 0/0, 4/0, 0/4 micro-operations, a
+    batched-throughput curve driven to saturation, and the scaling,
+    rotating-ordering and cross-shard rows — all on the simulated clock.
 
-    Virtual-time results (simulated-clock latency and ops/s) are
-    deterministic for a fixed seed — byte-identical across hosts and
-    refactors — and serve as the golden regression surface. Wall-clock
-    results (simulated requests retired per real second) measure the
-    simulator's own hot path and feed the perf trajectory recorded in
-    [BENCH_micro.json]. *)
+    Every result is deterministic for a fixed seed — byte-identical across
+    hosts and refactors — and the golden part serves as the regression
+    surface. The simulator's own wall-clock cost is measured by the
+    performance ledger ([bench/ledger]), not here. *)
 
 type micro = {
   mi_label : string;
   mi_arg : int;
   mi_res : int;
-  mi_mean_us : float;  (** virtual time *)
-  mi_stddev_us : float;  (** virtual time *)
+  mi_mean_us : float;
+  mi_stddev_us : float;
   mi_ops : int;
-  mi_wall_s : float;  (** wall clock *)
 }
 
 type point = {
   pt_clients : int;
-  pt_ops_per_sec : float;  (** virtual time *)
+  pt_ops_per_sec : float;
   pt_completed : int;
   pt_retransmissions : int;
-  pt_wall_s : float;  (** wall clock *)
-  pt_sim_rps : float;  (** completed / wall seconds *)
 }
 
 type scale_point = {
@@ -33,29 +29,25 @@ type scale_point = {
   sc_completed : int;
   sc_retransmissions : int;
   sc_per_group : int array;  (** completions per group over the window *)
-  sc_sim_rps : float;
-      (** requests retired per {e simulated} second, summed over groups.
-          Scaling out is a property of the modelled system, so this row's
-          headline metric is on the virtual clock (deterministic, part of
-          the golden surface) — the simulator's wall-clock rate stays flat
-          as groups are added because the event count grows in step. *)
-  sc_wall_s : float;  (** wall clock *)
+  sc_ops_per_sec : float;
+      (** requests retired per simulated second, summed over groups
+          (["sim_rps"] in the JSON documents) *)
 }
 
 (** The rotating-vs-single-primary comparison: both ordering modes driven
     with the same heavy offered load (well past the single primary's
     saturation point, where its CPU is the curve's ceiling), so the row
-    compares throughput ceilings mode against mode. All fields except
-    [ro_wall_s] are on the virtual clock and part of the golden surface. *)
+    compares throughput ceilings mode against mode. *)
 type rotating_row = {
   ro_clients : int;
   ro_epoch_length : int;
-  ro_single_ops_per_sec : float;  (** single-primary ceiling, virtual *)
-  ro_ops_per_sec : float;  (** rotating-mode throughput, virtual *)
+  ro_single_ops_per_sec : float;  (** single-primary ceiling *)
+  ro_ops_per_sec : float;  (** rotating-mode throughput *)
   ro_completed : int;
   ro_retransmissions : int;
-  ro_speedup : float;  (** [ro_ops_per_sec / ro_single_ops_per_sec] *)
-  ro_wall_s : float;  (** wall clock, both runs *)
+  ro_speedup : float;
+      (** [ro_ops_per_sec / ro_single_ops_per_sec]; the rotation gate
+          checks it is at least 1.3 *)
 }
 
 (** One row of the cross-shard transaction cost axis: the mixed workload
@@ -63,14 +55,13 @@ type rotating_row = {
     one cross-shard fraction. Fraction 0.0 is the plain sharded baseline
     through the transaction layer, so row deltas isolate the marginal 2PC
     cost. Reported only in {!to_json} / {!print} — not part of the golden
-    virtual surface. *)
+    surface. *)
 type cross_row = {
   cx_fraction : float;
-  cx_ops_per_sec : float;  (** virtual time; one txn counts as one op *)
+  cx_ops_per_sec : float;  (** one txn counts as one op *)
   cx_completed : int;
   cx_cross_committed : int;
   cx_cross_aborted : int;
-  cx_wall_s : float;  (** wall clock *)
 }
 
 (** One health-monitor summary row (a micro shape, a curve point, or a
@@ -110,32 +101,14 @@ val run :
 val health_alerts : t -> int
 (** Total alerts across all health rows (0 for a healthy suite). *)
 
-val peak : t -> point option
-(** Curve point with the highest virtual throughput. *)
-
-val scaling_speedup : t -> groups:int -> float
-(** [sc_sim_rps] of the [groups]-group scaling row over the 1-group row;
-    [nan] if either row is absent. The scale-out acceptance gate checks
-    [scaling_speedup t ~groups:2 >= 1.7]. *)
-
-val batched_sim_rps : t -> float
-(** Total simulated requests retired per real second across the whole
-    curve — the metric the perf-improvement gate compares across trees. *)
-
-val rotating_sim_rps : t -> float
-(** The rotating row's virtual-clock throughput (requests per simulated
-    second at the saturation-point load), same clock convention as
-    [sc_sim_rps]. *)
-
-val rotating_speedup : t -> float
-(** Rotating over single-primary throughput at the same offered load —
-    the rotation acceptance gate checks [rotating_speedup t >= 1.3]. *)
-
 val virtual_json : t -> string
-(** Only the virtual-time fields, in a stable byte-exact format — what CI
-    compares against the checked-in golden file. *)
+(** The golden surface (micro, saturation, scaling and rotating rows) in a
+    stable byte-exact format — what CI compares against the checked-in
+    golden file. *)
 
 val to_json : t -> string
-(** Full result including wall-clock fields ([BENCH_micro.json]). *)
+(** The golden surface plus the derived summaries (curve peak, 2-group
+    scaling speedup) and the cross-shard rows ([BENCH_micro.json], schema
+    [bft-lab/bench-micro/v3]). *)
 
 val print : t -> unit

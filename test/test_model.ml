@@ -35,6 +35,73 @@ let test_golden_parse_rejects_v1 () =
   | _ -> Alcotest.fail "v1 schema must be rejected"
   | exception Failure _ -> ()
 
+(* BENCH_micro.json (bench-micro/v3) carries the golden sections verbatim,
+   so the model reads the same rows from it as from the golden file; and
+   it names no wall-clock field. *)
+let test_micro_json_parses_like_golden () =
+  let module S = Bft_workloads.Saturation in
+  let t =
+    {
+      S.seed = 7;
+      quick = true;
+      cost_profile = "testbed-2001";
+      micro =
+        [
+          {
+            S.mi_label = "0/0";
+            mi_arg = 0;
+            mi_res = 0;
+            mi_mean_us = 400.5;
+            mi_stddev_us = 1.25;
+            mi_ops = 60;
+          };
+        ];
+      curve =
+        [
+          {
+            S.pt_clients = 4;
+            pt_ops_per_sec = 6000.0;
+            pt_completed = 2400;
+            pt_retransmissions = 0;
+          };
+        ];
+      scaling =
+        [
+          {
+            S.sc_groups = 1;
+            sc_clients = 12;
+            sc_completed = 4000;
+            sc_retransmissions = 0;
+            sc_per_group = [| 4000 |];
+            sc_ops_per_sec = 10000.0;
+          };
+        ];
+      rotating =
+        {
+          S.ro_clients = 256;
+          ro_epoch_length = 4;
+          ro_single_ops_per_sec = 15000.0;
+          ro_ops_per_sec = 20000.0;
+          ro_completed = 8000;
+          ro_retransmissions = 0;
+          ro_speedup = 1.33;
+        };
+      cross_shard = [];
+      health = [];
+    }
+  in
+  let micro_json = S.to_json t in
+  check Alcotest.bool "same rows as the golden document" true
+    (Model.Golden.parse micro_json = Model.Golden.parse (S.virtual_json t));
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  check Alcotest.bool "no wall-clock field" false (contains micro_json "wall")
+
 (* --- prediction pins against the golden rows ---------------------------- *)
 
 (* Every golden row predicted within the CI tolerance band on the default
@@ -208,6 +275,8 @@ let () =
         [
           Alcotest.test_case "parse" `Quick test_golden_parse;
           Alcotest.test_case "rejects v1" `Quick test_golden_parse_rejects_v1;
+          Alcotest.test_case "bench-micro/v3 parses like golden" `Quick
+            test_micro_json_parses_like_golden;
         ] );
       ( "pins",
         [
