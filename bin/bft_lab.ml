@@ -384,15 +384,8 @@ let backend_arg =
         Nfs_rig.Bfs
     & info [ "backend" ] ~doc:"Backend.")
 
-let observe_arg =
-  flag_arg "profile"
-    ~doc:
-      "Observed run: also print the per-phase breakdown, the per-machine CPU \
-       cost attribution, and the health-monitor summary. The benchmark \
-       numbers are identical to an unobserved run."
-
 (* Shared by andrew and postmark: phase table, CPU profile attribution and
-   health summary of an observed file-system run. *)
+   health summary of a file-system run. *)
 let print_observed (ob : E_fs.observed) =
   if ob.E_fs.ob_phases <> [] then begin
     print_endline "phases:";
@@ -409,45 +402,29 @@ let print_observed (ob : E_fs.observed) =
 let andrew_cmd =
   let doc = "Run the modified Andrew benchmark on one backend." in
   let n = int_arg "n" 100 ~doc:"Number of tree copies." in
-  let run n backend observe =
-    let line elapsed calls =
-      Printf.printf "Andrew%d on %s: %.1f s elapsed, %d NFS calls\n" n
-        (Nfs_rig.backend_name backend)
-        elapsed calls
-    in
-    if observe then begin
-      let ob = E_fs.observe_andrew ~n backend in
-      line ob.E_fs.ob_elapsed ob.E_fs.ob_calls;
-      print_observed ob
-    end
-    else
-      let elapsed, calls = E_fs.run_andrew ~n backend in
-      line elapsed calls
+  let run n backend =
+    let ob = E_fs.run_andrew ~n backend in
+    Printf.printf "Andrew%d on %s: %.1f s elapsed, %d NFS calls\n" n
+      (Nfs_rig.backend_name backend)
+      ob.E_fs.ob_elapsed ob.E_fs.ob_calls;
+    print_observed ob
   in
-  Cmd.v (Cmd.info "andrew" ~doc) Term.(const run $ n $ backend_arg $ observe_arg)
+  Cmd.v (Cmd.info "andrew" ~doc) Term.(const run $ n $ backend_arg)
 
 let postmark_cmd =
   let doc = "Run the PostMark benchmark on one backend." in
   let files = int_arg "files" 1000 ~doc:"Initial file count." in
   let transactions = int_arg "transactions" 5000 ~doc:"Transactions." in
-  let run files transactions backend observe =
-    let line elapsed txns =
-      Printf.printf "PostMark on %s: %.1f s elapsed, %d transactions (%.0f txn/s)\n"
-        (Nfs_rig.backend_name backend)
-        elapsed txns
-        (float_of_int txns /. elapsed)
-    in
-    if observe then begin
-      let ob, txns = E_fs.observe_postmark ~files ~transactions backend in
-      line ob.E_fs.ob_elapsed txns;
-      print_observed ob
-    end
-    else
-      let elapsed, txns = E_fs.run_postmark ~files ~transactions backend in
-      line elapsed txns
+  let run files transactions backend =
+    let ob, txns = E_fs.run_postmark ~files ~transactions backend in
+    Printf.printf "PostMark on %s: %.1f s elapsed, %d transactions (%.0f txn/s)\n"
+      (Nfs_rig.backend_name backend)
+      ob.E_fs.ob_elapsed txns
+      (float_of_int txns /. ob.E_fs.ob_elapsed);
+    print_observed ob
   in
   Cmd.v (Cmd.info "postmark" ~doc)
-    Term.(const run $ files $ transactions $ backend_arg $ observe_arg)
+    Term.(const run $ files $ transactions $ backend_arg)
 
 let chaos_cmd =
   let doc =

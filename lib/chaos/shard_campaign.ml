@@ -53,12 +53,6 @@ let scenario_name = function
   | Coordinator_crash -> "coordinator-crash"
   | Replica_mid_migration -> "mid-migration"
 
-let scenario_of_name = function
-  | "healthy" -> Some Healthy
-  | "coordinator-crash" -> Some Coordinator_crash
-  | "mid-migration" -> Some Replica_mid_migration
-  | _ -> None
-
 (* Campaign shape: fixed, so (scenario, seed) pins down the run. *)
 let f = 1
 let capacity = 3 (* built groups; the third starts empty *)

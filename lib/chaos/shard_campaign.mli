@@ -44,8 +44,6 @@ val failed : outcome -> bool
 
 val scenario_name : scenario -> string
 
-val scenario_of_name : string -> scenario option
-
 val run : ?scenario:scenario -> ?recovery:bool -> seed:int -> unit -> outcome
 (** [recovery] (default true) enables client-driven lock recovery; setting
     it false demonstrates the [txn.atomic] audit catching a dead

@@ -56,9 +56,6 @@ let correct_replicas t =
 
 let replica_node t i = t.replica_peers.(i).Transport.node
 
-let client_machine_nodes t =
-  Array.to_list (Array.map (fun cm -> cm.cm_node) t.client_machines)
-
 let crash_replica t i = Network.set_node_up t.network (replica_node t i) false
 
 let restart_replica t i =
@@ -67,15 +64,7 @@ let restart_replica t i =
 
 let set_behavior t i b = Replica.set_behavior t.replicas.(i) b
 
-let trace t = Network.trace t.network
-
-let cpus t = Network.cpus t.network
-
-let profile t =
-  Bft_trace.Profile.make ~labels:Cpu.category_labels
-    (List.map
-       (fun (name, cpu) -> (name, Cpu.busy_seconds cpu, Cpu.total_busy cpu))
-       (cpus t))
+let profile t = Network.profile t.network
 
 (* --- time-series sampling --------------------------------------------- *)
 
@@ -98,12 +87,11 @@ let series_names t =
              ]))
     @ [ "clients.started"; "clients.completed"; "clients.retransmitted" ])
 
+(* A client-side counter summed over every client created so far. *)
+let client_count t name =
+  List.fold_left (fun acc c -> acc + Metrics.count (Client.metrics c) name) 0 t.clients
+
 let series_values t =
-  let client_count name =
-    List.fold_left
-      (fun acc c -> acc + Metrics.count (Client.metrics c) name)
-      0 t.clients
-  in
   let fi = float_of_int in
   Array.of_list
     ([
@@ -124,9 +112,9 @@ let series_values t =
                 ])
               t.replicas))
     @ [
-        fi (client_count "ops.started");
-        fi (client_count "ops.completed");
-        fi (client_count "ops.retransmitted");
+        fi (client_count t "ops.started");
+        fi (client_count t "ops.completed");
+        fi (client_count t "ops.retransmitted");
       ])
 
 let sample_series ?(while_ = fun () -> true) t series ~interval =
@@ -147,16 +135,6 @@ let sample_series ?(while_ = fun () -> true) t series ~interval =
    monitor cannot perturb the simulation. A replica whose node is down is
    reported unreachable — the monitor sees what a real scraper would. *)
 let health_gauges t =
-  let completed =
-    List.fold_left
-      (fun acc c -> acc + Metrics.count (Client.metrics c) "ops.completed")
-      0 t.clients
-  in
-  let rejected =
-    List.fold_left
-      (fun acc c -> acc + Metrics.count (Client.metrics c) "ops.rejected")
-      0 t.clients
-  in
   let g_replicas =
     Array.mapi
       (fun i r ->
@@ -183,8 +161,8 @@ let health_gauges t =
   in
   {
     Monitor.g_time = Engine.now t.engine;
-    g_completed = completed;
-    g_rejected = rejected;
+    g_completed = client_count t "ops.completed";
+    g_rejected = client_count t "ops.rejected";
     g_replicas;
   }
 
@@ -203,8 +181,6 @@ let attach_monitor ?(interval = 0.05) ?(while_ = fun () -> true) t mon =
   in
   Engine.schedule t.engine ~delay:interval tick
 
-let monitors t = List.rev t.monitors
-
 let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
     ?(client_machine_speed = 1.0) ?(behaviors = []) ?(recv_buffer = 0.02)
     ?(trace = Bft_trace.Trace.nil) ?network ?(name_prefix = "")
@@ -213,19 +189,15 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
   | Ok () -> ()
   | Error msg -> invalid_arg ("Cluster.create: " ^ msg));
   let root_rng = Rng.of_int seed in
-  let engine, cal, network =
+  (* A shared simulation (sharded deployments) comes with its caller's
+     engine, calibration and trace wiring. *)
+  let network =
     match network with
-    | Some net ->
-      (* Shared simulation (sharded deployments): the caller owns the
-         engine, the calibration and the trace wiring. *)
-      (Network.engine net, Network.calibration net, net)
+    | Some net -> net
     | None ->
-      let engine = Engine.create () in
-      Engine.set_trace engine trace;
-      let net = Network.create engine cal ~rng:(Rng.split root_rng "network") in
-      Network.set_trace net trace;
-      (engine, cal, net)
+      Network.simulation ~cal ~trace ~rng:(Rng.split root_rng "network") ()
   in
+  let engine = Network.engine network and cal = Network.calibration network in
   let n = config.Config.n in
   let master =
     match master with

@@ -65,10 +65,6 @@ val correct_replicas : t -> Replica.t list
 
 val replica_node : t -> Types.replica_id -> Bft_net.Network.node_id
 
-val client_machine_nodes : t -> Bft_net.Network.node_id list
-(** Network nodes of the client machines, in machine order (for assigning
-    client machines to partition groups). *)
-
 val crash_replica : t -> Types.replica_id -> unit
 (** Fail-stop the replica's machine: its datagrams are dropped both ways. *)
 
@@ -82,16 +78,7 @@ val set_behavior : t -> Types.replica_id -> Behavior.t -> unit
 val rng : t -> string -> Bft_util.Rng.t
 (** Derive a labelled RNG from the cluster seed (for workloads). *)
 
-val trace : t -> Bft_trace.Trace.t
-(** The trace sink shared by the engine, network, replicas and clients
-    of this deployment ({!Bft_trace.Trace.nil} unless one was passed to
-    {!create}). *)
-
 (* --- profiling and time series --- *)
-
-val cpus : t -> (string * Bft_sim.Cpu.t) list
-(** (name, cpu) of every machine — replicas first, then client machines —
-    in network node order. *)
 
 val profile : t -> Bft_trace.Profile.t
 (** Per-machine, per-category CPU cost breakdown at this instant. Balanced
@@ -134,6 +121,3 @@ val attach_monitor :
     feeds the monitor's SLO sketches on each completed operation.
     Observation is side-effect-free for the protocol: virtual-time results
     are bit-identical with and without an attached monitor. *)
-
-val monitors : t -> Bft_trace.Monitor.t list
-(** Monitors attached so far, in attachment order. *)

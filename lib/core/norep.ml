@@ -19,12 +19,6 @@ module Server = struct
     metrics : Metrics.t;
   }
 
-  let node t = t.node
-
-  let network t = t.network
-
-  let metrics t = t.metrics
-
   let handle t ~src (r : Message.request) =
     Cpu.charge ~cat:Cpu.Exec
       (Network.node_cpu t.network t.node)
@@ -87,10 +81,6 @@ module Client = struct
   let dispatchers : (int * Network.node_id, (Types.client_id, t) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 8
 
-  let id t = t.id
-
-  let busy t = Option.is_some t.pending
-
   let metrics t = t.metrics
 
   let complete t p (result : Payload.t) =
@@ -138,7 +128,8 @@ module Client = struct
             | _ -> ())
 
   let invoke t op callback =
-    if busy t then invalid_arg "Norep.Client.invoke: operation outstanding";
+    if Option.is_some t.pending then
+      invalid_arg "Norep.Client.invoke: operation outstanding";
     t.next_ts <- Int64.add t.next_ts 1L;
     let p =
       {
@@ -188,4 +179,33 @@ module Client = struct
     let table = install_dispatcher network node in
     Hashtbl.replace table id t;
     t
+
+  let node t = t.node
 end
+
+type 'server deployment = {
+  network : Network.t;
+  server : 'server;
+  clients : Client.t list;
+}
+
+let deploy ~rng ?(server_name = "server") ?server_recv_buffer ~install
+    ?client_machine_speed ~client_machines ~clients ?retry_timeout () =
+  let network = Network.simulation ~rng () in
+  let machine ?speed ?recv_buffer name =
+    let cpu = Cpu.create (Network.engine network) ?speed ~name () in
+    Network.add_node network ~cpu ?recv_buffer ~name ()
+  in
+  let server_node = machine ?recv_buffer:server_recv_buffer server_name in
+  let server = install network server_node in
+  let machines =
+    Array.of_list
+      (List.map (machine ?speed:client_machine_speed) client_machines)
+  in
+  let clients =
+    List.init clients (fun i ->
+        Client.create ~network
+          ~node:machines.(i mod Array.length machines)
+          ~id:(100 + i) ~server:server_node ?retry_timeout ())
+  in
+  { network; server; clients }

@@ -17,12 +17,6 @@ module Server : sig
     service:Service.t ->
     unit ->
     t
-
-  val node : t -> Bft_net.Network.node_id
-
-  val network : t -> Bft_net.Network.t
-
-  val metrics : t -> Metrics.t
 end
 
 module Client : sig
@@ -41,11 +35,33 @@ module Client : sig
   (** [retry_timeout = None] (default) reproduces the paper's
       fire-and-forget behaviour. *)
 
-  val id : t -> Types.client_id
+  val node : t -> Bft_net.Network.node_id
 
   val invoke : t -> Payload.t -> (outcome -> unit) -> unit
 
-  val busy : t -> bool
-
   val metrics : t -> Metrics.t
 end
+
+(** One unreplicated deployment: a server machine and its client
+    machines on a fresh simulation (see {!Bft_net.Network.simulation}). *)
+type 'server deployment = {
+  network : Bft_net.Network.t;
+  server : 'server;
+  clients : Client.t list;  (** ids [100], [101], … in creation order *)
+}
+
+val deploy :
+  rng:Bft_util.Rng.t ->
+  ?server_name:string ->
+  ?server_recv_buffer:float ->
+  install:(Bft_net.Network.t -> Bft_net.Network.node_id -> 'server) ->
+  ?client_machine_speed:float ->
+  client_machines:string list ->
+  clients:int ->
+  ?retry_timeout:float ->
+  unit ->
+  'server deployment
+(** Build the network from [rng], the server machine [server_name]
+    (default ["server"], with [server_recv_buffer] as its socket buffer)
+    and the named client machines, in that node order; [install] puts the
+    server on its machine. Client [i] runs on machine [i mod machines]. *)

@@ -54,7 +54,6 @@ type t = {
   mutable last_executed : seqno;  (** includes tentative executions *)
   mutable last_committed : seqno;  (** finally executed and committed *)
   mutable exec_audit : (seqno * Fingerprint.t) list;  (** newest first *)
-  audit : bool;
   client_table : (client_id, client_entry) Hashtbl.t;
   mutable deferred_ro : (Message.request * Payload.t) list;  (** newest first *)
   (* primary batching *)
@@ -747,18 +746,18 @@ and finalize_slot t (slot : Log.slot) =
         if ce.last_ts = r.Message.timestamp then ce.cached_tentative <- false)
       (resolve_entries t entries)
   | None -> ());
-  if t.audit then begin
-    match slot.Log.pp_digest with
-    | Some d -> t.exec_audit <- (slot.Log.seq, d) :: t.exec_audit
-    | None -> ()
-  end;
-  (* Clean up executed request bodies. *)
+  (match slot.Log.pp_digest with
+  | Some d -> t.exec_audit <- (slot.Log.seq, d) :: t.exec_audit
+  | None -> ());
+  (* Clean up executed request bodies, inline ones included. *)
   (match slot.Log.pre_prepare with
   | Some (_, entries) ->
     List.iter
       (function
         | Message.Summary d -> Hashtbl.remove t.request_store d
-        | Message.Full _ | Message.Null_entry -> ())
+        | Message.Full r ->
+          Hashtbl.remove t.request_store (Message.request_digest r)
+        | Message.Null_entry -> ())
       entries
   | None -> ());
   flush_deferred_ro t;
@@ -2276,7 +2275,6 @@ let create ~config ~transport ~replicas ~lookup_client ~service ~rng ~dispatcher
       last_executed = 0;
       last_committed = 0;
       exec_audit = [];
-      audit = true;
       client_table = Hashtbl.create 64;
       deferred_ro = [];
       pending = Queue.create ();

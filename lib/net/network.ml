@@ -76,6 +76,13 @@ let create engine cal ~rng =
 
 let set_trace t trace = t.trace <- trace
 
+let simulation ?(cal = Calibration.default) ?(trace = Trace.nil) ~rng () =
+  let engine = Engine.create () in
+  Engine.set_trace engine trace;
+  let t = create engine cal ~rng in
+  set_trace t trace;
+  t
+
 let trace t = t.trace
 
 let engine t = t.engine
@@ -126,6 +133,12 @@ let cpus t =
   List.init t.node_count (fun id ->
       let node = t.nodes.(id) in
       (node.name, node.cpu))
+
+let profile t =
+  Bft_trace.Profile.make ~labels:Cpu.category_labels
+    (List.map
+       (fun (name, cpu) -> (name, Cpu.busy_seconds cpu, Cpu.total_busy cpu))
+       (cpus t))
 
 let set_up t id up = (get t id).up <- up
 
@@ -319,14 +332,6 @@ let dropped_datagrams t = t.dropped
 let delivered_datagrams t = t.delivered
 
 let bytes_on_wire t = t.wire_bytes
-
-let node_sent t id = (get t id).counters.nc_sent
-
-let node_delivered t id = (get t id).counters.nc_delivered
-
-let node_dropped t id = (get t id).counters.nc_dropped
-
-let node_overflowed t id = (get t id).counters.nc_overflowed
 
 let per_node_counters t =
   List.init t.node_count (fun id ->

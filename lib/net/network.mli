@@ -36,6 +36,16 @@ val no_faults : faults
 val create :
   Bft_sim.Engine.t -> Bft_sim.Calibration.t -> rng:Bft_util.Rng.t -> t
 
+val simulation :
+  ?cal:Bft_sim.Calibration.t ->
+  ?trace:Bft_trace.Trace.t ->
+  rng:Bft_util.Rng.t ->
+  unit ->
+  t
+(** A fresh engine (see {!engine}) and an empty network on it, both wired
+    to [trace] (default {!Bft_trace.Trace.nil}); [cal] defaults to
+    {!Bft_sim.Calibration.default}. Every deployment starts here. *)
+
 val engine : t -> Bft_sim.Engine.t
 
 val uid : t -> int
@@ -60,6 +70,11 @@ val node_count : t -> int
 val cpus : t -> (string * Bft_sim.Cpu.t) list
 (** (name, cpu) of every node in node-id order — the machines of one
     deployment, for utilisation and profiling reports. *)
+
+val profile : t -> Bft_trace.Profile.t
+(** Per-machine, per-category CPU cost breakdown of {!cpus} at this
+    instant. Balanced by construction: each machine's category totals sum
+    exactly to its {!Bft_sim.Cpu.total_busy}. *)
 
 val set_up : t -> node_id -> bool -> unit
 (** A down node silently drops everything it receives. *)
@@ -118,22 +133,12 @@ val delivered_datagrams : t -> int
 
 val bytes_on_wire : t -> int
 
-(* Per-host counters: drops are attributed to the destination host, so a
-   saturation cliff (e.g. NO-REP past ~15 clients, paper Figure 4) shows
-   up on the overloaded server rather than only in the global total. *)
-
-val node_sent : t -> node_id -> int
-
-val node_delivered : t -> node_id -> int
-
-val node_dropped : t -> node_id -> int
-
-val node_overflowed : t -> node_id -> int
-(** Subset of [node_dropped] lost to receive-buffer overflow. *)
-
 val per_node_counters : t -> (string * int * int * int * int) list
 (** [(name, sent, delivered, dropped, overflowed)] per host, in node-id
-    order. *)
+    order; [overflowed] is the subset of [dropped] lost to receive-buffer
+    overflow. Drops are attributed to the destination host, so a
+    saturation cliff (e.g. NO-REP past ~15 clients, paper Figure 4) shows
+    up on the overloaded server rather than only in the global total. *)
 
 val reset_counters : t -> unit
 (** Reset the global and per-node counters. *)

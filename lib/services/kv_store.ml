@@ -631,8 +631,6 @@ let restore_store store data =
 
 (* --- auditing hooks (tests and chaos campaigns) ------------------------ *)
 
-let store_bindings store = sorted_bindings store
-
 let store_find store key = Hashtbl.find_opt store.table key
 
 let store_locks store = sorted_locks store

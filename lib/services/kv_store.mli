@@ -84,9 +84,6 @@ val service_of_store : store -> Bft_core.Service.t
 val service : unit -> Bft_core.Service.t
 (** [service_of_store (create_store ())]. *)
 
-val store_bindings : store -> (string * string) list
-(** Sorted live bindings (audit hook). *)
-
 val store_find : store -> string -> string option
 
 val store_locks : store -> (string * string) list

@@ -1,5 +1,4 @@
 module Engine = Bft_sim.Engine
-module Cpu = Bft_sim.Cpu
 module Calibration = Bft_sim.Calibration
 module Network = Bft_net.Network
 module Cluster = Bft_core.Cluster
@@ -19,7 +18,6 @@ type slot_gate = {
 }
 
 type t = {
-  engine : Engine.t;
   network : Network.t;
   config : Config.t;
   mutable router : Router.t;
@@ -42,10 +40,9 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?client_machines
   if initial < 1 || initial > groups then
     invalid_arg "Rig.create: initial_groups must be in [1, groups]";
   let root_rng = Rng.of_int seed in
-  let engine = Engine.create () in
-  Engine.set_trace engine trace;
-  let network = Network.create engine cal ~rng:(Rng.split root_rng "network") in
-  Network.set_trace network trace;
+  let network =
+    Network.simulation ~cal ~trace ~rng:(Rng.split root_rng "network") ()
+  in
   let router = Router.create ?slots ~groups:initial () in
   let n = config.Config.n in
   let clusters =
@@ -62,7 +59,6 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?client_machines
           ())
   in
   {
-    engine;
     network;
     config;
     router;
@@ -74,7 +70,7 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?client_machines
     root_rng;
   }
 
-let engine t = t.engine
+let engine t = Network.engine t.network
 
 let network t = t.network
 
@@ -137,9 +133,9 @@ let cluster t g = t.groups.(g)
 
 let clusters t = Array.copy t.groups
 
-let run ?until ?max_events t = Engine.run ?until ?max_events t.engine
+let run ?until ?max_events t = Engine.run ?until ?max_events (engine t)
 
-let now t = Engine.now t.engine
+let now t = Engine.now (engine t)
 
 let trace t = Network.trace t.network
 
@@ -147,11 +143,7 @@ let rng t label = Rng.split t.root_rng label
 
 let fork_rng t label = Rng.fork t.root_rng label
 
-let profile t =
-  Bft_trace.Profile.make ~labels:Cpu.category_labels
-    (List.map
-       (fun (name, cpu) -> (name, Cpu.busy_seconds cpu, Cpu.total_busy cpu))
-       (Network.cpus t.network))
+let profile t = Network.profile t.network
 
 (* --- health monitoring ------------------------------------------------ *)
 

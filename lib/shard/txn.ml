@@ -94,8 +94,6 @@ let create ?(name = "txn") ?prepare_timeout ?recovery_timeout rig =
 
 let set_fail_mode t mode = t.fail_mode <- mode
 
-let kill t = t.dead <- true
-
 (* --- lanes ------------------------------------------------------------ *)
 
 let lane_pump lane =

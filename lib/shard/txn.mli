@@ -60,10 +60,6 @@ val invoke :
 
 val set_fail_mode : t -> fail_mode -> unit
 
-val kill : t -> unit
-(** Simulate a coordinator crash: the handle goes dead immediately, drops
-    every in-flight continuation, and never fires pending callbacks. *)
-
 val busy : t -> bool
 
 val dead : t -> bool

@@ -21,8 +21,6 @@ let num_categories = 7
 let category_labels =
   [| "mac_gen"; "mac_verify"; "digest"; "encode"; "decode"; "exec"; "other" |]
 
-let category_label c = category_labels.(category_index c)
-
 type t = {
   engine : Engine.t;
   speed : float;
@@ -107,8 +105,6 @@ let dispatch t handler =
 let total_busy t = Array.fold_left ( +. ) 0.0 t.busy_by_cat
 
 let busy_seconds t = Array.copy t.busy_by_cat
-
-let busy_in t cat = t.busy_by_cat.(category_index cat)
 
 let utilisation t ~since =
   let span = Engine.now t.engine -. since in

@@ -31,8 +31,6 @@ val category_index : category -> int
 val category_labels : string array
 (** Labels by [category_index], e.g. for report column headers. *)
 
-val category_label : category -> string
-
 type t
 
 val create : Engine.t -> ?speed:float -> name:string -> unit -> t
@@ -63,8 +61,6 @@ val total_busy : t -> float
 
 val busy_seconds : t -> float array
 (** Fresh copy of per-category busy seconds, indexed by [category_index]. *)
-
-val busy_in : t -> category -> float
 
 val utilisation : t -> since:float -> float
 (** Busy fraction of the window [since, now]. *)

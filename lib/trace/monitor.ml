@@ -235,8 +235,6 @@ let view_changes t = t.view_changes
 
 let samples_observed t = t.seen
 
-let last_gauges t = t.last
-
 let shed_total t = t.shed_total
 
 let null_fill_total t = t.null_fill_total

@@ -172,8 +172,6 @@ val peak_queue : t -> int
 val samples_observed : t -> int
 (** Gauge ticks observed so far. *)
 
-val last_gauges : t -> gauges option
-
 val summary : t -> string
 (** One-line operator summary (alerts, throughput, SLO quantiles, view
     changes, checkpoint lag, replay drops). *)

@@ -33,16 +33,6 @@ let phase_index = function
   | Reply -> 6
   | Deliver -> 7
 
-let phase_name = function
-  | Request -> "request"
-  | Recv -> "recv"
-  | Preprepare -> "preprepare"
-  | Prepare -> "prepare"
-  | Commit -> "commit"
-  | Exec -> "exec"
-  | Reply -> "reply"
-  | Deliver -> "deliver"
-
 let mix64 z =
   let z = Int64.logxor z (Int64.shift_right_logical z 30) in
   let z = Int64.mul z 0xBF58476D1CE4E5B9L in

@@ -20,8 +20,6 @@ type phase =
 
 val phase_index : phase -> int
 
-val phase_name : phase -> string
-
 val id : req:int64 -> view:int -> seq:int -> phase:phase -> int64
 (** Deterministic span id. Use [-1] / [-1L] for inapplicable fields, the
     same convention as trace events. *)

@@ -53,8 +53,6 @@ let exponential t ~mean =
   let u = if u <= 0.0 then 1e-12 else u in
   -.mean *. log u
 
-let uniform_in t lo hi = lo +. float t (hi -. lo)
-
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
   arr.(int t (Array.length arr))

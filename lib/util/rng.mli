@@ -41,9 +41,6 @@ val bernoulli : t -> float -> bool
 (** [exponential t ~mean] samples an exponential distribution. *)
 val exponential : t -> mean:float -> float
 
-(** [uniform_in t lo hi] is uniform in [\[lo, hi)]. *)
-val uniform_in : t -> float -> float -> float
-
 (** [pick t arr] selects a uniform element of a non-empty array. *)
 val pick : t -> 'a array -> 'a
 

@@ -173,18 +173,11 @@ let recovery ?(quick = false) () =
             ~replicas:(Cluster.replicas cluster) ~period)
         period_opt
     in
-    let warmup = 0.4 and window = if quick then 0.6 else 2.0 in
-    Cluster.run ~until:warmup cluster;
-    let before =
-      List.fold_left
-        (fun acc c -> acc + Metrics.count (Client.metrics c) "ops.completed")
-        0 clients
-    in
-    Cluster.run ~until:(warmup +. window) cluster;
-    let after =
-      List.fold_left
-        (fun acc c -> acc + Metrics.count (Client.metrics c) "ops.completed")
-        0 clients
+    let window = if quick then 0.6 else 2.0 in
+    let completed, _stalled =
+      Microbench.measure_window (Cluster.engine cluster) ~warmup:0.4 ~window
+        (fun () ->
+          List.map (fun c -> Metrics.count (Client.metrics c) "ops.completed") clients)
     in
     let recoveries =
       match scheduler with
@@ -193,7 +186,7 @@ let recovery ?(quick = false) () =
         Recovery_scheduler.recoveries_started s
       | None -> 0
     in
-    (float_of_int (after - before) /. window, recoveries)
+    (float_of_int completed /. window, recoveries)
   in
   let table =
     Table.create ~title:"Proactive recovery rotation vs throughput (0/0, 50 clients)"

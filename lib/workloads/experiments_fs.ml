@@ -2,30 +2,6 @@ module Table = Bft_util.Table
 module Engine = Bft_sim.Engine
 module Monitor = Bft_trace.Monitor
 
-let drive rig steps =
-  let result = ref None in
-  let phases = ref [] in
-  let engine = Nfs_rig.engine rig in
-  Nfs_rig.run rig
-    ~on_phase:(fun ~name ~elapsed ->
-      if name <> "start" then phases := (name, elapsed) :: !phases)
-    ~on_done:(fun ~elapsed ~calls ->
-      result := Some (elapsed, calls);
-      Engine.stop engine)
-    steps;
-  (* Generous bound; the run stops itself when the stream completes. *)
-  Engine.run ~until:1e7 engine;
-  match !result with
-  | Some (elapsed, calls) -> (elapsed, calls, List.rev !phases)
-  | None -> failwith "file-system benchmark did not complete"
-
-let run_stream_phases ?params backend steps =
-  drive (Nfs_rig.make ?params backend ()) steps
-
-let run_stream ?params backend steps =
-  let elapsed, calls, _ = run_stream_phases ?params backend steps in
-  (elapsed, calls)
-
 (* A BFS replica's 512 MB also hold the last checkpoint snapshot, the
    message log and protocol buffers, so the file cache it can offer the
    service is markedly smaller than the unreplicated server's. This is the
@@ -42,28 +18,6 @@ let params_for ?(mem = Bft_nfs.Nfs_service.default_params.Bft_nfs.Nfs_service.me
   in
   { Bft_nfs.Nfs_service.default_params with Bft_nfs.Nfs_service.mem_bytes }
 
-let run_andrew_phases ?client_mem ?server_mem ~n backend =
-  let profile = Andrew.andrew ~n in
-  let profile =
-    match client_mem with
-    | Some m -> { profile with Andrew.client_mem = m }
-    | None -> profile
-  in
-  let steps = Andrew.generate profile in
-  run_stream_phases ~params:(params_for ?mem:server_mem backend) backend steps
-
-let run_andrew ?client_mem ?server_mem ~n backend =
-  let elapsed, calls, _ = run_andrew_phases ?client_mem ?server_mem ~n backend in
-  (elapsed, calls)
-
-let run_postmark ?(files = Postmark.default.Postmark.initial_files)
-    ?(transactions = Postmark.default.Postmark.transactions) backend =
-  let steps, txns = Postmark.generate (Postmark.scaled ~files ~transactions) in
-  let elapsed, _calls = run_stream backend steps in
-  (elapsed, txns)
-
-(* --- observed runs: the same workloads with telemetry attached -------- *)
-
 type observed = {
   ob_backend : Nfs_rig.backend;
   ob_elapsed : float;
@@ -73,34 +27,48 @@ type observed = {
   ob_monitor : Monitor.t;
 }
 
-let observe ?params backend steps =
+let run ?params backend steps =
   let monitor = Monitor.create () in
   let rig = Nfs_rig.make ?params ~monitor backend () in
-  let elapsed, calls, phases = drive rig steps in
-  {
-    ob_backend = backend;
-    ob_elapsed = elapsed;
-    ob_calls = calls;
-    ob_phases = phases;
-    ob_profile = Nfs_rig.profile rig;
-    ob_monitor = monitor;
-  }
+  let result = ref None in
+  let phases = ref [] in
+  let engine = Nfs_rig.engine rig in
+  Nfs_rig.run rig
+    ~on_phase:(fun ~name ~elapsed ->
+      if name <> "start" then phases := (name, elapsed) :: !phases)
+    ~on_done:(fun ~elapsed ~calls ->
+      result := Some (elapsed, calls);
+      Engine.stop engine)
+    steps;
+  (* Generous bound; the run stops itself when the stream completes. *)
+  Engine.run ~until:1e7 engine;
+  match !result with
+  | Some (elapsed, calls) ->
+    {
+      ob_backend = backend;
+      ob_elapsed = elapsed;
+      ob_calls = calls;
+      ob_phases = List.rev !phases;
+      ob_profile = Nfs_rig.profile rig;
+      ob_monitor = monitor;
+    }
+  | None -> failwith "file-system benchmark did not complete"
 
-let observe_andrew ?client_mem ?server_mem ~n backend =
+let run_andrew ?client_mem ?server_mem ~n backend =
   let profile = Andrew.andrew ~n in
   let profile =
     match client_mem with
     | Some m -> { profile with Andrew.client_mem = m }
     | None -> profile
   in
-  observe
+  run
     ~params:(params_for ?mem:server_mem backend)
     backend (Andrew.generate profile)
 
-let observe_postmark ?(files = Postmark.default.Postmark.initial_files)
+let run_postmark ?(files = Postmark.default.Postmark.initial_files)
     ?(transactions = Postmark.default.Postmark.transactions) backend =
   let steps, txns = Postmark.generate (Postmark.scaled ~files ~transactions) in
-  (observe backend steps, txns)
+  (run backend steps, txns)
 
 let ratio a b = if b > 0.0 then a /. b else nan
 
@@ -138,9 +106,7 @@ let fig8 ?(quick = false) () =
   let phase_rows = Hashtbl.create 8 in
   let run_row ~record_phases n =
     let run backend =
-      let elapsed, _, phases =
-        run_andrew_phases ?client_mem ?server_mem ~n backend
-      in
+      let ob = run_andrew ?client_mem ?server_mem ~n backend in
       if record_phases then
         List.iter
           (fun (name, t) ->
@@ -153,8 +119,8 @@ let fig8 ?(quick = false) () =
                 r
             in
             Hashtbl.replace row (Nfs_rig.backend_name backend) t)
-          phases;
-      elapsed
+          ob.ob_phases;
+      ob.ob_elapsed
     in
     let bfs = run Nfs_rig.Bfs in
     let norep = run Nfs_rig.Norep_fs in
@@ -225,8 +191,8 @@ let fig8 ?(quick = false) () =
 let fig9 ?(quick = false) () =
   let files, txns = if quick then (100, 300) else (1000, 5000) in
   let tps backend =
-    let elapsed, n = run_postmark ~files ~transactions:txns backend in
-    float_of_int n /. elapsed
+    let ob, n = run_postmark ~files ~transactions:txns backend in
+    float_of_int n /. ob.ob_elapsed
   in
   let bfs = tps Nfs_rig.Bfs in
   let norep = tps Nfs_rig.Norep_fs in

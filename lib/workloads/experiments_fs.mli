@@ -9,18 +9,11 @@ val fig9 : ?quick:bool -> unit -> Report.section list
 
 val all : ?quick:bool -> unit -> Report.section list
 
-val run_andrew :
-  ?client_mem:int -> ?server_mem:int -> n:int -> Nfs_rig.backend -> float * int
-(** Elapsed seconds and NFS calls for one backend (used by bin/bft_lab). *)
-
-val run_postmark :
-  ?files:int -> ?transactions:int -> Nfs_rig.backend -> float * int
-(** Elapsed seconds and transaction count. *)
-
-(** One file-system benchmark run with telemetry attached: per-phase
-    elapsed breakdown, per-machine CPU-profile attribution, and the health
-    monitor (call-latency SLO sketches for every backend; replica gauges
-    and anomaly detectors for BFS). *)
+(** One file-system benchmark run with its telemetry: per-phase elapsed
+    breakdown, per-machine CPU-profile attribution, and the health monitor
+    (call-latency SLO sketches for every backend; replica gauges and
+    anomaly detectors for BFS). Monitoring is pure observation, so the
+    numbers are those of an unmonitored run. *)
 type observed = {
   ob_backend : Nfs_rig.backend;
   ob_elapsed : float;  (** total virtual seconds *)
@@ -30,12 +23,11 @@ type observed = {
   ob_monitor : Bft_trace.Monitor.t;
 }
 
-val observe_andrew :
+val run_andrew :
   ?client_mem:int -> ?server_mem:int -> n:int -> Nfs_rig.backend -> observed
-(** {!run_andrew} with telemetry. The numbers match the unobserved run —
-    monitoring is pure observation. *)
+(** Modified Andrew with [n] tree copies on one backend. *)
 
-val observe_postmark :
+val run_postmark :
   ?files:int -> ?transactions:int -> Nfs_rig.backend -> observed * int
-(** {!run_postmark} with telemetry; also returns the transaction count
-    (PostMark has a single phase, so [ob_phases] is empty). *)
+(** PostMark on one backend; also returns the transaction count (PostMark
+    has a single phase, so [ob_phases] is empty). *)

@@ -5,6 +5,34 @@ let us v = Table.cell_f ~decimals:1 (v *. 1e6)
 
 let ratio a b = if b > 0.0 then a /. b else nan
 
+(* Read-write throughput of two configurations over a client sweep: one
+   row per client count, and the peak of each configuration. *)
+let throughput_pair ~title (label_a, cfg_a) (label_b, cfg_b) ~arg ~res clients =
+  let table =
+    Table.create ~title
+      ~columns:
+        [
+          ("clients", Table.Right);
+          (label_a ^ " ops/s", Table.Right);
+          (label_b ^ " ops/s", Table.Right);
+        ]
+  in
+  let peak_a = ref 0.0 and peak_b = ref 0.0 in
+  List.iter
+    (fun n ->
+      let run config =
+        (Microbench.bft_throughput ~config ~arg ~res ~read_only:false ~clients:n ())
+          .Microbench.ops_per_sec
+      in
+      let a = run cfg_a in
+      let b = run cfg_b in
+      peak_a := Float.max !peak_a a;
+      peak_b := Float.max !peak_b b;
+      Table.add_row table
+        [ Table.cell_i n; Table.cell_f ~decimals:0 a; Table.cell_f ~decimals:0 b ])
+    clients;
+  (table, !peak_a, !peak_b)
+
 (* --- fig2: latency vs result size -------------------------------------- *)
 
 let fig2 ?(quick = false) () =
@@ -276,36 +304,11 @@ let fig5 ?(quick = false) () =
           Table.cell_f ~decimals:2 !last_lat_ratio;
         ])
     sizes;
-  let clients = if quick then [ 20 ] else [ 10; 30; 60; 100; 150 ] in
-  let thr =
-    Table.create ~title:"Throughput 0/4: BFT vs BFT-NDR"
-      ~columns:
-        [
-          ("clients", Table.Right);
-          ("BFT ops/s", Table.Right);
-          ("BFT-NDR ops/s", Table.Right);
-        ]
+  let thr, peak_b, peak_n =
+    throughput_pair ~title:"Throughput 0/4: BFT vs BFT-NDR" ("BFT", cfg)
+      ("BFT-NDR", cfg_ndr) ~arg:0 ~res:4096
+      (if quick then [ 20 ] else [ 10; 30; 60; 100; 150 ])
   in
-  let peak_b = ref 0.0 and peak_n = ref 0.0 in
-  List.iter
-    (fun n ->
-      let b =
-        Microbench.bft_throughput ~config:cfg ~arg:0 ~res:4096 ~read_only:false
-          ~clients:n ()
-      in
-      let ndr =
-        Microbench.bft_throughput ~config:cfg_ndr ~arg:0 ~res:4096 ~read_only:false
-          ~clients:n ()
-      in
-      peak_b := Float.max !peak_b b.Microbench.ops_per_sec;
-      peak_n := Float.max !peak_n ndr.Microbench.ops_per_sec;
-      Table.add_row thr
-        [
-          Table.cell_i n;
-          Table.cell_f ~decimals:0 b.Microbench.ops_per_sec;
-          Table.cell_f ~decimals:0 ndr.Microbench.ops_per_sec;
-        ])
-    clients;
   [
     {
       Report.id = "fig5";
@@ -328,10 +331,10 @@ let fig5 ?(quick = false) () =
         [
           Report.ratio_anchor
             ~description:"BFT up to ~3x BFT-NDR throughput (paper: up to 3x)"
-            ~paper_ratio:3.0 ~measured:(ratio !peak_b !peak_n) ~tolerance:0.4;
+            ~paper_ratio:3.0 ~measured:(ratio peak_b peak_n) ~tolerance:0.4;
           Report.ratio_anchor
             ~description:"BFT-NDR capped by reply bandwidth (paper: <= ~3000)"
-            ~paper_ratio:3000.0 ~measured:!peak_n ~tolerance:0.15;
+            ~paper_ratio:3000.0 ~measured:peak_n ~tolerance:0.15;
         ];
     };
   ]
@@ -341,36 +344,11 @@ let fig5 ?(quick = false) () =
 let fig6 ?(quick = false) () =
   let cfg = Config.make ~f:1 () in
   let cfg_nb = Config.make ~f:1 ~batching:false () in
-  let clients = if quick then [ 5; 30 ] else [ 1; 5; 10; 20; 40; 70; 100; 150; 200 ] in
-  let table =
-    Table.create ~title:"Throughput 0/0 read-write: batching vs no batching"
-      ~columns:
-        [
-          ("clients", Table.Right);
-          ("batching ops/s", Table.Right);
-          ("no batching ops/s", Table.Right);
-        ]
+  let table, peak_b, peak_n =
+    throughput_pair ~title:"Throughput 0/0 read-write: batching vs no batching"
+      ("batching", cfg) ("no batching", cfg_nb) ~arg:0 ~res:0
+      (if quick then [ 5; 30 ] else [ 1; 5; 10; 20; 40; 70; 100; 150; 200 ])
   in
-  let peak_b = ref 0.0 and peak_n = ref 0.0 in
-  List.iter
-    (fun n ->
-      let b =
-        Microbench.bft_throughput ~config:cfg ~arg:0 ~res:0 ~read_only:false
-          ~clients:n ()
-      in
-      let nb =
-        Microbench.bft_throughput ~config:cfg_nb ~arg:0 ~res:0 ~read_only:false
-          ~clients:n ()
-      in
-      peak_b := Float.max !peak_b b.Microbench.ops_per_sec;
-      peak_n := Float.max !peak_n nb.Microbench.ops_per_sec;
-      Table.add_row table
-        [
-          Table.cell_i n;
-          Table.cell_f ~decimals:0 b.Microbench.ops_per_sec;
-          Table.cell_f ~decimals:0 nb.Microbench.ops_per_sec;
-        ])
-    clients;
   [
     {
       Report.id = "fig6";
@@ -383,8 +361,8 @@ let fig6 ?(quick = false) () =
               "without batching the replicas' CPUs saturate at a small client \
                count, far below the batching peak"
             ~paper:"batching >> no-batching under load"
-            ~holds:(!peak_b > 1.5 *. !peak_n)
-            ~measured:(Printf.sprintf "%.0f vs %.0f" !peak_b !peak_n);
+            ~holds:(peak_b > 1.5 *. peak_n)
+            ~measured:(Printf.sprintf "%.0f vs %.0f" peak_b peak_n);
         ];
     };
   ]
@@ -423,36 +401,11 @@ let fig7 ?(quick = false) () =
           Table.cell_pct cut;
         ])
     sizes;
-  let clients = if quick then [ 20 ] else [ 5; 15; 30; 50 ] in
-  let thr =
-    Table.create ~title:"Throughput 4/0 read-write: SRT vs no SRT"
-      ~columns:
-        [
-          ("clients", Table.Right);
-          ("SRT ops/s", Table.Right);
-          ("no-SRT ops/s", Table.Right);
-        ]
+  let thr, peak_s, peak_n =
+    throughput_pair ~title:"Throughput 4/0 read-write: SRT vs no SRT"
+      ("SRT", cfg) ("no-SRT", cfg_nosrt) ~arg:4096 ~res:0
+      (if quick then [ 20 ] else [ 5; 15; 30; 50 ])
   in
-  let peak_s = ref 0.0 and peak_n = ref 0.0 in
-  List.iter
-    (fun n ->
-      let s =
-        Microbench.bft_throughput ~config:cfg ~arg:4096 ~res:0 ~read_only:false
-          ~clients:n ()
-      in
-      let ns =
-        Microbench.bft_throughput ~config:cfg_nosrt ~arg:4096 ~res:0 ~read_only:false
-          ~clients:n ()
-      in
-      peak_s := Float.max !peak_s s.Microbench.ops_per_sec;
-      peak_n := Float.max !peak_n ns.Microbench.ops_per_sec;
-      Table.add_row thr
-        [
-          Table.cell_i n;
-          Table.cell_f ~decimals:0 s.Microbench.ops_per_sec;
-          Table.cell_f ~decimals:0 ns.Microbench.ops_per_sec;
-        ])
-    clients;
   [
     {
       Report.id = "fig7";
@@ -473,8 +426,8 @@ let fig7 ?(quick = false) () =
         [
           Report.direction_anchor
             ~description:"SRT improves large-request throughput (bigger batches)"
-            ~paper:"SRT > no-SRT" ~holds:(!peak_s > !peak_n)
-            ~measured:(Printf.sprintf "%.0f vs %.0f" !peak_s !peak_n);
+            ~paper:"SRT > no-SRT" ~holds:(peak_s > peak_n)
+            ~measured:(Printf.sprintf "%.0f vs %.0f" peak_s peak_n);
         ];
     };
   ]

@@ -1,6 +1,5 @@
 open Bft_core
 module Engine = Bft_sim.Engine
-module Cpu = Bft_sim.Cpu
 module Calibration = Bft_sim.Calibration
 module Network = Bft_net.Network
 module Stats = Bft_util.Stats
@@ -21,6 +20,28 @@ let client_speed = 700.0 /. 600.0  (* the paper's latency client was 700 MHz *)
 
 let latency_warmup = 8
 
+(* The back-to-back loop behind both latency figures: [latency_warmup]
+   discarded operations, then [ops] measured ones, each invoked when the
+   previous one completes. [invoke k] issues one operation and calls [k]
+   with its latency. [observe running] runs before the first operation, to
+   attach samplers that stop once [running ()] turns false — so sampling
+   timers do not keep the engine running to its horizon. *)
+let back_to_back ?(observe = ignore) ~ops engine invoke =
+  let stats = Stats.create () in
+  let remaining = ref (latency_warmup + ops) in
+  observe (fun () -> !remaining > 0 || Stats.count stats < ops);
+  let rec loop () =
+    if !remaining > 0 then begin
+      decr remaining;
+      invoke (fun latency ->
+          if !remaining < ops then Stats.add stats latency;
+          loop ())
+    end
+  in
+  loop ();
+  Engine.run ~until:120.0 engine;
+  { mean = Stats.mean stats; stddev = Stats.stddev stats; ops = Stats.count stats }
+
 (* Shared latency rig; returns the cluster (and the optional series ring)
    so profiling callers can read CPU state after the run. *)
 let latency_run ?(config = Config.make ~f:1 ()) ?(ops = 200) ?(seed = 42)
@@ -33,41 +54,26 @@ let latency_run ?(config = Config.make ~f:1 ()) ?(ops = 200) ?(seed = 42)
   in
   let client = Cluster.add_client cluster in
   let op = Service.null_op ~read_only ~arg_size:arg ~result_size:res in
-  let warmup = latency_warmup in
-  let stats = Stats.create () in
-  let remaining = ref (warmup + ops) in
-  (* Shared by the series sampler and the health monitor: stop once every
-     measured operation has completed, so sampling timers do not keep the
-     engine running to its horizon. *)
-  let still_running () = !remaining > 0 || Stats.count stats < ops in
-  Option.iter
-    (fun m -> Cluster.attach_monitor ~while_:still_running cluster m)
-    monitor;
   let series =
     Option.map
       (fun interval ->
-        let s =
+        ( interval,
           Bft_trace.Series.create ~capacity:series_cap
-            ~names:(Cluster.series_names cluster) ()
-        in
-        Cluster.sample_series ~while_:still_running cluster s ~interval;
-        s)
+            ~names:(Cluster.series_names cluster) () ))
       series_every
   in
-  let rec loop () =
-    if !remaining > 0 then begin
-      decr remaining;
-      Client.invoke client ~read_only op (fun outcome ->
-          if !remaining < ops then Stats.add stats outcome.Client.latency;
-          loop ())
-    end
+  let observe running =
+    Option.iter (fun m -> Cluster.attach_monitor ~while_:running cluster m) monitor;
+    Option.iter
+      (fun (interval, s) ->
+        Cluster.sample_series ~while_:running cluster s ~interval)
+      series
   in
-  loop ();
-  Cluster.run ~until:120.0 cluster;
-  ( cluster,
-    series,
-    { mean = Stats.mean stats; stddev = Stats.stddev stats; ops = Stats.count stats }
-  )
+  let result =
+    back_to_back ~observe ~ops (Cluster.engine cluster) (fun k ->
+        Client.invoke client ~read_only op (fun o -> k o.Client.latency))
+  in
+  (cluster, Option.map snd series, result)
 
 let bft_latency ?config ?ops ?seed ?cal ?trace ?monitor ~arg ~res ~read_only ()
     =
@@ -119,50 +125,27 @@ let bft_profile ?config ?ops ?seed ?cal ?trace ?series_every ?series_cap
     pf_owners = owners;
   }
 
-(* A NO-REP rig: one server machine, [machines] client machines. *)
-let norep_rig ?(cal = Calibration.default) ~seed ~machines ~clients ~retry () =
-  let engine = Engine.create () in
-  let rng = Rng.of_int seed in
-  let net = Network.create engine cal ~rng:(Rng.split rng "network") in
-  (* The NO-REP server runs with stock (small) socket buffers — the reason
-     the paper's Figure 4 has no NO-REP points past 15 clients for 4/0. *)
-  let scpu = Cpu.create engine ~name:"server" () in
-  let snode = Network.add_node net ~cpu:scpu ~recv_buffer:0.005 ~name:"server" () in
-  let server = Norep.Server.create ~network:net ~node:snode ~service:(Service.null ()) () in
-  let cnodes =
-    Array.init machines (fun i ->
-        let speed = if machines = 1 then client_speed else 1.0 in
-        let cpu = Cpu.create engine ~speed ~name:(Printf.sprintf "clientm%d" i) () in
-        Network.add_node net ~cpu ~name:(Printf.sprintf "clientm%d" i) ())
-  in
-  let retry_timeout = if retry then Some 0.15 else None in
-  let clients =
-    List.init clients (fun i ->
-        Norep.Client.create ~network:net ~node:cnodes.(i mod machines) ~id:(100 + i)
-          ~server:snode ?retry_timeout ())
-  in
-  (engine, server, clients)
+(* The NO-REP rig of Figures 2–4: a null service on a server with stock
+   (small) socket buffers — the reason the paper's Figure 4 has no NO-REP
+   points past 15 clients for 4/0 — and [machines] client machines. *)
+let norep_rig ~seed ~machines ~clients ~retry =
+  Norep.deploy
+    ~rng:(Rng.split (Rng.of_int seed) "network")
+    ~server_recv_buffer:0.005
+    ~install:(fun network node ->
+      Norep.Server.create ~network ~node ~service:(Service.null ()) ())
+    ?client_machine_speed:(if machines = 1 then Some client_speed else None)
+    ~client_machines:(List.init machines (Printf.sprintf "clientm%d"))
+    ~clients
+    ?retry_timeout:(if retry then Some 0.15 else None)
+    ()
 
 let norep_latency ?(ops = 200) ?(seed = 42) ~arg ~res () =
-  let engine, _server, clients =
-    norep_rig ~seed ~machines:1 ~clients:1 ~retry:true ()
-  in
-  let client = List.hd clients in
+  let rig = norep_rig ~seed ~machines:1 ~clients:1 ~retry:true in
+  let client = List.hd rig.Norep.clients in
   let op = Service.null_op ~read_only:false ~arg_size:arg ~result_size:res in
-  let warmup = 8 in
-  let stats = Stats.create () in
-  let remaining = ref (warmup + ops) in
-  let rec loop () =
-    if !remaining > 0 then begin
-      decr remaining;
-      Norep.Client.invoke client op (fun outcome ->
-          if !remaining < ops then Stats.add stats outcome.Norep.Client.latency;
-          loop ())
-    end
-  in
-  loop ();
-  Engine.run ~until:120.0 engine;
-  { mean = Stats.mean stats; stddev = Stats.stddev stats; ops = Stats.count stats }
+  back_to_back ~ops (Network.engine rig.Norep.network) (fun k ->
+      Norep.Client.invoke client op (fun o -> k o.Norep.Client.latency))
 
 let drops_by_node network =
   List.filter_map
@@ -170,19 +153,29 @@ let drops_by_node network =
       if dropped > 0 then Some (name, dropped, overflowed) else None)
     (Network.per_node_counters network)
 
-let measure_window ~engine ~warmup ~window ~per_client_counts =
-  (* per_client_counts () returns current completion counts. *)
+let measure_window ?(at_window = ignore) engine ~warmup ~window counts =
   Engine.run ~until:warmup engine;
-  let before = per_client_counts () in
+  let before = counts () in
+  at_window ();
   Engine.run ~until:(warmup +. window) engine;
-  let after = per_client_counts () in
-  let completed =
-    List.fold_left2 (fun acc a b -> acc + (b - a)) 0 before after
-  in
-  let stalled =
-    List.fold_left2 (fun acc a b -> if b = a then acc + 1 else acc) 0 before after
-  in
-  (completed, stalled)
+  let after = counts () in
+  ( List.fold_left2 (fun acc a b -> acc + (b - a)) 0 before after,
+    List.fold_left2 (fun acc a b -> if b = a then acc + 1 else acc) 0 before after )
+
+(* The closed loop behind every throughput figure: each client's loop
+   starts at an offset in [0, 0.1) s drawn from the seed's "stagger"
+   stream — real benchmark clients never fire in the same microsecond, and
+   a synchronized burst of large requests would blow through any receive
+   buffer — and the run is then measured by [measure_window]. *)
+let closed_loop ?at_window engine ~seed ~warmup ~window ~loops counts =
+  let stagger = Rng.split (Rng.of_int seed) "stagger" in
+  List.iter
+    (fun loop -> Engine.schedule engine ~delay:(Rng.float stagger 0.1) loop)
+    loops;
+  measure_window ?at_window engine ~warmup ~window counts
+
+let count_all metrics name clients =
+  List.fold_left (fun acc c -> acc + Metrics.count (metrics c) name) 0 clients
 
 let bft_throughput ?(config = Config.make ~f:1 ()) ?(seed = 42) ?(warmup = 0.5)
     ?(window = 1.0) ?(cal = Calibration.default)
@@ -196,34 +189,20 @@ let bft_throughput ?(config = Config.make ~f:1 ()) ?(seed = 42) ?(warmup = 0.5)
   Option.iter (fun m -> Cluster.attach_monitor cluster m) monitor;
   let op = Service.null_op ~read_only ~arg_size:arg ~result_size:res in
   let client_list = List.init clients (fun _ -> Cluster.add_client cluster) in
-  (* Stagger start times: real benchmark clients never fire in the same
-     microsecond, and a synchronized burst of large requests would blow
-     through any receive buffer. *)
-  let stagger = Rng.split (Rng.of_int seed) "stagger" in
-  List.iter
-    (fun client ->
-      let rec loop () = Client.invoke client ~read_only op (fun _ -> loop ()) in
-      Engine.schedule (Cluster.engine cluster)
-        ~delay:(Rng.float stagger 0.1)
-        loop)
-    client_list;
-  let counts () =
-    List.map (fun c -> Metrics.count (Client.metrics c) "ops.completed") client_list
+  let loop client =
+    let rec loop () = Client.invoke client ~read_only op (fun _ -> loop ()) in
+    loop
   in
   let completed, stalled =
-    measure_window ~engine:(Cluster.engine cluster) ~warmup ~window
-      ~per_client_counts:counts
-  in
-  let retransmissions =
-    List.fold_left
-      (fun acc c -> acc + Metrics.count (Client.metrics c) "ops.retransmitted")
-      0 client_list
+    closed_loop (Cluster.engine cluster) ~seed ~warmup ~window
+      ~loops:(List.map loop client_list) (fun () ->
+        List.map (fun c -> Metrics.count (Client.metrics c) "ops.completed") client_list)
   in
   {
     ops_per_sec = float_of_int completed /. window;
     completed;
     stalled_clients = stalled;
-    retransmissions;
+    retransmissions = count_all Client.metrics "ops.retransmitted" client_list;
     drops_by_node = drops_by_node (Cluster.network cluster);
   }
 
@@ -255,20 +234,19 @@ let sharded_throughput ?(config = Config.make ~f:1 ()) ?(seed = 42)
   let proxies =
     List.init (groups * clients_per_group) (fun _ -> Proxy.create rig)
   in
-  (* Same stagger rationale as [bft_throughput]. *)
-  let stagger = Rng.split (Rng.of_int seed) "stagger" in
-  List.iteri
-    (fun i proxy ->
-      let keys = Rig.rng rig (Printf.sprintf "proxy%d-keys" i) in
-      let rec loop () =
-        (* Uniform single-key writes: every op lands on whichever group
-           owns the key, so the offered load spreads over all groups. *)
-        let key = Printf.sprintf "k%04d" (Rng.int keys key_space) in
-        Proxy.invoke proxy (Kv.Put (key, "v")) (fun _ -> loop ())
-      in
-      Engine.schedule (Rig.engine rig) ~delay:(Rng.float stagger 0.1) loop)
-    proxies;
-  let totals () = List.map Proxy.total_completed proxies in
+  let loops =
+    List.mapi
+      (fun i proxy ->
+        let keys = Rig.rng rig (Printf.sprintf "proxy%d-keys" i) in
+        let rec loop () =
+          (* Uniform single-key writes: every op lands on whichever group
+             owns the key, so the offered load spreads over all groups. *)
+          let key = Printf.sprintf "k%04d" (Rng.int keys key_space) in
+          Proxy.invoke proxy (Kv.Put (key, "v")) (fun _ -> loop ())
+        in
+        loop)
+      proxies
+  in
   let per_group () =
     let acc = Array.make groups 0 in
     List.iter
@@ -276,22 +254,16 @@ let sharded_throughput ?(config = Config.make ~f:1 ()) ?(seed = 42)
       proxies;
     acc
   in
-  Engine.run ~until:warmup (Rig.engine rig);
-  let before = totals () in
-  let before_g = per_group () in
-  Engine.run ~until:(warmup +. window) (Rig.engine rig);
-  let after = totals () in
-  let after_g = per_group () in
-  let completed =
-    List.fold_left2 (fun acc a b -> acc + (b - a)) 0 before after
-  in
-  let stalled =
-    List.fold_left2 (fun acc a b -> if b = a then acc + 1 else acc) 0 before after
+  let before_g = ref [||] in
+  let completed, stalled =
+    closed_loop (Rig.engine rig) ~seed ~warmup ~window ~loops
+      ~at_window:(fun () -> before_g := per_group ())
+      (fun () -> List.map Proxy.total_completed proxies)
   in
   {
     sh_ops_per_sec = float_of_int completed /. window;
     sh_completed = completed;
-    sh_per_group = Array.init groups (fun g -> after_g.(g) - before_g.(g));
+    sh_per_group = Array.map2 ( - ) (per_group ()) !before_g;
     sh_stalled_clients = stalled;
     sh_retransmissions =
       List.fold_left (fun acc p -> acc + Proxy.retransmissions p) 0 proxies;
@@ -334,81 +306,79 @@ let mixed_txn_throughput ?(config = Config.make ~f:1 ()) ?(seed = 42)
   let completed = ref 0 in
   let cross_committed = ref 0 in
   let cross_aborted = ref 0 in
-  let stagger = Rng.split (Rng.of_int seed) "stagger" in
-  List.iteri
-    (fun i driver ->
-      let keys = Rig.rng rig (Printf.sprintf "mixed%d-keys" i) in
-      let pick () = Printf.sprintf "k%04d" (Rng.int keys key_space) in
-      let rec loop () =
-        if Rng.float keys 1.0 < cross_fraction then begin
-          let k1 = pick () in
-          (* Partner key in another group when the hash allows, and always
-             a distinct key (transactions reject duplicates). *)
-          let k2 =
-            let router = Rig.router rig in
-            let g1 = Router.group_of_key router k1 in
-            let rec find tries =
-              let cand = pick () in
-              if
-                (not (String.equal cand k1))
-                && (Router.group_of_key router cand <> g1 || tries >= 8)
-              then cand
-              else find (tries + 1)
+  let loops =
+    List.mapi
+      (fun i driver ->
+        let keys = Rig.rng rig (Printf.sprintf "mixed%d-keys" i) in
+        let pick () = Printf.sprintf "k%04d" (Rng.int keys key_space) in
+        let rec loop () =
+          if Rng.float keys 1.0 < cross_fraction then begin
+            let k1 = pick () in
+            (* Partner key in another group when the hash allows, and always
+               a distinct key (transactions reject duplicates). *)
+            let k2 =
+              let router = Rig.router rig in
+              let g1 = Router.group_of_key router k1 in
+              let rec find tries =
+                let cand = pick () in
+                if
+                  (not (String.equal cand k1))
+                  && (Router.group_of_key router cand <> g1 || tries >= 8)
+                then cand
+                else find (tries + 1)
+              in
+              find 0
             in
-            find 0
-          in
-          Txn.exec driver
-            [ Kv.Put (k1, "v"); Kv.Put (k2, "v") ]
-            (fun outcome ->
-              incr completed;
-              (match outcome with
-              | Txn.Committed -> incr cross_committed
-              | Txn.Aborted _ -> incr cross_aborted);
-              loop ())
-        end
-        else
-          Txn.invoke driver (Kv.Put (pick (), "v")) (fun _ ->
-              incr completed;
-              loop ())
-      in
-      Engine.schedule (Rig.engine rig) ~delay:(Rng.float stagger 0.1) loop)
-    drivers;
-  Engine.run ~until:warmup (Rig.engine rig);
-  let before = !completed in
-  let before_cross = (!cross_committed, !cross_aborted) in
-  Engine.run ~until:(warmup +. window) (Rig.engine rig);
+            Txn.exec driver
+              [ Kv.Put (k1, "v"); Kv.Put (k2, "v") ]
+              (fun outcome ->
+                incr completed;
+                (match outcome with
+                | Txn.Committed -> incr cross_committed
+                | Txn.Aborted _ -> incr cross_aborted);
+                loop ())
+          end
+          else
+            Txn.invoke driver (Kv.Put (pick (), "v")) (fun _ ->
+                incr completed;
+                loop ())
+        in
+        loop)
+      drivers
+  in
+  (* Transactions are tallied over the window only. *)
+  let completed, _stalled =
+    closed_loop (Rig.engine rig) ~seed ~warmup ~window ~loops
+      ~at_window:(fun () ->
+        cross_committed := 0;
+        cross_aborted := 0)
+      (fun () -> [ !completed ])
+  in
   {
-    mx_ops_per_sec = float_of_int (!completed - before) /. window;
-    mx_completed = !completed - before;
-    mx_cross_committed = !cross_committed - fst before_cross;
-    mx_cross_aborted = !cross_aborted - snd before_cross;
+    mx_ops_per_sec = float_of_int completed /. window;
+    mx_completed = completed;
+    mx_cross_committed = !cross_committed;
+    mx_cross_aborted = !cross_aborted;
   }
 
 let norep_throughput ?(seed = 42) ?(warmup = 0.5) ?(window = 1.0) ?(retry = false)
     ~arg ~res ~clients () =
-  let engine, server, client_list =
-    norep_rig ~seed ~machines:5 ~clients ~retry ()
-  in
-  let network = Norep.Server.network server in
+  let rig = norep_rig ~seed ~machines:5 ~clients ~retry in
   let op = Service.null_op ~read_only:false ~arg_size:arg ~result_size:res in
-  let stagger = Rng.split (Rng.of_int seed) "stagger" in
-  List.iter
-    (fun client ->
-      let rec loop () = Norep.Client.invoke client op (fun _ -> loop ()) in
-      Engine.schedule engine ~delay:(Rng.float stagger 0.1) loop)
-    client_list;
-  let counts () =
-    List.map
-      (fun c -> Metrics.count (Norep.Client.metrics c) "ops.completed")
-      client_list
+  let loop client =
+    let rec loop () = Norep.Client.invoke client op (fun _ -> loop ()) in
+    loop
   in
+  let client_list = rig.Norep.clients in
   let completed, stalled =
-    measure_window ~engine ~warmup ~window ~per_client_counts:counts
-  in
-  let retransmissions =
-    List.fold_left
-      (fun acc c -> acc + Metrics.count (Norep.Client.metrics c) "ops.retransmitted")
-      0 client_list
+    closed_loop
+      (Network.engine rig.Norep.network)
+      ~seed ~warmup ~window
+      ~loops:(List.map loop client_list)
+      (fun () ->
+        List.map
+          (fun c -> Metrics.count (Norep.Client.metrics c) "ops.completed")
+          client_list)
   in
   let ops_per_sec =
     if (not retry) && stalled * 4 > clients then nan
@@ -418,6 +388,7 @@ let norep_throughput ?(seed = 42) ?(warmup = 0.5) ?(window = 1.0) ?(retry = fals
     ops_per_sec;
     completed;
     stalled_clients = stalled;
-    retransmissions;
-    drops_by_node = drops_by_node network;
+    retransmissions =
+      count_all Norep.Client.metrics "ops.retransmitted" client_list;
+    drops_by_node = drops_by_node rig.Norep.network;
   }

@@ -79,6 +79,8 @@ val bft_profile :
 
 val norep_latency :
   ?ops:int -> ?seed:int -> arg:int -> res:int -> unit -> latency_result
+(** The same back-to-back loop as {!bft_latency}, against the NO-REP
+    server from one 700 MHz client machine. *)
 
 type throughput_result = {
   ops_per_sec : float;  (** [nan] when the run stalled (NO-REP losses) *)
@@ -90,6 +92,20 @@ type throughput_result = {
           one datagram — attributes a saturation cliff (e.g. NO-REP past
           ~15 clients, paper Figure 4) to the overloaded server. *)
 }
+
+val measure_window :
+  ?at_window:(unit -> unit) ->
+  Bft_sim.Engine.t ->
+  warmup:float ->
+  window:float ->
+  (unit -> int list) ->
+  int * int
+(** The measurement every closed-loop driver here shares: run to the end
+    of [warmup], snapshot the per-client completion counts, run [window]
+    more, snapshot again. Returns the completions inside the window and
+    the number of clients that completed none (stalled). [at_window] runs
+    right after the first snapshot, for callers that count more than
+    completions. *)
 
 val bft_throughput :
   ?config:Bft_core.Config.t ->

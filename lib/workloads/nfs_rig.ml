@@ -1,7 +1,6 @@
 open Bft_core
 module Engine = Bft_sim.Engine
 module Cpu = Bft_sim.Cpu
-module Calibration = Bft_sim.Calibration
 module Network = Bft_net.Network
 module Rng = Bft_util.Rng
 module Monitor = Bft_trace.Monitor
@@ -17,31 +16,44 @@ let backend_name = function
   | Nfs_std_fs -> "NFS-STD"
 
 type t = {
-  engine : Engine.t;
+  network : Network.t;
   client_cpu : Cpu.t;
   invoke : read_only:bool -> Payload.t -> (Payload.t -> unit) -> unit;
   server_fs : Bft_nfs.Fs.t option;
-  profile : unit -> Bft_trace.Profile.t;
-  monitor : Monitor.t option;
 }
 
-let engine t = t.engine
-
-let client_cpu t = t.client_cpu
+let engine t = Network.engine t.network
 
 let server_fs t = t.server_fs
 
-let profile t = t.profile ()
+let profile t = Network.profile t.network
 
-let monitor t = t.monitor
-
-(* Same per-machine, per-category breakdown Cluster.profile produces, for
-   the unreplicated rigs (one server machine, one client machine). *)
-let profile_of_network net () =
-  Bft_trace.Profile.make ~labels:Cpu.category_labels
-    (List.map
-       (fun (name, cpu) -> (name, Cpu.busy_seconds cpu, Cpu.total_busy cpu))
-       (Network.cpus net))
+(* The unreplicated backends differ only in the server [install] puts on
+   the server machine (it returns the server's file system). There are no
+   replica gauges to scrape; the monitor still gets every call latency for
+   its SLO sketches. *)
+let unreplicated ~seed ?server_name ~install ?monitor () =
+  let rig =
+    Norep.deploy ~rng:(Rng.of_int seed) ?server_name ~install
+      ~client_machines:[ "client" ] ~clients:1 ~retry_timeout:0.3 ()
+  in
+  let network = rig.Norep.network in
+  let engine = Network.engine network in
+  let client = List.hd rig.Norep.clients in
+  let invoke ~read_only:_ op k =
+    let started = Engine.now engine in
+    Norep.Client.invoke client op (fun o ->
+        Option.iter
+          (fun m -> Monitor.observe_latency m (Engine.now engine -. started))
+          monitor;
+        k o.Norep.Client.result)
+  in
+  {
+    network;
+    client_cpu = Network.node_cpu network (Norep.Client.node client);
+    invoke;
+    server_fs = rig.Norep.server;
+  }
 
 let make backend ?(seed = 42) ?(params = Nfs_service.default_params) ?monitor
     () =
@@ -59,97 +71,45 @@ let make backend ?(seed = 42) ?(params = Nfs_service.default_params) ?monitor
     let invoke ~read_only op k =
       Client.invoke client ~read_only op (fun outcome -> k outcome.Client.result)
     in
+    let network = Cluster.network cluster in
     {
-      engine = Cluster.engine cluster;
-      client_cpu =
-        Network.node_cpu (Cluster.network cluster) (config.Config.n (* machine 0 *));
+      network;
+      client_cpu = Network.node_cpu network (config.Config.n (* machine 0 *));
       invoke;
       server_fs = Nfs_service.fs_of services.(0);
-      profile = (fun () -> Cluster.profile cluster);
-      monitor;
     }
   | Norep_fs ->
-    let engine = Engine.create () in
-    let cal = Calibration.default in
-    let net = Network.create engine cal ~rng:(Rng.of_int seed) in
-    let scpu = Cpu.create engine ~name:"server" () in
-    let snode = Network.add_node net ~cpu:scpu ~name:"server" () in
-    let service = Nfs_service.create ~params () in
-    let _server = Norep.Server.create ~network:net ~node:snode ~service () in
-    let ccpu = Cpu.create engine ~name:"client" () in
-    let cnode = Network.add_node net ~cpu:ccpu ~name:"client" () in
-    let client =
-      Norep.Client.create ~network:net ~node:cnode ~id:100 ~server:snode
-        ~retry_timeout:0.3 ()
-    in
-    (* No replica gauges to scrape here; the monitor still gets every call
-       latency for its SLO sketches. *)
-    let invoke ~read_only op k =
-      ignore read_only;
-      let started = Engine.now engine in
-      Norep.Client.invoke client op (fun o ->
-          Option.iter
-            (fun m -> Monitor.observe_latency m (Engine.now engine -. started))
-            monitor;
-          k o.Norep.Client.result)
-    in
-    {
-      engine;
-      client_cpu = ccpu;
-      invoke;
-      server_fs = Nfs_service.fs_of service;
-      profile = profile_of_network net;
-      monitor;
-    }
+    unreplicated ~seed ?monitor
+      ~install:(fun network node ->
+        let service = Nfs_service.create ~params () in
+        ignore (Norep.Server.create ~network ~node ~service ());
+        Nfs_service.fs_of service)
+      ()
   | Nfs_std_fs ->
-    let engine = Engine.create () in
-    let cal = Calibration.default in
-    let net = Network.create engine cal ~rng:(Rng.of_int seed) in
-    let scpu = Cpu.create engine ~name:"nfsd" () in
-    let snode = Network.add_node net ~cpu:scpu ~name:"nfsd" () in
-    let server = Nfs_std.create ~network:net ~node:snode ~params () in
-    let ccpu = Cpu.create engine ~name:"client" () in
-    let cnode = Network.add_node net ~cpu:ccpu ~name:"client" () in
-    let client =
-      Norep.Client.create ~network:net ~node:cnode ~id:100 ~server:snode
-        ~retry_timeout:0.3 ()
-    in
-    let invoke ~read_only op k =
-      ignore read_only;
-      let started = Engine.now engine in
-      Norep.Client.invoke client op (fun o ->
-          Option.iter
-            (fun m -> Monitor.observe_latency m (Engine.now engine -. started))
-            monitor;
-          k o.Norep.Client.result)
-    in
-    {
-      engine;
-      client_cpu = ccpu;
-      invoke;
-      server_fs = Some (Nfs_std.fs server);
-      profile = profile_of_network net;
-      monitor;
-    }
+    unreplicated ~seed ?monitor ~server_name:"nfsd"
+      ~install:(fun network node ->
+        Some (Nfs_std.fs (Nfs_std.create ~network ~node ~params ())))
+      ()
 
 type step = Compute of float | Call of Proto.call | Phase of string
 
 let run t ?(on_phase = fun ~name:_ ~elapsed:_ -> ()) ~on_done steps =
-  let started = Engine.now t.engine in
+  let engine = engine t in
+  let started = Engine.now engine in
   let phase_started = ref started in
   let calls = ref 0 in
   let rec exec = function
     | [] ->
-      on_done ~elapsed:(Engine.now t.engine -. started) ~calls:!calls
+      on_done ~elapsed:(Engine.now engine -. started) ~calls:!calls
     | Compute dt :: rest ->
       Cpu.charge t.client_cpu dt;
-      Engine.schedule_at t.engine (Cpu.busy_until t.client_cpu) (fun () -> exec rest)
+      Engine.schedule_at engine (Cpu.busy_until t.client_cpu) (fun () -> exec rest)
     | Call call :: rest ->
       incr calls;
       t.invoke ~read_only:(Proto.is_read_only call) (Proto.encode_call call)
         (fun _reply -> exec rest)
     | Phase name :: rest ->
-      let now = Engine.now t.engine in
+      let now = Engine.now engine in
       on_phase ~name ~elapsed:(now -. !phase_started);
       phase_started := now;
       exec rest

@@ -30,13 +30,9 @@ val make :
 
 val engine : t -> Bft_sim.Engine.t
 
-val client_cpu : t -> Bft_sim.Cpu.t
-
 val profile : t -> Bft_trace.Profile.t
 (** Per-machine, per-category CPU cost breakdown at this instant, for any
-    backend (BFS delegates to {!Bft_core.Cluster.profile}). *)
-
-val monitor : t -> Bft_trace.Monitor.t option
+    backend ({!Bft_net.Network.profile}). *)
 
 (** One benchmark step: local client computation, an NFS call, or a phase
     boundary marker (for per-phase reporting, as Andrew does). *)

@@ -138,6 +138,19 @@ let test_microbench_throughput_sane () =
   check Alcotest.bool "positive" true (t.Microbench.ops_per_sec > 1000.0);
   check Alcotest.int "no stalls" 0 t.Microbench.stalled_clients
 
+(* The closed loop's stall rule (paper Figure 4): past ~15 clients the
+   NO-REP server's small socket buffer overflows on 4 KB requests, and
+   without retransmission a lost request stalls its client for good. Once
+   more than a quarter of the clients stall the point is not plotted. *)
+let test_microbench_norep_stall () =
+  let clients = 40 in
+  let t =
+    Microbench.norep_throughput ~retry:false ~arg:4096 ~res:0 ~clients ()
+  in
+  check Alcotest.bool "over a quarter stalled" true
+    (t.Microbench.stalled_clients * 4 > clients);
+  check Alcotest.bool "not plotted" true (Float.is_nan t.Microbench.ops_per_sec)
+
 let test_report_anchors () =
   let a =
     Report.ratio_anchor ~description:"d" ~paper_ratio:2.0 ~measured:2.2
@@ -177,6 +190,8 @@ let () =
         [
           Alcotest.test_case "latency sane" `Quick test_microbench_latency_sane;
           Alcotest.test_case "throughput sane" `Quick test_microbench_throughput_sane;
+          Alcotest.test_case "NO-REP stalls past its cliff" `Quick
+            test_microbench_norep_stall;
         ] );
       ("report", [ Alcotest.test_case "anchors" `Quick test_report_anchors ]);
     ]
