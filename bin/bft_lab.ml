@@ -18,6 +18,7 @@ module Calibration = Bft_sim.Calibration
 module Config = Bft_core.Config
 module Trace = Bft_trace.Trace
 module Monitor = Bft_trace.Monitor
+module Run_bundle = Bft_trace.Run_bundle
 module Plan = Bft_chaos.Plan
 module Campaign = Bft_chaos.Campaign
 
@@ -41,33 +42,32 @@ let write_file ?(append = false) path contents =
       (fun oc -> output_string oc contents)
   with Sys_error msg -> die "cannot write %s" msg
 
-let dump_trace trace path =
-  write_file path (Trace.jsonl trace);
-  Printf.printf "wrote %d events to %s (%d recorded, %d evicted)\n"
-    (Trace.length trace) path (Trace.total trace) (Trace.dropped trace)
-
 let print_latency label (r : Microbench.latency_result) =
   Printf.printf "%s %8.1f us (+/- %.1f, %d ops)\n" label
     (r.Microbench.mean *. 1e6)
     (r.Microbench.stddev *. 1e6)
     r.Microbench.ops
 
-let print_health monitor =
-  Printf.printf "health: %s\n" (Monitor.summary monitor);
-  List.iter
-    (fun a -> Printf.printf "  alert: %s\n" (Monitor.alert_detail a))
-    (Monitor.alerts monitor)
+let health_lines monitor =
+  ("health: " ^ Monitor.summary monitor)
+  :: List.map
+       (fun a -> "  alert: " ^ Monitor.alert_detail a)
+       (Monitor.alerts monitor)
 
-let write_bundle monitor = function
-  | None -> ()
-  | Some path -> (
-    match Monitor.last_bundle monitor with
-    | Some bundle ->
-      write_file path bundle;
-      Printf.printf "wrote post-mortem bundle to %s (%d dumped during the run)\n"
-        path
-        (Monitor.bundle_count monitor)
-    | None -> print_endline "no post-mortem bundle (nothing fired)")
+let print_lines = List.iter print_endline
+
+(* Write the run bundle of an observed run; [write] is {!Run_bundle.write}
+   applied to the artifacts. *)
+let write_run_bundle ?(oc = stdout) ?(cal = Calibration.default) observe
+    subcommand write =
+  Option.iter
+    (fun dir ->
+      match write ~dir ~subcommand ~cost_profile:(Calibration.name cal) with
+      | files ->
+        Printf.fprintf oc "wrote run bundle %s (%s)\n" dir
+          (String.concat ", " (List.map fst files))
+      | exception Sys_error msg -> die "cannot write %s" msg)
+    observe
 
 let check_balanced profile =
   if not (Bft_trace.Profile.balanced profile) then
@@ -93,8 +93,8 @@ let float_arg name default ~doc =
 let file_arg name ~doc =
   Arg.(value & opt (some string) None & info [ name ] ~doc ~docv:"FILE")
 
-let path_arg ?(aliases = []) name default ~doc =
-  Arg.(value & opt string default & info (name :: aliases) ~doc ~docv:"FILE")
+let path_arg name default ~doc =
+  Arg.(value & opt string default & info [ name ] ~doc ~docv:"FILE")
 
 let quick_arg =
   flag_arg "quick"
@@ -119,38 +119,22 @@ let res_arg default = int_arg "res" default ~doc:"Result size in bytes."
 let read_only_arg = flag_arg "read-only" ~doc:"Issue read-only operations."
 let ops_arg = int_arg "ops" 200 ~doc:"Measured operations."
 
-let health_arg =
-  flag_arg "health"
-    ~doc:
-      "Run under the always-on health monitor and print its summary. \
-       Observation is pure: the measured numbers do not change."
-
 let json_arg = file_arg "json" ~doc:"Write the result as JSON to $(docv)."
 
-let bundle_out_arg =
-  file_arg "bundle-out"
-    ~doc:
-      "Write the newest post-mortem bundle as JSONL to $(docv) (one exists \
-       only if the flight recorder fired)."
+let observe_doc =
+  "Turn on the run's recorders (protocol trace, health monitors, metric \
+   series, as the subcommand has them) and write what they recorded, plus a \
+   manifest.json naming each file, into the run bundle directory $(docv). \
+   Observation is pure: the measured numbers do not change."
 
-let trace_cap_arg =
-  let doc = "Trace ring capacity in events; the newest $(docv) are kept." in
-  Arg.(value & opt int (1 lsl 20) & info [ "trace-cap" ] ~doc ~docv:"N")
+let observe_arg =
+  Arg.(value & opt (some string) None & info [ "observe" ] ~doc:observe_doc ~docv:"DIR")
 
-(* --trace-out/--trace-cap of the subcommands whose trace is opt-in: a
-   live trace ring plus its output path when a file is named, the nil
-   sink otherwise. *)
-let trace_term =
-  let out =
-    file_arg "trace-out"
-      ~doc:"Write the protocol trace of the run as JSONL to $(docv)."
-  in
-  let make out cap =
-    match out with
-    | Some _ -> (Trace.create ~capacity:cap (), out)
-    | None -> (Trace.nil, None)
-  in
-  Term.(const make $ out $ trace_cap_arg)
+(* The trace ring keeps the newest 2^20 events. *)
+let trace_ring ?sim_events () = Trace.create ~capacity:(1 lsl 20) ?sim_events ()
+
+(* A live trace ring when the run is observed, the nil sink otherwise. *)
+let trace_if observe = if observe = None then Trace.nil else trace_ring ()
 
 (* --- subcommands ------------------------------------------------------ *)
 
@@ -160,16 +144,17 @@ let figure_cmd name doc (run : ?quick:bool -> unit -> Report.section list) =
 
 let latency_cmd =
   let doc = "One latency point: BFT and NO-REP for a given op shape." in
-  let run arg res read_only (trace, trace_out) =
+  let run arg res read_only observe =
+    let trace = trace_if observe in
     let b = Microbench.bft_latency ~trace ~arg ~res ~read_only () in
     let n = Microbench.norep_latency ~arg ~res () in
     print_latency "BFT    :" b;
     print_latency "NO-REP :" n;
     Printf.printf "slowdown: %.2f\n" (b.Microbench.mean /. n.Microbench.mean);
-    Option.iter (dump_trace trace) trace_out
+    write_run_bundle observe "latency" (Run_bundle.write ~trace ())
   in
   Cmd.v (Cmd.info "latency" ~doc)
-    Term.(const run $ arg_arg 8 $ res_arg 8 $ read_only_arg $ trace_term)
+    Term.(const run $ arg_arg 8 $ res_arg 8 $ read_only_arg $ observe_arg)
 
 let throughput_cmd =
   let doc = "One throughput point: BFT for a given op shape and client count." in
@@ -181,7 +166,8 @@ let throughput_cmd =
          workload ($(b,--clients) proxies spread over the groups; \
          $(b,--arg)/$(b,--res)/$(b,--read-only) do not apply)."
   in
-  let run arg res clients groups read_only health cal (trace, trace_out) =
+  let run arg res clients groups read_only cal observe =
+    let trace = trace_if observe and health = observe <> None in
     Printf.printf "cost profile: %s\n" (Calibration.name cal);
     let print_drops =
       List.iter (fun (host, dropped, overflowed) ->
@@ -189,106 +175,85 @@ let throughput_cmd =
             "  %s: %d datagrams dropped (%d receive-buffer overflows)\n" host
             dropped overflowed)
     in
-    if groups > 1 then begin
-      let clients_per_group = Stdlib.max 1 (clients / groups) in
-      let t =
-        Microbench.sharded_throughput ~cal ~trace ~health ~groups
-          ~clients_per_group ()
-      in
-      Printf.printf
-        "BFT sharded KV, %d groups x %d proxies: %.0f ops/s (%d completed, %d \
-         retransmissions)\n"
-        groups clients_per_group t.Microbench.sh_ops_per_sec
-        t.Microbench.sh_completed t.Microbench.sh_retransmissions;
-      Array.iteri
-        (fun g c -> Printf.printf "  group %d: %d completed\n" g c)
-        t.Microbench.sh_per_group;
-      print_drops t.Microbench.sh_drops_by_node;
-      if health then begin
-        Array.iter print_health t.Microbench.sh_monitors;
-        print_endline
-          (Bft_shard.Rig.rollup_line
-             (Bft_shard.Rig.health_rollup t.Microbench.sh_monitors))
+    let monitors, rollup =
+      if groups > 1 then begin
+        let clients_per_group = Stdlib.max 1 (clients / groups) in
+        let t =
+          Microbench.sharded_throughput ~cal ~trace ~health ~groups
+            ~clients_per_group ()
+        in
+        Printf.printf
+          "BFT sharded KV, %d groups x %d proxies: %.0f ops/s (%d completed, \
+           %d retransmissions)\n"
+          groups clients_per_group t.Microbench.sh_ops_per_sec
+          t.Microbench.sh_completed t.Microbench.sh_retransmissions;
+        Array.iteri
+          (fun g c -> Printf.printf "  group %d: %d completed\n" g c)
+          t.Microbench.sh_per_group;
+        print_drops t.Microbench.sh_drops_by_node;
+        let ms = t.Microbench.sh_monitors in
+        ( Array.to_list ms,
+          if health then [ Bft_shard.Rig.(rollup_line (health_rollup ms)) ] else [] )
       end
-    end
-    else begin
-      let monitor = if health then Some (Monitor.create ()) else None in
-      let t =
-        Microbench.bft_throughput ~cal ~trace ?monitor ~arg ~res ~read_only
-          ~clients ()
-      in
-      Printf.printf
-        "BFT %d/%d, %d clients: %.0f ops/s (%d completed, %d retransmissions)\n"
-        arg res clients t.Microbench.ops_per_sec t.Microbench.completed
-        t.Microbench.retransmissions;
-      print_drops t.Microbench.drops_by_node;
-      Option.iter print_health monitor
-    end;
-    Option.iter (dump_trace trace) trace_out
+      else begin
+        let monitor = if health then Some (Monitor.create ()) else None in
+        let t =
+          Microbench.bft_throughput ~cal ~trace ?monitor ~arg ~res ~read_only
+            ~clients ()
+        in
+        Printf.printf
+          "BFT %d/%d, %d clients: %.0f ops/s (%d completed, %d \
+           retransmissions)\n"
+          arg res clients t.Microbench.ops_per_sec t.Microbench.completed
+          t.Microbench.retransmissions;
+        print_drops t.Microbench.drops_by_node;
+        (Option.to_list monitor, [])
+      end
+    in
+    let health = List.concat_map health_lines monitors @ rollup in
+    print_lines health;
+    write_run_bundle ~cal observe "throughput"
+      (Run_bundle.write ~trace ~health
+         ~alerts:(List.concat_map Monitor.alerts monitors)
+         ())
   in
   Cmd.v (Cmd.info "throughput" ~doc)
     Term.(
       const run $ arg_arg 0 $ res_arg 0 $ clients $ groups $ read_only_arg
-      $ health_arg $ cost_profile_arg $ trace_term)
+      $ cost_profile_arg $ observe_arg)
 
 let trace_cmd =
   let doc =
-    "Trace one BFT latency run: dump the protocol trace as JSONL, print the \
-     per-phase latency breakdown and the causal-DAG summary, and optionally \
-     export a Chrome trace (chrome://tracing / Perfetto) or a metric \
-     time-series. Deterministic: the same seed and operation shape produce \
-     byte-identical files."
+    "Trace one BFT latency run: write its run bundle (protocol trace as JSONL \
+     and as a Chrome trace for chrome://tracing / Perfetto, a metric \
+     time-series sampled every virtual millisecond, the CPU profile), print \
+     the per-phase latency breakdown and the causal-DAG summary. \
+     Deterministic: the same seed and operation shape produce a \
+     byte-identical bundle."
   in
   let module Timeline = Bft_trace.Timeline in
   let module Span = Bft_trace.Span in
-  let module Series = Bft_trace.Series in
   let sim_events =
     flag_arg "sim-events" ~doc:"Also record per-event simulator firings."
   in
-  let chrome =
-    file_arg "chrome" ~doc:"Export a Chrome trace-event JSON file to $(docv)."
-  in
-  let series_out =
-    file_arg "series"
-      ~doc:
-        "Sample cluster metrics on a virtual-time cadence and write them as \
-         JSONL to $(docv)."
-  in
-  let series_every =
+  (* trace always writes its bundle, unlike the subcommands where it is
+     opt-in, and keeps its historical --out spelling as an alias. *)
+  let observe =
     Arg.(
-      value & opt float 0.001
-      & info [ "series-every" ]
-          ~doc:"Virtual-time sampling interval in seconds for $(b,--series)."
-          ~docv:"SECONDS")
+      value & opt string "bft_trace"
+      & info [ "observe"; "out" ] ~doc:observe_doc ~docv:"DIR")
   in
-  (* trace keeps its historical --out spelling as an alias and always
-     writes the JSONL dump, unlike the subcommands where it is opt-in. *)
-  let trace_out =
-    path_arg "trace-out" ~aliases:[ "out" ] "bft_trace.jsonl"
-      ~doc:"Write the protocol trace of the run as JSONL to $(docv)."
-  in
-  let run arg res ops seed read_only sim_events cal trace_out trace_cap chrome
-      series_out series_every =
-    let trace = Trace.create ~capacity:trace_cap ~sim_events () in
+  let run arg res ops seed read_only sim_events cal dir =
+    let trace = trace_ring ~sim_events () in
     Printf.printf "cost profile: %s\n" (Calibration.name cal);
     let pr =
       Microbench.bft_profile ~arg ~res ~ops ~seed ~cal ~trace ~read_only
-        ?series_every:(Option.map (fun _ -> series_every) series_out)
-        ()
+        ~series_every:0.001 ()
     in
     let r = pr.Microbench.pf_latency in
-    dump_trace trace trace_out;
-    Option.iter
-      (fun path ->
-        write_file path (Bft_trace.Chrome.of_events (Trace.events trace));
-        Printf.printf "wrote Chrome trace to %s\n" path)
-      chrome;
-    (match (series_out, pr.Microbench.pf_series) with
-    | Some path, Some s ->
-      write_file path (Series.jsonl s);
-      Printf.printf "wrote %d series samples to %s (%d taken, %d evicted)\n"
-        (Series.length s) path (Series.total s) (Series.dropped s)
-    | _ -> ());
+    write_run_bundle ~cal (Some dir) "trace"
+      (Run_bundle.write ~seed ~trace ?series:pr.Microbench.pf_series
+         ~profile:pr.Microbench.pf_profile ());
     let tl = Timeline.of_trace ~skip:Microbench.latency_warmup trace in
     Report.print (Report.breakdown_section tl);
     let dag = Span.of_events (Trace.events trace) in
@@ -310,8 +275,7 @@ let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
       const run $ arg_arg 0 $ res_arg 0 $ ops_arg $ seed_arg $ read_only_arg
-      $ sim_events $ cost_profile_arg $ trace_out $ trace_cap_arg $ chrome
-      $ series_out $ series_every)
+      $ sim_events $ cost_profile_arg $ observe)
 
 let profile_cmd =
   let doc =
@@ -332,8 +296,8 @@ let profile_cmd =
     int_arg "epoch-length" 4
       ~doc:"Epoch length (slots per owner) for $(b,--rotating)."
   in
-  let run arg res ops seed read_only rotating epoch_length cal
-      (trace, trace_out) =
+  let run arg res ops seed read_only rotating epoch_length cal observe =
+    let trace = trace_if observe in
     Printf.printf "cost profile: %s\n" (Calibration.name cal);
     let ordering =
       if rotating then Config.Rotating { epoch_length } else Config.Single_primary
@@ -362,14 +326,15 @@ let profile_cmd =
       pr.Microbench.pf_owners;
     print_newline ();
     print_latency "latency:" r;
-    Option.iter (dump_trace trace) trace_out;
+    write_run_bundle ~cal observe "profile"
+      (Run_bundle.write ~seed ~trace ~profile:pr.Microbench.pf_profile ());
     check_balanced pr.Microbench.pf_profile;
     print_endline "profile balance: OK (category totals = engine busy time)"
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
       const run $ arg_arg 0 $ res_arg 0 $ ops_arg $ seed_arg $ read_only_arg
-      $ rotating $ epoch_length $ cost_profile_arg $ trace_term)
+      $ rotating $ epoch_length $ cost_profile_arg $ observe_arg)
 
 let backend_arg =
   Arg.(
@@ -396,7 +361,7 @@ let print_observed (ob : E_fs.observed) =
   print_newline ();
   Report.print (Report.profile_section ob.E_fs.ob_profile);
   print_newline ();
-  print_health ob.E_fs.ob_monitor;
+  print_lines (health_lines ob.E_fs.ob_monitor);
   check_balanced ob.E_fs.ob_profile
 
 let andrew_cmd =
@@ -461,25 +426,35 @@ let chaos_cmd =
          the epoch when they fire — the handoff-window stress test for the \
          rotation protocol."
   in
-  let trace_out =
-    path_arg "trace-out" "chaos_failure_trace.jsonl"
-      ~doc:
-        "Write the protocol trace of the (shrunk) minimal failing plan as \
-         JSONL to $(docv); the path is recorded in the failure's JSON line."
-  in
   let n_replicas = 4 in
-  let run seed campaigns plan_file horizon shrunk_out unsafe health rotating
-      trace_out trace_cap =
+  let run seed campaigns plan_file horizon shrunk_out unsafe rotating observe =
     let ordering =
       if rotating then Config.Rotating { epoch_length = 2 } else Config.Single_primary
+    in
+    (* What the bundle collects over every campaign run: the health lines
+       (also printed on stderr), the alerts and the newest post-mortem. *)
+    let health = ref [] and alerts = ref [] and postmortem = ref None in
+    let write_chaos_bundle ?trace () =
+      write_run_bundle ~oc:stderr observe "chaos"
+        (Run_bundle.write ~seed ?trace ~health:(List.rev !health)
+           ~alerts:(List.rev !alerts) ?postmortem:!postmortem ())
     in
     let run_plan ~seed plan =
       let o =
         Campaign.run ~ordering ~unsafe_no_commit_quorum:unsafe ~seed ~plan ()
       in
-      if health then
-        Printf.eprintf "health (seed %d): %s\n" seed
-          (Monitor.summary o.Campaign.monitor);
+      if observe <> None then begin
+        let line =
+          Printf.sprintf "health (seed %d): %s" seed
+            (Monitor.summary o.Campaign.monitor)
+        in
+        prerr_endline line;
+        health := line :: !health;
+        alerts := List.rev_append o.Campaign.alerts !alerts;
+        Option.iter
+          (fun b -> postmortem := Some b)
+          (Monitor.last_bundle o.Campaign.monitor)
+      end;
       o
     in
     let report_failure ~campaign ~seed outcome =
@@ -499,21 +474,26 @@ let chaos_cmd =
       write_file shrunk_out (Plan.to_string shrunk);
       Printf.eprintf "  minimal plan written to %s (replay with --plan)\n"
         shrunk_out;
-      (* Re-run the minimal failing plan with a live trace sink so the
-         failure is inspectable event by event; the re-run is deterministic,
-         so the traced outcome matches the reported one. *)
-      let trace = Trace.create ~capacity:trace_cap () in
-      ignore
-        (Campaign.run ~ordering ~unsafe_no_commit_quorum:unsafe ~trace ~seed
-           ~plan:shrunk ());
-      write_file trace_out (Trace.jsonl trace);
-      Printf.eprintf
-        "  protocol trace of the minimal failure written to %s (%d events)\n"
-        trace_out (Trace.length trace);
-      print_endline (Campaign.jsonl ~campaign ~trace_path:trace_out shrunk_outcome);
+      (match observe with
+      | Some dir ->
+        (* Re-run the minimal failing plan with a live trace sink so the
+           failure is inspectable event by event; the re-run is
+           deterministic, so the traced outcome matches the reported one. *)
+        let trace = trace_ring () in
+        let traced =
+          Campaign.run ~ordering ~unsafe_no_commit_quorum:unsafe ~trace ~seed
+            ~plan:shrunk ()
+        in
+        postmortem := Monitor.last_bundle traced.Campaign.monitor;
+        write_chaos_bundle ~trace ();
+        print_endline (Campaign.jsonl ~campaign ~bundle:dir shrunk_outcome)
+      | None ->
+        Printf.eprintf
+          "  re-run with --observe DIR to record its protocol trace\n";
+        print_endline (Campaign.jsonl ~campaign shrunk_outcome));
       exit 1
     in
-    match plan_file with
+    (match plan_file with
     | Some file ->
       let outcome = run_plan ~seed (read_plan_file ~n:n_replicas file) in
       print_endline (Campaign.jsonl outcome);
@@ -528,12 +508,13 @@ let chaos_cmd =
         print_endline (Campaign.jsonl ~campaign outcome);
         if Campaign.failed outcome then
           report_failure ~campaign ~seed:campaign_seed outcome
-      done
+      done);
+    write_chaos_bundle ()
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
       const run $ seed_arg $ campaigns $ plan_file $ horizon $ shrunk_out
-      $ unsafe $ health_arg $ rotating $ trace_out $ trace_cap_arg)
+      $ unsafe $ rotating $ observe_arg)
 
 let txn_cmd =
   let doc =
@@ -619,7 +600,7 @@ let bench_cmd =
   let write_golden =
     file_arg "write-golden" ~doc:"Write the golden part to $(docv)."
   in
-  let run quick seed groups health cal json_out golden write_golden =
+  let run quick seed groups cal observe json_out golden write_golden =
     let pinned = Calibration.name Calibration.default in
     if Calibration.name cal <> pinned && (golden <> None || write_golden <> None)
     then
@@ -627,11 +608,17 @@ let bench_cmd =
         "bench: the golden surface is pinned to the %s profile; \
          --golden/--write-golden cannot be used with --cost-profile %s"
         pinned (Calibration.name cal);
-    let t = Saturation.run ~quick ~seed ~max_groups:groups ~health ~cal () in
+    let t =
+      Saturation.run ~quick ~seed ~max_groups:groups ~health:(observe <> None)
+        ~cal ()
+    in
     Saturation.print t;
-    if health && Saturation.health_alerts t > 0 then
+    let alerts = Saturation.health_alerts t in
+    write_run_bundle ~cal observe "bench"
+      (Run_bundle.write ~seed ~health:(Saturation.health_lines t) ~alerts ());
+    if alerts <> [] then
       die "bench: %d health alert(s) during a healthy bench run"
-        (Saturation.health_alerts t);
+        (List.length alerts);
     Option.iter
       (fun path ->
         write_file path (Saturation.to_json t);
@@ -658,7 +645,7 @@ let bench_cmd =
   in
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(
-      const run $ quick_arg $ seed_arg $ groups $ health_arg $ cost_profile_arg
+      const run $ quick_arg $ seed_arg $ groups $ cost_profile_arg $ observe_arg
       $ json_arg $ golden $ write_golden)
 
 let monitor_cmd =
@@ -667,8 +654,8 @@ let monitor_cmd =
      always-on monitor — healthy by default, with a crashed primary \
      ($(b,--crash-primary)), or against a chaos plan file ($(b,--plan)) — \
      print the gauges summary and every typed alert, and optionally write \
-     the flight recorder's post-mortem bundle (replayable JSONL: the \
-     header's seed and plan pin down the whole run)."
+     them to a run bundle with the flight recorder's newest post-mortem \
+     (replayable JSONL: the header's seed and plan pin down the whole run)."
   in
   let crash_primary =
     flag_arg "crash-primary"
@@ -690,8 +677,8 @@ let monitor_cmd =
   let jsonl =
     flag_arg "jsonl" ~doc:"Also print the campaign's JSON line (stdout)."
   in
-  let run seed crash_primary plan_file bundle_out fail_on_alert require_alert
-      jsonl =
+  let run seed crash_primary plan_file observe fail_on_alert require_alert jsonl
+      =
     let plan =
       match plan_file with
       | Some file -> read_plan_file ~n:4 file
@@ -711,9 +698,13 @@ let monitor_cmd =
         Printf.printf "violation: %s: %s\n" v.Campaign.invariant
           v.Campaign.detail)
       o.Campaign.violations;
-    print_health o.Campaign.monitor;
+    let health = health_lines o.Campaign.monitor in
+    print_lines health;
     if jsonl then print_endline (Campaign.jsonl o);
-    write_bundle o.Campaign.monitor bundle_out;
+    write_run_bundle observe "monitor"
+      (Run_bundle.write ~seed ~health ~alerts:o.Campaign.alerts
+         ?postmortem:(Monitor.last_bundle o.Campaign.monitor)
+         ());
     if o.Campaign.violations <> [] then exit 1;
     if fail_on_alert && o.Campaign.alerts <> [] then
       die "monitor: alerts fired (--fail-on-alert)";
@@ -722,7 +713,7 @@ let monitor_cmd =
   in
   Cmd.v (Cmd.info "monitor" ~doc)
     Term.(
-      const run $ seed_arg $ crash_primary $ plan_file $ bundle_out_arg
+      const run $ seed_arg $ crash_primary $ plan_file $ observe_arg
       $ fail_on_alert $ require_alert $ jsonl)
 
 let overload_cmd =
@@ -779,7 +770,7 @@ let overload_cmd =
          proves the burst actually exceeded capacity)."
   in
   let run seed rate burst period duty duration stubs queue_limit drop_oldest
-      retry_budget cal json_out bundle_out require_shed =
+      retry_budget cal json_out observe require_shed =
     let process =
       if burst <= 1.0 then Openloop.Poisson { rate }
       else
@@ -795,7 +786,9 @@ let overload_cmd =
     Printf.printf "cost profile: %s\n" (Calibration.name cal);
     Printf.printf "overload seed %d, %.0f ops/s x%.0f burst (duty %.2f): %s\n"
       seed rate burst duty (Openloop.summary r);
-    print_health r.Openloop.ol_monitor;
+    let monitor = r.Openloop.ol_monitor in
+    let health = health_lines monitor in
+    print_lines health;
     Option.iter
       (fun path ->
         write_file path
@@ -809,10 +802,13 @@ let overload_cmd =
              (Stats.p50 r.Openloop.ol_latency *. 1e3)
              (Stats.p99 r.Openloop.ol_latency *. 1e3)
              r.Openloop.ol_retransmissions r.Openloop.ol_safety_violations
-             (Monitor.alerts_json r.Openloop.ol_monitor));
+             (Monitor.alerts_json (Monitor.alerts monitor)));
         Printf.printf "wrote %s\n" path)
       json_out;
-    write_bundle r.Openloop.ol_monitor bundle_out;
+    write_run_bundle ~cal observe "overload"
+      (Run_bundle.write ~seed ~health ~alerts:(Monitor.alerts monitor)
+         ?postmortem:(Monitor.last_bundle monitor)
+         ());
     if r.Openloop.ol_safety_violations > 0 then
       die "overload: %d safety violation(s): replicas disagree on executed batches"
         r.Openloop.ol_safety_violations;
@@ -834,7 +830,7 @@ let overload_cmd =
     Term.(
       const run $ seed_arg $ rate $ burst $ period $ duty $ duration $ stubs
       $ queue_limit $ drop_oldest $ retry_budget $ cost_profile_arg $ json_arg
-      $ bundle_out_arg $ require_shed)
+      $ observe_arg $ require_shed)
 
 let model_cmd =
   let doc =

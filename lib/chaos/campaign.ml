@@ -143,7 +143,7 @@ let ordering_text = function
   | Config.Rotating { epoch_length } -> Printf.sprintf "rotating-%d" epoch_length
 
 let run ?(ordering = Config.Single_primary) ?(unsafe_no_commit_quorum = false)
-    ?(trace = Bft_trace.Trace.nil) ?limits ?on_bundle ~seed ~plan () =
+    ?(trace = Bft_trace.Trace.nil) ?limits ~seed ~plan () =
   let config =
     Config.make ~f ~checkpoint_interval:8 ~log_window:16 ~ordering
       ~admission_queue_limit ~shed_retry_budget ~unsafe_no_commit_quorum ()
@@ -161,18 +161,17 @@ let run ?(ordering = Config.Single_primary) ?(unsafe_no_commit_quorum = false)
      campaign's outcome is byte-identical with or without it. The bundle
      header carries (seed, plan), which is all it takes to replay. *)
   let monitor = Monitor.create ?limits () in
-  Monitor.set_meta monitor
-    [
-      ("campaign.seed", string_of_int seed);
-      ("campaign.f", string_of_int f);
-      ("campaign.ordering", ordering_text ordering);
-      ("campaign.plan", plan_text plan);
-      ( "cost_profile",
-        Bft_sim.Calibration.name (Cluster.calibration cluster) );
-    ];
   Monitor.set_flight_recorder ~trace
     ~profile:(fun () -> Cluster.profile cluster)
-    ?on_bundle monitor ();
+    ~meta:
+      [
+        ("campaign.seed", string_of_int seed);
+        ("campaign.f", string_of_int f);
+        ("campaign.ordering", ordering_text ordering);
+        ("campaign.plan", plan_text plan);
+        ("cost_profile", Bft_sim.Calibration.name (Cluster.calibration cluster));
+      ]
+    monitor ();
   Cluster.attach_monitor cluster monitor;
   let camp_rng = Cluster.rng cluster "campaign" in
   let payload = Bft_services.Counter.op_payload (Bft_services.Counter.Add ("shared", 1)) in
@@ -457,26 +456,16 @@ let run ?(ordering = Config.Single_primary) ?(unsafe_no_commit_quorum = false)
 
 (* --- reporting --- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let escape = Bft_trace.Trace.escape
 
-let jsonl ?(campaign = 0) ?trace_path o =
+let jsonl ?(campaign = 0) ?bundle o =
   let b = Buffer.create 256 in
   Printf.bprintf b
     "{\"campaign\":%d,\"seed\":%d,\"events\":%d,\"ops_total\":%d,\"ops_completed\":%d,\"ops_rejected\":%d,\"sheds\":%d,\"final_view\":%d,\"views_after_heal\":%d,\"sim_time\":%.6f,"
     campaign o.seed (List.length o.plan) o.ops_total o.ops_completed
     o.ops_rejected o.sheds o.final_view o.views_after_heal o.sim_time;
-  (match trace_path with
-  | Some p -> Printf.bprintf b "\"trace\":\"%s\"," (escape p)
+  (match bundle with
+  | Some p -> Printf.bprintf b "\"bundle\":\"%s\"," (escape p)
   | None -> ());
   Buffer.add_string b "\"violations\":[";
   List.iteri
@@ -485,13 +474,9 @@ let jsonl ?(campaign = 0) ?trace_path o =
       Printf.bprintf b "{\"invariant\":\"%s\",\"detail\":\"%s\"}" (escape v.invariant)
         (escape v.detail))
     o.violations;
-  Buffer.add_string b "],\"alerts\":[";
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Monitor.alert_json a))
-    o.alerts;
-  Buffer.add_string b "],\"plan\":[";
+  Buffer.add_string b "],\"alerts\":";
+  Buffer.add_string b (Monitor.alerts_json o.alerts);
+  Buffer.add_string b ",\"plan\":[";
   List.iteri
     (fun i e ->
       if i > 0 then Buffer.add_char b ',';

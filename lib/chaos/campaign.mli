@@ -57,7 +57,6 @@ val run :
   ?unsafe_no_commit_quorum:bool ->
   ?trace:Bft_trace.Trace.t ->
   ?limits:Bft_trace.Monitor.limits ->
-  ?on_bundle:(Bft_trace.Monitor.alert option -> string -> unit) ->
   seed:int ->
   plan:Plan.t ->
   unit ->
@@ -77,14 +76,14 @@ val run :
     armed with the campaign's trace, profile and (seed, plan) metadata —
     making every bundle replayable on its own — and any invariant
     violation triggers a post-mortem dump even when no detector fired.
-    [on_bundle] observes each bundle as it is dumped (e.g. to stream it to
-    disk). Monitoring is pure observation: outcomes are byte-identical
+    Monitoring is pure observation: outcomes are byte-identical
     with default and custom limits as far as protocol fields go. *)
 
-val jsonl : ?campaign:int -> ?trace_path:string -> outcome -> string
+val jsonl : ?campaign:int -> ?bundle:string -> outcome -> string
 (** One JSON line (no trailing newline) with a stable field order, so
-    same-seed runs diff byte-identically. [trace_path] adds a ["trace"]
-    field pointing at the JSONL protocol trace of the (shrunk) failure. *)
+    same-seed runs diff byte-identically. [bundle] adds a ["bundle"] field
+    naming the run bundle ({!Bft_trace.Run_bundle}) that holds the
+    protocol trace of the (shrunk) failure. *)
 
 val shrink : run:(Plan.t -> outcome) -> Plan.t -> Plan.t * outcome
 (** Greedy event-deletion shrinking: repeatedly drop any single event

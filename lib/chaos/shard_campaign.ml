@@ -443,17 +443,7 @@ let run ?(scenario = Healthy) ?(recovery = true) ~seed () =
 
 (* --- reporting --------------------------------------------------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let escape = Bft_trace.Trace.escape
 
 let jsonl o =
   let b = Buffer.create 256 in

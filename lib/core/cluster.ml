@@ -117,16 +117,21 @@ let series_values t =
         fi (client_count t "ops.retransmitted");
       ])
 
-let sample_series ?(while_ = fun () -> true) t series ~interval =
-  if interval <= 0.0 then invalid_arg "Cluster.sample_series: interval";
+(* Run [f] every [interval] virtual seconds for as long as [while_] holds. *)
+let every t ~interval ~while_ f =
   let rec tick () =
     if while_ () then begin
-      Bft_trace.Series.record series ~vtime:(Engine.now t.engine)
-        (series_values t);
+      f ();
       Engine.schedule t.engine ~delay:interval tick
     end
   in
   Engine.schedule t.engine ~delay:interval tick
+
+let sample_series ?(while_ = fun () -> true) t series ~interval =
+  if interval <= 0.0 then invalid_arg "Cluster.sample_series: interval";
+  every t ~interval ~while_ (fun () ->
+      Bft_trace.Series.record series ~vtime:(Engine.now t.engine)
+        (series_values t))
 
 (* --- health monitoring ------------------------------------------------ *)
 
@@ -169,17 +174,12 @@ let health_gauges t =
 let monitor_probe t latency =
   List.iter (fun m -> Monitor.observe_latency m latency) t.monitors
 
-let attach_monitor ?(interval = 0.05) ?(while_ = fun () -> true) t mon =
-  if interval <= 0.0 then invalid_arg "Cluster.attach_monitor: interval";
+(* Gauges are scraped every 50 virtual ms; the detectors' thresholds are
+   set against this cadence. *)
+let attach_monitor ?(while_ = fun () -> true) t mon =
   t.monitors <- mon :: t.monitors;
   List.iter (fun c -> Client.set_latency_probe c (monitor_probe t)) t.clients;
-  let rec tick () =
-    if while_ () then begin
-      Monitor.observe mon (health_gauges t);
-      Engine.schedule t.engine ~delay:interval tick
-    end
-  in
-  Engine.schedule t.engine ~delay:interval tick
+  every t ~interval:0.05 ~while_ (fun () -> Monitor.observe mon (health_gauges t))
 
 let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
     ?(client_machine_speed = 1.0) ?(behaviors = []) ?(recv_buffer = 0.02)

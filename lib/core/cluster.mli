@@ -90,12 +90,9 @@ val series_names : t -> string array
     gauges and CPU busy time, client op counters. Depends only on the
     configuration, so same-seed runs produce identical series. *)
 
-val series_values : t -> float array
-(** Current snapshot of {!series_names} columns. *)
-
 val sample_series :
   ?while_:(unit -> bool) -> t -> Bft_trace.Series.t -> interval:float -> unit
-(** Record {!series_values} into the series every [interval] virtual
+(** Record a snapshot of the {!series_names} columns every [interval] virtual
     seconds, starting one interval from now, for as long as [while_]
     returns [true] (default: forever — note the pending timer then keeps
     the engine alive until its [until] horizon). The series must have been
@@ -103,18 +100,11 @@ val sample_series :
 
 (* --- health monitoring --- *)
 
-val health_gauges : t -> Bft_trace.Monitor.gauges
-(** Instantaneous health snapshot: per-replica protocol gauges (view,
-    execution/commit/checkpoint marks, queue and log depths, replay drops,
-    stable-checkpoint digest) plus the total of completed client
-    operations. Pure reads — building a snapshot never perturbs the
-    simulation. A replica whose machine is down reports
-    [r_reachable = false], as a real scraper would observe. *)
-
-val attach_monitor :
-  ?interval:float -> ?while_:(unit -> bool) -> t -> Bft_trace.Monitor.t -> unit
-(** Feed the monitor a {!health_gauges} snapshot every [interval] virtual
-    seconds (default 0.05) for as long as [while_] returns [true] (default:
+val attach_monitor : ?while_:(unit -> bool) -> t -> Bft_trace.Monitor.t -> unit
+(** Feed the monitor a health snapshot (per-replica protocol gauges and
+    completed/rejected client operations; a replica whose machine is down
+    reports [r_reachable = false], as a real scraper would) every 50
+    virtual milliseconds for as long as [while_] returns [true] (default:
     forever — the pending timer then keeps the engine alive until its
     [until] horizon, like {!sample_series}). Also installs latency probes
     ({!Client.set_latency_probe}) so every client — existing and future —

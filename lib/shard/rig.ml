@@ -147,13 +147,11 @@ let profile t = Network.profile t.network
 
 (* --- health monitoring ------------------------------------------------ *)
 
-let attach_monitors ?limits ?window ?interval ?while_ t =
+let attach_monitors t =
   Array.mapi
     (fun g cluster ->
-      let mon =
-        Monitor.create ?limits ?window ~group:(Printf.sprintf "g%d/" g) ()
-      in
-      Cluster.attach_monitor ?interval ?while_ cluster mon;
+      let mon = Monitor.create ~group:(Printf.sprintf "g%d/" g) () in
+      Cluster.attach_monitor cluster mon;
       mon)
     t.groups
 

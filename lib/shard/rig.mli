@@ -121,13 +121,7 @@ val fork_rng : t -> string -> Bft_util.Rng.t
 
 (* --- health monitoring --- *)
 
-val attach_monitors :
-  ?limits:Bft_trace.Monitor.limits ->
-  ?window:int ->
-  ?interval:float ->
-  ?while_:(unit -> bool) ->
-  t ->
-  Bft_trace.Monitor.t array
+val attach_monitors : t -> Bft_trace.Monitor.t array
 (** One health monitor per replica group, labelled ["g<g>/"] and attached
     via {!Bft_core.Cluster.attach_monitor} (so each group's gauges and
     client latencies feed its own detectors and SLO sketches). Returned in

@@ -140,9 +140,11 @@ let alert_json a =
 type recorder = {
   fr_trace : Trace.t;
   fr_profile : (unit -> Profile.t) option;
-  fr_trace_last : int;  (** newest trace events included in a bundle *)
-  fr_on_bundle : alert option -> string -> unit;
+  fr_meta : (string * string) list;  (** bundle header key/value pairs *)
 }
+
+(* Newest protocol-trace events embedded in a post-mortem bundle. *)
+let trace_last = 512
 
 type t = {
   group : string;
@@ -179,11 +181,12 @@ type t = {
   mutable recorder : recorder option;
   mutable last_bundle : string option;
   mutable bundle_count : int;
-  mutable meta : (string * string) list;
 }
 
-let create ?(limits = default_limits) ?(window = 256) ?(group = "") () =
-  if window < 1 then invalid_arg "Monitor.create: window";
+(* Gauge ticks kept for post-mortem bundles. *)
+let window = 256
+
+let create ?(limits = default_limits) ?(group = "") () =
   {
     group;
     limits;
@@ -214,12 +217,7 @@ let create ?(limits = default_limits) ?(window = 256) ?(group = "") () =
     recorder = None;
     last_bundle = None;
     bundle_count = 0;
-    meta = [];
   }
-
-let group t = t.group
-
-let limits t = t.limits
 
 let alerts t = List.rev t.alerts_rev
 
@@ -237,17 +235,11 @@ let samples_observed t = t.seen
 
 let shed_total t = t.shed_total
 
-let null_fill_total t = t.null_fill_total
-
-let reclaim_total t = t.reclaim_total
-
 let shed_rate t = t.shed_rate
 
 let rejected_total t = t.rejected_total
 
 let peak_queue t = t.peak_queue
-
-let set_meta t meta = t.meta <- meta
 
 (* --- gauge-row rendering ---------------------------------------------- *)
 
@@ -282,90 +274,54 @@ let window_rows t =
 
 (* --- flight recorder -------------------------------------------------- *)
 
-let set_flight_recorder ?(trace = Trace.nil) ?profile ?(trace_last = 512)
-    ?(on_bundle = fun _ _ -> ()) t () =
-  t.recorder <-
-    Some
-      {
-        fr_trace = trace;
-        fr_profile = profile;
-        fr_trace_last = trace_last;
-        fr_on_bundle = on_bundle;
-      }
+let set_flight_recorder ?(trace = Trace.nil) ?profile ?(meta = []) t () =
+  t.recorder <- Some { fr_trace = trace; fr_profile = profile; fr_meta = meta }
 
 (* The bundle is replayable JSONL: a [postmortem] header carrying the
    caller's metadata (a chaos campaign records its seed and plan text, so
    the failure can be re-run from the bundle alone), the alert log, the
    SLO summary, the recent gauge window, the CPU profile and the newest
    protocol-trace events — each line one self-describing record. *)
-let render_bundle t ~at ~reason alert =
+let render_bundle t r ~at ~reason alert =
   let b = Buffer.create 4096 in
+  let record ty key json =
+    Printf.bprintf b "{\"type\":\"%s\",\"%s\":%s}\n" ty key json
+  in
   Printf.bprintf b "{\"type\":\"postmortem\",\"at\":%.6f,\"group\":\"%s\",\"reason\":\"%s\""
     at (Trace.escape t.group) (Trace.escape reason);
   List.iter
     (fun (k, v) ->
       Printf.bprintf b ",\"%s\":\"%s\"" (Trace.escape k) (Trace.escape v))
-    t.meta;
+    r.fr_meta;
   Buffer.add_string b "}\n";
-  (match alert with
-  | Some a ->
-    Buffer.add_string b "{\"type\":\"alert\",\"alert\":";
-    Buffer.add_string b (alert_json a);
-    Buffer.add_string b "}\n"
-  | None -> ());
-  List.iter
-    (fun a ->
-      Buffer.add_string b "{\"type\":\"alert_log\",\"alert\":";
-      Buffer.add_string b (alert_json a);
-      Buffer.add_string b "}\n")
-    (alerts t);
+  Option.iter (fun a -> record "alert" "alert" (alert_json a)) alert;
+  List.iter (fun a -> record "alert_log" "alert" (alert_json a)) (alerts t);
   let sk = t.sketch in
   if Stats.Sketch.count sk > 0 then
     Printf.bprintf b
       "{\"type\":\"slo\",\"samples\":%d,\"p50\":%.6f,\"p95\":%.6f,\"p99\":%.6f,\"max\":%.6f}\n"
       (Stats.Sketch.count sk) (Stats.Sketch.p50 sk) (Stats.Sketch.p95 sk)
       (Stats.Sketch.p99 sk) (Stats.Sketch.max sk);
-  List.iter
-    (fun g ->
-      Buffer.add_string b "{\"type\":\"gauges\",\"row\":";
-      Buffer.add_string b (gauges_json t g);
-      Buffer.add_string b "}\n")
-    (window_rows t);
-  (match t.recorder with
-  | Some { fr_profile = Some profile; _ } ->
-    let p = profile () in
-    String.split_on_char '\n' (Profile.jsonl p)
-    |> List.iter (fun line ->
-           if line <> "" then begin
-             Buffer.add_string b "{\"type\":\"profile\",\"node_profile\":";
-             Buffer.add_string b line;
-             Buffer.add_string b "}\n"
-           end)
-  | _ -> ());
-  (match t.recorder with
-  | Some { fr_trace; fr_trace_last; _ } when Trace.enabled fr_trace ->
-    let events = Trace.events fr_trace in
-    let total = List.length events in
-    let skip = Stdlib.max 0 (total - fr_trace_last) in
-    List.iteri
-      (fun i e ->
-        if i >= skip then begin
-          Buffer.add_string b "{\"type\":\"trace\",\"event\":";
-          Buffer.add_string b (Trace.event_jsonl e);
-          Buffer.add_string b "}\n"
-        end)
-      events
-  | _ -> ());
+  List.iter (fun g -> record "gauges" "row" (gauges_json t g)) (window_rows t);
+  Option.iter
+    (fun profile ->
+      String.split_on_char '\n' (Profile.jsonl (profile ()))
+      |> List.iter (fun line ->
+             if line <> "" then record "profile" "node_profile" line))
+    r.fr_profile;
+  let events = Trace.events r.fr_trace in
+  let skip = List.length events - trace_last in
+  List.iteri
+    (fun i e -> if i >= skip then record "trace" "event" (Trace.event_jsonl e))
+    events;
   Buffer.contents b
 
 let dump_bundle t ~at ~reason alert =
-  match t.recorder with
-  | None -> ()
-  | Some r ->
-    let bundle = render_bundle t ~at ~reason alert in
-    t.last_bundle <- Some bundle;
-    t.bundle_count <- t.bundle_count + 1;
-    r.fr_on_bundle alert bundle
+  Option.iter
+    (fun r ->
+      t.last_bundle <- Some (render_bundle t r ~at ~reason alert);
+      t.bundle_count <- t.bundle_count + 1)
+    t.recorder
 
 let last_bundle t = t.last_bundle
 
@@ -581,13 +537,4 @@ let summary t =
          Printf.sprintf "; rotate null-fill %d reclaim %d" t.null_fill_total
            t.reclaim_total)
 
-let alerts_json t =
-  let b = Buffer.create 128 in
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (alert_json a))
-    (alerts t);
-  Buffer.add_char b ']';
-  Buffer.contents b
+let alerts_json alerts = "[" ^ String.concat "," (List.map alert_json alerts) ^ "]"

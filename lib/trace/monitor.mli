@@ -102,18 +102,11 @@ val kind_name : alert_kind -> string
 val alert_detail : alert -> string
 (** One-line human rendering. *)
 
-val alert_json : alert -> string
-(** One JSON object (no trailing newline), fixed field order. *)
-
 type t
 
-val create : ?limits:limits -> ?window:int -> ?group:string -> unit -> t
-(** [window] bounds the gauge ring kept for post-mortem bundles (default
-    256 ticks); [group] labels alerts and bundles (e.g. ["g0/"]). *)
-
-val group : t -> string
-
-val limits : t -> limits
+val create : ?limits:limits -> ?group:string -> unit -> t
+(** Post-mortem bundles keep the newest 256 gauge ticks; [group] labels
+    alerts and bundles (e.g. ["g0/"]). *)
 
 val observe : t -> gauges -> unit
 (** Feed one sampling tick: updates derived gauges and runs every
@@ -130,8 +123,8 @@ val alert_count : t -> int
 val healthy : t -> bool
 (** No alerts so far. *)
 
-val alerts_json : t -> string
-(** JSON array of {!alert_json} objects. *)
+val alerts_json : alert list -> string
+(** JSON array of alert objects, fixed field order. *)
 
 val latency_sketch : t -> Bft_util.Stats.Sketch.t
 (** The streaming SLO sketch (p50/p95/p99 over all observed latencies). *)
@@ -158,12 +151,6 @@ val shed_rate : t -> float
 val rejected_total : t -> int
 (** Total client operations explicitly rejected, newest tick. *)
 
-val null_fill_total : t -> int
-(** Total rotating-mode null fills across replicas, newest tick. *)
-
-val reclaim_total : t -> int
-(** Total rotating-mode owner reclaims across replicas, newest tick. *)
-
 val peak_queue : t -> int
 (** Highest per-replica admission-queue depth ever observed — what the
     chaos "queues stay bounded" invariant checks against the configured
@@ -176,30 +163,21 @@ val summary : t -> string
 (** One-line operator summary (alerts, throughput, SLO quantiles, view
     changes, checkpoint lag, replay drops). *)
 
-val gauges_json : t -> gauges -> string
-(** One gauge row as a JSON object (used by bundles and exports). *)
-
 (* --- flight recorder --- *)
 
 val set_flight_recorder :
   ?trace:Trace.t ->
   ?profile:(unit -> Profile.t) ->
-  ?trace_last:int ->
-  ?on_bundle:(alert option -> string -> unit) ->
+  ?meta:(string * string) list ->
   t ->
   unit ->
   unit
 (** Arm the flight recorder. On every alert (and {!trigger}) a post-mortem
-    bundle is rendered and handed to [on_bundle] ([Some alert] for
-    detector alerts, [None] for external triggers); the newest bundle is
-    also retained for {!last_bundle}. [trace_last] bounds the number of
-    newest protocol-trace events embedded (default 512); [profile] is
-    called at dump time for the CPU breakdown. *)
-
-val set_meta : t -> (string * string) list -> unit
-(** Key/value pairs embedded in the bundle header — a chaos campaign
-    records its seed and plan text here, which is what makes the bundle
-    replayable on its own. *)
+    bundle is rendered and retained for {!last_bundle}; it embeds the
+    newest 512 protocol-trace events, and [profile] is called at dump time
+    for the CPU breakdown. [meta] is embedded in the bundle header — a
+    chaos campaign records its seed and plan text there, which is what
+    makes the bundle replayable on its own. *)
 
 val trigger : t -> at:float -> reason:string -> unit
 (** External post-mortem trigger (e.g. a chaos invariant violation): dump

@@ -315,9 +315,17 @@ module Sketch = struct
 
   let max t = if t.sk_n = 0 then nan else t.sk_max
 
-  let p50 t = P2.quantile t.sk_p50
+  (* The estimators run independently and can cross on a tight tail, so
+     they are read sorted: the monotone rearrangement of Chernozhukov et al.
+     (2010), which never increases estimation error. *)
+  let sorted t =
+    let q = Array.map P2.quantile [| t.sk_p50; t.sk_p95; t.sk_p99 |] in
+    Array.sort Float.compare q;
+    q
 
-  let p95 t = P2.quantile t.sk_p95
+  let p50 t = (sorted t).(0)
 
-  let p99 t = P2.quantile t.sk_p99
+  let p95 t = (sorted t).(1)
+
+  let p99 t = (sorted t).(2)
 end

@@ -90,7 +90,9 @@ module P2 : sig
 end
 
 (** A fixed bank of {!P2} estimators for the monitor's SLO quantiles
-    (p50/p95/p99) plus exact running count/mean/min/max. *)
+    (p50/p95/p99) plus exact running count/mean/min/max. The three
+    estimates are read sorted, so [p50 <= p95 <= p99 <= max] holds on any
+    stream. *)
 module Sketch : sig
   type t
 

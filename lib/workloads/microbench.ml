@@ -46,7 +46,7 @@ let back_to_back ?(observe = ignore) ~ops engine invoke =
    so profiling callers can read CPU state after the run. *)
 let latency_run ?(config = Config.make ~f:1 ()) ?(ops = 200) ?(seed = 42)
     ?(cal = Calibration.default) ?(trace = Bft_trace.Trace.nil) ?series_every
-    ?(series_cap = 4096) ?monitor ~arg ~res ~read_only () =
+    ?monitor ~arg ~res ~read_only () =
   let cluster =
     Cluster.create ~cal ~seed ~client_machines:1
       ~client_machine_speed:client_speed ~trace ~config
@@ -57,9 +57,7 @@ let latency_run ?(config = Config.make ~f:1 ()) ?(ops = 200) ?(seed = 42)
   let series =
     Option.map
       (fun interval ->
-        ( interval,
-          Bft_trace.Series.create ~capacity:series_cap
-            ~names:(Cluster.series_names cluster) () ))
+        (interval, Bft_trace.Series.create ~names:(Cluster.series_names cluster) ()))
       series_every
   in
   let observe running =
@@ -97,12 +95,12 @@ type profile_result = {
   pf_owners : owner_row list;
 }
 
-let bft_profile ?config ?ops ?seed ?cal ?trace ?series_every ?series_cap
-    ?monitor ~arg ~res ~read_only () =
+let bft_profile ?config ?ops ?seed ?cal ?trace ?series_every ?monitor ~arg
+    ~res ~read_only () =
   Bft_crypto.Tally.reset ();
   let cluster, series, lat =
-    latency_run ?config ?ops ?seed ?cal ?trace ?series_every ?series_cap
-      ?monitor ~arg ~res ~read_only ()
+    latency_run ?config ?ops ?seed ?cal ?trace ?series_every ?monitor ~arg ~res
+      ~read_only ()
   in
   let owners =
     Array.to_list

@@ -62,7 +62,6 @@ val bft_profile :
   ?cal:Bft_sim.Calibration.t ->
   ?trace:Bft_trace.Trace.t ->
   ?series_every:float ->
-  ?series_cap:int ->
   ?monitor:Bft_trace.Monitor.t ->
   arg:int ->
   res:int ->
@@ -71,11 +70,11 @@ val bft_profile :
   profile_result
 (** {!bft_latency} plus profiling: resets the global crypto tally, runs the
     same rig, and captures the per-category CPU profile and crypto op
-    counts. With [series_every], also samples {!Bft_core.Cluster.series_values}
-    on that virtual-time cadence into a ring of [series_cap] samples
-    (default 4096); note the sampler adds engine events, so traced virtual
-    times can differ from an unsampled run. The profile is balanced by
-    construction (see {!Bft_trace.Profile.balanced}). *)
+    counts. With [series_every], also samples the
+    {!Bft_core.Cluster.series_names} columns on that virtual-time cadence
+    into a ring of the newest 4096 samples; note the sampler adds engine
+    events, so traced virtual times can differ from an unsampled run. The
+    profile is balanced by construction (see {!Bft_trace.Profile.balanced}). *)
 
 val norep_latency :
   ?ops:int -> ?seed:int -> arg:int -> res:int -> unit -> latency_result

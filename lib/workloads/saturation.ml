@@ -48,7 +48,11 @@ type cross_row = {
   cx_cross_aborted : int;
 }
 
-type health_row = { hl_label : string; hl_alerts : int; hl_line : string }
+type health_row = {
+  hl_label : string;
+  hl_alerts : Bft_trace.Monitor.alert list;
+  hl_line : string;
+}
 
 type t = {
   seed : int;
@@ -100,18 +104,18 @@ let run ?(quick = false) ?(seed = 42) ?(max_groups = 4) ?(health = false)
      observation is pure, the virtual-time fields — and therefore
      [virtual_json] — are byte-identical either way, which CI asserts. *)
   let health_rows = ref [] in
+  let add_row hl_label monitors line =
+    health_rows :=
+      (fun () ->
+        let hl_alerts = List.concat_map Bft_trace.Monitor.alerts monitors in
+        { hl_label; hl_alerts; hl_line = line () })
+      :: !health_rows
+  in
   let fresh_monitor label =
     if not health then None
     else begin
       let m = Bft_trace.Monitor.create () in
-      health_rows :=
-        (label, fun () ->
-            {
-              hl_label = label;
-              hl_alerts = Bft_trace.Monitor.alert_count m;
-              hl_line = Bft_trace.Monitor.summary m;
-            })
-        :: !health_rows;
+      add_row label [ m ] (fun () -> Bft_trace.Monitor.summary m);
       Some m
     end
   in
@@ -162,16 +166,11 @@ let run ?(quick = false) ?(seed = 42) ?(max_groups = 4) ?(health = false)
             ~clients_per_group:per_group ()
         in
         if health then begin
-          let label = Printf.sprintf "scaling %d groups" groups in
-          let rollup = Bft_shard.Rig.health_rollup r.Microbench.sh_monitors in
-          health_rows :=
-            (label, fun () ->
-                {
-                  hl_label = label;
-                  hl_alerts = rollup.Bft_shard.Rig.ru_alerts;
-                  hl_line = Bft_shard.Rig.rollup_line rollup;
-                })
-            :: !health_rows
+          let ms = r.Microbench.sh_monitors in
+          add_row
+            (Printf.sprintf "scaling %d groups" groups)
+            (Array.to_list ms)
+            (fun () -> Bft_shard.Rig.(rollup_line (health_rollup ms)))
         end;
         {
           sc_groups = groups;
@@ -240,7 +239,7 @@ let run ?(quick = false) ?(seed = 42) ?(max_groups = 4) ?(health = false)
   in
   (* Health rows are thunks so each summary reflects the monitor's final
      state (registration order = run order). *)
-  let health = List.rev_map (fun (_, row) -> row ()) !health_rows in
+  let health = List.rev_map (fun row -> row ()) !health_rows in
   let cost_profile = Bft_sim.Calibration.name cal in
   {
     seed;
@@ -254,8 +253,15 @@ let run ?(quick = false) ?(seed = 42) ?(max_groups = 4) ?(health = false)
     health;
   }
 
-let health_alerts t =
-  List.fold_left (fun acc h -> acc + h.hl_alerts) 0 t.health
+let health_alerts t = List.concat_map (fun h -> h.hl_alerts) t.health
+
+let health_lines t =
+  if t.health = [] then []
+  else
+    let n = List.length (health_alerts t) in
+    Printf.sprintf "health (always-on monitors, %d alert%s total):" n
+      (if n = 1 then "" else "s")
+    :: List.map (fun h -> Printf.sprintf "  %-18s %s" h.hl_label h.hl_line) t.health
 
 (* Curve point with the highest throughput. *)
 let peak t =
@@ -398,11 +404,4 @@ let print t =
         (100.0 *. c.cx_fraction)
         c.cx_ops_per_sec c.cx_completed c.cx_cross_committed c.cx_cross_aborted)
     t.cross_shard;
-  if t.health <> [] then begin
-    Printf.printf "health (always-on monitors, %d alert%s total):\n"
-      (health_alerts t)
-      (if health_alerts t = 1 then "" else "s");
-    List.iter
-      (fun h -> Printf.printf "  %-18s %s\n" h.hl_label h.hl_line)
-      t.health
-  end
+  List.iter print_endline (health_lines t)

@@ -66,7 +66,11 @@ type cross_row = {
 
 (** One health-monitor summary row (a micro shape, a curve point, or a
     scaling sweep's fleet rollup). *)
-type health_row = { hl_label : string; hl_alerts : int; hl_line : string }
+type health_row = {
+  hl_label : string;
+  hl_alerts : Bft_trace.Monitor.alert list;
+  hl_line : string;
+}
 
 type t = {
   seed : int;
@@ -98,8 +102,13 @@ val run :
     selects the cost profile (default [testbed-2001]); the golden surface
     is only meaningful under the default profile. *)
 
-val health_alerts : t -> int
-(** Total alerts across all health rows (0 for a healthy suite). *)
+val health_alerts : t -> Bft_trace.Monitor.alert list
+(** Every alert across all health rows, in run order (none for a healthy
+    suite). *)
+
+val health_lines : t -> string list
+(** The health section {!print} ends with: a total line, then one summary
+    row per bench; empty unless [run ~health:true]. *)
 
 val virtual_json : t -> string
 (** The golden surface (micro, saturation, scaling and rotating rows) in a

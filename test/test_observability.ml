@@ -1,14 +1,17 @@
 (* Tests for the observability stack built on the trace layer: causal
    request DAGs (span ids, completeness, determinism), the virtual-time CPU
    profiler (exact balance against engine busy time), crypto operation
-   tallies, and the Chrome-trace / time-series exports (ring mechanics,
-   golden files, byte-identical determinism). *)
+   tallies, the Chrome-trace / time-series exports (ring mechanics,
+   golden files, byte-identical determinism), and the run bundle that
+   writes them all (byte-identical per seed, pure observation). *)
 
 module Trace = Bft_trace.Trace
 module Span = Bft_trace.Span
 module Profile = Bft_trace.Profile
 module Chrome = Bft_trace.Chrome
 module Series = Bft_trace.Series
+module Monitor = Bft_trace.Monitor
+module Run_bundle = Bft_trace.Run_bundle
 module Cpu = Bft_sim.Cpu
 module Microbench = Bft_workloads.Microbench
 
@@ -299,6 +302,78 @@ let test_series_sampling_deterministic () =
   check Alcotest.bool "sampler stops with the workload" true
     (Series.total s1 < 1000)
 
+(* --- run bundle ------------------------------------------------------------ *)
+
+(* One observed latency run written as a bundle: trace, series, profile and
+   the health files of an attached monitor. *)
+let write_observed_bundle dir =
+  let monitor = Monitor.create () in
+  let trace = Trace.create ~capacity:(1 lsl 20) () in
+  let pr =
+    Microbench.bft_profile ~series_every:0.001 ~ops:40 ~seed:7 ~trace ~monitor
+      ~arg:0 ~res:0 ~read_only:false ()
+  in
+  Run_bundle.write ~seed:7 ~trace ?series:pr.Microbench.pf_series
+    ~profile:pr.Microbench.pf_profile ~health:[ Monitor.summary monitor ]
+    ~alerts:(Monitor.alerts monitor) () ~dir ~subcommand:"test"
+    ~cost_profile:"testbed-2001"
+
+let test_bundle_deterministic () =
+  let fresh () = Filename.temp_dir "bundle" "" in
+  let d1 = fresh () and d2 = fresh () in
+  let files = write_observed_bundle d1 in
+  check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "same files, same line counts" files (write_observed_bundle d2);
+  check (Alcotest.list Alcotest.string) "layout"
+    [
+      "alerts.json";
+      "chrome.json";
+      "health.txt";
+      "manifest.json";
+      "profile.jsonl";
+      "series.jsonl";
+      "trace.jsonl";
+    ]
+    (List.sort compare (Array.to_list (Sys.readdir d1)));
+  Array.iter
+    (fun name ->
+      let file d = read_file (Filename.concat d name) in
+      check Alcotest.bool (name ^ " nonempty") true (file d1 <> "");
+      check Alcotest.string (name ^ " byte-identical") (file d1) (file d2))
+    (Sys.readdir d1);
+  check Alcotest.bool "manifest names the trace" true
+    (let m = read_file (Filename.concat d1 "manifest.json") in
+     let needle = "{\"name\":\"trace.jsonl\",\"lines\":" in
+     let rec has i =
+       i + String.length needle <= String.length m
+       && (String.sub m i (String.length needle) = needle || has (i + 1))
+     in
+     has 0);
+  List.iter
+    (fun d ->
+      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+      Sys.rmdir d)
+    [ d1; d2 ]
+
+(* Observation is pure: the trace ring and the monitor change no measured
+   number of a closed-loop run. *)
+let test_bundle_recorders_pure () =
+  let run ?trace ?monitor () =
+    let r =
+      Microbench.bft_throughput ?trace ?monitor ~warmup:0.1 ~window:0.2 ~arg:0
+        ~res:0 ~read_only:false ~clients:8 ()
+    in
+    (r.Microbench.completed, r.Microbench.ops_per_sec)
+  in
+  let bare = run () in
+  let observed =
+    run ~trace:(Trace.create ~capacity:(1 lsl 20) ()) ~monitor:(Monitor.create ()) ()
+  in
+  check Alcotest.bool "completed something" true (fst bare > 0);
+  check Alcotest.int "same completed" (fst bare) (fst observed);
+  check Alcotest.bool "same ops/s, bit for bit" true
+    (Int64.equal (Int64.bits_of_float (snd bare)) (Int64.bits_of_float (snd observed)))
+
 let () =
   Alcotest.run "observability"
     [
@@ -333,5 +408,12 @@ let () =
           Alcotest.test_case "golden file" `Quick test_series_golden;
           Alcotest.test_case "sampling deterministic" `Quick
             test_series_sampling_deterministic;
+        ] );
+      ( "run bundle",
+        [
+          Alcotest.test_case "same seed, byte-identical directory" `Quick
+            test_bundle_deterministic;
+          Alcotest.test_case "recorders are pure" `Quick
+            test_bundle_recorders_pure;
         ] );
     ]

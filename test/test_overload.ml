@@ -229,6 +229,33 @@ let test_disabled_admission_never_sheds () =
     r.Openloop.ol_completed;
   check Alcotest.int "no safety violations" 0 r.Openloop.ol_safety_violations
 
+(* An SLO tight enough that any admitted request breaches it: the armed
+   flight recorder must dump a post-mortem bundle naming the cost profile. *)
+let test_alert_dumps_postmortem () =
+  let limits =
+    { Monitor.default_limits with Monitor.slo_p99 = 1e-6; slo_min_samples = 10 }
+  in
+  let r =
+    Openloop.run ~seed:5 ~stubs:16 ~duration:0.3 ~limits
+      (Openloop.Poisson { rate = 400.0 })
+      ()
+  in
+  let m = r.Openloop.ol_monitor in
+  check Alcotest.bool "an alert fired" true (Monitor.alert_count m > 0);
+  match Monitor.last_bundle m with
+  | None -> Alcotest.fail "no post-mortem bundle"
+  | Some bundle ->
+    let has needle =
+      let n = String.length needle in
+      let rec go i =
+        i + n <= String.length bundle
+        && (String.sub bundle i n = needle || go (i + 1))
+      in
+      go 0
+    in
+    check Alcotest.bool "header names the cost profile" true
+      (has "\"cost_profile\":\"testbed-2001\"")
+
 let () =
   Alcotest.run "overload"
     [
@@ -256,6 +283,8 @@ let () =
             test_burst_sheds_without_silent_loss;
           Alcotest.test_case "drop-oldest policy" `Slow test_drop_oldest_policy;
           Alcotest.test_case "deterministic run" `Slow test_run_deterministic;
+          Alcotest.test_case "alert dumps a post-mortem" `Quick
+            test_alert_dumps_postmortem;
           Alcotest.test_case "disabled admission never sheds" `Slow
             test_disabled_admission_never_sheds;
         ] );
