@@ -3,6 +3,7 @@ module Network = Bft_net.Network
 module Rng = Bft_util.Rng
 module Fingerprint = Bft_crypto.Fingerprint
 module Monitor = Bft_trace.Monitor
+module Openloop = Bft_workloads.Openloop
 open Bft_core
 
 type violation = { invariant : string; detail : string }
@@ -49,94 +50,34 @@ let digest_short d =
   let s = Format.asprintf "%a" Fingerprint.pp d in
   if String.length s > 12 then String.sub s 0 12 else s
 
-(* Agreement: every audited replica must have committed the same batch at
-   every sequence number it finally executed. *)
-let audit_agreement replicas audited =
-  let table : (int, int * Fingerprint.t) Hashtbl.t = Hashtbl.create 256 in
-  let violations = ref [] in
-  List.iter
-    (fun rid ->
-      List.iter
-        (fun (seq, digest) ->
-          match Hashtbl.find_opt table seq with
-          | None -> Hashtbl.replace table seq (rid, digest)
-          | Some (rid0, d0) ->
-            if not (Fingerprint.equal d0 digest) && List.length !violations < 3
-            then
-              violations :=
-                {
-                  invariant = "safety.agreement";
-                  detail =
-                    Printf.sprintf
-                      "seq %d: replica %d executed %s, replica %d executed %s"
-                      seq rid0 (digest_short d0) rid (digest_short digest);
-                }
-                :: !violations)
-        (Replica.executed_digests replicas.(rid)))
-    audited;
-  List.rev !violations
+(* The safety audit over the audited replicas' trails: agreement on the
+   batch at every finally-executed sequence number, agreement on the
+   committed reply for every (client, timestamp), and exactly-once
+   execution per slot. At most three agreement and three reply findings. *)
+let audit_safety replicas audited =
+  let rs = List.map (fun rid -> replicas.(rid)) audited in
+  let first3 invariant text conflicts =
+    List.filteri (fun i _ -> i < 3) conflicts
+    |> List.map (fun (key, (rid0, d0), (rid, d)) ->
+           { invariant; detail = text key rid0 (digest_short d0) rid (digest_short d) })
+  in
+  first3 "safety.agreement"
+    (Printf.sprintf "seq %d: replica %d executed %s, replica %d executed %s")
+    (Audit.agreement rs)
+  @ first3 "safety.replies"
+      (fun (client, ts) ->
+        Printf.sprintf "client %d ts %Ld: replica %d replies %s, replica %d replies %s"
+          client ts)
+      (Audit.replies rs)
+  @ List.map
+      (fun (rid, seq) ->
+        {
+          invariant = "safety.unique_execution";
+          detail = Printf.sprintf "replica %d executed seq %d twice" rid seq;
+        })
+      (Audit.unique_execution rs)
 
-(* Reply consistency: two audited replicas whose committed client tables
-   agree on a client's latest timestamp must agree on the result digest
-   they would answer with. *)
-let audit_replies replicas audited =
-  let table : (int * int64, int * Fingerprint.t) Hashtbl.t = Hashtbl.create 64 in
-  let violations = ref [] in
-  List.iter
-    (fun rid ->
-      List.iter
-        (fun (client, ts, digest) ->
-          match Hashtbl.find_opt table (client, ts) with
-          | None -> Hashtbl.replace table (client, ts) (rid, digest)
-          | Some (rid0, d0) ->
-            if not (Fingerprint.equal d0 digest) && List.length !violations < 3
-            then
-              violations :=
-                {
-                  invariant = "safety.replies";
-                  detail =
-                    Printf.sprintf
-                      "client %d ts %Ld: replica %d replies %s, replica %d \
-                       replies %s"
-                      client ts rid0 (digest_short d0) rid (digest_short digest);
-                }
-                :: !violations)
-        (Replica.client_replies replicas.(rid)))
-    audited;
-  List.rev !violations
-
-(* Exactly-once execution per slot: [Replica.executed_digests] appends only
-   at finalization, so a sequence number appearing twice in one replica's
-   audit means a batch was ordered (and executed) twice — the failure mode
-   of a broken epoch handoff re-proposing a predecessor's slot. *)
-let audit_unique_execution replicas audited =
-  List.filter_map
-    (fun rid ->
-      let seqs = List.map fst (Replica.executed_digests replicas.(rid)) in
-      let dup =
-        let seen = Hashtbl.create 256 in
-        List.find_opt
-          (fun s ->
-            if Hashtbl.mem seen s then true
-            else (
-              Hashtbl.replace seen s ();
-              false))
-          seqs
-      in
-      Option.map
-        (fun s ->
-          {
-            invariant = "safety.unique_execution";
-            detail = Printf.sprintf "replica %d executed seq %d twice" rid s;
-          })
-        dup)
-    audited
-
-let plan_text plan =
-  String.concat "; "
-    (List.map
-       (fun e -> Format.asprintf "%.6f %a" e.Plan.at Plan.pp_action e.Plan.action)
-       plan)
+let plan_text plan = String.concat "; " (List.map Plan.event_to_string plan)
 
 let ordering_text = function
   | Config.Single_primary -> "single-primary"
@@ -161,18 +102,15 @@ let run ?(ordering = Config.Single_primary) ?(unsafe_no_commit_quorum = false)
      campaign's outcome is byte-identical with or without it. The bundle
      header carries (seed, plan), which is all it takes to replay. *)
   let monitor = Monitor.create ?limits () in
-  Monitor.set_flight_recorder ~trace
-    ~profile:(fun () -> Cluster.profile cluster)
+  Cluster.attach_monitor
     ~meta:
       [
         ("campaign.seed", string_of_int seed);
         ("campaign.f", string_of_int f);
         ("campaign.ordering", ordering_text ordering);
         ("campaign.plan", plan_text plan);
-        ("cost_profile", Bft_sim.Calibration.name (Cluster.calibration cluster));
       ]
-    monitor ();
-  Cluster.attach_monitor cluster monitor;
+    cluster monitor;
   let camp_rng = Cluster.rng cluster "campaign" in
   let payload = Bft_services.Counter.op_payload (Bft_services.Counter.Add ("shared", 1)) in
   (* workload *)
@@ -216,11 +154,11 @@ let run ?(ordering = Config.Single_primary) ?(unsafe_no_commit_quorum = false)
           pump_burst j)
     end
   in
-  (* Open-loop load (Load_spike / Load_ramp): arrivals are generated by a
-     seeded process independent of completions and multiplexed over a stub
+  (* Open-loop load (Load_spike / Load_ramp) runs through Openloop's stub
      pool, so a spike can offer far more load than the closed-loop clients
-     ever would — that pressure is what admission control sheds. The pool
-     only exists when the plan carries open-loop events, keeping all other
+     ever would — that pressure is what admission control sheds. Each
+     event samples from its own RNG, split in firing order. The stubs only
+     exist when the plan carries open-loop events, keeping all other
      campaigns byte-identical to earlier runs of the same (seed, plan). *)
   let plan_has_openloop =
     List.exists
@@ -230,48 +168,20 @@ let run ?(ordering = Config.Single_primary) ?(unsafe_no_commit_quorum = false)
         | _ -> false)
       plan
   in
-  let ol_offered = ref 0 in
-  let ol_waiting = ref 0 in
-  let ol_free = Queue.create () in
-  if plan_has_openloop then
-    for _ = 1 to openloop_stubs do
-      Queue.add (Cluster.add_client cluster) ol_free
-    done;
-  let rec ol_pump () =
-    if (not (Queue.is_empty ol_free)) && !ol_waiting > 0 then begin
-      decr ol_waiting;
-      let stub = Queue.pop ol_free in
-      Client.invoke stub payload (fun o ->
-          resolve o;
-          Queue.add stub ol_free;
-          ol_pump ());
-      ol_pump ()
-    end
+  let pool =
+    Openloop.pool ~op:payload
+      ~on_outcome:(fun ~arrived:_ o -> resolve o)
+      (if plan_has_openloop then
+         List.init openloop_stubs (fun _ -> Cluster.add_client cluster)
+       else [])
   in
-  let ol_arrive () =
-    incr ol_offered;
-    incr ol_waiting;
-    ol_pump ()
-  in
-  (* Arrival samplers, seeded per event in plan order. A spike is a
-     homogeneous Poisson stream; a ramp is sampled by thinning a
-     [rate_to] candidate stream with acceptance growing linearly from 0
-     to 1 across the window (exact for a linear-rate Poisson process). *)
-  let ol_event_idx = ref 0 in
-  let schedule_arrivals ~rate ~duration ~ramp =
-    let rng = Rng.split camp_rng (Printf.sprintf "openloop%d" !ol_event_idx) in
-    incr ol_event_idx;
-    let start = Engine.now engine in
-    let until = start +. duration in
-    let rec next t =
-      let t' = t +. Rng.exponential rng ~mean:(1.0 /. rate) in
-      if t' < until then begin
-        if (not ramp) || Rng.float rng 1.0 < (t' -. start) /. duration then
-          Engine.schedule_at engine t' ol_arrive;
-        next t'
-      end
-    in
-    next start
+  let open_loop_events = ref 0 in
+  let open_loop ~duration process_from =
+    let rng = Rng.split camp_rng (Printf.sprintf "openloop%d" !open_loop_events) in
+    incr open_loop_events;
+    let from = Engine.now engine in
+    Openloop.schedule_arrivals engine rng (process_from from) ~from
+      ~until:(from +. duration) pool
   in
   (* plan execution *)
   let ever_byz = Array.make n false in
@@ -322,9 +232,9 @@ let run ?(ordering = Config.Single_primary) ?(unsafe_no_commit_quorum = false)
         pump_burst c
       done
     | Plan.Load_spike { rate; duration } ->
-      schedule_arrivals ~rate ~duration ~ramp:false
+      open_loop ~duration (fun _ -> Openloop.Poisson { rate })
     | Plan.Load_ramp { rate_to; duration } ->
-      schedule_arrivals ~rate:rate_to ~duration ~ramp:true
+      open_loop ~duration (fun start -> Openloop.Ramp { rate_to; start; duration })
   in
   List.iter
     (fun e -> Engine.schedule_at engine e.Plan.at (fun () -> apply e.Plan.action))
@@ -357,14 +267,10 @@ let run ?(ordering = Config.Single_primary) ?(unsafe_no_commit_quorum = false)
      budget runs out *)
   let violations = ref [] in
   let deadline = horizon +. settle_budget in
-  let ops_total () = !issued + burst_total + !ol_offered in
+  let ops_total () = !issued + burst_total + Openloop.offered pool in
   let resolved () = !completed + !rejected in
   let rec settle t slack =
-    let safety =
-      audit_agreement replicas audited
-      @ audit_replies replicas audited
-      @ audit_unique_execution replicas audited
-    in
+    let safety = audit_safety replicas audited in
     if safety <> [] then violations := safety
     else if resolved () >= ops_total () && slack >= 2 then ()
     else if t >= deadline then begin
@@ -458,6 +364,14 @@ let run ?(ordering = Config.Single_primary) ?(unsafe_no_commit_quorum = false)
 
 let escape = Bft_trace.Trace.escape
 
+let violations_json vs =
+  List.map
+    (fun v ->
+      Printf.sprintf "{\"invariant\":\"%s\",\"detail\":\"%s\"}"
+        (escape v.invariant) (escape v.detail))
+    vs
+  |> String.concat "," |> Printf.sprintf "[%s]"
+
 let jsonl ?(campaign = 0) ?bundle o =
   let b = Buffer.create 256 in
   Printf.bprintf b
@@ -467,22 +381,10 @@ let jsonl ?(campaign = 0) ?bundle o =
   (match bundle with
   | Some p -> Printf.bprintf b "\"bundle\":\"%s\"," (escape p)
   | None -> ());
-  Buffer.add_string b "\"violations\":[";
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "{\"invariant\":\"%s\",\"detail\":\"%s\"}" (escape v.invariant)
-        (escape v.detail))
-    o.violations;
-  Buffer.add_string b "],\"alerts\":";
-  Buffer.add_string b (Monitor.alerts_json o.alerts);
-  Buffer.add_string b ",\"plan\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\"%s\"" (escape (Format.asprintf "%.6f %a" e.Plan.at Plan.pp_action e.Plan.action)))
-    o.plan;
-  Buffer.add_string b "]}";
+  Printf.bprintf b "\"violations\":%s,\"alerts\":%s,\"plan\":[%s]}"
+    (violations_json o.violations) (Monitor.alerts_json o.alerts)
+    (String.concat ","
+       (List.map (fun e -> "\"" ^ escape (Plan.event_to_string e) ^ "\"") o.plan));
   Buffer.contents b
 
 (* --- shrinking --- *)

@@ -79,6 +79,9 @@ val run :
     Monitoring is pure observation: outcomes are byte-identical
     with default and custom limits as far as protocol fields go. *)
 
+val violations_json : violation list -> string
+(** JSON array of [{"invariant", "detail"}] objects. *)
+
 val jsonl : ?campaign:int -> ?bundle:string -> outcome -> string
 (** One JSON line (no trailing newline) with a stable field order, so
     same-seed runs diff byte-identically. [bundle] adds a ["bundle"] field

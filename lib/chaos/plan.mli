@@ -53,6 +53,9 @@ val duration : t -> float
 
 val pp_action : Format.formatter -> action -> unit
 
+val event_to_string : event -> string
+(** ["0.500000 crash 2"]: the event's line in {!to_string}. *)
+
 val to_string : t -> string
 (** One event per line: ["0.500000 crash 2"], ["1.250000 partition 0|1,2,3"],
     ["2.000000 behavior 1 replay"], ... Round-trips with {!of_string}. *)

@@ -1,6 +1,5 @@
 module Engine = Bft_sim.Engine
 module Rng = Bft_util.Rng
-module Fingerprint = Bft_crypto.Fingerprint
 module Rig = Bft_shard.Rig
 module Router = Bft_shard.Router
 module Txn = Bft_shard.Txn
@@ -333,30 +332,15 @@ let run ?(scenario = Healthy) ?(recovery = true) ~seed () =
                | None -> "nothing: in doubt")))
       (List.rev !coord_txns));
   (* --- store-level audits (caught-up replicas only) -------------------- *)
-  let caught_up g =
-    let rs = Cluster.replicas (Rig.cluster rig g) in
-    let len r = List.length (Replica.executed_digests r) in
-    let longest = Array.fold_left (fun acc r -> Stdlib.max acc (len r)) 0 rs in
-    List.filter (fun i -> len rs.(i) = longest)
-      (List.init (Array.length rs) Fun.id)
-  in
+  let group g = Array.to_list (Cluster.replicas (Rig.cluster rig g)) in
+  let caught_up g = Audit.caught_up (group g) in
   (* Per-group agreement: same digest at every finally-executed seq. *)
   for g = 0 to capacity - 1 do
-    let rs = Cluster.replicas (Rig.cluster rig g) in
-    let table : (int, int * Fingerprint.t) Hashtbl.t = Hashtbl.create 256 in
-    Array.iteri
-      (fun rid r ->
-        List.iter
-          (fun (seqno, digest) ->
-            match Hashtbl.find_opt table seqno with
-            | None -> Hashtbl.replace table seqno (rid, digest)
-            | Some (_, d0) ->
-              if not (Fingerprint.equal d0 digest) then
-                violate "safety.agreement"
-                  (Printf.sprintf "group %d seq %d: divergent execution" g
-                     seqno))
-          (Replica.executed_digests r))
-      rs
+    List.iter
+      (fun (seqno, _, _) ->
+        violate "safety.agreement"
+          (Printf.sprintf "group %d seq %d: divergent execution" g seqno))
+      (Audit.agreement (group g))
   done;
   (* Lock hygiene: once everything settled, in-doubt state means a wedged
      transaction. Without recovery this is the expected catch: the dead
@@ -443,20 +427,10 @@ let run ?(scenario = Healthy) ?(recovery = true) ~seed () =
 
 (* --- reporting --------------------------------------------------------- *)
 
-let escape = Bft_trace.Trace.escape
-
 let jsonl o =
-  let b = Buffer.create 256 in
-  Printf.bprintf b
-    "{\"scenario\":\"%s\",\"seed\":%d,\"recovery\":%b,\"writes_committed\":%d,\"txns_started\":%d,\"txns_committed\":%d,\"txns_aborted\":%d,\"txns_in_doubt\":%d,\"recoveries\":%d,\"moved_slots\":%d,\"moved_keys\":%d,\"sim_time\":%.6f,\"violations\":["
+  Printf.sprintf
+    "{\"scenario\":\"%s\",\"seed\":%d,\"recovery\":%b,\"writes_committed\":%d,\"txns_started\":%d,\"txns_committed\":%d,\"txns_aborted\":%d,\"txns_in_doubt\":%d,\"recoveries\":%d,\"moved_slots\":%d,\"moved_keys\":%d,\"sim_time\":%.6f,\"violations\":%s}"
     (scenario_name o.scenario) o.seed o.recovery o.writes_committed
     o.txns_started o.txns_committed o.txns_aborted o.txns_in_doubt o.recoveries
-    o.moved_slots o.moved_keys o.sim_time;
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "{\"invariant\":\"%s\",\"detail\":\"%s\"}"
-        (escape v.invariant) (escape v.detail))
-    o.violations;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+    o.moved_slots o.moved_keys o.sim_time
+    (Campaign.violations_json o.violations)

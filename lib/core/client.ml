@@ -289,7 +289,6 @@ let check_acceptance t p ~digest (tally : tally) =
       let view = quorum_view t p ~digest in
       Metrics.incr t.metrics "ops.completed";
       let latency = Engine.now (Transport.engine t.transport) -. p.started in
-      Metrics.sample t.metrics "latency" latency;
       t.latency_probe latency;
       emit_trace t ~req_id:(trace_req t p)
         ~detail:(string_of_int p.retries)

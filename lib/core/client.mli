@@ -23,8 +23,8 @@ type outcome = {
   rejected : bool;
       (** the operation was explicitly rejected by admission control: the
           primary shed it with authenticated BUSY replies until the client's
-          [Config.shed_retry_budget] ran out. [result] is empty and no
-          latency sample is recorded — the rejection is an explicit terminal
+          [Config.shed_retry_budget] ran out. [result] is empty and the
+          latency probe is not called — the rejection is an explicit terminal
           outcome, not a completion. Advisory: a delayed duplicate of the
           request may still commit at the replicas after the client gave
           up; the per-client timestamp makes that harmless. *)

@@ -36,8 +36,6 @@ let network t = t.network
 
 let config t = t.config
 
-let calibration t = t.cal
-
 let replicas t = t.replicas
 
 let replica t i = t.replicas.(i)
@@ -176,7 +174,11 @@ let monitor_probe t latency =
 
 (* Gauges are scraped every 50 virtual ms; the detectors' thresholds are
    set against this cadence. *)
-let attach_monitor ?(while_ = fun () -> true) t mon =
+let attach_monitor ?(while_ = fun () -> true) ?(meta = []) t mon =
+  Monitor.set_flight_recorder ~trace:(Network.trace t.network)
+    ~profile:(fun () -> profile t)
+    ~meta:(meta @ [ ("cost_profile", Calibration.name t.cal) ])
+    mon;
   t.monitors <- mon :: t.monitors;
   List.iter (fun c -> Client.set_latency_probe c (monitor_probe t)) t.clients;
   every t ~interval:0.05 ~while_ (fun () -> Monitor.observe mon (health_gauges t))

@@ -42,8 +42,6 @@ val network : t -> Bft_net.Network.t
 
 val config : t -> Config.t
 
-val calibration : t -> Bft_sim.Calibration.t
-
 val replicas : t -> Replica.t array
 
 val replica : t -> Types.replica_id -> Replica.t
@@ -100,8 +98,15 @@ val sample_series :
 
 (* --- health monitoring --- *)
 
-val attach_monitor : ?while_:(unit -> bool) -> t -> Bft_trace.Monitor.t -> unit
-(** Feed the monitor a health snapshot (per-replica protocol gauges and
+val attach_monitor :
+  ?while_:(unit -> bool) ->
+  ?meta:(string * string) list ->
+  t ->
+  Bft_trace.Monitor.t ->
+  unit
+(** Arm the monitor's flight recorder with the network's trace, {!profile}
+    and [meta] (default none) plus [cost_profile] as the bundle header.
+    Feed the monitor a health snapshot (per-replica protocol gauges and
     completed/rejected client operations; a replica whose machine is down
     reports [r_reachable = false], as a real scraper would) every 50
     virtual milliseconds for as long as [while_] returns [true] (default:

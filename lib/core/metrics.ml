@@ -26,8 +26,6 @@ let sample t name v =
   in
   Stats.add s v
 
-let observe_duration t name ~start ~stop = sample t name (stop -. start)
-
 let samples t name = Hashtbl.find_opt t.stats name
 
 let by_name (a, _) (b, _) = String.compare a b

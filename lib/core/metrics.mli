@@ -10,10 +10,6 @@ val count : t -> string -> int
 
 val sample : t -> string -> float -> unit
 
-val observe_duration : t -> string -> start:float -> stop:float -> unit
-(** Record [stop - start] as a sample under [name] — the timer idiom for
-    virtual-time spans. *)
-
 val samples : t -> string -> Bft_util.Stats.t option
 
 val counters : t -> (string * int) list

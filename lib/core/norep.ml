@@ -88,7 +88,6 @@ module Client = struct
     t.pending <- None;
     Metrics.incr t.metrics "ops.completed";
     let latency = Engine.now (Network.engine t.network) -. p.started in
-    Metrics.sample t.metrics "latency" latency;
     p.callback { result; latency; retries = p.retries }
 
   let on_reply t (r : Message.reply) =

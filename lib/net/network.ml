@@ -125,10 +125,6 @@ let set_handler t id handler = (get t id).handler <- handler
 
 let node_cpu t id = (get t id).cpu
 
-let node_name t id = (get t id).name
-
-let node_count t = t.node_count
-
 let cpus t =
   List.init t.node_count (fun id ->
       let node = t.nodes.(id) in

@@ -63,10 +63,6 @@ val set_handler : t -> node_id -> handler -> unit
 
 val node_cpu : t -> node_id -> Bft_sim.Cpu.t
 
-val node_name : t -> node_id -> string
-
-val node_count : t -> int
-
 val cpus : t -> (string * Bft_sim.Cpu.t) list
 (** (name, cpu) of every node in node-id order — the machines of one
     deployment, for utilisation and profiling reports. *)

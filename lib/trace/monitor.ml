@@ -139,7 +139,7 @@ let alert_json a =
 
 type recorder = {
   fr_trace : Trace.t;
-  fr_profile : (unit -> Profile.t) option;
+  fr_profile : unit -> Profile.t;
   fr_meta : (string * string) list;  (** bundle header key/value pairs *)
 }
 
@@ -274,7 +274,7 @@ let window_rows t =
 
 (* --- flight recorder -------------------------------------------------- *)
 
-let set_flight_recorder ?(trace = Trace.nil) ?profile ?(meta = []) t () =
+let set_flight_recorder ~trace ~profile ~meta t =
   t.recorder <- Some { fr_trace = trace; fr_profile = profile; fr_meta = meta }
 
 (* The bundle is replayable JSONL: a [postmortem] header carrying the
@@ -303,12 +303,9 @@ let render_bundle t r ~at ~reason alert =
       (Stats.Sketch.count sk) (Stats.Sketch.p50 sk) (Stats.Sketch.p95 sk)
       (Stats.Sketch.p99 sk) (Stats.Sketch.max sk);
   List.iter (fun g -> record "gauges" "row" (gauges_json t g)) (window_rows t);
-  Option.iter
-    (fun profile ->
-      String.split_on_char '\n' (Profile.jsonl (profile ()))
-      |> List.iter (fun line ->
-             if line <> "" then record "profile" "node_profile" line))
-    r.fr_profile;
+  String.split_on_char '\n' (Profile.jsonl (r.fr_profile ()))
+  |> List.iter (fun line ->
+         if line <> "" then record "profile" "node_profile" line);
   let events = Trace.events r.fr_trace in
   let skip = List.length events - trace_last in
   List.iteri

@@ -166,11 +166,10 @@ val summary : t -> string
 (* --- flight recorder --- *)
 
 val set_flight_recorder :
-  ?trace:Trace.t ->
-  ?profile:(unit -> Profile.t) ->
-  ?meta:(string * string) list ->
+  trace:Trace.t ->
+  profile:(unit -> Profile.t) ->
+  meta:(string * string) list ->
   t ->
-  unit ->
   unit
 (** Arm the flight recorder. On every alert (and {!trigger}) a post-mortem
     bundle is rendered and retained for {!last_bundle}; it embeds the

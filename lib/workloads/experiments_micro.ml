@@ -33,6 +33,35 @@ let throughput_pair ~title (label_a, cfg_a) (label_b, cfg_b) ~arg ~res clients =
     clients;
   (table, !peak_a, !peak_b)
 
+(* Read-write latency of two configurations over a size sweep: one row
+   per size ([shape] maps it to the argument and result sizes) with a
+   comparison column, [cmp a b] rendered by [cell]. Returns the table and
+   the comparison values in sweep order. *)
+let latency_pair ~title ~column (label_a, cfg_a) (label_b, cfg_b) ~ops ~shape
+    (cmp_label, cmp, cell) sizes =
+  let table =
+    Table.create ~title
+      ~columns:
+        (List.map
+           (fun c -> (c, Table.Right))
+           [ column; label_a ^ " us"; label_b ^ " us"; cmp_label ])
+  in
+  let run size config =
+    let arg, res = shape size in
+    (Microbench.bft_latency ~config ~ops ~arg ~res ~read_only:false ())
+      .Microbench.mean
+  in
+  let values =
+    List.map
+      (fun size ->
+        let a = run size cfg_a in
+        let b = run size cfg_b in
+        Table.add_row table [ Table.cell_i size; us a; us b; cell (cmp a b) ];
+        cmp a b)
+      sizes
+  in
+  (table, values)
+
 (* --- fig2: latency vs result size -------------------------------------- *)
 
 let fig2 ?(quick = false) () =
@@ -280,30 +309,14 @@ let fig5 ?(quick = false) () =
   let cfg_ndr = Config.make ~f:1 ~digest_replies:false () in
   let sizes = if quick then [ 0; 4096 ] else [ 0; 1024; 4096; 8192 ] in
   let ops = if quick then 30 else 150 in
-  let lat =
-    Table.create ~title:"Latency vs result size: BFT vs BFT-NDR (no digest replies)"
-      ~columns:
-        [
-          ("result B", Table.Right);
-          ("BFT us", Table.Right);
-          ("BFT-NDR us", Table.Right);
-          ("NDR/BFT", Table.Right);
-        ]
+  let lat, ratios =
+    latency_pair ~title:"Latency vs result size: BFT vs BFT-NDR (no digest replies)"
+      ~column:"result B" ("BFT", cfg) ("BFT-NDR", cfg_ndr) ~ops
+      ~shape:(fun res -> (8, res))
+      ("NDR/BFT", (fun b n -> ratio n b), Table.cell_f ~decimals:2)
+      sizes
   in
-  let last_lat_ratio = ref nan in
-  List.iter
-    (fun res ->
-      let b = Microbench.bft_latency ~config:cfg ~ops ~arg:8 ~res ~read_only:false () in
-      let n = Microbench.bft_latency ~config:cfg_ndr ~ops ~arg:8 ~res ~read_only:false () in
-      last_lat_ratio := ratio n.Microbench.mean b.Microbench.mean;
-      Table.add_row lat
-        [
-          Table.cell_i res;
-          us b.Microbench.mean;
-          us n.Microbench.mean;
-          Table.cell_f ~decimals:2 !last_lat_ratio;
-        ])
-    sizes;
+  let last_lat_ratio = List.nth ratios (List.length ratios - 1) in
   let thr, peak_b, peak_n =
     throughput_pair ~title:"Throughput 0/4: BFT vs BFT-NDR" ("BFT", cfg)
       ("BFT-NDR", cfg_ndr) ~arg:0 ~res:4096
@@ -319,8 +332,8 @@ let fig5 ?(quick = false) () =
           Report.direction_anchor
             ~description:"digest replies cut large-result latency significantly"
             ~paper:"NDR slower, gap grows with result size"
-            ~holds:(!last_lat_ratio > 1.2)
-            ~measured:(Printf.sprintf "NDR/BFT = %.2f at 8 KB" !last_lat_ratio);
+            ~holds:(last_lat_ratio > 1.2)
+            ~measured:(Printf.sprintf "NDR/BFT = %.2f at 8 KB" last_lat_ratio);
         ];
     };
     {
@@ -374,33 +387,14 @@ let fig7 ?(quick = false) () =
   let cfg_nosrt = Config.make ~f:1 ~separate_request_transmission:false () in
   let sizes = if quick then [ 4096 ] else [ 256; 1024; 4096; 8192 ] in
   let ops = if quick then 30 else 150 in
-  let lat =
-    Table.create ~title:"Latency vs argument size: SRT vs no SRT"
-      ~columns:
-        [
-          ("arg B", Table.Right);
-          ("SRT us", Table.Right);
-          ("no-SRT us", Table.Right);
-          ("reduction", Table.Right);
-        ]
+  let lat, cuts =
+    latency_pair ~title:"Latency vs argument size: SRT vs no SRT" ~column:"arg B"
+      ("SRT", cfg) ("no-SRT", cfg_nosrt) ~ops
+      ~shape:(fun arg -> (arg, 8))
+      ("reduction", (fun s n -> 1.0 -. ratio s n), Table.cell_pct)
+      sizes
   in
-  let best_cut = ref 0.0 in
-  List.iter
-    (fun arg ->
-      let s = Microbench.bft_latency ~config:cfg ~ops ~arg ~res:8 ~read_only:false () in
-      let n =
-        Microbench.bft_latency ~config:cfg_nosrt ~ops ~arg ~res:8 ~read_only:false ()
-      in
-      let cut = 1.0 -. ratio s.Microbench.mean n.Microbench.mean in
-      best_cut := Float.max !best_cut cut;
-      Table.add_row lat
-        [
-          Table.cell_i arg;
-          us s.Microbench.mean;
-          us n.Microbench.mean;
-          Table.cell_pct cut;
-        ])
-    sizes;
+  let best_cut = List.fold_left Float.max 0.0 cuts in
   let thr, peak_s, peak_n =
     throughput_pair ~title:"Throughput 4/0 read-write: SRT vs no SRT"
       ("SRT", cfg) ("no-SRT", cfg_nosrt) ~arg:4096 ~res:0
@@ -415,7 +409,7 @@ let fig7 ?(quick = false) () =
         [
           Report.ratio_anchor
             ~description:"latency reduction up to ~40% for large arguments"
-            ~paper_ratio:0.40 ~measured:!best_cut ~tolerance:0.5;
+            ~paper_ratio:0.40 ~measured:best_cut ~tolerance:0.5;
         ];
     };
     {

@@ -56,15 +56,6 @@ let sum_metric rig name =
    replicas must be prefix-compatible — no two correct replicas ever execute
    different batches at the same sequence number. *)
 let check_agreement rig =
-  let audits =
-    Cluster.correct_replicas rig.cluster |> List.map Replica.executed_digests
-  in
-  let table = Hashtbl.create 64 in
-  List.iter
-    (List.iter (fun (seq, digest) ->
-         match Hashtbl.find_opt table seq with
-         | None -> Hashtbl.replace table seq digest
-         | Some d ->
-           if not (Bft_crypto.Fingerprint.equal d digest) then
-             Alcotest.failf "agreement violated at seq %d" seq))
-    audits
+  match Audit.agreement (Cluster.correct_replicas rig.cluster) with
+  | [] -> ()
+  | (seq, _, _) :: _ -> Alcotest.failf "agreement violated at seq %d" seq

@@ -233,6 +233,46 @@ let crashed_node_keeps_nothing () =
   check Alcotest.int "no self-delivery on a crashed replica" 0 !got;
   check Alcotest.bool "drop is counted" true (Network.dropped_datagrams net >= 1)
 
+(* The caught-up set behind the shard audits (lock hygiene, donor
+   retirement) must include a replica that recovered by state transfer.
+   Adopting a checkpoint skips the batches it covers, so that replica's
+   execution trail is shorter than its peers' even though it executed up
+   to the same point: the set must be ranked by execution point, not by
+   trail length. *)
+let caught_up_counts_state_transfer () =
+  let open Bft_core in
+  let module Kv = Bft_services.Kv_store in
+  let config = Config.make ~f:1 ~checkpoint_interval:4 ~log_window:8 () in
+  let cluster =
+    Cluster.create ~config ~seed:13 ~service:(fun _ -> Kv.service ()) ()
+  in
+  let engine = Cluster.engine cluster in
+  let client = Cluster.add_client cluster in
+  let rec put i =
+    if i < 200 then
+      Client.invoke client
+        (Kv.op_payload (Kv.Put (Printf.sprintf "k%d" (i mod 16), string_of_int i)))
+        (fun _ -> Bft_sim.Engine.schedule engine ~delay:0.01 (fun () -> put (i + 1)))
+  in
+  put 0;
+  Bft_sim.Engine.schedule_at engine 0.001 (fun () -> Cluster.crash_replica cluster 3);
+  Bft_sim.Engine.schedule_at engine 1.0 (fun () -> Cluster.restart_replica cluster 3);
+  Cluster.run ~until:30.0 cluster;
+  let replicas = Cluster.replicas cluster in
+  Array.iter
+    (fun r ->
+      check Alcotest.int
+        (Printf.sprintf "replica %d executed everything" (Replica.id r))
+        200 (Replica.last_executed r))
+    replicas;
+  check
+    Alcotest.(list int)
+    "every replica is caught up" [ 0; 1; 2; 3 ]
+    (Audit.caught_up (Array.to_list replicas));
+  let trail i = List.length (Replica.executed_digests replicas.(i)) in
+  check Alcotest.bool "replica 3 skipped batches by state transfer" true
+    (trail 3 < trail 0)
+
 let () =
   Alcotest.run "chaos"
     [
@@ -248,6 +288,8 @@ let () =
         [
           Alcotest.test_case "crashed node keeps nothing" `Quick
             crashed_node_keeps_nothing;
+          Alcotest.test_case "caught-up counts state transfer" `Quick
+            caught_up_counts_state_transfer;
           Alcotest.test_case "deterministic" `Slow campaign_deterministic;
           Alcotest.test_case "clean on correct protocol" `Slow clean_campaigns;
           Alcotest.test_case "rotating survives owner crashes" `Slow

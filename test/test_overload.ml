@@ -73,6 +73,8 @@ let test_validate_process () =
   bad "duty of one"
     (Openloop.Square_wave
        { base_rate = 0.0; burst_rate = 10.0; period = 1.0; duty = 1.0 });
+  bad "zero ramp duration"
+    (Openloop.Ramp { rate_to = 10.0; start = 1.0; duration = 0.0 });
   match
     Openloop.validate_process
       (Openloop.Square_wave
@@ -152,6 +154,43 @@ let test_zero_base_rate_skips_to_burst () =
   check Alcotest.bool "skips the silent segment" true (t >= 1.0);
   let cycle = Float.of_int (int_of_float t) in
   check Alcotest.bool "lands inside a burst window" true (t -. cycle <= 0.25)
+
+(* A linear ramp (the chaos plan's Load_ramp): rate 0 at [start] rising to
+   [rate_to] at [start + duration]. Its second half carries three times the
+   first half's mass (3/8 vs 1/8 of [rate_to * duration]); at 10k
+   expected arrivals the ratio's standard deviation is about 2.3%, so a 10%
+   tolerance fails only on a wrong shape. *)
+let test_ramp_shape () =
+  let start = 2.0 and duration = 4.0 in
+  let p = Openloop.Ramp { rate_to = 5000.0; start; duration } in
+  let stream seed =
+    let rng = Rng.split (Rng.of_int seed) "ramp" in
+    let rec go acc now =
+      let t = Openloop.next_arrival rng p ~now in
+      if t = infinity then List.rev acc else go (t :: acc) t
+    in
+    go [] 0.0
+  in
+  let arrivals = stream 9 in
+  List.iter
+    (fun t ->
+      if t < start || t >= start +. duration then
+        Alcotest.failf "arrival %.6f outside [%.1f, %.1f)" t start
+          (start +. duration))
+    arrivals;
+  let mid = start +. (duration /. 2.0) in
+  let first = List.length (List.filter (fun t -> t < mid) arrivals) in
+  let second = List.length arrivals - first in
+  let ratio = float_of_int second /. float_of_int first in
+  check Alcotest.bool
+    (Printf.sprintf "second half %d / first half %d = %.2f within 10%% of 3"
+       second first ratio)
+    true
+    (Float.abs (ratio -. 3.0) < 0.3);
+  check Alcotest.bool "same seed, same arrivals" true
+    (List.equal
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       arrivals (stream 9))
 
 (* --- the 10x burst ------------------------------------------------------- *)
 
@@ -276,6 +315,7 @@ let () =
             test_square_wave_long_run_rate;
           Alcotest.test_case "zero base rate skips to burst" `Quick
             test_zero_base_rate_skips_to_burst;
+          Alcotest.test_case "ramp shape" `Quick test_ramp_shape;
         ] );
       ( "burst",
         [

@@ -47,18 +47,9 @@ let run_counters ~config ~nclients ~per_client ?(crash = fun _ _ -> ()) () =
   (cluster, Array.map List.rev observed)
 
 let check_agreement cluster =
-  let audits =
-    Cluster.correct_replicas cluster |> List.map Replica.executed_digests
-  in
-  let table = Hashtbl.create 64 in
-  List.iter
-    (List.iter (fun (seq, digest) ->
-         match Hashtbl.find_opt table seq with
-         | None -> Hashtbl.replace table seq digest
-         | Some d ->
-           if not (Bft_crypto.Fingerprint.equal d digest) then
-             Alcotest.failf "agreement violated at seq %d" seq))
-    audits
+  match Audit.agreement (Cluster.correct_replicas cluster) with
+  | [] -> ()
+  | (seq, _, _) :: _ -> Alcotest.failf "agreement violated at seq %d" seq
 
 let expected per_client = List.init per_client (fun i -> i + 1)
 
@@ -145,13 +136,9 @@ let test_owner_crash_handoff () =
       rest
   | [] -> Alcotest.fail "no correct replicas");
   List.iter
-    (fun r ->
-      let seqs = List.map fst (Replica.executed_digests r) in
-      let sorted = List.sort_uniq compare seqs in
-      Alcotest.(check int)
-        (Printf.sprintf "replica %d executed each slot once" (Replica.id r))
-        (List.length sorted) (List.length seqs))
-    correct
+    (fun (rid, seq) ->
+      Alcotest.failf "replica %d executed seq %d twice" rid seq)
+    (Audit.unique_execution correct)
 
 (* --- view change subsumes a failed epoch owner --------------------------- *)
 

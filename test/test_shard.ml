@@ -165,17 +165,9 @@ let extend_matches_reference_prop =
 (* Same check as Harness.check_agreement, per group: correct replicas of one
    group never execute different batches at the same sequence number. *)
 let check_group_agreement cluster =
-  let table = Hashtbl.create 64 in
-  Cluster.correct_replicas cluster
-  |> List.iter (fun r ->
-         List.iter
-           (fun (seq, digest) ->
-             match Hashtbl.find_opt table seq with
-             | None -> Hashtbl.replace table seq digest
-             | Some d ->
-               if not (Bft_crypto.Fingerprint.equal d digest) then
-                 Alcotest.failf "agreement violated at seq %d" seq)
-           (Replica.executed_digests r))
+  match Audit.agreement (Cluster.correct_replicas cluster) with
+  | [] -> ()
+  | (seq, _, _) :: _ -> Alcotest.failf "agreement violated at seq %d" seq
 
 let test_fault_confinement () =
   (* Crash group 0's primary mid-run: group 0 must recover via view change
