@@ -131,7 +131,7 @@ let observe_arg =
   Arg.(value & opt (some string) None & info [ "observe" ] ~doc:observe_doc ~docv:"DIR")
 
 (* The trace ring keeps the newest 2^20 events. *)
-let trace_ring ?sim_events () = Trace.create ~capacity:(1 lsl 20) ?sim_events ()
+let trace_ring () = Trace.create ~capacity:(1 lsl 20) ()
 
 (* A live trace ring when the run is observed, the nil sink otherwise. *)
 let trace_if observe = if observe = None then Trace.nil else trace_ring ()
@@ -233,9 +233,6 @@ let trace_cmd =
   in
   let module Timeline = Bft_trace.Timeline in
   let module Span = Bft_trace.Span in
-  let sim_events =
-    flag_arg "sim-events" ~doc:"Also record per-event simulator firings."
-  in
   (* trace always writes its bundle, unlike the subcommands where it is
      opt-in, and keeps its historical --out spelling as an alias. *)
   let observe =
@@ -243,8 +240,8 @@ let trace_cmd =
       value & opt string "bft_trace"
       & info [ "observe"; "out" ] ~doc:observe_doc ~docv:"DIR")
   in
-  let run arg res ops seed read_only sim_events cal dir =
-    let trace = trace_ring ~sim_events () in
+  let run arg res ops seed read_only cal dir =
+    let trace = trace_ring () in
     Printf.printf "cost profile: %s\n" (Calibration.name cal);
     let pr =
       Microbench.bft_profile ~arg ~res ~ops ~seed ~cal ~trace ~read_only
@@ -275,7 +272,7 @@ let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
       const run $ arg_arg 0 $ res_arg 0 $ ops_arg $ seed_arg $ read_only_arg
-      $ sim_events $ cost_profile_arg $ observe)
+      $ cost_profile_arg $ observe)
 
 let profile_cmd =
   let doc =
@@ -288,19 +285,16 @@ let profile_cmd =
   let rotating =
     flag_arg "rotating"
       ~doc:
-        "Run under rotating ordering so the per-owner breakdown shows \
-         proposals spread over all replicas (with any null fills and \
-         reclaims)."
+        "Run under rotating ordering (epoch length 4) so the per-owner \
+         breakdown shows proposals spread over all replicas (with any null \
+         fills and reclaims)."
   in
-  let epoch_length =
-    int_arg "epoch-length" 4
-      ~doc:"Epoch length (slots per owner) for $(b,--rotating)."
-  in
-  let run arg res ops seed read_only rotating epoch_length cal observe =
+  let run arg res ops seed read_only rotating cal observe =
     let trace = trace_if observe in
     Printf.printf "cost profile: %s\n" (Calibration.name cal);
     let ordering =
-      if rotating then Config.Rotating { epoch_length } else Config.Single_primary
+      if rotating then Config.Rotating { epoch_length = 4 }
+      else Config.Single_primary
     in
     let pr =
       Microbench.bft_profile
@@ -334,7 +328,7 @@ let profile_cmd =
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
       const run $ arg_arg 0 $ res_arg 0 $ ops_arg $ seed_arg $ read_only_arg
-      $ rotating $ epoch_length $ cost_profile_arg $ observe_arg)
+      $ rotating $ cost_profile_arg $ observe_arg)
 
 let backend_arg =
   Arg.(
@@ -404,9 +398,6 @@ let chaos_cmd =
   let plan_file =
     file_arg "plan" ~doc:"Replay one plan from $(docv) instead of generating."
   in
-  let horizon =
-    float_arg "horizon" 6.0 ~doc:"Virtual seconds of faulted window per campaign."
-  in
   let shrunk_out =
     path_arg "shrunk-out" "chaos_shrunk.plan"
       ~doc:"Where to write the minimal failing plan."
@@ -427,7 +418,7 @@ let chaos_cmd =
          rotation protocol."
   in
   let n_replicas = 4 in
-  let run seed campaigns plan_file horizon shrunk_out unsafe rotating observe =
+  let run seed campaigns plan_file shrunk_out unsafe rotating observe =
     let ordering =
       if rotating then Config.Rotating { epoch_length = 2 } else Config.Single_primary
     in
@@ -502,7 +493,7 @@ let chaos_cmd =
       let root = Bft_util.Rng.of_int seed in
       for campaign = 0 to campaigns - 1 do
         let rng = Bft_util.Rng.split root (Printf.sprintf "campaign%d" campaign) in
-        let plan = Plan.generate ~rotating ~rng ~n:n_replicas ~f:1 ~horizon () in
+        let plan = Plan.generate ~rotating ~rng ~n:n_replicas ~f:1 ~horizon:6.0 () in
         let campaign_seed = Bft_util.Rng.int rng (1 lsl 30) in
         let outcome = run_plan ~seed:campaign_seed plan in
         print_endline (Campaign.jsonl ~campaign outcome);
@@ -513,7 +504,7 @@ let chaos_cmd =
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
-      const run $ seed_arg $ campaigns $ plan_file $ horizon $ shrunk_out
+      const run $ seed_arg $ campaigns $ plan_file $ shrunk_out
       $ unsafe $ rotating $ observe_arg)
 
 let txn_cmd =
@@ -674,11 +665,7 @@ let monitor_cmd =
   let require_alert =
     flag_arg "require-alert" ~doc:"Exit non-zero if no alert fired (detector smoke)."
   in
-  let jsonl =
-    flag_arg "jsonl" ~doc:"Also print the campaign's JSON line (stdout)."
-  in
-  let run seed crash_primary plan_file observe fail_on_alert require_alert jsonl
-      =
+  let run seed crash_primary plan_file observe fail_on_alert require_alert =
     let plan =
       match plan_file with
       | Some file -> read_plan_file ~n:4 file
@@ -700,7 +687,6 @@ let monitor_cmd =
       o.Campaign.violations;
     let health = health_lines o.Campaign.monitor in
     print_lines health;
-    if jsonl then print_endline (Campaign.jsonl o);
     write_run_bundle observe "monitor"
       (Run_bundle.write ~seed ~health ~alerts:o.Campaign.alerts
          ?postmortem:(Monitor.last_bundle o.Campaign.monitor)
@@ -714,7 +700,7 @@ let monitor_cmd =
   Cmd.v (Cmd.info "monitor" ~doc)
     Term.(
       const run $ seed_arg $ crash_primary $ plan_file $ observe_arg
-      $ fail_on_alert $ require_alert $ jsonl)
+      $ fail_on_alert $ require_alert)
 
 let overload_cmd =
   let doc =
@@ -853,14 +839,7 @@ let model_cmd =
          or when the golden file was benched under a different cost profile \
          than the one selected."
   in
-  let tolerance =
-    Arg.(
-      value
-      & opt float Model.default_tolerance
-      & info [ "tolerance" ] ~doc:"Relative-error band for $(b,--check)."
-          ~docv:"FRACTION")
-  in
-  let run cal golden_file check tolerance =
+  let run cal golden_file check =
     let golden =
       try Model.Golden.parse (read_file golden_file)
       with Failure msg -> die ~code:2 "%s: %s" golden_file msg
@@ -872,7 +851,7 @@ let model_cmd =
         golden_file golden.Model.Golden.g_profile (Calibration.name cal);
       if check then exit 1
     end;
-    let report = Model.report ~tolerance ~cal ~golden () in
+    let report = Model.report ~cal ~golden () in
     print_string (Model.render report);
     print_newline ();
     print_endline (Model.summary ~cal ~arg:0 ~res:0 ());
@@ -881,13 +860,13 @@ let model_cmd =
     if check then
       if Model.report_ok report then
         Printf.printf "\nmodel check: OK (every row within %.0f%%)\n"
-          (tolerance *. 100.0)
+          (Model.default_tolerance *. 100.0)
       else
         die "model check FAILED: prediction outside the %.0f%% band"
-          (tolerance *. 100.0)
+          (Model.default_tolerance *. 100.0)
   in
   Cmd.v (Cmd.info "model" ~doc)
-    Term.(const run $ cost_profile_arg $ golden_file $ check $ tolerance)
+    Term.(const run $ cost_profile_arg $ golden_file $ check)
 
 let all_cmd =
   let doc =

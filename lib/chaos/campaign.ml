@@ -84,7 +84,7 @@ let ordering_text = function
   | Config.Rotating { epoch_length } -> Printf.sprintf "rotating-%d" epoch_length
 
 let run ?(ordering = Config.Single_primary) ?(unsafe_no_commit_quorum = false)
-    ?(trace = Bft_trace.Trace.nil) ?limits ~seed ~plan () =
+    ?(trace = Bft_trace.Trace.nil) ~seed ~plan () =
   let config =
     Config.make ~f ~checkpoint_interval:8 ~log_window:16 ~ordering
       ~admission_queue_limit ~shed_retry_budget ~unsafe_no_commit_quorum ()
@@ -101,7 +101,7 @@ let run ?(ordering = Config.Single_primary) ?(unsafe_no_commit_quorum = false)
   (* Always-on health monitor: its gauge scrapes are pure reads, so the
      campaign's outcome is byte-identical with or without it. The bundle
      header carries (seed, plan), which is all it takes to replay. *)
-  let monitor = Monitor.create ?limits () in
+  let monitor = Monitor.create () in
   Cluster.attach_monitor
     ~meta:
       [

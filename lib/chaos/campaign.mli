@@ -56,7 +56,6 @@ val run :
   ?ordering:Bft_core.Config.ordering ->
   ?unsafe_no_commit_quorum:bool ->
   ?trace:Bft_trace.Trace.t ->
-  ?limits:Bft_trace.Monitor.limits ->
   seed:int ->
   plan:Plan.t ->
   unit ->
@@ -71,13 +70,12 @@ val run :
     inspectable.
 
     Every campaign runs with an always-on health monitor attached
-    ({!Bft_trace.Monitor}): detector thresholds come from [limits]
-    (default {!Bft_trace.Monitor.default_limits}), its flight recorder is
-    armed with the campaign's trace, profile and (seed, plan) metadata —
-    making every bundle replayable on its own — and any invariant
-    violation triggers a post-mortem dump even when no detector fired.
-    Monitoring is pure observation: outcomes are byte-identical
-    with default and custom limits as far as protocol fields go. *)
+    ({!Bft_trace.Monitor}, {!Bft_trace.Monitor.default_limits}). Its
+    flight recorder is armed with the campaign's trace, profile and
+    (seed, plan) metadata — making every bundle replayable on its own —
+    and any invariant violation triggers a post-mortem dump even when no
+    detector fired. Monitoring is pure observation: it never changes an
+    outcome. *)
 
 val violations_json : violation list -> string
 (** JSON array of [{"invariant", "detail"}] objects. *)

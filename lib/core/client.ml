@@ -127,7 +127,7 @@ let transmit t p =
     p.full_replies
     || (p.as_read_only && t.config.Config.read_only_optimization)
     || (t.config.Config.separate_request_transmission
-       && Payload.size p.op > t.config.Config.inline_threshold)
+       && Payload.size p.op > Config.inline_threshold)
   in
   if multicast_it then Transport.multicast t.transport ~dsts:(all_peers t) msg
   else Transport.send t.transport ~dst:(home_peer t) msg

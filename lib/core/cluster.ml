@@ -44,7 +44,7 @@ let clients t = List.rev t.clients
 
 let now t = Engine.now t.engine
 
-let run ?until ?max_events t = Engine.run ?until ?max_events t.engine
+let run ?until t = Engine.run ?until t.engine
 
 let rng t label = Rng.split t.root_rng label
 
@@ -184,7 +184,7 @@ let attach_monitor ?(while_ = fun () -> true) ?(meta = []) t mon =
   every t ~interval:0.05 ~while_ (fun () -> Monitor.observe mon (health_gauges t))
 
 let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
-    ?(client_machine_speed = 1.0) ?(behaviors = []) ?(recv_buffer = 0.02)
+    ?(client_machine_speed = 1.0) ?(behaviors = [])
     ?(trace = Bft_trace.Trace.nil) ?network ?(name_prefix = "")
     ?client_principal_base ?master ~config ~service () =
   (match Config.validate config with
@@ -215,7 +215,7 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
     Array.init n (fun i ->
         let name = node_name "replica%d" i in
         let cpu = Cpu.create engine ~name () in
-        Network.add_node network ~cpu ~recv_buffer ~name ())
+        Network.add_node network ~cpu ~name ())
   in
   let replica_peers =
     Array.init n (fun i -> { Transport.principal = i; node = replica_nodes.(i) })
@@ -225,7 +225,7 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
     Array.init (Stdlib.max 1 client_machines) (fun i ->
         let name = node_name "clientm%d" i in
         let cpu = Cpu.create engine ~speed:client_machine_speed ~name () in
-        let node = Network.add_node network ~cpu ~recv_buffer ~name () in
+        let node = Network.add_node network ~cpu ~name () in
         { cm_node = node; cm_dispatcher = Dispatcher.install network node })
   in
   let client_peers = Hashtbl.create 64 in

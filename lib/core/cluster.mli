@@ -16,7 +16,6 @@ val create :
   ?client_machines:int ->
   ?client_machine_speed:float ->
   ?behaviors:(Types.replica_id * Behavior.t) list ->
-  ?recv_buffer:float ->
   ?trace:Bft_trace.Trace.t ->
   ?network:Bft_net.Network.t ->
   ?name_prefix:string ->
@@ -52,7 +51,7 @@ val add_client : t -> Client.t
 val clients : t -> Client.t list
 (** In creation order. *)
 
-val run : ?until:float -> ?max_events:int -> t -> unit
+val run : ?until:float -> t -> unit
 
 val now : t -> float
 

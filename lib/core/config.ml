@@ -8,13 +8,9 @@ type t = {
   checkpoint_interval : int;
   log_window : int;
   batch_window : int;
-  max_batch_bytes : int;
   max_batch_requests : int;
-  inline_threshold : int;
   view_change_timeout : float;
   client_retry_timeout : float;
-  commit_flush_delay : float;
-  checkpoint_state_cap : int;
   digest_replies : bool;
   tentative_execution : bool;
   piggyback_commits : bool;
@@ -29,12 +25,17 @@ type t = {
   ordering : ordering;
 }
 
+let max_batch_bytes = 4096
+
+let inline_threshold = 255
+
+let commit_flush_delay = 0.002
+
 let make ?(checkpoint_interval = 128) ?(log_window = 256) ?(batch_window = 1)
-    ?(max_batch_bytes = 4096) ?(max_batch_requests = 16) ?(inline_threshold = 255)
-    ?(view_change_timeout = 0.25) ?(client_retry_timeout = 0.15)
-    ?(commit_flush_delay = 0.002) ?(checkpoint_state_cap = 1 lsl 30)
-    ?(digest_replies = true) ?(tentative_execution = true)
-    ?(piggyback_commits = false) ?(read_only_optimization = true)
+    ?(max_batch_requests = 16) ?(view_change_timeout = 0.25)
+    ?(client_retry_timeout = 0.15) ?(digest_replies = true)
+    ?(tentative_execution = true) ?(piggyback_commits = false)
+    ?(read_only_optimization = true)
     ?(batching = true) ?(separate_request_transmission = true)
     ?(public_key_signatures = false) ?(unsafe_no_commit_quorum = false)
     ?(admission_queue_limit = 0) ?(shed_policy = Reject_new)
@@ -45,13 +46,9 @@ let make ?(checkpoint_interval = 128) ?(log_window = 256) ?(batch_window = 1)
     checkpoint_interval;
     log_window;
     batch_window;
-    max_batch_bytes;
     max_batch_requests;
-    inline_threshold;
     view_change_timeout;
     client_retry_timeout;
-    commit_flush_delay;
-    checkpoint_state_cap;
     digest_replies;
     tentative_execution;
     piggyback_commits;

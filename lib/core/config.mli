@@ -29,16 +29,11 @@ type t = {
   checkpoint_interval : int;  (** K: checkpoint every K sequence numbers *)
   log_window : int;  (** L: high watermark is [h + L] *)
   batch_window : int;  (** W: batches in flight before queueing *)
-  max_batch_bytes : int;  (** bound on the summed size of a batch *)
   max_batch_requests : int;
-  inline_threshold : int;
-      (** requests larger than this use separate transmission (255 B) *)
+      (** requests per batch; the summed size is bounded separately by
+          {!max_batch_bytes} *)
   view_change_timeout : float;
   client_retry_timeout : float;
-  commit_flush_delay : float;
-      (** piggybacked commits are flushed after this idle delay *)
-  checkpoint_state_cap : int;
-      (** cap on modeled snapshot bytes shipped by state transfer *)
   (* --- optimizations (Section 3.1) --- *)
   digest_replies : bool;
   tentative_execution : bool;
@@ -70,17 +65,28 @@ type t = {
       (** who orders which sequence numbers (default [Single_primary]) *)
 }
 
+(** {2 Fixed protocol constants}
+
+    The paper's library fixes these; no configuration changes them. *)
+
+val max_batch_bytes : int
+(** Bound on the summed wire size of a batch's requests: 4096 B. *)
+
+val inline_threshold : int
+(** Requests larger than this use separate transmission when
+    [separate_request_transmission] is on: 255 B. *)
+
+val commit_flush_delay : float
+(** With [piggyback_commits], queued commits are flushed after this idle
+    delay: 2 ms. *)
+
 val make :
   ?checkpoint_interval:int ->
   ?log_window:int ->
   ?batch_window:int ->
-  ?max_batch_bytes:int ->
   ?max_batch_requests:int ->
-  ?inline_threshold:int ->
   ?view_change_timeout:float ->
   ?client_retry_timeout:float ->
-  ?commit_flush_delay:float ->
-  ?checkpoint_state_cap:int ->
   ?digest_replies:bool ->
   ?tentative_execution:bool ->
   ?piggyback_commits:bool ->

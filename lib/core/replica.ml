@@ -1186,12 +1186,12 @@ and send_assembled_batch t seq =
     let r = Queue.peek t.pending in
     let summarize =
       cfg.Config.separate_request_transmission
-      && Payload.size r.Message.op > cfg.Config.inline_threshold
+      && Payload.size r.Message.op > Config.inline_threshold
     in
     let sz = if summarize then Fingerprint.size else request_wire_size r in
     if
       !count > 0
-      && (!bytes + sz > cfg.Config.max_batch_bytes
+      && (!bytes + sz > Config.max_batch_bytes
          || !count >= cfg.Config.max_batch_requests
          || not cfg.Config.batching)
     then continue := false
@@ -1299,7 +1299,7 @@ and broadcast_commit t (slot : Log.slot) =
       t.commit_backlog <- c :: t.commit_backlog;
       if not (Timer.active t.flush_timer) then
         t.flush_timer <-
-          Timer.start (engine t) ~delay:t.config.Config.commit_flush_delay
+          Timer.start (engine t) ~delay:Config.commit_flush_delay
             (fun () -> flush_commits t)
     end
     else out_multicast t (Message.Commit c);

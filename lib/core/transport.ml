@@ -109,8 +109,8 @@ let build t ~commits ~targets msg =
   let wire = Enc.to_string enc in
   (wire, String.length wire + Message.padding msg)
 
-let send t ?(commits = []) ~dst msg =
-  let wire, size = build t ~commits ~targets:[ dst.principal ] msg in
+let send t ~dst msg =
+  let wire, size = build t ~commits:[] ~targets:[ dst.principal ] msg in
   charge_send_crypto t ~size ~targets:1;
   Network.send t.net ~src:t.node ~dst:dst.node ~size wire
 

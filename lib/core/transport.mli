@@ -41,8 +41,7 @@ val calibration : t -> Bft_sim.Calibration.t
 
 val keychain : t -> Bft_crypto.Keychain.t
 
-val send :
-  t -> ?commits:Message.commit list -> dst:peer -> Message.t -> unit
+val send : t -> dst:peer -> Message.t -> unit
 
 val multicast :
   t -> ?commits:Message.commit list -> dsts:peer list -> Message.t -> unit

@@ -12,7 +12,6 @@ type t = {
   node : Network.node_id;
   fs : Fs.t;
   params : Nfs_service.params;
-  cpu_discount : float;
   metrics : Metrics.t;
   mutable disk_free : float;
   mutable disk_busy_total : float;
@@ -27,6 +26,10 @@ let metrics t = t.metrics
 let disk_busy t = t.disk_busy_total
 
 let no_auth = { Auth.nonce = 0L; entries = [] }
+
+(* Per-call CPU relative to the user-space replicated server: the kernel
+   server skips the user/kernel crossings. *)
+let cpu_discount = 0.85
 
 let encode msg =
   let env = { Message.sender = 0; msg; commits = []; auth = no_auth } in
@@ -54,7 +57,7 @@ let handle t ~src (r : Message.request) =
       | _ -> 0
     in
     Cpu.charge cpu
-      (t.cpu_discount
+      (cpu_discount
       *. (p.Nfs_service.op_cpu
          +. (float_of_int data_len *. p.Nfs_service.byte_cpu)));
     Metrics.incr t.metrics ("call." ^ Proto.call_name call);
@@ -107,15 +110,13 @@ let handle t ~src (r : Message.request) =
     end
     else send_reply ()
 
-let create ~network ~node ?(params = Nfs_service.default_params)
-    ?(cpu_discount = 0.85) () =
+let create ~network ~node ?(params = Nfs_service.default_params) () =
   let t =
     {
       network;
       node;
       fs = Fs.create ();
       params;
-      cpu_discount;
       metrics = Metrics.create ();
       disk_free = 0.0;
       disk_busy_total = 0.0;

@@ -21,11 +21,9 @@ val create :
   network:Bft_net.Network.t ->
   node:Bft_net.Network.node_id ->
   ?params:Nfs_service.params ->
-  ?cpu_discount:float ->
   unit ->
   t
-(** [cpu_discount] scales per-call CPU relative to the user-space server
-    (default 0.85). *)
+(** Per-call CPU is 0.85 of the user-space server's. *)
 
 val node : t -> Bft_net.Network.node_id
 

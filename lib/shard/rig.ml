@@ -33,8 +33,7 @@ type t = {
 let principal_stride = 1 lsl 12
 
 let create ?(cal = Calibration.default) ?(seed = 42) ?client_machines
-    ?client_machine_speed ?recv_buffer ?(trace = Bft_trace.Trace.nil) ?slots
-    ?initial_groups ~groups ~config ~service () =
+    ?(trace = Bft_trace.Trace.nil) ?initial_groups ~groups ~config ~service () =
   if groups < 1 then invalid_arg "Rig.create: groups must be positive";
   let initial = Option.value initial_groups ~default:groups in
   if initial < 1 || initial > groups then
@@ -43,14 +42,14 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?client_machines
   let network =
     Network.simulation ~cal ~trace ~rng:(Rng.split root_rng "network") ()
   in
-  let router = Router.create ?slots ~groups:initial () in
+  let router = Router.create ~groups:initial () in
   let n = config.Config.n in
   let clusters =
     Array.init groups (fun g ->
         let label = Printf.sprintf "group%d" g in
         Cluster.create ~network
           ~seed:(Rng.int (Rng.split root_rng label) (1 lsl 30))
-          ?client_machines ?client_machine_speed ?recv_buffer
+          ?client_machines
           ~name_prefix:(Printf.sprintf "g%d/" g)
           ~client_principal_base:(n + (g * principal_stride))
           ~master:(Printf.sprintf "shard-master-%d-g%d" seed g)
@@ -133,7 +132,7 @@ let cluster t g = t.groups.(g)
 
 let clusters t = Array.copy t.groups
 
-let run ?until ?max_events t = Engine.run ?until ?max_events (engine t)
+let run ?until t = Engine.run ?until (engine t)
 
 let now t = Engine.now (engine t)
 

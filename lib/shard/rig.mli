@@ -19,19 +19,16 @@ val create :
   ?cal:Bft_sim.Calibration.t ->
   ?seed:int ->
   ?client_machines:int ->
-  ?client_machine_speed:float ->
-  ?recv_buffer:float ->
   ?trace:Bft_trace.Trace.t ->
-  ?slots:int ->
   ?initial_groups:int ->
   groups:int ->
   config:Bft_core.Config.t ->
   service:(group:int -> Bft_core.Types.replica_id -> Bft_core.Service.t) ->
   unit ->
   t
-(** Build the engine, the network, a {!Router.create} over [groups] groups,
-    and one cluster per group. Every group uses the same [config] (and so
-    the same [n]); [client_machines] and [client_machine_speed] apply per
+(** Build the engine, the network, a {!Router.create} over [groups] groups
+    (default slot count), and one cluster per group. Every group uses the
+    same [config] (and so the same [n]); [client_machines] applies per
     group. [service] is called once per (group, replica) — each replica
     needs its own instance. Group [g]'s machines are named ["g<g>/…"], its
     seed is derived from [seed] by RNG splitting, and its client principals
@@ -100,7 +97,7 @@ val end_slot_migration : t -> int -> unit
 
 val clusters : t -> Bft_core.Cluster.t array
 
-val run : ?until:float -> ?max_events:int -> t -> unit
+val run : ?until:float -> t -> unit
 
 val now : t -> float
 

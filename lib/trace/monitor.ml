@@ -171,11 +171,7 @@ type t = {
   mutable divergence_seen : (int, unit) Hashtbl.t;
   mutable slo_armed : bool;
   (* overload gauges *)
-  mutable shed_total : int;  (** cumulative sheds at the newest tick *)
-  mutable null_fill_total : int;  (** cumulative rotating null fills *)
-  mutable reclaim_total : int;  (** cumulative rotating reclaims *)
   mutable shed_rate : float;  (** sheds per virtual second, last interval *)
-  mutable rejected_total : int;  (** cumulative explicit client rejections *)
   mutable peak_queue : int;  (** highest per-replica queue depth observed *)
   (* flight recorder *)
   mutable recorder : recorder option;
@@ -208,11 +204,7 @@ let create ?(limits = default_limits) ?(group = "") () =
     silent_armed = true;
     divergence_seen = Hashtbl.create 8;
     slo_armed = true;
-    shed_total = 0;
-    null_fill_total = 0;
-    reclaim_total = 0;
     shed_rate = 0.0;
-    rejected_total = 0;
     peak_queue = 0;
     recorder = None;
     last_bundle = None;
@@ -233,13 +225,13 @@ let view_changes t = t.view_changes
 
 let samples_observed t = t.seen
 
-let shed_total t = t.shed_total
-
 let shed_rate t = t.shed_rate
 
-let rejected_total t = t.rejected_total
-
 let peak_queue t = t.peak_queue
+
+(* A per-replica counter summed over one gauge row. *)
+let sum_replicas g field =
+  Array.fold_left (fun acc r -> acc + field r) 0 g.g_replicas
 
 (* --- gauge-row rendering ---------------------------------------------- *)
 
@@ -377,23 +369,14 @@ let observe t g =
     t.rate <-
       float_of_int (g.g_completed - prev.g_completed) /. (now -. prev.g_time)
   | _ -> ());
-  (* overload gauges: cumulative sheds, shed rate over the last interval,
-     explicit client rejections, and the highest queue depth ever observed
-     (the chaos queue-bound invariant reads [peak_queue]) *)
-  let shed_now = Array.fold_left (fun acc r -> acc + r.r_shed) 0 g.g_replicas in
+  (* overload gauges: shed rate over the last interval and the highest
+     queue depth ever observed (the chaos queue-bound invariant reads
+     [peak_queue]) *)
   (match t.last with
   | Some prev when now > prev.g_time ->
-    let shed_prev =
-      Array.fold_left (fun acc r -> acc + r.r_shed) 0 prev.g_replicas
-    in
-    t.shed_rate <- float_of_int (shed_now - shed_prev) /. (now -. prev.g_time)
+    let sheds row = sum_replicas row (fun r -> r.r_shed) in
+    t.shed_rate <- float_of_int (sheds g - sheds prev) /. (now -. prev.g_time)
   | _ -> ());
-  t.shed_total <- shed_now;
-  t.null_fill_total <-
-    Array.fold_left (fun acc r -> acc + r.r_null_fill) 0 g.g_replicas;
-  t.reclaim_total <-
-    Array.fold_left (fun acc r -> acc + r.r_reclaim) 0 g.g_replicas;
-  t.rejected_total <- g.g_rejected;
   Array.iter
     (fun r -> if r.r_queue_depth > t.peak_queue then t.peak_queue <- r.r_queue_depth)
     g.g_replicas;
@@ -505,18 +488,27 @@ let checkpoint_lag t =
         else acc)
       0 g.g_replicas
 
-let replay_drops t =
-  match t.last with
-  | None -> 0
-  | Some g -> Array.fold_left (fun acc r -> acc + r.r_replay_dropped) 0 g.g_replicas
+(* A per-replica counter summed over the newest gauge row. *)
+let newest_sum t field =
+  match t.last with None -> 0 | Some g -> sum_replicas g field
+
+let replay_drops t = newest_sum t (fun r -> r.r_replay_dropped)
+
+let shed_total t = newest_sum t (fun r -> r.r_shed)
+
+let rejected_total t =
+  match t.last with None -> 0 | Some g -> g.g_rejected
 
 let summary t =
   let sk = t.sketch in
   let quant f = if Stats.Sketch.count sk = 0 then nan else f sk *. 1e3 in
+  let shed = shed_total t and rejected = rejected_total t in
+  let null_fill = newest_sum t (fun r -> r.r_null_fill)
+  and reclaim = newest_sum t (fun r -> r.r_reclaim) in
   Printf.sprintf
     "%s%d sample%s, %d alert%s; throughput %.0f ops/s; latency p50 %.2f ms \
      p95 %.2f ms p99 %.2f ms (%d ops); view changes %d; checkpoint lag %d; \
-     replay drops %d%s"
+     replay drops %d%s%s"
     (if t.group = "" then "" else t.group ^ ": ")
     t.seen
     (if t.seen = 1 then "" else "s")
@@ -525,13 +517,11 @@ let summary t =
     t.rate (quant Stats.Sketch.p50) (quant Stats.Sketch.p95)
     (quant Stats.Sketch.p99) (Stats.Sketch.count sk) t.view_changes
     (checkpoint_lag t) (replay_drops t)
-    (if t.shed_total = 0 && t.rejected_total = 0 then ""
+    (if shed = 0 && rejected = 0 then ""
      else
-       Printf.sprintf "; shed %d (rejected %d, peak queue %d)" t.shed_total
-         t.rejected_total t.peak_queue)
-    ^ (if t.null_fill_total = 0 && t.reclaim_total = 0 then ""
-       else
-         Printf.sprintf "; rotate null-fill %d reclaim %d" t.null_fill_total
-           t.reclaim_total)
+       Printf.sprintf "; shed %d (rejected %d, peak queue %d)" shed rejected
+         t.peak_queue)
+    (if null_fill = 0 && reclaim = 0 then ""
+     else Printf.sprintf "; rotate null-fill %d reclaim %d" null_fill reclaim)
 
 let alerts_json alerts = "[" ^ String.concat "," (List.map alert_json alerts) ^ "]"

@@ -8,7 +8,7 @@
     maintains streaming P² quantile sketches ({!Bft_util.Stats.Sketch}) for
     always-on p50/p95/p99 SLO tracking in O(1) memory.
 
-    Four typed detectors raise structured {!alert}s:
+    Five typed detectors raise structured {!alert}s:
 
     - {b stalled commit point}: the group-wide commit point stops advancing
       for [stall_after] seconds while reachable replicas report pending

@@ -1,7 +1,6 @@
 module Proto = Bft_nfs.Proto
 module Fs = Bft_nfs.Fs
 module Payload = Bft_core.Payload
-module Rng = Bft_util.Rng
 
 type profile = {
   copies : int;
@@ -82,12 +81,10 @@ type copy_layout = {
   files : (Fs.fh * string * Fs.fh * int) array;  (** dir, name, fh, size *)
 }
 
-let generate ?(seed = 7) (profile : profile) =
+let generate (profile : profile) =
   let g =
     { fs = Fs.create (); steps = []; compute_scale = profile.compute_scale }
   in
-  let rng = Rng.of_int seed in
-  ignore rng;
   let layouts = ref [] in
   (* Phase 1: create the directory trees. *)
   emit g (Nfs_rig.Phase "start");

@@ -23,6 +23,6 @@ type profile = {
 val andrew : n:int -> profile
 (** Standard profile for Andrew-n (2 MB of source per copy). *)
 
-val generate : ?seed:int -> profile -> Nfs_rig.step list
+val generate : profile -> Nfs_rig.step list
 
 val phase_names : string list

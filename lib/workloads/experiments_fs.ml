@@ -65,8 +65,7 @@ let run_andrew ?client_mem ?server_mem ~n backend =
     ~params:(params_for ?mem:server_mem backend)
     backend (Andrew.generate profile)
 
-let run_postmark ?(files = Postmark.default.Postmark.initial_files)
-    ?(transactions = Postmark.default.Postmark.transactions) backend =
+let run_postmark ~files ~transactions backend =
   let steps, txns = Postmark.generate (Postmark.scaled ~files ~transactions) in
   (run backend steps, txns)
 

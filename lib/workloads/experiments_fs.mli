@@ -28,6 +28,6 @@ val run_andrew :
 (** Modified Andrew with [n] tree copies on one backend. *)
 
 val run_postmark :
-  ?files:int -> ?transactions:int -> Nfs_rig.backend -> observed * int
+  files:int -> transactions:int -> Nfs_rig.backend -> observed * int
 (** PostMark on one backend; also returns the transaction count (PostMark
     has a single phase, so [ob_phases] is empty). *)

@@ -138,8 +138,8 @@ let norep_rig ~seed ~machines ~clients ~retry =
     ?retry_timeout:(if retry then Some 0.15 else None)
     ()
 
-let norep_latency ?(ops = 200) ?(seed = 42) ~arg ~res () =
-  let rig = norep_rig ~seed ~machines:1 ~clients:1 ~retry:true in
+let norep_latency ?(ops = 200) ~arg ~res () =
+  let rig = norep_rig ~seed:42 ~machines:1 ~clients:1 ~retry:true in
   let client = List.hd rig.Norep.clients in
   let op = Service.null_op ~read_only:false ~arg_size:arg ~result_size:res in
   back_to_back ~ops (Network.engine rig.Norep.network) (fun k ->
@@ -216,15 +216,17 @@ type sharded_result = {
   sh_monitors : Bft_trace.Monitor.t array;
 }
 
-let sharded_throughput ?(config = Config.make ~f:1 ()) ?(seed = 42)
-    ?(warmup = 0.5) ?(window = 1.0) ?(cal = Calibration.default)
-    ?(trace = Bft_trace.Trace.nil) ?(key_space = 4096) ?(health = false)
+(* Keys the sharded workloads draw from, uniformly. *)
+let key_space = 4096
+
+let sharded_throughput ?(seed = 42) ?(warmup = 0.5) ?(window = 1.0)
+    ?(cal = Calibration.default) ?(trace = Bft_trace.Trace.nil) ?(health = false)
     ~groups ~clients_per_group () =
   let module Rig = Bft_shard.Rig in
   let module Proxy = Bft_shard.Proxy in
   let module Kv = Bft_services.Kv_store in
   let rig =
-    Rig.create ~cal ~seed ~trace ~groups ~config
+    Rig.create ~cal ~seed ~trace ~groups ~config:(Config.make ~f:1 ())
       ~service:(fun ~group:_ _ -> Kv.service ())
       ()
   in
@@ -284,9 +286,8 @@ type mixed_result = {
    single-key put. Throughput counts completed client operations — a
    cross-shard transaction counts once, so the ops/s axis stays comparable
    across fractions while the 2PC overhead shows up directly. *)
-let mixed_txn_throughput ?(config = Config.make ~f:1 ()) ?(seed = 42)
-    ?(warmup = 0.5) ?(window = 1.0) ?(cal = Calibration.default)
-    ?(key_space = 4096) ~groups ~clients_per_group ~cross_fraction () =
+let mixed_txn_throughput ?(seed = 42) ?(window = 1.0)
+    ?(cal = Calibration.default) ~groups ~clients_per_group ~cross_fraction () =
   let module Rig = Bft_shard.Rig in
   let module Router = Bft_shard.Router in
   let module Txn = Bft_shard.Txn in
@@ -294,7 +295,7 @@ let mixed_txn_throughput ?(config = Config.make ~f:1 ()) ?(seed = 42)
   if cross_fraction < 0.0 || cross_fraction > 1.0 then
     invalid_arg "mixed_txn_throughput: cross_fraction must be in [0, 1]";
   let rig =
-    Rig.create ~cal ~seed ~groups ~config
+    Rig.create ~cal ~seed ~groups ~config:(Config.make ~f:1 ())
       ~service:(fun ~group:_ _ -> Kv.service ())
       ()
   in
@@ -346,7 +347,7 @@ let mixed_txn_throughput ?(config = Config.make ~f:1 ()) ?(seed = 42)
   in
   (* Transactions are tallied over the window only. *)
   let completed, _stalled =
-    closed_loop (Rig.engine rig) ~seed ~warmup ~window ~loops
+    closed_loop (Rig.engine rig) ~seed ~warmup:0.5 ~window ~loops
       ~at_window:(fun () ->
         cross_committed := 0;
         cross_aborted := 0)

@@ -76,8 +76,7 @@ val bft_profile :
     events, so traced virtual times can differ from an unsampled run. The
     profile is balanced by construction (see {!Bft_trace.Profile.balanced}). *)
 
-val norep_latency :
-  ?ops:int -> ?seed:int -> arg:int -> res:int -> unit -> latency_result
+val norep_latency : ?ops:int -> arg:int -> res:int -> unit -> latency_result
 (** The same back-to-back loop as {!bft_latency}, against the NO-REP
     server from one 700 MHz client machine. *)
 
@@ -138,13 +137,11 @@ type sharded_result = {
 }
 
 val sharded_throughput :
-  ?config:Bft_core.Config.t ->
   ?seed:int ->
   ?warmup:float ->
   ?window:float ->
   ?cal:Bft_sim.Calibration.t ->
   ?trace:Bft_trace.Trace.t ->
-  ?key_space:int ->
   ?health:bool ->
   groups:int ->
   clients_per_group:int ->
@@ -153,11 +150,12 @@ val sharded_throughput :
 (** Uniform-single-key KV writes against a sharded deployment
     ({!Bft_shard.Rig} with [groups] replica groups on one simulation):
     [groups * clients_per_group] closed-loop proxies each pick a uniform
-    key from [key_space] (default 4096) per op, so load spreads over the
-    groups in proportion to the slots they own. Same [warmup]/[window]
-    measurement as {!bft_throughput}. Every group runs [config]. With
-    [health] (default false), a monitor is attached per group before any
-    client starts; results are bit-identical either way. *)
+    key out of 4096 per op, so load spreads over the groups in proportion
+    to the slots they own. Same [warmup]/[window] measurement as
+    {!bft_throughput}. Every group runs the default {!Bft_core.Config.make}
+    at [f = 1]. With [health] (default false), a monitor is attached per
+    group before any client starts; results are bit-identical either
+    way. *)
 
 type mixed_result = {
   mx_ops_per_sec : float;
@@ -168,12 +166,9 @@ type mixed_result = {
 }
 
 val mixed_txn_throughput :
-  ?config:Bft_core.Config.t ->
   ?seed:int ->
-  ?warmup:float ->
   ?window:float ->
   ?cal:Bft_sim.Calibration.t ->
-  ?key_space:int ->
   groups:int ->
   clients_per_group:int ->
   cross_fraction:float ->

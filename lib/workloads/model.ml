@@ -74,7 +74,7 @@ let sizes ~(cfg : Config.t) ~arg ~res ~batch =
   let req = request_for ~arg in
   let digest = Message.request_digest req in
   let inline =
-    (not cfg.separate_request_transmission) || arg <= cfg.inline_threshold
+    (not cfg.separate_request_transmission) || arg <= Config.inline_threshold
   in
   let entry =
     if inline then Message.Full req else Message.Summary digest
@@ -154,7 +154,12 @@ type prediction = {
 }
 
 (* Client machines the throughput rigs spread closed-loop clients over. *)
-let default_client_machines = 5
+let client_machines = 5
+
+(* Every modeled bench row runs the paper's defaults at f = 1. Rotating
+   ordering changes who proposes, not n, batch bounds or checkpoint
+   interval, so it needs no configuration of its own. *)
+let cfg = Config.make ~f:1 ()
 
 (* The latency rig's single client machine runs at the paper's 700 MHz. *)
 let latency_client_speed = 700.0 /. 600.0
@@ -166,10 +171,7 @@ let exec_cpu (cal : Calibration.t) ~exec_fixed ~arg ~res =
   ignore arg;
   exec_fixed +. (float_of_int res *. cal.byte_touch_cost)
 
-let predict ?(config = Config.make ~f:1 ())
-    ?(client_machines = default_client_machines) ?(exec_fixed = 0.0)
-    ~(cal : Calibration.t) ~arg ~res ~clients () =
-  let cfg = config in
+let predict ?(exec_fixed = 0.0) ~(cal : Calibration.t) ~arg ~res ~clients () =
   let n = cfg.n and f = cfg.f in
   let b = max 1 (min clients cfg.max_batch_requests) in
   let sz = sizes ~cfg ~arg ~res ~batch:b in
@@ -365,15 +367,13 @@ let predict ?(config = Config.make ~f:1 ())
    at every replica. Throughput is bound by the average per-replica CPU
    per batch; epoch handoff (null fills, reclaims) is second-order at
    saturation and not modeled. *)
-let predict_rotating ?(config = Config.make ~f:1 ())
-    ?(client_machines = default_client_machines) ?(exec_fixed = 0.0)
-    ~(cal : Calibration.t) ~arg ~res ~clients ~epoch_length:_ () =
-  let cfg = config in
+let predict_rotating ~(cal : Calibration.t) ~arg ~res ~clients ~epoch_length:_
+    () =
   let n = cfg.n in
   let b = max 1 (min clients cfg.max_batch_requests) in
   let sz = sizes ~cfg ~arg ~res ~batch:b in
   let send = send_cpu cal and recv = recv_cpu cal in
-  let exec = exec_cpu cal ~exec_fixed ~arg ~res in
+  let exec = exec_cpu cal ~exec_fixed:0.0 ~arg ~res in
   let fb = float_of_int b in
   let fn = float_of_int n in
   let ckpt_amort =
@@ -602,7 +602,6 @@ type row = {
 
 type report = {
   rp_profile : string;
-  rp_tolerance : float;
   rp_rows : row list;
 }
 
@@ -629,13 +628,12 @@ let mk_row ~label ~unit_ ~observed ~predicted ~binding =
     rw_binding = binding;
   }
 
-let report ?(config = Config.make ~f:1 ()) ?(tolerance = default_tolerance)
-    ~(cal : Calibration.t) ~(golden : Golden.t) () =
+let report ~(cal : Calibration.t) ~(golden : Golden.t) () =
   let micro_rows =
     List.map
       (fun (m : Golden.micro) ->
         let p =
-          predict ~config ~cal ~arg:m.gm_arg ~res:m.gm_res ~clients:1 ()
+          predict ~cal ~arg:m.gm_arg ~res:m.gm_res ~clients:1 ()
         in
         mk_row
           ~label:(Printf.sprintf "micro %s latency" m.gm_label)
@@ -648,7 +646,7 @@ let report ?(config = Config.make ~f:1 ()) ?(tolerance = default_tolerance)
     List.map
       (fun (pt : Golden.point) ->
         let p =
-          predict ~config ~cal ~arg:0 ~res:0 ~clients:pt.gp_clients ()
+          predict ~cal ~arg:0 ~res:0 ~clients:pt.gp_clients ()
         in
         mk_row
           ~label:(Printf.sprintf "saturation %d clients" pt.gp_clients)
@@ -662,7 +660,7 @@ let report ?(config = Config.make ~f:1 ()) ?(tolerance = default_tolerance)
       (fun (s : Golden.scale) ->
         let per_group = s.gs_clients / max 1 s.gs_groups in
         let p =
-          predict ~config ~cal ~arg:kv_arg ~res:kv_res
+          predict ~cal ~arg:kv_arg ~res:kv_res
             ~exec_fixed:kv_exec_fixed ~clients:per_group ()
         in
         mk_row
@@ -677,15 +675,10 @@ let report ?(config = Config.make ~f:1 ()) ?(tolerance = default_tolerance)
     | None -> []
     | Some r ->
       let single =
-        predict ~config ~cal ~arg:0 ~res:0 ~clients:r.gr_clients ()
-      in
-      let rot_cfg =
-        Config.make ~f:config.f
-          ~ordering:(Config.Rotating { epoch_length = r.gr_epoch_length })
-          ()
+        predict ~cal ~arg:0 ~res:0 ~clients:r.gr_clients ()
       in
       let rotating =
-        predict_rotating ~config:rot_cfg ~cal ~arg:0 ~res:0
+        predict_rotating ~cal ~arg:0 ~res:0
           ~clients:r.gr_clients ~epoch_length:r.gr_epoch_length ()
       in
       [
@@ -704,20 +697,19 @@ let report ?(config = Config.make ~f:1 ()) ?(tolerance = default_tolerance)
   in
   {
     rp_profile = cal.name;
-    rp_tolerance = tolerance;
     rp_rows = micro_rows @ curve_rows @ scaling_rows @ rotating_rows;
   }
 
-let row_ok t r = Float.abs r.rw_rel_err <= t.rp_tolerance
+let row_ok r = Float.abs r.rw_rel_err <= default_tolerance
 
-let report_ok t = List.for_all (row_ok t) t.rp_rows
+let report_ok t = List.for_all row_ok t.rp_rows
 
 (* Deterministic rendering: pure arithmetic in, fixed formats out. *)
 let render t =
   let buf = Buffer.create 1024 in
   Printf.ksprintf (Buffer.add_string buf)
     "analytic model vs observed (cost profile %s, tolerance %.0f%%):\n"
-    t.rp_profile (t.rp_tolerance *. 100.0);
+    t.rp_profile (default_tolerance *. 100.0);
   Printf.ksprintf (Buffer.add_string buf) "  %-34s %12s %12s %7s  %-11s %s\n"
     "row" "observed" "predicted" "err" "binds" "";
   List.iter
@@ -729,7 +721,7 @@ let render t =
         (match r.rw_binding with
         | Some b -> resource_name b
         | None -> "-")
-        (if row_ok t r then "" else "OUT OF BAND"))
+        (if row_ok r then "" else "OUT OF BAND"))
     t.rp_rows;
   let worst =
     List.fold_left (fun acc r -> max acc (Float.abs r.rw_rel_err)) 0.0 t.rp_rows
@@ -741,10 +733,8 @@ let render t =
 
 (* Profile summary: the per-request budget table for one shape, the
    explanation layer over the report. *)
-let summary ?(config = Config.make ~f:1 ()) ~(cal : Calibration.t) ~arg ~res
-    () =
-  let p =
-    predict ~config ~cal ~arg ~res ~clients:(4 * config.max_batch_requests) ()
+let summary ~(cal : Calibration.t) ~arg ~res () =
+  let p = predict ~cal ~arg ~res ~clients:(4 * cfg.max_batch_requests) ()
   in
   let buf = Buffer.create 512 in
   Printf.ksprintf (Buffer.add_string buf)

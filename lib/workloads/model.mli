@@ -32,8 +32,6 @@ type prediction = {
 }
 
 val predict :
-  ?config:Bft_core.Config.t ->
-  ?client_machines:int ->
   ?exec_fixed:float ->
   cal:Bft_sim.Calibration.t ->
   arg:int ->
@@ -42,13 +40,11 @@ val predict :
   unit ->
   prediction
 (** Single-primary closed-loop prediction for an [arg]/[res] operation at
-    [clients] closed-loop clients. [exec_fixed] is the service's own fixed
-    execute cost (0 for the null service). *)
+    [clients] closed-loop clients spread over five client machines, under
+    the default {!Bft_core.Config.make} at [f = 1]. [exec_fixed] is the
+    service's own fixed execute cost (0 for the null service). *)
 
 val predict_rotating :
-  ?config:Bft_core.Config.t ->
-  ?client_machines:int ->
-  ?exec_fixed:float ->
   cal:Bft_sim.Calibration.t ->
   arg:int ->
   res:int ->
@@ -100,7 +96,6 @@ type row = {
 
 type report = {
   rp_profile : string;
-  rp_tolerance : float;
   rp_rows : row list;
 }
 
@@ -109,8 +104,6 @@ val default_tolerance : float
     default profile. *)
 
 val report :
-  ?config:Bft_core.Config.t ->
-  ?tolerance:float ->
   cal:Bft_sim.Calibration.t ->
   golden:Golden.t ->
   unit ->
@@ -118,7 +111,7 @@ val report :
 (** One row per golden bench row: micro latencies, every saturation
     point, the scaling rows, and the rotating comparison. *)
 
-val row_ok : report -> row -> bool
+val row_ok : row -> bool
 
 val report_ok : report -> bool
 (** Every row within the tolerance band. *)
@@ -127,7 +120,6 @@ val render : report -> string
 (** Deterministic human-readable table (pure arithmetic, fixed formats). *)
 
 val summary :
-  ?config:Bft_core.Config.t ->
   cal:Bft_sim.Calibration.t ->
   arg:int ->
   res:int ->

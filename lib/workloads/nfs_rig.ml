@@ -55,8 +55,8 @@ let unreplicated ~seed ?server_name ~install ?monitor () =
     server_fs = rig.Norep.server;
   }
 
-let make backend ?(seed = 42) ?(params = Nfs_service.default_params) ?monitor
-    () =
+let make backend ?(params = Nfs_service.default_params) ?monitor () =
+  let seed = 42 in
   match backend with
   | Bfs ->
     let config = Config.make ~f:1 () in

@@ -17,7 +17,6 @@ type t
 
 val make :
   backend ->
-  ?seed:int ->
   ?params:Bft_nfs.Nfs_service.params ->
   ?monitor:Bft_trace.Monitor.t ->
   unit ->

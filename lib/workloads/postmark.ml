@@ -54,9 +54,9 @@ let read_whole g ~fh ~size ~buffer =
   let chunks = (size + buffer - 1) / buffer in
   compute g (0.02e-3 *. float_of_int chunks)
 
-let generate ?(seed = 11) profile =
+let generate profile =
   let g = { fs = Fs.create (); steps = [] } in
-  let rng = Rng.of_int seed in
+  let rng = Rng.of_int 11 in
   let size () = profile.min_size + Rng.int rng (profile.max_size - profile.min_size) in
   let next_name = ref 0 in
   (* live pool: array of (name, fh, size) with swap-remove *)

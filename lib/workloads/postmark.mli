@@ -19,5 +19,5 @@ val default : profile
 
 val scaled : files:int -> transactions:int -> profile
 
-val generate : ?seed:int -> profile -> Nfs_rig.step list * int
+val generate : profile -> Nfs_rig.step list * int
 (** The step stream and the number of transactions it contains. *)

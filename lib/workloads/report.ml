@@ -45,8 +45,8 @@ let ratio_anchor ~description ~paper_ratio ~measured ~tolerance =
 let direction_anchor ~description ~paper ~holds ~measured =
   { description; paper; measured; ok = holds }
 
-let breakdown_section ?(id = "trace") ?(title = "Per-phase latency breakdown")
-    (tl : Bft_trace.Timeline.t) =
+let breakdown_section (tl : Bft_trace.Timeline.t) =
+  let id = "trace" and title = "Per-phase latency breakdown" in
   let module Stats = Bft_util.Stats in
   let us x = x *. 1e6 in
   let total_mean = Stats.mean tl.Bft_trace.Timeline.end_to_end in
@@ -88,8 +88,8 @@ let breakdown_section ?(id = "trace") ?(title = "Per-phase latency breakdown")
 
 (* Paper Section 4.2: where do the modeled CPU cycles go? One row per
    machine plus a cluster-wide total, one column per cost category. *)
-let profile_section ?(id = "profile")
-    ?(title = "CPU cost breakdown (virtual time)") (p : Bft_trace.Profile.t) =
+let profile_section (p : Bft_trace.Profile.t) =
+  let id = "profile" and title = "CPU cost breakdown (virtual time)" in
   let module Profile = Bft_trace.Profile in
   let us x = x *. 1e6 in
   let labels = Profile.labels p in
@@ -122,8 +122,8 @@ let profile_section ?(id = "profile")
 
 (* Paper Section 4.2 counts operations, not just cycles: MACs generated and
    checked, bytes digested — per completed request when [ops] is given. *)
-let crypto_section ?(id = "crypto") ?(title = "Crypto operation counts")
-    ?ops (c : Bft_crypto.Tally.snapshot) =
+let crypto_section ?ops (c : Bft_crypto.Tally.snapshot) =
+  let id = "crypto" and title = "Crypto operation counts" in
   let table =
     Table.create ~title
       ~columns:

@@ -30,25 +30,18 @@ val ratio_anchor :
 val direction_anchor :
   description:string -> paper:string -> holds:bool -> measured:string -> anchor
 
-val breakdown_section :
-  ?id:string -> ?title:string -> Bft_trace.Timeline.t -> section
+val breakdown_section : Bft_trace.Timeline.t -> section
 (** Render a folded trace timeline as a per-phase latency table
     (mean/p50/p95/p99 in microseconds plus each phase's share of the
     end-to-end mean), in the style of the paper's Section 4.2 latency
     discussion. *)
 
-val profile_section :
-  ?id:string -> ?title:string -> Bft_trace.Profile.t -> section
+val profile_section : Bft_trace.Profile.t -> section
 (** Render a CPU cost profile as a machine x category table (microseconds)
     with a cluster-wide total row — the paper's Section 4.2 cost breakdown.
     The title is tagged [UNBALANCED] if any machine's categories do not sum
     exactly to its busy time. *)
 
-val crypto_section :
-  ?id:string ->
-  ?title:string ->
-  ?ops:int ->
-  Bft_crypto.Tally.snapshot ->
-  section
+val crypto_section : ?ops:int -> Bft_crypto.Tally.snapshot -> section
 (** Render crypto operation counts (MACs generated/verified, bytes
     digested); with [ops], also per completed request. *)

@@ -111,7 +111,7 @@ let test_report_within_tolerance () =
   let report = Model.report ~cal:Calibration.default ~golden:g () in
   List.iter
     (fun r ->
-      if not (Model.row_ok report r) then
+      if not (Model.row_ok r) then
         Alcotest.failf "row %s out of band: observed %.1f predicted %.1f (%+.1f%%)"
           r.Model.rw_label r.Model.rw_observed r.Model.rw_predicted
           (100.0 *. r.Model.rw_rel_err))

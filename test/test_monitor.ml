@@ -324,6 +324,33 @@ let test_shedding_without_breach_stays_healthy () =
   check Alcotest.bool "shed rate measured" true (Monitor.shed_rate m > 0.0);
   check Alcotest.int "sheds accumulated" 36 (Monitor.shed_total m)
 
+(* The rotating-ordering suffix reports the newest tick's null fills and
+   reclaims summed over replicas, and appears only when either is nonzero. *)
+let test_rotate_suffix () =
+  let m = Monitor.create () in
+  let summary_after ~at ?(null_fill = 0) ?(reclaim = 0) () =
+    Monitor.observe m
+      (tick ~at
+         (Array.init 4 (fun id ->
+              if id = 1 then rg ~null_fill ~reclaim id else rg id))
+         0);
+    Monitor.summary m
+  in
+  let has_suffix s = contains s "rotate" in
+  check Alcotest.bool "absent when both are 0" false
+    (has_suffix (summary_after ~at:0.0 ()));
+  check Alcotest.bool "null fills alone" true
+    (contains (summary_after ~at:0.1 ~null_fill:3 ())
+       "; rotate null-fill 3 reclaim 0");
+  check Alcotest.bool "reclaims alone" true
+    (contains (summary_after ~at:0.2 ~reclaim:2 ())
+       "; rotate null-fill 0 reclaim 2");
+  check Alcotest.bool "both" true
+    (contains (summary_after ~at:0.3 ~null_fill:4 ~reclaim:2 ())
+       "; rotate null-fill 4 reclaim 2");
+  check Alcotest.bool "absent again at 0" false
+    (has_suffix (summary_after ~at:0.4 ()))
+
 let test_campaign_crashed_primary_alerts () =
   let plan = [ { Plan.at = 1.0; action = Plan.Crash 0 } ] in
   let o = Campaign.run ~seed:42 ~plan () in
@@ -398,6 +425,8 @@ let () =
             `Quick test_overload_alert_when_shedding;
           Alcotest.test_case "shedding without breach stays healthy" `Quick
             test_shedding_without_breach_stays_healthy;
+          Alcotest.test_case "rotate suffix only when nonzero" `Quick
+            test_rotate_suffix;
         ] );
       ( "rollup",
         [
