@@ -66,9 +66,10 @@ type t = {
   (* checkpoints *)
   mutable last_stable : seqno;
   mutable stable_digest : Fingerprint.t;
-  mutable stable_snapshot : Payload.t;
+  mutable stable_snapshot : Payload.t Lazy.t;
+      (** captured, forced only to serve state transfer or a restart *)
   own_checkpoints : (seqno, Fingerprint.t) Hashtbl.t;
-  checkpoint_snapshots : (seqno, Payload.t) Hashtbl.t;
+  checkpoint_snapshots : (seqno, Payload.t Lazy.t) Hashtbl.t;
   checkpoint_msgs : (seqno, (replica_id, Fingerprint.t) Hashtbl.t) Hashtbl.t;
   stable_certs : (seqno, Fingerprint.t) Hashtbl.t;
   (* liveness *)
@@ -281,15 +282,19 @@ let state_digest t =
        (t.service.Service.modified_since_checkpoint () + String.length table));
   Fingerprint.of_parts [ t.service.Service.state_digest (); table ]
 
+(* A checkpoint snapshot is captured now and encoded when forced. The
+   encoding is charged now, on its exact length (two length-prefixed
+   strings), whether or not anything ever forces it. *)
 let snapshot_payload t =
-  let svc = t.service.Service.snapshot () in
-  let enc = Enc.create () in
-  Enc.bytes enc (client_table_encoding t);
-  Enc.bytes enc svc.Payload.data;
-  let data = Enc.to_string enc in
-  charge ~cat:Cpu.Encode t
-    (float_of_int (String.length data) *. (cal t).Calibration.byte_touch_cost);
-  { Payload.data; pad = svc.Payload.pad }
+  let svc = t.service.Service.capture () in
+  let table = client_table_encoding t in
+  let length = 4 + String.length table + 4 + svc.Service.length in
+  charge ~cat:Cpu.Encode t (float_of_int length *. (cal t).Calibration.byte_touch_cost);
+  lazy
+    (let enc = Enc.create ~initial:length () in
+     Enc.bytes enc table;
+     Enc.bytes enc (Lazy.force svc.Service.payload).Payload.data;
+     { Payload.data = Enc.to_string enc; pad = svc.Service.pad })
 
 let restore_snapshot t (p : Payload.t) =
   let dec = Dec.of_string p.Payload.data in
@@ -916,7 +921,7 @@ and on_get_state t (g : Message.get_state) =
     && g.Message.replica < t.config.Config.n
     && g.Message.replica <> t.id
   then begin
-    let snapshot = t.stable_snapshot in
+    let snapshot = Lazy.force t.stable_snapshot in
     if Payload.size snapshot <= 4 * Merkle.page_size then
       out_send t
         ~dst:t.replicas.(g.Message.replica)
@@ -988,7 +993,7 @@ and on_state_meta t sender (m : Message.state_meta) =
 
 and begin_page_fetch t src seq digest target_pages =
   (* Reuse whatever pages of our current state already match. *)
-  let own = Merkle.paginate (snapshot_payload t) in
+  let own = Merkle.paginate (Lazy.force (snapshot_payload t)) in
   let own_digests = Merkle.page_digests own in
   charge ~cat:Cpu.Digest t
     (Calibration.digest_cost (cal t)
@@ -1021,7 +1026,7 @@ and on_get_pages t (g : Message.get_pages) =
     && g.Message.gp_replica < t.config.Config.n
     && g.Message.gp_replica <> t.id
   then begin
-    let pages = Merkle.paginate t.stable_snapshot in
+    let pages = Merkle.paginate (Lazy.force t.stable_snapshot) in
     let selected =
       List.filter_map
         (fun i ->
@@ -1102,7 +1107,7 @@ and adopt_state_restore t seq digest snapshot =
   if Fingerprint.equal check digest then begin
     t.last_stable <- seq;
     t.stable_digest <- digest;
-    t.stable_snapshot <- snapshot;
+    t.stable_snapshot <- Lazy.from_val snapshot;
     t.log <- Log.create ~low:seq ~window:t.config.Config.log_window ();
     t.last_executed <- seq;
     t.last_committed <- seq;
@@ -2196,7 +2201,7 @@ let restart t =
   Timer.cancel t.resend_timer;
   Timer.cancel t.flush_timer;
   Timer.cancel t.state_timer;
-  restore_snapshot t t.stable_snapshot;
+  restore_snapshot t (Lazy.force t.stable_snapshot);
   t.log <- Log.create ~low:t.last_stable ~window:t.config.Config.log_window ();
   t.last_executed <- t.last_stable;
   t.last_committed <- t.last_stable;
@@ -2284,7 +2289,7 @@ let create ~config ~transport ~replicas ~lookup_client ~service ~rng ~dispatcher
       batch_store = Hashtbl.create 128;
       last_stable = 0;
       stable_digest = Fingerprint.zero;
-      stable_snapshot = Payload.empty;
+      stable_snapshot = Lazy.from_val Payload.empty;
       own_checkpoints = Hashtbl.create 8;
       checkpoint_snapshots = Hashtbl.create 8;
       checkpoint_msgs = Hashtbl.create 8;

@@ -2,6 +2,8 @@ module Fingerprint = Bft_crypto.Fingerprint
 
 type undo = unit -> unit
 
+type capture = { length : int; pad : int; payload : Payload.t Lazy.t }
+
 type t = {
   name : string;
   execute : client:Types.client_id -> op:Payload.t -> Payload.t * undo;
@@ -11,10 +13,15 @@ type t = {
   modified_since_checkpoint : unit -> int;
   checkpoint_taken : unit -> unit;
   snapshot : unit -> Payload.t;
+  capture : unit -> capture;
   restore : Payload.t -> unit;
 }
 
 let no_undo () = ()
+
+let capture_of_snapshot snapshot () =
+  let p = snapshot () in
+  { length = String.length p.Payload.data; pad = p.Payload.pad; payload = Lazy.from_val p }
 
 (* A null op encodes its read-only flag and requested result size in the
    payload data ("R:4096"), and its argument size in padding; replicas can
@@ -47,5 +54,6 @@ let null () =
     modified_since_checkpoint = (fun () -> 0);
     checkpoint_taken = (fun () -> ());
     snapshot = (fun () -> Payload.empty);
+    capture = capture_of_snapshot (fun () -> Payload.empty);
     restore = (fun _ -> ());
   }

@@ -12,6 +12,18 @@
 
 type undo = unit -> unit
 
+type capture = {
+  length : int;  (** exact length of the snapshot's [data] *)
+  pad : int;  (** the snapshot's [pad] *)
+  payload : Payload.t Lazy.t;
+      (** the snapshot itself, encoded only when forced *)
+}
+(** A checkpoint snapshot taken now and encoded later. Forcing [payload]
+    yields the state as it was at capture time, whatever the service
+    executes in between: the bytes equal what [snapshot] returned at that
+    moment. [length] and [pad] are known without forcing, so a caller can
+    charge the encoding before (or without) paying for it. *)
+
 type t = {
   name : string;
   execute : client:Types.client_id -> op:Payload.t -> Payload.t * undo;
@@ -23,11 +35,20 @@ type t = {
       (** simulated CPU seconds the operation costs beyond protocol
           overhead (the paper's null service returns 0). *)
   state_digest : unit -> Bft_crypto.Fingerprint.t;
+      (** a function of the state alone, not of the history that reached
+          it: the same state reached by different operations, by undo, or
+          by [restore], digests the same. *)
   modified_since_checkpoint : unit -> int;
-      (** bytes dirtied since the last checkpoint; models the cost of
-          BFT's incremental (copy-on-write) checkpoint digests. *)
+      (** bytes dirtied since the last checkpoint. The replica charges
+          checkpoint digests on this count, as BFT's incremental
+          (copy-on-write) checkpoints do; a service whose [state_digest]
+          and [capture] do work proportional to it (the KV store) costs
+          the host what it costs the model. *)
   checkpoint_taken : unit -> unit;  (** reset the dirty counter *)
   snapshot : unit -> Payload.t;
+      (** the current state, encoded now; [restore] accepts it *)
+  capture : unit -> capture;
+      (** the current state, encoded on demand (see {!capture}) *)
   restore : Payload.t -> unit;
 }
 
@@ -40,3 +61,7 @@ val null : unit -> t
 val null_op : read_only:bool -> arg_size:int -> result_size:int -> Payload.t
 (** Build an op asking for [result_size] zero-filled result bytes, carrying
     [arg_size] modeled argument bytes. *)
+
+val capture_of_snapshot : (unit -> Payload.t) -> unit -> capture
+(** An eager [capture] for services whose state is small: encode now with
+    the given [snapshot], wrap the bytes. *)

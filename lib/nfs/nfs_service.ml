@@ -121,6 +121,7 @@ let create ?(params = default_params) () =
   incr next_id;
   let id = !next_id in
   Hashtbl.replace registry id fs;
+  let snapshot () = Payload.of_string (Fs.snapshot fs) in
   {
     Service.name = Printf.sprintf "nfs#%d" id;
     execute =
@@ -147,7 +148,8 @@ let create ?(params = default_params) () =
     state_digest = (fun () -> Fs.state_digest fs);
     modified_since_checkpoint = (fun () -> !dirty);
     checkpoint_taken = (fun () -> dirty := 0);
-    snapshot = (fun () -> Payload.of_string (Fs.snapshot fs));
+    snapshot;
+    capture = Service.capture_of_snapshot snapshot;
     restore =
       (fun p ->
         Fs.restore fs p.Payload.data;

@@ -52,6 +52,7 @@ let service () =
            Enc.u64 enc (Int64.of_int v));
     Enc.to_string enc
   in
+  let snapshot () = Payload.of_string (encode_state ()) in
   {
     Service.name = "counter";
     execute =
@@ -73,7 +74,8 @@ let service () =
     state_digest = (fun () -> Fingerprint.of_string (encode_state ()));
     modified_since_checkpoint = (fun () -> !dirty);
     checkpoint_taken = (fun () -> dirty := 0);
-    snapshot = (fun () -> Payload.of_string (encode_state ()));
+    snapshot;
+    capture = Service.capture_of_snapshot snapshot;
     restore =
       (fun p ->
         Hashtbl.reset counters;

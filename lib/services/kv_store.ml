@@ -221,11 +221,23 @@ type txn_record = {
   txr_ops : op list;
 }
 
+module Smap = Map.Make (String)
+
+(* A binding keeps its AdHash leaf, so replacing or removing it subtracts
+   the leaf without hashing the old value again. *)
+type entry = { value : string; leaf : Fingerprint.t }
+
+(* The tables are persistent maps: a captured snapshot holds the version it
+   saw while execution moves on (copy-on-write for free), and iteration is
+   in [String.compare] order, the order every encoding below uses. *)
 type store = {
-  table : (string, string) Hashtbl.t;
+  mutable table : entry Smap.t;
+  sum : int array;  (* the leaves' sum mod 2^128: four 32-bit limbs, low first *)
+  mutable count : int;  (* bindings in [table] *)
+  mutable table_bytes : int;  (* their encoded length *)
   mutable dirty : int;
-  locks : (string, string) Hashtbl.t;  (* key -> holding transaction *)
-  prepared : (string, txn_record) Hashtbl.t;  (* txn -> prepared record *)
+  mutable locks : string Smap.t;  (* key -> holding transaction *)
+  mutable prepared : txn_record Smap.t;  (* txn -> prepared record *)
   decided : (string, bool) Hashtbl.t;  (* txn -> committed? *)
   mutable decided_log : string list;  (* newest first, bounds [decided] *)
   mutable decided_count : int;
@@ -239,16 +251,71 @@ let decided_cap = 4096
 
 let create_store () =
   {
-    table = Hashtbl.create 256;
+    table = Smap.empty;
+    sum = Array.make 4 0;
+    count = 0;
+    table_bytes = 0;
     dirty = 0;
-    locks = Hashtbl.create 16;
-    prepared = Hashtbl.create 16;
+    locks = Smap.empty;
+    prepared = Smap.empty;
     decided = Hashtbl.create 16;
     decided_log = [];
     decided_count = 0;
   }
 
 let no_undo () = ()
+
+let undo_all undos () = List.iter (fun u -> u ()) (List.rev undos)
+
+(* --- the binding table ------------------------------------------------- *)
+
+(* Add ([sign] = 1) or remove ([sign] = -1) one binding's share of the
+   running totals. The digest is an AdHash (Bellare and Micciancio): the sum
+   of per-binding MD5 leaves modulo 2^128, so a write updates it in O(1) and
+   the result depends only on the set of bindings, as with the paper's
+   incremental partition digests. *)
+let account store key e sign =
+  let carry = ref 0 in
+  for i = 0 to 3 do
+    let leaf = Int32.to_int (String.get_int32_le e.leaf (4 * i)) land 0xFFFF_FFFF in
+    let limb = store.sum.(i) + (sign * leaf) + !carry in
+    store.sum.(i) <- limb land 0xFFFF_FFFF;
+    carry := limb asr 32
+  done;
+  store.count <- store.count + sign;
+  store.table_bytes <-
+    store.table_bytes + (sign * (8 + String.length key + String.length e.value))
+
+(* The only writers of [table]. Each returns the undo that puts the previous
+   binding back, leaf and all. *)
+let rec bind store key e =
+  let previous = Smap.find_opt key store.table in
+  Option.iter (fun old -> account store key old (-1)) previous;
+  store.table <- Smap.add key e store.table;
+  account store key e 1;
+  reinstate store key previous
+
+and unbind store key =
+  match Smap.find_opt key store.table with
+  | None -> no_undo
+  | Some old as previous ->
+    store.table <- Smap.remove key store.table;
+    account store key old (-1);
+    reinstate store key previous
+
+and reinstate store key = function
+  | Some old -> fun () -> ignore (bind store key old : Service.undo)
+  | None -> fun () -> ignore (unbind store key : Service.undo)
+
+let put store key value =
+  bind store key { value; leaf = Fingerprint.of_parts [ key; value ] }
+
+let find store key =
+  match Smap.find_opt key store.table with
+  | Some e -> Some e.value
+  | None -> None
+
+(* --- operations -------------------------------------------------------- *)
 
 (* Record a terminal decision; returns the undo for tentative rollback.
    Undos run newest-first, so the entry to drop is always the log head. *)
@@ -279,9 +346,9 @@ let record_decision store txn committed =
   end
 
 let locked_error store key =
-  let txn = Hashtbl.find store.locks key in
+  let txn = Smap.find key store.locks in
   let decision =
-    match Hashtbl.find_opt store.prepared txn with
+    match Smap.find_opt txn store.prepared with
     | Some r -> r.txr_decision
     | None -> 0
   in
@@ -291,36 +358,31 @@ let write_key = function
   | Put (k, _) | Delete k | Cas { key = k; _ } -> Some k
   | _ -> None
 
-(* Unconditional application of a prepare-validated write (the key has been
-   locked since validation, so a CAS applies its update directly). *)
+(* Unconditional application of a validated write (a CAS whose test
+   passed, or whose key has been locked since a prepare validated it,
+   applies its update directly). Only an actual mutation dirties the store:
+   deleting a missing key must not inflate [modified_since_checkpoint] (it
+   would manufacture checkpoint pressure out of no-ops). *)
 let apply_write store op =
   match op with
   | Put (key, value) | Cas { key; update = value; _ } ->
-    let previous = Hashtbl.find_opt store.table key in
-    Hashtbl.replace store.table key value;
     store.dirty <- store.dirty + String.length key + String.length value;
-    fun () ->
-      (match previous with
-      | Some old -> Hashtbl.replace store.table key old
-      | None -> Hashtbl.remove store.table key)
-  | Delete key -> (
-    match Hashtbl.find_opt store.table key with
-    | None -> no_undo
-    | Some previous ->
-      Hashtbl.remove store.table key;
+    put store key value
+  | Delete key ->
+    if Smap.mem key store.table then begin
       store.dirty <- store.dirty + String.length key;
-      fun () -> Hashtbl.replace store.table key previous)
+      unbind store key
+    end
+    else no_undo
   | _ -> no_undo
 
+let relock store keys txn =
+  List.iter (fun k -> store.locks <- Smap.add k txn store.locks) keys
+
 let release_locks store txn =
-  let released =
-    Hashtbl.fold
-      (fun k holder acc -> if String.equal holder txn then k :: acc else acc)
-      store.locks []
-    |> List.sort compare
-  in
-  List.iter (fun k -> Hashtbl.remove store.locks k) released;
-  released
+  let released, kept = Smap.partition (fun _ holder -> String.equal holder txn) store.locks in
+  store.locks <- kept;
+  List.map fst (Smap.bindings released)
 
 let prepare store ~txn ~decision ~participants ~ops =
   match Hashtbl.find_opt store.decided txn with
@@ -328,21 +390,20 @@ let prepare store ~txn ~decision ~participants ~ops =
      abort before this retransmitted PREPARE arrived): vote accordingly. *)
   | Some committed -> (Prepared committed, no_undo)
   | None ->
-    if Hashtbl.mem store.prepared txn then (Prepared true, no_undo)
+    if Smap.mem txn store.prepared then (Prepared true, no_undo)
     else begin
+      let unlocked_or_ours key =
+        match Smap.find_opt key store.locks with
+        | Some holder -> String.equal holder txn
+        | None -> true
+      in
       let valid =
         List.for_all
           (fun op ->
             match op with
-            | Put (key, _) | Delete key -> (
-              match Hashtbl.find_opt store.locks key with
-              | Some holder -> String.equal holder txn
-              | None -> true)
+            | Put (key, _) | Delete key -> unlocked_or_ours key
             | Cas { key; expected; _ } ->
-              (match Hashtbl.find_opt store.locks key with
-              | Some holder -> String.equal holder txn
-              | None -> true)
-              && Hashtbl.find_opt store.table key = expected
+              unlocked_or_ours key && find store key = expected
             | _ -> false (* only plain writes may ride in a transaction *))
           ops
       in
@@ -352,20 +413,22 @@ let prepare store ~txn ~decision ~participants ~ops =
           List.filter_map
             (fun op ->
               match write_key op with
-              | Some key when not (Hashtbl.mem store.locks key) ->
-                Hashtbl.replace store.locks key txn;
+              | Some key when not (Smap.mem key store.locks) ->
+                store.locks <- Smap.add key txn store.locks;
                 Some key
               | _ -> None)
             ops
         in
-        Hashtbl.replace store.prepared txn
-          { txr_decision = decision; txr_participants = participants; txr_ops = ops };
+        store.prepared <-
+          Smap.add txn
+            { txr_decision = decision; txr_participants = participants; txr_ops = ops }
+            store.prepared;
         store.dirty <-
           store.dirty + String.length txn
           + List.fold_left (fun acc k -> acc + String.length k) 0 locked;
         let undo () =
-          Hashtbl.remove store.prepared txn;
-          List.iter (fun k -> Hashtbl.remove store.locks k) locked
+          store.prepared <- Smap.remove txn store.prepared;
+          List.iter (fun k -> store.locks <- Smap.remove k store.locks) locked
         in
         (Prepared true, undo)
       end
@@ -376,19 +439,19 @@ let commit store txn =
   | Some true -> (Stored, no_undo)
   | Some false -> (Error "aborted", no_undo)
   | None -> (
-    match Hashtbl.find_opt store.prepared txn with
+    match Smap.find_opt txn store.prepared with
     | None -> (Error "unknown", no_undo)
     | Some record ->
       let released = release_locks store txn in
       let undos = List.map (apply_write store) record.txr_ops in
-      Hashtbl.remove store.prepared txn;
+      store.prepared <- Smap.remove txn store.prepared;
       let undo_decision = record_decision store txn true in
       store.dirty <- store.dirty + String.length txn;
       let undo () =
         undo_decision ();
-        Hashtbl.replace store.prepared txn record;
-        List.iter (fun u -> u ()) (List.rev undos);
-        List.iter (fun k -> Hashtbl.replace store.locks k txn) released
+        store.prepared <- Smap.add txn record store.prepared;
+        undo_all undos ();
+        relock store released txn
       in
       (Stored, undo))
 
@@ -401,76 +464,37 @@ let abort store txn =
        replica never prepared, so a late PREPARE votes no instead of
        re-acquiring locks for a coordinator that already gave up. *)
     let released = release_locks store txn in
-    let record = Hashtbl.find_opt store.prepared txn in
-    Hashtbl.remove store.prepared txn;
+    let record = Smap.find_opt txn store.prepared in
+    store.prepared <- Smap.remove txn store.prepared;
     let undo_decision = record_decision store txn false in
     store.dirty <- store.dirty + String.length txn;
     let undo () =
       undo_decision ();
-      (match record with
-      | Some r -> Hashtbl.replace store.prepared txn r
-      | None -> ());
-      List.iter (fun k -> Hashtbl.replace store.locks k txn) released
+      Option.iter (fun r -> store.prepared <- Smap.add txn r store.prepared) record;
+      relock store released txn
     in
     (Stored, undo)
 
 let slot_locked store ~slot ~slots =
-  Hashtbl.fold
-    (fun key _ acc -> acc || Keyhash.slot_of_key ~slots key = slot)
-    store.locks false
+  Smap.exists (fun key _ -> Keyhash.slot_of_key ~slots key = slot) store.locks
 
 let slot_bindings store ~slot ~slots =
-  Hashtbl.fold
-    (fun k v acc ->
-      if Keyhash.slot_of_key ~slots k = slot then (k, v) :: acc else acc)
+  Smap.fold
+    (fun k e acc ->
+      if Keyhash.slot_of_key ~slots k = slot then (k, e.value) :: acc else acc)
     store.table []
-  |> List.sort compare
+  |> List.rev
 
 let execute store op =
   match op with
-  | Get key -> (Value (Hashtbl.find_opt store.table key), no_undo)
-  | Put (key, value) ->
-    if Hashtbl.mem store.locks key then (locked_error store key, no_undo)
-    else begin
-      let previous = Hashtbl.find_opt store.table key in
-      Hashtbl.replace store.table key value;
-      store.dirty <- store.dirty + String.length key + String.length value;
-      let undo () =
-        match previous with
-        | Some old -> Hashtbl.replace store.table key old
-        | None -> Hashtbl.remove store.table key
-      in
-      (Stored, undo)
-    end
-  | Delete key ->
-    if Hashtbl.mem store.locks key then (locked_error store key, no_undo)
-    else begin
-      (* Only an actual mutation dirties the store: deleting a missing key
-         must not inflate [modified_since_checkpoint] (it would manufacture
-         checkpoint pressure out of no-ops). *)
-      match Hashtbl.find_opt store.table key with
-      | None -> (Stored, no_undo)
-      | Some previous ->
-        Hashtbl.remove store.table key;
-        store.dirty <- store.dirty + String.length key;
-        (Stored, fun () -> Hashtbl.replace store.table key previous)
-    end
-  | Cas { key; expected; update } ->
-    if Hashtbl.mem store.locks key then (locked_error store key, no_undo)
-    else begin
-      let current = Hashtbl.find_opt store.table key in
-      if current = expected then begin
-        Hashtbl.replace store.table key update;
-        store.dirty <- store.dirty + String.length key + String.length update;
-        let undo () =
-          match current with
-          | Some old -> Hashtbl.replace store.table key old
-          | None -> Hashtbl.remove store.table key
-        in
-        (Cas_result true, undo)
-      end
-      else (Cas_result false, no_undo)
-    end
+  | Get key -> (Value (find store key), no_undo)
+  | Put (key, _) | Delete key ->
+    if Smap.mem key store.locks then (locked_error store key, no_undo)
+    else (Stored, apply_write store op)
+  | Cas { key; expected; _ } ->
+    if Smap.mem key store.locks then (locked_error store key, no_undo)
+    else if find store key = expected then (Cas_result true, apply_write store op)
+    else (Cas_result false, no_undo)
   | Prepare { txn; decision; participants; ops } ->
     prepare store ~txn ~decision ~participants ~ops
   | Commit txn -> commit store txn
@@ -480,7 +504,7 @@ let execute store op =
     | Some true -> (Txn_state { state = txn_committed; participants = [] }, no_undo)
     | Some false -> (Txn_state { state = txn_aborted; participants = [] }, no_undo)
     | None -> (
-      match Hashtbl.find_opt store.prepared txn with
+      match Smap.find_opt txn store.prepared with
       | Some r ->
         ( Txn_state { state = txn_prepared; participants = r.txr_participants },
           no_undo )
@@ -499,39 +523,18 @@ let execute store op =
     else if
       List.exists (fun (k, _) -> Keyhash.slot_of_key ~slots k <> slot) bindings
     then (Error "binding outside slot", no_undo)
-    else begin
-      let undos = List.map (fun (k, v) -> apply_write store (Put (k, v))) bindings in
-      (Stored, fun () -> List.iter (fun u -> u ()) (List.rev undos))
-    end
+    else
+      (Stored, undo_all (List.map (fun (k, v) -> apply_write store (Put (k, v))) bindings))
   | Drop_slot { slot; slots } ->
     if slots <= 0 || slot < 0 || slot >= slots then (Error "bad slot", no_undo)
-    else begin
+    else
       let dropped = slot_bindings store ~slot ~slots in
-      List.iter
-        (fun (k, _) ->
-          Hashtbl.remove store.table k;
-          store.dirty <- store.dirty + String.length k)
-        dropped;
-      ( Stored,
-        fun () -> List.iter (fun (k, v) -> Hashtbl.replace store.table k v) dropped )
-    end
+      (Stored, undo_all (List.map (fun (k, _) -> apply_write store (Delete k)) dropped))
 
 (* --- digest / snapshot encoding --------------------------------------- *)
 
-let sorted_bindings store =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) store.table [] |> List.sort compare
-
-let sorted_locks store =
-  Hashtbl.fold (fun k t acc -> (k, t) :: acc) store.locks [] |> List.sort compare
-
-let sorted_prepared store =
-  Hashtbl.fold (fun t r acc -> (t, r) :: acc) store.prepared []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 let txn_state_empty store =
-  Hashtbl.length store.locks = 0
-  && Hashtbl.length store.prepared = 0
-  && store.decided_count = 0
+  Smap.is_empty store.locks && Smap.is_empty store.prepared && store.decided_count = 0
 
 (* Sectioned encodings are flagged by a leading length no legacy key can
    have (a 4 GiB key); a store that never touched the transaction layer
@@ -540,69 +543,104 @@ let txn_state_empty store =
    surface — untouched while the machinery is unused. *)
 let sectioned_marker = 0xFFFFFFFF
 
-let encode_store store =
+(* The one encoder of the bindings. *)
+let encode_bindings enc table =
+  Smap.iter
+    (fun k e ->
+      Enc.bytes enc k;
+      Enc.bytes enc e.value)
+    table
+
+(* Locks, prepared records and decisions: small, and encoded eagerly. *)
+let txn_sections store =
   let enc = Enc.create () in
-  if txn_state_empty store then
-    List.iter
-      (fun (k, v) ->
-        Enc.bytes enc k;
-        Enc.bytes enc v)
-      (sorted_bindings store)
-  else begin
-    Enc.u32 enc sectioned_marker;
-    Enc.list enc
-      (fun enc (k, v) ->
-        Enc.bytes enc k;
-        Enc.bytes enc v)
-      (sorted_bindings store);
-    Enc.list enc
-      (fun enc (k, t) ->
-        Enc.bytes enc k;
-        Enc.bytes enc t)
-      (sorted_locks store);
-    Enc.list enc
-      (fun enc (txn, r) ->
-        Enc.bytes enc txn;
-        Enc.u16 enc r.txr_decision;
-        Enc.list enc Enc.u16 r.txr_participants;
-        Enc.list enc encode_op r.txr_ops)
-      (sorted_prepared store);
-    Enc.list enc
-      (fun enc txn ->
-        Enc.bytes enc txn;
-        Enc.bool enc (Hashtbl.find store.decided txn))
-      store.decided_log
-  end;
+  Enc.list enc
+    (fun enc (k, t) ->
+      Enc.bytes enc k;
+      Enc.bytes enc t)
+    (Smap.bindings store.locks);
+  Enc.list enc
+    (fun enc (txn, r) ->
+      Enc.bytes enc txn;
+      Enc.u16 enc r.txr_decision;
+      Enc.list enc Enc.u16 r.txr_participants;
+      Enc.list enc encode_op r.txr_ops)
+    (Smap.bindings store.prepared);
+  Enc.list enc
+    (fun enc txn ->
+      Enc.bytes enc txn;
+      Enc.bool enc (Hashtbl.find store.decided txn))
+    store.decided_log;
   Enc.to_string enc
+
+(* O(locks + prepared + decided): the bindings enter through their sum. *)
+let state_digest store =
+  let sum = Bytes.create 16 in
+  Array.iteri (fun i limb -> Bytes.set_int32_le sum (4 * i) (Int32.of_int limb)) store.sum;
+  Fingerprint.of_parts
+    [
+      Bytes.unsafe_to_string sum;
+      string_of_int store.count;
+      (if txn_state_empty store then "" else txn_sections store);
+    ]
+
+(* The bindings are the map as of now; later writes build new maps. Only
+   the small transaction sections are encoded before the payload is
+   forced. *)
+let capture store =
+  let table = store.table and count = store.count in
+  let sections = if txn_state_empty store then None else Some (txn_sections store) in
+  let length =
+    match sections with
+    | None -> store.table_bytes
+    | Some s -> 8 + store.table_bytes + String.length s
+  in
+  let payload =
+    lazy
+      (let enc = Enc.create ~initial:length () in
+       (match sections with
+       | None -> encode_bindings enc table
+       | Some s ->
+         Enc.u32 enc sectioned_marker;
+         Enc.u32 enc count;
+         encode_bindings enc table;
+         Enc.raw enc s);
+       Payload.of_string (Enc.to_string enc))
+  in
+  { Service.length; pad = 0; payload }
 
 let is_sectioned data =
   String.length data >= 4 && String.get_int32_le data 0 = 0xFFFFFFFFl
 
 let restore_store store data =
-  Hashtbl.reset store.table;
-  Hashtbl.reset store.locks;
-  Hashtbl.reset store.prepared;
+  store.table <- Smap.empty;
+  Array.fill store.sum 0 4 0;
+  store.count <- 0;
+  store.table_bytes <- 0;
+  store.locks <- Smap.empty;
+  store.prepared <- Smap.empty;
   Hashtbl.reset store.decided;
   store.decided_log <- [];
   store.decided_count <- 0;
   store.dirty <- 0;
   let dec = Dec.of_string data in
+  let read_binding () =
+    let k = Dec.bytes dec in
+    let v = Dec.bytes dec in
+    ignore (put store k v : Service.undo)
+  in
   if is_sectioned data then begin
     ignore (Dec.u32 dec);
-    let pairs =
-      Dec.list dec (fun dec ->
-          let k = Dec.bytes dec in
-          let v = Dec.bytes dec in
-          (k, v))
-    in
-    List.iter (fun (k, v) -> Hashtbl.replace store.table k v) pairs;
+    for _ = 1 to Dec.u32 dec do
+      read_binding ()
+    done;
     let locks =
       Dec.list dec (fun dec ->
           let k = Dec.bytes dec in
           let t = Dec.bytes dec in
           (k, t))
     in
-    List.iter (fun (k, t) -> Hashtbl.replace store.locks k t) locks;
+    List.iter (fun (k, t) -> store.locks <- Smap.add k t store.locks) locks;
     let prepared =
       Dec.list dec (fun dec ->
           let txn = Dec.bytes dec in
@@ -611,7 +649,7 @@ let restore_store store data =
           let txr_ops = Dec.list dec decode_op in
           (txn, { txr_decision; txr_participants; txr_ops }))
     in
-    List.iter (fun (t, r) -> Hashtbl.replace store.prepared t r) prepared;
+    List.iter (fun (t, r) -> store.prepared <- Smap.add t r store.prepared) prepared;
     let decided =
       Dec.list dec (fun dec ->
           let txn = Dec.bytes dec in
@@ -624,20 +662,20 @@ let restore_store store data =
   end
   else
     while not (Dec.at_end dec) do
-      let k = Dec.bytes dec in
-      let v = Dec.bytes dec in
-      Hashtbl.replace store.table k v
+      read_binding ()
     done
 
 (* --- auditing hooks (tests and chaos campaigns) ------------------------ *)
 
-let store_find store key = Hashtbl.find_opt store.table key
+let store_find = find
 
-let store_locks store = sorted_locks store
+let store_locks store = Smap.bindings store.locks
 
-let store_prepared_txns store = List.map fst (sorted_prepared store)
+let store_prepared_txns store = List.map fst (Smap.bindings store.prepared)
 
 let store_decision store txn = Hashtbl.find_opt store.decided txn
+
+let size store = store.count
 
 (* --- service wrapper --------------------------------------------------- *)
 
@@ -657,32 +695,12 @@ let service_of_store store =
         | Some op -> is_read_only_op op
         | None -> false);
     execute_cost = (fun op -> 1e-6 +. (float_of_int (Payload.size op) *. 2e-9));
-    state_digest = (fun () -> Fingerprint.of_string (encode_store store));
+    state_digest = (fun () -> state_digest store);
     modified_since_checkpoint = (fun () -> store.dirty);
     checkpoint_taken = (fun () -> store.dirty <- 0);
-    snapshot = (fun () -> Payload.of_string (encode_store store));
+    snapshot = (fun () -> Lazy.force (capture store).Service.payload);
+    capture = (fun () -> capture store);
     restore = (fun p -> restore_store store p.Payload.data);
   }
 
 let service () = service_of_store (create_store ())
-
-let size (svc : Service.t) =
-  let snap = svc.Service.snapshot () in
-  let data = snap.Payload.data in
-  let dec = Dec.of_string data in
-  if is_sectioned data then begin
-    ignore (Dec.u32 dec);
-    List.length
-      (Dec.list dec (fun dec ->
-           ignore (Dec.bytes dec);
-           ignore (Dec.bytes dec)))
-  end
-  else begin
-    let count = ref 0 in
-    while not (Dec.at_end dec) do
-      ignore (Dec.bytes dec);
-      ignore (Dec.bytes dec);
-      incr count
-    done;
-    !count
-  end

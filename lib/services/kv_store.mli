@@ -20,7 +20,12 @@
       replicas always agree.
 
     All operations return an undo closure, so they are safe under the
-    protocol's tentative execution. *)
+    protocol's tentative execution.
+
+    Checkpoints cost O(modified) on the host: the state digest is an AdHash
+    (a sum of per-binding MD5 leaves modulo 2{^128}, kept up to date by
+    every write), and [capture] holds the persistent binding map as of the
+    call, encoding it only if the snapshot is forced. *)
 
 type op =
   | Get of string
@@ -95,5 +100,5 @@ val store_prepared_txns : store -> string list
 val store_decision : store -> string -> bool option
 (** Recorded outcome of a transaction, if still remembered. *)
 
-val size : Bft_core.Service.t -> int
-(** Number of live bindings (test hook; O(n)). *)
+val size : store -> int
+(** Number of live bindings (test hook; O(1)). *)

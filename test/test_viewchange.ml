@@ -236,6 +236,65 @@ let test_hierarchical_state_transfer () =
     (Metrics.count (Replica.metrics r3) "state.page_rejected" = 0);
   Alcotest.(check bool) "replica 3 caught up" true (Replica.last_executed r3 >= 28)
 
+let test_restart_restores_captured_checkpoint () =
+  (* Checkpoint snapshots are captured when the checkpoint is taken and
+     encoded only when something forces them. A restart forces the stable
+     one after later writes have moved the store on: it must bring back the
+     checkpoint's state, not the current one. The other replicas force
+     theirs just as late to serve the state transfer. *)
+  let module Kv = Bft_services.Kv_store in
+  let config = Harness.default_config ~checkpoint_interval:4 ~log_window:8 () in
+  let stores = Array.init 4 (fun _ -> Kv.create_store ()) in
+  let services = Array.map Kv.service_of_store stores in
+  let cluster = Cluster.create ~config ~seed:5 ~service:(fun i -> services.(i)) () in
+  let client = Cluster.add_client cluster in
+  let writes ops ~until =
+    let rec loop = function
+      | [] -> ()
+      | op :: rest -> Client.invoke client (Kv.op_payload op) (fun _ -> loop rest)
+    in
+    loop ops;
+    Cluster.run ~until cluster
+  in
+  let key k = Printf.sprintf "key%02d" k in
+  let keys = List.init 21 key in
+  let values store = List.map (Kv.store_find store) keys in
+  (* 20 x 3 KB: well past the 4 pages a snapshot may ship whole *)
+  writes (List.init 20 (fun k -> Kv.Put (key k, String.make 3000 'a'))) ~until:20.0;
+  let r3 = Cluster.replica cluster 3 in
+  let stable = Replica.last_stable r3 in
+  check Alcotest.int "stable checkpoint covers the first writes" stable
+    (Replica.last_executed r3);
+  let at_checkpoint = values stores.(3) in
+  let digest_at_checkpoint = services.(3).Service.state_digest () in
+  (* Small enough to ride inline in the pre-prepare: a restarted replica
+     has lost the bodies of summarized requests. *)
+  writes [ Kv.Put (key 0, "b"); Kv.Delete (key 1); Kv.Put (key 20, "c") ] ~until:30.0;
+  check Alcotest.int "no checkpoint since" stable (Replica.last_stable r3);
+  check Alcotest.bool "later writes executed" true (Replica.last_executed r3 > stable);
+  let latest = values stores.(0) in
+  Cluster.restart_replica cluster 3;
+  let bindings = Alcotest.(list (option string)) in
+  check bindings "restart restores the checkpoint's bindings" at_checkpoint
+    (values stores.(3));
+  check Alcotest.bool "and its digest" true
+    (Bft_crypto.Fingerprint.equal digest_at_checkpoint
+       (services.(3).Service.state_digest ()));
+  Cluster.run ~until:60.0 cluster;
+  check Alcotest.int "caught up"
+    (Replica.last_executed (Cluster.replica cluster 0))
+    (Replica.last_executed r3);
+  check bindings "with the later writes" latest (values stores.(3));
+  check Alcotest.int "no state digest mismatch" 0
+    (Metrics.count (Replica.metrics r3) "state.digest_mismatch");
+  Array.iter
+    (fun svc ->
+      check Alcotest.bool "quorum's state digest" true
+        (Bft_crypto.Fingerprint.equal
+           (services.(0).Service.state_digest ())
+           (svc.Service.state_digest ())))
+    services
+
 let test_status_heals_idle_straggler () =
   (* A replica partitioned briefly misses commits; nobody is under load
      afterwards, so only the status subsystem can heal it. *)
@@ -306,6 +365,8 @@ let () =
         [
           Alcotest.test_case "hierarchical state transfer" `Quick
             test_hierarchical_state_transfer;
+          Alcotest.test_case "restart forces its checkpoint" `Quick
+            test_restart_restores_captured_checkpoint;
           Alcotest.test_case "status heals idle straggler" `Quick
             test_status_heals_idle_straggler;
         ] );
