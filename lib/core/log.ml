@@ -21,21 +21,18 @@ type slot = {
   mutable undos : Service.undo list;
 }
 
+(* Slots live in a ring of [window] entries, slot [seq] at [seq mod
+   window]. Every live slot is inside (low, low + window], so no two live
+   slots share an entry; a stored slot whose [seq] differs from the one
+   asked for is a stale alias and reads as absent. [waiting] maps each
+   request digest some slot lacks to those slots' seqs, ascending. *)
 type t = {
   mutable low : seqno;
   window : int;
-  slots : (seqno, slot) Hashtbl.t;
+  ring : slot array;
+  mutable top : seqno;  (* highest seq created since the ring was last emptied *)
+  waiting : (Fingerprint.t, seqno list) Hashtbl.t;
 }
-
-let create ~low ~window () = { low; window; slots = Hashtbl.create 64 }
-
-let low_watermark t = t.low
-
-let high_watermark t = t.low + t.window
-
-let in_window t seq = seq > t.low && seq <= t.low + t.window
-
-let find t seq = Hashtbl.find_opt t.slots seq
 
 let new_slot seq =
   {
@@ -55,34 +52,87 @@ let new_slot seq =
     undos = [];
   }
 
+(* Shared by every empty ring entry; never handed out. *)
+let vacant = new_slot min_int
+
+let create ~low ~window () =
+  { low; window; ring = Array.make window vacant; top = low; waiting = Hashtbl.create 16 }
+
+let low_watermark t = t.low
+
+let high_watermark t = t.low + t.window
+
+let in_window t seq = seq > t.low && seq <= t.low + t.window
+
+let find t seq =
+  if in_window t seq then
+    let slot = t.ring.(seq mod t.window) in
+    if slot.seq = seq then Some slot else None
+  else None
+
 let get t seq =
   if not (in_window t seq) then
     invalid_arg (Printf.sprintf "Log.get: seq %d outside (%d, %d]" seq t.low
                    (t.low + t.window));
-  match Hashtbl.find_opt t.slots seq with
-  | Some slot -> slot
-  | None ->
+  let i = seq mod t.window in
+  let slot = t.ring.(i) in
+  if slot.seq = seq then slot
+  else begin
     let slot = new_slot seq in
-    Hashtbl.replace t.slots seq slot;
+    t.ring.(i) <- slot;
+    if seq > t.top then t.top <- seq;
     slot
+  end
+
+let unwait t digest seq =
+  match Hashtbl.find_opt t.waiting digest with
+  | None -> ()
+  | Some seqs -> (
+    match List.filter (fun s -> s <> seq) seqs with
+    | [] -> Hashtbl.remove t.waiting digest
+    | rest -> Hashtbl.replace t.waiting digest rest)
+
+let rec insert_sorted seq = function
+  | [] -> [ seq ]
+  | s :: _ as l when seq < s -> seq :: l
+  | s :: _ as l when seq = s -> l
+  | s :: rest -> s :: insert_sorted seq rest
+
+let set_missing t slot digests =
+  match (slot.missing_bodies, digests) with
+  | [], [] -> ()
+  | old, _ ->
+    List.iter (fun d -> unwait t d slot.seq) old;
+    slot.missing_bodies <- digests;
+    List.iter
+      (fun d ->
+        let seqs = Option.value (Hashtbl.find_opt t.waiting d) ~default:[] in
+        Hashtbl.replace t.waiting d (insert_sorted slot.seq seqs))
+      digests
+
+let waiting_for t digest =
+  if Hashtbl.length t.waiting = 0 then []
+  else Option.value (Hashtbl.find_opt t.waiting digest) ~default:[]
 
 let truncate t ~new_low =
   if new_low > t.low then begin
-    (* Collect the doomed keys, then delete in place — no copy of the
-       whole slot table per checkpoint. Keys are unique ([replace]-only
-       table), so remove-while-not-iterating is safe. *)
-    let doomed =
-      Hashtbl.fold
-        (fun seq _ acc -> if seq <= new_low then seq :: acc else acc)
-        t.slots []
-    in
-    List.iter (Hashtbl.remove t.slots) doomed;
-    t.low <- new_low
+    for seq = t.low + 1 to Stdlib.min new_low t.top do
+      let i = seq mod t.window in
+      let slot = t.ring.(i) in
+      if slot.seq = seq then begin
+        set_missing t slot [];
+        t.ring.(i) <- vacant
+      end
+    done;
+    t.low <- new_low;
+    if t.top < new_low then t.top <- new_low
   end
 
 let iter t f =
-  let seqs = Hashtbl.fold (fun seq _ acc -> seq :: acc) t.slots [] in
-  List.iter (fun seq -> f (Hashtbl.find t.slots seq)) (List.sort compare seqs)
+  for seq = t.low + 1 to t.top do
+    let slot = t.ring.(seq mod t.window) in
+    if slot.seq = seq then f slot
+  done
 
 (* A replica may re-send a prepare for the same slot in a later view; the
    latest view wins so certificate counting stays per-view. *)
@@ -118,7 +168,7 @@ let is_prepared slot ~f view =
       | Some (v', d) when v' = view && Fingerprint.equal d digest -> 1
       | _ -> 0
     in
-    slot.missing_bodies = [] && prepare_count slot view digest - own >= 2 * f
+    List.is_empty slot.missing_bodies && prepare_count slot view digest - own >= 2 * f
   | _ -> false
 
 (* A certificate of 2f+1 matching commits implies at least f+1 correct
@@ -129,5 +179,5 @@ let is_prepared slot ~f view =
 let is_committed slot ~f view =
   match (slot.pre_prepare, slot.pp_digest) with
   | Some _, Some digest ->
-    slot.missing_bodies = [] && commit_count slot view digest >= (2 * f) + 1
+    List.is_empty slot.missing_bodies && commit_count slot view digest >= (2 * f) + 1
   | _ -> false

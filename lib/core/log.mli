@@ -4,7 +4,12 @@
 
     The low watermark [h] is the sequence number of the last stable
     checkpoint; slots are accepted in [(h, h + L]]. Advancing the stable
-    checkpoint truncates everything at or below it. *)
+    checkpoint truncates everything at or below it.
+
+    Slots sit in an [L]-entry ring indexed by [seq mod L], so [find],
+    [get] and [truncate] cost O(1) per slot touched and [iter] needs no
+    sort. A body-wait index maps each missing request digest to the slots
+    that lack it, so an arriving body visits only the slots it unblocks. *)
 
 open Types
 
@@ -18,7 +23,8 @@ type slot = {
       (** who proposed the accepted pre-prepare (-1 if none yet); its
           prepare, if any, is excluded from the certificate count *)
   mutable missing_bodies : Fingerprint.t list;
-      (** summaries in the pre-prepare whose request bodies we still lack *)
+      (** summaries in the pre-prepare whose request bodies we still lack;
+          written only by {!set_missing}, which keeps the body-wait index *)
   prepares : (replica_id, view * Fingerprint.t) Hashtbl.t;
   commits : (replica_id, view * Fingerprint.t) Hashtbl.t;
   mutable prepared_at : view option;  (** sticky: highest view prepared in *)
@@ -50,7 +56,14 @@ val truncate : t -> new_low:seqno -> unit
 (** Advance the low watermark, discarding slots at or below it. *)
 
 val iter : t -> (slot -> unit) -> unit
-(** All live slots in ascending sequence order. *)
+(** All live slots in ascending sequence order. Slots created by [f]
+    above the highest seq live at the call are not visited. *)
+
+val set_missing : t -> slot -> Fingerprint.t list -> unit
+(** Set [slot.missing_bodies], keeping the body-wait index in step. *)
+
+val waiting_for : t -> Fingerprint.t -> seqno list
+(** The live slots whose [missing_bodies] hold the digest, ascending. *)
 
 val add_prepare : slot -> replica_id -> view -> Fingerprint.t -> unit
 (** Latest (view, digest) per replica wins. *)

@@ -1222,7 +1222,7 @@ and send_pre_prepare t seq entries =
   slot.Log.pre_prepare <- Some (t.view, entries);
   slot.Log.pp_digest <- Some digest;
   slot.Log.proposer <- t.id;
-  slot.Log.missing_bodies <- [];
+  Log.set_missing t.log slot [];
   Hashtbl.replace t.batch_store digest (seq, entries);
   (* [max]: a rotating-mode primary reclaim can propose below our own
      cursor; the cursor must never move backwards. *)
@@ -1343,7 +1343,7 @@ and on_pre_prepare t sender (pp : Message.pre_prepare) =
       | Some (v, _) -> slot.Log.pre_prepare <- Some (v, pp.Message.entries)
       | None -> slot.Log.pre_prepare <- Some (pp.Message.view, pp.Message.entries));
       store_bodies t pp.Message.entries;
-      slot.Log.missing_bodies <- compute_missing t pp.Message.entries;
+      Log.set_missing t.log slot (compute_missing t pp.Message.entries);
       if slot.Log.missing_bodies = [] then begin
         Hashtbl.replace t.batch_store digest (slot.Log.seq, pp.Message.entries);
         if slot.Log.proposer <> t.id then send_prepare t slot;
@@ -1384,7 +1384,7 @@ and on_pre_prepare t sender (pp : Message.pre_prepare) =
         slot.Log.pp_digest <- Some digest;
         slot.Log.proposer <- sender;
         store_bodies t pp.Message.entries;
-        slot.Log.missing_bodies <- compute_missing t pp.Message.entries;
+        Log.set_missing t.log slot (compute_missing t pp.Message.entries);
         Metrics.incr t.metrics "preprepare.accepted";
         emit_trace t ~seqno:pp.Message.seq ~view:t.view Trace.Preprepare_accepted;
         t.max_pp_seen <- Stdlib.max t.max_pp_seen pp.Message.seq;
@@ -1423,20 +1423,21 @@ and store_bodies t entries =
 (* A request body just arrived: unblock any slot whose pre-prepare was
    waiting for it. *)
 and resolve_missing t digest =
-  Log.iter t.log (fun slot ->
-      if List.exists (Fingerprint.equal digest) slot.Log.missing_bodies then begin
-        match slot.Log.pre_prepare with
-        | Some (_, entries) ->
-          slot.Log.missing_bodies <- compute_missing t entries;
-          if slot.Log.missing_bodies = [] then begin
-            (match slot.Log.pp_digest with
-            | Some d -> Hashtbl.replace t.batch_store d (slot.Log.seq, entries)
-            | None -> ());
-            if slot.Log.proposer <> t.id then send_prepare t slot;
-            check_prepared t slot
-          end
-        | None -> ()
-      end);
+  List.iter
+    (fun seq ->
+      match Log.find t.log seq with
+      | Some ({ Log.pre_prepare = Some (_, entries); _ } as slot)
+        when List.exists (Fingerprint.equal digest) slot.Log.missing_bodies ->
+        Log.set_missing t.log slot (compute_missing t entries);
+        if slot.Log.missing_bodies = [] then begin
+          (match slot.Log.pp_digest with
+          | Some d -> Hashtbl.replace t.batch_store d (slot.Log.seq, entries)
+          | None -> ());
+          if slot.Log.proposer <> t.id then send_prepare t slot;
+          check_prepared t slot
+        end
+      | _ -> ())
+    (Log.waiting_for t.log digest);
   advance t
 
 (* Rotating mode: an epoch-first PRE-PREPARE from an epoch owner. Process
@@ -1945,12 +1946,12 @@ and install_new_view t (nv : Message.new_view) =
         if entries <> [] then begin
           slot.Log.pre_prepare <- Some (t.view, entries);
           store_bodies t entries;
-          slot.Log.missing_bodies <- compute_missing t entries;
+          Log.set_missing t.log slot (compute_missing t entries);
           Hashtbl.replace t.batch_store e.Message.digest (e.Message.seq, entries)
         end
         else begin
           slot.Log.pre_prepare <- Some (t.view, []);
-          slot.Log.missing_bodies <- [ e.Message.digest ]
+          Log.set_missing t.log slot [ e.Message.digest ]
         end;
         (* Carry over execution state for batches we already finalized; the
            slot keeps counting as prepared so the certificate appears in any
@@ -2053,6 +2054,11 @@ and on_new_key t (k : Message.new_key) =
 and handle_message t sender msg =
   match msg with
   | Message.Request r -> on_request t sender r
+  | _ when sender < 0 || sender >= t.config.Config.n ->
+    (* Clients share the replicas' key derivation, so authentication alone
+       does not make a sender a replica: only replicas may vote, propose,
+       checkpoint or take part in view changes and state transfer. *)
+    Metrics.incr t.metrics "auth.not_replica"
   | Message.Pre_prepare pp -> on_pre_prepare t sender pp
   | Message.Ordered_pre_prepare o -> on_ordered_pre_prepare t sender o
   | Message.Prepare p -> on_prepare t sender p
@@ -2106,12 +2112,13 @@ let handle_envelope t ~wire ~prefix_len ~size (env : Message.envelope) =
     | Behavior.Replay -> maybe_replay t ~wire ~size
     | _ -> ());
     Metrics.incr t.metrics ("recv." ^ Message.tag_name env.Message.msg);
-    (* Piggybacked commits: only the sender's own commits are credible. *)
+    (* Piggybacked commits: only the sender's own commits are credible,
+       and only a replica's ([handle_message] drops the rest). *)
     List.iter
       (fun (c : Message.commit) ->
         if c.Message.replica = env.Message.sender then begin
           Metrics.incr t.metrics "piggy.received";
-          on_commit t env.Message.sender c
+          handle_message t env.Message.sender (Message.Commit c)
         end)
       env.Message.commits;
     handle_message t env.Message.sender env.Message.msg

@@ -1,5 +1,6 @@
 (** A replicated key-value store: a small but stateful deterministic
-    service used by the examples and the linearizability tests.
+    service used by the examples, the sharded workloads and the
+    cross-shard transaction tests.
 
     Operations are encoded into {!Bft_core.Payload.t} by {!op}; results
     decode with {!result_of_payload}. Get operations are read-only and

@@ -18,8 +18,26 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
 val schedule_at : t -> float -> (unit -> unit) -> unit
 (** Fire a closure at an absolute virtual time (clamped to now if past). *)
 
+type event
+(** A queued event that can still be withdrawn. *)
+
+val schedule_event : t -> delay:float -> (unit -> unit) -> event
+(** [schedule] that returns a handle for {!cancel}. *)
+
+val cancel : event -> unit
+(** Take the event out of the queue in O(log n), leaving no tombstone; a
+    no-op once it has fired or been cancelled. Other events keep their
+    order. *)
+
+val is_scheduled : event -> bool
+(** Whether the event is still queued: false from the moment it starts
+    firing. *)
+
+val no_event : event
+(** An event that is never scheduled. *)
+
 val pending : t -> int
-(** Number of queued events. *)
+(** Number of queued events. Cancelled events are not counted. *)
 
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Process events in time order until the queue drains, the clock would

@@ -1,19 +1,12 @@
-type t = { mutable live : bool }
+type t = Engine.event
 
-let never = { live = false }
+let never = Engine.no_event
 
-let start engine ~delay fn =
-  let t = { live = true } in
-  Engine.schedule engine ~delay (fun () ->
-      if t.live then begin
-        t.live <- false;
-        fn ()
-      end);
-  t
+let start engine ~delay fn = Engine.schedule_event engine ~delay fn
 
-let cancel t = t.live <- false
+let cancel = Engine.cancel
 
-let active t = t.live
+let active = Engine.is_scheduled
 
 let restart engine t ~delay fn =
   cancel t;

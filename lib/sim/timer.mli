@@ -2,7 +2,8 @@
 
     Protocol code uses these for client retransmission and view-change
     timeouts; cancelling an already-fired or already-cancelled timer is a
-    no-op, which keeps the call sites simple. *)
+    no-op, which keeps the call sites simple. A cancelled timer leaves
+    the engine's queue at once. *)
 
 type t
 

@@ -1,4 +1,9 @@
-type 'a entry = { priority : float; seq : int; value : 'a }
+type 'a entry = {
+  priority : float;
+  seq : int;
+  value : 'a;
+  mutable pos : int;  (* index in [data]; -1 once popped or removed *)
+}
 
 type 'a t = {
   mutable data : 'a entry array;
@@ -6,7 +11,7 @@ type 'a t = {
   mutable next_seq : int;
 }
 
-let dummy = { priority = nan; seq = -1; value = Obj.magic 0 }
+let dummy = { priority = nan; seq = -1; value = Obj.magic 0; pos = -1 }
 
 let create () = { data = Array.make 64 dummy; size = 0; next_seq = 0 }
 
@@ -22,54 +27,85 @@ let grow h =
   Array.blit h.data 0 data 0 h.size;
   h.data <- data
 
-let rec sift_up h i =
+let place h i e =
+  h.data.(i) <- e;
+  e.pos <- i
+
+(* Both sifts move the hole, not the entry: each level costs one write. *)
+let rec sift_up h i e =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if entry_less h.data.(i) h.data.(parent) then begin
-      let tmp = h.data.(i) in
-      h.data.(i) <- h.data.(parent);
-      h.data.(parent) <- tmp;
-      sift_up h parent
+    let p = h.data.(parent) in
+    if entry_less e p then begin
+      place h i p;
+      sift_up h parent e
     end
+    else place h i e
+  end
+  else place h i e
+
+let rec sift_down h i e =
+  let left = (2 * i) + 1 in
+  if left >= h.size then place h i e
+  else begin
+    let right = left + 1 in
+    let child =
+      if right < h.size && entry_less h.data.(right) h.data.(left) then right
+      else left
+    in
+    let c = h.data.(child) in
+    if entry_less c e then begin
+      place h i c;
+      sift_down h child e
+    end
+    else place h i e
   end
 
-let rec sift_down h i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = ref i in
-  if left < h.size && entry_less h.data.(left) h.data.(!smallest) then
-    smallest := left;
-  if right < h.size && entry_less h.data.(right) h.data.(!smallest) then
-    smallest := right;
-  if !smallest <> i then begin
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(!smallest);
-    h.data.(!smallest) <- tmp;
-    sift_down h !smallest
-  end
-
-let push h ~priority value =
+let add h ~priority value =
   if h.size = Array.length h.data then grow h;
-  let entry = { priority; seq = h.next_seq; value } in
+  let entry = { priority; seq = h.next_seq; value; pos = h.size } in
   h.next_seq <- h.next_seq + 1;
-  h.data.(h.size) <- entry;
   h.size <- h.size + 1;
-  sift_up h (h.size - 1)
+  sift_up h (h.size - 1) entry;
+  entry
+
+let push h ~priority value = ignore (add h ~priority value : _ entry)
+
+(* Fill slot [i] with the last entry and restore the heap order. *)
+let delete_at h i =
+  h.size <- h.size - 1;
+  let last = h.data.(h.size) in
+  h.data.(h.size) <- dummy;
+  if i < h.size then begin
+    if i > 0 && entry_less last h.data.((i - 1) / 2) then sift_up h i last
+    else sift_down h i last
+  end
 
 let pop h =
   if h.size = 0 then raise Not_found;
   let top = h.data.(0) in
-  h.size <- h.size - 1;
-  h.data.(0) <- h.data.(h.size);
-  h.data.(h.size) <- dummy;
-  if h.size > 0 then sift_down h 0;
+  delete_at h 0;
+  top.pos <- -1;
   top.value
 
-let peek_priority h = if h.size = 0 then None else Some h.data.(0).priority
+let remove h e =
+  if e.pos >= 0 then begin
+    let i = e.pos in
+    e.pos <- -1;
+    delete_at h i
+  end
+
+let mem e = e.pos >= 0
+
+let min_priority h =
+  if h.size = 0 then raise Not_found;
+  h.data.(0).priority
 
 let tiebreak_seq h = h.next_seq
 
 let clear h =
   for i = 0 to h.size - 1 do
+    h.data.(i).pos <- -1;
     h.data.(i) <- dummy
   done;
   h.size <- 0;

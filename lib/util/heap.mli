@@ -6,6 +6,10 @@
 
 type 'a t
 
+type 'a entry
+(** A queued element's handle: it records its own position, so {!remove}
+    needs no search. *)
+
 val create : unit -> 'a t
 
 val length : 'a t -> int
@@ -15,12 +19,23 @@ val is_empty : 'a t -> bool
 (** [push h ~priority x] inserts [x] with the given priority. *)
 val push : 'a t -> priority:float -> 'a -> unit
 
+(** [add h ~priority x] is [push], returning the entry's handle. *)
+val add : 'a t -> priority:float -> 'a -> 'a entry
+
+(** [remove h e] takes [e] out of [h] in O(log n); a no-op once [e] has
+    been popped or removed. The order of the other elements is unchanged. *)
+val remove : 'a t -> 'a entry -> unit
+
+(** [mem e] is whether [e] is still queued. *)
+val mem : 'a entry -> bool
+
 (** [pop h] removes and returns the minimum-priority element, FIFO among
     equal priorities. Raises [Not_found] on an empty heap. *)
 val pop : 'a t -> 'a
 
-(** [peek_priority h] is the priority of the minimum element. *)
-val peek_priority : 'a t -> float option
+(** [min_priority h] is the priority of the minimum element. Raises
+    [Not_found] on an empty heap. *)
+val min_priority : 'a t -> float
 
 (** [clear h] empties the heap and resets the FIFO tie-break counter, so
     a cleared heap behaves exactly like a fresh one. *)

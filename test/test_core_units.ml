@@ -168,6 +168,116 @@ let merkle_roundtrip_prop =
       let p = { Payload.data; pad } in
       Payload.equal p (Merkle.reassemble (Merkle.paginate p)))
 
+(* --- log ring and body-wait index ------------------------------------------- *)
+
+(* Random get/find/truncate/iter/set_missing sequences on a 4-slot ring,
+   with seqs drawn from below the low watermark to two windows above it so
+   that aliases mod the window and out-of-window seqs are common. The
+   reference is a map from seq to (slot, missing digests). After every step
+   each probed seq reads back the model's slot and each digest's waiters
+   are exactly the model's slots lacking it, ascending. *)
+type log_op =
+  | Get of int
+  | Find of int
+  | Truncate of int
+  | Iter
+  | Set_missing of int * int list
+
+let log_window = 4
+
+let log_digests = Array.init 3 (fun i -> Fingerprint.of_string (string_of_int i))
+
+let log_op_gen =
+  QCheck.Gen.(
+    let offset = int_range (-2) ((2 * log_window) + 2) in
+    frequency
+      [
+        (4, map (fun o -> Get o) offset);
+        (2, map (fun o -> Find o) offset);
+        (1, map (fun k -> Truncate k) (int_bound (log_window + 2)));
+        (1, return Iter);
+        ( 4,
+          map2
+            (fun o ds -> Set_missing (o, ds))
+            offset
+            (list_size (int_bound 2) (int_bound (Array.length log_digests - 1))) );
+      ])
+
+let log_op_print = function
+  | Get o -> Printf.sprintf "get +%d" o
+  | Find o -> Printf.sprintf "find +%d" o
+  | Truncate k -> Printf.sprintf "truncate +%d" k
+  | Iter -> "iter"
+  | Set_missing (o, ds) ->
+    Printf.sprintf "missing +%d [%s]" o
+      (String.concat ";" (List.map string_of_int ds))
+
+module Int_map = Map.Make (Int)
+
+let log_model_prop =
+  QCheck.Test.make ~name:"log ring and body-wait index match a map" ~count:500
+    QCheck.(
+      make ~print:(Print.list log_op_print)
+        Gen.(list_size (int_bound 60) log_op_gen))
+    (fun ops ->
+      let log = Log.create ~low:0 ~window:log_window () in
+      let model = ref Int_map.empty in
+      let fail fmt = Printf.ksprintf QCheck.Test.fail_report fmt in
+      let agree () =
+        let low = Log.low_watermark log in
+        for seq = low - 2 to low + (3 * log_window) do
+          match (Log.find log seq, Int_map.find_opt seq !model) with
+          | None, None -> ()
+          | Some slot, Some (s, _) when slot == s -> ()
+          | _ -> fail "find %d disagrees" seq
+        done;
+        Array.iter
+          (fun d ->
+            let expected =
+              Int_map.fold
+                (fun seq (_, missing) acc ->
+                  if List.exists (Fingerprint.equal d) missing then seq :: acc
+                  else acc)
+                !model []
+              |> List.rev
+            in
+            if Log.waiting_for log d <> expected then fail "waiters disagree")
+          log_digests
+      in
+      List.iter
+        (fun op ->
+          let low = Log.low_watermark log in
+          (match op with
+          | Get o -> (
+            let seq = low + o in
+            match Log.get log seq with
+            | slot ->
+              if slot.Log.seq <> seq then fail "get %d: slot %d" seq slot.Log.seq;
+              if not (Int_map.mem seq !model) then
+                model := Int_map.add seq (slot, []) !model
+            | exception Invalid_argument _ ->
+              if Log.in_window log seq then fail "get %d raised in window" seq)
+          | Find o -> ignore (Log.find log (low + o))
+          | Truncate k ->
+            let new_low = low + k in
+            Log.truncate log ~new_low;
+            model := Int_map.filter (fun seq _ -> seq > new_low) !model
+          | Iter ->
+            let seen = ref [] in
+            Log.iter log (fun slot -> seen := slot.Log.seq :: !seen);
+            if List.rev !seen <> List.map fst (Int_map.bindings !model) then
+              fail "iter order"
+          | Set_missing (o, ds) -> (
+            match Int_map.find_opt (low + o) !model with
+            | Some (slot, _) ->
+              let digests = List.map (Array.get log_digests) ds in
+              Log.set_missing log slot digests;
+              model := Int_map.add (low + o) (slot, digests) !model
+            | None -> ()));
+          agree ())
+        ops;
+      true)
+
 (* --- transport ------------------------------------------------------------ *)
 
 type trig = {
@@ -549,6 +659,7 @@ let () =
           Alcotest.test_case "root and diff" `Quick test_merkle_root_and_diff;
           q merkle_roundtrip_prop;
         ] );
+      ("log", [ q log_model_prop ]);
       ( "transport",
         [
           Alcotest.test_case "send verifies" `Quick test_transport_send_verifies;

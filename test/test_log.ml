@@ -67,11 +67,11 @@ let test_prepared_counts_distinct_replicas () =
 let test_prepared_blocked_by_missing_bodies () =
   let log = Log.create ~low:0 ~window:8 () in
   let slot = fresh_slot log in
-  slot.Log.missing_bodies <- [ d2 ];
+  Log.set_missing log slot [ d2 ];
   Log.add_prepare slot 1 0 d1;
   Log.add_prepare slot 2 0 d1;
   check Alcotest.bool "missing body blocks" false (Log.is_prepared slot ~f:1 0);
-  slot.Log.missing_bodies <- [];
+  Log.set_missing log slot [];
   check Alcotest.bool "unblocked" true (Log.is_prepared slot ~f:1 0)
 
 let test_committed_predicate () =
@@ -94,7 +94,7 @@ let test_committed_without_local_prepares () =
   Log.add_commit slot 1 0 d1;
   Log.add_commit slot 2 0 d1;
   check Alcotest.bool "commit cert suffices" true (Log.is_committed slot ~f:1 0);
-  slot.Log.missing_bodies <- [ d2 ];
+  Log.set_missing log slot [ d2 ];
   check Alcotest.bool "missing body blocks" false (Log.is_committed slot ~f:1 0);
   (* without the pre-prepare there is nothing to execute *)
   let bare = Log.get log 2 in

@@ -213,6 +213,92 @@ let test_two_byzantine_exceed_f_safety_preserved () =
   ignore (Harness.run_ops ~per_client:5 ~until:10.0 rig);
   Harness.check_agreement rig
 
+(* Clients derive their MAC keys from the cluster master, exactly like
+   replicas, so any client principal can authenticate a PREPARE, COMMIT or
+   piggybacked commit. Only replicas may vote. With replicas 2 and 3
+   crashed (beyond f = 1) nothing can commit; votes from principals 100+
+   must not fill the missing quorum members. [forge] selects the votes:
+   [`Direct] — two principals multicast PREPARE and COMMIT for seq 1;
+   [`Piggyback] — three principals piggyback a COMMIT on a PREPARE. *)
+let non_replica_votes forge =
+  let config = Config.make ~f:1 () in
+  let cluster =
+    Cluster.create ~config ~seed:5 ~master:"m"
+      ~service:(fun _ -> Service.null ())
+      ()
+  in
+  Cluster.crash_replica cluster 2;
+  Cluster.crash_replica cluster 3;
+  let engine = Cluster.engine cluster in
+  let net = Cluster.network cluster in
+  let principal id =
+    let name = Printf.sprintf "principal%d" id in
+    let cpu = Bft_sim.Cpu.create engine ~name () in
+    let node = Bft_net.Network.add_node net ~cpu ~name () in
+    let keychain =
+      Bft_crypto.Keychain.create ~master:"m" ~self:id
+        ~replica_bound:config.Config.n ()
+    in
+    Transport.create net ~keychain ~node ()
+  in
+  let dsts =
+    List.init 2 (fun i ->
+        { Transport.principal = i; node = Cluster.replica_node cluster i })
+  in
+  let request =
+    {
+      Message.client = 200;
+      timestamp = 1L;
+      read_only = false;
+      full_replies = false;
+      replier = 0;
+      op = Service.null_op ~read_only:false ~arg_size:0 ~result_size:0;
+    }
+  in
+  let client = principal 200 in
+  Bft_sim.Engine.schedule engine ~delay:0.001 (fun () ->
+      Transport.multicast client ~dsts (Message.Request request));
+  let digest = Message.batch_digest [ Message.Full request ] in
+  let prepare id = Message.Prepare { view = 0; seq = 1; digest; replica = id } in
+  let commit id = { Message.view = 0; seq = 1; digest; replica = id } in
+  let votes =
+    match forge with
+    | `None -> []
+    | `Direct -> [ (100, false); (101, false) ]
+    | `Piggyback -> [ (100, true); (101, true); (102, true) ]
+  in
+  List.iter
+    (fun (id, piggyback) ->
+      let voter = principal id in
+      Bft_sim.Engine.schedule engine ~delay:0.01 (fun () ->
+          if piggyback then
+            Transport.multicast voter ~commits:[ commit id ] ~dsts (prepare id)
+          else begin
+            Transport.multicast voter ~dsts (prepare id);
+            Transport.multicast voter ~dsts (Message.Commit (commit id))
+          end))
+    votes;
+  Cluster.run ~until:2.0 cluster;
+  List.map (fun i -> Cluster.replica cluster i) [ 0; 1 ]
+
+let test_non_replica_votes_ignored () =
+  let committed replicas =
+    List.map (fun r -> Replica.last_committed r) replicas
+  in
+  check Alcotest.(list int) "no forgery: nothing commits" [ 0; 0 ]
+    (committed (non_replica_votes `None));
+  List.iter
+    (fun (label, forge) ->
+      let replicas = non_replica_votes forge in
+      check Alcotest.(list int) (label ^ ": nothing commits") [ 0; 0 ]
+        (committed replicas);
+      List.iter
+        (fun r ->
+          check Alcotest.bool (label ^ ": counted as not_replica") true
+            (Metrics.count (Replica.metrics r) "auth.not_replica" > 0))
+        replicas)
+    [ ("direct", `Direct); ("piggyback", `Piggyback) ]
+
 let () =
   Alcotest.run "protocol-edge"
     [
@@ -238,6 +324,8 @@ let () =
             test_duplicate_datagrams_harmless;
           Alcotest.test_case "checkpoint divergence repair" `Quick
             test_checkpoint_divergence_repair;
+          Alcotest.test_case "non-replica votes ignored" `Quick
+            test_non_replica_votes_ignored;
           Alcotest.test_case "beyond f: safety preserved" `Quick
             test_two_byzantine_exceed_f_safety_preserved;
         ] );

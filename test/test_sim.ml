@@ -113,6 +113,56 @@ let test_timer_restart () =
 let test_timer_never () =
   check Alcotest.bool "never inactive" false (Timer.active Timer.never)
 
+let test_timer_cancel_leaves_queue () =
+  (* A cancelled timer leaves the event queue at once. *)
+  let e = Engine.create () in
+  let timers =
+    List.init 1000 (fun i ->
+        Timer.start e ~delay:(float_of_int (i mod 7)) (fun () ->
+            Alcotest.fail "cancelled timer fired"))
+  in
+  check Alcotest.int "queued" 1000 (Engine.pending e);
+  List.iter Timer.cancel timers;
+  check Alcotest.int "none left" 0 (Engine.pending e);
+  (* survivors of a partial cancel still fire in time, then FIFO, order *)
+  let fired = ref [] in
+  let timers =
+    List.init 10 (fun i ->
+        Timer.start e ~delay:(float_of_int (i mod 3)) (fun () ->
+            fired := i :: !fired))
+  in
+  List.iteri (fun i t -> if i mod 2 = 1 then Timer.cancel t) timers;
+  check Alcotest.int "half left" 5 (Engine.pending e);
+  Engine.run e;
+  check (Alcotest.list Alcotest.int) "order" [ 0; 6; 4; 2; 8 ] (List.rev !fired)
+
+let test_cluster_queue_bounded () =
+  (* Each completed client operation cancels its 150 ms retransmission
+     timer. A 24-client closed loop on the null service completes ~14k
+     operations per virtual second, so a queue that kept cancelled timers
+     would hold ~2400 events; the live ones number under 100. *)
+  let open Bft_core in
+  let cluster =
+    Cluster.create ~config:(Config.make ~f:1 ()) ~seed:1
+      ~service:(fun _ -> Service.null ())
+      ()
+  in
+  let op = Service.null_op ~read_only:false ~arg_size:0 ~result_size:0 in
+  let completed = ref 0 in
+  for _ = 1 to 24 do
+    let client = Cluster.add_client cluster in
+    let rec loop () =
+      Client.invoke client op (fun _ ->
+          incr completed;
+          loop ())
+    in
+    loop ()
+  done;
+  Cluster.run ~until:1.0 cluster;
+  check Alcotest.bool "operations completed" true (!completed > 1000);
+  let pending = Engine.pending (Cluster.engine cluster) in
+  if pending >= 200 then Alcotest.failf "%d events pending" pending
+
 (* --- cpu ------------------------------------------------------------------- *)
 
 let test_cpu_serializes_handlers () =
@@ -203,6 +253,10 @@ let () =
           Alcotest.test_case "cancel" `Quick test_timer_cancel;
           Alcotest.test_case "restart" `Quick test_timer_restart;
           Alcotest.test_case "never" `Quick test_timer_never;
+          Alcotest.test_case "cancel leaves the queue" `Quick
+            test_timer_cancel_leaves_queue;
+          Alcotest.test_case "cluster queue bounded" `Quick
+            test_cluster_queue_bounded;
         ] );
       ( "cpu",
         [

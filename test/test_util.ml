@@ -13,7 +13,7 @@ let test_heap_basic () =
   Heap.push h ~priority:1.0 "a";
   Heap.push h ~priority:2.0 "b";
   check Alcotest.int "length" 3 (Heap.length h);
-  check (Alcotest.option (Alcotest.float 0.0)) "peek" (Some 1.0) (Heap.peek_priority h);
+  check (Alcotest.float 0.0) "min priority" 1.0 (Heap.min_priority h);
   check Alcotest.string "pop a" "a" (Heap.pop h);
   check Alcotest.string "pop b" "b" (Heap.pop h);
   check Alcotest.string "pop c" "c" (Heap.pop h);
@@ -80,15 +80,71 @@ let heap_sorted_prop =
       let h = Heap.create () in
       List.iter (fun (p, v) -> Heap.push h ~priority:p v) items;
       let rec drain last acc =
-        match Heap.peek_priority h with
-        | None -> List.rev acc
-        | Some p ->
+        if Heap.is_empty h then List.rev acc
+        else begin
+          let p = Heap.min_priority h in
           let v = Heap.pop h in
           if p < last then QCheck.Test.fail_report "priority decreased";
           drain p (v :: acc)
+        end
       in
       let out = drain neg_infinity [] in
       List.length out = List.length items)
+
+(* Push, pop and remove-by-handle against a sorted list of
+   (priority, insertion index): pops come out in that order, so equal
+   priorities stay FIFO, and a removal leaves the others' order alone.
+   Priorities come from a small set so ties are common. *)
+type heap_op = Push of int | Pop | Remove of int
+
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun p -> Push p) (int_bound 3));
+        (3, return Pop);
+        (3, map (fun i -> Remove i) (int_bound 1000));
+      ])
+
+let heap_op_print = function
+  | Push p -> Printf.sprintf "push %d" p
+  | Pop -> "pop"
+  | Remove i -> Printf.sprintf "remove %d" i
+
+let heap_model_prop =
+  QCheck.Test.make ~name:"heap push/pop/remove match a sorted reference" ~count:300
+    QCheck.(make ~print:(Print.list heap_op_print) Gen.(list_size (int_bound 80) heap_op_gen))
+    (fun ops ->
+      let h = Heap.create () in
+      (* reference: (priority, index) ascending; handles by index *)
+      let model = ref [] and handles = ref [] and next = ref 0 in
+      let ok = ref true in
+      List.iter
+        (function
+          | Push p ->
+            let key = (float_of_int p, !next) in
+            handles := (!next, Heap.add h ~priority:(fst key) !next) :: !handles;
+            model := List.merge compare !model [ key ];
+            incr next
+          | Pop -> (
+            match !model with
+            | [] -> if not (Heap.is_empty h) then ok := false
+            | (p, i) :: rest ->
+              if Heap.min_priority h <> p || Heap.pop h <> i then ok := false;
+              model := rest)
+          | Remove k when !next > 0 ->
+            let i = k mod !next in
+            let e = List.assoc i !handles in
+            let queued = List.exists (fun (_, j) -> j = i) !model in
+            if Heap.mem e <> queued then ok := false;
+            Heap.remove h e;
+            if Heap.mem e then ok := false;
+            model := List.filter (fun (_, j) -> j <> i) !model
+          | Remove _ -> ())
+        ops;
+      let rest = List.map snd !model in
+      let drained = List.init (Heap.length h) (fun _ -> Heap.pop h) in
+      !ok && drained = rest)
 
 (* --- rng --------------------------------------------------------------- *)
 
@@ -379,6 +435,7 @@ let () =
             test_heap_clear_resets_fifo;
           Alcotest.test_case "grows past initial capacity" `Quick test_heap_grows;
           q heap_sorted_prop;
+          q heap_model_prop;
         ] );
       ( "rng",
         [
