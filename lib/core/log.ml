@@ -4,6 +4,7 @@ module Fingerprint = Bft_crypto.Fingerprint
 type slot = {
   seq : seqno;
   mutable pre_prepare : (view * Message.batch_entry list) option;
+  mutable entry_digests : Fingerprint.t list;
   mutable pp_digest : Fingerprint.t option;
   mutable proposer : replica_id;
       (* who proposed the accepted pre-prepare (-1 if none yet); its
@@ -38,6 +39,7 @@ let new_slot seq =
   {
     seq;
     pre_prepare = None;
+    entry_digests = [];
     pp_digest = None;
     proposer = -1;
     missing_bodies = [];

@@ -18,6 +18,9 @@ module Fingerprint = Bft_crypto.Fingerprint
 type slot = {
   seq : seqno;
   mutable pre_prepare : (view * Message.batch_entry list) option;
+  mutable entry_digests : Fingerprint.t list;
+      (** {!Message.entry_digest} of each pre-prepare entry, in order: set
+          with [pre_prepare], so no request in the slot is digested again *)
   mutable pp_digest : Fingerprint.t option;
   mutable proposer : replica_id;
       (** who proposed the accepted pre-prepare (-1 if none yet); its

@@ -467,7 +467,9 @@ let pad_string pad =
     Hashtbl.replace pad_strings pad s;
     s
 
-let request_digest_uncached (r : request) =
+(* Computed once per replica per request: the replica keeps the digest with
+   the request (pending queue, log slot), so nothing here memoizes. *)
+let request_digest (r : request) =
   let enc = digest_enc in
   Enc.clear enc;
   (* full_replies and replier are delivery hints, not part of the operation
@@ -484,34 +486,6 @@ let request_digest_uncached (r : request) =
   Fingerprint.add_part b (pad_string r.op.Payload.pad);
   Fingerprint.finish b
 
-(* Requests are digested at every protocol step they appear in (batching,
-   ordering, execution, retransmission audit), so memoize per physical
-   record: request values are immutable and each decoded message yields one
-   record that flows through the whole pipeline. Keyed by identity — the
-   cache is an optimization only, structural duplicates just recompute. *)
-module Req_tbl = Hashtbl.Make (struct
-  type t = request
-
-  let equal = ( == )
-
-  let hash = Hashtbl.hash
-end)
-
-let request_digest_cache : Fingerprint.t Req_tbl.t = Req_tbl.create 1024
-
-let request_digest (r : request) =
-  match Req_tbl.find_opt request_digest_cache r with
-  | Some d -> d
-  | None ->
-    (* Entries are keyed by identity and can never be revalidated once the
-       request record dies, so cap the table: a reset only costs
-       recomputation. *)
-    if Req_tbl.length request_digest_cache > 8192 then
-      Req_tbl.reset request_digest_cache;
-    let d = request_digest_uncached r in
-    Req_tbl.add request_digest_cache r d;
-    d
-
 let entry_digest = function
   | Full r -> request_digest r
   | Summary d -> d
@@ -519,13 +493,16 @@ let entry_digest = function
 
 let batch_builder = Fingerprint.create_builder ()
 
-let batch_digest entries =
-  (* Streaming form of [Fingerprint.of_parts (List.map entry_digest ...)];
-     needs its own builder because [entry_digest] uses [digest_builder]. *)
+let batch_digest_of_entry_digests digests =
+  (* Streaming form of [Fingerprint.of_parts digests]; needs its own builder
+     because [request_digest] uses [digest_builder]. *)
   let b = batch_builder in
   Fingerprint.reset_builder b;
-  List.iter (fun e -> Fingerprint.add_part b (entry_digest e)) entries;
+  List.iter (Fingerprint.add_part b) digests;
   Fingerprint.finish b
+
+let batch_digest entries =
+  batch_digest_of_entry_digests (List.map entry_digest entries)
 
 (* --- modeled padding -------------------------------------------------- *)
 
@@ -606,3 +583,23 @@ let tag_name = function
   | Pages _ -> "pages"
   | Status _ -> "status"
   | Busy _ -> "busy"
+
+let recv_counter = function
+  | Request _ -> "recv.request"
+  | Pre_prepare _ -> "recv.pre-prepare"
+  | Ordered_pre_prepare _ -> "recv.ordered-pre-prepare"
+  | Prepare _ -> "recv.prepare"
+  | Commit _ -> "recv.commit"
+  | Reply _ -> "recv.reply"
+  | Checkpoint _ -> "recv.checkpoint"
+  | View_change _ -> "recv.view-change"
+  | New_view _ -> "recv.new-view"
+  | Get_state _ -> "recv.get-state"
+  | State _ -> "recv.state"
+  | Fetch_batch _ -> "recv.fetch-batch"
+  | New_key _ -> "recv.new-key"
+  | State_meta _ -> "recv.state-meta"
+  | Get_pages _ -> "recv.get-pages"
+  | Pages _ -> "recv.pages"
+  | Status _ -> "recv.status"
+  | Busy _ -> "recv.busy"

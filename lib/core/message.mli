@@ -161,14 +161,19 @@ type envelope = {
 }
 
 val request_digest : request -> Fingerprint.t
-(** D(m) over the canonical encoding of the request. Memoized per physical
-    record: request values are immutable and each decoded message yields
-    one record reused across protocol steps. *)
+(** D(m) over the canonical encoding of the request. Not memoized: a
+    replica digests each request once, when it first sees it, and keeps
+    the digest with the request. *)
 
 val entry_digest : batch_entry -> Fingerprint.t
+(** The request digest for [Full], the carried digest for [Summary],
+    [Fingerprint.zero] for [Null_entry]. *)
+
+val batch_digest_of_entry_digests : Fingerprint.t list -> Fingerprint.t
+(** The [d] bound by PREPARE and COMMIT, from the entries' digests. *)
 
 val batch_digest : batch_entry list -> Fingerprint.t
-(** The [d] bound by PREPARE and COMMIT. *)
+(** [batch_digest_of_entry_digests (List.map entry_digest entries)]. *)
 
 val encode_body : t -> string
 (** Canonical encoding of the message (without envelope framing). *)
@@ -204,3 +209,7 @@ val envelope_size : envelope -> string -> int
 
 val tag_name : t -> string
 (** For logs and per-message-type counters. *)
+
+val recv_counter : t -> string
+(** ["recv." ^ tag_name msg], a constant string per constructor, so the
+    per-type receive counter builds no string per message. *)

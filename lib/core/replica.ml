@@ -57,12 +57,15 @@ type t = {
   client_table : (client_id, client_entry) Hashtbl.t;
   mutable deferred_ro : (Message.request * Payload.t) list;  (** newest first *)
   (* primary batching *)
-  pending : Message.request Queue.t;
+  pending : (Message.request * Fingerprint.t) Queue.t;
+      (** admitted requests with their digests *)
   queued_ts : (client_id, int64) Hashtbl.t;  (** highest queued/assigned ts *)
   mutable last_pp_seq : seqno;
   (* request and batch bodies *)
   request_store : (Fingerprint.t, Message.request) Hashtbl.t;
-  batch_store : (Fingerprint.t, seqno * Message.batch_entry list) Hashtbl.t;
+  batch_store :
+    (Fingerprint.t, seqno * Message.batch_entry list * Fingerprint.t list) Hashtbl.t;
+      (** batch digest -> seq, entries and their entry digests *)
   (* checkpoints *)
   mutable last_stable : seqno;
   mutable stable_digest : Fingerprint.t;
@@ -527,7 +530,7 @@ and do_resends t =
           | Some { Log.pp_digest = Some _; _ } -> ()
           | _ ->
             Metrics.incr t.metrics "rotate.reclaim";
-            send_pre_prepare t s [ Message.Null_entry ]
+            send_pre_prepare t s [ Message.Null_entry ] [ Fingerprint.zero ]
       done
     end;
     (* re-multicast unstable checkpoint votes *)
@@ -637,13 +640,13 @@ and send_busy t (r : Message.request) =
    shedding per the configured policy when full. [record_ts] marks the
    fresh-request path, where admission also bumps the client's queued
    timestamp (the full-replies re-propose path must not touch it). *)
-and admit_request t (r : Message.request) ~record_ts =
+and admit_request t (r : Message.request) digest ~record_ts =
   let limit = t.config.Config.admission_queue_limit in
   if limit > 0 && Queue.length t.pending >= limit then begin
     match t.config.Config.shed_policy with
     | Config.Reject_new -> send_busy t r
     | Config.Drop_oldest ->
-      let victim = Queue.pop t.pending in
+      let victim, _ = Queue.pop t.pending in
       (* Roll the victim's queued timestamp back so its retransmission
          passes the freshness check and re-enters admission. *)
       Hashtbl.replace t.queued_ts victim.Message.client
@@ -651,13 +654,13 @@ and admit_request t (r : Message.request) ~record_ts =
       send_busy t victim;
       if record_ts then
         Hashtbl.replace t.queued_ts r.Message.client r.Message.timestamp;
-      Queue.add r t.pending;
+      Queue.add (r, digest) t.pending;
       try_send_batch t
   end
   else begin
     if record_ts then
       Hashtbl.replace t.queued_ts r.Message.client r.Message.timestamp;
-    Queue.add r t.pending;
+    Queue.add (r, digest) t.pending;
     try_send_batch t
   end
 
@@ -676,14 +679,22 @@ and resend_cached_reply t (r : Message.request) =
 
 (* --- execution --------------------------------------------------------- *)
 
-and resolve_entries t entries =
-  List.filter_map
-    (fun entry ->
-      match entry with
-      | Message.Full r -> Some r
-      | Message.Summary d -> Hashtbl.find_opt t.request_store d
-      | Message.Null_entry -> None)
-    entries
+(* The requests a slot's entries stand for, with their digests; summaries
+   whose body is gone are skipped. *)
+and resolve_entries t (slot : Log.slot) =
+  match slot.Log.pre_prepare with
+  | None -> []
+  | Some (_, entries) ->
+    List.fold_right2
+      (fun entry d acc ->
+        match entry with
+        | Message.Full r -> (r, d) :: acc
+        | Message.Summary _ -> (
+          match Hashtbl.find_opt t.request_store d with
+          | Some r -> (r, d) :: acc
+          | None -> acc)
+        | Message.Null_entry -> acc)
+      entries slot.Log.entry_digests []
 
 and execute_request t (r : Message.request) ~tentative undos =
   let ce = client_entry t r.Message.client in
@@ -719,15 +730,12 @@ and execute_request t (r : Message.request) ~tentative undos =
   end
 
 and execute_slot t (slot : Log.slot) ~tentative =
-  let entries =
-    match slot.Log.pre_prepare with Some (_, entries) -> entries | None -> []
-  in
   let undos = ref [] in
   List.iter
-    (fun r ->
-      Hashtbl.remove t.waiting (Message.request_digest r);
+    (fun (r, digest) ->
+      Hashtbl.remove t.waiting digest;
       execute_request t r ~tentative undos)
-    (resolve_entries t entries);
+    (resolve_entries t slot);
   slot.Log.undos <- !undos;
   slot.Log.executed <- true;
   t.last_executed <- slot.Log.seq;
@@ -743,27 +751,23 @@ and finalize_slot t (slot : Log.slot) =
   t.vc_attempts <- 0;
   t.resend_stalls <- 0;
   (* cached replies for this batch are now backed by a commit certificate *)
-  (match slot.Log.pre_prepare with
-  | Some (_, entries) ->
-    List.iter
-      (fun (r : Message.request) ->
-        let ce = client_entry t r.Message.client in
-        if ce.last_ts = r.Message.timestamp then ce.cached_tentative <- false)
-      (resolve_entries t entries)
-  | None -> ());
+  List.iter
+    (fun ((r : Message.request), _) ->
+      let ce = client_entry t r.Message.client in
+      if ce.last_ts = r.Message.timestamp then ce.cached_tentative <- false)
+    (resolve_entries t slot);
   (match slot.Log.pp_digest with
   | Some d -> t.exec_audit <- (slot.Log.seq, d) :: t.exec_audit
   | None -> ());
   (* Clean up executed request bodies, inline ones included. *)
   (match slot.Log.pre_prepare with
   | Some (_, entries) ->
-    List.iter
-      (function
-        | Message.Summary d -> Hashtbl.remove t.request_store d
-        | Message.Full r ->
-          Hashtbl.remove t.request_store (Message.request_digest r)
+    List.iter2
+      (fun entry d ->
+        match entry with
+        | Message.Summary _ | Message.Full _ -> Hashtbl.remove t.request_store d
         | Message.Null_entry -> ())
-      entries
+      entries slot.Log.entry_digests
   | None -> ());
   flush_deferred_ro t;
   if slot.Log.seq mod t.config.Config.checkpoint_interval = 0 then
@@ -880,7 +884,7 @@ and make_stable t seq digest =
   drop_below t.checkpoint_snapshots;
   (let doomed =
      Hashtbl.fold
-       (fun d (s, _) acc -> if s <= seq then d :: acc else acc)
+       (fun d (s, _, _) acc -> if s <= seq then d :: acc else acc)
        t.batch_store []
    in
    List.iter (Hashtbl.remove t.batch_store) doomed);
@@ -1185,10 +1189,10 @@ and try_send_batch t =
    the batch at [seq]. The caller guarantees the queue is non-empty. *)
 and send_assembled_batch t seq =
   let cfg = t.config in
-  let entries = ref [] and bytes = ref 0 and count = ref 0 in
+  let entries = ref [] and digests = ref [] and bytes = ref 0 and count = ref 0 in
   let continue = ref true in
   while !continue && not (Queue.is_empty t.pending) do
-    let r = Queue.peek t.pending in
+    let r, digest = Queue.peek t.pending in
     let summarize =
       cfg.Config.separate_request_transmission
       && Payload.size r.Message.op > Config.inline_threshold
@@ -1204,26 +1208,24 @@ and send_assembled_batch t seq =
       ignore (Queue.pop t.pending);
       bytes := !bytes + sz;
       incr count;
-      let entry =
-        if summarize then Message.Summary (Message.request_digest r)
-        else Message.Full r
-      in
-      entries := entry :: !entries
+      let entry = if summarize then Message.Summary digest else Message.Full r in
+      entries := entry :: !entries;
+      digests := digest :: !digests
     end
   done;
-  let entries = List.rev !entries in
-  send_pre_prepare t seq entries;
+  send_pre_prepare t seq (List.rev !entries) (List.rev !digests);
   Metrics.incr t.metrics "batch.sent";
   Metrics.sample t.metrics "batch.size" (float_of_int !count)
 
-and send_pre_prepare t seq entries =
-  let digest = Message.batch_digest entries in
+and send_pre_prepare t seq entries digests =
+  let digest = Message.batch_digest_of_entry_digests digests in
   let slot = Log.get t.log seq in
   slot.Log.pre_prepare <- Some (t.view, entries);
+  slot.Log.entry_digests <- digests;
   slot.Log.pp_digest <- Some digest;
   slot.Log.proposer <- t.id;
   Log.set_missing t.log slot [];
-  Hashtbl.replace t.batch_store digest (seq, entries);
+  Hashtbl.replace t.batch_store digest (seq, entries, digests);
   (* [max]: a rotating-mode primary reclaim can propose below our own
      cursor; the cursor must never move backwards. *)
   t.last_pp_seq <- Stdlib.max t.last_pp_seq seq;
@@ -1333,7 +1335,13 @@ and check_committed t (slot : Log.slot) =
   end
 
 and on_pre_prepare t sender (pp : Message.pre_prepare) =
-  let digest = Message.batch_digest pp.Message.entries in
+  let digests = List.map Message.entry_digest pp.Message.entries in
+  accept_pre_prepare t sender pp digests
+    (Message.batch_digest_of_entry_digests digests)
+
+(* [digests] and [digest] are the entries' digests and the batch digest,
+   computed once by the caller. *)
+and accept_pre_prepare t sender (pp : Message.pre_prepare) digests digest =
   let fill_bodies (slot : Log.slot) =
     (* A retransmitted/fetched body for a batch we already know by digest:
        any sender is fine, the digest vouches for the content. *)
@@ -1342,10 +1350,12 @@ and on_pre_prepare t sender (pp : Message.pre_prepare) =
       (match slot.Log.pre_prepare with
       | Some (v, _) -> slot.Log.pre_prepare <- Some (v, pp.Message.entries)
       | None -> slot.Log.pre_prepare <- Some (pp.Message.view, pp.Message.entries));
-      store_bodies t pp.Message.entries;
+      slot.Log.entry_digests <- digests;
+      store_bodies t pp.Message.entries digests;
       Log.set_missing t.log slot (compute_missing t pp.Message.entries);
       if slot.Log.missing_bodies = [] then begin
-        Hashtbl.replace t.batch_store digest (slot.Log.seq, pp.Message.entries);
+        Hashtbl.replace t.batch_store digest
+          (slot.Log.seq, pp.Message.entries, digests);
         if slot.Log.proposer <> t.id then send_prepare t slot;
         check_prepared t slot;
         advance t
@@ -1381,16 +1391,18 @@ and on_pre_prepare t sender (pp : Message.pre_prepare) =
       | _ ->
         let slot = Log.get t.log pp.Message.seq in
         slot.Log.pre_prepare <- Some (t.view, pp.Message.entries);
+        slot.Log.entry_digests <- digests;
         slot.Log.pp_digest <- Some digest;
         slot.Log.proposer <- sender;
-        store_bodies t pp.Message.entries;
+        store_bodies t pp.Message.entries digests;
         Log.set_missing t.log slot (compute_missing t pp.Message.entries);
         Metrics.incr t.metrics "preprepare.accepted";
         emit_trace t ~seqno:pp.Message.seq ~view:t.view Trace.Preprepare_accepted;
         t.max_pp_seen <- Stdlib.max t.max_pp_seen pp.Message.seq;
         ensure_resend_timer t;
         if slot.Log.missing_bodies = [] then begin
-          Hashtbl.replace t.batch_store digest (pp.Message.seq, pp.Message.entries);
+          Hashtbl.replace t.batch_store digest
+            (pp.Message.seq, pp.Message.entries, digests);
           if slot.Log.proposer <> t.id then send_prepare t slot;
           check_prepared t slot
         end
@@ -1412,13 +1424,13 @@ and on_pre_prepare t sender (pp : Message.pre_prepare) =
                 | _ -> ())
         end)
 
-and store_bodies t entries =
-  List.iter
-    (function
-      | Message.Full r ->
-        Hashtbl.replace t.request_store (Message.request_digest r) r
+and store_bodies t entries digests =
+  List.iter2
+    (fun entry d ->
+      match entry with
+      | Message.Full r -> Hashtbl.replace t.request_store d r
       | Message.Summary _ | Message.Null_entry -> ())
-    entries
+    entries digests
 
 (* A request body just arrived: unblock any slot whose pre-prepare was
    waiting for it. *)
@@ -1431,7 +1443,9 @@ and resolve_missing t digest =
         Log.set_missing t.log slot (compute_missing t entries);
         if slot.Log.missing_bodies = [] then begin
           (match slot.Log.pp_digest with
-          | Some d -> Hashtbl.replace t.batch_store d (slot.Log.seq, entries)
+          | Some d ->
+            Hashtbl.replace t.batch_store d
+              (slot.Log.seq, entries, slot.Log.entry_digests)
           | None -> ());
           if slot.Log.proposer <> t.id then send_prepare t slot;
           check_prepared t slot
@@ -1447,17 +1461,19 @@ and resolve_missing t digest =
    block global execution order until our next batch. Claim those slots
    now — with real batches if work is pending, null requests otherwise. *)
 and on_ordered_pre_prepare t sender (o : Message.ordered_pre_prepare) =
-  on_pre_prepare t sender
+  let digests = List.map Message.entry_digest o.Message.opp_entries in
+  let digest = Message.batch_digest_of_entry_digests digests in
+  accept_pre_prepare t sender
     {
       Message.view = o.Message.opp_view;
       seq = o.Message.opp_seq;
       entries = o.Message.opp_entries;
-    };
+    }
+    digests digest;
   let embedded_accepted () =
     match Log.find t.log o.Message.opp_seq with
     | Some { Log.pp_digest = Some d; proposer; _ } ->
-      proposer = sender
-      && Fingerprint.equal d (Message.batch_digest o.Message.opp_entries)
+      proposer = sender && Fingerprint.equal d digest
     | _ -> false
   in
   (* The handoff side effects run only for a *legitimate* handoff: the
@@ -1492,7 +1508,7 @@ and on_ordered_pre_prepare t sender (o : Message.ordered_pre_prepare) =
       | _ ->
         if Queue.is_empty t.pending then begin
           Metrics.incr t.metrics "rotate.null_fill";
-          send_pre_prepare t !s [ Message.Null_entry ]
+          send_pre_prepare t !s [ Message.Null_entry ] [ Fingerprint.zero ]
         end
         else send_assembled_batch t !s);
       s := next_owned_seq t !s
@@ -1659,12 +1675,12 @@ and on_request t sender (r : Message.request) =
         let fresh =
           match queued with Some ts -> r.Message.timestamp > ts | None -> true
         in
-        if fresh then admit_request t r ~record_ts:true
+        if fresh then admit_request t r digest ~record_ts:true
         else if r.Message.full_replies then begin
           (* Retransmission of something we may have lost in a view change:
              if it is no longer in flight, propose it again. *)
-          if not (in_flight t digest) && not (Queue.fold (fun acc (q : Message.request) -> acc || (q.Message.client = r.Message.client && q.Message.timestamp = r.Message.timestamp)) false t.pending) then
-            admit_request t r ~record_ts:false
+          if not (in_flight t digest) && not (Queue.fold (fun acc ((q : Message.request), _) -> acc || (q.Message.client = r.Message.client && q.Message.timestamp = r.Message.timestamp)) false t.pending) then
+            admit_request t r digest ~record_ts:false
         end
       end
       else begin
@@ -1679,14 +1695,10 @@ and on_request t sender (r : Message.request) =
 and in_flight t digest =
   let found = ref false in
   Log.iter t.log (fun slot ->
-      if not slot.Log.executed then
-        match slot.Log.pre_prepare with
-        | Some (_, entries) ->
-          List.iter
-            (fun e ->
-              if Fingerprint.equal (Message.entry_digest e) digest then found := true)
-            entries
-        | None -> ());
+      if
+        (not slot.Log.executed)
+        && List.exists (Fingerprint.equal digest) slot.Log.entry_digests
+      then found := true);
   !found
 
 (* --- view changes -------------------------------------------------------- *)
@@ -1867,7 +1879,7 @@ and build_new_view t next_view vcs =
       | Some proof ->
         let body =
           match Hashtbl.find_opt t.batch_store proof.Message.digest with
-          | Some (_, entries) -> entries
+          | Some (_, entries, _) -> entries
           | None -> []  (* unknown body: receivers fetch it *)
         in
         { Message.seq; digest = proof.Message.digest; entries = body }
@@ -1931,12 +1943,15 @@ and install_new_view t (nv : Message.new_view) =
       if e.Message.seq > Log.low_watermark t.log && Log.in_window t.log e.Message.seq
       then begin
         let slot = Log.get t.log e.Message.seq in
-        let entries =
-          if e.Message.entries <> [] then e.Message.entries
-          else
-            match Hashtbl.find_opt t.batch_store e.Message.digest with
-            | Some (_, body) -> body
-            | None -> []
+        (* Our own NEW-VIEW re-proposes the bodies of [batch_store], whose
+           digests are already known. *)
+        let entries, digests =
+          match Hashtbl.find_opt t.batch_store e.Message.digest with
+          | Some (_, body, digests)
+            when e.Message.entries = [] || e.Message.entries == body ->
+            (body, digests)
+          | _ ->
+            (e.Message.entries, List.map Message.entry_digest e.Message.entries)
         in
         slot.Log.pp_digest <- Some e.Message.digest;
         (* NEW-VIEW re-proposals come from the new primary regardless of
@@ -1945,9 +1960,11 @@ and install_new_view t (nv : Message.new_view) =
         t.max_pp_seen <- Stdlib.max t.max_pp_seen e.Message.seq;
         if entries <> [] then begin
           slot.Log.pre_prepare <- Some (t.view, entries);
-          store_bodies t entries;
+          slot.Log.entry_digests <- digests;
+          store_bodies t entries digests;
           Log.set_missing t.log slot (compute_missing t entries);
-          Hashtbl.replace t.batch_store e.Message.digest (e.Message.seq, entries)
+          Hashtbl.replace t.batch_store e.Message.digest
+            (e.Message.seq, entries, digests)
         end
         else begin
           slot.Log.pre_prepare <- Some (t.view, []);
@@ -2111,7 +2128,7 @@ let handle_envelope t ~wire ~prefix_len ~size (env : Message.envelope) =
     (match t.behavior with
     | Behavior.Replay -> maybe_replay t ~wire ~size
     | _ -> ());
-    Metrics.incr t.metrics ("recv." ^ Message.tag_name env.Message.msg);
+    Metrics.incr t.metrics (Message.recv_counter env.Message.msg);
     (* Piggybacked commits: only the sender's own commits are credible,
        and only a replica's ([handle_message] drops the rest). *)
     List.iter

@@ -19,6 +19,8 @@ type nonce_window = { mutable highest : int64; mutable bits : int64 }
 
 let nonce_window_size = 64
 
+module Int_tbl = Hashtbl.Make (Int)
+
 type t = {
   net : Network.t;
   keychain : Keychain.t;
@@ -26,7 +28,7 @@ type t = {
   pk_mode : bool;
   mutable nonce : int64;
   scratch : Bft_util.Codec.Enc.t; (* wire assembly buffer, one per sender *)
-  windows : (int, nonce_window) Hashtbl.t; (* sender -> anti-replay state *)
+  windows : nonce_window Int_tbl.t; (* sender -> anti-replay state *)
   mutable tamper : (Message.t -> Message.t) option;
   mutable corrupt_auth : bool;
 }
@@ -39,7 +41,7 @@ let create net ~keychain ~node ?(public_key_signatures = false) () =
     pk_mode = public_key_signatures;
     nonce = 0L;
     scratch = Bft_util.Codec.Enc.create ~initial:1024 ();
-    windows = Hashtbl.create 16;
+    windows = Int_tbl.create 16;
     tamper = None;
     corrupt_auth = false;
   }
@@ -119,14 +121,14 @@ let multicast t ?(commits = []) ~dsts msg =
   let wire, size = build t ~commits ~targets msg in
   charge_send_crypto t ~size ~targets:(List.length targets);
   let nodes =
-    List.sort_uniq compare (List.map (fun (p : peer) -> p.node) dsts)
+    List.sort_uniq Int.compare (List.map (fun (p : peer) -> p.node) dsts)
   in
   Network.multicast t.net ~src:t.node ~dsts:nodes ~size wire
 
 let nonce_status t ~from nonce =
-  match Hashtbl.find_opt t.windows from with
-  | None -> `Fresh
-  | Some w ->
+  match Int_tbl.find t.windows from with
+  | exception Not_found -> `Fresh
+  | w ->
     if Int64.compare nonce w.highest > 0 then `Fresh
     else
       let age = Int64.to_int (Int64.sub w.highest nonce) in
@@ -136,11 +138,11 @@ let nonce_status t ~from nonce =
 
 let record_nonce t ~from nonce =
   let w =
-    match Hashtbl.find_opt t.windows from with
-    | Some w -> w
-    | None ->
+    match Int_tbl.find t.windows from with
+    | w -> w
+    | exception Not_found ->
       let w = { highest = 0L; bits = 0L } in
-      Hashtbl.replace t.windows from w;
+      Int_tbl.replace t.windows from w;
       w
   in
   if Int64.compare nonce w.highest > 0 then begin

@@ -5,16 +5,21 @@ type t = { nonce : int64; entries : (Keychain.principal * Mac.tag) list }
 let generate keychain ~nonce ~targets msg =
   let entries =
     List.map
-      (fun peer -> (peer, Mac.compute ~key:(Keychain.send_key keychain peer) ~nonce msg))
+      (fun peer ->
+        (peer, Mac.compute_with (Keychain.send_session keychain peer) ~nonce msg))
       targets
   in
   { nonce; entries }
 
+(* The tag addressed to [self]: the first entry with that id. *)
+let rec own_tag self = function
+  | [] -> raise_notrace Not_found
+  | (id, tag) :: rest -> if Int.equal id self then tag else own_tag self rest
+
 let check keychain ~from msg t =
-  match List.assoc_opt (Keychain.self keychain) t.entries with
-  | None -> false
-  | Some tag ->
-    Mac.verify ~key:(Keychain.recv_key keychain from) ~nonce:t.nonce msg tag
+  match own_tag (Keychain.self keychain) t.entries with
+  | tag -> Mac.verify_with (Keychain.recv_session keychain from) ~nonce:t.nonce msg tag
+  | exception Not_found -> false
 
 let single keychain ~nonce ~to_ msg = generate keychain ~nonce ~targets:[ to_ ] msg
 

@@ -22,6 +22,17 @@ val create : master:string -> self:principal -> ?replica_bound:int -> unit -> t
 
 val self : t -> principal
 
+(** Each direction of each pairwise channel is a session: the key of the
+    current epoch and its prepared MAC state, derived once per (peer,
+    epoch) and found again with one int-keyed probe that allocates
+    nothing. *)
+
+val send_session : t -> principal -> Mac.session
+(** Prepared key for messages this principal sends to [peer]. *)
+
+val recv_session : t -> principal -> Mac.session
+(** Prepared key under which messages from [peer] must be authenticated. *)
+
 (** Key this principal uses to authenticate messages it sends to [peer]. *)
 val send_key : t -> principal -> string
 

@@ -2,44 +2,59 @@ type tag = string
 
 let tag_size = 8
 
-(* MAC keys are long-lived session keys, so the HMAC pads are cached per
-   key and the hash-input scratch is reused. The tag bytes produced are
-   identical to [Hmac.mac ~key (nonce_le ^ msg)] truncated to [tag_size]. *)
-let keyed_cache : (string, Hmac.keyed) Hashtbl.t = Hashtbl.create 64
+(* The MD5 states after the inner and outer pad blocks of one key, laid out
+   by the C stub. Immutable once [prepare] has filled it. *)
+type session = Bytes.t
 
-let keyed key =
-  match Hashtbl.find_opt keyed_cache key with
-  | Some k -> k
-  | None ->
-    (* Bounded: derived keys are per (pair, epoch), but guard anyway. *)
-    if Hashtbl.length keyed_cache > 4096 then Hashtbl.reset keyed_cache;
-    let k = Hmac.prepare key in
-    Hashtbl.replace keyed_cache key k;
-    k
+external prepared_size : unit -> int = "bft_mac_prepared_size" [@@noalloc]
 
-(* Staging for one hash input at a time: [ipad ‖ nonce_le ‖ msg] for the
-   inner hash, then [opad ‖ inner] for the outer one. Grown on demand and
-   reused, since MACs never nest. *)
-let scratch = ref (Bytes.create 1024)
+external prepare_into : string -> string -> Bytes.t -> unit = "bft_mac_prepare"
+[@@noalloc]
 
-let compute_tag ~key ~nonce msg =
-  let k = keyed key in
-  let pad = String.length k.Hmac.ipad and len = String.length msg in
-  let inner_len = pad + 8 + len in
-  if inner_len > Bytes.length !scratch then
-    scratch := Bytes.create (Stdlib.max inner_len (2 * Bytes.length !scratch));
-  let buf = !scratch in
-  Bytes.blit_string k.Hmac.ipad 0 buf 0 pad;
-  Bytes.set_int64_le buf pad nonce;
-  Bytes.blit_string msg 0 buf (pad + 8) len;
-  let inner = Digest.subbytes buf 0 inner_len in
-  Bytes.blit_string k.Hmac.opad 0 buf 0 pad;
-  Bytes.blit_string inner 0 buf pad 16;
-  String.sub (Digest.subbytes buf 0 (pad + 16)) 0 tag_size
+external tag_into : session -> (int64[@unboxed]) -> string -> Bytes.t -> unit
+  = "bft_mac_tag_into_byte" "bft_mac_tag_into"
+[@@noalloc]
 
-let compute ~key ~nonce msg =
+external verify_tag : session -> (int64[@unboxed]) -> string -> tag -> bool
+  = "bft_mac_verify_byte" "bft_mac_verify"
+[@@noalloc]
+
+let session_size = prepared_size ()
+
+let prepare key =
+  let k = Hmac.prepare key in
+  let s = Bytes.create session_size in
+  prepare_into k.Hmac.ipad k.Hmac.opad s;
+  s
+
+let compute_with s ~nonce msg =
   Tally.note_mac_gen (String.length msg);
-  compute_tag ~key ~nonce msg
+  let tag = Bytes.create tag_size in
+  tag_into s nonce msg tag;
+  Bytes.unsafe_to_string tag
+
+let verify_with s ~nonce msg tag =
+  Tally.note_mac_verify (String.length msg);
+  verify_tag s nonce msg tag
+
+(* The last key [compute]/[verify] prepared. Protocol traffic goes through
+   per-peer sessions; this one-entry cache only spares repeated calls under
+   one literal key (tests, the ledger's MAC probe) the preparation. It is a
+   pure cache: any key prepares to the same session whenever it misses. *)
+let last_key = ref ""
+
+let last_session = ref (prepare "")
+
+let session_of key =
+  if not (String.equal key !last_key) then begin
+    last_session := prepare key;
+    last_key := key
+  end;
+  !last_session
+
+let compute ~key ~nonce msg = compute_with (session_of key) ~nonce msg
+
+let verify ~key ~nonce msg tag = verify_with (session_of key) ~nonce msg tag
 
 let equal a b =
   (* Constant-time over the common length to avoid timing oracles. *)
@@ -51,7 +66,3 @@ let equal a b =
     acc := !acc lor (Char.code (String.unsafe_get a i) lxor Char.code (String.unsafe_get b i))
   done;
   !acc = 0
-
-let verify ~key ~nonce msg tag =
-  Tally.note_mac_verify (String.length msg);
-  equal (compute_tag ~key ~nonce msg) tag

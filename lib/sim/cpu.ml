@@ -21,15 +21,23 @@ let num_categories = 7
 let category_labels =
   [| "mac_gen"; "mac_verify"; "digest"; "encode"; "decode"; "exec"; "other" |]
 
+(* The clock: an all-float record is stored flat, so updating a field
+   allocates nothing (a mutable float in a mixed record is boxed per
+   store). *)
+type clock = {
+  mutable busy_until : float;
+  mutable handler_start : float; (* meaningful while [in_handler] *)
+  mutable accum : float; (* work charged by the running handler, speed-1 s *)
+}
+
 type t = {
   engine : Engine.t;
   speed : float;
   name : string;
   pending : (unit -> unit) Queue.t;
   mutable pumping : bool;
-  mutable busy_until_ : float;
-  mutable handler_start : float option;
-  mutable accum : float; (* work charged by the running handler, speed-1 s *)
+  clock : clock;
+  mutable in_handler : bool;
   busy_by_cat : float array; (* busy seconds per category; the fold IS total_busy *)
   mutable stats_since : float;
 }
@@ -42,9 +50,8 @@ let create engine ?(speed = 1.0) ~name () =
     name;
     pending = Queue.create ();
     pumping = false;
-    busy_until_ = 0.0;
-    handler_start = None;
-    accum = 0.0;
+    clock = { busy_until = 0.0; handler_start = 0.0; accum = 0.0 };
+    in_handler = false;
     busy_by_cat = Array.make num_categories 0.0;
     stats_since = 0.0;
   }
@@ -53,20 +60,21 @@ let engine t = t.engine
 
 let name t = t.name
 
-let busy_until t = t.busy_until_
+let busy_until t = t.clock.busy_until
 
 let virtual_now t =
-  match t.handler_start with
-  | Some start -> start +. (t.accum /. t.speed)
-  | None -> Float.max (Engine.now t.engine) t.busy_until_
+  let c = t.clock in
+  if t.in_handler then c.handler_start +. (c.accum /. t.speed)
+  else Float.max (Engine.now t.engine) c.busy_until
 
 let charge ?(cat = Other) t seconds =
   if seconds < 0.0 then invalid_arg "Cpu.charge: negative";
-  (match t.handler_start with
-  | Some _ -> t.accum <- t.accum +. seconds
-  | None ->
-    let start = Float.max (Engine.now t.engine) t.busy_until_ in
-    t.busy_until_ <- start +. (seconds /. t.speed));
+  let c = t.clock in
+  if t.in_handler then c.accum <- c.accum +. seconds
+  else begin
+    let start = Float.max (Engine.now t.engine) c.busy_until in
+    c.busy_until <- start +. (seconds /. t.speed)
+  end;
   let i = category_index cat in
   t.busy_by_cat.(i) <- t.busy_by_cat.(i) +. (seconds /. t.speed)
 
@@ -74,13 +82,15 @@ let rec pump t () =
   match Queue.take_opt t.pending with
   | None -> t.pumping <- false
   | Some handler ->
-    let start = Float.max (Engine.now t.engine) t.busy_until_ in
-    t.handler_start <- Some start;
-    t.accum <- 0.0;
+    let c = t.clock in
+    let start = Float.max (Engine.now t.engine) c.busy_until in
+    c.handler_start <- start;
+    t.in_handler <- true;
+    c.accum <- 0.0;
     let finish_handler () =
-      let finish = start +. (t.accum /. t.speed) in
-      t.handler_start <- None;
-      t.busy_until_ <- Float.max t.busy_until_ finish
+      let finish = start +. (c.accum /. t.speed) in
+      t.in_handler <- false;
+      c.busy_until <- Float.max c.busy_until finish
     in
     (try handler ()
      with e ->
@@ -88,14 +98,14 @@ let rec pump t () =
        raise e);
     finish_handler ();
     if Queue.is_empty t.pending then t.pumping <- false
-    else Engine.schedule_at t.engine t.busy_until_ (pump t)
+    else Engine.schedule_at t.engine t.clock.busy_until (pump t)
 
 let dispatch t handler =
   Queue.add handler t.pending;
   if not t.pumping then begin
     t.pumping <- true;
     Engine.schedule_at t.engine
-      (Float.max (Engine.now t.engine) t.busy_until_)
+      (Float.max (Engine.now t.engine) t.clock.busy_until)
       (pump t)
   end
 

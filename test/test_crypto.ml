@@ -118,6 +118,17 @@ let padding_edge_lengths =
     (fun e -> List.filter (fun n -> n >= 0) [ e - 1; e; e + 1; e - 73; e - 72; e - 71 ])
     [ 55; 56; 64; 119; 120; 128 ]
 
+(* Every single-bit flip of a tag. *)
+let bit_flips tag =
+  List.init (8 * String.length tag) (fun bit ->
+      let b = Bytes.of_string tag in
+      let i = bit / 8 in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+      Bytes.to_string b)
+
+(* The C session path against the OCaml HMAC reference, and its verifier
+   against every near miss: keys past the 64-byte block (hashed first) and
+   empty messages included. *)
 let mac_is_truncated_hmac_prop =
   QCheck.Test.make ~name:"mac = truncated hmac" ~count:300
     QCheck.(
@@ -127,14 +138,22 @@ let mac_is_truncated_hmac_prop =
             (String.length m))
         Gen.(
           triple
-            (string_size (int_range 0 100))
+            (string_size (oneof [ int_range 0 64; int_range 65 200 ]))
             int64
-            (string_size (oneof [ oneofl padding_edge_lengths; int_range 0 300 ]))))
+            (string_size
+               (oneof [ return 0; oneofl padding_edge_lengths; int_range 0 300 ]))))
     (fun (key, nonce, msg) ->
       let nonce_le = Bytes.create 8 in
       Bytes.set_int64_le nonce_le 0 nonce;
-      Mac.compute ~key ~nonce msg
-      = String.sub (Hmac.mac ~key (Bytes.to_string nonce_le ^ msg)) 0 Mac.tag_size)
+      let tag = Mac.compute ~key ~nonce msg in
+      let s = Mac.prepare key in
+      tag = String.sub (Hmac.mac ~key (Bytes.to_string nonce_le ^ msg)) 0 Mac.tag_size
+      && Mac.compute_with s ~nonce msg = tag
+      && Mac.verify_with s ~nonce msg tag
+      && List.for_all (fun t -> not (Mac.verify_with s ~nonce msg t)) (bit_flips tag)
+      && (not (Mac.verify_with s ~nonce msg (String.sub tag 0 7)))
+      && (not (Mac.verify_with s ~nonce msg (tag ^ "\000")))
+      && not (Mac.verify_with s ~nonce:(Int64.succ nonce) msg tag))
 
 (* --- keychain ------------------------------------------------------------ *)
 
@@ -244,6 +263,68 @@ let test_auth_wire_size_all_entry_counts () =
           (Auth.check chains.(target) ~from:0 "msg" decoded))
       targets
   done
+
+(* Replicas 0-3 under [replica_bound:4] and a client principal 4. A
+   replica's refresh retires the tags its replica peers computed under the
+   old epoch until they observe the new one; client channels never move. *)
+let test_auth_across_refresh () =
+  let chains =
+    Array.init 5 (fun i -> Keychain.create ~master:"m" ~self:i ~replica_bound:4 ())
+  in
+  let from_replica = Auth.single chains.(0) ~nonce:1L ~to_:1 "m" in
+  let from_client = Auth.single chains.(4) ~nonce:1L ~to_:1 "m" in
+  check Alcotest.bool "replica tag before refresh" true
+    (Auth.check chains.(1) ~from:0 "m" from_replica);
+  Keychain.refresh chains.(1);
+  check Alcotest.bool "old-epoch tag fails" false
+    (Auth.check chains.(1) ~from:0 "m" from_replica);
+  check Alcotest.bool "unobserved sender still on the old epoch" false
+    (Auth.check chains.(1) ~from:0 "m" (Auth.single chains.(0) ~nonce:2L ~to_:1 "m"));
+  check Alcotest.bool "client tag unaffected" true
+    (Auth.check chains.(1) ~from:4 "m" from_client);
+  check Alcotest.bool "fresh client tag" true
+    (Auth.check chains.(1) ~from:4 "m" (Auth.single chains.(4) ~nonce:2L ~to_:1 "m"));
+  Keychain.observe_epoch chains.(0) ~peer:1 (Keychain.epoch chains.(1) ~peer:0);
+  check Alcotest.bool "new-epoch tag passes" true
+    (Auth.check chains.(1) ~from:0 "m" (Auth.single chains.(0) ~nonce:3L ~to_:1 "m"));
+  check Alcotest.bool "old-epoch tag still fails" false
+    (Auth.check chains.(1) ~from:0 "m" from_replica);
+  check Alcotest.bool "other receivers unaffected" true
+    (Auth.check chains.(2) ~from:0 "m" (Auth.single chains.(0) ~nonce:4L ~to_:2 "m"))
+
+(* --- allocation ------------------------------------------------------------ *)
+
+(* Minor-heap words 1000 calls of [f] allocate, net of an empty loop. *)
+let minor_words_per_1000 f =
+  let loop g =
+    g ();
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      g ()
+    done;
+    Gc.minor_words () -. before
+  in
+  loop f -. loop (fun () -> ())
+
+let test_verify_allocates_nothing () =
+  let s = Mac.prepare "0123456789abcdef" in
+  let msg = String.make 16 'm' in
+  let tag = Mac.compute_with s ~nonce:7L msg in
+  let ok = ref true in
+  check (Alcotest.float 0.0) "verify_with" 0.0
+    (minor_words_per_1000 (fun () -> ok := !ok && Mac.verify_with s ~nonce:7L msg tag));
+  check Alcotest.bool "all verified" true !ok
+
+let test_session_lookup_allocates_nothing () =
+  let kc = Keychain.create ~master:"m" ~self:0 ~replica_bound:4 () in
+  Keychain.observe_epoch kc ~peer:1 2;
+  let chains = make_chains 2 in
+  let auth = Auth.single chains.(1) ~nonce:5L ~to_:0 "msg" in
+  let words name f = check (Alcotest.float 0.0) name 0.0 (minor_words_per_1000 f) in
+  words "send session" (fun () -> ignore (Keychain.send_session kc 1 : Mac.session));
+  words "recv session" (fun () -> ignore (Keychain.recv_session kc 1 : Mac.session));
+  words "client recv session" (fun () -> ignore (Keychain.recv_session kc 9 : Mac.session));
+  words "auth check" (fun () -> ignore (Auth.check chains.(0) ~from:1 "msg" auth : bool))
 
 (* --- fingerprints --------------------------------------------------------- *)
 
@@ -405,6 +486,15 @@ let () =
             test_auth_wire_roundtrip;
           Alcotest.test_case "wire size for 1..n entries" `Quick
             test_auth_wire_size_all_entry_counts;
+          Alcotest.test_case "round trip across refresh" `Quick
+            test_auth_across_refresh;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "verify_with allocates nothing" `Quick
+            test_verify_allocates_nothing;
+          Alcotest.test_case "warm session lookup allocates nothing" `Quick
+            test_session_lookup_allocates_nothing;
         ] );
       ( "fingerprint",
         [

@@ -217,6 +217,31 @@ let test_cpu_negative_charge () =
   Alcotest.check_raises "negative" (Invalid_argument "Cpu.charge: negative")
     (fun () -> Cpu.charge cpu (-1.0))
 
+(* A charge runs once per cost centre per message: it must not allocate,
+   in or out of a handler. The delta is taken against an empty loop, so
+   only allocation by the measured call itself counts. *)
+let minor_words_per_1000 f =
+  let loop g =
+    g ();
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      g ()
+    done;
+    Gc.minor_words () -. before
+  in
+  loop f -. loop (fun () -> ())
+
+let test_cpu_charge_allocates_nothing () =
+  let e = Engine.create () in
+  let cpu = Cpu.create e ~name:"test" () in
+  check feps "outside a handler" 0.0
+    (minor_words_per_1000 (fun () -> Cpu.charge ~cat:Cpu.Digest cpu 1e-6));
+  let inside = ref nan in
+  Cpu.dispatch cpu (fun () ->
+      inside := minor_words_per_1000 (fun () -> Cpu.charge ~cat:Cpu.Mac_gen cpu 1e-6));
+  Engine.run e;
+  check feps "inside a handler" 0.0 !inside
+
 (* --- calibration ------------------------------------------------------------ *)
 
 let test_calibration_helpers () =
@@ -268,6 +293,8 @@ let () =
           Alcotest.test_case "dispatch waits" `Quick test_cpu_dispatch_waits_for_busy;
           Alcotest.test_case "utilisation" `Quick test_cpu_utilisation;
           Alcotest.test_case "negative charge" `Quick test_cpu_negative_charge;
+          Alcotest.test_case "charge allocates nothing" `Quick
+            test_cpu_charge_allocates_nothing;
         ] );
       ( "calibration",
         [ Alcotest.test_case "helpers" `Quick test_calibration_helpers ] );

@@ -174,6 +174,21 @@ let test_envelope_golden () =
     "a315631851c65314e95e601682982ee4"
     (Md5.hex (Message.encode_envelope env))
 
+let test_recv_counters () =
+  let busy =
+    Message.Busy
+      { bz_view = 0; bz_timestamp = 1L; bz_client = 2; bz_replica = 3; bz_queue = 4 }
+  and ordered =
+    Message.Ordered_pre_prepare
+      { opp_view = 0; opp_seq = 1; opp_close = 0; opp_entries = [ Message.Null_entry ] }
+  in
+  List.iter
+    (fun msg ->
+      check Alcotest.string (Message.tag_name msg)
+        ("recv." ^ Message.tag_name msg)
+        (Message.recv_counter msg))
+    (busy :: ordered :: List.map (fun (_, msg, _) -> msg) golden)
+
 let () =
   Alcotest.run "wire-golden"
     [
@@ -181,5 +196,6 @@ let () =
         [
           Alcotest.test_case "message bodies" `Quick test_golden;
           Alcotest.test_case "envelope" `Quick test_envelope_golden;
+          Alcotest.test_case "receive counter names" `Quick test_recv_counters;
         ] );
     ]
