@@ -14,7 +14,9 @@ module Nfs_service = Bft_nfs.Nfs_service
 
 let () =
   let config = Config.make ~f:1 () in
-  let services = Array.init config.Config.n (fun _ -> Nfs_service.create ()) in
+  let services =
+    Array.init config.Config.n (fun _ -> Nfs_service.create (Fs.create ()))
+  in
   let cluster = Cluster.create ~config ~service:(fun i -> services.(i)) () in
   let client = Cluster.add_client cluster in
 

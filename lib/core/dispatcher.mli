@@ -5,9 +5,11 @@
     200 client processes). The dispatcher decodes each incoming datagram
     and routes it: client-addressed messages (REPLY, and the admission
     layer's BUSY) go to the client process they name, everything else goes
-    to the machine's default principal (its replica or server). Malformed
-    datagrams are counted and dropped, as a real server would drop garbage
-    UDP packets. *)
+    to the machine's default principal (its replica or server), as does a
+    client-addressed message naming no registered client. Datagrams nobody
+    takes are counted and dropped ({!malformed}), as a real server would
+    drop garbage UDP packets. Client machines ({!Cluster}'s and {!Norep}'s)
+    have no default principal. *)
 
 type sink = wire:string -> prefix_len:int -> size:int -> Message.envelope -> unit
 
@@ -20,4 +22,6 @@ val register_client : t -> Types.client_id -> sink -> unit
 val register_default : t -> sink -> unit
 
 val malformed : t -> int
-(** Datagrams dropped because they failed to decode. *)
+(** Datagrams dropped: those that failed to decode, and, on a machine with
+    no default principal, those no principal takes (a REPLY or BUSY naming
+    an unregistered client, or any other message). *)

@@ -451,7 +451,9 @@ let encode_body msg =
 (* --- digests --------------------------------------------------------- *)
 
 (* Scratch reused across digest computations (none of them nest), plus a
-   small memo table for the "pad:N" framing strings. *)
+   small memo table for the "pad:N" framing strings. These stay
+   module-level: the scratch buffers' contents never outlive one call and
+   the memo is a pure cache, so no run can observe another's. *)
 let digest_enc = Enc.create ~initial:256 ()
 
 let digest_builder = Fingerprint.create_builder ()
@@ -491,6 +493,8 @@ let entry_digest = function
   | Summary d -> d
   | Null_entry -> Fingerprint.zero
 
+(* Module-level scratch like [digest_builder]; contents never outlive one
+   call. *)
 let batch_builder = Fingerprint.create_builder ()
 
 let batch_digest_of_entry_digests digests =

@@ -75,12 +75,6 @@ module Client = struct
     metrics : Metrics.t;
   }
 
-  (* One dispatcher per (network, client machine), shared by all clients on
-     that machine. Keyed by the network uid so that the many simulations a
-     benchmark process runs never alias each other. *)
-  let dispatchers : (int * Network.node_id, (Types.client_id, t) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 8
-
   let metrics t = t.metrics
 
   let complete t p (result : Payload.t) =
@@ -145,24 +139,7 @@ module Client = struct
     send_request t p;
     arm_timer t p
 
-  let install_dispatcher network node =
-    let key = (Network.uid network, node) in
-    match Hashtbl.find_opt dispatchers key with
-    | Some table -> table
-    | None ->
-      let table = Hashtbl.create 16 in
-      Hashtbl.replace dispatchers key table;
-      Network.set_handler network node (fun ~src:_ ~wire ~size ->
-          ignore size;
-          match Message.decode_envelope wire with
-          | { Message.msg = Message.Reply r; _ } -> (
-            match Hashtbl.find_opt table r.Message.client with
-            | Some client -> on_reply client r
-            | None -> ())
-          | _ | (exception Bft_util.Codec.Decode_error _) -> ());
-      table
-
-  let create ~network ~node ~id ~server ?retry_timeout () =
+  let create ~network ~node ~dispatcher ~id ~server ?retry_timeout () =
     let t =
       {
         network;
@@ -175,8 +152,10 @@ module Client = struct
         metrics = Metrics.create ();
       }
     in
-    let table = install_dispatcher network node in
-    Hashtbl.replace table id t;
+    Dispatcher.register_client dispatcher id (fun ~wire:_ ~prefix_len:_ ~size:_ env ->
+        match env.Message.msg with
+        | Message.Reply r -> on_reply t r
+        | _ -> ());
     t
 
   let node t = t.node
@@ -199,12 +178,16 @@ let deploy ~rng ?(server_name = "server") ?server_recv_buffer ~install
   let server = install network server_node in
   let machines =
     Array.of_list
-      (List.map (machine ?speed:client_machine_speed) client_machines)
+      (List.map
+         (fun name ->
+           let node = machine ?speed:client_machine_speed name in
+           (node, Dispatcher.install network node))
+         client_machines)
   in
   let clients =
     List.init clients (fun i ->
-        Client.create ~network
-          ~node:machines.(i mod Array.length machines)
-          ~id:(100 + i) ~server:server_node ?retry_timeout ())
+        let node, dispatcher = machines.(i mod Array.length machines) in
+        Client.create ~network ~node ~dispatcher ~id:(100 + i)
+          ~server:server_node ?retry_timeout ())
   in
   { network; server; clients }

@@ -27,12 +27,16 @@ module Client : sig
   val create :
     network:Bft_net.Network.t ->
     node:Bft_net.Network.node_id ->
+    dispatcher:Dispatcher.t ->
     id:Types.client_id ->
     server:Bft_net.Network.node_id ->
     ?retry_timeout:float ->
     unit ->
     t
-  (** [retry_timeout = None] (default) reproduces the paper's
+  (** A client process on machine [node], whose replies arrive through
+      that machine's [dispatcher] ({!Dispatcher.install}, one per machine,
+      shared by every client on it; the client registers under [id]).
+      [retry_timeout = None] (default) reproduces the paper's
       fire-and-forget behaviour. *)
 
   val node : t -> Bft_net.Network.node_id
@@ -43,7 +47,9 @@ module Client : sig
 end
 
 (** One unreplicated deployment: a server machine and its client
-    machines on a fresh simulation (see {!Bft_net.Network.simulation}). *)
+    machines on a fresh simulation (see {!Bft_net.Network.simulation}).
+    The deployment owns all of its state: nothing is registered outside
+    it, so once the caller drops it the whole simulation is garbage. *)
 type 'server deployment = {
   network : Bft_net.Network.t;
   server : 'server;
@@ -64,4 +70,5 @@ val deploy :
 (** Build the network from [rng], the server machine [server_name]
     (default ["server"], with [server_recv_buffer] as its socket buffer)
     and the named client machines, in that node order; [install] puts the
-    server on its machine. Client [i] runs on machine [i mod machines]. *)
+    server on its machine. Each client machine gets one {!Dispatcher}, as
+    in {!Cluster.create}. Client [i] runs on machine [i mod machines]. *)

@@ -5,7 +5,6 @@ type undo = unit -> unit
 type capture = { length : int; pad : int; payload : Payload.t Lazy.t }
 
 type t = {
-  name : string;
   execute : client:Types.client_id -> op:Payload.t -> Payload.t * undo;
   is_read_only : Payload.t -> bool;
   execute_cost : Payload.t -> float;
@@ -44,7 +43,6 @@ let parse_result_size op =
 
 let null () =
   {
-    name = "null";
     execute =
       (fun ~client:_ ~op -> (Payload.zeros (parse_result_size op), no_undo));
     is_read_only =

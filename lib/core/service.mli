@@ -8,7 +8,12 @@
     [execute] returns the result together with an undo closure; undo
     supports rolling back *tentatively* executed operations when a view
     change aborts them (the protocol never rolls back committed
-    operations). Undo closures are applied in reverse execution order. *)
+    operations). Undo closures are applied in reverse execution order.
+
+    A service is a record of closures over state its creator allocates and
+    may keep ({!Bft_services.Kv_store.service_of_store},
+    [Bft_nfs.Nfs_service.create]); it registers nothing elsewhere, so it
+    lives exactly as long as the replica or server holding it. *)
 
 type undo = unit -> unit
 
@@ -25,7 +30,6 @@ type capture = {
     charge the encoding before (or without) paying for it. *)
 
 type t = {
-  name : string;
   execute : client:Types.client_id -> op:Payload.t -> Payload.t * undo;
   is_read_only : Payload.t -> bool;
       (** server-side check that an operation marked read-only really is;

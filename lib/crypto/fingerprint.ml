@@ -56,6 +56,8 @@ let finish b =
   Tally.note_digest b.fed;
   Digest.subbytes b.buf 0 b.pos
 
+(* Module-level scratch for [of_parts]: its contents never outlive one
+   call, so no run can observe another's. *)
 let parts_builder = create_builder ()
 
 let of_parts parts =

@@ -39,8 +39,9 @@ let verify_with s ~nonce msg tag =
 
 (* The last key [compute]/[verify] prepared. Protocol traffic goes through
    per-peer sessions; this one-entry cache only spares repeated calls under
-   one literal key (tests, the ledger's MAC probe) the preparation. It is a
-   pure cache: any key prepares to the same session whenever it misses. *)
+   one literal key (tests, the ledger's MAC probe) the preparation. It stays
+   module-level because it is a pure cache: any key prepares to the same
+   session whenever it misses, so no run can observe another's entry. *)
 let last_key = ref ""
 
 let last_session = ref (prepare "")

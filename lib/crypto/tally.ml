@@ -29,6 +29,10 @@ let zero =
     digest_bytes = 0;
   }
 
+(* The six counters are the one piece of cross-run state that stays
+   process-global: the frozen benchmark ledger reads them through
+   [snapshot]/[diff] around its measured windows. They move into the
+   simulation with the next change to that ledger. *)
 let mac_gen_ops = ref 0
 
 let mac_gen_bytes = ref 0

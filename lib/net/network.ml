@@ -35,7 +35,6 @@ type node = {
 }
 
 type t = {
-  uid : int;
   engine : Engine.t;
   cal : Calibration.t;
   rng : Rng.t;
@@ -54,12 +53,8 @@ type t = {
   mutable trace : Trace.t;
 }
 
-let uid_counter = ref 0
-
 let create engine cal ~rng =
-  incr uid_counter;
   {
-    uid = !uid_counter;
     engine;
     cal;
     rng;
@@ -86,8 +81,6 @@ let simulation ?(cal = Calibration.default) ?(trace = Trace.nil) ~rng () =
 let trace t = t.trace
 
 let engine t = t.engine
-
-let uid t = t.uid
 
 let calibration t = t.cal
 

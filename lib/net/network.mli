@@ -48,10 +48,6 @@ val simulation :
 
 val engine : t -> Bft_sim.Engine.t
 
-val uid : t -> int
-(** Unique per network instance; lets callers key per-network state when
-    many simulations run in one process. *)
-
 val calibration : t -> Bft_sim.Calibration.t
 
 val add_node :

@@ -19,10 +19,6 @@ let default_params =
 
 let no_undo () = ()
 
-let registry : (int, Fs.t) Hashtbl.t = Hashtbl.create 8
-
-let next_id = ref 0
-
 let execute_call fs call : Proto.reply * Service.undo =
   let ok_undo r = (r, no_undo) in
   match (call : Proto.call) with
@@ -115,16 +111,11 @@ let call_cost params fs (call : Proto.call) =
   +. (float_of_int data_len *. params.byte_cpu)
   +. miss_cost params fs data_len
 
-let create ?(params = default_params) () =
-  let fs = Fs.create () in
+let create ?(params = default_params) fs =
   let dirty = ref 0 in
-  incr next_id;
-  let id = !next_id in
-  Hashtbl.replace registry id fs;
   let snapshot () = Payload.of_string (Fs.snapshot fs) in
   {
-    Service.name = Printf.sprintf "nfs#%d" id;
-    execute =
+    Service.execute =
       (fun ~client:_ ~op ->
         match Proto.decode_call op with
         | None -> (Proto.encode_reply (Proto.Err Fs.EINVAL), no_undo)
@@ -155,14 +146,3 @@ let create ?(params = default_params) () =
         Fs.restore fs p.Payload.data;
         dirty := 0);
   }
-
-let fs_of (svc : Service.t) =
-  match String.index_opt svc.Service.name '#' with
-  | Some i -> (
-    match
-      int_of_string_opt
-        (String.sub svc.Service.name (i + 1) (String.length svc.Service.name - i - 1))
-    with
-    | Some id -> Hashtbl.find_opt registry id
-    | None -> None)
-  | None -> None

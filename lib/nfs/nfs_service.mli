@@ -22,10 +22,13 @@ type params = {
 
 val default_params : params
 
-val create : ?params:params -> unit -> Bft_core.Service.t
-
-val fs_of : Bft_core.Service.t -> Fs.t option
-(** Test hook: the underlying file system of a service built by [create]. *)
+val create : ?params:params -> Fs.t -> Bft_core.Service.t
+(** The service over [fs], which the caller creates and keeps (as
+    {!Bft_services.Kv_store.service_of_store} does for a store): executing,
+    undoing and restoring mutate [fs] in place, and the caller reads the
+    served state straight from it. The service holds no other state than
+    its dirty counter, and nothing outside the returned value refers to
+    [fs]. *)
 
 val execute_call : Fs.t -> Proto.call -> Proto.reply * Bft_core.Service.undo
 (** Shared with the NFS-STD model, which runs the same state machine

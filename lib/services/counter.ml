@@ -54,8 +54,7 @@ let service () =
   in
   let snapshot () = Payload.of_string (encode_state ()) in
   {
-    Service.name = "counter";
-    execute =
+    Service.execute =
       (fun ~client:_ ~op ->
         match op_of_payload op with
         | Some (Read name) ->

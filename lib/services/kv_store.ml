@@ -681,8 +681,7 @@ let size store = store.count
 
 let service_of_store store =
   {
-    Service.name = "kv-store";
-    execute =
+    Service.execute =
       (fun ~client:_ ~op ->
         match op_of_payload op with
         | None -> (result_payload (Error "undecodable operation"), no_undo)

@@ -4,6 +4,7 @@ module Cpu = Bft_sim.Cpu
 module Network = Bft_net.Network
 module Rng = Bft_util.Rng
 module Monitor = Bft_trace.Monitor
+module Fs = Bft_nfs.Fs
 module Proto = Bft_nfs.Proto
 module Nfs_service = Bft_nfs.Nfs_service
 module Nfs_std = Bft_nfs.Nfs_std
@@ -19,7 +20,7 @@ type t = {
   network : Network.t;
   client_cpu : Cpu.t;
   invoke : read_only:bool -> Payload.t -> (Payload.t -> unit) -> unit;
-  server_fs : Bft_nfs.Fs.t option;
+  server_fs : Fs.t;
 }
 
 let engine t = Network.engine t.network
@@ -60,7 +61,8 @@ let make backend ?(params = Nfs_service.default_params) ?monitor () =
   match backend with
   | Bfs ->
     let config = Config.make ~f:1 () in
-    let services = Array.init config.Config.n (fun _ -> Nfs_service.create ~params ()) in
+    let fs = Array.init config.Config.n (fun _ -> Fs.create ()) in
+    let services = Array.map (Nfs_service.create ~params) fs in
     let cluster =
       Cluster.create ~seed ~client_machines:1 ~config
         ~service:(fun i -> services.(i)) ()
@@ -76,19 +78,20 @@ let make backend ?(params = Nfs_service.default_params) ?monitor () =
       network;
       client_cpu = Network.node_cpu network (config.Config.n (* machine 0 *));
       invoke;
-      server_fs = Nfs_service.fs_of services.(0);
+      server_fs = fs.(0);
     }
   | Norep_fs ->
     unreplicated ~seed ?monitor
       ~install:(fun network node ->
-        let service = Nfs_service.create ~params () in
+        let fs = Fs.create () in
+        let service = Nfs_service.create ~params fs in
         ignore (Norep.Server.create ~network ~node ~service ());
-        Nfs_service.fs_of service)
+        fs)
       ()
   | Nfs_std_fs ->
     unreplicated ~seed ?monitor ~server_name:"nfsd"
       ~install:(fun network node ->
-        Some (Nfs_std.fs (Nfs_std.create ~network ~node ~params ())))
+        Nfs_std.fs (Nfs_std.create ~network ~node ~params ()))
       ()
 
 type step = Compute of float | Call of Proto.call | Phase of string

@@ -48,5 +48,6 @@ val run :
     [on_done] fires at the end with the total elapsed virtual time and the
     number of NFS calls issued. The caller must then run the engine. *)
 
-val server_fs : t -> Bft_nfs.Fs.t option
-(** The authoritative file system (first replica's for BFS). *)
+val server_fs : t -> Bft_nfs.Fs.t
+(** The authoritative file system: the one the rig created for the server
+    (for BFS, the first replica's). *)

@@ -561,34 +561,222 @@ let test_client_tentative_strong_quorum () =
 let test_dispatcher_routes_replies () =
   let engine = Engine.create () in
   let net = Network.create engine Bft_sim.Calibration.default ~rng:(Bft_util.Rng.of_int 4) in
-  let cpu = Cpu.create engine ~name:"m" () in
-  let node = Network.add_node net ~cpu ~name:"m" () in
+  let machine name = Network.add_node net ~cpu:(Cpu.create engine ~name ()) ~name () in
+  let node = machine "m" in
   let d = Dispatcher.install net node in
   let got_client = ref 0 and got_default = ref 0 in
   Dispatcher.register_client d 101 (fun ~wire:_ ~prefix_len:_ ~size:_ _ -> incr got_client);
   Dispatcher.register_default d (fun ~wire:_ ~prefix_len:_ ~size:_ _ -> incr got_default);
-  let send msg =
+  (* A client machine: no default principal. *)
+  let client_node = machine "c" in
+  let client_d = Dispatcher.install net client_node in
+  let got_registered = ref 0 in
+  Dispatcher.register_client client_d 101 (fun ~wire:_ ~prefix_len:_ ~size:_ _ ->
+      incr got_registered);
+  let send ?(dst = node) msg =
     let env = { Message.sender = 0; msg; commits = []; auth = { Bft_crypto.Auth.nonce = 0L; entries = [] } } in
-    Network.send net ~src:node ~dst:node (Message.encode_envelope env)
+    Network.send net ~src:node ~dst (Message.encode_envelope env)
   in
-  send
-    (Message.Reply
-       {
-         Message.view = 0; timestamp = 1L; client = 101; replica = 0;
-         tentative = false; epoch = 0; body = Message.Result_digest (Fingerprint.of_string "r");
-       });
-  send
-    (Message.Reply
-       {
-         Message.view = 0; timestamp = 1L; client = 999; replica = 0;
-         tentative = false; epoch = 0; body = Message.Result_digest (Fingerprint.of_string "r");
-       });
+  let reply client =
+    Message.Reply
+      {
+        Message.view = 0; timestamp = 1L; client; replica = 0;
+        tentative = false; epoch = 0; body = Message.Result_digest (Fingerprint.of_string "r");
+      }
+  in
+  let busy client =
+    Message.Busy
+      { Message.bz_view = 0; bz_timestamp = 1L; bz_client = client; bz_replica = 0; bz_queue = 0 }
+  in
+  send (reply 101);
+  send (reply 999);
   send sample_msg;
   Network.send net ~src:node ~dst:node "garbage";
+  List.iter (send ~dst:client_node) [ reply 101; busy 101; reply 999; busy 999; sample_msg ];
   Engine.run engine;
   check Alcotest.int "client reply routed" 1 !got_client;
   check Alcotest.int "unknown reply + other msgs to default" 2 !got_default;
-  check Alcotest.int "garbage dropped" 1 (Dispatcher.malformed d)
+  check Alcotest.int "garbage dropped" 1 (Dispatcher.malformed d);
+  (* Without a default principal, a REPLY or BUSY for an unregistered
+     client (and any other message) is dropped and counted, like garbage.
+     NO-REP and BFT client machines both rely on this. *)
+  check Alcotest.int "client machine: reply and busy routed" 2 !got_registered;
+  check Alcotest.int "client machine: unregistered reply/busy and other msgs dropped" 3
+    (Dispatcher.malformed client_d)
+
+(* --- ownership: every simulation owns its state ---------------------------- *)
+
+module Fs = Bft_nfs.Fs
+module Nfs_service = Bft_nfs.Nfs_service
+module Proto = Bft_nfs.Proto
+module Trace = Bft_trace.Trace
+
+let small_op = Service.null_op ~read_only:false ~arg_size:64 ~result_size:8
+
+(* Whether the value [make ()] returns is garbage once [make] has returned:
+   nothing outside it (no module-level table) may keep it reachable. *)
+let collected make =
+  let w = Weak.create 1 in
+  let[@inline never] fill () = Weak.set w 0 (Some (make ())) in
+  fill ();
+  Gc.full_major ();
+  not (Weak.check w 0)
+
+let finished_norep_network () =
+  let d =
+    Norep.deploy ~rng:(Bft_util.Rng.of_int 1)
+      ~install:(fun network node ->
+        Norep.Server.create ~network ~node ~service:(Service.null ()) ())
+      ~client_machines:[ "client" ] ~clients:2 ()
+  in
+  let completed = ref 0 in
+  List.iter
+    (fun c -> Norep.Client.invoke c small_op (fun _ -> incr completed))
+    d.Norep.clients;
+  Engine.run (Network.engine d.Norep.network);
+  check Alcotest.int "both ops completed" 2 !completed;
+  d.Norep.network
+
+let dropped_nfs_fs () =
+  let fs = Fs.create () in
+  let svc = Nfs_service.create fs in
+  ignore
+    (svc.Service.execute ~client:100
+       ~op:(Proto.encode_call (Proto.Mkdir { dir = Fs.root; name = "d"; mode = 0o755 })));
+  fs
+
+let finished_cluster_network () =
+  let cluster =
+    Cluster.create ~config:(Config.make ~f:1 ()) ~service:(fun _ -> Service.null ()) ()
+  in
+  let client = Cluster.add_client cluster in
+  let completed = ref false in
+  Client.invoke client small_op (fun _ -> completed := true);
+  Cluster.run ~until:1.0 cluster;
+  check Alcotest.bool "op completed" true !completed;
+  Cluster.network cluster
+
+let test_norep_network_collected () =
+  check Alcotest.bool "finished NO-REP network collected" true
+    (collected finished_norep_network)
+
+let test_nfs_fs_collected () =
+  check Alcotest.bool "dropped NFS service's file system collected" true
+    (collected dropped_nfs_fs)
+
+let test_cluster_network_collected () =
+  check Alcotest.bool "finished BFT cluster network collected" true
+    (collected finished_cluster_network)
+
+(* A simulation under test: its engine, with the workload already queued,
+   whether the workload is still running, and what it has produced so far,
+   rendered byte-exactly (floats in hex). A BFT cluster never drains its
+   event queue (replicas keep multicasting status), so a simulation is
+   idle once its last operation has completed. *)
+type sim = { engine : Engine.t; busy : unit -> bool; output : unit -> string }
+
+let network_counters net =
+  Printf.sprintf "sent=%d dropped=%d delivered=%d bytes=%d"
+    (Network.sent_datagrams net) (Network.dropped_datagrams net)
+    (Network.delivered_datagrams net) (Network.bytes_on_wire net)
+
+let latencies l = String.concat " " (List.rev_map (Printf.sprintf "%h") l)
+
+(* A traced BFT cluster running [ops] null operations from one client. *)
+let bft_sim ~ops =
+  let trace = Trace.create () in
+  let cluster =
+    Cluster.create ~seed:7 ~trace ~config:(Config.make ~f:1 ())
+      ~service:(fun _ -> Service.null ()) ()
+  in
+  let client = Cluster.add_client cluster in
+  let lat = ref [] in
+  let rec loop n =
+    if n > 0 then
+      Client.invoke client small_op (fun o ->
+          lat := o.Client.latency :: !lat;
+          loop (n - 1))
+  in
+  loop ops;
+  let output () =
+    String.concat "\n"
+      [ Trace.jsonl trace; latencies !lat; network_counters (Cluster.network cluster) ]
+  in
+  { engine = Cluster.engine cluster; busy = (fun () -> List.length !lat < ops); output }
+
+(* A NO-REP server running the NFS service over its own file system, driven
+   by one client through a fixed sequence of calls. *)
+let norep_nfs_sim () =
+  let d =
+    Norep.deploy ~rng:(Bft_util.Rng.of_int 9)
+      ~install:(fun network node ->
+        let fs = Fs.create () in
+        ignore (Norep.Server.create ~network ~node ~service:(Nfs_service.create fs) ());
+        fs)
+      ~client_machines:[ "client" ] ~clients:1 ~retry_timeout:0.3 ()
+  in
+  let client = List.hd d.Norep.clients in
+  let calls =
+    [
+      Proto.Mkdir { dir = Fs.root; name = "d"; mode = 0o755 };
+      Proto.Create { dir = 2; name = "f"; mode = 0o644 };
+      Proto.Write { fh = 3; off = 0; data = Payload.of_string "interleaved" };
+      Proto.Read { fh = 3; off = 0; len = 64 };
+      Proto.Rename { from_dir = 2; from_name = "f"; to_dir = Fs.root; to_name = "g" };
+      Proto.Readdir Fs.root;
+    ]
+  in
+  let lat = ref [] in
+  let rec loop = function
+    | [] -> ()
+    | call :: rest ->
+      Norep.Client.invoke client (Proto.encode_call call) (fun o ->
+          lat := o.Norep.Client.latency :: !lat;
+          loop rest)
+  in
+  loop calls;
+  let output () =
+    String.concat "\n"
+      [
+        latencies !lat;
+        network_counters d.Norep.network;
+        Bft_crypto.Md5.to_hex (Fs.state_digest d.Norep.server);
+      ]
+  in
+  {
+    engine = Network.engine d.Norep.network;
+    busy = (fun () -> List.length !lat < List.length calls);
+    output;
+  }
+
+(* Fire [sim]'s next event if it is still busy; false once it is idle. *)
+let step sim = sim.busy () && Engine.step sim.engine
+
+let drain sim = while step sim do () done
+
+(* Two different simulations stepped alternately in one process produce
+   byte-for-byte what each produces alone: they share no state. The crypto
+   [Tally] counters are left out of the compared output: they are the only
+   cross-run state still process-global (the benchmark ledger reads them). *)
+let test_interleaved_simulations () =
+  let ops = 12 in
+  let alone sim =
+    drain sim;
+    sim.output ()
+  in
+  let bft_alone = alone (bft_sim ~ops) in
+  let nfs_alone = alone (norep_nfs_sim ()) in
+  let bft = bft_sim ~ops and nfs = norep_nfs_sim () in
+  let rec alternate () =
+    let a = step bft in
+    let b = step nfs in
+    if a || b then alternate ()
+  in
+  alternate ();
+  check Alcotest.bool "BFT ops completed" false (bft.busy ());
+  check Alcotest.bool "NFS calls completed" false (nfs.busy ());
+  check Alcotest.string "BFT cluster output" bft_alone (bft.output ());
+  check Alcotest.string "NO-REP NFS output" nfs_alone (nfs.output ())
 
 (* --- recovery scheduler ------------------------------------------------------ *)
 
@@ -682,6 +870,17 @@ let () =
         ] );
       ( "dispatcher",
         [ Alcotest.test_case "routing" `Quick test_dispatcher_routes_replies ] );
+      ( "ownership",
+        [
+          Alcotest.test_case "NO-REP network collected" `Quick
+            test_norep_network_collected;
+          Alcotest.test_case "NFS file system collected" `Quick
+            test_nfs_fs_collected;
+          Alcotest.test_case "BFT cluster network collected" `Quick
+            test_cluster_network_collected;
+          Alcotest.test_case "interleaved simulations" `Quick
+            test_interleaved_simulations;
+        ] );
       ( "recovery scheduler",
         [ Alcotest.test_case "rotation" `Quick test_recovery_scheduler_rotation ] );
       ("dump", [ Alcotest.test_case "replica dump" `Quick test_replica_dump ]);

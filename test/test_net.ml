@@ -243,12 +243,6 @@ let test_bandwidth_bound () =
   check Alcotest.bool "bandwidth respected" true (Engine.now r.engine >= 0.080);
   check Alcotest.int "all delivered" 256 (List.length !(r.received))
 
-let test_uid_distinct () =
-  let e = Engine.create () in
-  let a = Network.create e Calibration.default ~rng:(Rng.of_int 1) in
-  let b = Network.create e Calibration.default ~rng:(Rng.of_int 1) in
-  check Alcotest.bool "distinct uids" true (Network.uid a <> Network.uid b)
-
 let () =
   Alcotest.run "net"
     [
@@ -273,6 +267,5 @@ let () =
           Alcotest.test_case "buffer overflow" `Quick test_buffer_overflow_drops;
           Alcotest.test_case "counters" `Quick test_counters;
           Alcotest.test_case "bandwidth bound" `Quick test_bandwidth_bound;
-          Alcotest.test_case "uid distinct" `Quick test_uid_distinct;
         ] );
     ]

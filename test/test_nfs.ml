@@ -105,7 +105,7 @@ let exec svc call =
   | None -> Alcotest.fail "undecodable service reply"
 
 let test_service_end_to_end () =
-  let svc = Nfs_service.create () in
+  let svc = Nfs_service.create (Fs.create ()) in
   let dir =
     match exec svc (Proto.Mkdir { dir = Fs.root; name = "d"; mode = 0o755 }) with
     | Proto.Created (fh, _) -> fh
@@ -127,7 +127,7 @@ let test_service_end_to_end () =
   | _ -> Alcotest.fail "expected ENOENT"
 
 let test_service_undo () =
-  let svc = Nfs_service.create () in
+  let svc = Nfs_service.create (Fs.create ()) in
   let d0 = svc.Service.state_digest () in
   let _, undo =
     svc.Service.execute ~client:100
@@ -140,17 +140,17 @@ let test_service_undo () =
     (Fingerprint.equal d0 (svc.Service.state_digest ()))
 
 let test_service_snapshot_restore () =
-  let svc = Nfs_service.create () in
+  let svc = Nfs_service.create (Fs.create ()) in
   ignore (exec svc (Proto.Create { dir = Fs.root; name = "f"; mode = 0o644 }));
   let snap = svc.Service.snapshot () in
   let digest = svc.Service.state_digest () in
-  let svc2 = Nfs_service.create () in
+  let svc2 = Nfs_service.create (Fs.create ()) in
   svc2.Service.restore snap;
   check Alcotest.bool "same state" true
     (Fingerprint.equal digest (svc2.Service.state_digest ()))
 
 let test_service_read_only_flag () =
-  let svc = Nfs_service.create () in
+  let svc = Nfs_service.create (Fs.create ()) in
   check Alcotest.bool "read is ro" true
     (svc.Service.is_read_only
        (Proto.encode_call (Proto.Read { fh = 1; off = 0; len = 1 })));
@@ -161,7 +161,7 @@ let test_service_read_only_flag () =
     (svc.Service.is_read_only (Payload.of_string "\xff\xff"))
 
 let test_service_dirty_accounting () =
-  let svc = Nfs_service.create () in
+  let svc = Nfs_service.create (Fs.create ()) in
   check Alcotest.int "clean" 0 (svc.Service.modified_since_checkpoint ());
   ignore (exec svc (Proto.Create { dir = Fs.root; name = "f"; mode = 0o644 }));
   check Alcotest.bool "metadata dirt" true (svc.Service.modified_since_checkpoint () > 0);
@@ -193,7 +193,8 @@ let test_nfs_std_metadata_disk () =
   let ccpu = Cpu.create engine ~name:"client" () in
   let cnode = Bft_net.Network.add_node net ~cpu:ccpu ~name:"client" () in
   let client =
-    Bft_core.Norep.Client.create ~network:net ~node:cnode ~id:100 ~server:snode
+    Bft_core.Norep.Client.create ~network:net ~node:cnode
+      ~dispatcher:(Bft_core.Dispatcher.install net cnode) ~id:100 ~server:snode
       ~retry_timeout:1.0 ()
   in
   let results = ref [] in

@@ -108,11 +108,10 @@ let run_rig backend =
     check Alcotest.int "calls counted" 4 calls;
     check Alcotest.bool "compute included" true (elapsed >= 0.001);
     (* the write really happened on the server file system *)
-    (match Nfs_rig.server_fs rig with
-    | Some fs ->
-      check Alcotest.int "file written" 1
-        (match Fs.getattr fs 3 with Ok a -> a.Fs.size | Error _ -> -1)
-    | None -> Alcotest.fail "no server fs");
+    check Alcotest.int "file written" 1
+      (match Fs.getattr (Nfs_rig.server_fs rig) 3 with
+      | Ok a -> a.Fs.size
+      | Error _ -> -1);
     elapsed
 
 let test_rig_backends () =
