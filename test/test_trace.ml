@@ -97,6 +97,39 @@ let test_timeline_skip () =
   check Alcotest.int "skip drops requests" (all.Timeline.requests - 5)
     skipped.Timeline.requests
 
+(* Every phase statistic of the [bft_lab trace --ops 100] runs, floats in
+   hex so a change in summation order shows. The 4096-event ring evicts
+   the oldest events, leaving requests with missing boundaries. *)
+let timeline_dump ~arg ~capacity =
+  let trace = Trace.create ~capacity () in
+  ignore
+    (Microbench.bft_profile ~arg ~res:0 ~ops:100 ~seed:42 ~trace
+       ~read_only:false ~series_every:0.001 ());
+  let tl = Timeline.of_trace ~skip:Microbench.latency_warmup trace in
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "arg=%d capacity=%d requests=%d incomplete=%d\n" arg capacity
+    tl.Timeline.requests tl.Timeline.incomplete;
+  List.iter
+    (fun (name, s) ->
+      Printf.bprintf b "  %s n=%d mean=%h min=%h max=%h p50=%h p99=%h\n" name
+        (Stats.count s) (Stats.mean s) (Stats.min s) (Stats.max s)
+        (Stats.p50 s) (Stats.p99 s))
+    (Timeline.phases tl);
+  Buffer.contents b
+
+let test_timeline_pinned () =
+  let actual =
+    String.concat ""
+      [
+        timeline_dump ~arg:0 ~capacity:(1 lsl 20);
+        timeline_dump ~arg:4096 ~capacity:(1 lsl 20);
+        timeline_dump ~arg:0 ~capacity:4096;
+      ]
+  in
+  check Alcotest.string "matches golden/timeline_phases.txt"
+    (In_channel.with_open_bin "golden/timeline_phases.txt" In_channel.input_all)
+    actual
+
 (* --- disabled tracing has no effect -------------------------------------- *)
 
 let test_disabled_is_free () =
@@ -133,6 +166,8 @@ let () =
           Alcotest.test_case "monotone and telescoping" `Quick
             test_timeline_monotone_and_telescoping;
           Alcotest.test_case "skip" `Quick test_timeline_skip;
+          Alcotest.test_case "phase statistics pinned" `Quick
+            test_timeline_pinned;
         ] );
       ( "disabled",
         [ Alcotest.test_case "no effect on results" `Quick test_disabled_is_free ] );

@@ -325,6 +325,109 @@ let test_status_heals_idle_straggler () =
   Alcotest.(check bool) "straggler healed" true
     (Replica.last_committed (Cluster.replica rig.Harness.cluster 2) >= 5)
 
+(* --- replica-internal pins ------------------------------------------------
+
+   The client-visible goldens cannot tell which internal path a replica
+   took. These scenarios each drive one body-, view- or state-handling
+   path and pin every replica's [Replica.dump] (slot table plus every
+   counter and histogram) byte for byte. *)
+
+let dump_section buf name cluster =
+  Printf.bprintf buf "== %s\n" name;
+  Array.iter
+    (fun r -> Buffer.add_string buf (Replica.dump r))
+    (Cluster.replicas cluster)
+
+(* 3 KB writes travel separately from their pre-prepare; 5% loss makes
+   bodies arrive after it, trigger [Fetch_batch] and status resends. *)
+let lossy_separate_bodies () =
+  let rig = Harness.make ~nclients:2 () in
+  Bft_net.Network.set_loss (Cluster.network rig.Harness.cluster) 0.05;
+  ignore (Harness.run_ops ~arg:3072 ~per_client:12 ~until:60.0 rig);
+  rig.Harness.cluster
+
+let primary_crash_view_change () =
+  let rig =
+    Harness.make ~nclients:2 ~behaviors:[ (0, Behavior.Crash_at 0.003) ] ()
+  in
+  ignore (Harness.run_ops ~per_client:10 ~until:60.0 rig);
+  rig.Harness.cluster
+
+(* Replica 3 is down while the others pass a checkpoint, then reboots from
+   its own: recovery must fetch the newer state. *)
+let backup_restart () =
+  let config = Harness.default_config ~checkpoint_interval:4 ~log_window:8 () in
+  let rig = Harness.make ~config () in
+  let cluster = rig.Harness.cluster in
+  ignore (Harness.run_ops ~per_client:6 ~until:5.0 rig);
+  Cluster.crash_replica cluster 3;
+  ignore (Harness.run_ops ~per_client:6 ~until:10.0 rig);
+  Cluster.restart_replica cluster 3;
+  ignore (Harness.run_ops ~per_client:6 ~until:30.0 rig);
+  cluster
+
+(* Replica 2 owns epochs but crashes mid-run: ordered pre-prepares hand
+   epochs off, the view primary reclaims its slots with null batches. *)
+let rotating_owner_crash () =
+  let config =
+    Config.make ~f:1 ~checkpoint_interval:8 ~log_window:32
+      ~ordering:(Config.Rotating { epoch_length = 2 })
+      ()
+  in
+  let rig = Harness.make ~config ~nclients:4 () in
+  let cluster = rig.Harness.cluster in
+  Bft_sim.Engine.schedule (Cluster.engine cluster) ~delay:0.004 (fun () ->
+      Cluster.crash_replica cluster 2);
+  ignore (Harness.run_ops ~per_client:20 ~until:60.0 rig);
+  cluster
+
+(* Replica 3 misses a checkpoint whose snapshot is past the 4 pages a
+   STATE may carry whole, so after its restart it fetches pages. *)
+let kv_restart_page_fetch () =
+  let module Kv = Bft_services.Kv_store in
+  let config = Harness.default_config ~checkpoint_interval:4 ~log_window:8 () in
+  let cluster =
+    Cluster.create ~config ~seed:5 ~service:(fun _ -> Kv.service ()) ()
+  in
+  let client = Cluster.add_client cluster in
+  let writes ops ~until =
+    let rec loop = function
+      | [] -> ()
+      | op :: rest -> Client.invoke client (Kv.op_payload op) (fun _ -> loop rest)
+    in
+    loop ops;
+    Cluster.run ~until cluster
+  in
+  let key k = Printf.sprintf "key%02d" k in
+  writes (List.init 20 (fun k -> Kv.Put (key k, String.make 3000 'a'))) ~until:20.0;
+  Cluster.crash_replica cluster 3;
+  writes
+    [ Kv.Put (key 0, "b"); Kv.Delete (key 1); Kv.Put (key 20, "c"); Kv.Put (key 21, "d") ]
+    ~until:30.0;
+  Cluster.restart_replica cluster 3;
+  Cluster.run ~until:60.0 cluster;
+  cluster
+
+let replica_dumps () =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (name, scenario) -> dump_section buf name (scenario ()))
+    [
+      ("3 KB separate bodies, 5% loss", lossy_separate_bodies);
+      ("primary crash, view change", primary_crash_view_change);
+      ("backup restart", backup_restart);
+      ("rotating, epoch owner crash", rotating_owner_crash);
+      ("KV restart, page fetch", kv_restart_page_fetch);
+    ];
+  Buffer.contents buf
+
+let test_replica_dumps_pinned () =
+  let golden =
+    In_channel.with_open_bin "golden/replica_dumps.txt" In_channel.input_all
+  in
+  check Alcotest.string "matches golden/replica_dumps.txt" golden
+    (replica_dumps ())
+
 let () =
   Alcotest.run "viewchange"
     [
@@ -369,5 +472,10 @@ let () =
             test_restart_restores_captured_checkpoint;
           Alcotest.test_case "status heals idle straggler" `Quick
             test_status_heals_idle_straggler;
+        ] );
+      ( "replica internals",
+        [
+          Alcotest.test_case "dumps match golden" `Quick
+            test_replica_dumps_pinned;
         ] );
     ]
