@@ -251,9 +251,9 @@ let trace_cmd =
     write_run_bundle ~cal (Some dir) "trace"
       (Run_bundle.write ~seed ~trace ?series:pr.Microbench.pf_series
          ~profile:pr.Microbench.pf_profile ());
-    let tl = Timeline.of_trace ~skip:Microbench.latency_warmup trace in
-    Report.print (Report.breakdown_section tl);
     let dag = Span.of_events (Trace.events trace) in
+    let tl = Timeline.of_dag ~skip:Microbench.latency_warmup dag in
+    Report.print (Report.breakdown_section tl);
     Printf.printf "\ncausal DAG: %s\n" (Span.summary dag);
     Printf.printf
       "microbench mean %8.1f us (+/- %.1f, %d ops); phase sum %8.1f us\n"

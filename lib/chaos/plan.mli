@@ -51,8 +51,6 @@ val duration : t -> float
     load spike or ramp keeps generating arrivals for its whole window, so
     it contributes [at +. duration], not just [at]. *)
 
-val pp_action : Format.formatter -> action -> unit
-
 val event_to_string : event -> string
 (** ["0.500000 crash 2"]: the event's line in {!to_string}. *)
 

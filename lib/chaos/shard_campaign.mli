@@ -42,8 +42,6 @@ type outcome = {
 
 val failed : outcome -> bool
 
-val scenario_name : scenario -> string
-
 val run : ?scenario:scenario -> ?recovery:bool -> seed:int -> unit -> outcome
 (** [recovery] (default true) enables client-driven lock recovery; setting
     it false demonstrates the [txn.atomic] audit catching a dead

@@ -54,10 +54,10 @@ let correct_replicas t =
 
 let replica_node t i = t.replica_peers.(i).Transport.node
 
-let crash_replica t i = Network.set_node_up t.network (replica_node t i) false
+let crash_replica t i = Network.set_up t.network (replica_node t i) false
 
 let restart_replica t i =
-  Network.set_node_up t.network (replica_node t i) true;
+  Network.set_up t.network (replica_node t i) true;
   Replica.restart t.replicas.(i)
 
 let set_behavior t i b = Replica.set_behavior t.replicas.(i) b

@@ -76,8 +76,6 @@ val add_commit : slot -> replica_id -> view -> Fingerprint.t -> unit
 val prepare_count : slot -> view -> Fingerprint.t -> int
 (** Prepares matching (view, digest), excluding the pre-prepare. *)
 
-val commit_count : slot -> view -> Fingerprint.t -> int
-
 val is_prepared : slot -> f:int -> view -> bool
 (** Pre-prepare present in [view] plus [2f] matching prepares from other
     replicas. *)

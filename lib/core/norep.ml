@@ -11,6 +11,29 @@ let encode msg =
   let wire = Message.encode_envelope env in
   (wire, Message.envelope_size env wire)
 
+let serve network node metrics handle =
+  Network.set_handler network node (fun ~src ~wire ~size ->
+      ignore size;
+      match Message.decode_envelope wire with
+      | { Message.msg = Message.Request r; _ } -> handle ~src r
+      | _ | (exception Bft_util.Codec.Decode_error _) ->
+        Metrics.incr metrics "malformed")
+
+let send_reply network ~src ~dst (r : Message.request) result =
+  let reply =
+    {
+      Message.view = 0;
+      timestamp = r.Message.timestamp;
+      client = r.Message.client;
+      replica = 0;
+      tentative = false;
+      epoch = 0;
+      body = Message.Full_result result;
+    }
+  in
+  let wire, size = encode (Message.Reply reply) in
+  Network.send network ~src ~dst ~size wire
+
 module Server = struct
   type t = {
     network : Network.t;
@@ -27,28 +50,11 @@ module Server = struct
       t.service.Service.execute ~client:r.Message.client ~op:r.Message.op
     in
     Metrics.incr t.metrics "ops.executed";
-    let reply =
-      {
-        Message.view = 0;
-        timestamp = r.Message.timestamp;
-        client = r.Message.client;
-        replica = 0;
-        tentative = false;
-        epoch = 0;
-        body = Message.Full_result result;
-      }
-    in
-    let wire, size = encode (Message.Reply reply) in
-    Network.send t.network ~src:t.node ~dst:src ~size wire
+    send_reply t.network ~src:t.node ~dst:src r result
 
   let create ~network ~node ~service () =
     let t = { network; node; service; metrics = Metrics.create () } in
-    Network.set_handler network node (fun ~src ~wire ~size ->
-        ignore size;
-        match Message.decode_envelope wire with
-        | { Message.msg = Message.Request r; _ } -> handle t ~src r
-        | _ | (exception Bft_util.Codec.Decode_error _) ->
-          Metrics.incr t.metrics "malformed");
+    serve network node t.metrics (handle t);
     t
 end
 

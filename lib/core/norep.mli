@@ -8,6 +8,26 @@
     15 clients for operation 4/0. The harness can optionally enable
     retransmission when it needs the run to terminate. *)
 
+val serve :
+  Bft_net.Network.t ->
+  Bft_net.Network.node_id ->
+  Metrics.t ->
+  (src:Bft_net.Network.node_id -> Message.request -> unit) ->
+  unit
+(** Make [node] an unreplicated server: decode each datagram and pass its
+    request, with the sending node, to the callback; anything else counts
+    as ["malformed"] in the metrics. *)
+
+val send_reply :
+  Bft_net.Network.t ->
+  src:Bft_net.Network.node_id ->
+  dst:Bft_net.Network.node_id ->
+  Message.request ->
+  Payload.t ->
+  unit
+(** Answer a request with its full result, in an unauthenticated
+    envelope. *)
+
 module Server : sig
   type t
 

@@ -153,6 +153,20 @@ let next_owned_seq t from =
     let delta = (((t.id - t.view - e) mod n) + n) mod n in
     if delta = 0 then s else (((e + delta) * epoch_length) + 1)
 
+(* [seq] opens an epoch of ours: proposing it hands the epoch off. *)
+let opens_own_epoch t seq = rotating t && owns_seq t seq && seq = epoch_first_seq t seq
+
+(* The handoff proposal at an epoch-first [seq]: [opp_close] is our
+   committed prefix. *)
+let ordered_pre_prepare t seq entries =
+  Message.Ordered_pre_prepare
+    {
+      opp_view = t.view;
+      opp_seq = seq;
+      opp_close = t.last_committed;
+      opp_entries = entries;
+    }
+
 (* In rotating mode every replica is an orderer (of its own slots). *)
 let is_orderer t = rotating t || is_primary t
 
@@ -330,6 +344,12 @@ let vc_timeout t =
   liveness_backoff ~base:t.config.Config.view_change_timeout
     ~attempts:t.vc_attempts
 
+(* How many replicas' VIEW-CHANGE messages for our target view we hold. *)
+let vc_backing t =
+  match Hashtbl.find_opt t.view_changes t.target_view with
+  | Some table -> Hashtbl.length table
+  | None -> 0
+
 (* Garbage collection below a stable checkpoint: collect the doomed keys,
    then delete in place — no [Hashtbl.copy] of the whole table per
    checkpoint. All these tables use [Hashtbl.replace], so each key has at
@@ -413,19 +433,20 @@ and ensure_resend_timer t =
     let delay = t.config.Config.client_retry_timeout *. backoff in
     t.resend_timer <-
       Timer.start (engine t) ~delay (fun () ->
-          if resend_pending t then do_resends t
-          else
-            out_multicast t
-              (Message.Status
-                 {
-                   st_view = t.view;
-                   st_stable = t.last_stable;
-                   st_committed = t.last_committed;
-                   st_vc = (t.status = View_changing);
-                   st_replica = t.id;
-                 });
+          if resend_pending t then do_resends t else multicast_status t;
           ensure_resend_timer t)
   end
+
+and multicast_status t =
+  out_multicast t
+    (Message.Status
+       {
+         st_view = t.view;
+         st_stable = t.last_stable;
+         st_committed = t.last_committed;
+         st_vc = (t.status = View_changing);
+         st_replica = t.id;
+       })
 
 and do_resends t =
   Metrics.incr t.metrics "resend.tick";
@@ -435,15 +456,7 @@ and do_resends t =
   end
   else t.resend_stalls <- t.resend_stalls + 1;
   maybe_abandon_view_change t;
-  out_multicast t
-    (Message.Status
-       {
-         st_view = t.view;
-         st_stable = t.last_stable;
-         st_committed = t.last_committed;
-         st_vc = (t.status = View_changing);
-         st_replica = t.id;
-       });
+  multicast_status t;
   (match t.status with
   | View_changing -> (
     (* re-multicast our VIEW-CHANGE for the view we are moving to *)
@@ -458,7 +471,7 @@ and do_resends t =
     let next = t.last_committed + 1 in
     (match Log.find t.log next with
     | Some ({ Log.pre_prepare = Some (v, entries); _ } as slot) when v = t.view ->
-      if slot.Log.proposer = t.id then resend_own_pre_prepare t next entries
+      if slot.Log.proposer = t.id then multicast_proposal t next entries
       else if slot.Log.own_prepare_sent then (
         match slot.Log.pp_digest with
         | Some digest ->
@@ -477,9 +490,7 @@ and do_resends t =
       let later = ref false in
       Log.iter t.log (fun slot ->
           if slot.Log.seq > next && slot.Log.pre_prepare <> None then later := true);
-      if !later && seq_owner t next <> t.id then
-        out_multicast t
-          (Message.Fetch_batch { fb_view = t.view; fb_seq = next; fb_replica = t.id }));
+      if !later && seq_owner t next <> t.id then fetch_batch t next);
     (* Rotating mode: if any epoch-first proposal of ours is still
        uncommitted, re-multicast the lowest one in Ordered form. The
        head-of-line resend above only covers last_committed + 1; a lost
@@ -493,8 +504,7 @@ and do_resends t =
             slot.Log.seq > t.last_committed + 1
             && (not slot.Log.committed)
             && slot.Log.proposer = t.id
-            && owns_seq t slot.Log.seq
-            && slot.Log.seq = epoch_first_seq t slot.Log.seq
+            && opens_own_epoch t slot.Log.seq
           then
             match (slot.Log.pre_prepare, !best) with
             | Some (v, entries), None when v = t.view ->
@@ -503,15 +513,7 @@ and do_resends t =
               best := Some (slot.Log.seq, entries)
             | _ -> ());
       match !best with
-      | Some (seq, entries) ->
-        out_multicast t
-          (Message.Ordered_pre_prepare
-             {
-               opp_view = t.view;
-               opp_seq = seq;
-               opp_close = t.last_committed;
-               opp_entries = entries;
-             })
+      | Some (seq, entries) -> out_multicast t (ordered_pre_prepare t seq entries)
       | None -> ()
     end;
     (* Rotating mode: a crashed or partitioned epoch owner stalls global
@@ -540,21 +542,16 @@ and do_resends t =
           out_multicast t (Message.Checkpoint { seq; digest; replica = t.id }))
       t.own_checkpoints)
 
-(* Resend a proposal of ours in the same wire form it was first sent:
-   an epoch-first slot goes back out as ORDERED-PRE-PREPARE (with the
-   *current* committed prefix as [opp_close]) so a receiver that missed
-   the original still gets the handoff, not just the proposal. *)
-and resend_own_pre_prepare t seq entries =
-  if rotating t && owns_seq t seq && seq = epoch_first_seq t seq then
-    out_multicast t
-      (Message.Ordered_pre_prepare
-         {
-           opp_view = t.view;
-           opp_seq = seq;
-           opp_close = t.last_committed;
-           opp_entries = entries;
-         })
-  else out_multicast t (Message.Pre_prepare { view = t.view; seq; entries })
+(* Multicast a proposal of ours. The epoch-first PRE-PREPARE is the
+   rotating-mode handoff: it goes out as ORDERED-PRE-PREPARE carrying our
+   *current* committed prefix, so receivers can close out their own
+   abandoned slots below this epoch — also on a resend, so a receiver
+   that missed the original still gets the handoff, not just the
+   proposal. *)
+and multicast_proposal t seq entries =
+  out_multicast t
+    (if opens_own_epoch t seq then ordered_pre_prepare t seq entries
+     else Message.Pre_prepare { view = t.view; seq; entries })
 
 (* Execution progressed: the primary is live. Stop the timer, and restart
    it afresh if other requests are still waiting (PBFT restarts rather than
@@ -912,8 +909,7 @@ and request_state t ~target =
             t.state_attempts <- t.state_attempts + 1;
             Metrics.incr t.metrics "state.refetch";
             t.await_state <- None;
-            t.fetch_ctx <- None;
-            Hashtbl.reset t.meta_votes;
+            drop_page_fetch t;
             request_state t ~target
           | None -> ())
   end
@@ -1083,9 +1079,20 @@ and finish_page_fetch t ctx =
   let pages =
     Array.init (Array.length ctx.fx_pages) (fun i -> Hashtbl.find ctx.fx_have i)
   in
-  t.fetch_ctx <- None;
-  Hashtbl.reset t.meta_votes;
+  drop_page_fetch t;
   adopt_state t ctx.fx_seq ctx.fx_digest (Merkle.reassemble pages)
+
+(* Forget a page fetch in progress and the STATE-META votes behind it. *)
+and drop_page_fetch t =
+  t.fetch_ctx <- None;
+  Hashtbl.reset t.meta_votes
+
+(* The awaited state arrived (or ours was validated): stop asking. *)
+and end_state_fetch t =
+  t.await_state <- None;
+  Timer.cancel t.state_timer;
+  t.state_attempts <- 0;
+  Hashtbl.reset t.state_votes
 
 and adopt_state t seq digest snapshot =
   if
@@ -1095,10 +1102,7 @@ and adopt_state t seq digest snapshot =
     (* Our state already matches the quorum's checkpoint: recovery only
        needed to validate it, not to roll anything back. *)
     t.recovering <- false;
-    t.await_state <- None;
-    Timer.cancel t.state_timer;
-    t.state_attempts <- 0;
-    Hashtbl.reset t.state_votes;
+    end_state_fetch t;
     Metrics.incr t.metrics "recovery.completed";
     Metrics.incr t.metrics "state.validated"
   end
@@ -1116,12 +1120,8 @@ and adopt_state_restore t seq digest snapshot =
     t.last_executed <- seq;
     t.last_committed <- seq;
     t.deferred_ro <- [];
-    t.await_state <- None;
-    Timer.cancel t.state_timer;
-    t.state_attempts <- 0;
-    Hashtbl.reset t.state_votes;
-    Hashtbl.reset t.meta_votes;
-    t.fetch_ctx <- None;
+    end_state_fetch t;
+    drop_page_fetch t;
     if t.recovering then begin
       t.recovering <- false;
       Metrics.incr t.metrics "recovery.completed"
@@ -1220,20 +1220,20 @@ and send_assembled_batch t seq =
 and send_pre_prepare t seq entries digests =
   let digest = Message.batch_digest_of_entry_digests digests in
   let slot = Log.get t.log seq in
-  slot.Log.pre_prepare <- Some (t.view, entries);
-  slot.Log.entry_digests <- digests;
   slot.Log.pp_digest <- Some digest;
   slot.Log.proposer <- t.id;
-  Log.set_missing t.log slot [];
+  (* Our own proposal never waits for a body: we summarized only requests
+     we received. *)
+  learn_batch ~missing:[] t slot t.view entries digests;
   Hashtbl.replace t.batch_store digest (seq, entries, digests);
   (* [max]: a rotating-mode primary reclaim can propose below our own
      cursor; the cursor must never move backwards. *)
   t.last_pp_seq <- Stdlib.max t.last_pp_seq seq;
   t.max_pp_seen <- Stdlib.max t.max_pp_seen seq;
-  let pp = { Message.view = t.view; seq; entries } in
   (match t.behavior with
   | Behavior.Two_faced ->
     (* Equivocate: half the backups see a different batch for this seq. *)
+    let pp = { Message.view = t.view; seq; entries } in
     let alt = { Message.view = t.view; seq; entries = [ Message.Null_entry ] } in
     List.iter
       (fun (p : Transport.peer) ->
@@ -1243,20 +1243,7 @@ and send_pre_prepare t seq entries digests =
         in
         out_send t ~dst:p msg)
       (peers_except_self t)
-  | _ ->
-    if rotating t && owns_seq t seq && seq = epoch_first_seq t seq then
-      (* The epoch-first PRE-PREPARE is the handoff: it carries our
-         committed prefix so receivers can close out their own abandoned
-         slots below this epoch. *)
-      out_multicast t
-        (Message.Ordered_pre_prepare
-           {
-             opp_view = t.view;
-             opp_seq = seq;
-             opp_close = t.last_committed;
-             opp_entries = entries;
-           })
-    else out_multicast t (Message.Pre_prepare pp));
+  | _ -> multicast_proposal t seq entries);
   Metrics.incr t.metrics "preprepare.sent";
   emit_trace t ~seqno:seq ~view:t.view
     ~detail:(string_of_int (List.length entries))
@@ -1272,6 +1259,32 @@ and compute_missing t entries =
       | Message.Summary d when not (Hashtbl.mem t.request_store d) -> Some d
       | Message.Summary _ | Message.Full _ | Message.Null_entry -> None)
     entries
+
+(* [slot] learns its batch: [entries], proposed in [view], with their
+   [digests]. Keep the bodies the entries carry and wait for [missing] —
+   by default the summaries whose bodies we lack. *)
+and learn_batch ?missing t (slot : Log.slot) view entries digests =
+  slot.Log.pre_prepare <- Some (view, entries);
+  slot.Log.entry_digests <- digests;
+  List.iter2
+    (fun entry d ->
+      match entry with
+      | Message.Full r -> Hashtbl.replace t.request_store d r
+      | Message.Summary _ | Message.Null_entry -> ())
+    entries digests;
+  Log.set_missing t.log slot
+    (match missing with Some m -> m | None -> compute_missing t entries)
+
+(* Every body of [slot]'s batch is present: keep the batch for NEW-VIEW
+   re-proposals, prepare it unless we proposed it, and see whether it
+   prepared. *)
+and batch_complete t (slot : Log.slot) =
+  (match (slot.Log.pp_digest, slot.Log.pre_prepare) with
+  | Some d, Some (_, entries) ->
+    Hashtbl.replace t.batch_store d (slot.Log.seq, entries, slot.Log.entry_digests)
+  | _ -> ());
+  if slot.Log.proposer <> t.id then send_prepare t slot;
+  check_prepared t slot
 
 and send_prepare t (slot : Log.slot) =
   match (slot.Log.pre_prepare, slot.Log.pp_digest) with
@@ -1342,30 +1355,20 @@ and on_pre_prepare t sender (pp : Message.pre_prepare) =
 (* [digests] and [digest] are the entries' digests and the batch digest,
    computed once by the caller. *)
 and accept_pre_prepare t sender (pp : Message.pre_prepare) digests digest =
-  let fill_bodies (slot : Log.slot) =
-    (* A retransmitted/fetched body for a batch we already know by digest:
-       any sender is fine, the digest vouches for the content. *)
-    match slot.Log.pp_digest with
-    | Some d when Fingerprint.equal d digest && pp.Message.entries <> [] ->
-      (match slot.Log.pre_prepare with
-      | Some (v, _) -> slot.Log.pre_prepare <- Some (v, pp.Message.entries)
-      | None -> slot.Log.pre_prepare <- Some (pp.Message.view, pp.Message.entries));
-      slot.Log.entry_digests <- digests;
-      store_bodies t pp.Message.entries digests;
-      Log.set_missing t.log slot (compute_missing t pp.Message.entries);
-      if slot.Log.missing_bodies = [] then begin
-        Hashtbl.replace t.batch_store digest
-          (slot.Log.seq, pp.Message.entries, digests);
-        if slot.Log.proposer <> t.id then send_prepare t slot;
-        check_prepared t slot;
-        advance t
-      end;
-      true
-    | _ -> false
-  in
   note_vc_evidence t sender pp.Message.view;
   match Log.find t.log pp.Message.seq with
-  | Some slot when fill_bodies slot -> ()
+  | Some ({ Log.pp_digest = Some d; _ } as slot)
+    when Fingerprint.equal d digest && pp.Message.entries <> [] ->
+    (* A retransmitted/fetched body for a batch we already know by digest:
+       any sender is fine, the digest vouches for the content. *)
+    let view =
+      match slot.Log.pre_prepare with Some (v, _) -> v | None -> pp.Message.view
+    in
+    learn_batch t slot view pp.Message.entries digests;
+    if slot.Log.missing_bodies = [] then begin
+      batch_complete t slot;
+      advance t
+    end
   | existing -> (
     if
       t.status = Normal && pp.Message.view = t.view
@@ -1390,22 +1393,14 @@ and accept_pre_prepare t sender (pp : Message.pre_prepare) digests digest =
         echo_commit_if_finalized t sender slot
       | _ ->
         let slot = Log.get t.log pp.Message.seq in
-        slot.Log.pre_prepare <- Some (t.view, pp.Message.entries);
-        slot.Log.entry_digests <- digests;
         slot.Log.pp_digest <- Some digest;
         slot.Log.proposer <- sender;
-        store_bodies t pp.Message.entries digests;
-        Log.set_missing t.log slot (compute_missing t pp.Message.entries);
+        learn_batch t slot t.view pp.Message.entries digests;
         Metrics.incr t.metrics "preprepare.accepted";
         emit_trace t ~seqno:pp.Message.seq ~view:t.view Trace.Preprepare_accepted;
         t.max_pp_seen <- Stdlib.max t.max_pp_seen pp.Message.seq;
         ensure_resend_timer t;
-        if slot.Log.missing_bodies = [] then begin
-          Hashtbl.replace t.batch_store digest
-            (pp.Message.seq, pp.Message.entries, digests);
-          if slot.Log.proposer <> t.id then send_prepare t slot;
-          check_prepared t slot
-        end
+        if slot.Log.missing_bodies = [] then batch_complete t slot
         else begin
           (* The summarized request bodies are usually still in flight from
              the client's multicast (the pre-prepare is small and overtakes
@@ -1418,19 +1413,9 @@ and accept_pre_prepare t sender (pp : Message.pre_prepare) digests digest =
                 match Log.find t.log seq with
                 | Some { Log.missing_bodies = _ :: _; _ } ->
                   Metrics.incr t.metrics "fetch.sent";
-                  out_multicast t
-                    (Message.Fetch_batch
-                       { fb_view = v; fb_seq = seq; fb_replica = t.id })
+                  fetch_batch t seq
                 | _ -> ())
         end)
-
-and store_bodies t entries digests =
-  List.iter2
-    (fun entry d ->
-      match entry with
-      | Message.Full r -> Hashtbl.replace t.request_store d r
-      | Message.Summary _ | Message.Null_entry -> ())
-    entries digests
 
 (* A request body just arrived: unblock any slot whose pre-prepare was
    waiting for it. *)
@@ -1441,15 +1426,7 @@ and resolve_missing t digest =
       | Some ({ Log.pre_prepare = Some (_, entries); _ } as slot)
         when List.exists (Fingerprint.equal digest) slot.Log.missing_bodies ->
         Log.set_missing t.log slot (compute_missing t entries);
-        if slot.Log.missing_bodies = [] then begin
-          (match slot.Log.pp_digest with
-          | Some d ->
-            Hashtbl.replace t.batch_store d
-              (slot.Log.seq, entries, slot.Log.entry_digests)
-          | None -> ());
-          if slot.Log.proposer <> t.id then send_prepare t slot;
-          check_prepared t slot
-        end
+        if slot.Log.missing_bodies = [] then batch_complete t slot
       | _ -> ())
     (Log.waiting_for t.log digest);
   advance t
@@ -1544,11 +1521,7 @@ and note_vc_evidence t sender view =
    quorum. Abandoning is safe — it is equivalent to our VIEW-CHANGE being
    delayed in the network (it remains valid if a NEW-VIEW later uses it). *)
 and maybe_abandon_view_change t =
-  let backing =
-    match Hashtbl.find_opt t.view_changes t.target_view with
-    | Some table -> Hashtbl.length table
-    | None -> 0
-  in
+  let backing = vc_backing t in
   let evidence = Hashtbl.length t.vc_evidence in
   if
     t.status = View_changing
@@ -1604,25 +1577,31 @@ and on_commit t sender (c : Message.commit) =
 and on_fetch_batch t (fb : Message.fetch_batch) =
   if fb.Message.fb_replica >= 0 && fb.Message.fb_replica < t.config.Config.n then
     match Log.find t.log fb.Message.fb_seq with
-    | Some { Log.pre_prepare = Some (v, entries); missing_bodies = []; _ } ->
-      (* Resolve summaries so the fetcher gets the bodies it lacks. *)
-      let resolved =
-        List.map
-          (fun e ->
-            match e with
-            | Message.Summary d -> (
-              match Hashtbl.find_opt t.request_store d with
-              | Some r -> Message.Full r
-              | None -> e)
-            | Message.Full _ | Message.Null_entry -> e)
-          entries
-      in
-      ignore v;
-      out_send t
-        ~dst:t.replicas.(fb.Message.fb_replica)
-        (Message.Pre_prepare
-           { view = fb.Message.fb_view; seq = fb.Message.fb_seq; entries = resolved })
+    | Some { Log.pre_prepare = Some (_, entries); missing_bodies = []; _ } ->
+      send_resolved t ~dst:fb.Message.fb_replica ~view:fb.Message.fb_view
+        fb.Message.fb_seq entries
     | _ -> ()
+
+(* Ask the others for the batch at [seq] in our view, bodies resolved. *)
+and fetch_batch t seq =
+  out_multicast t
+    (Message.Fetch_batch { fb_view = t.view; fb_seq = seq; fb_replica = t.id })
+
+(* Send a lagging peer a batch of ours as a PRE-PREPARE, with every summary
+   whose body we hold replaced by the body it lacks. *)
+and send_resolved t ~dst ~view seq entries =
+  let resolved =
+    List.map
+      (function
+        | Message.Summary d as e -> (
+          match Hashtbl.find_opt t.request_store d with
+          | Some r -> Message.Full r
+          | None -> e)
+        | (Message.Full _ | Message.Null_entry) as e -> e)
+      entries
+  in
+  out_send t ~dst:t.replicas.(dst)
+    (Message.Pre_prepare { view; seq; entries = resolved })
 
 (* --- requests ----------------------------------------------------------- *)
 
@@ -1789,12 +1768,7 @@ and record_view_change t sender vc =
    timer; if the new primary produces no NEW-VIEW in time, move on. *)
 and maybe_arm_escalation t =
   if t.status = View_changing && not (Timer.active t.vc_timer) then begin
-    let backing =
-      match Hashtbl.find_opt t.view_changes t.target_view with
-      | Some table -> Hashtbl.length table
-      | None -> 0
-    in
-    if backing >= quorum ~f:(f_of t) then begin
+    if vc_backing t >= quorum ~f:(f_of t) then begin
       let next_view = t.target_view in
       t.vc_timer <-
         Timer.start (engine t) ~delay:(vc_timeout t) (fun () ->
@@ -1959,17 +1933,13 @@ and install_new_view t (nv : Message.new_view) =
         slot.Log.proposer <- primary_id t;
         t.max_pp_seen <- Stdlib.max t.max_pp_seen e.Message.seq;
         if entries <> [] then begin
-          slot.Log.pre_prepare <- Some (t.view, entries);
-          slot.Log.entry_digests <- digests;
-          store_bodies t entries digests;
-          Log.set_missing t.log slot (compute_missing t entries);
+          learn_batch t slot t.view entries digests;
           Hashtbl.replace t.batch_store e.Message.digest
             (e.Message.seq, entries, digests)
         end
-        else begin
-          slot.Log.pre_prepare <- Some (t.view, []);
-          Log.set_missing t.log slot [ e.Message.digest ]
-        end;
+        else
+          (* Body unknown: the slot waits for the whole batch. *)
+          learn_batch ~missing:[ e.Message.digest ] t slot t.view [] [];
         (* Carry over execution state for batches we already finalized; the
            slot keeps counting as prepared so the certificate appears in any
            later VIEW-CHANGE we send. The prepare/commit rounds are still
@@ -1985,10 +1955,7 @@ and install_new_view t (nv : Message.new_view) =
           slot.Log.finalized <- true;
           slot.Log.prepared_at <- Some t.view
         | _ -> ());
-        if slot.Log.missing_bodies <> [] then
-          out_multicast t
-            (Message.Fetch_batch
-               { fb_view = t.view; fb_seq = e.Message.seq; fb_replica = t.id })
+        if slot.Log.missing_bodies <> [] then fetch_batch t e.Message.seq
         else if not (is_primary t) then send_prepare t slot
       end)
     nv.Message.nv_entries;
@@ -2033,20 +2000,8 @@ and on_status t sender (st : Message.status) =
           match Log.find t.log seq with
           | Some ({ Log.pre_prepare = Some (v, entries); missing_bodies = []; _ } as slot)
             when v = t.view ->
-            let resolved =
-              List.map
-                (fun e ->
-                  match e with
-                  | Message.Summary d -> (
-                    match Hashtbl.find_opt t.request_store d with
-                    | Some r -> Message.Full r
-                    | None -> e)
-                  | Message.Full _ | Message.Null_entry -> e)
-                entries
-            in
             Metrics.incr t.metrics "status.retransmit";
-            out_send t ~dst:t.replicas.(sender)
-              (Message.Pre_prepare { view = t.view; seq; entries = resolved });
+            send_resolved t ~dst:sender ~view:t.view seq entries;
             (match slot.Log.pp_digest with
             | Some digest when slot.Log.own_commit_sent || slot.Log.finalized ->
               out_send t ~dst:t.replicas.(sender)
@@ -2183,8 +2138,7 @@ let start_recovery t =
   rollback_tentative t;
   t.recovering <- true;
   Hashtbl.reset t.state_votes;
-  Hashtbl.reset t.meta_votes;
-  t.fetch_ctx <- None;
+  drop_page_fetch t;
   out_multicast t (Message.Get_state { from_seq = t.last_stable; replica = t.id });
   t.state_timer <-
     Timer.restart (engine t) t.state_timer
@@ -2201,7 +2155,7 @@ let set_behavior t b =
   (match b with
   | Behavior.Crash_at _ ->
     invalid_arg
-      "Replica.set_behavior: schedule crashes through the network (set_node_up)"
+      "Replica.set_behavior: schedule crashes through the network (set_up)"
   | _ -> ());
   (match t.behavior with
   | Behavior.Crash_at _ ->
@@ -2256,10 +2210,8 @@ let restart t =
   t.max_pp_seen <- t.last_stable;
   Hashtbl.reset t.vc_evidence;
   t.commit_backlog <- [];
+  (* [start_recovery] below drops the votes and any page fetch. *)
   t.await_state <- None;
-  Hashtbl.reset t.state_votes;
-  Hashtbl.reset t.meta_votes;
-  t.fetch_ctx <- None;
   t.state_attempts <- 0;
   t.replay_len <- 0;
   t.replay_pos <- 0;

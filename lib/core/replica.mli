@@ -85,7 +85,7 @@ val set_behavior : t -> Behavior.t -> unit
     [Forge_auth] transport flag when switching away from it and re-arms the
     retransmission machinery when switching back to a correct behaviour.
     Raises [Invalid_argument] for [Crash_at] (runtime crashes go through
-    {!Bft_net.Network.set_node_up}). *)
+    {!Bft_net.Network.set_up}). *)
 
 val start_recovery : t -> unit
 (** Proactive recovery: refresh session keys and revalidate/refetch state. *)

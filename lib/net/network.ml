@@ -150,7 +150,6 @@ let set_faults t faults =
   t.faults <- faults;
   sync_blocked_set t
 
-let set_node_up = set_up
 
 let set_loss t p =
   if p < 0.0 || p > 1.0 then invalid_arg "Network.set_loss";

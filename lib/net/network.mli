@@ -59,20 +59,13 @@ val set_handler : t -> node_id -> handler -> unit
 
 val node_cpu : t -> node_id -> Bft_sim.Cpu.t
 
-val cpus : t -> (string * Bft_sim.Cpu.t) list
-(** (name, cpu) of every node in node-id order — the machines of one
-    deployment, for utilisation and profiling reports. *)
-
 val profile : t -> Bft_trace.Profile.t
-(** Per-machine, per-category CPU cost breakdown of {!cpus} at this
-    instant. Balanced by construction: each machine's category totals sum
+(** Per-machine, per-category CPU cost breakdown of every node, in
+    node-id order, at this instant. Balanced by construction: each machine's category totals sum
     exactly to its {!Bft_sim.Cpu.total_busy}. *)
 
 val set_up : t -> node_id -> bool -> unit
 (** A down node silently drops everything it receives. *)
-
-val set_node_up : t -> node_id -> bool -> unit
-(** Alias of {!set_up}; the name used by runtime fault plans. *)
 
 val is_up : t -> node_id -> bool
 

@@ -1,7 +1,7 @@
 (** In-memory Unix-like file system backing the NFS state machine.
 
     File handles are inode numbers; the root is {!root}. Small file
-    contents are stored literally (up to {!literal_cap} bytes), while bulk
+    contents are stored literally (up to 64 KiB), while bulk
     benchmark data — the paper's Andrew500 writes ~1 GB — is carried as
     modeled sizes folded into a rolling per-file content hash, so the
     simulation stays cheap without giving up determinism: replicas applying
@@ -40,9 +40,6 @@ val error_name : error -> string
 type t
 
 type undo = unit -> unit
-
-val literal_cap : int
-(** Bytes of real content stored per file (65536). *)
 
 val create : unit -> t
 

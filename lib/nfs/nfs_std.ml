@@ -5,7 +5,7 @@ module Calibration = Bft_sim.Calibration
 module Payload = Bft_core.Payload
 module Message = Bft_core.Message
 module Metrics = Bft_core.Metrics
-module Auth = Bft_crypto.Auth
+module Norep = Bft_core.Norep
 
 type t = {
   network : Network.t;
@@ -25,16 +25,9 @@ let metrics t = t.metrics
 
 let disk_busy t = t.disk_busy_total
 
-let no_auth = { Auth.nonce = 0L; entries = [] }
-
 (* Per-call CPU relative to the user-space replicated server: the kernel
    server skips the user/kernel crossings. *)
 let cpu_discount = 0.85
-
-let encode msg =
-  let env = { Message.sender = 0; msg; commits = []; auth = no_auth } in
-  let wire = Message.encode_envelope env in
-  (wire, Message.envelope_size env wire)
 
 (* Reserve disk time; returns completion time. The disk is a serial
    resource separate from the CPU. *)
@@ -87,20 +80,7 @@ let handle t ~src (r : Message.request) =
       meta +. Nfs_service.miss_cost p t.fs data_len
     in
     let send_reply () =
-      let msg =
-        Message.Reply
-          {
-            Message.view = 0;
-            timestamp = r.Message.timestamp;
-            client = r.Message.client;
-            replica = 0;
-            tentative = false;
-            epoch = 0;
-            body = Message.Full_result (Proto.encode_reply reply);
-          }
-      in
-      let wire, size = encode msg in
-      Network.send t.network ~src:t.node ~dst:src ~size wire
+      Norep.send_reply t.network ~src:t.node ~dst:src r (Proto.encode_reply reply)
     in
     if disk_time > 0.0 then begin
       Metrics.incr t.metrics "disk.sync_ops";
@@ -122,10 +102,5 @@ let create ~network ~node ?(params = Nfs_service.default_params) () =
       disk_busy_total = 0.0;
     }
   in
-  Network.set_handler network node (fun ~src ~wire ~size ->
-      ignore size;
-      match Message.decode_envelope wire with
-      | { Message.msg = Message.Request r; _ } -> handle t ~src r
-      | _ | (exception Bft_util.Codec.Decode_error _) ->
-        Metrics.incr t.metrics "malformed");
+  Norep.serve network node t.metrics (handle t);
   t

@@ -57,8 +57,6 @@ type result =
   | Txn_state of { state : int; participants : int list }
       (** for Txn_status; [participants] only while prepared *)
 
-val txn_unknown : int
-
 val txn_prepared : int
 
 val txn_committed : int

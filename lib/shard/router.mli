@@ -12,12 +12,10 @@
 
 type t
 
-val default_slots : int
-(** 64: enough granularity to balance the group counts the bench sweeps
-    (1–4) while keeping mapping tables human-readable. *)
-
 val create : ?slots:int -> groups:int -> unit -> t
 (** Round-robin mapping: slot [s] belongs to group [s mod groups].
+    [slots] defaults to 64: enough granularity to balance the group counts
+    the bench sweeps (1–4) while keeping mapping tables human-readable.
     Raises [Invalid_argument] unless [1 <= groups <= slots]. *)
 
 val of_mapping : groups:int -> mapping:int array -> t

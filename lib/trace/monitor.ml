@@ -298,11 +298,8 @@ let render_bundle t r ~at ~reason alert =
   String.split_on_char '\n' (Profile.jsonl (r.fr_profile ()))
   |> List.iter (fun line ->
          if line <> "" then record "profile" "node_profile" line);
-  let events = Trace.events r.fr_trace in
-  let skip = List.length events - trace_last in
-  List.iteri
-    (fun i e -> if i >= skip then record "trace" "event" (Trace.event_jsonl e))
-    events;
+  Trace.iter_newest r.fr_trace trace_last (fun e ->
+      record "trace" "event" (Trace.event_jsonl e));
   Buffer.contents b
 
 let dump_bundle t ~at ~reason alert =

@@ -25,11 +25,9 @@ val nodes : t -> node list
 val node_total : node -> float
 (** Index-order fold of [pn_seconds]. *)
 
-val balanced_node : node -> bool
-(** [node_total n = n.pn_busy], exact float equality. *)
-
 val balanced : t -> bool
-(** Every node balanced: the profiler accounts for all busy time. *)
+(** Every node balanced ([node_total n = n.pn_busy], exact float
+    equality): the profiler accounts for all busy time. *)
 
 val totals : t -> float array
 (** Cluster-wide busy seconds by category. *)

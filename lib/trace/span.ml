@@ -59,10 +59,15 @@ type span = {
   mutable sp_parents : int64 list; (* causal predecessors, first-added order *)
 }
 
-(* Per-request index of the spans that matter for causal chaining. *)
+(* Per-request index of the spans that matter for causal chaining, plus
+   the two boundaries no span isolates: the first transmission (the
+   request span folds retransmissions in) and the first primary-tagged
+   receipt. *)
 type req_info = {
   mutable rq_request : span option;
+  mutable rq_sent : float; (* earliest [Client_send]; [absent] if none *)
   mutable rq_recvs : span list;
+  mutable rq_recv_primary : float; (* earliest primary-tagged [Request_recv] *)
   mutable rq_execs : span list;
   mutable rq_replies : span list;
   mutable rq_deliver : span option;
@@ -74,6 +79,11 @@ type batch_info = {
   mutable bt_prepare : span option;
   mutable bt_commit : span option;
 }
+
+let absent = neg_infinity
+
+let earliest current vtime =
+  if current = absent || vtime < current then vtime else current
 
 type t = {
   spans : (int64, span) Hashtbl.t;
@@ -101,7 +111,9 @@ let req_info t req =
     let r =
       {
         rq_request = None;
+        rq_sent = absent;
         rq_recvs = [];
+        rq_recv_primary = absent;
         rq_execs = [];
         rq_replies = [];
         rq_deliver = None;
@@ -161,17 +173,21 @@ let batch_tail b =
   | Some _ as s -> s
   | None -> ( match b.bt_prepare with Some _ as s -> s | None -> b.bt_preprepare)
 
+(* Exec spans on one node since its last batch-level exec event, newest
+   first, with their ids for an O(1) membership test: a trace holding no
+   batch events (only phase boundaries) never empties the run. *)
+type pending = { mutable run : span list; ids : (int64, unit) Hashtbl.t }
+
 let of_events events =
   let t = create () in
-  (* Requests executed on a node since its last batch-level exec event. *)
-  let pending_exec : (int, span list ref) Hashtbl.t = Hashtbl.create 16 in
+  let pending_exec : (int, pending) Hashtbl.t = Hashtbl.create 16 in
   let pending_for node =
     match Hashtbl.find_opt pending_exec node with
-    | Some l -> l
+    | Some p -> p
     | None ->
-      let l = ref [] in
-      Hashtbl.add pending_exec node l;
-      l
+      let p = { run = []; ids = Hashtbl.create 16 } in
+      Hashtbl.add pending_exec node p;
+      p
   in
   List.iter
     (fun (e : Trace.event) ->
@@ -184,11 +200,14 @@ let of_events events =
       | Trace.Client_send | Trace.Client_retransmit ->
         let s = touch t ~req ~view:(-1) ~seq:(-1) ~phase:Request ~vtime ~node in
         let r = req_info t req in
-        if r.rq_request = None then r.rq_request <- Some s
+        if r.rq_request = None then r.rq_request <- Some s;
+        if e.Trace.kind = Trace.Client_send then r.rq_sent <- earliest r.rq_sent vtime
       | Trace.Request_recv ->
         let s = touch t ~req ~view ~seq:(-1) ~phase:Recv ~vtime ~node in
         let r = req_info t req in
         if not (List.memq s r.rq_recvs) then r.rq_recvs <- r.rq_recvs @ [ s ];
+        if e.Trace.detail = "primary" then
+          r.rq_recv_primary <- earliest r.rq_recv_primary vtime;
         Option.iter (fun p -> add_parent t s p) r.rq_request
       | Trace.Preprepare_sent | Trace.Preprepare_accepted ->
         let s =
@@ -214,14 +233,17 @@ let of_events events =
         if not (List.memq s r.rq_execs) then r.rq_execs <- r.rq_execs @ [ s ];
         List.iter (fun recv -> add_parent t s recv) r.rq_recvs;
         if e.Trace.detail <> "read-only" then begin
-          let l = pending_for node in
-          if not (List.memq s !l) then l := !l @ [ s ]
+          let p = pending_for node in
+          if not (Hashtbl.mem p.ids s.sp_id) then begin
+            Hashtbl.add p.ids s.sp_id ();
+            p.run <- s :: p.run
+          end
         end
       | Trace.Exec_tentative | Trace.Exec_final ->
         (* Bind the run of per-request exec spans on this node to the
            batch: the batch's ordering tail precedes each exec, and each
            bound request's send precedes the pre-prepare that batched it. *)
-        let l = pending_for node in
+        let p = pending_for node in
         let b = batch_info t ~view ~seq in
         List.iter
           (fun s ->
@@ -233,8 +255,9 @@ let of_events events =
               add_parent t pp rq
             | None, Some rq -> if rq.sp_seq = -1 then rq.sp_seq <- seq
             | _ -> ())
-          !l;
-        l := []
+          (List.rev p.run);
+        p.run <- [];
+        Hashtbl.clear p.ids
       | Trace.Reply_sent ->
         let s = touch t ~req ~view ~seq:(-1) ~phase:Reply ~vtime ~node in
         let r = req_info t req in
@@ -255,13 +278,40 @@ let of_events events =
 
 let spans t = List.rev t.order
 
-let span_count t = Hashtbl.length t.spans
-
 let edge_count t = t.edges
 
 let find t sid = Hashtbl.find_opt t.spans sid
 
 let requests t = List.rev t.req_order
+
+type boundaries = {
+  sent : float;
+  recv : float;
+  recv_primary : float;
+  exec : float;
+  reply : float;
+  deliver : float;
+}
+
+let boundaries t req =
+  let r = Hashtbl.find t.reqs req in
+  let first spans =
+    List.fold_left (fun acc s -> earliest acc s.sp_first) absent spans
+  in
+  let b =
+    {
+      sent = r.rq_sent;
+      recv = first r.rq_recvs;
+      recv_primary = r.rq_recv_primary;
+      exec = first r.rq_execs;
+      reply = first r.rq_replies;
+      deliver = first (Option.to_list r.rq_deliver);
+    }
+  in
+  if b.sent = absent && b.recv = absent && b.exec = absent && b.reply = absent
+     && b.deliver = absent
+  then None
+  else Some b
 
 let delivered t =
   List.filter
@@ -300,7 +350,6 @@ let summary t =
   let reqs = requests t in
   let delv = delivered t in
   let incomplete = check t in
-  Printf.sprintf
-    "spans=%d edges=%d requests=%d delivered=%d incomplete=%d" (span_count t)
-    (edge_count t) (List.length reqs) (List.length delv)
-    (List.length incomplete)
+  Printf.sprintf "spans=%d edges=%d requests=%d delivered=%d incomplete=%d"
+    (Hashtbl.length t.spans) (edge_count t) (List.length reqs)
+    (List.length delv) (List.length incomplete)

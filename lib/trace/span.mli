@@ -18,8 +18,6 @@ type phase =
   | Reply
   | Deliver
 
-val phase_index : phase -> int
-
 val id : req:int64 -> view:int -> seq:int -> phase:phase -> int64
 (** Deterministic span id. Use [-1] / [-1L] for inapplicable fields, the
     same convention as trace events. *)
@@ -46,8 +44,6 @@ val of_events : Trace.event list -> t
 val spans : t -> span list
 (** All spans in creation order. *)
 
-val span_count : t -> int
-
 val edge_count : t -> int
 (** Parent edges across all spans. *)
 
@@ -55,6 +51,21 @@ val find : t -> int64 -> span option
 
 val requests : t -> int64 list
 (** Request ids in first-appearance order. *)
+
+type boundaries = {
+  sent : float;  (** first [Client_send] (retransmissions excluded) *)
+  recv : float;  (** first [Request_recv] at any replica *)
+  recv_primary : float;  (** first primary-tagged [Request_recv] *)
+  exec : float;  (** first [Exec_request] *)
+  reply : float;  (** first [Reply_sent] *)
+  deliver : float;  (** [Client_deliver] *)
+}
+(** The virtual times bounding one request's phases, [neg_infinity] where
+    the trace holds no such event. *)
+
+val boundaries : t -> int64 -> boundaries option
+(** For a request of {!requests}; [None] when none of its events is a
+    boundary (e.g. only retransmissions survived the trace ring). *)
 
 val delivered : t -> int64 list
 (** Requests whose reply quorum was accepted by the client. *)

@@ -10,83 +10,40 @@ type t = {
   end_to_end : Stats.t;
 }
 
-(* Earliest occurrence of each boundary event, per request id. The
-   "primary" receipt prefers an explicitly primary-tagged Request_recv
-   (the request may also reach backups via multicast) but falls back to
-   the earliest receipt of any replica. *)
-type cell = {
-  mutable sent : float;
-  mutable recv_primary : float;
-  mutable recv_any : float;
-  mutable exec : float;
-  mutable reply_sent : float;
-  mutable delivered : float;
-}
-
-let absent = neg_infinity
-
-let fresh () =
-  {
-    sent = absent;
-    recv_primary = absent;
-    recv_any = absent;
-    exec = absent;
-    reply_sent = absent;
-    delivered = absent;
-  }
-
-let first current vtime =
-  if current = absent || vtime < current then vtime else current
-
-let of_events ?(skip = 0) events =
-  let cells : (int64, cell) Hashtbl.t = Hashtbl.create 256 in
-  let cell req_id =
-    match Hashtbl.find_opt cells req_id with
-    | Some c -> c
-    | None ->
-      let c = fresh () in
-      Hashtbl.replace cells req_id c;
-      c
-  in
-  List.iter
-    (fun (e : Trace.event) ->
-      if e.Trace.req_id >= 0L then begin
-        match e.Trace.kind with
-        | Trace.Client_send ->
-          let c = cell e.Trace.req_id in
-          c.sent <- first c.sent e.Trace.vtime
-        | Trace.Request_recv ->
-          let c = cell e.Trace.req_id in
-          c.recv_any <- first c.recv_any e.Trace.vtime;
-          if e.Trace.detail = "primary" then
-            c.recv_primary <- first c.recv_primary e.Trace.vtime
-        | Trace.Exec_request ->
-          let c = cell e.Trace.req_id in
-          c.exec <- first c.exec e.Trace.vtime
-        | Trace.Reply_sent ->
-          let c = cell e.Trace.req_id in
-          c.reply_sent <- first c.reply_sent e.Trace.vtime
-        | Trace.Client_deliver ->
-          let c = cell e.Trace.req_id in
-          c.delivered <- first c.delivered e.Trace.vtime
-        | _ -> ()
-      end)
-    events;
+(* A view over the span DAG: each request's boundaries are the earliest
+   events of its spans. The "primary" receipt prefers an explicitly
+   primary-tagged Request_recv (the request may also reach backups via
+   multicast) but falls back to the earliest receipt of any replica.
+   Requests are measured in order of their first transmission, ties in
+   order of first appearance in the trace. *)
+let of_dag ?(skip = 0) dag =
+  let absent = neg_infinity in
   let complete = ref [] and incomplete = ref 0 in
-  Hashtbl.iter
-    (fun _ c ->
-      let recv = if c.recv_primary = absent then c.recv_any else c.recv_primary in
-      if
-        c.sent = absent || recv = absent || c.exec = absent
-        || c.reply_sent = absent || c.delivered = absent
-      then incr incomplete
-      else complete := (c.sent, recv, c.exec, c.reply_sent, c.delivered) :: !complete)
-    cells;
+  List.iter
+    (fun req ->
+      if req >= 0L then
+        match Span.boundaries dag req with
+        | None -> ()
+        | Some b ->
+          let recv =
+            if b.Span.recv_primary = absent then b.Span.recv
+            else b.Span.recv_primary
+          in
+          if
+            b.Span.sent = absent || recv = absent || b.Span.exec = absent
+            || b.Span.reply = absent || b.Span.deliver = absent
+          then incr incomplete
+          else
+            complete :=
+              (b.Span.sent, recv, b.Span.exec, b.Span.reply, b.Span.deliver)
+              :: !complete)
+    (Span.requests dag);
   let ordered =
-    List.sort (fun (a, _, _, _, _) (b, _, _, _, _) -> Float.compare a b) !complete
+    List.stable_sort
+      (fun (a, _, _, _, _) (b, _, _, _, _) -> Float.compare a b)
+      (List.rev !complete)
   in
-  let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl in
-  let measured = drop skip ordered in
+  let measured = List.filteri (fun i _ -> i >= skip) ordered in
   let client_to_primary = Stats.create ()
   and ordering = Stats.create ()
   and execution = Stats.create ()
@@ -109,6 +66,8 @@ let of_events ?(skip = 0) events =
     reply;
     end_to_end;
   }
+
+let of_events ?skip events = of_dag ?skip (Span.of_events events)
 
 let of_trace ?skip trace = of_events ?skip (Trace.events trace)
 

@@ -1,4 +1,5 @@
-(** Per-request phase timelines folded out of a protocol trace.
+(** Per-request phase timelines: a view over the {!Span} DAG of a
+    protocol trace.
 
     Each completed request is decomposed into four phases whose
     boundaries are trace events, chosen so the phases telescope exactly
@@ -28,9 +29,14 @@ type t = {
   end_to_end : Bft_util.Stats.t;  (** per-request sum of the four phases *)
 }
 
+val of_dag : ?skip:int -> Span.t -> t
+(** Read the timelines off a span DAG. [skip] (default 0) drops the
+    earliest-started [skip] complete requests — e.g. a benchmark's warmup
+    window; requests started at the same instant count in order of first
+    appearance in the trace. *)
+
 val of_events : ?skip:int -> Trace.event list -> t
-(** Fold a trace. [skip] (default 0) drops the earliest-started [skip]
-    complete requests — e.g. a benchmark's warmup window. *)
+(** [of_dag (Span.of_events events)]. *)
 
 val of_trace : ?skip:int -> Trace.t -> t
 

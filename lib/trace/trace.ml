@@ -80,12 +80,12 @@ let length t = Stdlib.min t.total_ t.capacity
 
 let dropped t = t.total_ - length t
 
-let iter t f =
-  let n = length t in
-  let first = t.total_ - n in
-  for i = first to t.total_ - 1 do
+let iter_newest t k f =
+  for i = t.total_ - Stdlib.min k (length t) to t.total_ - 1 do
     f t.ring.(i mod t.capacity)
   done
+
+let iter t f = iter_newest t (length t) f
 
 let events t =
   let acc = ref [] in

@@ -89,6 +89,10 @@ val events : t -> event list
 
 val iter : t -> (event -> unit) -> unit
 
+val iter_newest : t -> int -> (event -> unit) -> unit
+(** [iter_newest t k f] visits the newest [k] surviving events, oldest
+    first, without touching the rest of the ring. *)
+
 val clear : t -> unit
 
 val req_id : client:int -> ts:int64 -> int64

@@ -1,7 +1,7 @@
 (** Online and batch summary statistics used by the benchmark harness.
 
     Memory is bounded: up to [capacity] samples are retained verbatim
-    (default {!default_capacity}); beyond that the accumulator keeps a
+    (default 8192); beyond that the accumulator keeps a
     deterministic reservoir (Vitter's algorithm R with a private xorshift
     generator — no global RNG, so results are reproducible). While nothing
     has been dropped every summary is exact and byte-identical to a plain
@@ -12,9 +12,6 @@
 
 type t
 (** A mutable accumulator of float samples. *)
-
-val default_capacity : int
-(** Retained-sample bound used when [create] is not given [?capacity]. *)
 
 val create : ?capacity:int -> unit -> t
 (** [capacity] bounds retained samples; must be at least 2. *)

@@ -11,8 +11,6 @@ val signatures : ?quick:bool -> unit -> Report.section list
 
 val checkpoint_interval : ?quick:bool -> unit -> Report.section list
 
-val batch_bound : ?quick:bool -> unit -> Report.section list
-
 val window : ?quick:bool -> unit -> Report.section list
 
 val recovery : ?quick:bool -> unit -> Report.section list

@@ -28,8 +28,6 @@ let print section =
   end;
   flush stdout
 
-let anchor ~description ~paper ~measured ~ok = { description; paper; measured; ok }
-
 let ratio_anchor ~description ~paper_ratio ~measured ~tolerance =
   let ok =
     (not (Float.is_nan measured))

@@ -18,9 +18,6 @@ type section = {
 
 val print : section -> unit
 
-val anchor :
-  description:string -> paper:string -> measured:string -> ok:bool -> anchor
-
 val ratio_anchor :
   description:string -> paper_ratio:float -> measured:float -> tolerance:float ->
   anchor
