@@ -828,6 +828,7 @@ let model_cmd =
      (the CI gate on the default profile)."
   in
   let module Model = Bft_workloads.Model in
+  let module Saturation = Bft_workloads.Saturation in
   let golden_file =
     path_arg "golden" "bench/golden_bench_virtual.json"
       ~doc:"Golden virtual-time bench surface to compare against."
@@ -841,14 +842,14 @@ let model_cmd =
   in
   let run cal golden_file check =
     let golden =
-      try Model.Golden.parse (read_file golden_file)
+      try Saturation.of_json (read_file golden_file)
       with Failure msg -> die ~code:2 "%s: %s" golden_file msg
     in
-    if golden.Model.Golden.g_profile <> Calibration.name cal then begin
+    if golden.Saturation.cost_profile <> Calibration.name cal then begin
       Printf.eprintf
         "bft_lab model: golden %s was benched under profile %s, not %s — the \
          observed column would compare apples to oranges\n"
-        golden_file golden.Model.Golden.g_profile (Calibration.name cal);
+        golden_file golden.Saturation.cost_profile (Calibration.name cal);
       if check then exit 1
     end;
     let report = Model.report ~cal ~golden () in

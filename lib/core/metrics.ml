@@ -54,7 +54,3 @@ let dump t =
         (Stats.max s))
     (stats_pairs t);
   Buffer.contents b
-
-let reset t =
-  Hashtbl.reset t.counts;
-  Hashtbl.reset t.stats

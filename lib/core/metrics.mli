@@ -22,5 +22,3 @@ val stats_pairs : t -> (string * Bft_util.Stats.t) list
 val dump : t -> string
 (** Operator snapshot: one line per counter and one summary line
     (count/mean/p50/p99/max) per histogram, sorted by name. *)
-
-val reset : t -> unit

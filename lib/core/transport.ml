@@ -29,7 +29,6 @@ type t = {
   mutable nonce : int64;
   scratch : Bft_util.Codec.Enc.t; (* wire assembly buffer, one per sender *)
   windows : nonce_window Int_tbl.t; (* sender -> anti-replay state *)
-  mutable tamper : (Message.t -> Message.t) option;
   mutable corrupt_auth : bool;
 }
 
@@ -42,7 +41,6 @@ let create net ~keychain ~node ?(public_key_signatures = false) () =
     nonce = 0L;
     scratch = Bft_util.Codec.Enc.create ~initial:1024 ();
     windows = Int_tbl.create 16;
-    tamper = None;
     corrupt_auth = false;
   }
 
@@ -59,8 +57,6 @@ let network t = t.net
 let calibration t = Network.calibration t.net
 
 let keychain t = t.keychain
-
-let set_tamper t f = t.tamper <- f
 
 let set_corrupt_auth t b = t.corrupt_auth <- b
 
@@ -95,7 +91,6 @@ let charge_recv_crypto t ~size =
   end
 
 let build t ~commits ~targets msg =
-  let msg = match t.tamper with None -> msg | Some f -> f msg in
   (* Assemble the whole wire in the per-transport scratch buffer: encode
      the prefix, fingerprint it in place, then append the authenticator —
      the only string allocated is the final wire. *)

@@ -53,9 +53,5 @@ val multicast :
 val check :
   t -> wire:string -> prefix_len:int -> size:int -> Message.envelope -> verdict
 
-val set_tamper : t -> (Message.t -> Message.t) option -> unit
-(** Fault injection hook: rewrite messages just before they are
-    authenticated and sent (used by Byzantine replica behaviours). *)
-
 val set_corrupt_auth : t -> bool -> unit
 (** Fault injection: emit invalid MACs (a forger without the keys). *)

@@ -24,7 +24,9 @@ let check keychain ~from msg t =
 let single keychain ~nonce ~to_ msg = generate keychain ~nonce ~targets:[ to_ ] msg
 
 (* nonce (8) + count (4) + per entry: principal id (2) + tag. *)
-let wire_size t = 8 + 4 + (List.length t.entries * (2 + Mac.tag_size))
+let wire_size_for ~entries = 8 + 4 + (entries * (2 + Mac.tag_size))
+
+let wire_size t = wire_size_for ~entries:(List.length t.entries)
 
 let encode enc t =
   Codec.Enc.u64 enc t.nonce;

@@ -20,6 +20,9 @@ val single : Keychain.t -> nonce:int64 -> to_:Keychain.principal -> string -> t
 val wire_size : t -> int
 (** Bytes this authenticator occupies on the wire. *)
 
+val wire_size_for : entries:int -> int
+(** Bytes an authenticator with [entries] tags occupies on the wire. *)
+
 val encode : Bft_util.Codec.Enc.t -> t -> unit
 
 val decode : Bft_util.Codec.Dec.t -> t

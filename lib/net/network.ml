@@ -8,14 +8,6 @@ type node_id = int
 
 type handler = src:node_id -> wire:string -> size:int -> unit
 
-type faults = {
-  drop_probability : float;
-  duplicate_probability : float;
-  blocked : (node_id * node_id) list;
-}
-
-let no_faults = { drop_probability = 0.0; duplicate_probability = 0.0; blocked = [] }
-
 type node_counters = {
   mutable nc_sent : int;  (** datagrams departing this host (per destination) *)
   mutable nc_delivered : int;  (** datagrams handed to this host's handler *)
@@ -40,43 +32,38 @@ type t = {
   rng : Rng.t;
   mutable nodes : node array;
   mutable node_count : int;
-  mutable faults : faults;
-  blocked_set : (int, unit) Hashtbl.t;
-      (* symmetric-pair index over [faults.blocked]: membership is O(1)
-         per (src, dst) instead of an O(pairs) list scan per datagram,
-         which matters once sharded topologies put dozens of hosts on one
-         switch *)
+  mutable loss : float;  (* uniform datagram drop probability *)
+  mutable duplication : float;
+  blocked : (int, unit) Hashtbl.t;
+      (* partitioned host pairs, indexed symmetrically (see [pair_key]):
+         membership is O(1) per (src, dst) instead of an O(pairs) scan per
+         datagram, which matters once sharded topologies put dozens of
+         hosts on one switch *)
   mutable sent : int;
   mutable dropped : int;
   mutable delivered : int;
   mutable wire_bytes : int;
-  mutable trace : Trace.t;
+  trace : Trace.t;
 }
 
-let create engine cal ~rng =
+let simulation ?(cal = Calibration.default) ?(trace = Trace.nil) ~rng () =
+  let engine = Engine.create () in
+  Engine.set_trace engine trace;
   {
     engine;
     cal;
     rng;
     nodes = [||];
     node_count = 0;
-    faults = no_faults;
-    blocked_set = Hashtbl.create 64;
+    loss = 0.0;
+    duplication = 0.0;
+    blocked = Hashtbl.create 64;
     sent = 0;
     dropped = 0;
     delivered = 0;
     wire_bytes = 0;
-    trace = Trace.nil;
+    trace;
   }
-
-let set_trace t trace = t.trace <- trace
-
-let simulation ?(cal = Calibration.default) ?(trace = Trace.nil) ~rng () =
-  let engine = Engine.create () in
-  Engine.set_trace engine trace;
-  let t = create engine cal ~rng in
-  set_trace t trace;
-  t
 
 let trace t = t.trace
 
@@ -140,26 +127,15 @@ let pair_key a b =
   let lo = Stdlib.min a b and hi = Stdlib.max a b in
   (hi lsl 24) lor lo
 
-let sync_blocked_set t =
-  Hashtbl.reset t.blocked_set;
-  List.iter
-    (fun (a, b) -> Hashtbl.replace t.blocked_set (pair_key a b) ())
-    t.faults.blocked
-
-let set_faults t faults =
-  t.faults <- faults;
-  sync_blocked_set t
-
-
 let set_loss t p =
   if p < 0.0 || p > 1.0 then invalid_arg "Network.set_loss";
-  t.faults <- { t.faults with drop_probability = p }
+  t.loss <- p
 
 let set_duplication t p =
   if p < 0.0 || p > 1.0 then invalid_arg "Network.set_duplication";
-  t.faults <- { t.faults with duplicate_probability = p }
+  t.duplication <- p
 
-let blocked t ~src ~dst = Hashtbl.mem t.blocked_set (pair_key src dst)
+let blocked t ~src ~dst = Hashtbl.mem t.blocked (pair_key src dst)
 
 let install_partition t ~groups =
   List.iter
@@ -167,22 +143,21 @@ let install_partition t ~groups =
          if id < 0 || id >= t.node_count then
            invalid_arg "Network.install_partition: bad node id"))
     groups;
-  let pairs = ref [] in
+  Hashtbl.reset t.blocked;
   let rec cross = function
     | [] -> ()
     | g :: rest ->
       List.iter
-        (fun a -> List.iter (List.iter (fun b -> pairs := (a, b) :: !pairs)) rest)
+        (fun a ->
+          List.iter
+            (List.iter (fun b -> Hashtbl.replace t.blocked (pair_key a b) ()))
+            rest)
         g;
       cross rest
   in
-  cross groups;
-  t.faults <- { t.faults with blocked = List.rev !pairs };
-  sync_blocked_set t
+  cross groups
 
-let heal_partition t =
-  t.faults <- { t.faults with blocked = [] };
-  Hashtbl.reset t.blocked_set
+let heal_partition t = Hashtbl.reset t.blocked
 
 let charge_recv t node size =
   Cpu.charge ~cat:Cpu.Decode node.cpu
@@ -261,7 +236,7 @@ let transmit t ~src ~dsts ~wire ~size =
              keeps nothing. Only partitions are exempt: a blocked pair cuts
              an inter-host link, and a host cannot be partitioned from
              itself. *)
-          if unlucky t t.faults.drop_probability then
+          if unlucky t t.loss then
             drop t sender ~id:src ~overflow:false ~why:"fault"
           else begin
             let deliver_local () =
@@ -283,16 +258,16 @@ let transmit t ~src ~dsts ~wire ~size =
                   else drop t sender ~id:src ~overflow:false ~why:"down")
             in
             deliver_local ();
-            if unlucky t t.faults.duplicate_probability then deliver_local ()
+            if unlucky t t.duplication then deliver_local ()
           end
         end
         else if blocked t ~src ~dst then
           drop t (get t dst) ~id:dst ~overflow:false ~why:"blocked"
-        else if unlucky t t.faults.drop_probability then
+        else if unlucky t t.loss then
           drop t (get t dst) ~id:dst ~overflow:false ~why:"fault"
         else begin
           deliver t ~src ~dst ~wire ~size ~arrival:at_switch;
-          if unlucky t t.faults.duplicate_probability then
+          if unlucky t t.duplication then
             deliver t ~src ~dst ~wire ~size ~arrival:at_switch
         end)
       dsts
@@ -326,16 +301,3 @@ let per_node_counters t =
       let node = t.nodes.(id) in
       let c = node.counters in
       (node.name, c.nc_sent, c.nc_delivered, c.nc_dropped, c.nc_overflowed))
-
-let reset_counters t =
-  t.sent <- 0;
-  t.dropped <- 0;
-  t.delivered <- 0;
-  t.wire_bytes <- 0;
-  for id = 0 to t.node_count - 1 do
-    let c = t.nodes.(id).counters in
-    c.nc_sent <- 0;
-    c.nc_delivered <- 0;
-    c.nc_dropped <- 0;
-    c.nc_overflowed <- 0
-  done

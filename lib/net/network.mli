@@ -20,22 +20,6 @@ type node_id = int
 
 type handler = src:node_id -> wire:string -> size:int -> unit
 
-(** Knobs for fault injection; all default to the fault-free testbed. *)
-type faults = {
-  drop_probability : float;  (** uniform datagram loss *)
-  duplicate_probability : float;
-  blocked : (node_id * node_id) list;
-      (** partitioned pairs; each pair cuts the link in {e both} directions
-          (a severed cable drops traffic both ways). Lookups go through a
-          hashed symmetric-pair index, so the per-datagram cost is O(1)
-          regardless of how many pairs a partition installs. *)
-}
-
-val no_faults : faults
-
-val create :
-  Bft_sim.Engine.t -> Bft_sim.Calibration.t -> rng:Bft_util.Rng.t -> t
-
 val simulation :
   ?cal:Bft_sim.Calibration.t ->
   ?trace:Bft_trace.Trace.t ->
@@ -44,7 +28,8 @@ val simulation :
   t
 (** A fresh engine (see {!engine}) and an empty network on it, both wired
     to [trace] (default {!Bft_trace.Trace.nil}); [cal] defaults to
-    {!Bft_sim.Calibration.default}. Every deployment starts here. *)
+    {!Bft_sim.Calibration.default}. Every deployment starts here, fault
+    free: no loss, no duplication, no partition. *)
 
 val engine : t -> Bft_sim.Engine.t
 
@@ -69,12 +54,11 @@ val set_up : t -> node_id -> bool -> unit
 
 val is_up : t -> node_id -> bool
 
-val set_faults : t -> faults -> unit
+(* --- fault injection ---
 
-(* --- runtime fault mutation (chaos plans) ---
-
-   All of these may be called while the simulation is running; they affect
-   only datagrams transmitted after the call. *)
+   The one way to fault a network. All of these may be called while the
+   simulation is running; they affect only datagrams transmitted after the
+   call. *)
 
 val set_loss : t -> float -> unit
 (** Ramp the uniform drop probability; raises on values outside [0, 1]. *)
@@ -85,8 +69,10 @@ val set_duplication : t -> float -> unit
 val install_partition : t -> groups:node_id list list -> unit
 (** Partition the network: nodes in different groups cannot exchange
     datagrams (both directions); nodes within one group — and nodes listed
-    in no group — communicate freely. Replaces any previously installed
-    [blocked] pairs; loss and duplication probabilities are untouched. *)
+    in no group — communicate freely. A cut pair drops traffic both ways,
+    as a severed cable does, and costs O(1) per datagram however many pairs
+    the partition cuts. Replaces any previous partition; loss and
+    duplication probabilities are untouched. *)
 
 val heal_partition : t -> unit
 (** Clear every blocked pair (leaves loss/duplication untouched). *)
@@ -99,14 +85,10 @@ val send : t -> src:node_id -> dst:node_id -> ?size:int -> string -> unit
 val multicast : t -> src:node_id -> dsts:node_id list -> ?size:int -> string -> unit
 (** One egress serialization and one CPU send charge; per-receiver ingress. *)
 
-(* --- tracing --- *)
-
-val set_trace : t -> Bft_trace.Trace.t -> unit
-(** Install a trace sink; when live, datagram enqueue/serialize/deliver/
-    drop events are emitted (with the network node id in [node] and the
-    host name in [detail]). Defaults to {!Bft_trace.Trace.nil}. *)
-
 val trace : t -> Bft_trace.Trace.t
+(** The sink given to {!simulation}; when live, datagram enqueue/
+    serialize/deliver/drop events are emitted (with the network node id in
+    [node] and the host name in [detail]). *)
 
 (* --- counters for reports and tests --- *)
 
@@ -124,6 +106,3 @@ val per_node_counters : t -> (string * int * int * int * int) list
     overflow. Drops are attributed to the destination host, so a
     saturation cliff (e.g. NO-REP past ~15 clients, paper Figure 4) shows
     up on the overloaded server rather than only in the global total. *)
-
-val reset_counters : t -> unit
-(** Reset the global and per-node counters. *)

@@ -679,6 +679,8 @@ let size store = store.count
 
 (* --- service wrapper --------------------------------------------------- *)
 
+let exec_base_cost = 1e-6
+
 let service_of_store store =
   {
     Service.execute =
@@ -693,7 +695,8 @@ let service_of_store store =
         match op_of_payload op with
         | Some op -> is_read_only_op op
         | None -> false);
-    execute_cost = (fun op -> 1e-6 +. (float_of_int (Payload.size op) *. 2e-9));
+    execute_cost =
+      (fun op -> exec_base_cost +. (float_of_int (Payload.size op) *. 2e-9));
     state_digest = (fun () -> state_digest store);
     modified_since_checkpoint = (fun () -> store.dirty);
     checkpoint_taken = (fun () -> store.dirty <- 0);

@@ -82,6 +82,10 @@ type store
 
 val create_store : unit -> store
 
+val exec_base_cost : float
+(** Fixed simulated seconds of every operation's [execute_cost]; each
+    encoded operation byte adds 2 ns on top. *)
+
 val service_of_store : store -> Bft_core.Service.t
 (** Wrap existing state; each replica must still get its own store. *)
 

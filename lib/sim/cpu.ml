@@ -39,7 +39,6 @@ type t = {
   clock : clock;
   mutable in_handler : bool;
   busy_by_cat : float array; (* busy seconds per category; the fold IS total_busy *)
-  mutable stats_since : float;
 }
 
 let create engine ?(speed = 1.0) ~name () =
@@ -53,7 +52,6 @@ let create engine ?(speed = 1.0) ~name () =
     clock = { busy_until = 0.0; handler_start = 0.0; accum = 0.0 };
     in_handler = false;
     busy_by_cat = Array.make num_categories 0.0;
-    stats_since = 0.0;
   }
 
 let engine t = t.engine
@@ -115,11 +113,3 @@ let dispatch t handler =
 let total_busy t = Array.fold_left ( +. ) 0.0 t.busy_by_cat
 
 let busy_seconds t = Array.copy t.busy_by_cat
-
-let utilisation t ~since =
-  let span = Engine.now t.engine -. since in
-  if span <= 0.0 then 0.0 else Float.min 1.0 (total_busy t /. span)
-
-let reset_stats t =
-  Array.fill t.busy_by_cat 0 num_categories 0.0;
-  t.stats_since <- Engine.now t.engine

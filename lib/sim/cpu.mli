@@ -61,8 +61,3 @@ val total_busy : t -> float
 
 val busy_seconds : t -> float array
 (** Fresh copy of per-category busy seconds, indexed by [category_index]. *)
-
-val utilisation : t -> since:float -> float
-(** Busy fraction of the window [since, now]. *)
-
-val reset_stats : t -> unit

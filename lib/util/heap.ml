@@ -100,16 +100,3 @@ let mem e = e.pos >= 0
 let min_priority h =
   if h.size = 0 then raise Not_found;
   h.data.(0).priority
-
-let tiebreak_seq h = h.next_seq
-
-let clear h =
-  for i = 0 to h.size - 1 do
-    h.data.(i).pos <- -1;
-    h.data.(i) <- dummy
-  done;
-  h.size <- 0;
-  (* Reset the FIFO tie-break counter too: a cleared heap must assign the
-     same seqs as a fresh one, or reused engines lose run-to-run
-     determinism on equal-priority entries. *)
-  h.next_seq <- 0

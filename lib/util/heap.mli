@@ -36,12 +36,3 @@ val pop : 'a t -> 'a
 (** [min_priority h] is the priority of the minimum element. Raises
     [Not_found] on an empty heap. *)
 val min_priority : 'a t -> float
-
-(** [clear h] empties the heap and resets the FIFO tie-break counter, so
-    a cleared heap behaves exactly like a fresh one. *)
-val clear : 'a t -> unit
-
-(** [tiebreak_seq h] is the FIFO tie-break counter the next [push] will
-    use. Exposed so determinism tests can check that a cleared-and-reused
-    heap assigns the same seqs as a fresh one. *)
-val tiebreak_seq : 'a t -> int

@@ -140,27 +140,6 @@ let p95 t = percentile t 95.0
 
 let p99 t = percentile t 99.0
 
-let clear t =
-  t.size <- 0;
-  t.n <- 0;
-  t.sum <- 0.0;
-  t.minv <- infinity;
-  t.maxv <- neg_infinity;
-  t.mean_w <- 0.0;
-  t.m2 <- 0.0;
-  t.rng <- rng_seed;
-  t.sorted <- None
-
-let merge a b =
-  let m = create ~capacity:(Stdlib.max a.capacity b.capacity) () in
-  for i = 0 to a.size - 1 do
-    add m a.samples.(i)
-  done;
-  for i = 0 to b.size - 1 do
-    add m b.samples.(i)
-  done;
-  m
-
 let to_list t = Array.to_list (Array.sub t.samples 0 t.size)
 
 (* --- streaming quantiles -------------------------------------------- *)

@@ -52,11 +52,6 @@ val p95 : t -> float
 
 val p99 : t -> float
 
-val clear : t -> unit
-
-val merge : t -> t -> t
-(** [merge a b] is a fresh accumulator fed both retained sample sets. *)
-
 val to_list : t -> float list
 (** Retained samples in insertion order (all samples while nothing has been
     dropped). *)

@@ -18,6 +18,8 @@ type throughput_result = {
 
 let client_speed = 700.0 /. 600.0  (* the paper's latency client was 700 MHz *)
 
+let client_machines = 5
+
 let latency_warmup = 8
 
 (* The back-to-back loop behind both latency figures: [latency_warmup]
@@ -179,7 +181,7 @@ let bft_throughput ?(config = Config.make ~f:1 ()) ?(seed = 42) ?(warmup = 0.5)
     ?(window = 1.0) ?(cal = Calibration.default)
     ?(trace = Bft_trace.Trace.nil) ?monitor ~arg ~res ~read_only ~clients () =
   let cluster =
-    Cluster.create ~cal ~seed ~client_machines:5 ~trace ~config
+    Cluster.create ~cal ~seed ~client_machines ~trace ~config
       ~service:(fun _ -> Service.null ()) ()
   in
   (* The throughput rig only ever runs to explicit horizons, so the
@@ -362,7 +364,7 @@ let mixed_txn_throughput ?(seed = 42) ?(window = 1.0)
 
 let norep_throughput ?(seed = 42) ?(warmup = 0.5) ?(window = 1.0) ?(retry = false)
     ~arg ~res ~clients () =
-  let rig = norep_rig ~seed ~machines:5 ~clients ~retry in
+  let rig = norep_rig ~seed ~machines:client_machines ~clients ~retry in
   let op = Service.null_op ~read_only:false ~arg_size:arg ~result_size:res in
   let loop client =
     let rec loop () = Norep.Client.invoke client op (fun _ -> loop ()) in

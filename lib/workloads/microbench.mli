@@ -10,6 +10,14 @@ type latency_result = {
   ops : int;
 }
 
+val client_speed : float
+(** Relative speed of the latency rig's single client machine: the
+    paper's 700 MHz client against the 600 MHz replicas. *)
+
+val client_machines : int
+(** Client machines the throughput rigs spread closed-loop clients over
+    (5, as in the paper's testbed). *)
+
 val latency_warmup : int
 (** Operations discarded before measurement starts in {!bft_latency} and
     {!norep_latency}. *)
@@ -119,9 +127,9 @@ val bft_throughput :
   clients:int ->
   unit ->
   throughput_result
-(** Clients spread over 5 client machines, closed loop, measured over
-    [window] seconds after [warmup]. [trace] and [monitor] as in
-    {!bft_latency}. *)
+(** Clients spread over {!client_machines} client machines, closed loop,
+    measured over [window] seconds after [warmup]. [trace] and [monitor]
+    as in {!bft_latency}. *)
 
 type sharded_result = {
   sh_ops_per_sec : float;  (** virtual time, summed over all groups *)

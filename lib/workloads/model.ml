@@ -39,14 +39,10 @@ let resource_name = function
 
 (* --- exact datagram sizes from the real codec ------------------------- *)
 
-(* Auth.wire_size: 8-byte nonce + 4-byte entry count + one (2-byte
-   principal, 8-byte UMAC tag) entry per target. *)
-let auth_wire_size ~targets = 8 + 4 + (targets * (2 + 8))
-
 let datagram ~targets msg =
   String.length (Message.encode_prefix ~sender:0 ~msg ~commits:[])
   + Message.padding msg
-  + auth_wire_size ~targets
+  + Bft_crypto.Auth.wire_size_for ~entries:targets
 
 (* Representative messages for an [arg]/[res] null-service operation. *)
 type sizes = {
@@ -153,16 +149,10 @@ type prediction = {
   pr_backup_in_bytes : float;
 }
 
-(* Client machines the throughput rigs spread closed-loop clients over. *)
-let client_machines = 5
-
 (* Every modeled bench row runs the paper's defaults at f = 1. Rotating
    ordering changes who proposes, not n, batch bounds or checkpoint
    interval, so it needs no configuration of its own. *)
 let cfg = Config.make ~f:1 ()
-
-(* The latency rig's single client machine runs at the paper's 700 MHz. *)
-let latency_client_speed = 700.0 /. 600.0
 
 let exec_cpu (cal : Calibration.t) ~exec_fixed ~arg ~res =
   (* Service execute_cost (fixed, profile-independent) plus the simulator's
@@ -282,7 +272,7 @@ let predict ?(exec_fixed = 0.0) ~(cal : Calibration.t) ~arg ~res ~clients () =
           (link_time
              (max (max primary_out primary_in) (max backup_out backup_in)))
       );
-      (Client_cpu, float_of_int client_machines *. cap client_cpu);
+      (Client_cpu, float_of_int Microbench.client_machines *. cap client_cpu);
     ]
   in
   let binding, _ =
@@ -322,7 +312,7 @@ let predict ?(exec_fixed = 0.0) ~(cal : Calibration.t) ~arg ~res ~clients () =
   (* Unloaded latency: the batch-of-one critical path, client legs on the
      latency rig's faster client machine. *)
   let latency =
-    let c cost = cost /. latency_client_speed in
+    let c cost = cost /. Microbench.client_speed in
     c (send_cpu cal ~size:sz1.sz_request ~targets:sz.sz_request_targets)
     +. wire_lat cal ~size:sz1.sz_request
     +. recv ~size:sz1.sz_request
@@ -409,187 +399,9 @@ let predict_rotating ~(cal : Calibration.t) ~arg ~res ~clients ~epoch_length:_
   in
   let cap x = if x > 0.0 then 1.0 /. x else infinity in
   min (fb /. avg_batch_cpu)
-    (float_of_int client_machines *. cap client_req_cpu)
+    (float_of_int Microbench.client_machines *. cap client_req_cpu)
 
 (* --- predicted-vs-observed report over the golden bench surface ------- *)
-
-(* Minimal scanner for the fixed JSON the bench emits (hand-rolled there,
-   hand-parsed here: stable field order and formats, no nesting surprises
-   beyond per_group arrays). *)
-module Golden = struct
-  type point = { gp_clients : int; gp_ops_per_sec : float }
-  type micro = { gm_label : string; gm_arg : int; gm_res : int; gm_mean_us : float }
-  type scale = { gs_groups : int; gs_clients : int; gs_sim_rps : float }
-
-  type rotating = {
-    gr_clients : int;
-    gr_epoch_length : int;
-    gr_single_ops : float;
-    gr_ops : float;
-  }
-
-  type t = {
-    g_profile : string;
-    g_seed : int;
-    g_micro : micro list;
-    g_curve : point list;
-    g_scaling : scale list;
-    g_rotating : rotating option;
-  }
-
-  let fail fmt = Printf.ksprintf failwith fmt
-
-  (* Value of ["key":...] starting at the first occurrence of the key. *)
-  let raw_field s key =
-    let pat = "\"" ^ key ^ "\":" in
-    let plen = String.length pat in
-    let rec find i =
-      if i + plen > String.length s then None
-      else if String.sub s i plen = pat then Some (i + plen)
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> None
-    | Some start ->
-      let buf = Buffer.create 16 in
-      let len = String.length s in
-      let rec scan i depth in_str =
-        if i >= len then Buffer.contents buf
-        else
-          let c = s.[i] in
-          if in_str then begin
-            Buffer.add_char buf c;
-            scan (i + 1) depth (c <> '"')
-          end
-          else if c = '"' then begin
-            Buffer.add_char buf c;
-            scan (i + 1) depth true
-          end
-          else if c = '[' || c = '{' then begin
-            Buffer.add_char buf c;
-            scan (i + 1) (depth + 1) false
-          end
-          else if c = ']' || c = '}' then
-            if depth = 0 then Buffer.contents buf
-            else begin
-              Buffer.add_char buf c;
-              scan (i + 1) (depth - 1) false
-            end
-          else if c = ',' && depth = 0 then Buffer.contents buf
-          else begin
-            Buffer.add_char buf c;
-            scan (i + 1) depth false
-          end
-      in
-      Some (scan start 0 false)
-
-  let str_field s key =
-    match raw_field s key with
-    | Some v
-      when String.length v >= 2 && v.[0] = '"' && v.[String.length v - 1] = '"'
-      ->
-      String.sub v 1 (String.length v - 2)
-    | Some v -> fail "golden: field %S is not a string: %s" key v
-    | None -> fail "golden: missing field %S" key
-
-  let int_field s key =
-    match raw_field s key with
-    | Some v -> (
-      match int_of_string_opt (String.trim v) with
-      | Some i -> i
-      | None -> fail "golden: field %S is not an int: %s" key v)
-    | None -> fail "golden: missing field %S" key
-
-  let float_field s key =
-    match raw_field s key with
-    | Some v -> (
-      match float_of_string_opt (String.trim v) with
-      | Some f -> f
-      | None -> fail "golden: field %S is not a number: %s" key v)
-    | None -> fail "golden: missing field %S" key
-
-  (* Split a ["[{...},{...}]"] array value into its top-level objects. *)
-  let objects v =
-    let len = String.length v in
-    let out = ref [] in
-    let start = ref (-1) in
-    let depth = ref 0 in
-    let in_str = ref false in
-    for i = 0 to len - 1 do
-      let c = v.[i] in
-      if !in_str then (if c = '"' then in_str := false)
-      else
-        match c with
-        | '"' -> in_str := true
-        | '{' ->
-          if !depth = 0 then start := i;
-          incr depth
-        | '}' ->
-          decr depth;
-          if !depth = 0 && !start >= 0 then begin
-            out := String.sub v !start (i - !start + 1) :: !out;
-            start := -1
-          end
-        | _ -> ()
-    done;
-    List.rev !out
-
-  let array_field s key =
-    match raw_field s key with
-    | Some v -> objects v
-    | None -> fail "golden: missing section %S" key
-
-  let parse s =
-    let schema = str_field s "schema" in
-    if
-      schema <> "bft-lab/bench-virtual/v2" && schema <> "bft-lab/bench-micro/v3"
-    then fail "golden: unsupported schema %S" schema;
-    let g_profile = str_field s "cost_profile" in
-    let g_seed = int_field s "seed" in
-    let g_micro =
-      List.map
-        (fun o ->
-          {
-            gm_label = str_field o "label";
-            gm_arg = int_field o "arg";
-            gm_res = int_field o "res";
-            gm_mean_us = float_field o "mean_us";
-          })
-        (array_field s "micro")
-    in
-    let g_curve =
-      List.map
-        (fun o ->
-          {
-            gp_clients = int_field o "clients";
-            gp_ops_per_sec = float_field o "ops_per_sec";
-          })
-        (array_field s "saturation")
-    in
-    let g_scaling =
-      List.map
-        (fun o ->
-          {
-            gs_groups = int_field o "groups";
-            gs_clients = int_field o "clients";
-            gs_sim_rps = float_field o "sim_rps";
-          })
-        (array_field s "scaling")
-    in
-    let g_rotating =
-      match raw_field s "rotating" with
-      | None -> None
-      | Some o ->
-        Some
-          {
-            gr_clients = int_field o "clients";
-            gr_epoch_length = int_field o "epoch_length";
-            gr_single_ops = float_field o "single_ops_per_sec";
-            gr_ops = float_field o "ops_per_sec";
-          }
-    in
-    { g_profile; g_seed; g_micro; g_curve; g_scaling; g_rotating }
-end
 
 type row = {
   rw_label : string;
@@ -610,11 +422,9 @@ let default_tolerance = 0.25
 (* The scaling rows run uniform-single-key KV Puts, not the null op: a
    short encoded op, a small result, and the KV service's fixed
    execute_cost. The sizes are approximations (a few bytes either way is
-   well under a microsecond of cost); the execute cost is the one
-   hard-coded in Bft_services.Kv_store. *)
+   well under a microsecond of cost). *)
 let kv_arg = 12
 let kv_res = 4
-let kv_exec_fixed = 1e-6
 
 let mk_row ~label ~unit_ ~observed ~predicted ~binding =
   {
@@ -628,72 +438,65 @@ let mk_row ~label ~unit_ ~observed ~predicted ~binding =
     rw_binding = binding;
   }
 
-let report ~(cal : Calibration.t) ~(golden : Golden.t) () =
+let report ~(cal : Calibration.t) ~(golden : Saturation.t) () =
   let micro_rows =
     List.map
-      (fun (m : Golden.micro) ->
-        let p =
-          predict ~cal ~arg:m.gm_arg ~res:m.gm_res ~clients:1 ()
-        in
+      (fun (m : Saturation.micro) ->
+        let p = predict ~cal ~arg:m.mi_arg ~res:m.mi_res ~clients:1 () in
         mk_row
-          ~label:(Printf.sprintf "micro %s latency" m.gm_label)
-          ~unit_:"us" ~observed:m.gm_mean_us
+          ~label:(Printf.sprintf "micro %s latency" m.mi_label)
+          ~unit_:"us" ~observed:m.mi_mean_us
           ~predicted:(p.pr_latency *. 1e6)
           ~binding:None)
-      golden.g_micro
+      golden.micro
   in
   let curve_rows =
     List.map
-      (fun (pt : Golden.point) ->
-        let p =
-          predict ~cal ~arg:0 ~res:0 ~clients:pt.gp_clients ()
-        in
+      (fun (pt : Saturation.point) ->
+        let p = predict ~cal ~arg:0 ~res:0 ~clients:pt.pt_clients () in
         mk_row
-          ~label:(Printf.sprintf "saturation %d clients" pt.gp_clients)
-          ~unit_:"ops/s" ~observed:pt.gp_ops_per_sec
+          ~label:(Printf.sprintf "saturation %d clients" pt.pt_clients)
+          ~unit_:"ops/s" ~observed:pt.pt_ops_per_sec
           ~predicted:p.pr_ops_per_sec
           ~binding:(Some p.pr_binding))
-      golden.g_curve
+      golden.curve
   in
   let scaling_rows =
     List.map
-      (fun (s : Golden.scale) ->
-        let per_group = s.gs_clients / max 1 s.gs_groups in
+      (fun (s : Saturation.scale_point) ->
+        let per_group = s.sc_clients / max 1 s.sc_groups in
         let p =
           predict ~cal ~arg:kv_arg ~res:kv_res
-            ~exec_fixed:kv_exec_fixed ~clients:per_group ()
+            ~exec_fixed:Bft_services.Kv_store.exec_base_cost
+            ~clients:per_group ()
         in
         mk_row
-          ~label:(Printf.sprintf "scaling %d groups" s.gs_groups)
-          ~unit_:"req/s" ~observed:s.gs_sim_rps
-          ~predicted:(float_of_int s.gs_groups *. p.pr_ops_per_sec)
+          ~label:(Printf.sprintf "scaling %d groups" s.sc_groups)
+          ~unit_:"req/s" ~observed:s.sc_ops_per_sec
+          ~predicted:(float_of_int s.sc_groups *. p.pr_ops_per_sec)
           ~binding:(Some p.pr_binding))
-      golden.g_scaling
+      golden.scaling
   in
   let rotating_rows =
-    match golden.g_rotating with
-    | None -> []
-    | Some r ->
-      let single =
-        predict ~cal ~arg:0 ~res:0 ~clients:r.gr_clients ()
-      in
-      let rotating =
-        predict_rotating ~cal ~arg:0 ~res:0
-          ~clients:r.gr_clients ~epoch_length:r.gr_epoch_length ()
-      in
-      [
-        mk_row
-          ~label:(Printf.sprintf "single-primary ceiling %d clients" r.gr_clients)
-          ~unit_:"ops/s" ~observed:r.gr_single_ops
-          ~predicted:single.pr_ops_per_sec
-          ~binding:(Some single.pr_binding);
-        mk_row
-          ~label:
-            (Printf.sprintf "rotating L=%d %d clients" r.gr_epoch_length
-               r.gr_clients)
-          ~unit_:"ops/s" ~observed:r.gr_ops ~predicted:rotating
-          ~binding:(Some Backup_cpu);
-      ]
+    let r = golden.rotating in
+    let single = predict ~cal ~arg:0 ~res:0 ~clients:r.ro_clients () in
+    let rotating =
+      predict_rotating ~cal ~arg:0 ~res:0 ~clients:r.ro_clients
+        ~epoch_length:r.ro_epoch_length ()
+    in
+    [
+      mk_row
+        ~label:(Printf.sprintf "single-primary ceiling %d clients" r.ro_clients)
+        ~unit_:"ops/s" ~observed:r.ro_single_ops_per_sec
+        ~predicted:single.pr_ops_per_sec
+        ~binding:(Some single.pr_binding);
+      mk_row
+        ~label:
+          (Printf.sprintf "rotating L=%d %d clients" r.ro_epoch_length
+             r.ro_clients)
+        ~unit_:"ops/s" ~observed:r.ro_ops_per_sec ~predicted:rotating
+        ~binding:(Some Backup_cpu);
+    ]
   in
   {
     rp_profile = cal.name;

@@ -40,9 +40,10 @@ val predict :
   unit ->
   prediction
 (** Single-primary closed-loop prediction for an [arg]/[res] operation at
-    [clients] closed-loop clients spread over five client machines, under
-    the default {!Bft_core.Config.make} at [f = 1]. [exec_fixed] is the
-    service's own fixed execute cost (0 for the null service). *)
+    [clients] closed-loop clients spread over {!Microbench.client_machines}
+    client machines, under the default {!Bft_core.Config.make} at [f = 1].
+    [exec_fixed] is the service's own fixed execute cost (0 for the null
+    service). *)
 
 val predict_rotating :
   cal:Bft_sim.Calibration.t ->
@@ -56,34 +57,6 @@ val predict_rotating :
     [n] replicas propose concurrently, so ingestion and proposing spread
     [n] ways while execution and replies stay per-request work
     everywhere. *)
-
-(** Parsed golden bench surface (the v2 JSON emitted by
-    {!Saturation.virtual_json} / [to_json]). *)
-module Golden : sig
-  type point = { gp_clients : int; gp_ops_per_sec : float }
-  type micro = { gm_label : string; gm_arg : int; gm_res : int; gm_mean_us : float }
-  type scale = { gs_groups : int; gs_clients : int; gs_sim_rps : float }
-
-  type rotating = {
-    gr_clients : int;
-    gr_epoch_length : int;
-    gr_single_ops : float;
-    gr_ops : float;
-  }
-
-  type t = {
-    g_profile : string;
-    g_seed : int;
-    g_micro : micro list;
-    g_curve : point list;
-    g_scaling : scale list;
-    g_rotating : rotating option;
-  }
-
-  val parse : string -> t
-  (** Parse a bench JSON document. Raises [Failure] with a descriptive
-      message on schema/field mismatch. *)
-end
 
 type row = {
   rw_label : string;
@@ -105,7 +78,7 @@ val default_tolerance : float
 
 val report :
   cal:Bft_sim.Calibration.t ->
-  golden:Golden.t ->
+  golden:Saturation.t ->
   unit ->
   report
 (** One row per golden bench row: micro latencies, every saturation

@@ -284,13 +284,35 @@ let scaling_speedup_2g t =
 
 (* Hand-rolled JSON: stable field order and fixed float formats, because
    the golden part is compared byte-for-byte against a checked-in file.
-   Every row object starts with the cost profile it ran under. *)
+   Each object's fields are declared once, below, as a format that
+   [golden_fields] / [to_json] print and [of_json] scans back. Every row
+   object starts with the cost profile it ran under. *)
+let schema_field : _ format6 = "{\"schema\":%S,"
+let header_fields : _ format6 = "\"seed\":%d,\"quick\":%B,\"cost_profile\":%S"
+let row_prefix : _ format6 = "{\"cost_profile\":%S,"
+
+let micro_fields : _ format6 =
+  "\"label\":%S,\"arg\":%d,\"res\":%d,\"mean_us\":%.3f,\"stddev_us\":%.3f,\"ops\":%d"
+
+let point_fields : _ format6 =
+  "\"clients\":%d,\"ops_per_sec\":%.1f,\"completed\":%d,\"retransmissions\":%d"
+
+(* followed by the [per_group] array *)
+let scale_fields : _ format6 =
+  "\"groups\":%d,\"clients\":%d,\"sim_rps\":%.1f,\"completed\":%d,\"retransmissions\":%d,\"per_group\":"
+
+let rotating_fields : _ format6 =
+  "\"cost_profile\":%S,\"clients\":%d,\"epoch_length\":%d,\"single_ops_per_sec\":%.1f,\"ops_per_sec\":%.1f,\"completed\":%d,\"retransmissions\":%d,\"speedup\":%.2f"
+
+let cross_fields : _ format6 =
+  "\"cross_fraction\":%.2f,\"groups\":%d,\"ops_per_sec\":%.1f,\"completed\":%d,\"cross_committed\":%d,\"cross_aborted\":%d"
+
 let json_rows buf profile rows emit =
   Buffer.add_char buf '[';
   List.iteri
     (fun i row ->
       if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "{\"cost_profile\":%S," profile;
+      Printf.bprintf buf row_prefix profile;
       emit row;
       Buffer.add_char buf '}')
     rows;
@@ -301,38 +323,41 @@ let json_rows buf profile rows emit =
 let golden_fields ~schema t =
   let buf = Buffer.create 2048 in
   let add fmt = Printf.bprintf buf fmt in
-  add "{\"schema\":%S,\"seed\":%d,\"quick\":%b,\"cost_profile\":%S,\"micro\":"
-    schema t.seed t.quick t.cost_profile;
+  add schema_field schema;
+  add header_fields t.seed t.quick t.cost_profile;
+  add ",\"micro\":";
   json_rows buf t.cost_profile t.micro (fun m ->
-      add
-        "\"label\":%S,\"arg\":%d,\"res\":%d,\"mean_us\":%.3f,\"stddev_us\":%.3f,\"ops\":%d"
-        m.mi_label m.mi_arg m.mi_res m.mi_mean_us m.mi_stddev_us m.mi_ops);
+      add micro_fields m.mi_label m.mi_arg m.mi_res m.mi_mean_us m.mi_stddev_us
+        m.mi_ops);
   add ",\"saturation\":";
   json_rows buf t.cost_profile t.curve (fun p ->
-      add "\"clients\":%d,\"ops_per_sec\":%.1f,\"completed\":%d,\"retransmissions\":%d"
-        p.pt_clients p.pt_ops_per_sec p.pt_completed p.pt_retransmissions);
+      add point_fields p.pt_clients p.pt_ops_per_sec p.pt_completed
+        p.pt_retransmissions);
   add ",\"scaling\":";
   json_rows buf t.cost_profile t.scaling (fun s ->
-      add
-        "\"groups\":%d,\"clients\":%d,\"sim_rps\":%.1f,\"completed\":%d,\"retransmissions\":%d,\"per_group\":[%s]"
-        s.sc_groups s.sc_clients s.sc_ops_per_sec s.sc_completed
-        s.sc_retransmissions
+      add scale_fields s.sc_groups s.sc_clients s.sc_ops_per_sec s.sc_completed
+        s.sc_retransmissions;
+      add "[%s]"
         (String.concat ","
            (Array.to_list (Array.map string_of_int s.sc_per_group))));
   let r = t.rotating in
-  add
-    ",\"rotating\":{\"cost_profile\":%S,\"clients\":%d,\"epoch_length\":%d,\"single_ops_per_sec\":%.1f,\"ops_per_sec\":%.1f,\"completed\":%d,\"retransmissions\":%d,\"speedup\":%.2f}"
-    t.cost_profile r.ro_clients r.ro_epoch_length r.ro_single_ops_per_sec
-    r.ro_ops_per_sec r.ro_completed r.ro_retransmissions r.ro_speedup;
+  add ",\"rotating\":{";
+  add rotating_fields t.cost_profile r.ro_clients r.ro_epoch_length
+    r.ro_single_ops_per_sec r.ro_ops_per_sec r.ro_completed r.ro_retransmissions
+    r.ro_speedup;
+  add "}";
   buf
 
+let virtual_schema = "bft-lab/bench-virtual/v2"
+let micro_schema = "bft-lab/bench-micro/v3"
+
 let virtual_json t =
-  let buf = golden_fields ~schema:"bft-lab/bench-virtual/v2" t in
+  let buf = golden_fields ~schema:virtual_schema t in
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
 let to_json t =
-  let buf = golden_fields ~schema:"bft-lab/bench-micro/v3" t in
+  let buf = golden_fields ~schema:micro_schema t in
   let add fmt = Printf.bprintf buf fmt in
   Option.iter
     (fun p ->
@@ -343,12 +368,85 @@ let to_json t =
   if not (Float.is_nan speedup) then add ",\"scaling_speedup_2g\":%.2f" speedup;
   add ",\"cross_shard\":";
   json_rows buf t.cost_profile t.cross_shard (fun c ->
-      add
-        "\"cross_fraction\":%.2f,\"groups\":%d,\"ops_per_sec\":%.1f,\"completed\":%d,\"cross_committed\":%d,\"cross_aborted\":%d"
-        c.cx_fraction cross_groups c.cx_ops_per_sec c.cx_completed
-        c.cx_cross_committed c.cx_cross_aborted);
+      add cross_fields c.cx_fraction cross_groups c.cx_ops_per_sec
+        c.cx_completed c.cx_cross_committed c.cx_cross_aborted);
   add "}\n";
   Buffer.contents buf
+
+(* The reader of exactly the two documents above, scanning the same field
+   formats in the same order. Floats are read back from their
+   fixed-precision text, so printing them again is byte-exact. The v3
+   summaries (peak, 2-group speedup) are derived from the rows and
+   skipped. *)
+let of_json doc =
+  let ib = Scanf.Scanning.from_string doc in
+  let scan fmt = Scanf.bscanf ib fmt in
+  let array item =
+    let rec more () =
+      let x = item () in
+      if scan "%c" Fun.id = ',' then x :: more () else [ x ]
+    in
+    scan "[" ();
+    if scan "%0c" Fun.id = ']' then (scan "]" (); []) else more ()
+  in
+  let rows fields row =
+    array (fun () ->
+        let r = scan (row_prefix ^^ fields) (fun _profile -> row) in
+        scan "}" ();
+        r)
+  in
+  try
+    let schema = scan schema_field Fun.id in
+    if schema <> virtual_schema && schema <> micro_schema then
+      failwith (Printf.sprintf "unsupported schema %S" schema);
+    let seed, quick, cost_profile =
+      scan header_fields (fun seed quick profile -> (seed, quick, profile))
+    in
+    scan ",\"micro\":" ();
+    let micro =
+      rows micro_fields
+        (fun mi_label mi_arg mi_res mi_mean_us mi_stddev_us mi_ops ->
+          { mi_label; mi_arg; mi_res; mi_mean_us; mi_stddev_us; mi_ops })
+    in
+    scan ",\"saturation\":" ();
+    let curve =
+      rows point_fields
+        (fun pt_clients pt_ops_per_sec pt_completed pt_retransmissions ->
+          { pt_clients; pt_ops_per_sec; pt_completed; pt_retransmissions })
+    in
+    scan ",\"scaling\":" ();
+    let scaling =
+      rows scale_fields
+        (fun sc_groups sc_clients sc_ops_per_sec sc_completed
+             sc_retransmissions ->
+          let ints = array (fun () -> scan "%d" Fun.id) in
+          { sc_groups; sc_clients; sc_completed; sc_retransmissions;
+            sc_per_group = Array.of_list ints; sc_ops_per_sec })
+    in
+    scan ",\"rotating\":{" ();
+    let rotating =
+      scan (rotating_fields ^^ "}")
+        (fun _profile ro_clients ro_epoch_length ro_single_ops_per_sec
+             ro_ops_per_sec ro_completed ro_retransmissions ro_speedup ->
+          { ro_clients; ro_epoch_length; ro_single_ops_per_sec; ro_ops_per_sec;
+            ro_completed; ro_retransmissions; ro_speedup })
+    in
+    let cross_shard =
+      if schema = virtual_schema then []
+      else begin
+        scan "%_[^[]" ();
+        rows cross_fields
+          (fun cx_fraction _groups cx_ops_per_sec cx_completed
+               cx_cross_committed cx_cross_aborted ->
+            { cx_fraction; cx_ops_per_sec; cx_completed; cx_cross_committed;
+              cx_cross_aborted })
+      end
+    in
+    { seed; quick; cost_profile; micro; curve; scaling; rotating; cross_shard;
+      health = [] }
+  with
+  | Scanf.Scan_failure msg | Failure msg -> failwith ("bench document: " ^ msg)
+  | End_of_file -> failwith "bench document: truncated"
 
 let print t =
   Printf.printf "micro-ops (seed %d%s, cost profile %s, simulated clock):\n"

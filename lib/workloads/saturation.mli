@@ -120,4 +120,10 @@ val to_json : t -> string
     scaling speedup) and the cross-shard rows ([BENCH_micro.json], schema
     [bft-lab/bench-micro/v3]). *)
 
+val of_json : string -> t
+(** Read back a document {!virtual_json} or {!to_json} wrote, so that
+    printing it again gives the same bytes. The v2 golden carries no
+    cross-shard rows; neither document carries health rows. Raises
+    [Failure] on any other schema or a malformed document. *)
+
 val print : t -> unit

@@ -71,9 +71,7 @@ let test_metrics () =
   | None -> Alcotest.fail "no samples");
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
-    "counters sorted" [ ("x", 5) ] (Metrics.counters m);
-  Metrics.reset m;
-  check Alcotest.int "reset" 0 (Metrics.count m "x")
+    "counters sorted" [ ("x", 5) ] (Metrics.counters m)
 
 let test_metrics_sorting_and_dump () =
   let m = Metrics.create () in
@@ -288,8 +286,8 @@ type trig = {
 }
 
 let make_trig () =
-  let engine = Engine.create () in
-  let net = Network.create engine Bft_sim.Calibration.default ~rng:(Bft_util.Rng.of_int 3) in
+  let net = Network.simulation ~rng:(Bft_util.Rng.of_int 3) () in
+  let engine = Network.engine net in
   let received = ref [] in
   let transports =
     Array.init 3 (fun i ->
@@ -332,20 +330,6 @@ let test_transport_corrupt_auth_rejected () =
   Transport.send r.transports.(0) ~dst:(peer_of r 1) sample_msg;
   Engine.run r.engine;
   check Alcotest.int "rejected" 0 (List.length !(r.received))
-
-let test_transport_tamper_hook () =
-  let r = make_trig () in
-  Transport.set_tamper r.transports.(0)
-    (Some
-       (fun _ ->
-         Message.Checkpoint
-           { Message.seq = 999; digest = Fingerprint.of_string "t"; replica = 0 }));
-  Transport.send r.transports.(0) ~dst:(peer_of r 1) sample_msg;
-  Engine.run r.engine;
-  (* tampering happens before signing, so it still authenticates *)
-  match !(r.received) with
-  | [ (1, { Message.msg = Message.Checkpoint { seq = 999; _ }; _ }) ] -> ()
-  | _ -> Alcotest.fail "tampered message should be delivered as sent"
 
 let test_transport_charges_cpu () =
   let r = make_trig () in
@@ -421,11 +405,8 @@ type crig = {
 }
 
 let make_crig () =
-  let engine = Engine.create () in
-  let net =
-    Network.create engine Bft_sim.Calibration.default
-      ~rng:(Bft_util.Rng.of_int 7)
-  in
+  let net = Network.simulation ~rng:(Bft_util.Rng.of_int 7) () in
+  let engine = Network.engine net in
   let config = Config.make ~f:1 () in
   let n = config.Config.n in
   let master = "race-master" in
@@ -559,8 +540,8 @@ let test_client_tentative_strong_quorum () =
 (* --- dispatcher ------------------------------------------------------------ *)
 
 let test_dispatcher_routes_replies () =
-  let engine = Engine.create () in
-  let net = Network.create engine Bft_sim.Calibration.default ~rng:(Bft_util.Rng.of_int 4) in
+  let net = Network.simulation ~rng:(Bft_util.Rng.of_int 4) () in
+  let engine = Network.engine net in
   let machine name = Network.add_node net ~cpu:(Cpu.create engine ~name ()) ~name () in
   let node = machine "m" in
   let d = Dispatcher.install net node in
@@ -854,7 +835,6 @@ let () =
           Alcotest.test_case "multicast" `Quick test_transport_multicast;
           Alcotest.test_case "corrupt auth rejected" `Quick
             test_transport_corrupt_auth_rejected;
-          Alcotest.test_case "tamper hook" `Quick test_transport_tamper_hook;
           Alcotest.test_case "charges cpu" `Quick test_transport_charges_cpu;
           Alcotest.test_case "nonce window drops replays" `Quick
             test_transport_nonce_window;

@@ -28,9 +28,9 @@ let check = Alcotest.check
 let run ~seed ~drop ~dup ~nclients ~ops ~behaviors () =
   let config = Config.make ~f:1 ~checkpoint_interval:8 ~log_window:16 () in
   let rig = Harness.make ~config ~seed ~behaviors ~nclients () in
-  Bft_net.Network.set_faults
-    (Cluster.network rig.Harness.cluster)
-    { Bft_net.Network.drop_probability = drop; duplicate_probability = dup; blocked = [] };
+  let net = Cluster.network rig.Harness.cluster in
+  Bft_net.Network.set_loss net drop;
+  Bft_net.Network.set_duplication net dup;
   let completed = Harness.run_ops ~per_client:ops ~until:60.0 rig in
   check Alcotest.int "all operations complete" (nclients * ops) completed;
   Harness.check_agreement rig
@@ -44,12 +44,8 @@ let recovery_vs_view_change ~seed ~period () =
   let config = Config.make ~f:1 ~checkpoint_interval:8 ~log_window:16 () in
   let rig = Harness.make ~config ~seed ~behaviors:[] ~nclients:3 () in
   let cluster = rig.Harness.cluster in
-  Bft_net.Network.set_faults (Cluster.network cluster)
-    {
-      Bft_net.Network.drop_probability = 0.02;
-      duplicate_probability = 0.01;
-      blocked = [];
-    };
+  Bft_net.Network.set_loss (Cluster.network cluster) 0.02;
+  Bft_net.Network.set_duplication (Cluster.network cluster) 0.01;
   let sched =
     Recovery_scheduler.start ~engine:(Cluster.engine cluster)
       ~replicas:(Cluster.replicas cluster) ~period

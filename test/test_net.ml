@@ -15,9 +15,9 @@ type rig = {
   received : (Network.node_id * Network.node_id * string) list ref;  (* dst,src,wire *)
 }
 
-let make_rig ?(count = 3) ?recv_buffer () =
-  let engine = Engine.create () in
-  let net = Network.create engine Calibration.default ~rng:(Rng.of_int 1) in
+let make_rig ?(count = 3) ?recv_buffer ?trace () =
+  let net = Network.simulation ?trace ~rng:(Rng.of_int 1) () in
+  let engine = Network.engine net in
   let received = ref [] in
   let nodes =
     Array.init count (fun i ->
@@ -120,9 +120,8 @@ let test_loopback_down_before_delivery () =
 
 let test_loopback_trace () =
   let module Trace = Bft_trace.Trace in
-  let r = make_rig () in
   let trace = Trace.create () in
-  Network.set_trace r.net trace;
+  let r = make_rig ~trace () in
   Network.send r.net ~src:r.nodes.(0) ~dst:r.nodes.(0) "self";
   Engine.run r.engine;
   let delivers =
@@ -136,8 +135,7 @@ let test_loopback_trace () =
 
 let test_drop_probability () =
   let r = make_rig () in
-  Network.set_faults r.net
-    { Network.drop_probability = 1.0; duplicate_probability = 0.0; blocked = [] };
+  Network.set_loss r.net 1.0;
   Network.send r.net ~src:r.nodes.(0) ~dst:r.nodes.(1) "x";
   Engine.run r.engine;
   check Alcotest.int "all dropped" 0 (List.length !(r.received));
@@ -145,20 +143,14 @@ let test_drop_probability () =
 
 let test_duplication () =
   let r = make_rig () in
-  Network.set_faults r.net
-    { Network.drop_probability = 0.0; duplicate_probability = 1.0; blocked = [] };
+  Network.set_duplication r.net 1.0;
   Network.send r.net ~src:r.nodes.(0) ~dst:r.nodes.(1) "x";
   Engine.run r.engine;
   check Alcotest.int "two copies" 2 (List.length !(r.received))
 
 let test_partition () =
   let r = make_rig () in
-  Network.set_faults r.net
-    {
-      Network.drop_probability = 0.0;
-      duplicate_probability = 0.0;
-      blocked = [ (r.nodes.(0), r.nodes.(1)) ];
-    };
+  Network.install_partition r.net ~groups:[ [ r.nodes.(0) ]; [ r.nodes.(1) ] ];
   Network.send r.net ~src:r.nodes.(0) ~dst:r.nodes.(1) "x";
   (* a blocked pair cuts both directions *)
   Network.send r.net ~src:r.nodes.(1) ~dst:r.nodes.(0) "y";
@@ -229,9 +221,7 @@ let test_counters () =
   Engine.run r.engine;
   check Alcotest.int "sent" 1 (Network.sent_datagrams r.net);
   check Alcotest.int "delivered" 1 (Network.delivered_datagrams r.net);
-  check Alcotest.bool "bytes incl overhead" true (Network.bytes_on_wire r.net > 100);
-  Network.reset_counters r.net;
-  check Alcotest.int "reset" 0 (Network.sent_datagrams r.net)
+  check Alcotest.bool "bytes incl overhead" true (Network.bytes_on_wire r.net > 100)
 
 let test_bandwidth_bound () =
   (* 12.5 MB/s: pushing 1 MB point-to-point must take >= 80 ms. *)

@@ -185,8 +185,8 @@ let test_nfs_std_metadata_disk () =
   (* Drive the NFS-STD server directly through a Norep client and confirm
      metadata mutations consume disk time while reads do not. *)
   let open Bft_sim in
-  let engine = Engine.create () in
-  let net = Bft_net.Network.create engine Calibration.default ~rng:(Bft_util.Rng.of_int 3) in
+  let net = Bft_net.Network.simulation ~rng:(Bft_util.Rng.of_int 3) () in
+  let engine = Bft_net.Network.engine net in
   let scpu = Cpu.create engine ~name:"nfsd" () in
   let snode = Bft_net.Network.add_node net ~cpu:scpu ~name:"nfsd" () in
   let server = Nfs_std.create ~network:net ~node:snode () in

@@ -58,9 +58,9 @@ let test_duplicate_request_resends_cached_reply () =
   (* With a lossy network the client retransmits; replicas must answer
      duplicates from the reply cache, not re-execute. *)
   let rig = Harness.make () in
-  Bft_net.Network.set_faults
-    (Cluster.network rig.Harness.cluster)
-    { Bft_net.Network.drop_probability = 0.08; duplicate_probability = 0.05; blocked = [] };
+  let net = Cluster.network rig.Harness.cluster in
+  Bft_net.Network.set_loss net 0.08;
+  Bft_net.Network.set_duplication net 0.05;
   let n = Harness.run_ops ~per_client:12 ~until:60.0 rig in
   check Alcotest.int "all ops complete despite loss" 12 n;
   Harness.check_agreement rig;

@@ -60,17 +60,14 @@ let test_srt_body_arrives_after_preprepare () =
      arrival), and everything completes. *)
   let rig = Harness.make ~nclients:4 () in
   let net = Cluster.network rig.Harness.cluster in
-  Bft_net.Network.set_faults net
-    { Bft_net.Network.drop_probability = 0.1; duplicate_probability = 0.0; blocked = [] };
+  Bft_net.Network.set_loss net 0.1;
   let n = Harness.run_ops ~arg:4096 ~per_client:8 ~until:60.0 rig in
   check Alcotest.int "all complete" 32 n;
   Harness.check_agreement rig
 
 let test_large_results_under_loss () =
   let rig = Harness.make ~nclients:4 () in
-  Bft_net.Network.set_faults
-    (Cluster.network rig.Harness.cluster)
-    { Bft_net.Network.drop_probability = 0.05; duplicate_probability = 0.0; blocked = [] };
+  Bft_net.Network.set_loss (Cluster.network rig.Harness.cluster) 0.05;
   let n = Harness.run_ops ~res:8192 ~per_client:6 ~until:60.0 rig in
   check Alcotest.int "all complete" 24 n
 
@@ -90,9 +87,9 @@ let test_all_optimizations_off () =
 let test_piggyback_with_loss () =
   let config = Config.make ~f:1 ~piggyback_commits:true ~checkpoint_interval:8 ~log_window:16 () in
   let rig = Harness.make ~config ~nclients:4 () in
-  Bft_net.Network.set_faults
-    (Cluster.network rig.Harness.cluster)
-    { Bft_net.Network.drop_probability = 0.05; duplicate_probability = 0.02; blocked = [] };
+  let net = Cluster.network rig.Harness.cluster in
+  Bft_net.Network.set_loss net 0.05;
+  Bft_net.Network.set_duplication net 0.02;
   let n = Harness.run_ops ~per_client:10 ~until:90.0 rig in
   check Alcotest.int "all complete" 40 n;
   Harness.check_agreement rig
@@ -157,9 +154,7 @@ let test_view_inflation_ignored () =
 
 let test_duplicate_datagrams_harmless () =
   let rig = Harness.make ~nclients:3 () in
-  Bft_net.Network.set_faults
-    (Cluster.network rig.Harness.cluster)
-    { Bft_net.Network.drop_probability = 0.0; duplicate_probability = 0.5; blocked = [] };
+  Bft_net.Network.set_duplication (Cluster.network rig.Harness.cluster) 0.5;
   let n = Harness.run_ops ~per_client:10 rig in
   check Alcotest.int "all complete" 30 n;
   (* duplication must not double-execute *)

@@ -57,13 +57,9 @@ let run_scenario s =
   let rig =
     Harness.make ~config ~seed:s.seed ~behaviors ~nclients:s.clients ()
   in
-  Bft_net.Network.set_faults
-    (Cluster.network rig.Harness.cluster)
-    {
-      Bft_net.Network.drop_probability = s.drop;
-      duplicate_probability = s.dup;
-      blocked = [];
-    };
+  let net = Cluster.network rig.Harness.cluster in
+  Bft_net.Network.set_loss net s.drop;
+  Bft_net.Network.set_duplication net s.dup;
   let completed = Harness.run_ops ~per_client:s.ops ~until:40.0 rig in
   (rig, completed)
 

@@ -201,16 +201,6 @@ let test_cpu_dispatch_waits_for_busy () =
   Engine.run e;
   check feps "starts after busy" 1.0 !start
 
-let test_cpu_utilisation () =
-  let e = Engine.create () in
-  let cpu = Cpu.create e ~name:"test" () in
-  Engine.schedule e ~delay:0.0 (fun () -> Cpu.dispatch cpu (fun () -> Cpu.charge cpu 1.0));
-  Engine.schedule e ~delay:4.0 (fun () -> ());
-  Engine.run e;
-  check feps "25%" 0.25 (Cpu.utilisation cpu ~since:0.0);
-  Cpu.reset_stats cpu;
-  check feps "reset" 0.0 (Cpu.total_busy cpu)
-
 let test_cpu_negative_charge () =
   let e = Engine.create () in
   let cpu = Cpu.create e ~name:"test" () in
@@ -291,7 +281,6 @@ let () =
           Alcotest.test_case "charge outside handler" `Quick
             test_cpu_charge_outside_handler;
           Alcotest.test_case "dispatch waits" `Quick test_cpu_dispatch_waits_for_busy;
-          Alcotest.test_case "utilisation" `Quick test_cpu_utilisation;
           Alcotest.test_case "negative charge" `Quick test_cpu_negative_charge;
           Alcotest.test_case "charge allocates nothing" `Quick
             test_cpu_charge_allocates_nothing;

@@ -32,38 +32,6 @@ let test_heap_pop_empty () =
   let h = Heap.create () in
   Alcotest.check_raises "raises" Not_found (fun () -> ignore (Heap.pop h))
 
-let test_heap_clear () =
-  let h = Heap.create () in
-  for i = 1 to 100 do
-    Heap.push h ~priority:(float_of_int i) i
-  done;
-  Heap.clear h;
-  check Alcotest.int "cleared" 0 (Heap.length h);
-  Heap.push h ~priority:1.0 42;
-  check Alcotest.int "usable after clear" 42 (Heap.pop h)
-
-let test_heap_clear_resets_fifo () =
-  (* Regression: [clear] used to keep the FIFO tie-break counter, so a
-     reused heap ordered equal-priority entries by stale seqs and diverged
-     from a fresh heap under same-seed replay. *)
-  let drain h =
-    let rec go acc = if Heap.is_empty h then List.rev acc else go (Heap.pop h :: acc) in
-    go []
-  in
-  let reused = Heap.create () in
-  List.iter (fun v -> Heap.push reused ~priority:1.0 v) [ "old1"; "old2"; "old3" ];
-  Heap.clear reused;
-  let fresh = Heap.create () in
-  check Alcotest.int "tie-break counter reset" (Heap.tiebreak_seq fresh)
-    (Heap.tiebreak_seq reused);
-  List.iter
-    (fun h -> List.iter (fun v -> Heap.push h ~priority:1.0 v) [ "a"; "b"; "c" ])
-    [ reused; fresh ];
-  check Alcotest.int "same seqs assigned" (Heap.tiebreak_seq fresh)
-    (Heap.tiebreak_seq reused);
-  check (Alcotest.list Alcotest.string) "cleared heap pops like a fresh one"
-    (drain fresh) (drain reused)
-
 let test_heap_grows () =
   let h = Heap.create () in
   for i = 1000 downto 1 do
@@ -258,16 +226,6 @@ let test_stats_percentile_cache_invalidation () =
   Stats.add s 1.0;
   check feps "p50 after add" 1.0 (Stats.percentile s 50.0)
 
-let test_stats_merge_and_clear () =
-  let a = Stats.create () and b = Stats.create () in
-  Stats.add a 1.0;
-  Stats.add b 3.0;
-  let m = Stats.merge a b in
-  check feps "merged mean" 2.0 (Stats.mean m);
-  Stats.clear a;
-  check Alcotest.int "cleared" 0 (Stats.count a);
-  check (Alcotest.list feps) "to_list order" [ 3.0 ] (Stats.to_list b)
-
 let test_stats_reservoir_overflow () =
   let s = Stats.create ~capacity:16 () in
   for i = 1 to 1000 do
@@ -300,14 +258,7 @@ let test_stats_reservoir_deterministic () =
   let a = fill () and b = fill () in
   check (Alcotest.list feps) "same retained samples" (Stats.to_list a)
     (Stats.to_list b);
-  check feps "same p50" (Stats.p50 a) (Stats.p50 b);
-  (* clear resets the private RNG: refilling reproduces the same state. *)
-  Stats.clear a;
-  for i = 1 to 500 do
-    Stats.add a (float_of_int (i * 7 mod 101))
-  done;
-  check (Alcotest.list feps) "clear resets reservoir RNG" (Stats.to_list b)
-    (Stats.to_list a)
+  check feps "same p50" (Stats.p50 a) (Stats.p50 b)
 
 let test_stats_exact_below_capacity () =
   (* While nothing has been dropped the accumulator is byte-identical to a
@@ -430,9 +381,6 @@ let () =
           Alcotest.test_case "basic order" `Quick test_heap_basic;
           Alcotest.test_case "fifo on equal priorities" `Quick test_heap_fifo_on_ties;
           Alcotest.test_case "pop empty raises" `Quick test_heap_pop_empty;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-          Alcotest.test_case "clear resets fifo seqs" `Quick
-            test_heap_clear_resets_fifo;
           Alcotest.test_case "grows past initial capacity" `Quick test_heap_grows;
           q heap_sorted_prop;
           q heap_model_prop;
@@ -458,7 +406,6 @@ let () =
           Alcotest.test_case "percentiles" `Quick test_stats_percentiles;
           Alcotest.test_case "percentile cache invalidation" `Quick
             test_stats_percentile_cache_invalidation;
-          Alcotest.test_case "merge and clear" `Quick test_stats_merge_and_clear;
           Alcotest.test_case "reservoir overflow" `Quick
             test_stats_reservoir_overflow;
           Alcotest.test_case "reservoir deterministic" `Quick

@@ -78,16 +78,12 @@ let test_state_transfer_catches_up_lagging_replica () =
   let rig = Harness.make ~config () in
   (* Partition replica 3 away for a while. *)
   let net = Cluster.network rig.Harness.cluster in
-  let block =
-    List.concat_map (fun other -> [ (3, other); (other, 3) ]) [ 0; 1; 2; 4 ]
-  in
-  Bft_net.Network.set_faults net
-    { Bft_net.Network.drop_probability = 0.0; duplicate_probability = 0.0; blocked = block };
+  Bft_net.Network.install_partition net ~groups:[ [ 3 ]; [ 0; 1; 2; 4 ] ];
   let healed = ref false in
   Bft_sim.Engine.schedule (Cluster.engine rig.Harness.cluster) ~delay:0.05
     (fun () ->
       healed := true;
-      Bft_net.Network.set_faults net Bft_net.Network.no_faults);
+      Bft_net.Network.heal_partition net);
   let n = Harness.run_ops ~per_client:40 ~until:60.0 rig in
   check Alcotest.int "all complete" 40 n;
   check Alcotest.bool "healed" true !healed;
@@ -168,13 +164,6 @@ let test_rollback_never_misses_a_slot () =
   let cluster = rig.Harness.cluster in
   let engine = Cluster.engine cluster in
   let net = Cluster.network cluster in
-  let no_faults =
-    {
-      Bft_net.Network.drop_probability = 0.0;
-      duplicate_probability = 0.0;
-      blocked = [];
-    }
-  in
   (* Mid-stream, cut replica 3 off from its peers (client links stay up):
      slots whose prepares already arrived execute tentatively but their
      commits never do, and the retransmission-fed waiting set forces a
@@ -182,13 +171,9 @@ let test_rollback_never_misses_a_slot () =
      keeps checkpointing past those seqs meanwhile. Unblock later so 3
      state-transfers back in and every op still completes. *)
   Bft_sim.Engine.schedule engine ~delay:0.0104 (fun () ->
-      Bft_net.Network.set_faults net
-        {
-          no_faults with
-          Bft_net.Network.blocked = [ (0, 3); (1, 3); (2, 3) ];
-        });
+      Bft_net.Network.install_partition net ~groups:[ [ 0; 1; 2 ]; [ 3 ] ]);
   Bft_sim.Engine.schedule engine ~delay:2.0 (fun () ->
-      Bft_net.Network.set_faults net no_faults);
+      Bft_net.Network.heal_partition net);
   let n = Harness.run_ops ~per_client:50 ~until:60.0 rig in
   check Alcotest.int "all complete" (3 * 50) n;
   check Alcotest.bool "tentative rollback exercised" true
@@ -206,14 +191,9 @@ let test_hierarchical_state_transfer () =
   in
   let client = Cluster.add_client cluster in
   let net = Cluster.network cluster in
-  Bft_net.Network.set_faults net
-    {
-      Bft_net.Network.drop_probability = 0.0;
-      duplicate_probability = 0.0;
-      blocked = List.concat_map (fun o -> [ (3, o); (o, 3) ]) [ 0; 1; 2; 4 ];
-    };
+  Bft_net.Network.install_partition net ~groups:[ [ 3 ]; [ 0; 1; 2; 4 ] ];
   Bft_sim.Engine.schedule (Cluster.engine cluster) ~delay:0.5 (fun () ->
-      Bft_net.Network.set_faults net Bft_net.Network.no_faults);
+      Bft_net.Network.heal_partition net);
   let big = String.make 3000 'v' in
   let n = ref 0 in
   let rec loop k =
@@ -300,13 +280,8 @@ let test_status_heals_idle_straggler () =
      afterwards, so only the status subsystem can heal it. *)
   let rig = Harness.make () in
   let net = Cluster.network rig.Harness.cluster in
-  (* drop everything TO replica 2 for a moment *)
-  Bft_net.Network.set_faults net
-    {
-      Bft_net.Network.drop_probability = 0.0;
-      duplicate_probability = 0.0;
-      blocked = [ (0, 2); (1, 2); (3, 2) ];
-    };
+  (* cut replica 2 off from its peers for a moment *)
+  Bft_net.Network.install_partition net ~groups:[ [ 0; 1; 3 ]; [ 2 ] ];
   let n = ref 0 in
   let rec loop k =
     if k > 0 then
@@ -318,7 +293,7 @@ let test_status_heals_idle_straggler () =
   in
   loop 5;
   Cluster.run ~until:0.5 rig.Harness.cluster;
-  Bft_net.Network.set_faults net Bft_net.Network.no_faults;
+  Bft_net.Network.heal_partition net;
   Cluster.run ~until:10.0 rig.Harness.cluster;
   Alcotest.(check int) "ops done" 5 !n;
   (* replica 2 converges without any further client traffic *)
