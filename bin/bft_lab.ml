@@ -85,10 +85,26 @@ let print_sections sections = List.iter Report.print sections
 (* --- flags ------------------------------------------------------------ *)
 
 let flag_arg name ~doc = Arg.(value & flag & info [ name ] ~doc)
-let int_arg name default ~doc = Arg.(value & opt int default & info [ name ] ~doc)
 
-let float_arg name default ~doc =
-  Arg.(value & opt float default & info [ name ] ~doc)
+(* A numeric flag accepts only the range the code under it accepts, given
+   as (description, predicate): a value outside it is a usage error
+   (exit 124), reported before anything runs. *)
+let ranged conv (what, ok) name default ~doc =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s what))
+    | Error _ as e -> e
+  in
+  let checked = Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv) in
+  Arg.(value & opt checked default & info [ name ] ~doc)
+
+let any_int = ("an integer", fun _ -> true)
+let size = ("a non-negative integer", fun v -> v >= 0)
+let count = ("a positive integer", fun v -> v >= 1)
+let positive = ("a positive number", fun v -> v > 0.0)
+let int_arg range = ranged Arg.int range
+let float_arg range = ranged Arg.float range
 
 let file_arg name ~doc =
   Arg.(value & opt (some string) None & info [ name ] ~doc ~docv:"FILE")
@@ -101,7 +117,7 @@ let quick_arg =
     ~doc:"Shrink sweep grids and iteration counts for a fast smoke run."
 
 let seed_arg =
-  int_arg "seed" 42
+  int_arg any_int "seed" 42
     ~doc:"Random seed; the same seed reproduces the run exactly."
 
 let cost_profile_arg =
@@ -114,10 +130,10 @@ let cost_profile_arg =
     & opt (enum Calibration.profiles) Calibration.default
     & info [ "cost-profile" ] ~doc ~docv:"PROFILE")
 
-let arg_arg default = int_arg "arg" default ~doc:"Argument size in bytes."
-let res_arg default = int_arg "res" default ~doc:"Result size in bytes."
+let arg_arg default = int_arg size "arg" default ~doc:"Argument size in bytes."
+let res_arg default = int_arg size "res" default ~doc:"Result size in bytes."
 let read_only_arg = flag_arg "read-only" ~doc:"Issue read-only operations."
-let ops_arg = int_arg "ops" 200 ~doc:"Measured operations."
+let ops_arg = int_arg count "ops" 200 ~doc:"Measured operations."
 
 let json_arg = file_arg "json" ~doc:"Write the result as JSON to $(docv)."
 
@@ -158,9 +174,9 @@ let latency_cmd =
 
 let throughput_cmd =
   let doc = "One throughput point: BFT for a given op shape and client count." in
-  let clients = int_arg "clients" 50 ~doc:"Client count." in
+  let clients = int_arg count "clients" 50 ~doc:"Client count." in
   let groups =
-    int_arg "groups" 1
+    int_arg count "groups" 1
       ~doc:
         "Replica groups. With more than one, runs the sharded uniform-key KV \
          workload ($(b,--clients) proxies spread over the groups; \
@@ -360,7 +376,7 @@ let print_observed (ob : E_fs.observed) =
 
 let andrew_cmd =
   let doc = "Run the modified Andrew benchmark on one backend." in
-  let n = int_arg "n" 100 ~doc:"Number of tree copies." in
+  let n = int_arg count "n" 100 ~doc:"Number of tree copies." in
   let run n backend =
     let ob = E_fs.run_andrew ~n backend in
     Printf.printf "Andrew%d on %s: %.1f s elapsed, %d NFS calls\n" n
@@ -372,8 +388,8 @@ let andrew_cmd =
 
 let postmark_cmd =
   let doc = "Run the PostMark benchmark on one backend." in
-  let files = int_arg "files" 1000 ~doc:"Initial file count." in
-  let transactions = int_arg "transactions" 5000 ~doc:"Transactions." in
+  let files = int_arg count "files" 1000 ~doc:"Initial file count." in
+  let transactions = int_arg count "transactions" 5000 ~doc:"Transactions." in
   let run files transactions backend =
     let ob, txns = E_fs.run_postmark ~files ~transactions backend in
     Printf.printf "PostMark on %s: %.1f s elapsed, %d transactions (%.0f txn/s)\n"
@@ -394,7 +410,7 @@ let chaos_cmd =
      failing plan. Emits one JSON line per campaign; exits non-zero on \
      any violation."
   in
-  let campaigns = int_arg "campaigns" 20 ~doc:"Number of campaigns." in
+  let campaigns = int_arg count "campaigns" 20 ~doc:"Number of campaigns." in
   let plan_file =
     file_arg "plan" ~doc:"Replay one plan from $(docv) instead of generating."
   in
@@ -577,7 +593,7 @@ let bench_cmd =
   in
   let module Saturation = Bft_workloads.Saturation in
   let groups =
-    int_arg "groups" 4
+    int_arg count "groups" 4
       ~doc:
         "Upper bound of the scaling sweep: the scaling section runs 1, 2, 4, \
          ... groups up to this count."
@@ -715,29 +731,32 @@ let overload_cmd =
   let module Openloop = Bft_workloads.Openloop in
   let module Stats = Bft_util.Stats in
   let rate =
-    float_arg "rate" 2000.0 ~doc:"Baseline arrival rate (ops per virtual second)."
+    float_arg positive "rate" 2000.0 ~doc:"Baseline arrival rate (ops per virtual second)."
   in
   let burst =
-    float_arg "burst" 10.0
+    float_arg positive "burst" 10.0
       ~doc:
         "Burst multiplier: during the on-phase of each period arrivals come \
          at $(b,--rate) times this factor. 1 degenerates to a plain Poisson \
          stream."
   in
-  let period = float_arg "period" 1.0 ~doc:"Square-wave period (virtual seconds)." in
-  let duty = float_arg "duty" 0.2 ~doc:"Fraction of each period spent bursting." in
+  let period = float_arg positive "period" 1.0 ~doc:"Square-wave period (virtual seconds)." in
+  let duty =
+    float_arg
+      ("a number strictly between 0 and 1", fun d -> d > 0.0 && d < 1.0)
+      "duty" 0.2 ~doc:"Fraction of each period spent bursting." in
   let duration =
-    float_arg "duration" 5.0 ~doc:"Arrival horizon (virtual seconds)."
+    float_arg positive "duration" 5.0 ~doc:"Arrival horizon (virtual seconds)."
   in
   let stubs =
-    int_arg "stubs" 256
+    int_arg count "stubs" 256
       ~doc:
         "Client stubs multiplexing the arrival stream (the pool must be deep \
          enough for the burst to actually pile up at the primary, or the \
          pool itself becomes the bottleneck)."
   in
   let queue_limit =
-    int_arg "queue-limit" 16
+    int_arg size "queue-limit" 16
       ~doc:
         "Replica admission-queue limit (0 disables shedding; with it disabled \
          the run must drain without a single BUSY)."
@@ -746,7 +765,7 @@ let overload_cmd =
     flag_arg "drop-oldest" ~doc:"Shed the oldest queued request instead of the newest."
   in
   let retry_budget =
-    int_arg "retry-budget" 8
+    int_arg size "retry-budget" 8
       ~doc:"Client retries after a BUSY before reporting rejection."
   in
   let require_shed =

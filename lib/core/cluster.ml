@@ -34,8 +34,6 @@ let engine t = t.engine
 
 let network t = t.network
 
-let config t = t.config
-
 let replicas t = t.replicas
 
 let replica t i = t.replicas.(i)
@@ -214,7 +212,7 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
   let replica_nodes =
     Array.init n (fun i ->
         let name = node_name "replica%d" i in
-        let cpu = Cpu.create engine ~name () in
+        let cpu = Cpu.create engine () in
         Network.add_node network ~cpu ~name ())
   in
   let replica_peers =
@@ -224,7 +222,7 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
   let client_machines =
     Array.init (Stdlib.max 1 client_machines) (fun i ->
         let name = node_name "clientm%d" i in
-        let cpu = Cpu.create engine ~speed:client_machine_speed ~name () in
+        let cpu = Cpu.create engine ~speed:client_machine_speed () in
         let node = Network.add_node network ~cpu ~name () in
         { cm_node = node; cm_dispatcher = Dispatcher.install network node })
   in

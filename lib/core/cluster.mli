@@ -39,8 +39,6 @@ val engine : t -> Bft_sim.Engine.t
 
 val network : t -> Bft_net.Network.t
 
-val config : t -> Config.t
-
 val replicas : t -> Replica.t array
 
 val replica : t -> Types.replica_id -> Replica.t

@@ -539,20 +539,11 @@ let encode_prefix_into enc ~sender ~msg ~commits =
   encode_msg enc msg;
   Enc.list enc enc_commit commits
 
-let encode_prefix ~sender ~msg ~commits =
-  let enc = Enc.create () in
-  encode_prefix_into enc ~sender ~msg ~commits;
-  Enc.to_string enc
-
-let append_auth prefix auth =
-  let enc = Enc.create () in
-  Enc.raw enc prefix;
-  Auth.encode enc auth;
-  Enc.to_string enc
-
 let encode_envelope env =
-  append_auth (encode_prefix ~sender:env.sender ~msg:env.msg ~commits:env.commits)
-    env.auth
+  let enc = Enc.create () in
+  encode_prefix_into enc ~sender:env.sender ~msg:env.msg ~commits:env.commits;
+  Auth.encode enc env.auth;
+  Enc.to_string enc
 
 let decode_envelope_ex s =
   let dec = Dec.of_string s in

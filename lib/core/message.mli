@@ -181,20 +181,16 @@ val encode_body : t -> string
 val padding : t -> int
 (** Modeled zero-padding bytes carried by payloads inside the message. *)
 
-val encode_prefix : sender:int -> msg:t -> commits:commit list -> string
-(** Envelope bytes before the authenticator — what the authenticator
-    covers. *)
-
 val encode_prefix_into :
   Bft_util.Codec.Enc.t -> sender:int -> msg:t -> commits:commit list -> unit
-(** [encode_prefix] into a caller-owned scratch encoder (cleared first), so
-    the sender can fingerprint the prefix in place and append the
-    authenticator without intermediate strings. *)
-
-val append_auth : string -> Bft_crypto.Auth.t -> string
-(** Complete an envelope from its prefix. *)
+(** Write the envelope bytes before the authenticator — what the
+    authenticator covers — into [enc] (cleared first). Followed by
+    [Auth.encode] into the same encoder, this is the one way an envelope is
+    assembled: the sender fingerprints the prefix in place between the two. *)
 
 val encode_envelope : envelope -> string
+(** [encode_prefix_into] then [Auth.encode] on a fresh encoder: the
+    allocating form, for senders that already hold the authenticator. *)
 
 val decode_envelope : string -> envelope
 (** Raises [Bft_util.Codec.Decode_error] on malformed input. *)

@@ -177,7 +177,7 @@ let deploy ~rng ?(server_name = "server") ?server_recv_buffer ~install
     ?client_machine_speed ~client_machines ~clients ?retry_timeout () =
   let network = Network.simulation ~rng () in
   let machine ?speed ?recv_buffer name =
-    let cpu = Cpu.create (Network.engine network) ?speed ~name () in
+    let cpu = Cpu.create (Network.engine network) ?speed () in
     Network.add_node network ~cpu ?recv_buffer ~name ()
   in
   let server_node = machine ?recv_buffer:server_recv_buffer server_name in

@@ -25,5 +25,3 @@ let decode dec =
   let data = Codec.Dec.bytes dec in
   let pad = Codec.Dec.u32 dec in
   { data; pad }
-
-let pp fmt t = Format.fprintf fmt "<%dB+%d>" (String.length t.data) t.pad

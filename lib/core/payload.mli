@@ -27,5 +27,3 @@ val equal : t -> t -> bool
 val encode : Bft_util.Codec.Enc.t -> t -> unit
 
 val decode : Bft_util.Codec.Dec.t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -67,8 +67,6 @@ let of_parts parts =
 
 let equal = String.equal
 
-let compare = String.compare
-
 let zero = String.make size '\000'
 
 let pp fmt t = Format.pp_print_string fmt (String.sub (Md5.to_hex t) 0 8)

@@ -37,8 +37,6 @@ val finish : builder -> t
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
 val zero : t
 
 val pp : Format.formatter -> t -> unit

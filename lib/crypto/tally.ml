@@ -19,16 +19,6 @@ type snapshot = {
   digest_bytes : int;
 }
 
-let zero =
-  {
-    mac_gen_ops = 0;
-    mac_gen_bytes = 0;
-    mac_verify_ops = 0;
-    mac_verify_bytes = 0;
-    digest_ops = 0;
-    digest_bytes = 0;
-  }
-
 (* The six counters are the one piece of cross-run state that stays
    process-global: the frozen benchmark ledger reads them through
    [snapshot]/[diff] around its measured windows. They move into the

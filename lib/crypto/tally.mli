@@ -16,8 +16,6 @@ type snapshot = {
   digest_bytes : int;
 }
 
-val zero : snapshot
-
 val reset : unit -> unit
 
 val snapshot : unit -> snapshot

@@ -17,8 +17,6 @@ type t = {
   mutable disk_busy_total : float;
 }
 
-let node t = t.node
-
 let fs t = t.fs
 
 let metrics t = t.metrics

@@ -25,8 +25,6 @@ val create :
   t
 (** Per-call CPU is 0.85 of the user-space server's. *)
 
-val node : t -> Bft_net.Network.node_id
-
 val fs : t -> Fs.t
 
 val metrics : t -> Bft_core.Metrics.t

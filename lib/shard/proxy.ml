@@ -144,8 +144,6 @@ let total_completed t = Array.fold_left ( + ) 0 t.completed
 
 let sheds t = Array.copy t.sheds
 
-let shed_attempts t = Array.copy t.shed_attempts
-
 let shed_retries t = Array.copy t.shed_retries
 
 let total_sheds t = Array.fold_left ( + ) 0 t.sheds

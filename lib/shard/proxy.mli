@@ -70,10 +70,6 @@ val sheds : t -> int array
     budget and completed as [Error "busy"] — comparable to the clients'
     own [ops.rejected] tallies. *)
 
-val shed_attempts : t -> int array
-(** Per-group count of rejected {e attempts}, including ones a later retry
-    resolved; always ≥ {!sheds}. *)
-
 val shed_retries : t -> int array
 (** Per-group count of proxy-level re-invokes spent on rejections. *)
 

@@ -136,8 +136,6 @@ let run ?until t = Engine.run ?until (engine t)
 
 let now t = Engine.now (engine t)
 
-let trace t = Network.trace t.network
-
 let rng t label = Rng.split t.root_rng label
 
 let fork_rng t label = Rng.fork t.root_rng label

@@ -101,8 +101,6 @@ val run : ?until:float -> t -> unit
 
 val now : t -> float
 
-val trace : t -> Bft_trace.Trace.t
-
 val profile : t -> Bft_trace.Profile.t
 (** Per-machine CPU cost breakdown over every machine of every group
     (balanced the same way {!Bft_core.Cluster.profile} is). *)

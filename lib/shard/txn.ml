@@ -387,8 +387,6 @@ let busy t = t.busy
 
 let dead t = t.dead
 
-let name t = t.name
-
 let started t = t.started
 
 let committed t = t.committed

@@ -64,8 +64,6 @@ val busy : t -> bool
 
 val dead : t -> bool
 
-val name : t -> string
-
 val started : t -> int
 
 val committed : t -> int

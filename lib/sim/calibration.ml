@@ -110,8 +110,6 @@ let profiles =
 
 let profile_names = List.map fst profiles
 
-let find name = List.assoc_opt name profiles
-
 let name t = t.name
 
 let digest_cost t n = t.digest_base_cost +. (float_of_int n *. t.digest_byte_cost)

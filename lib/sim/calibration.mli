@@ -53,9 +53,6 @@ val profiles : (string * t) list
 
 val profile_names : string list
 
-val find : string -> t option
-(** Look a profile up by name. *)
-
 val name : t -> string
 
 val digest_cost : t -> int -> float

@@ -33,7 +33,6 @@ type clock = {
 type t = {
   engine : Engine.t;
   speed : float;
-  name : string;
   pending : (unit -> unit) Queue.t;
   mutable pumping : bool;
   clock : clock;
@@ -41,22 +40,17 @@ type t = {
   busy_by_cat : float array; (* busy seconds per category; the fold IS total_busy *)
 }
 
-let create engine ?(speed = 1.0) ~name () =
+let create engine ?(speed = 1.0) () =
   if speed <= 0.0 then invalid_arg "Cpu.create: speed";
   {
     engine;
     speed;
-    name;
     pending = Queue.create ();
     pumping = false;
     clock = { busy_until = 0.0; handler_start = 0.0; accum = 0.0 };
     in_handler = false;
     busy_by_cat = Array.make num_categories 0.0;
   }
-
-let engine t = t.engine
-
-let name t = t.name
 
 let busy_until t = t.clock.busy_until
 

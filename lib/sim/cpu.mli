@@ -33,13 +33,9 @@ val category_labels : string array
 
 type t
 
-val create : Engine.t -> ?speed:float -> name:string -> unit -> t
+val create : Engine.t -> ?speed:float -> unit -> t
 (** [speed] is a relative multiplier (1.0 = the paper's 600 MHz PIII; the
     700 MHz client machines of Section 4.3 use 700/600). *)
-
-val engine : t -> Engine.t
-
-val name : t -> string
 
 val dispatch : t -> (unit -> unit) -> unit
 (** Queue a handler; it runs when the CPU is free. *)

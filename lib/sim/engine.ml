@@ -15,8 +15,6 @@ let now t = t.clock
 
 let set_trace t trace = t.trace <- trace
 
-let trace t = t.trace
-
 let enqueue t time fn = Heap.add t.queue ~priority:(Float.max time t.clock) fn
 
 let schedule_at t time fn = ignore (enqueue t time fn : _ Heap.entry)

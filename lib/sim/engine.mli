@@ -54,5 +54,3 @@ val set_trace : t -> Bft_trace.Trace.t -> unit
 (** Install a trace sink. When the sink is live and created with
     [~sim_events:true], every dispatched event emits a [Sim_fire] trace
     event at its fire time. Defaults to {!Bft_trace.Trace.nil}. *)
-
-val trace : t -> Bft_trace.Trace.t

@@ -25,8 +25,6 @@ let create ?(capacity = 4096) ~names () =
     total_ = 0;
   }
 
-let names t = Array.copy t.names
-
 let record t ~vtime values =
   if Array.length values <> Array.length t.names then
     invalid_arg "Series.record: column arity mismatch";

@@ -10,8 +10,6 @@ type t
 val create : ?capacity:int -> names:string array -> unit -> t
 (** Keep the newest [capacity] samples (default 4096). *)
 
-val names : t -> string array
-
 val record : t -> vtime:float -> float array -> unit
 (** Append one sample; [values] must match the column count. The array is
     copied. *)
@@ -22,9 +20,6 @@ val total : t -> int
 val length : t -> int
 
 val dropped : t -> int
-
-val iter : t -> (float -> float array -> unit) -> unit
-(** Oldest first. The value array must not be mutated. *)
 
 val samples : t -> (float * float array) list
 

@@ -99,9 +99,6 @@ val req_id : client:int -> ts:int64 -> int64
 (** Globally unique request id: the client principal in the high bits,
     the client's timestamp in the low 40. *)
 
-val kind_name : kind -> string
-(** Stable dotted name, e.g. ["replica.prepared"]. *)
-
 val escape : string -> string
 (** Escape a string for embedding in a JSON string literal; shared by the
     sibling exporters. *)

@@ -6,9 +6,6 @@
     replicas executing slot-addressed migration operations — computes the
     same owner slot for a key in every run and on every machine. *)
 
-val hash : string -> int64
-(** 64-bit FNV-1a of the key bytes. *)
-
 val slot_of_key : slots:int -> string -> int
-(** [hash key mod slots] (unsigned). Raises [Invalid_argument] when
-    [slots <= 0]. *)
+(** The 64-bit FNV-1a of the key bytes, mod [slots] (unsigned). Raises
+    [Invalid_argument] when [slots <= 0]. *)

@@ -6,10 +6,7 @@
 
 type t
 
-(** [create seed] builds a generator from a 64-bit seed. *)
-val create : int64 -> t
-
-(** [of_int seed] is [create] on an [int] seed. *)
+(** [of_int seed] builds a generator from a seed. *)
 val of_int : int -> t
 
 (** [split t label] derives an independent generator; the same [label]

@@ -54,100 +54,31 @@ let signatures ?(quick = false) () =
     };
   ]
 
-let sweep_table ~title ~col ~values ~run =
+(* One parameter sweep: each value's [Config] through the 0/0 read-write
+   latency and throughput micro-benchmarks, one table row per value. *)
+let config_sweep ~quick ~id ~title ~table_title ~col ~values config =
   let table =
-    Table.create ~title
+    Table.create ~title:table_title
       ~columns:
         [ (col, Table.Right); ("latency us", Table.Right); ("ops/s", Table.Right) ]
   in
   List.iter
     (fun v ->
-      let lat, thr = run v in
+      let config = config v in
+      let lat =
+        (Microbench.bft_latency ~config ~ops:(if quick then 10 else 60) ~arg:8
+           ~res:8 ~read_only:false ())
+          .Microbench.mean
+      in
+      let thr =
+        (Microbench.bft_throughput ~config ~arg:0 ~res:0 ~read_only:false
+           ~clients:(if quick then 10 else 100) ())
+          .Microbench.ops_per_sec
+      in
       Table.add_row table
         [ Table.cell_i v; us lat; Table.cell_f ~decimals:0 thr ])
     values;
-  table
-
-let checkpoint_interval ?(quick = false) () =
-  let values = if quick then [ 128 ] else [ 16; 64; 128; 512 ] in
-  let run k =
-    let config = Config.make ~f:1 ~checkpoint_interval:k ~log_window:(4 * k) () in
-    let lat =
-      (Microbench.bft_latency ~config ~ops:(if quick then 10 else 60) ~arg:8 ~res:8
-         ~read_only:false ())
-        .Microbench.mean
-    in
-    let thr =
-      (Microbench.bft_throughput ~config ~arg:0 ~res:0 ~read_only:false
-         ~clients:(if quick then 10 else 100) ())
-        .Microbench.ops_per_sec
-    in
-    (lat, thr)
-  in
-  [
-    {
-      Report.id = "ablation-checkpoint";
-      title = "Checkpoint interval K";
-      table =
-        sweep_table ~title:"Checkpoint interval sweep (0/0 read-write)" ~col:"K"
-          ~values ~run;
-      anchors = [];
-    };
-  ]
-
-let batch_bound ?(quick = false) () =
-  let values = if quick then [ 16 ] else [ 1; 4; 16; 64 ] in
-  let run b =
-    let config = Config.make ~f:1 ~max_batch_requests:b () in
-    let lat =
-      (Microbench.bft_latency ~config ~ops:(if quick then 10 else 60) ~arg:8 ~res:8
-         ~read_only:false ())
-        .Microbench.mean
-    in
-    let thr =
-      (Microbench.bft_throughput ~config ~arg:0 ~res:0 ~read_only:false
-         ~clients:(if quick then 10 else 100) ())
-        .Microbench.ops_per_sec
-    in
-    (lat, thr)
-  in
-  [
-    {
-      Report.id = "ablation-batch";
-      title = "Batch size bound";
-      table =
-        sweep_table ~title:"Max requests per batch (0/0 read-write)"
-          ~col:"bound" ~values ~run;
-      anchors = [];
-    };
-  ]
-
-let window ?(quick = false) () =
-  let values = if quick then [ 1 ] else [ 1; 2; 4; 8 ] in
-  let run w =
-    let config = Config.make ~f:1 ~batch_window:w () in
-    let lat =
-      (Microbench.bft_latency ~config ~ops:(if quick then 10 else 60) ~arg:8 ~res:8
-         ~read_only:false ())
-        .Microbench.mean
-    in
-    let thr =
-      (Microbench.bft_throughput ~config ~arg:0 ~res:0 ~read_only:false
-         ~clients:(if quick then 10 else 100) ())
-        .Microbench.ops_per_sec
-    in
-    (lat, thr)
-  in
-  [
-    {
-      Report.id = "ablation-window";
-      title = "Sliding window W";
-      table =
-        sweep_table ~title:"Batches in flight, W (0/0 read-write)" ~col:"W" ~values
-          ~run;
-      anchors = [];
-    };
-  ]
+  [ { Report.id; title; table; anchors = [] } ]
 
 (* Proactive recovery: the paper's Section 2 mechanism, measured. The
    benchmarks of the paper ran with no proactive recoveries; this ablation
@@ -242,8 +173,18 @@ let all ?(quick = false) () =
   List.concat
     [
       signatures ~quick ();
-      checkpoint_interval ~quick ();
-      batch_bound ~quick ();
-      window ~quick ();
+      config_sweep ~quick ~id:"ablation-checkpoint"
+        ~title:"Checkpoint interval K"
+        ~table_title:"Checkpoint interval sweep (0/0 read-write)" ~col:"K"
+        ~values:(if quick then [ 128 ] else [ 16; 64; 128; 512 ])
+        (fun k -> Config.make ~f:1 ~checkpoint_interval:k ~log_window:(4 * k) ());
+      config_sweep ~quick ~id:"ablation-batch" ~title:"Batch size bound"
+        ~table_title:"Max requests per batch (0/0 read-write)" ~col:"bound"
+        ~values:(if quick then [ 16 ] else [ 1; 4; 16; 64 ])
+        (fun b -> Config.make ~f:1 ~max_batch_requests:b ());
+      config_sweep ~quick ~id:"ablation-window" ~title:"Sliding window W"
+        ~table_title:"Batches in flight, W (0/0 read-write)" ~col:"W"
+        ~values:(if quick then [ 1 ] else [ 1; 2; 4; 8 ])
+        (fun w -> Config.make ~f:1 ~batch_window:w ());
       recovery ~quick ();
     ]

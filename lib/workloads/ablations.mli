@@ -5,14 +5,7 @@
     makes BFT fast — by re-running the micro-benchmark with simulated
     1024-bit signatures on every protocol message (the Rampart/SecureRing
     design point the paper cites). The others sweep the checkpoint
-    interval, the batch-size bound and the batching window. *)
-
-val signatures : ?quick:bool -> unit -> Report.section list
-
-val checkpoint_interval : ?quick:bool -> unit -> Report.section list
-
-val window : ?quick:bool -> unit -> Report.section list
-
-val recovery : ?quick:bool -> unit -> Report.section list
+    interval, the batch-size bound and the batching window, and measure
+    what a proactive-recovery rotation costs. *)
 
 val all : ?quick:bool -> unit -> Report.section list

@@ -40,7 +40,9 @@ let resource_name = function
 (* --- exact datagram sizes from the real codec ------------------------- *)
 
 let datagram ~targets msg =
-  String.length (Message.encode_prefix ~sender:0 ~msg ~commits:[])
+  let enc = Bft_util.Codec.Enc.create () in
+  Message.encode_prefix_into enc ~sender:0 ~msg ~commits:[];
+  Bft_util.Codec.Enc.length enc
   + Message.padding msg
   + Bft_crypto.Auth.wire_size_for ~entries:targets
 
@@ -161,6 +163,52 @@ let exec_cpu (cal : Calibration.t) ~exec_fixed ~arg ~res =
   ignore arg;
   exec_fixed +. (float_of_int res *. cal.byte_touch_cost)
 
+(* Per-batch costs at every replica that do not depend on the batch size:
+   the eager commit round (multicast one commit, verify n-1), the
+   checkpoint round amortised over its interval, and one digest reply. *)
+type round = { ckpt_amort : float; commit_cpu : float; reply_send : float }
+
+let round_costs (cal : Calibration.t) sz =
+  let n = cfg.n in
+  let send = send_cpu cal and recv = recv_cpu cal in
+  {
+    ckpt_amort =
+      (send ~size:sz.sz_checkpoint ~targets:(n - 1)
+      +. (float_of_int (n - 1) *. recv ~size:sz.sz_checkpoint))
+      /. float_of_int cfg.checkpoint_interval;
+    commit_cpu =
+      send ~size:sz.sz_commit ~targets:(n - 1)
+      +. (float_of_int (n - 1) *. recv ~size:sz.sz_commit);
+    reply_send = send ~size:sz.sz_reply_digest ~targets:1;
+  }
+
+(* Per-batch CPU at the primary for a batch of [batch] requests: ingest
+   them, multicast the pre-prepare, verify the backups' prepares, execute
+   tentatively, send the replies, then the commit and checkpoint rounds. *)
+let primary_batch_cpu (cal : Calibration.t) rc sz ~batch ~exec =
+  let n = cfg.n and fb = float_of_int batch in
+  let send = send_cpu cal and recv = recv_cpu cal in
+  (fb *. recv ~size:sz.sz_request)
+  +. send ~size:sz.sz_pre_prepare ~targets:(n - 1)
+  +. (float_of_int (n - 1) *. recv ~size:sz.sz_prepare)
+  +. (fb *. (exec +. rc.reply_send))
+  +. rc.commit_cpu +. rc.ckpt_amort
+
+(* Critical path of one batch round at the primary (requests already
+   queued): batch formation, pre-prepare hop, backup turnaround, the 2f-th
+   prepare, execution and replies. *)
+let critical_path (cal : Calibration.t) rc sz ~batch ~exec =
+  let n = cfg.n and f = cfg.f and fb = float_of_int batch in
+  let send = send_cpu cal and recv = recv_cpu cal in
+  (fb *. recv ~size:sz.sz_request)
+  +. send ~size:sz.sz_pre_prepare ~targets:(n - 1)
+  +. wire_lat cal ~size:sz.sz_pre_prepare
+  +. recv ~size:sz.sz_pre_prepare
+  +. send ~size:sz.sz_prepare ~targets:(n - 1)
+  +. wire_lat cal ~size:sz.sz_prepare
+  +. (float_of_int (2 * f) *. recv ~size:sz.sz_prepare)
+  +. (fb *. (exec +. rc.reply_send))
+
 let predict ?(exec_fixed = 0.0) ~(cal : Calibration.t) ~arg ~res ~clients () =
   let n = cfg.n and f = cfg.f in
   let b = max 1 (min clients cfg.max_batch_requests) in
@@ -169,27 +217,8 @@ let predict ?(exec_fixed = 0.0) ~(cal : Calibration.t) ~arg ~res ~clients () =
   let send = send_cpu cal and recv = recv_cpu cal in
   let exec = exec_cpu cal ~exec_fixed ~arg ~res in
   let fb = float_of_int b in
-  (* Per-batch CPU at the primary: ingest b requests, multicast the
-     pre-prepare, verify the backups' prepares, execute tentatively, send b
-     replies, multicast its commit and verify n-1 commits (the default
-     config multicasts commits eagerly), plus the amortized checkpoint. *)
-  let ckpt_amort =
-    (send ~size:sz.sz_checkpoint ~targets:(n - 1)
-    +. (float_of_int (n - 1) *. recv ~size:sz.sz_checkpoint))
-    /. float_of_int cfg.checkpoint_interval
-  in
-  let commit_cpu =
-    send ~size:sz.sz_commit ~targets:(n - 1)
-    +. (float_of_int (n - 1) *. recv ~size:sz.sz_commit)
-  in
-  let reply_send = send ~size:sz.sz_reply_digest ~targets:1 in
-  let primary_batch_cpu =
-    (fb *. recv ~size:sz.sz_request)
-    +. send ~size:sz.sz_pre_prepare ~targets:(n - 1)
-    +. (float_of_int (n - 1) *. recv ~size:sz.sz_prepare)
-    +. (fb *. (exec +. reply_send))
-    +. commit_cpu +. ckpt_amort
-  in
+  let rc = round_costs cal sz in
+  let primary_batch = primary_batch_cpu cal rc sz ~batch:b ~exec in
   (* A backup: receive the pre-prepare (plus the separately-transmitted
      request bodies when the client multicasts), multicast its prepare,
      verify the other backups' prepares, execute, reply, commit. *)
@@ -199,8 +228,8 @@ let predict ?(exec_fixed = 0.0) ~(cal : Calibration.t) ~arg ~res ~clients () =
         else 0.0)
     +. send ~size:sz.sz_prepare ~targets:(n - 1)
     +. (float_of_int (n - 2) *. recv ~size:sz.sz_prepare)
-    +. (fb *. (exec +. reply_send))
-    +. commit_cpu +. ckpt_amort
+    +. (fb *. (exec +. rc.reply_send))
+    +. rc.commit_cpu +. rc.ckpt_amort
   in
   (* Client machines: send the request, verify all n replies. *)
   let client_req_cpu =
@@ -208,19 +237,7 @@ let predict ?(exec_fixed = 0.0) ~(cal : Calibration.t) ~arg ~res ~clients () =
     +. (float_of_int (n - 1) *. recv ~size:sz1.sz_reply_digest)
     +. recv ~size:sz1.sz_reply_full
   in
-  (* Critical path of one batch round at the primary (requests already
-     queued): batch formation, pre-prepare hop, backup turnaround, the
-     2f-th prepare, execution and replies. *)
-  let path_nostall =
-    (fb *. recv ~size:sz.sz_request)
-    +. send ~size:sz.sz_pre_prepare ~targets:(n - 1)
-    +. wire_lat cal ~size:sz.sz_pre_prepare
-    +. recv ~size:sz.sz_pre_prepare
-    +. send ~size:sz.sz_prepare ~targets:(n - 1)
-    +. wire_lat cal ~size:sz.sz_prepare
-    +. (float_of_int (2 * f) *. recv ~size:sz.sz_prepare)
-    +. (fb *. (exec +. reply_send))
-  in
+  let path_nostall = critical_path cal rc sz ~batch:b ~exec in
   (* Client turnaround, appended when every client is in the batch (no
      spare clients to keep the request queue non-empty). *)
   let turnaround =
@@ -231,7 +248,7 @@ let predict ?(exec_fixed = 0.0) ~(cal : Calibration.t) ~arg ~res ~clients () =
     +. wire_lat cal ~size:sz.sz_request
   in
   let cycle ~stalled =
-    max primary_batch_cpu path_nostall
+    max primary_batch path_nostall
     +. (if stalled then turnaround else 0.0)
   in
   (* Wire occupancy per request, in bytes on each host's full-duplex link.
@@ -258,7 +275,7 @@ let predict ?(exec_fixed = 0.0) ~(cal : Calibration.t) ~arg ~res ~clients () =
     +. (float_of_int (n - 2) *. per_req (wb sz.sz_prepare) ~batch:b)
     +. (float_of_int (n - 1) *. per_req (wb sz.sz_commit) ~batch:b)
   in
-  let primary_cpu = primary_batch_cpu /. fb in
+  let primary_cpu = primary_batch /. fb in
   let backup_cpu = backup_batch_cpu /. fb in
   let client_cpu = client_req_cpu in
   let cap x = if x > 0.0 then 1.0 /. x else infinity in
@@ -287,27 +304,14 @@ let predict ?(exec_fixed = 0.0) ~(cal : Calibration.t) ~arg ~res ~clients () =
   (* The knee: cycle throughput at the maximum batch size with a full
      request queue, clipped by the resource caps. *)
   let knee =
-    let bmax = cfg.max_batch_requests in
-    let szk = sizes ~cfg ~arg ~res ~batch:bmax in
-    let fbm = float_of_int bmax in
-    let primary_k =
-      (fbm *. recv ~size:szk.sz_request)
-      +. send ~size:szk.sz_pre_prepare ~targets:(n - 1)
-      +. (float_of_int (n - 1) *. recv ~size:szk.sz_prepare)
-      +. (fbm *. (exec +. send ~size:szk.sz_reply_digest ~targets:1))
-      +. commit_cpu +. ckpt_amort
-    in
-    let path_k =
-      (fbm *. recv ~size:szk.sz_request)
-      +. send ~size:szk.sz_pre_prepare ~targets:(n - 1)
-      +. wire_lat cal ~size:szk.sz_pre_prepare
-      +. recv ~size:szk.sz_pre_prepare
-      +. send ~size:szk.sz_prepare ~targets:(n - 1)
-      +. wire_lat cal ~size:szk.sz_prepare
-      +. (float_of_int (2 * f) *. recv ~size:szk.sz_prepare)
-      +. (fbm *. (exec +. send ~size:szk.sz_reply_digest ~targets:1))
-    in
-    min (fbm /. max primary_k path_k) resource_cap
+    let batch = cfg.max_batch_requests in
+    let szk = sizes ~cfg ~arg ~res ~batch in
+    min
+      (float_of_int batch
+      /. max
+           (primary_batch_cpu cal rc szk ~batch ~exec)
+           (critical_path cal rc szk ~batch ~exec))
+      resource_cap
   in
   (* Unloaded latency: the batch-of-one critical path, client legs on the
      latency rig's faster client machine. *)
@@ -323,7 +327,7 @@ let predict ?(exec_fixed = 0.0) ~(cal : Calibration.t) ~arg ~res ~clients () =
     +. wire_lat cal ~size:sz1.sz_prepare
     +. (float_of_int (2 * f) *. recv ~size:sz1.sz_prepare)
     +. exec
-    +. send ~size:sz1.sz_reply_digest ~targets:1
+    +. rc.reply_send
     +. wire_lat cal ~size:sz1.sz_reply_full
     +. c (float_of_int (2 * f) *. recv ~size:sz1.sz_reply_digest)
     +. c (recv ~size:sz1.sz_reply_full)
@@ -366,16 +370,7 @@ let predict_rotating ~(cal : Calibration.t) ~arg ~res ~clients ~epoch_length:_
   let exec = exec_cpu cal ~exec_fixed:0.0 ~arg ~res in
   let fb = float_of_int b in
   let fn = float_of_int n in
-  let ckpt_amort =
-    (send ~size:sz.sz_checkpoint ~targets:(n - 1)
-    +. (float_of_int (n - 1) *. recv ~size:sz.sz_checkpoint))
-    /. float_of_int cfg.checkpoint_interval
-  in
-  let commit_cpu =
-    send ~size:sz.sz_commit ~targets:(n - 1)
-    +. (float_of_int (n - 1) *. recv ~size:sz.sz_commit)
-  in
-  let reply_send = send ~size:sz.sz_reply_digest ~targets:1 in
+  let rc = round_costs cal sz in
   (* Per batch: the proposer's share (1/n of batches) and a non-proposer's
      share ((n-1)/n), averaged — every replica is both in rotation. *)
   let proposer_cpu =
@@ -390,8 +385,8 @@ let predict_rotating ~(cal : Calibration.t) ~arg ~res ~clients ~epoch_length:_
   in
   let avg_batch_cpu =
     ((proposer_cpu +. (float_of_int (n - 1) *. nonproposer_cpu)) /. fn)
-    +. (fb *. (exec +. reply_send))
-    +. commit_cpu +. ckpt_amort
+    +. (fb *. (exec +. rc.reply_send))
+    +. rc.commit_cpu +. rc.ckpt_amort
   in
   let client_req_cpu =
     send ~size:sz.sz_request ~targets:sz.sz_request_targets

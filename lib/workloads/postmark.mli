@@ -13,10 +13,6 @@ type profile = {
   compute_per_txn : float;  (** PostMark does little client computation *)
 }
 
-val default : profile
-(** 1000 files / 5000 transactions (scaled-down but same shape; the pool
-    and transaction mix follow the paper's configuration). *)
-
 val scaled : files:int -> transactions:int -> profile
 
 val generate : profile -> Nfs_rig.step list * int

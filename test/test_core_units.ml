@@ -291,7 +291,7 @@ let make_trig () =
   let received = ref [] in
   let transports =
     Array.init 3 (fun i ->
-        let cpu = Cpu.create engine ~name:(Printf.sprintf "n%d" i) () in
+        let cpu = Cpu.create engine () in
         let node = Network.add_node net ~cpu ~name:(Printf.sprintf "n%d" i) () in
         let keychain = Keychain.create ~master:"m" ~self:i () in
         Transport.create net ~keychain ~node ())
@@ -364,13 +364,16 @@ let test_transport_nonce_window () =
      keys, letting us hand-roll datagrams with chosen nonces. *)
   let kc0 = Keychain.create ~master:"m" ~self:0 () in
   let deliver ?(corrupt = false) nonce =
-    let prefix = Message.encode_prefix ~sender:0 ~msg:sample_msg ~commits:[] in
+    let module Enc = Bft_util.Codec.Enc in
+    let enc = Enc.create () in
+    Message.encode_prefix_into enc ~sender:0 ~msg:sample_msg ~commits:[];
     let auth =
       Bft_crypto.Auth.generate kc0 ~nonce ~targets:[ 1 ]
-        (Fingerprint.of_string prefix)
+        (Fingerprint.of_string (Enc.to_string enc))
     in
     let auth = if corrupt then Bft_crypto.Auth.corrupt auth else auth in
-    let wire = Message.append_auth prefix auth in
+    Bft_crypto.Auth.encode enc auth;
+    let wire = Enc.to_string enc in
     let env, prefix_len = Message.decode_envelope_ex wire in
     Transport.check r.transports.(1) ~wire ~prefix_len
       ~size:(String.length wire) env
@@ -412,7 +415,7 @@ let make_crig () =
   let master = "race-master" in
   let replica_nodes =
     Array.init n (fun i ->
-        let cpu = Cpu.create engine ~name:(Printf.sprintf "r%d" i) () in
+        let cpu = Cpu.create engine () in
         Network.add_node net ~cpu ~name:(Printf.sprintf "r%d" i) ())
   in
   let replica_peers =
@@ -437,7 +440,7 @@ let make_crig () =
             | Message.Request r -> request_ts := r.Message.timestamp
             | _ -> ()))
     replica_transports;
-  let cpu = Cpu.create engine ~name:"client" () in
+  let cpu = Cpu.create engine () in
   let cnode = Network.add_node net ~cpu ~name:"client" () in
   let keychain = Keychain.create ~master ~self:n ~replica_bound:n () in
   let transport = Transport.create net ~keychain ~node:cnode () in
@@ -542,7 +545,7 @@ let test_client_tentative_strong_quorum () =
 let test_dispatcher_routes_replies () =
   let net = Network.simulation ~rng:(Bft_util.Rng.of_int 4) () in
   let engine = Network.engine net in
-  let machine name = Network.add_node net ~cpu:(Cpu.create engine ~name ()) ~name () in
+  let machine name = Network.add_node net ~cpu:(Cpu.create engine ()) ~name () in
   let node = machine "m" in
   let d = Dispatcher.install net node in
   let got_client = ref 0 and got_default = ref 0 in

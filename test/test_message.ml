@@ -232,9 +232,12 @@ let test_prefix_covers_commits () =
   let d = Fingerprint.of_string "x" in
   let msg = Message.Commit { Message.view = 0; seq = 1; digest = d; replica = 2 } in
   let c = { Message.view = 0; seq = 2; digest = d; replica = 2 } in
-  let p1 = Message.encode_prefix ~sender:2 ~msg ~commits:[ c ] in
-  let p2 = Message.encode_prefix ~sender:2 ~msg ~commits:[] in
-  check Alcotest.bool "prefix differs" true (p1 <> p2)
+  let prefix commits =
+    let enc = Bft_util.Codec.Enc.create () in
+    Message.encode_prefix_into enc ~sender:2 ~msg ~commits;
+    Bft_util.Codec.Enc.to_string enc
+  in
+  check Alcotest.bool "prefix differs" true (prefix [ c ] <> prefix [])
 
 let request_gen =
   QCheck.Gen.(
@@ -274,6 +277,66 @@ let request_roundtrip_prop =
         && Fingerprint.equal (Message.request_digest r') (Message.request_digest r)
       | _ -> false)
 
+(* --- one envelope writer ------------------------------------------------ *)
+
+let digest_gen = QCheck.Gen.(map Fingerprint.of_string (string_size (int_bound 8)))
+
+let commit_gen =
+  QCheck.Gen.(
+    map
+      (fun (view, seq, digest, replica) -> { Message.view; seq; digest; replica })
+      (quad (int_bound 8) (int_bound 1000) digest_gen (int_bound 3)))
+
+(* An envelope as a sender hands it over: the transport supplies [auth]. *)
+let envelope_gen =
+  QCheck.Gen.(
+    map3
+      (fun sender msg commits ->
+        { Message.sender; msg; commits; auth = { Auth.nonce = 0L; entries = [] } })
+      (int_bound 3)
+      (oneof
+         [
+           map (fun r -> Message.Request r) request_gen;
+           map
+             (fun (c : Message.commit) ->
+               Message.Prepare
+                 { view = c.view; seq = c.seq; digest = c.digest; replica = c.replica })
+             commit_gen;
+           map (fun c -> Message.Commit c) commit_gen;
+           map
+             (fun (c : Message.commit) ->
+               Message.Checkpoint { seq = c.seq; digest = c.digest; replica = c.replica })
+             commit_gen;
+         ])
+      (list_size (int_bound 3) commit_gen))
+
+(* The datagrams a [Transport] puts on the network for [env], captured by a
+   bare handler on the receiving node. *)
+let transport_datagrams (env : Message.envelope) =
+  let module Network = Bft_net.Network in
+  let net = Network.simulation ~rng:(Bft_util.Rng.of_int 1) () in
+  let engine = Network.engine net in
+  let node name = Network.add_node net ~cpu:(Bft_sim.Cpu.create engine ()) ~name () in
+  let src = node "sender" and dst = node "receiver" in
+  let captured = ref [] in
+  Network.set_handler net dst (fun ~src:_ ~wire ~size:_ -> captured := wire :: !captured);
+  let keychain = Bft_crypto.Keychain.create ~master:"m" ~self:env.sender () in
+  let transport = Transport.create net ~keychain ~node:src () in
+  Transport.multicast transport ~commits:env.commits
+    ~dsts:[ { Transport.principal = (env.sender + 1) mod 4; node = dst } ]
+    env.msg;
+  Bft_sim.Engine.run engine;
+  !captured
+
+let transport_wire_prop =
+  QCheck.Test.make ~name:"transport datagram is encode_envelope" ~count:200
+    (QCheck.make envelope_gen) (fun env ->
+      match transport_datagrams env with
+      | [ wire ] ->
+        let auth = (Message.decode_envelope wire).Message.auth in
+        String.equal wire (Message.encode_envelope { env with Message.auth })
+      | _ -> false)
+
 let () =
   let q = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20010701 |]) in
   Alcotest.run "message"
@@ -305,5 +368,6 @@ let () =
         [
           Alcotest.test_case "garbage rejected" `Quick test_decode_garbage;
           Alcotest.test_case "auth covers commits" `Quick test_prefix_covers_commits;
+          q transport_wire_prop;
         ] );
     ]

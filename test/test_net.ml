@@ -21,7 +21,7 @@ let make_rig ?(count = 3) ?recv_buffer ?trace () =
   let received = ref [] in
   let nodes =
     Array.init count (fun i ->
-        let cpu = Cpu.create engine ~name:(Printf.sprintf "n%d" i) () in
+        let cpu = Cpu.create engine () in
         Network.add_node net ~cpu ?recv_buffer ~name:(Printf.sprintf "n%d" i) ())
   in
   Array.iter

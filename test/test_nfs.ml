@@ -187,10 +187,10 @@ let test_nfs_std_metadata_disk () =
   let open Bft_sim in
   let net = Bft_net.Network.simulation ~rng:(Bft_util.Rng.of_int 3) () in
   let engine = Bft_net.Network.engine net in
-  let scpu = Cpu.create engine ~name:"nfsd" () in
+  let scpu = Cpu.create engine () in
   let snode = Bft_net.Network.add_node net ~cpu:scpu ~name:"nfsd" () in
   let server = Nfs_std.create ~network:net ~node:snode () in
-  let ccpu = Cpu.create engine ~name:"client" () in
+  let ccpu = Cpu.create engine () in
   let cnode = Bft_net.Network.add_node net ~cpu:ccpu ~name:"client" () in
   let client =
     Bft_core.Norep.Client.create ~network:net ~node:cnode

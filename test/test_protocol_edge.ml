@@ -228,7 +228,7 @@ let non_replica_votes forge =
   let net = Cluster.network cluster in
   let principal id =
     let name = Printf.sprintf "principal%d" id in
-    let cpu = Bft_sim.Cpu.create engine ~name () in
+    let cpu = Bft_sim.Cpu.create engine () in
     let node = Bft_net.Network.add_node net ~cpu ~name () in
     let keychain =
       Bft_crypto.Keychain.create ~master:"m" ~self:id

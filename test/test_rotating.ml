@@ -230,7 +230,7 @@ let forged_handoff ~opp_seq =
   in
   let engine = Cluster.engine cluster in
   let net = Cluster.network cluster in
-  let cpu = Bft_sim.Cpu.create engine ~name:"byz" () in
+  let cpu = Bft_sim.Cpu.create engine () in
   let node = Bft_net.Network.add_node net ~cpu ~name:"byz" () in
   let keychain =
     Bft_crypto.Keychain.create ~master:"m" ~self:3

@@ -167,7 +167,7 @@ let test_cluster_queue_bounded () =
 
 let test_cpu_serializes_handlers () =
   let e = Engine.create () in
-  let cpu = Cpu.create e ~name:"test" () in
+  let cpu = Cpu.create e () in
   let finish_times = ref [] in
   for _ = 1 to 3 do
     Cpu.dispatch cpu (fun () ->
@@ -180,21 +180,21 @@ let test_cpu_serializes_handlers () =
 
 let test_cpu_speed () =
   let e = Engine.create () in
-  let cpu = Cpu.create e ~speed:2.0 ~name:"fast" () in
+  let cpu = Cpu.create e ~speed:2.0 () in
   Cpu.dispatch cpu (fun () -> Cpu.charge cpu 1.0);
   Engine.run e;
   check feps "half the wall time" 0.5 (Cpu.busy_until cpu)
 
 let test_cpu_charge_outside_handler () =
   let e = Engine.create () in
-  let cpu = Cpu.create e ~name:"test" () in
+  let cpu = Cpu.create e () in
   Cpu.charge cpu 0.25;
   check feps "busy until" 0.25 (Cpu.busy_until cpu);
   check feps "virtual now outside" 0.25 (Cpu.virtual_now cpu)
 
 let test_cpu_dispatch_waits_for_busy () =
   let e = Engine.create () in
-  let cpu = Cpu.create e ~name:"test" () in
+  let cpu = Cpu.create e () in
   Cpu.charge cpu 1.0;
   let start = ref nan in
   Cpu.dispatch cpu (fun () -> start := Engine.now e);
@@ -203,7 +203,7 @@ let test_cpu_dispatch_waits_for_busy () =
 
 let test_cpu_negative_charge () =
   let e = Engine.create () in
-  let cpu = Cpu.create e ~name:"test" () in
+  let cpu = Cpu.create e () in
   Alcotest.check_raises "negative" (Invalid_argument "Cpu.charge: negative")
     (fun () -> Cpu.charge cpu (-1.0))
 
@@ -223,7 +223,7 @@ let minor_words_per_1000 f =
 
 let test_cpu_charge_allocates_nothing () =
   let e = Engine.create () in
-  let cpu = Cpu.create e ~name:"test" () in
+  let cpu = Cpu.create e () in
   check feps "outside a handler" 0.0
     (minor_words_per_1000 (fun () -> Cpu.charge ~cat:Cpu.Digest cpu 1e-6));
   let inside = ref nan in
