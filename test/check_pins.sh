@@ -14,6 +14,8 @@
 #   trace --ops 100 bundle        determinism (diff -r of two runs), profile,
 #                                 series and the trace's MD5
 #   trace --ops 100 --arg 0/4096  trace_ops100_arg{0,4096}.txt
+#   profile --ops 100             profile_ops100.txt (virtual CPU breakdown
+#                                 plus MAC and digest counts)
 #   all --quick                   all_quick.txt
 #   bench --quick --golden        golden part byte-identical (bft_lab checks)
 #   model, model --check          model_report.txt; the check against the
@@ -105,6 +107,10 @@ pin trace stdout, 0 B and 4 KB arguments
 )
 diff -u "$golden/trace_ops100_arg0.txt" "$out/trace_arg0.txt"
 diff -u "$golden/trace_ops100_arg4096.txt" "$out/trace_arg4096.txt"
+
+pin profile --ops 100: CPU breakdown and crypto operation counts
+"$lab" profile --ops 100 > "$out/profile_ops100.txt"
+diff -u "$golden/profile_ops100.txt" "$out/profile_ops100.txt"
 
 pin all --quick
 timeout 600 "$lab" all --quick > "$out/all_quick.txt"
