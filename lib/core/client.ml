@@ -347,8 +347,9 @@ let create ~config ~transport ~replicas ~rng ~dispatcher () =
       latency_probe = ignore;
     }
   in
-  let sink ~wire ~prefix_len ~size env =
-    match Transport.check transport ~wire ~prefix_len ~size env with
+  let sink (rx : Message.received) =
+    let env = rx.Message.rx_env in
+    match Transport.check transport rx with
     | Transport.Accepted -> (
       match env.Message.msg with
       | Message.Reply r -> (

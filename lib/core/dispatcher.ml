@@ -1,6 +1,6 @@
 module Network = Bft_net.Network
 
-type sink = wire:string -> prefix_len:int -> size:int -> Message.envelope -> unit
+type sink = Message.received -> unit
 
 type t = {
   clients : (Types.client_id, sink) Hashtbl.t;
@@ -8,13 +8,21 @@ type t = {
   mutable malformed_count : int;
 }
 
+(* A datagram is decoded once, by whichever of its receivers' dispatchers
+   gets it first; the others share the result. *)
+type Network.memo += Received of Message.received | Undecodable
+
+let decode (dgram : Network.datagram) =
+  match Message.receive ~size:dgram.Network.size dgram.Network.wire with
+  | rx -> Received rx
+  | exception Bft_util.Codec.Decode_error _ -> Undecodable
+
 let install net node =
   let t = { clients = Hashtbl.create 8; default = None; malformed_count = 0 } in
-  Network.set_handler net node (fun ~src:_ ~wire ~size ->
-      match Message.decode_envelope_ex wire with
-      | exception Bft_util.Codec.Decode_error _ ->
-        t.malformed_count <- t.malformed_count + 1
-      | env, prefix_len ->
+  Network.set_handler net node (fun ~src:_ dgram ->
+      match Network.memo dgram decode with
+      | Received rx -> (
+        let env = rx.Message.rx_env in
         (* Client-addressed messages route by the client id they name:
            REPLY and BUSY both terminate at a client process. Routing BUSY
            to the default principal (as this code once did) silently
@@ -33,9 +41,10 @@ let install net node =
             | None -> t.default)
           | _ -> t.default
         in
-        (match sink with
-        | Some sink -> sink ~wire ~prefix_len ~size env
-        | None -> t.malformed_count <- t.malformed_count + 1));
+        match sink with
+        | Some sink -> sink rx
+        | None -> t.malformed_count <- t.malformed_count + 1)
+      | _ -> t.malformed_count <- t.malformed_count + 1);
   t
 
 let register_client t id sink = Hashtbl.replace t.clients id sink

@@ -3,7 +3,8 @@
     A simulated machine hosts one or more principals (a replica, or several
     client processes, as in the paper's five client machines running up to
     200 client processes). The dispatcher decodes each incoming datagram
-    and routes it: client-addressed messages (REPLY, and the admission
+    — once per transmitted datagram: every receiving machine's dispatcher
+    shares one {!Message.received} — and routes it: client-addressed messages (REPLY, and the admission
     layer's BUSY) go to the client process they name, everything else goes
     to the machine's default principal (its replica or server), as does a
     client-addressed message naming no registered client. Datagrams nobody
@@ -11,7 +12,7 @@
     drop garbage UDP packets. Client machines ({!Cluster}'s and {!Norep}'s)
     have no default principal. *)
 
-type sink = wire:string -> prefix_len:int -> size:int -> Message.envelope -> unit
+type sink = Message.received -> unit
 
 type t
 

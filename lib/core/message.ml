@@ -469,9 +469,11 @@ let pad_string pad =
     Hashtbl.replace pad_strings pad s;
     s
 
-(* Computed once per replica per request: the replica keeps the digest with
-   the request (pending queue, log slot), so nothing here memoizes. *)
-let request_digest (r : request) =
+(* [request_digest r] and the number of bytes it digested. A replica
+   computes it once per request and keeps it with the request (pending
+   queue, log slot); a received request's digest is shared through its
+   [received] memo. *)
+let request_digest_fed (r : request) =
   let enc = digest_enc in
   Enc.clear enc;
   (* full_replies and replier are delivery hints, not part of the operation
@@ -485,8 +487,11 @@ let request_digest (r : request) =
   let b = digest_builder in
   Fingerprint.reset_builder b;
   Fingerprint.add_part_bytes b (Enc.unsafe_bytes enc) ~off:0 ~len:(Enc.length enc);
-  Fingerprint.add_part b (pad_string r.op.Payload.pad);
-  Fingerprint.finish b
+  let pad = pad_string r.op.Payload.pad in
+  Fingerprint.add_part b pad;
+  (Fingerprint.finish b, Enc.length enc + String.length pad)
+
+let request_digest r = fst (request_digest_fed r)
 
 let entry_digest = function
   | Full r -> request_digest r
@@ -556,6 +561,80 @@ let decode_envelope_ex s =
   ({ sender; msg; commits; auth }, prefix_len)
 
 let decode_envelope s = fst (decode_envelope_ex s)
+
+(* --- received envelopes ------------------------------------------------ *)
+
+(* Digest work that depends on a received wire's bytes alone, done by the
+   first receiver that asks. Every later ask notes the same work in
+   [Tally], so operation counts do not depend on how many receivers share
+   one datagram. *)
+type received_memo = {
+  mutable prefix_fp : Fingerprint.t option;
+  mutable digests : (Fingerprint.t list * int list) option;
+      (* the carried requests' digests, and the bytes each one digested *)
+}
+
+type received = {
+  rx_env : envelope;
+  rx_wire : string;
+  rx_size : int;
+  rx_prefix_len : int;
+  rx_memo : received_memo;
+}
+
+let receive ~size wire =
+  let env, prefix_len = decode_envelope_ex wire in
+  {
+    rx_env = env;
+    rx_wire = wire;
+    rx_size = size;
+    rx_prefix_len = prefix_len;
+    rx_memo = { prefix_fp = None; digests = None };
+  }
+
+let prefix_fingerprint rx =
+  match rx.rx_memo.prefix_fp with
+  | Some fp ->
+    Bft_crypto.Tally.note_digest rx.rx_prefix_len;
+    fp
+  | None ->
+    let fp = Fingerprint.of_substring rx.rx_wire ~off:0 ~len:rx.rx_prefix_len in
+    rx.rx_memo.prefix_fp <- Some fp;
+    fp
+
+let received_digests rx =
+  match rx.rx_memo.digests with
+  | Some (digests, fed) ->
+    List.iter Bft_crypto.Tally.note_digest fed;
+    digests
+  | None ->
+    let fed = ref [] in
+    let digest = function
+      | Full r ->
+        let d, n = request_digest_fed r in
+        fed := n :: !fed;
+        d
+      | (Summary _ | Null_entry) as e -> entry_digest e
+    in
+    let digests =
+      match rx.rx_env.msg with
+      | Request r -> [ digest (Full r) ]
+      | Pre_prepare p -> List.map digest p.entries
+      | Ordered_pre_prepare o -> List.map digest o.opp_entries
+      | _ -> []
+    in
+    rx.rx_memo.digests <- Some (digests, !fed);
+    digests
+
+let received_request_digest rx =
+  match rx.rx_env.msg with
+  | Request _ -> List.hd (received_digests rx)
+  | _ -> invalid_arg "Message.received_request_digest: not a request"
+
+let received_entry_digests rx =
+  match rx.rx_env.msg with
+  | Pre_prepare _ | Ordered_pre_prepare _ -> received_digests rx
+  | _ -> invalid_arg "Message.received_entry_digests: not a pre-prepare"
 
 let envelope_size env wire = String.length wire + padding env.msg
 

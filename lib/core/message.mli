@@ -161,9 +161,11 @@ type envelope = {
 }
 
 val request_digest : request -> Fingerprint.t
-(** D(m) over the canonical encoding of the request. Not memoized: a
-    replica digests each request once, when it first sees it, and keeps
-    the digest with the request. *)
+(** D(m) over the canonical encoding of the request — the one definition
+    of a request digest. A replica digests each request once, when it
+    first sees it, and keeps the digest with the request; the receivers of
+    one datagram share the digests of the requests it carries
+    ({!received_request_digest}). *)
 
 val entry_digest : batch_entry -> Fingerprint.t
 (** The request digest for [Full], the carried digest for [Summary],
@@ -195,9 +197,42 @@ val encode_envelope : envelope -> string
 val decode_envelope : string -> envelope
 (** Raises [Bft_util.Codec.Decode_error] on malformed input. *)
 
-val decode_envelope_ex : string -> envelope * int
-(** Also returns the prefix length, so receivers can verify the
-    authenticator against the exact received bytes. *)
+(** {2 Received envelopes}
+
+    A datagram's receivers share one [received]: the decoded envelope and
+    the digests that depend on its bytes alone, each computed by the first
+    receiver that asks. Every later ask counts the same digest work in
+    {!Bft_crypto.Tally}, so crypto operation counts are those of receivers
+    that each digest for themselves. Checks and costs that differ per
+    receiver — nonce window, own MAC tag, virtual CPU charges — are never
+    shared. *)
+
+type received_memo
+
+type received = private {
+  rx_env : envelope;
+  rx_wire : string;  (** the exact received bytes *)
+  rx_size : int;  (** modelled size *)
+  rx_prefix_len : int;  (** bytes the authenticator covers *)
+  rx_memo : received_memo;
+}
+
+val receive : size:int -> string -> received
+(** Decode a wire of modelled [size].
+    @raise Bft_util.Codec.Decode_error on malformed input. *)
+
+val prefix_fingerprint : received -> Fingerprint.t
+(** Digest of the envelope prefix, the message the authenticator's MACs
+    cover. *)
+
+val received_request_digest : received -> Fingerprint.t
+(** [request_digest r] of a received REQUEST [r].
+    @raise Invalid_argument for any other message. *)
+
+val received_entry_digests : received -> Fingerprint.t list
+(** [List.map entry_digest entries] of a received PRE-PREPARE or ordered
+    PRE-PREPARE.
+    @raise Invalid_argument for any other message. *)
 
 val envelope_size : envelope -> string -> int
 (** Modeled datagram size for an encoded envelope: wire length plus

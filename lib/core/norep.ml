@@ -12,9 +12,8 @@ let encode msg =
   (wire, Message.envelope_size env wire)
 
 let serve network node metrics handle =
-  Network.set_handler network node (fun ~src ~wire ~size ->
-      ignore size;
-      match Message.decode_envelope wire with
+  Network.set_handler network node (fun ~src dgram ->
+      match Message.decode_envelope dgram.Network.wire with
       | { Message.msg = Message.Request r; _ } -> handle ~src r
       | _ | (exception Bft_util.Codec.Decode_error _) ->
         Metrics.incr metrics "malformed")
@@ -158,8 +157,8 @@ module Client = struct
         metrics = Metrics.create ();
       }
     in
-    Dispatcher.register_client dispatcher id (fun ~wire:_ ~prefix_len:_ ~size:_ env ->
-        match env.Message.msg with
+    Dispatcher.register_client dispatcher id (fun rx ->
+        match rx.Message.rx_env.Message.msg with
         | Message.Reply r -> on_reply t r
         | _ -> ());
     t

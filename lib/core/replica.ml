@@ -1347,8 +1347,9 @@ and check_committed t (slot : Log.slot) =
     advance t
   end
 
-and on_pre_prepare t sender (pp : Message.pre_prepare) =
-  let digests = List.map Message.entry_digest pp.Message.entries in
+(* [digests] are the entries' digests, shared with the datagram's other
+   receivers. *)
+and on_pre_prepare t sender (pp : Message.pre_prepare) digests =
   accept_pre_prepare t sender pp digests
     (Message.batch_digest_of_entry_digests digests)
 
@@ -1437,8 +1438,7 @@ and resolve_missing t digest =
    (opp_close, epoch_first) that nobody proposed yet would otherwise
    block global execution order until our next batch. Claim those slots
    now — with real batches if work is pending, null requests otherwise. *)
-and on_ordered_pre_prepare t sender (o : Message.ordered_pre_prepare) =
-  let digests = List.map Message.entry_digest o.Message.opp_entries in
+and on_ordered_pre_prepare t sender (o : Message.ordered_pre_prepare) digests =
   let digest = Message.batch_digest_of_entry_digests digests in
   accept_pre_prepare t sender
     {
@@ -1605,7 +1605,9 @@ and send_resolved t ~dst ~view seq entries =
 
 (* --- requests ----------------------------------------------------------- *)
 
-and on_request t sender (r : Message.request) =
+(* [rx] is the received datagram that carries [r]: its request digest is
+   shared with the datagram's other receivers. *)
+and on_request t rx sender (r : Message.request) =
   if sender <> r.Message.client then Metrics.incr t.metrics "request.bad_sender"
   else begin
     let ce = client_entry t r.Message.client in
@@ -1621,7 +1623,8 @@ and on_request t sender (r : Message.request) =
       if ce.last_ts = r.Message.timestamp && ce.cached_tentative
          && not (orders_for t r.Message.client)
       then begin
-        Hashtbl.replace t.waiting (Message.request_digest r) (Engine.now (engine t));
+        Hashtbl.replace t.waiting (Message.received_request_digest rx)
+          (Engine.now (engine t));
         arm_waiting_timer t;
         ensure_resend_timer t
       end
@@ -1646,7 +1649,7 @@ and on_request t sender (r : Message.request) =
       else t.deferred_ro <- (r, result) :: t.deferred_ro
     end
     else begin
-      let digest = Message.request_digest r in
+      let digest = Message.received_request_digest rx in
       Hashtbl.replace t.request_store digest r;
       resolve_missing t digest;
       if orders_for t r.Message.client && t.status = Normal then begin
@@ -2023,16 +2026,19 @@ and on_new_key t (k : Message.new_key) =
   Keychain.observe_epoch (Transport.keychain t.transport) ~peer:k.Message.nk_replica
     k.Message.epoch
 
-and handle_message t sender msg =
+(* [msg] is [rx]'s message or one of the commits piggybacked on it. *)
+and handle_message t rx sender msg =
   match msg with
-  | Message.Request r -> on_request t sender r
+  | Message.Request r -> on_request t rx sender r
   | _ when sender < 0 || sender >= t.config.Config.n ->
     (* Clients share the replicas' key derivation, so authentication alone
        does not make a sender a replica: only replicas may vote, propose,
        checkpoint or take part in view changes and state transfer. *)
     Metrics.incr t.metrics "auth.not_replica"
-  | Message.Pre_prepare pp -> on_pre_prepare t sender pp
-  | Message.Ordered_pre_prepare o -> on_ordered_pre_prepare t sender o
+  | Message.Pre_prepare pp ->
+    on_pre_prepare t sender pp (Message.received_entry_digests rx)
+  | Message.Ordered_pre_prepare o ->
+    on_ordered_pre_prepare t sender o (Message.received_entry_digests rx)
   | Message.Prepare p -> on_prepare t sender p
   | Message.Commit c -> on_commit t sender c
   | Message.Checkpoint c ->
@@ -2074,14 +2080,15 @@ let maybe_replay t ~wire ~size =
       old_wire
   end
 
-let handle_envelope t ~wire ~prefix_len ~size (env : Message.envelope) =
+let handle_envelope t (rx : Message.received) =
+  let env = rx.Message.rx_env in
   (match t.behavior with
   | Behavior.Slow extra -> charge t extra
   | _ -> ());
-  match Transport.check t.transport ~wire ~prefix_len ~size env with
+  match Transport.check t.transport rx with
   | Transport.Accepted ->
     (match t.behavior with
-    | Behavior.Replay -> maybe_replay t ~wire ~size
+    | Behavior.Replay -> maybe_replay t ~wire:rx.Message.rx_wire ~size:rx.Message.rx_size
     | _ -> ());
     Metrics.incr t.metrics (Message.recv_counter env.Message.msg);
     (* Piggybacked commits: only the sender's own commits are credible,
@@ -2090,10 +2097,10 @@ let handle_envelope t ~wire ~prefix_len ~size (env : Message.envelope) =
       (fun (c : Message.commit) ->
         if c.Message.replica = env.Message.sender then begin
           Metrics.incr t.metrics "piggy.received";
-          handle_message t env.Message.sender (Message.Commit c)
+          handle_message t rx env.Message.sender (Message.Commit c)
         end)
       env.Message.commits;
-    handle_message t env.Message.sender env.Message.msg
+    handle_message t rx env.Message.sender env.Message.msg
   | Transport.Replayed -> Metrics.incr t.metrics "auth.replay_dropped"
   | Transport.Rejected -> Metrics.incr t.metrics "auth.failed"
 
@@ -2306,6 +2313,5 @@ let create ~config ~transport ~replicas ~lookup_client ~service ~rng ~dispatcher
   t.stable_digest <- state_digest t;
   t.stable_snapshot <- snapshot_payload t;
   Hashtbl.replace t.stable_certs 0 t.stable_digest;
-  Dispatcher.register_default dispatcher (fun ~wire ~prefix_len ~size env ->
-      handle_envelope t ~wire ~prefix_len ~size env);
+  Dispatcher.register_default dispatcher (handle_envelope t);
   t

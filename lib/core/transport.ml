@@ -152,7 +152,8 @@ let record_nonce t ~from nonce =
     let age = Int64.to_int (Int64.sub w.highest nonce) in
     w.bits <- Int64.logor w.bits (Int64.shift_left 1L age)
 
-let check t ~wire ~prefix_len ~size env =
+let check t (rx : Message.received) =
+  let env = rx.Message.rx_env in
   let from = env.Message.sender in
   let nonce = env.Message.auth.Auth.nonce in
   match nonce_status t ~from nonce with
@@ -162,8 +163,10 @@ let check t ~wire ~prefix_len ~size env =
        legitimate future delivery. *)
     Replayed
   | `Fresh ->
-    charge_recv_crypto t ~size;
-    let fp = Fingerprint.of_substring wire ~off:0 ~len:prefix_len in
+    charge_recv_crypto t ~size:rx.Message.rx_size;
+    (* The prefix digest is the datagram's, shared with its other
+       receivers; the tag checked below is this receiver's own. *)
+    let fp = Message.prefix_fingerprint rx in
     (* In pk mode the "signature" is modeled by the same MAC vector; cost
        is what differs. *)
     if Auth.check t.keychain ~from fp env.Message.auth then begin

@@ -46,12 +46,12 @@ val send : t -> dst:peer -> Message.t -> unit
 val multicast :
   t -> ?commits:Message.commit list -> dsts:peer list -> Message.t -> unit
 
-(** [check t ~wire ~prefix_len ~size env] verifies the authenticator of a
-    decoded envelope and charges the receive-side crypto costs. Replayed
-    nonces are dropped without charging (the receiver rejects them on the
-    cheap nonce comparison alone). *)
-val check :
-  t -> wire:string -> prefix_len:int -> size:int -> Message.envelope -> verdict
+(** [check t rx] verifies this principal's own MAC tag in the
+    authenticator of a received envelope and charges the receive-side
+    crypto costs. Replayed nonces are dropped without charging and without
+    digesting anything (the receiver rejects them on the cheap nonce
+    comparison alone). *)
+val check : t -> Message.received -> verdict
 
 val set_corrupt_auth : t -> bool -> unit
 (** Fault injection: emit invalid MACs (a forger without the keys). *)

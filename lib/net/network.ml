@@ -6,7 +6,19 @@ module Trace = Bft_trace.Trace
 
 type node_id = int
 
-type handler = src:node_id -> wire:string -> size:int -> unit
+type memo = ..
+
+type datagram = { wire : string; size : int; mutable memo : memo option }
+
+let memo d derive =
+  match d.memo with
+  | Some m -> m
+  | None ->
+    let m = derive d in
+    d.memo <- Some m;
+    m
+
+type handler = src:node_id -> datagram -> unit
 
 type node_counters = {
   mutable nc_sent : int;  (** datagrams departing this host (per destination) *)
@@ -71,7 +83,7 @@ let engine t = t.engine
 
 let calibration t = t.cal
 
-let no_handler ~src:_ ~wire:_ ~size:_ = ()
+let no_handler ~src:_ _ = ()
 
 let add_node t ~cpu ?(recv_buffer = 0.02) ~name () =
   let node =
@@ -174,7 +186,8 @@ let drop t (node : node) ~id ~overflow ~why =
       ~node:id ~detail:why Trace.Net_drop
 
 (* Deliver one already-serialized datagram to [dst]'s ingress link. *)
-let deliver t ~src ~dst ~wire ~size ~arrival =
+let deliver t ~src ~dst dgram ~arrival =
+  let size = dgram.size in
   let receiver = get t dst in
   let start = Float.max arrival receiver.ingress_free in
   let backlog = start -. arrival in
@@ -196,17 +209,21 @@ let deliver t ~src ~dst ~wire ~size ~arrival =
               Trace.Net_deliver;
           Cpu.dispatch receiver.cpu (fun () ->
               charge_recv t receiver size;
-              receiver.handler ~src ~wire ~size)
+              receiver.handler ~src dgram)
         end
         else drop t receiver ~id:dst ~overflow:false ~why:"down")
   end
 
 let unlucky t p = p > 0.0 && Rng.bernoulli t.rng p
 
-(* Serialize once on the sender's egress link, then fan out. *)
+(* Serialize once on the sender's egress link, then fan out. Every
+   destination, loopback and duplicate of this transmit receives the one
+   [dgram], so what a receiver derives from its bytes alone ([memo]) is
+   derived once. A re-sent wire is a new transmit with an empty memo. *)
 let transmit t ~src ~dsts ~wire ~size =
   let sender = get t src in
   if sender.up then begin
+    let dgram = { wire; size; memo = None } in
     let departure = Float.max (Cpu.virtual_now sender.cpu) sender.egress_free in
     let serialization = Calibration.transmission_time t.cal size in
     sender.egress_free <- departure +. serialization;
@@ -253,7 +270,7 @@ let transmit t ~src ~dsts ~wire ~size =
                         Trace.Net_deliver;
                     Cpu.dispatch sender.cpu (fun () ->
                         charge_recv t sender size;
-                        sender.handler ~src ~wire ~size)
+                        sender.handler ~src dgram)
                   end
                   else drop t sender ~id:src ~overflow:false ~why:"down")
             in
@@ -266,9 +283,9 @@ let transmit t ~src ~dsts ~wire ~size =
         else if unlucky t t.loss then
           drop t (get t dst) ~id:dst ~overflow:false ~why:"fault"
         else begin
-          deliver t ~src ~dst ~wire ~size ~arrival:at_switch;
+          deliver t ~src ~dst dgram ~arrival:at_switch;
           if unlucky t t.duplication then
-            deliver t ~src ~dst ~wire ~size ~arrival:at_switch
+            deliver t ~src ~dst dgram ~arrival:at_switch
         end)
       dsts
   end

@@ -18,7 +18,28 @@ type t
 
 type node_id = int
 
-type handler = src:node_id -> wire:string -> size:int -> unit
+type memo = ..
+(** What receivers derive from a datagram's bytes alone (the decoded
+    message, its digests). Each layer that derives something adds its own
+    constructor. *)
+
+type datagram = private {
+  wire : string;
+  size : int;
+  mutable memo : memo option;
+}
+(** One transmitted datagram. Every destination of one {!send} or
+    {!multicast} — loopback and injected duplicates included — receives
+    the same value, so its memo is shared by every receiver of that
+    transmit and of nothing else: a wire sent again is a new datagram. *)
+
+val memo : datagram -> (datagram -> memo) -> memo
+(** [memo d derive] is [derive d] for the first caller on [d]; every
+    later caller gets that same value without calling [derive]. Only work
+    that depends on [d]'s bytes alone belongs here: checks and costs that
+    differ per receiver stay with the receiver. *)
+
+type handler = src:node_id -> datagram -> unit
 
 val simulation :
   ?cal:Bft_sim.Calibration.t ->

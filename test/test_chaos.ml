@@ -226,7 +226,7 @@ let crashed_node_keeps_nothing () =
   let net = Cluster.network cluster in
   let node = Cluster.replica_node cluster 0 in
   let got = ref 0 in
-  Network.set_handler net node (fun ~src:_ ~wire:_ ~size:_ -> incr got);
+  Network.set_handler net node (fun ~src:_ _ -> incr got);
   Network.send net ~src:node ~dst:node "self";
   Cluster.crash_replica cluster 0;
   Cluster.run ~until:0.1 cluster;

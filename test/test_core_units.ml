@@ -299,9 +299,9 @@ let make_trig () =
   Array.iteri
     (fun i transport ->
       let dispatcher = Dispatcher.install net (Transport.node transport) in
-      Dispatcher.register_default dispatcher (fun ~wire ~prefix_len ~size env ->
-          if Transport.check transport ~wire ~prefix_len ~size env = Transport.Accepted
-          then received := (i, env) :: !received))
+      Dispatcher.register_default dispatcher (fun rx ->
+          if Transport.check transport rx = Transport.Accepted
+          then received := (i, rx.Message.rx_env) :: !received))
     transports;
   { engine; net; transports; received }
 
@@ -374,9 +374,8 @@ let test_transport_nonce_window () =
     let auth = if corrupt then Bft_crypto.Auth.corrupt auth else auth in
     Bft_crypto.Auth.encode enc auth;
     let wire = Enc.to_string enc in
-    let env, prefix_len = Message.decode_envelope_ex wire in
-    Transport.check r.transports.(1) ~wire ~prefix_len
-      ~size:(String.length wire) env
+    Transport.check r.transports.(1)
+      (Message.receive ~size:(String.length wire) wire)
   in
   check verdict_t "first delivery accepted" Transport.Accepted (deliver 5L);
   check verdict_t "exact replay dropped" Transport.Replayed (deliver 5L);
@@ -394,6 +393,61 @@ let test_transport_nonce_window () =
   check verdict_t "below window is stale" Transport.Replayed (deliver 36L);
   check verdict_t "oldest in-window nonce accepted" Transport.Accepted
     (deliver 37L)
+
+(* One multicast is decoded once: its three receivers share one envelope
+   and its digests, yet each checks its own nonce and MAC tag, and the
+   crypto tallies count the digest work of every receiver. *)
+let test_multicast_decoded_once () =
+  let module Tally = Bft_crypto.Tally in
+  let net = Network.simulation ~rng:(Bft_util.Rng.of_int 5) () in
+  let engine = Network.engine net in
+  let transports =
+    Array.init 4 (fun i ->
+        let cpu = Cpu.create engine () in
+        let node = Network.add_node net ~cpu ~name:(Printf.sprintf "n%d" i) () in
+        Transport.create net ~keychain:(Keychain.create ~master:"m" ~self:i ()) ~node ())
+  in
+  let got = ref [] in
+  for i = 1 to 3 do
+    let dispatcher = Dispatcher.install net (Transport.node transports.(i)) in
+    Dispatcher.register_default dispatcher (fun rx ->
+        let verdict = Transport.check transports.(i) rx in
+        got := (i, rx, verdict, Message.received_request_digest rx) :: !got)
+  done;
+  let request =
+    {
+      Message.client = 0;
+      timestamp = 1L;
+      read_only = false;
+      full_replies = false;
+      replier = -1;
+      op = Payload.of_string (String.make 1000 'x');
+    }
+  in
+  let peer i = { Transport.principal = i; node = Transport.node transports.(i) } in
+  Transport.multicast transports.(0) ~dsts:[ peer 1; peer 2; peer 3 ]
+    (Message.Request request);
+  let before = Tally.snapshot () in
+  Engine.run engine;
+  let during = Tally.diff (Tally.snapshot ()) before in
+  match List.rev !got with
+  | [ (1, rx1, v1, d1); (2, rx2, v2, d2); (3, rx3, v3, d3) ] ->
+    check Alcotest.bool "one envelope for all receivers" true
+      (rx1.Message.rx_env == rx2.Message.rx_env
+      && rx2.Message.rx_env == rx3.Message.rx_env);
+    List.iter (check verdict_t "own MAC accepted" Transport.Accepted) [ v1; v2; v3 ];
+    check Alcotest.bool "one request digest" true (d1 == d2 && d2 == d3);
+    check Alcotest.bool "the request's digest" true
+      (Fingerprint.equal d1 (Message.request_digest request));
+    (* Three prefix digests and three request digests, as if each
+       receiver had computed its own. *)
+    check Alcotest.int "digests counted per receiver" 6 during.Tally.digest_ops;
+    let before = Tally.snapshot () in
+    check verdict_t "second delivery replayed" Transport.Replayed
+      (Transport.check transports.(1) rx1);
+    check Alcotest.int "a replay digests nothing" 0
+      (Tally.diff (Tally.snapshot ()) before).Tally.digest_ops
+  | _ -> Alcotest.fail "expected one delivery at each of three receivers"
 
 (* --- client reply quorums ------------------------------------------------- *)
 
@@ -431,12 +485,12 @@ let make_crig () =
   Array.iteri
     (fun i transport ->
       let dispatcher = Dispatcher.install net replica_nodes.(i) in
-      Dispatcher.register_default dispatcher (fun ~wire ~prefix_len ~size env ->
+      Dispatcher.register_default dispatcher (fun rx ->
           if
-            Transport.check transport ~wire ~prefix_len ~size env
+            Transport.check transport rx
             = Transport.Accepted
           then
-            match env.Message.msg with
+            match rx.Message.rx_env.Message.msg with
             | Message.Request r -> request_ts := r.Message.timestamp
             | _ -> ()))
     replica_transports;
@@ -549,13 +603,13 @@ let test_dispatcher_routes_replies () =
   let node = machine "m" in
   let d = Dispatcher.install net node in
   let got_client = ref 0 and got_default = ref 0 in
-  Dispatcher.register_client d 101 (fun ~wire:_ ~prefix_len:_ ~size:_ _ -> incr got_client);
-  Dispatcher.register_default d (fun ~wire:_ ~prefix_len:_ ~size:_ _ -> incr got_default);
+  Dispatcher.register_client d 101 (fun _ -> incr got_client);
+  Dispatcher.register_default d (fun _ -> incr got_default);
   (* A client machine: no default principal. *)
   let client_node = machine "c" in
   let client_d = Dispatcher.install net client_node in
   let got_registered = ref 0 in
-  Dispatcher.register_client client_d 101 (fun ~wire:_ ~prefix_len:_ ~size:_ _ ->
+  Dispatcher.register_client client_d 101 (fun _ ->
       incr got_registered);
   let send ?(dst = node) msg =
     let env = { Message.sender = 0; msg; commits = []; auth = { Bft_crypto.Auth.nonce = 0L; entries = [] } } in
@@ -841,6 +895,8 @@ let () =
           Alcotest.test_case "charges cpu" `Quick test_transport_charges_cpu;
           Alcotest.test_case "nonce window drops replays" `Quick
             test_transport_nonce_window;
+          Alcotest.test_case "one multicast, one decode" `Quick
+            test_multicast_decoded_once;
         ] );
       ( "client quorums",
         [

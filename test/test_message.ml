@@ -319,7 +319,8 @@ let transport_datagrams (env : Message.envelope) =
   let node name = Network.add_node net ~cpu:(Bft_sim.Cpu.create engine ()) ~name () in
   let src = node "sender" and dst = node "receiver" in
   let captured = ref [] in
-  Network.set_handler net dst (fun ~src:_ ~wire ~size:_ -> captured := wire :: !captured);
+  Network.set_handler net dst (fun ~src:_ dgram ->
+      captured := dgram.Network.wire :: !captured);
   let keychain = Bft_crypto.Keychain.create ~master:"m" ~self:env.sender () in
   let transport = Transport.create net ~keychain ~node:src () in
   Transport.multicast transport ~commits:env.commits

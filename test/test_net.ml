@@ -26,9 +26,8 @@ let make_rig ?(count = 3) ?recv_buffer ?trace () =
   in
   Array.iter
     (fun node ->
-      Network.set_handler net node (fun ~src ~wire ~size ->
-          ignore size;
-          received := (node, src, wire) :: !received))
+      Network.set_handler net node (fun ~src dgram ->
+          received := (node, src, dgram.Network.wire) :: !received))
     nodes;
   { engine; net; nodes; received }
 
