@@ -13,7 +13,7 @@ let empty = { data = ""; pad = 0 }
 
 let size t = String.length t.data + t.pad
 
-let digest t = Fingerprint.of_parts [ t.data; Printf.sprintf "pad:%d" t.pad ]
+let digest t = Fingerprint.of_parts [ t.data; "pad:" ^ string_of_int t.pad ]
 
 let equal a b = a.data = b.data && a.pad = b.pad
 
