@@ -2,6 +2,7 @@ module Client = Bft_core.Client
 module Cluster = Bft_core.Cluster
 module Config = Bft_core.Config
 module Engine = Bft_sim.Engine
+module Timer = Bft_sim.Timer
 module Rng = Bft_util.Rng
 module Kv = Bft_services.Kv_store
 
@@ -240,12 +241,16 @@ let exec t ops callback =
           drive t (Kv.Abort txn) others (fun () -> finish (Aborted reason)))
     in
     (* Coordinator-side abort deadline: a wedged prepare phase (replica
-       crash, partition) must not hold locks forever. *)
-    Engine.schedule t.engine ~delay:t.prepare_timeout (fun () ->
-        if (not !resolved) && not t.dead then begin
-          resolved := true;
-          decide_abort "prepare timeout"
-        end);
+       crash, partition) must not hold locks forever. The votes cancel it
+       when they resolve the transaction, so it leaves the engine's queue
+       then instead of idling there for [prepare_timeout]. *)
+    let deadline =
+      Timer.start t.engine ~delay:t.prepare_timeout (fun () ->
+          if (not !resolved) && not t.dead then begin
+            resolved := true;
+            decide_abort "prepare timeout"
+          end)
+    in
     List.iter
       (fun g ->
         let gops = List.rev (Hashtbl.find by_group g) in
@@ -267,11 +272,13 @@ let exec t ops callback =
                   end
                   else begin
                     resolved := true;
+                    Timer.cancel deadline;
                     decide_commit ()
                   end
                 end
                 else begin
                   resolved := true;
+                  Timer.cancel deadline;
                   decide_abort "prepare voted no"
                 end
             end))

@@ -86,6 +86,25 @@ let test_cross_shard_commit () =
   no_leftover_txn_state stores;
   check Alcotest.int "one txn committed" 1 (Txn.committed h)
 
+(* The prepare deadline is a timer the votes cancel: once a transaction
+   commits, nothing of it stays queued in the engine until the deadline
+   would have fired ([prepare_timeout], 2 s here). *)
+let test_deadline_leaves_queue () =
+  let rig, _ = rig_with_stores ~seed:21 ~groups:2 () in
+  let k1, k2 = cross_group_keys rig in
+  let h = Txn.create rig in
+  let engine = Rig.engine rig in
+  Rig.run ~until:1.0 rig;
+  let before = Bft_sim.Engine.pending engine in
+  let outcome = ref None in
+  Txn.exec h
+    [ Kv.Put (k1, "v1"); Kv.Put (k2, "v2") ]
+    (fun o -> outcome := Some o);
+  Rig.run ~until:1.5 rig;
+  check Alcotest.bool "committed" true (!outcome = Some Txn.Committed);
+  check Alcotest.int "queued events back to their count before the txn" before
+    (Bft_sim.Engine.pending engine)
+
 let test_cross_shard_abort_is_atomic () =
   (* Wedge one key under a foreign transaction's lock (a raw replicated
      Prepare that nobody resolves): a transaction spanning that key and a
@@ -301,6 +320,8 @@ let () =
       ( "2pc",
         [
           Alcotest.test_case "cross-shard commit" `Quick test_cross_shard_commit;
+          Alcotest.test_case "deadline leaves the queue" `Quick
+            test_deadline_leaves_queue;
           Alcotest.test_case "abort is atomic" `Quick
             test_cross_shard_abort_is_atomic;
           Alcotest.test_case "coordinator crash recovery" `Quick
