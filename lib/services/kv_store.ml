@@ -89,10 +89,33 @@ let rec encode_op enc op =
     Enc.u16 enc slot;
     Enc.u16 enc slots
 
+(* Encoded sizes, so each payload is encoded into storage of exactly its
+   size and handed over without a copy: a 1 KB value never passes through
+   a doubled 2 KB scratch buffer. *)
+let bytes_size s = 4 + String.length s
+
+let bindings_size bs =
+  List.fold_left (fun acc (k, v) -> acc + bytes_size k + bytes_size v) 4 bs
+
+let rec op_size = function
+  | Get key | Delete key -> 1 + bytes_size key
+  | Put (key, value) -> 1 + bytes_size key + bytes_size value
+  | Cas { key; expected; update } ->
+    1 + bytes_size key
+    + (match expected with None -> 1 | Some e -> 1 + bytes_size e)
+    + bytes_size update
+  | Prepare { txn; participants; ops; _ } ->
+    1 + bytes_size txn + 2
+    + (4 + (2 * List.length participants))
+    + List.fold_left (fun acc op -> acc + op_size op) 4 ops
+  | Commit txn | Abort txn | Txn_status txn -> 1 + bytes_size txn
+  | Snapshot_slot _ | Drop_slot _ -> 5
+  | Install { bindings; _ } -> 5 + bindings_size bindings
+
 let op_payload op =
-  let enc = Enc.create () in
+  let enc = Enc.create ~initial:(op_size op) () in
   encode_op enc op;
-  Payload.of_string (Enc.to_string enc)
+  Payload.of_string (Enc.contents enc)
 
 let rec decode_op dec =
   match Dec.u8 dec with
@@ -148,8 +171,17 @@ let op_of_payload (p : Payload.t) =
   | op -> Some op
   | exception Bft_util.Codec.Decode_error _ -> None
 
+let result_size = function
+  | Value None -> 2
+  | Value (Some v) -> 2 + bytes_size v
+  | Stored -> 1
+  | Cas_result _ | Prepared _ -> 2
+  | Error msg -> 1 + bytes_size msg
+  | Bindings bs -> 1 + bindings_size bs
+  | Txn_state { participants; _ } -> 2 + 4 + (2 * List.length participants)
+
 let result_payload result =
-  let enc = Enc.create () in
+  let enc = Enc.create ~initial:(result_size result) () in
   (match result with
   | Value v ->
     Enc.u8 enc 0;
@@ -175,7 +207,7 @@ let result_payload result =
     Enc.u8 enc 6;
     Enc.u8 enc state;
     Enc.list enc Enc.u16 participants);
-  Payload.of_string (Enc.to_string enc)
+  Payload.of_string (Enc.contents enc)
 
 let result_of_payload (p : Payload.t) =
   let dec = Dec.of_string p.Payload.data in

@@ -19,7 +19,7 @@ module Enc = struct
   let reserve t extra =
     let needed = t.len + extra in
     if needed > Bytes.length t.buf then begin
-      let cap = ref (Bytes.length t.buf * 2) in
+      let cap = ref (max 16 (Bytes.length t.buf * 2)) in
       while !cap < needed do
         cap := !cap * 2
       done;
@@ -80,6 +80,20 @@ module Enc = struct
     List.iter (f t) l
 
   let to_string t = Bytes.sub_string t.buf 0 t.len
+
+  let contents t =
+    let s =
+      if t.len < Bytes.length t.buf then to_string t
+      else begin
+        (* Exactly full: hand the storage over instead of copying it; the
+           encoder keeps no alias to the string it returns. *)
+        let s = Bytes.unsafe_to_string t.buf in
+        t.buf <- Bytes.empty;
+        s
+      end
+    in
+    t.len <- 0;
+    s
 
   let length t = t.len
 

@@ -36,6 +36,14 @@ module Enc : sig
   val option : t -> (t -> 'a -> unit) -> 'a option -> unit
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   val to_string : t -> string
+
+  val contents : t -> string
+  (** The encoded bytes, leaving the encoder empty. When the bytes fill the
+      encoder's storage exactly — [create ~initial:n] followed by [n]
+      bytes — the storage becomes the string without a copy; otherwise
+      this is [to_string] then [clear]. For one-shot encoders sized to
+      their output. *)
+
   val length : t -> int
 
   val unsafe_bytes : t -> Bytes.t

@@ -293,6 +293,22 @@ let roundtrip_scalar () =
   check Alcotest.string "bytes" "hello" (Codec.Dec.bytes dec);
   check Alcotest.bool "at end" true (Codec.Dec.at_end dec)
 
+(* [contents] hands exactly-full storage over and copies otherwise; either
+   way the encoder starts empty and stays usable, and a later write never
+   shows through a string handed out before. *)
+let test_codec_contents () =
+  let enc = Codec.Enc.create ~initial:20 () in
+  Codec.Enc.bytes enc (String.make 16 'a');
+  let full = Codec.Enc.contents enc in
+  check Alcotest.int "exactly full" 20 (String.length full);
+  check Alcotest.int "empty after" 0 (Codec.Enc.length enc);
+  Codec.Enc.bytes enc "bc";
+  check Alcotest.string "reused after handover" "\002\000\000\000bc"
+    (Codec.Enc.contents enc);
+  check Alcotest.string "handed-out string unchanged"
+    ("\016\000\000\000" ^ String.make 16 'a')
+    full
+
 let test_codec_option_list () =
   let enc = Codec.Enc.create () in
   Codec.Enc.option enc Codec.Enc.bytes (Some "x");
@@ -417,6 +433,7 @@ let () =
         [
           Alcotest.test_case "scalar roundtrip" `Quick roundtrip_scalar;
           Alcotest.test_case "option and list" `Quick test_codec_option_list;
+          Alcotest.test_case "contents" `Quick test_codec_contents;
           Alcotest.test_case "truncation" `Quick test_codec_truncation;
           Alcotest.test_case "bad tags" `Quick test_codec_bad_tags;
           Alcotest.test_case "negative int rejected" `Quick
