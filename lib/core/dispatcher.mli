@@ -3,11 +3,12 @@
     A simulated machine hosts one or more principals (a replica, or several
     client processes, as in the paper's five client machines running up to
     200 client processes). The dispatcher decodes each incoming datagram
-    — once per transmitted datagram: every receiving machine's dispatcher
-    shares one {!Message.received} — and routes it: client-addressed messages (REPLY, and the admission
+    and routes it: client-addressed messages (REPLY, and the admission
     layer's BUSY) go to the client process they name, everything else goes
     to the machine's default principal (its replica or server), as does a
-    client-addressed message naming no registered client. Datagrams nobody
+    client-addressed message naming no registered client. A datagram is
+    decoded once per transmit: the dispatchers of all its receiving
+    machines share one {!Message.received}. Datagrams nobody
     takes are counted and dropped ({!malformed}), as a real server would
     drop garbage UDP packets. Client machines ({!Cluster}'s and {!Norep}'s)
     have no default principal. *)

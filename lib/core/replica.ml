@@ -2088,7 +2088,8 @@ let handle_envelope t (rx : Message.received) =
   match Transport.check t.transport rx with
   | Transport.Accepted ->
     (match t.behavior with
-    | Behavior.Replay -> maybe_replay t ~wire:rx.Message.rx_wire ~size:rx.Message.rx_size
+    | Behavior.Replay ->
+      maybe_replay t ~wire:rx.Message.rx_wire ~size:rx.Message.rx_size
     | _ -> ());
     Metrics.incr t.metrics (Message.recv_counter env.Message.msg);
     (* Piggybacked commits: only the sender's own commits are credible,

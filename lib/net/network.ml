@@ -8,15 +8,17 @@ type node_id = int
 
 type memo = ..
 
-type datagram = { wire : string; size : int; mutable memo : memo option }
+type memo += Unset
+
+type datagram = { wire : string; size : int; mutable memo : memo }
 
 let memo d derive =
   match d.memo with
-  | Some m -> m
-  | None ->
+  | Unset ->
     let m = derive d in
-    d.memo <- Some m;
+    d.memo <- m;
     m
+  | m -> m
 
 type handler = src:node_id -> datagram -> unit
 
@@ -223,7 +225,7 @@ let unlucky t p = p > 0.0 && Rng.bernoulli t.rng p
 let transmit t ~src ~dsts ~wire ~size =
   let sender = get t src in
   if sender.up then begin
-    let dgram = { wire; size; memo = None } in
+    let dgram = { wire; size; memo = Unset } in
     let departure = Float.max (Cpu.virtual_now sender.cpu) sender.egress_free in
     let serialization = Calibration.transmission_time t.cal size in
     sender.egress_free <- departure +. serialization;

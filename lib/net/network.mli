@@ -23,11 +23,7 @@ type memo = ..
     message, its digests). Each layer that derives something adds its own
     constructor. *)
 
-type datagram = private {
-  wire : string;
-  size : int;
-  mutable memo : memo option;
-}
+type datagram = private { wire : string; size : int; mutable memo : memo }
 (** One transmitted datagram. Every destination of one {!send} or
     {!multicast} — loopback and injected duplicates included — receives
     the same value, so its memo is shared by every receiver of that
