@@ -43,8 +43,8 @@ type pending = {
   started : float;
   mutable retries : int;
   mutable busy_retries : int;  (** BUSY replies absorbed for this op *)
-  replies : (replica_id, reply_record) Hashtbl.t;
-  tallies : (Fingerprint.t, tally) Hashtbl.t;
+  replies : reply_record option array;  (** at each replica's id *)
+  mutable tallies : (Fingerprint.t * tally) list;  (** one per result digest *)
   mutable timer : Timer.t;
 }
 
@@ -83,11 +83,20 @@ let busy t = Option.is_some t.pending
 
 (* The (f+1)-th largest view reported by distinct replicas: at least one
    correct replica is in (or past) that view, so f liars cannot push the
-   estimate forward. *)
+   estimate forward. Selected in place: the reported view with at most f
+   views above it and more than f at or above it. *)
 let view_estimate t =
-  let sorted = Array.copy t.last_views in
-  Array.sort (fun a b -> compare b a) sorted;
-  sorted.(t.config.Config.f)
+  let views = t.last_views and f = t.config.Config.f in
+  let rec pick i =
+    let v = views.(i) in
+    let above = ref 0 and at_least = ref 0 in
+    for j = 0 to Array.length views - 1 do
+      if views.(j) > v then incr above;
+      if views.(j) >= v then incr at_least
+    done;
+    if !above <= f && !at_least > f then v else pick (i + 1)
+  in
+  pick 0
 
 let primary_peer t = t.replicas.(primary_of_view ~n:t.config.Config.n (view_estimate t))
 
@@ -159,8 +168,8 @@ and retransmit t p =
   if p.as_read_only then begin
     (* Fall back to the regular read-write protocol (Section 3.1). *)
     p.as_read_only <- false;
-    Hashtbl.reset p.replies;
-    Hashtbl.reset p.tallies
+    Array.fill p.replies 0 (Array.length p.replies) None;
+    p.tallies <- []
   end;
   transmit t p;
   arm_timer t p
@@ -206,14 +215,19 @@ let handle_busy t p =
           | _ -> ())
   end
 
+let rec find_tally digest = function
+  | [] -> None
+  | (d, tally) :: rest ->
+    if Fingerprint.equal d digest then Some tally else find_tally digest rest
+
 let tally_for p digest =
-  match Hashtbl.find_opt p.tallies digest with
+  match find_tally digest p.tallies with
   | Some tally -> tally
   | None ->
     let tally =
       { t_total = 0; t_committed = 0; t_full = None; t_full_committed = false }
     in
-    Hashtbl.add p.tallies digest tally;
+    p.tallies <- (digest, tally) :: p.tallies;
     tally
 
 let tally_add p (rr : reply_record) =
@@ -222,7 +236,7 @@ let tally_add p (rr : reply_record) =
   if not rr.rr_tentative then tally.t_committed <- tally.t_committed + 1;
   (match rr.rr_full with
   | Some payload
-    when tally.t_full = None
+    when Option.is_none tally.t_full
          || ((not tally.t_full_committed) && not rr.rr_tentative) ->
     (* Keep a full body for the digest, preferring one vouched for by a
        committed reply over one only tentatively executed. *)
@@ -235,7 +249,7 @@ let tally_remove p (rr : reply_record) =
   (* The superseded record's counts go away; any full body it contributed
      stays — a full result is bound to its digest regardless of which
      replica delivered it first. *)
-  match Hashtbl.find_opt p.tallies rr.rr_digest with
+  match find_tally rr.rr_digest p.tallies with
   | None -> ()
   | Some tally ->
     tally.t_total <- tally.t_total - 1;
@@ -251,13 +265,13 @@ let tally_remove p (rr : reply_record) =
    at least f+1 matching records, so the index is in range. *)
 let quorum_view t p ~digest =
   let views =
-    Hashtbl.fold
-      (fun _ rr acc ->
-        if Fingerprint.equal rr.rr_digest digest then rr.rr_view :: acc
-        else acc)
-      p.replies []
+    Array.fold_left
+      (fun acc -> function
+        | Some rr when Fingerprint.equal rr.rr_digest digest -> rr.rr_view :: acc
+        | _ -> acc)
+      [] p.replies
   in
-  let sorted = List.sort (fun a b -> compare b a) views in
+  let sorted = List.sort (fun a b -> Int.compare b a) views in
   List.nth sorted (Stdlib.min t.config.Config.f (List.length sorted - 1))
 
 (* Acceptance is checked only for the digest the arriving reply touched:
@@ -265,7 +279,7 @@ let quorum_view t p ~digest =
    superseding reply can lower another digest's counts, but acceptance
    thresholds are monotone so a decrement can never newly satisfy them).
    The winner is therefore the first digest whose quorum completes in
-   arrival order — deterministic, rather than [Hashtbl.iter] order over a
+   arrival order — deterministic, rather than iteration order over a
    rebuilt table. *)
 let check_acceptance t p ~digest (tally : tally) =
   let f = t.config.Config.f in
@@ -320,16 +334,16 @@ let handle_reply t p (r : Message.reply) =
        and a full result supersedes a digest-only reply (a designated
        replier's retransmission must not be blocked by the digest we
        already hold); otherwise the first reply wins. *)
-    match Hashtbl.find_opt p.replies replica with
+    match p.replies.(replica) with
     | Some old
       when (old.rr_tentative && not record.rr_tentative)
-           || (old.rr_full = None && record.rr_full <> None) ->
-      Hashtbl.replace p.replies replica record;
+           || (Option.is_none old.rr_full && Option.is_some record.rr_full) ->
+      p.replies.(replica) <- Some record;
       tally_remove p old;
       check_acceptance t p ~digest:record.rr_digest (tally_add p record)
     | Some _ -> ()
     | None ->
-      Hashtbl.add p.replies replica record;
+      p.replies.(replica) <- Some record;
       check_acceptance t p ~digest:record.rr_digest (tally_add p record)
   end
 
@@ -391,8 +405,8 @@ let invoke t ?(read_only = false) op callback =
       started = Engine.now (Transport.engine t.transport);
       retries = 0;
       busy_retries = 0;
-      replies = Hashtbl.create 8;
-      tallies = Hashtbl.create 4;
+      replies = Array.make t.config.Config.n None;
+      tallies = [];
       timer = Timer.never;
     }
   in

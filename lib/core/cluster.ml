@@ -6,6 +6,7 @@ module Keychain = Bft_crypto.Keychain
 module Fingerprint = Bft_crypto.Fingerprint
 module Monitor = Bft_trace.Monitor
 module Rng = Bft_util.Rng
+module Int_tbl = Bft_util.Dense.Int_tbl
 
 type client_machine = {
   cm_node : Network.node_id;
@@ -24,9 +25,9 @@ type t = {
   replicas : Replica.t array;
   replica_peers : Transport.peer array;
   client_machines : client_machine array;
-  client_peers : (Types.client_id, Transport.peer) Hashtbl.t;
+  principals : Keychain.deployment;  (* shared by every keychain below *)
+  client_peers : Transport.peer Int_tbl.t;
   mutable clients : Client.t list;  (* newest first *)
-  mutable next_client : int;
   mutable monitors : Monitor.t list;  (* attached health monitors *)
 }
 
@@ -205,8 +206,7 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
     | None -> Printf.sprintf "cluster-master-secret-%d" seed
   in
   let client_principal_base = Option.value ~default:n client_principal_base in
-  if client_principal_base < n then
-    invalid_arg "Cluster.create: client principals must not collide with replicas";
+  let principals = Keychain.deployment ~replicas:n ~client_base:client_principal_base in
   let node_name fmt = Printf.ksprintf (fun s -> name_prefix ^ s) fmt in
   (* Replica machines. *)
   let replica_nodes =
@@ -226,11 +226,11 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
         let node = Network.add_node network ~cpu ~name () in
         { cm_node = node; cm_dispatcher = Dispatcher.install network node })
   in
-  let client_peers = Hashtbl.create 64 in
-  let lookup_client c = Hashtbl.find_opt client_peers c in
+  let client_peers = Int_tbl.create 64 in
+  let lookup_client c = Int_tbl.find_opt client_peers c in
   let replicas =
     Array.init n (fun i ->
-        let keychain = Keychain.create ~master ~self:i ~replica_bound:n () in
+        let keychain = Keychain.create ~master ~self:i principals in
         let transport =
           Transport.create network ~keychain ~node:replica_nodes.(i)
             ~public_key_signatures:config.Config.public_key_signatures ()
@@ -256,23 +256,19 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
     replicas;
     replica_peers;
     client_machines;
+    principals;
     client_peers;
     clients = [];
-    next_client = 0;
     monitors = [];
   }
 
 let add_client t =
-  let idx = t.next_client in
-  t.next_client <- idx + 1;
-  let principal = t.client_principal_base + idx in
+  let principal = Keychain.admit_client t.principals in
+  let idx = principal - t.client_principal_base in
   let machine = t.client_machines.(idx mod Array.length t.client_machines) in
-  Hashtbl.replace t.client_peers principal
+  Int_tbl.replace t.client_peers principal
     { Transport.principal; node = machine.cm_node };
-  let keychain =
-    Keychain.create ~master:t.master ~self:principal
-      ~replica_bound:t.config.Config.n ()
-  in
+  let keychain = Keychain.create ~master:t.master ~self:principal t.principals in
   let transport =
     Transport.create t.network ~keychain ~node:machine.cm_node
       ~public_key_signatures:t.config.Config.public_key_signatures ()

@@ -33,7 +33,12 @@ val create :
     [name_prefix] (prepended to machine names and per-replica series
     columns), [master] (key-derivation secret) and [client_principal_base]
     (default [n]; client principals are [base + i], and must be unique
-    across groups for trace request ids to stay unambiguous). *)
+    across groups for trace request ids to stay unambiguous).
+
+    The replicas and the clients {!add_client} has admitted make up the
+    cluster's {!Bft_crypto.Keychain.deployment}: its transports reject a
+    datagram from any other principal. Raises [Invalid_argument] if
+    [client_principal_base < n]. *)
 
 val engine : t -> Bft_sim.Engine.t
 

@@ -1,9 +1,10 @@
 module Network = Bft_net.Network
+module Int_tbl = Bft_util.Dense.Int_tbl
 
 type sink = Message.received -> unit
 
 type t = {
-  clients : (Types.client_id, sink) Hashtbl.t;
+  clients : sink Int_tbl.t;
   mutable default : sink option;
   mutable malformed_count : int;
 }
@@ -18,7 +19,7 @@ let decode (dgram : Network.datagram) =
   | exception Bft_util.Codec.Decode_error _ -> Undecodable
 
 let install net node =
-  let t = { clients = Hashtbl.create 8; default = None; malformed_count = 0 } in
+  let t = { clients = Int_tbl.create 8; default = None; malformed_count = 0 } in
   Network.set_handler net node (fun ~src:_ dgram ->
       match Network.memo dgram decode with
       | Received rx -> (
@@ -32,11 +33,11 @@ let install net node =
         let sink =
           match env.Message.msg with
           | Message.Reply r -> (
-            match Hashtbl.find_opt t.clients r.Message.client with
+            match Int_tbl.find_opt t.clients r.Message.client with
             | Some sink -> Some sink
             | None -> t.default)
           | Message.Busy b -> (
-            match Hashtbl.find_opt t.clients b.Message.bz_client with
+            match Int_tbl.find_opt t.clients b.Message.bz_client with
             | Some sink -> Some sink
             | None -> t.default)
           | _ -> t.default
@@ -47,7 +48,7 @@ let install net node =
       | _ -> t.malformed_count <- t.malformed_count + 1);
   t
 
-let register_client t id sink = Hashtbl.replace t.clients id sink
+let register_client t id sink = Int_tbl.replace t.clients id sink
 
 let register_default t sink = t.default <- Some sink
 

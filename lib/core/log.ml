@@ -1,6 +1,14 @@
 open Types
 module Fingerprint = Bft_crypto.Fingerprint
 
+(* Each replica's latest vote at the replica's id; [no_vote] where none. *)
+type cert = { views : view array; digests : Fingerprint.t array }
+
+let no_vote = min_int
+
+let new_cert replicas =
+  { views = Array.make replicas no_vote; digests = Array.make replicas Fingerprint.zero }
+
 type slot = {
   seq : seqno;
   mutable pre_prepare : (view * Message.batch_entry list) option;
@@ -11,8 +19,8 @@ type slot = {
          PRE-PREPARE counts as its prepare, so its PREPARE (if any) must
          not also count towards the certificate *)
   mutable missing_bodies : Fingerprint.t list;
-  prepares : (replica_id, view * Fingerprint.t) Hashtbl.t;
-  commits : (replica_id, view * Fingerprint.t) Hashtbl.t;
+  prepares : cert;
+  commits : cert;
   mutable prepared_at : view option;
   mutable own_prepare_sent : bool;
   mutable own_commit_sent : bool;
@@ -30,12 +38,13 @@ type slot = {
 type t = {
   mutable low : seqno;
   window : int;
+  replicas : int;
   ring : slot array;
   mutable top : seqno;  (* highest seq created since the ring was last emptied *)
-  waiting : (Fingerprint.t, seqno list) Hashtbl.t;
+  waiting : seqno list Fingerprint.Tbl.t;
 }
 
-let new_slot seq =
+let new_slot ~replicas seq =
   {
     seq;
     pre_prepare = None;
@@ -43,8 +52,8 @@ let new_slot seq =
     pp_digest = None;
     proposer = -1;
     missing_bodies = [];
-    prepares = Hashtbl.create 8;
-    commits = Hashtbl.create 8;
+    prepares = new_cert replicas;
+    commits = new_cert replicas;
     prepared_at = None;
     own_prepare_sent = false;
     own_commit_sent = false;
@@ -55,10 +64,17 @@ let new_slot seq =
   }
 
 (* Shared by every empty ring entry; never handed out. *)
-let vacant = new_slot min_int
+let vacant = new_slot ~replicas:0 min_int
 
-let create ~low ~window () =
-  { low; window; ring = Array.make window vacant; top = low; waiting = Hashtbl.create 16 }
+let create ~low ~window ~replicas () =
+  {
+    low;
+    window;
+    replicas;
+    ring = Array.make window vacant;
+    top = low;
+    waiting = Fingerprint.Tbl.create 16;
+  }
 
 let low_watermark t = t.low
 
@@ -80,19 +96,19 @@ let get t seq =
   let slot = t.ring.(i) in
   if slot.seq = seq then slot
   else begin
-    let slot = new_slot seq in
+    let slot = new_slot ~replicas:t.replicas seq in
     t.ring.(i) <- slot;
     if seq > t.top then t.top <- seq;
     slot
   end
 
 let unwait t digest seq =
-  match Hashtbl.find_opt t.waiting digest with
+  match Fingerprint.Tbl.find_opt t.waiting digest with
   | None -> ()
   | Some seqs -> (
     match List.filter (fun s -> s <> seq) seqs with
-    | [] -> Hashtbl.remove t.waiting digest
-    | rest -> Hashtbl.replace t.waiting digest rest)
+    | [] -> Fingerprint.Tbl.remove t.waiting digest
+    | rest -> Fingerprint.Tbl.replace t.waiting digest rest)
 
 let rec insert_sorted seq = function
   | [] -> [ seq ]
@@ -108,13 +124,13 @@ let set_missing t slot digests =
     slot.missing_bodies <- digests;
     List.iter
       (fun d ->
-        let seqs = Option.value (Hashtbl.find_opt t.waiting d) ~default:[] in
-        Hashtbl.replace t.waiting d (insert_sorted slot.seq seqs))
+        let seqs = Option.value (Fingerprint.Tbl.find_opt t.waiting d) ~default:[] in
+        Fingerprint.Tbl.replace t.waiting d (insert_sorted slot.seq seqs))
       digests
 
 let waiting_for t digest =
-  if Hashtbl.length t.waiting = 0 then []
-  else Option.value (Hashtbl.find_opt t.waiting digest) ~default:[]
+  if Fingerprint.Tbl.length t.waiting = 0 then []
+  else Option.value (Fingerprint.Tbl.find_opt t.waiting digest) ~default:[]
 
 let truncate t ~new_low =
   if new_low > t.low then begin
@@ -138,20 +154,28 @@ let iter t f =
 
 (* A replica may re-send a prepare for the same slot in a later view; the
    latest view wins so certificate counting stays per-view. *)
-let add_latest table replica view digest =
-  match Hashtbl.find_opt table replica with
-  | Some (v, _) when v > view -> ()
-  | _ -> Hashtbl.replace table replica (view, digest)
+let add_latest cert replica view digest =
+  if cert.views.(replica) <= view then begin
+    cert.views.(replica) <- view;
+    cert.digests.(replica) <- digest
+  end
 
 let add_prepare slot replica view digest = add_latest slot.prepares replica view digest
 
 let add_commit slot replica view digest = add_latest slot.commits replica view digest
 
-let count_matching table view digest =
-  Hashtbl.fold
-    (fun _ (v, d) acc ->
-      if v = view && Fingerprint.equal d digest then acc + 1 else acc)
-    table 0
+let matches cert replica view digest =
+  cert.views.(replica) = view && Fingerprint.equal cert.digests.(replica) digest
+
+let count_matching cert view digest =
+  let n = ref 0 in
+  for r = 0 to Array.length cert.views - 1 do
+    if matches cert r view digest then incr n
+  done;
+  !n
+
+let voters cert =
+  Array.fold_left (fun acc v -> if v = no_vote then acc else acc + 1) 0 cert.views
 
 let prepare_count slot view digest = count_matching slot.prepares view digest
 
@@ -166,9 +190,11 @@ let is_prepared slot ~f view =
        single-primary mode the primary's prepares are already dropped at
        receive time, so the subtraction is a no-op there. *)
     let own =
-      match Hashtbl.find_opt slot.prepares slot.proposer with
-      | Some (v', d) when v' = view && Fingerprint.equal d digest -> 1
-      | _ -> 0
+      let p = slot.proposer in
+      if p >= 0 && p < Array.length slot.prepares.views
+         && matches slot.prepares p view digest
+      then 1
+      else 0
     in
     List.is_empty slot.missing_bodies && prepare_count slot view digest - own >= 2 * f
   | _ -> false

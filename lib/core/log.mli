@@ -15,6 +15,13 @@ open Types
 
 module Fingerprint = Bft_crypto.Fingerprint
 
+type cert
+(** PREPARE or COMMIT votes: the latest (view, digest) of each replica,
+    stored at the replica's id. *)
+
+val voters : cert -> int
+(** Replicas with a vote. *)
+
 type slot = {
   seq : seqno;
   mutable pre_prepare : (view * Message.batch_entry list) option;
@@ -28,8 +35,8 @@ type slot = {
   mutable missing_bodies : Fingerprint.t list;
       (** summaries in the pre-prepare whose request bodies we still lack;
           written only by {!set_missing}, which keeps the body-wait index *)
-  prepares : (replica_id, view * Fingerprint.t) Hashtbl.t;
-  commits : (replica_id, view * Fingerprint.t) Hashtbl.t;
+  prepares : cert;
+  commits : cert;
   mutable prepared_at : view option;  (** sticky: highest view prepared in *)
   mutable own_prepare_sent : bool;
   mutable own_commit_sent : bool;
@@ -41,7 +48,8 @@ type slot = {
 
 type t
 
-val create : low:seqno -> window:int -> unit -> t
+val create : low:seqno -> window:int -> replicas:int -> unit -> t
+(** Votes are taken from replicas [0 .. replicas-1]. *)
 
 val low_watermark : t -> seqno
 

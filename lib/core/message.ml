@@ -450,24 +450,12 @@ let encode_body msg =
 
 (* --- digests --------------------------------------------------------- *)
 
-(* Scratch reused across digest computations (none of them nest), plus a
-   small memo table for the "pad:N" framing strings. These stay
-   module-level: the scratch buffers' contents never outlive one call and
-   the memo is a pure cache, so no run can observe another's. *)
+(* Scratch reused across digest computations (none of them nest). It
+   stays module-level: the buffers' contents never outlive one call, so no
+   run can observe another's. *)
 let digest_enc = Enc.create ~initial:256 ()
 
 let digest_builder = Fingerprint.create_builder ()
-
-let pad_strings : (int, string) Hashtbl.t = Hashtbl.create 16
-
-let pad_string pad =
-  match Hashtbl.find_opt pad_strings pad with
-  | Some s -> s
-  | None ->
-    if Hashtbl.length pad_strings > 1024 then Hashtbl.reset pad_strings;
-    let s = Printf.sprintf "pad:%d" pad in
-    Hashtbl.replace pad_strings pad s;
-    s
 
 (* [request_digest r] and the number of bytes it digested. A replica
    computes it once per request and keeps it with the request (pending
@@ -482,12 +470,11 @@ let request_digest_fed (r : request) =
   Enc.u64 enc r.timestamp;
   Enc.bool enc r.read_only;
   Payload.encode enc r.op;
-  (* Byte-identical to
-     [Fingerprint.of_parts [body; Printf.sprintf "pad:%d" pad]]. *)
+  (* Byte-identical to [Fingerprint.of_parts [body; Payload.pad_part pad]]. *)
   let b = digest_builder in
   Fingerprint.reset_builder b;
   Fingerprint.add_part_bytes b (Enc.unsafe_bytes enc) ~off:0 ~len:(Enc.length enc);
-  let pad = pad_string r.op.Payload.pad in
+  let pad = Payload.pad_part r.op.Payload.pad in
   Fingerprint.add_part b pad;
   (Fingerprint.finish b, Enc.length enc + String.length pad)
 

@@ -1,41 +1,39 @@
 module Stats = Bft_util.Stats
+module Names = Hashtbl.Make (String)
 
-type t = {
-  counts : (string, int ref) Hashtbl.t;
-  stats : (string, Stats.t) Hashtbl.t;
-}
+type t = { counts : int ref Names.t; stats : Stats.t Names.t }
 
-let create () = { counts = Hashtbl.create 32; stats = Hashtbl.create 8 }
+let create () = { counts = Names.create 32; stats = Names.create 8 }
 
 let incr ?(by = 1) t name =
-  match Hashtbl.find_opt t.counts name with
+  match Names.find_opt t.counts name with
   | Some r -> r := !r + by
-  | None -> Hashtbl.replace t.counts name (ref by)
+  | None -> Names.replace t.counts name (ref by)
 
 let count t name =
-  match Hashtbl.find_opt t.counts name with Some r -> !r | None -> 0
+  match Names.find_opt t.counts name with Some r -> !r | None -> 0
 
 let sample t name v =
   let s =
-    match Hashtbl.find_opt t.stats name with
+    match Names.find_opt t.stats name with
     | Some s -> s
     | None ->
       let s = Stats.create () in
-      Hashtbl.replace t.stats name s;
+      Names.replace t.stats name s;
       s
   in
   Stats.add s v
 
-let samples t name = Hashtbl.find_opt t.stats name
+let samples t name = Names.find_opt t.stats name
 
 let by_name (a, _) (b, _) = String.compare a b
 
 let counters t =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counts []
+  Names.fold (fun name r acc -> (name, !r) :: acc) t.counts []
   |> List.sort by_name
 
 let stats_pairs t =
-  Hashtbl.fold (fun name s acc -> (name, s) :: acc) t.stats []
+  Names.fold (fun name s acc -> (name, s) :: acc) t.stats []
   |> List.sort by_name
 
 let dump t =

@@ -13,7 +13,9 @@ let empty = { data = ""; pad = 0 }
 
 let size t = String.length t.data + t.pad
 
-let digest t = Fingerprint.of_parts [ t.data; "pad:" ^ string_of_int t.pad ]
+let pad_part = function 0 -> "pad:0" | pad -> "pad:" ^ string_of_int pad
+
+let digest t = Fingerprint.of_parts [ t.data; pad_part t.pad ]
 
 let equal a b = a.data = b.data && a.pad = b.pad
 

@@ -21,6 +21,11 @@ val empty : t
 val size : t -> int
 
 val digest : t -> Bft_crypto.Fingerprint.t
+(** [Fingerprint.of_parts [data; pad_part pad]]. *)
+
+val pad_part : int -> string
+(** ["pad:N"], the part that commits a digest to the pad; shared by every
+    digest over a payload. *)
 
 val equal : t -> t -> bool
 

@@ -10,6 +10,7 @@ module Rng = Bft_util.Rng
 module Enc = Bft_util.Codec.Enc
 module Dec = Bft_util.Codec.Dec
 module Trace = Bft_trace.Trace
+module Int_tbl = Bft_util.Dense.Int_tbl
 
 type client_entry = {
   mutable last_ts : int64;  (** highest executed timestamp *)
@@ -54,17 +55,16 @@ type t = {
   mutable last_executed : seqno;  (** includes tentative executions *)
   mutable last_committed : seqno;  (** finally executed and committed *)
   mutable exec_audit : (seqno * Fingerprint.t) list;  (** newest first *)
-  client_table : (client_id, client_entry) Hashtbl.t;
+  client_table : client_entry Int_tbl.t;
   mutable deferred_ro : (Message.request * Payload.t) list;  (** newest first *)
   (* primary batching *)
   pending : (Message.request * Fingerprint.t) Queue.t;
       (** admitted requests with their digests *)
-  queued_ts : (client_id, int64) Hashtbl.t;  (** highest queued/assigned ts *)
+  queued_ts : int64 Int_tbl.t;  (** highest queued/assigned ts, by client *)
   mutable last_pp_seq : seqno;
   (* request and batch bodies *)
-  request_store : (Fingerprint.t, Message.request) Hashtbl.t;
-  batch_store :
-    (Fingerprint.t, seqno * Message.batch_entry list * Fingerprint.t list) Hashtbl.t;
+  request_store : Message.request Fingerprint.Tbl.t;
+  batch_store : (seqno * Message.batch_entry list * Fingerprint.t list) Fingerprint.Tbl.t;
       (** batch digest -> seq, entries and their entry digests *)
   (* checkpoints *)
   mutable last_stable : seqno;
@@ -76,7 +76,7 @@ type t = {
   checkpoint_msgs : (seqno, (replica_id, Fingerprint.t) Hashtbl.t) Hashtbl.t;
   stable_certs : (seqno, Fingerprint.t) Hashtbl.t;
   (* liveness *)
-  waiting : (Fingerprint.t, float) Hashtbl.t;
+  waiting : float Fingerprint.Tbl.t;
       (** requests received directly from clients, not yet executed *)
   mutable vc_timer : Timer.t;
   mutable vc_attempts : int;
@@ -89,7 +89,7 @@ type t = {
   mutable resend_progress_mark : seqno;  (** last_committed at last tick *)
   mutable max_pp_seen : seqno;  (** highest slot with a pre-prepare *)
   mutable vc_started_at : float;
-  vc_evidence : (replica_id, unit) Hashtbl.t;
+  vc_evidence : unit Int_tbl.t;
       (** senders of current-view normal-case traffic observed while we are
           view-changing: proof the rest of the cluster is not following *)
   (* piggybacked commits *)
@@ -197,7 +197,7 @@ let queue_depth t = Queue.length t.pending
 
 let sheds t = Metrics.count t.metrics "admission.shed"
 
-let backlog t = Hashtbl.length t.waiting
+let backlog t = Fingerprint.Tbl.length t.waiting
 
 let log_depth t =
   let n = ref 0 in
@@ -263,25 +263,26 @@ let out_multicast t ?(dsts = peers_except_self t) msg =
 let out_send t ~dst msg = if not (muted t) then Transport.send t.transport ~dst msg
 
 let client_entry t client =
-  match Hashtbl.find_opt t.client_table client with
+  match Int_tbl.find_opt t.client_table client with
   | Some ce -> ce
   | None ->
     let ce = { last_ts = -1L; cached_result = None; cached_tentative = false } in
-    Hashtbl.replace t.client_table client ce;
+    Int_tbl.replace t.client_table client ce;
     ce
 
 (* --- state digests and snapshots ------------------------------------- *)
 
 (* Only executed entries are part of the replicated state: the primary also
    holds placeholder entries (last_ts = -1) for clients whose requests are
-   still queued, and those must not perturb the checkpoint digest. *)
+   still queued, and those must not perturb the checkpoint digest. A
+   checkpoint encodes the table once for its digest and its snapshot. *)
 let client_table_encoding t =
   let entries =
-    Hashtbl.fold
+    Int_tbl.fold
       (fun client ce acc ->
         if ce.last_ts >= 0L then (client, ce) :: acc else acc)
       t.client_table []
-    |> List.sort compare
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
   let enc = Enc.create () in
   List.iter
@@ -292,8 +293,7 @@ let client_table_encoding t =
     entries;
   Enc.to_string enc
 
-let state_digest t =
-  let table = client_table_encoding t in
+let state_digest t table =
   charge ~cat:Cpu.Digest t
     (Calibration.digest_cost (cal t)
        (t.service.Service.modified_since_checkpoint () + String.length table));
@@ -302,9 +302,8 @@ let state_digest t =
 (* A checkpoint snapshot is captured now and encoded when forced. The
    encoding is charged now, on its exact length (two length-prefixed
    strings), whether or not anything ever forces it. *)
-let snapshot_payload t =
+let snapshot_payload t table =
   let svc = t.service.Service.capture () in
-  let table = client_table_encoding t in
   let length = 4 + String.length table + 4 + svc.Service.length in
   charge ~cat:Cpu.Encode t (float_of_int length *. (cal t).Calibration.byte_touch_cost);
   lazy
@@ -317,14 +316,14 @@ let restore_snapshot t (p : Payload.t) =
   let dec = Dec.of_string p.Payload.data in
   let table = Dec.bytes dec in
   let svc_data = Dec.bytes dec in
-  Hashtbl.reset t.client_table;
+  Int_tbl.reset t.client_table;
   let tdec = Dec.of_string table in
   while not (Dec.at_end tdec) do
     let client = Dec.u32 tdec in
     let last_ts = Dec.u64 tdec in
     let cached_result = Dec.option tdec Payload.decode in
     (* snapshots only contain finalized executions *)
-    Hashtbl.replace t.client_table client
+    Int_tbl.replace t.client_table client
       { last_ts; cached_result; cached_tentative = false }
   done;
   t.service.Service.restore { Payload.data = svc_data; pad = p.Payload.pad };
@@ -375,27 +374,32 @@ let stable_cert_retention_windows = 4
    them itself — e.g. a state transfer jumped over their slot — or whose
    request body is gone (executed and garbage-collected). *)
 let rec prune_waiting t =
-  drop_matching t.waiting (fun digest ->
-      match Hashtbl.find_opt t.request_store digest with
-      | Some (r : Message.request) ->
-        let ce = client_entry t r.Message.client in
-        (* Satisfied only once executed *finally*: a tentative execution can
-           still be stuck on its commit and must keep the timer alive. *)
-        not
-          (r.Message.timestamp < ce.last_ts
-          || (r.Message.timestamp = ce.last_ts && not ce.cached_tentative))
-      | None -> false)
+  let keep digest =
+    match Fingerprint.Tbl.find_opt t.request_store digest with
+    | Some (r : Message.request) ->
+      let ce = client_entry t r.Message.client in
+      (* Satisfied only once executed *finally*: a tentative execution can
+         still be stuck on its commit and must keep the timer alive. *)
+      not
+        (r.Message.timestamp < ce.last_ts
+        || (r.Message.timestamp = ce.last_ts && not ce.cached_tentative))
+    | None -> false
+  in
+  let doomed =
+    Fingerprint.Tbl.fold (fun d _ acc -> if keep d then acc else d :: acc) t.waiting []
+  in
+  List.iter (Fingerprint.Tbl.remove t.waiting) doomed
 
 and arm_waiting_timer t =
   if
     t.status = Normal
-    && Hashtbl.length t.waiting > 0
+    && Fingerprint.Tbl.length t.waiting > 0
     && not (Timer.active t.vc_timer)
   then
     t.vc_timer <-
       Timer.start (engine t) ~delay:(vc_timeout t) (fun () ->
           prune_waiting t;
-          if t.status = Normal && Hashtbl.length t.waiting > 0 then begin
+          if t.status = Normal && Fingerprint.Tbl.length t.waiting > 0 then begin
             Metrics.incr t.metrics "viewchange.timeout";
             start_view_change t (t.view + 1)
           end
@@ -410,7 +414,7 @@ and arm_waiting_timer t =
 and resend_pending t =
   (* O(1): called on every message by [ensure_resend_timer]. *)
   t.status = View_changing
-  || Hashtbl.length t.waiting > 0
+  || Fingerprint.Tbl.length t.waiting > 0
   || Hashtbl.length t.own_checkpoints > 0
   || t.max_pp_seen > t.last_committed
 
@@ -646,17 +650,17 @@ and admit_request t (r : Message.request) digest ~record_ts =
       let victim, _ = Queue.pop t.pending in
       (* Roll the victim's queued timestamp back so its retransmission
          passes the freshness check and re-enters admission. *)
-      Hashtbl.replace t.queued_ts victim.Message.client
+      Int_tbl.replace t.queued_ts victim.Message.client
         (Int64.sub victim.Message.timestamp 1L);
       send_busy t victim;
       if record_ts then
-        Hashtbl.replace t.queued_ts r.Message.client r.Message.timestamp;
+        Int_tbl.replace t.queued_ts r.Message.client r.Message.timestamp;
       Queue.add (r, digest) t.pending;
       try_send_batch t
   end
   else begin
     if record_ts then
-      Hashtbl.replace t.queued_ts r.Message.client r.Message.timestamp;
+      Int_tbl.replace t.queued_ts r.Message.client r.Message.timestamp;
     Queue.add (r, digest) t.pending;
     try_send_batch t
   end
@@ -687,7 +691,7 @@ and resolve_entries t (slot : Log.slot) =
         match entry with
         | Message.Full r -> (r, d) :: acc
         | Message.Summary _ -> (
-          match Hashtbl.find_opt t.request_store d with
+          match Fingerprint.Tbl.find_opt t.request_store d with
           | Some r -> (r, d) :: acc
           | None -> acc)
         | Message.Null_entry -> acc)
@@ -730,7 +734,7 @@ and execute_slot t (slot : Log.slot) ~tentative =
   let undos = ref [] in
   List.iter
     (fun (r, digest) ->
-      Hashtbl.remove t.waiting digest;
+      Fingerprint.Tbl.remove t.waiting digest;
       execute_request t r ~tentative undos)
     (resolve_entries t slot);
   slot.Log.undos <- !undos;
@@ -762,7 +766,7 @@ and finalize_slot t (slot : Log.slot) =
     List.iter2
       (fun entry d ->
         match entry with
-        | Message.Summary _ | Message.Full _ -> Hashtbl.remove t.request_store d
+        | Message.Summary _ | Message.Full _ -> Fingerprint.Tbl.remove t.request_store d
         | Message.Null_entry -> ())
       entries slot.Log.entry_digests
   | None -> ());
@@ -815,10 +819,11 @@ and advance t =
 (* --- checkpoints ------------------------------------------------------- *)
 
 and take_checkpoint t seq =
-  let digest = state_digest t in
+  let table = client_table_encoding t in
+  let digest = state_digest t table in
   t.service.Service.checkpoint_taken ();
   Hashtbl.replace t.own_checkpoints seq digest;
-  Hashtbl.replace t.checkpoint_snapshots seq (snapshot_payload t);
+  Hashtbl.replace t.checkpoint_snapshots seq (snapshot_payload t table);
   Metrics.incr t.metrics "checkpoint.taken";
   ensure_resend_timer t;
   record_checkpoint_vote t ~seq ~digest ~from:t.id;
@@ -880,11 +885,11 @@ and make_stable t seq digest =
   drop_below t.checkpoint_msgs;
   drop_below t.checkpoint_snapshots;
   (let doomed =
-     Hashtbl.fold
+     Fingerprint.Tbl.fold
        (fun d (s, _, _) acc -> if s <= seq then d :: acc else acc)
        t.batch_store []
    in
-   List.iter (Hashtbl.remove t.batch_store) doomed);
+   List.iter (Fingerprint.Tbl.remove t.batch_store) doomed);
   drop_matching t.stable_certs (fun s ->
       s > seq - (stable_cert_retention_windows * t.config.Config.log_window));
   Metrics.incr t.metrics "checkpoint.stable";
@@ -993,7 +998,9 @@ and on_state_meta t sender (m : Message.state_meta) =
 
 and begin_page_fetch t src seq digest target_pages =
   (* Reuse whatever pages of our current state already match. *)
-  let own = Merkle.paginate (Lazy.force (snapshot_payload t)) in
+  let own =
+    Merkle.paginate (Lazy.force (snapshot_payload t (client_table_encoding t)))
+  in
   let own_digests = Merkle.page_digests own in
   charge ~cat:Cpu.Digest t
     (Calibration.digest_cost (cal t)
@@ -1111,12 +1118,13 @@ and adopt_state t seq digest snapshot =
 and adopt_state_restore t seq digest snapshot =
   restore_snapshot t snapshot;
   prune_waiting t;
-  let check = state_digest t in
+  let check = state_digest t (client_table_encoding t) in
   if Fingerprint.equal check digest then begin
     t.last_stable <- seq;
     t.stable_digest <- digest;
     t.stable_snapshot <- Lazy.from_val snapshot;
-    t.log <- Log.create ~low:seq ~window:t.config.Config.log_window ();
+    t.log <- Log.create ~low:seq ~window:t.config.Config.log_window
+      ~replicas:t.config.Config.n ();
     t.last_executed <- seq;
     t.last_committed <- seq;
     t.deferred_ro <- [];
@@ -1225,7 +1233,7 @@ and send_pre_prepare t seq entries digests =
   (* Our own proposal never waits for a body: we summarized only requests
      we received. *)
   learn_batch ~missing:[] t slot t.view entries digests;
-  Hashtbl.replace t.batch_store digest (seq, entries, digests);
+  Fingerprint.Tbl.replace t.batch_store digest (seq, entries, digests);
   (* [max]: a rotating-mode primary reclaim can propose below our own
      cursor; the cursor must never move backwards. *)
   t.last_pp_seq <- Stdlib.max t.last_pp_seq seq;
@@ -1256,7 +1264,7 @@ and send_pre_prepare t seq entries digests =
 and compute_missing t entries =
   List.filter_map
     (function
-      | Message.Summary d when not (Hashtbl.mem t.request_store d) -> Some d
+      | Message.Summary d when not (Fingerprint.Tbl.mem t.request_store d) -> Some d
       | Message.Summary _ | Message.Full _ | Message.Null_entry -> None)
     entries
 
@@ -1269,7 +1277,7 @@ and learn_batch ?missing t (slot : Log.slot) view entries digests =
   List.iter2
     (fun entry d ->
       match entry with
-      | Message.Full r -> Hashtbl.replace t.request_store d r
+      | Message.Full r -> Fingerprint.Tbl.replace t.request_store d r
       | Message.Summary _ | Message.Null_entry -> ())
     entries digests;
   Log.set_missing t.log slot
@@ -1281,7 +1289,7 @@ and learn_batch ?missing t (slot : Log.slot) view entries digests =
 and batch_complete t (slot : Log.slot) =
   (match (slot.Log.pp_digest, slot.Log.pre_prepare) with
   | Some d, Some (_, entries) ->
-    Hashtbl.replace t.batch_store d (slot.Log.seq, entries, slot.Log.entry_digests)
+    Fingerprint.Tbl.replace t.batch_store d (slot.Log.seq, entries, slot.Log.entry_digests)
   | _ -> ());
   if slot.Log.proposer <> t.id then send_prepare t slot;
   check_prepared t slot
@@ -1510,7 +1518,7 @@ and echo_commit_if_finalized t sender (slot : Log.slot) =
 and note_vc_evidence t sender view =
   (* [view = -1] encodes "sender is itself view-changing": not evidence. *)
   if t.status = View_changing && view = t.view then begin
-    Hashtbl.replace t.vc_evidence sender ();
+    Int_tbl.replace t.vc_evidence sender ();
     maybe_abandon_view_change t
   end
 
@@ -1522,7 +1530,7 @@ and note_vc_evidence t sender view =
    delayed in the network (it remains valid if a NEW-VIEW later uses it). *)
 and maybe_abandon_view_change t =
   let backing = vc_backing t in
-  let evidence = Hashtbl.length t.vc_evidence in
+  let evidence = Int_tbl.length t.vc_evidence in
   if
     t.status = View_changing
     (* The window scales with the same capped exponential backoff as the
@@ -1538,7 +1546,7 @@ and maybe_abandon_view_change t =
     Metrics.incr t.metrics "viewchange.abandoned";
     t.status <- Normal;
     t.target_view <- t.view;
-    Hashtbl.reset t.vc_evidence;
+    Int_tbl.reset t.vc_evidence;
     Timer.cancel t.vc_timer;
     arm_waiting_timer t;
     ensure_resend_timer t;
@@ -1594,7 +1602,7 @@ and send_resolved t ~dst ~view seq entries =
     List.map
       (function
         | Message.Summary d as e -> (
-          match Hashtbl.find_opt t.request_store d with
+          match Fingerprint.Tbl.find_opt t.request_store d with
           | Some r -> Message.Full r
           | None -> e)
         | (Message.Full _ | Message.Null_entry) as e -> e)
@@ -1623,7 +1631,7 @@ and on_request t rx sender (r : Message.request) =
       if ce.last_ts = r.Message.timestamp && ce.cached_tentative
          && not (orders_for t r.Message.client)
       then begin
-        Hashtbl.replace t.waiting (Message.received_request_digest rx)
+        Fingerprint.Tbl.replace t.waiting (Message.received_request_digest rx)
           (Engine.now (engine t));
         arm_waiting_timer t;
         ensure_resend_timer t
@@ -1650,10 +1658,10 @@ and on_request t rx sender (r : Message.request) =
     end
     else begin
       let digest = Message.received_request_digest rx in
-      Hashtbl.replace t.request_store digest r;
+      Fingerprint.Tbl.replace t.request_store digest r;
       resolve_missing t digest;
       if orders_for t r.Message.client && t.status = Normal then begin
-        let queued = Hashtbl.find_opt t.queued_ts r.Message.client in
+        let queued = Int_tbl.find_opt t.queued_ts r.Message.client in
         let fresh =
           match queued with Some ts -> r.Message.timestamp > ts | None -> true
         in
@@ -1667,7 +1675,7 @@ and on_request t rx sender (r : Message.request) =
       end
       else begin
         (* Backup: remember the request and watch the primary. *)
-        Hashtbl.replace t.waiting digest (Engine.now (engine t));
+        Fingerprint.Tbl.replace t.waiting digest (Engine.now (engine t));
         arm_waiting_timer t;
         ensure_resend_timer t
       end
@@ -1720,7 +1728,7 @@ and start_view_change t next_view =
       t.status <- View_changing;
       t.target_view <- next_view;
       t.vc_started_at <- Engine.now (engine t);
-      Hashtbl.reset t.vc_evidence;
+      Int_tbl.reset t.vc_evidence;
       t.vc_attempts <- t.vc_attempts + 1;
       Metrics.incr t.metrics "viewchange.started";
       emit_trace t ~view:next_view Trace.Viewchange_start;
@@ -1855,7 +1863,7 @@ and build_new_view t next_view vcs =
       match Hashtbl.find_opt best seq with
       | Some proof ->
         let body =
-          match Hashtbl.find_opt t.batch_store proof.Message.digest with
+          match Fingerprint.Tbl.find_opt t.batch_store proof.Message.digest with
           | Some (_, entries, _) -> entries
           | None -> []  (* unknown body: receivers fetch it *)
         in
@@ -1898,11 +1906,12 @@ and install_new_view t (nv : Message.new_view) =
      checkpoint is newer we keep it (we are ahead of the quorum minimum). *)
   t.log <-
     Log.create ~low:(Stdlib.max min_s t.last_stable)
-      ~window:t.config.Config.log_window ();
+      ~window:t.config.Config.log_window
+      ~replicas:t.config.Config.n ();
   t.view <- nv.Message.view;
   t.target_view <- nv.Message.view;
   t.status <- Normal;
-  Hashtbl.reset t.vc_evidence;
+  Int_tbl.reset t.vc_evidence;
   (* Note: vc_attempts is NOT reset here. The timeout only shrinks again
      when requests actually execute; resetting on every NEW-VIEW would let
      a lossy network sustain a view-change storm whose period never grows
@@ -1923,7 +1932,7 @@ and install_new_view t (nv : Message.new_view) =
         (* Our own NEW-VIEW re-proposes the bodies of [batch_store], whose
            digests are already known. *)
         let entries, digests =
-          match Hashtbl.find_opt t.batch_store e.Message.digest with
+          match Fingerprint.Tbl.find_opt t.batch_store e.Message.digest with
           | Some (_, body, digests)
             when e.Message.entries = [] || e.Message.entries == body ->
             (body, digests)
@@ -1937,7 +1946,7 @@ and install_new_view t (nv : Message.new_view) =
         t.max_pp_seen <- Stdlib.max t.max_pp_seen e.Message.seq;
         if entries <> [] then begin
           learn_batch t slot t.view entries digests;
-          Hashtbl.replace t.batch_store e.Message.digest
+          Fingerprint.Tbl.replace t.batch_store e.Message.digest
             (e.Message.seq, entries, digests)
         end
         else
@@ -2114,7 +2123,7 @@ let dump t =
     t.last_executed t.last_committed t.last_stable t.last_pp_seq
     (Log.low_watermark t.log) (Log.high_watermark t.log);
   Printf.bprintf b "  pending=%d waiting=%d await_state=%s recovering=%b attempts=%d\n"
-    (Queue.length t.pending) (Hashtbl.length t.waiting)
+    (Queue.length t.pending) (Fingerprint.Tbl.length t.waiting)
     (match t.await_state with None -> "-" | Some s -> string_of_int s)
     t.recovering t.vc_attempts;
   Log.iter t.log (fun slot ->
@@ -2130,8 +2139,8 @@ let dump t =
           | Some d -> Format.asprintf "%a" Fingerprint.pp d
           | None -> "-")
           (List.length slot.Log.missing_bodies)
-          (Hashtbl.length slot.Log.prepares)
-          (Hashtbl.length slot.Log.commits)
+          (Log.voters slot.Log.prepares)
+          (Log.voters slot.Log.commits)
           (match slot.Log.prepared_at with Some v -> string_of_int v | None -> "-")
           slot.Log.committed slot.Log.executed slot.Log.finalized
           slot.Log.own_prepare_sent slot.Log.own_commit_sent);
@@ -2188,7 +2197,8 @@ let restart t =
   Timer.cancel t.flush_timer;
   Timer.cancel t.state_timer;
   restore_snapshot t (Lazy.force t.stable_snapshot);
-  t.log <- Log.create ~low:t.last_stable ~window:t.config.Config.log_window ();
+  t.log <- Log.create ~low:t.last_stable ~window:t.config.Config.log_window
+      ~replicas:t.config.Config.n ();
   t.last_executed <- t.last_stable;
   t.last_committed <- t.last_stable;
   (* The audit trail is volatile too: slots finalized past the stable
@@ -2201,14 +2211,14 @@ let restart t =
   t.target_view <- t.view;
   t.deferred_ro <- [];
   Queue.clear t.pending;
-  Hashtbl.reset t.queued_ts;
+  Int_tbl.reset t.queued_ts;
   t.last_pp_seq <- t.last_stable;
-  Hashtbl.reset t.request_store;
-  Hashtbl.reset t.batch_store;
+  Fingerprint.Tbl.reset t.request_store;
+  Fingerprint.Tbl.reset t.batch_store;
   Hashtbl.reset t.own_checkpoints;
   Hashtbl.reset t.checkpoint_snapshots;
   Hashtbl.reset t.checkpoint_msgs;
-  Hashtbl.reset t.waiting;
+  Fingerprint.Tbl.reset t.waiting;
   t.vc_attempts <- 0;
   Hashtbl.reset t.view_changes;
   t.last_nv <- None;
@@ -2216,7 +2226,7 @@ let restart t =
   t.resend_stalls <- 0;
   t.resend_progress_mark <- t.last_stable;
   t.max_pp_seen <- t.last_stable;
-  Hashtbl.reset t.vc_evidence;
+  Int_tbl.reset t.vc_evidence;
   t.commit_backlog <- [];
   (* [start_recovery] below drops the votes and any page fetch. *)
   t.await_state <- None;
@@ -2232,7 +2242,7 @@ let restart t =
    certificate. A client that accepted a result for (client, ts) must agree
    with every correct replica's finalized cache entry for that timestamp. *)
 let client_replies t =
-  Hashtbl.fold
+  Int_tbl.fold
     (fun client ce acc ->
       match ce.cached_result with
       | Some result when ce.last_ts >= 0L && not ce.cached_tentative ->
@@ -2260,17 +2270,18 @@ let create ~config ~transport ~replicas ~lookup_client ~service ~rng ~dispatcher
       view = 0;
       status = Normal;
       target_view = 0;
-      log = Log.create ~low:0 ~window:config.Config.log_window ();
+      log =
+        Log.create ~low:0 ~window:config.Config.log_window ~replicas:config.Config.n ();
       last_executed = 0;
       last_committed = 0;
       exec_audit = [];
-      client_table = Hashtbl.create 64;
+      client_table = Int_tbl.create 64;
       deferred_ro = [];
       pending = Queue.create ();
-      queued_ts = Hashtbl.create 64;
+      queued_ts = Int_tbl.create 64;
       last_pp_seq = 0;
-      request_store = Hashtbl.create 128;
-      batch_store = Hashtbl.create 128;
+      request_store = Fingerprint.Tbl.create 128;
+      batch_store = Fingerprint.Tbl.create 128;
       last_stable = 0;
       stable_digest = Fingerprint.zero;
       stable_snapshot = Lazy.from_val Payload.empty;
@@ -2278,7 +2289,7 @@ let create ~config ~transport ~replicas ~lookup_client ~service ~rng ~dispatcher
       checkpoint_snapshots = Hashtbl.create 8;
       checkpoint_msgs = Hashtbl.create 8;
       stable_certs = Hashtbl.create 8;
-      waiting = Hashtbl.create 32;
+      waiting = Fingerprint.Tbl.create 32;
       vc_timer = Timer.never;
       vc_attempts = 0;
       view_changes = Hashtbl.create 4;
@@ -2290,7 +2301,7 @@ let create ~config ~transport ~replicas ~lookup_client ~service ~rng ~dispatcher
       resend_progress_mark = 0;
       max_pp_seen = 0;
       vc_started_at = 0.0;
-      vc_evidence = Hashtbl.create 8;
+      vc_evidence = Int_tbl.create 8;
       commit_backlog = [];
       flush_timer = Timer.never;
       await_state = None;
@@ -2311,8 +2322,9 @@ let create ~config ~transport ~replicas ~lookup_client ~service ~rng ~dispatcher
   (* Start the status heartbeat. *)
   ensure_resend_timer t;
   (* The initial state (seq 0) counts as a stable checkpoint. *)
-  t.stable_digest <- state_digest t;
-  t.stable_snapshot <- snapshot_payload t;
+  let table = client_table_encoding t in
+  t.stable_digest <- state_digest t table;
+  t.stable_snapshot <- snapshot_payload t table;
   Hashtbl.replace t.stable_certs 0 t.stable_digest;
   Dispatcher.register_default dispatcher (handle_envelope t);
   t

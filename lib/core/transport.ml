@@ -9,18 +9,6 @@ type peer = { principal : int; node : Network.node_id }
 
 type verdict = Accepted | Replayed | Rejected
 
-(* Anti-replay state per sender: highest nonce accepted plus a bitmap over
-   the [nonce_window_size] nonces below it (bit [i] = [highest - i] seen).
-   Senders draw nonces from a per-transport monotonic counter and the
-   simulated network delivers each (src, dst) link in FIFO order, so a
-   bounded window cannot reject a first delivery; anything below the window
-   is necessarily a replay. *)
-type nonce_window = { mutable highest : int64; mutable bits : int64 }
-
-let nonce_window_size = 64
-
-module Int_tbl = Hashtbl.Make (Int)
-
 type t = {
   net : Network.t;
   keychain : Keychain.t;
@@ -28,7 +16,7 @@ type t = {
   pk_mode : bool;
   mutable nonce : int64;
   scratch : Bft_util.Codec.Enc.t; (* wire assembly buffer, one per sender *)
-  windows : nonce_window Int_tbl.t; (* sender -> anti-replay state *)
+  windows : Nonce_window.t; (* by sender index *)
   mutable corrupt_auth : bool;
 }
 
@@ -40,7 +28,7 @@ let create net ~keychain ~node ?(public_key_signatures = false) () =
     pk_mode = public_key_signatures;
     nonce = 0L;
     scratch = Bft_util.Codec.Enc.create ~initial:1024 ();
-    windows = Int_tbl.create 16;
+    windows = Nonce_window.create ();
     corrupt_auth = false;
   }
 
@@ -120,57 +108,31 @@ let multicast t ?(commits = []) ~dsts msg =
   in
   Network.multicast t.net ~src:t.node ~dsts:nodes ~size wire
 
-let nonce_status t ~from nonce =
-  match Int_tbl.find t.windows from with
-  | exception Not_found -> `Fresh
-  | w ->
-    if Int64.compare nonce w.highest > 0 then `Fresh
-    else
-      let age = Int64.to_int (Int64.sub w.highest nonce) in
-      if age >= nonce_window_size then `Stale
-      else if Int64.logand w.bits (Int64.shift_left 1L age) <> 0L then `Seen
-      else `Fresh
-
-let record_nonce t ~from nonce =
-  let w =
-    match Int_tbl.find t.windows from with
-    | w -> w
-    | exception Not_found ->
-      let w = { highest = 0L; bits = 0L } in
-      Int_tbl.replace t.windows from w;
-      w
-  in
-  if Int64.compare nonce w.highest > 0 then begin
-    let shift = Int64.sub nonce w.highest in
-    w.bits <-
-      (if Int64.compare shift (Int64.of_int nonce_window_size) >= 0 then 0L
-       else Int64.shift_left w.bits (Int64.to_int shift));
-    w.bits <- Int64.logor w.bits 1L;
-    w.highest <- nonce
-  end
-  else
-    let age = Int64.to_int (Int64.sub w.highest nonce) in
-    w.bits <- Int64.logor w.bits (Int64.shift_left 1L age)
-
 let check t (rx : Message.received) =
   let env = rx.Message.rx_env in
   let from = env.Message.sender in
   let nonce = env.Message.auth.Auth.nonce in
-  match nonce_status t ~from nonce with
-  | `Stale | `Seen ->
-    (* Replay: dropped before any crypto work, and without updating the
-       window — a forged (sender, nonce) pair must not be able to block a
-       legitimate future delivery. *)
-    Replayed
-  | `Fresh ->
-    charge_recv_crypto t ~size:rx.Message.rx_size;
-    (* The prefix digest is the datagram's, shared with its other
-       receivers; the tag checked below is this receiver's own. *)
-    let fp = Message.prefix_fingerprint rx in
-    (* In pk mode the "signature" is modeled by the same MAC vector; cost
-       is what differs. *)
-    if Auth.check t.keychain ~from fp env.Message.auth then begin
-      record_nonce t ~from nonce;
-      Accepted
-    end
-    else Rejected
+  let sender = Keychain.peer_index t.keychain from in
+  if sender < 0 then
+    (* Outside the deployment: no key exists for it, and no state may be
+       kept for it either. *)
+    Rejected
+  else
+    match Nonce_window.status t.windows sender nonce with
+    | Nonce_window.Stale | Nonce_window.Seen ->
+      (* Replay: dropped before any crypto work, and without updating the
+         window — a forged (sender, nonce) pair must not be able to block a
+         legitimate future delivery. *)
+      Replayed
+    | Nonce_window.Fresh ->
+      charge_recv_crypto t ~size:rx.Message.rx_size;
+      (* The prefix digest is the datagram's, shared with its other
+         receivers; the tag checked below is this receiver's own. *)
+      let fp = Message.prefix_fingerprint rx in
+      (* In pk mode the "signature" is modeled by the same MAC vector; cost
+         is what differs. *)
+      if Auth.check t.keychain ~from fp env.Message.auth then begin
+        Nonce_window.record t.windows sender nonce;
+        Accepted
+      end
+      else Rejected

@@ -14,7 +14,8 @@ type peer = { principal : int; node : Bft_net.Network.node_id }
 (** Outcome of verifying an incoming wire. [Replayed] means the
     authenticator nonce was already seen (or fell below the per-sender
     anti-replay window) — the wire is dropped before any crypto work.
-    [Rejected] means the MAC check itself failed. *)
+    [Rejected] means the MAC check itself failed, or the sender is outside
+    the deployment (dropped before any crypto work, keeping no state). *)
 type verdict = Accepted | Replayed | Rejected
 
 type t

@@ -17,6 +17,8 @@ let rec own_tag self = function
   | (id, tag) :: rest -> if Int.equal id self then tag else own_tag self rest
 
 let check keychain ~from msg t =
+  Keychain.peer_index keychain from >= 0
+  &&
   match own_tag (Keychain.self keychain) t.entries with
   | tag -> Mac.verify_with (Keychain.recv_session keychain from) ~nonce:t.nonce msg tag
   | exception Not_found -> false

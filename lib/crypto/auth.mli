@@ -12,7 +12,8 @@ val generate :
 (** MAC the message once per target under the per-pair send key. *)
 
 val check : Keychain.t -> from:Keychain.principal -> string -> t -> bool
-(** Verify this principal's own entry (missing entry => reject). *)
+(** Verify this principal's own entry (missing entry or a sender outside
+    the deployment => reject). *)
 
 val single : Keychain.t -> nonce:int64 -> to_:Keychain.principal -> string -> t
 (** One-entry authenticator for point-to-point messages. *)

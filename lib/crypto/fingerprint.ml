@@ -67,6 +67,15 @@ let of_parts parts =
 
 let equal = String.equal
 
+(* A digest's bytes are uniform, so its first four make the table hash. *)
+module Tbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+
+  let hash d = String.get_uint16_le d 0 lor (String.get_uint16_le d 2 lsl 16)
+end)
+
 let zero = String.make size '\000'
 
 let pp fmt t = Format.pp_print_string fmt (String.sub (Md5.to_hex t) 0 8)

@@ -37,6 +37,10 @@ val finish : builder -> t
 
 val equal : t -> t -> bool
 
+module Tbl : Hashtbl.S with type key = t
+(** Digest-keyed tables, hashed on the digest's first four bytes (every
+    {!t} this module makes is {!size} bytes long). *)
+
 val zero : t
 
 val pp : Format.formatter -> t -> unit

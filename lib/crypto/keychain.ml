@@ -1,65 +1,96 @@
 type principal = int
 
-module Int_tbl = Hashtbl.Make (Int)
+module Dense = Bft_util.Dense
+
+type deployment = { replicas : int; client_base : int; mutable clients : int }
+
+let deployment ~replicas ~client_base =
+  if replicas < 1 || client_base < replicas then
+    invalid_arg "Keychain.deployment: clients must follow the replicas";
+  { replicas; client_base; clients = 0 }
+
+let admit_client d =
+  let principal = d.client_base + d.clients in
+  d.clients <- d.clients + 1;
+  principal
 
 (* One direction of a pairwise channel: the key of [epoch] and its prepared
    MAC state. Re-derived in place when the epoch moves on. *)
 type channel = { mutable epoch : int; mutable key : string; mutable mac : Mac.session }
 
+(* Per-peer state sits at the peer's dense index (see [peer_index]); each
+   array grows to the highest index this principal has used. *)
 type t = {
   master : string;
   self_id : principal;
-  replica_bound : int;
+  peers : deployment;
   mutable inbound_epoch : int;
-  peer_epochs : int Int_tbl.t; (* epochs peers announced *)
-  send_channels : channel Int_tbl.t;
-  recv_channels : channel Int_tbl.t;
+  mutable peer_epochs : int array; (* epochs peers announced *)
+  mutable send_channels : channel option array;
+  mutable recv_channels : channel option array;
 }
 
-let create ~master ~self ?(replica_bound = max_int) () = {
-  master;
-  self_id = self;
-  replica_bound;
-  inbound_epoch = 0;
-  peer_epochs = Int_tbl.create 16;
-  send_channels = Int_tbl.create 16;
-  recv_channels = Int_tbl.create 16;
-}
+let create ~master ~self peers =
+  {
+    master;
+    self_id = self;
+    peers;
+    inbound_epoch = 0;
+    peer_epochs = [||];
+    send_channels = [||];
+    recv_channels = [||];
+  }
 
 let self t = t.self_id
+
+let peer_index t peer =
+  let d = t.peers in
+  if peer >= 0 && peer < d.replicas then peer
+  else
+    let offset = peer - d.client_base in
+    if offset >= 0 && offset < d.clients then d.replicas + offset else -1
+
+let index_exn t peer =
+  let i = peer_index t peer in
+  if i < 0 then invalid_arg "Keychain: principal outside the deployment";
+  i
 
 (* The directed key for sender [src] -> receiver [dst] at the receiver's
    inbound epoch. Both ends derive the same 16-byte key. *)
 let derive master ~src ~dst ~epoch =
   Hmac.mac ~key:master (Printf.sprintf "session:%d->%d@%d" src dst epoch)
 
-let peer_epoch t peer =
-  match Int_tbl.find t.peer_epochs peer with e -> e | exception Not_found -> 0
+let peer_epoch t i = if i < Array.length t.peer_epochs then t.peer_epochs.(i) else 0
 
 (* Derivation runs a full HMAC and preparation two MD5 blocks, so both are
-   done once per (peer, epoch); a warm lookup is one int-keyed probe. *)
-let channel channels peer ~epoch ~src ~dst master =
-  match Int_tbl.find channels peer with
-  | s when s.epoch = epoch -> s
-  | s ->
+   done once per (peer, epoch); a warm lookup is an array load. *)
+let channel channels i ~epoch ~src ~dst master =
+  match channels.(i) with
+  | Some s when s.epoch = epoch -> s
+  | Some s ->
     let key = derive master ~src ~dst ~epoch in
     s.epoch <- epoch;
     s.key <- key;
     s.mac <- Mac.prepare key;
     s
-  | exception Not_found ->
+  | None ->
     let key = derive master ~src ~dst ~epoch in
     let s = { epoch; key; mac = Mac.prepare key } in
-    Int_tbl.replace channels peer s;
+    channels.(i) <- Some s;
     s
 
 let send_channel t peer =
-  channel t.send_channels peer ~epoch:(peer_epoch t peer) ~src:t.self_id ~dst:peer
-    t.master
+  let i = index_exn t peer in
+  if i >= Array.length t.send_channels then
+    t.send_channels <- Dense.grow t.send_channels i None;
+  channel t.send_channels i ~epoch:(peer_epoch t i) ~src:t.self_id ~dst:peer t.master
 
 let recv_channel t peer =
-  let epoch = if peer < t.replica_bound then t.inbound_epoch else 0 in
-  channel t.recv_channels peer ~epoch ~src:peer ~dst:t.self_id t.master
+  let i = index_exn t peer in
+  if i >= Array.length t.recv_channels then
+    t.recv_channels <- Dense.grow t.recv_channels i None;
+  let epoch = if i < t.peers.replicas then t.inbound_epoch else 0 in
+  channel t.recv_channels i ~epoch ~src:peer ~dst:t.self_id t.master
 
 let send_session t peer = (send_channel t peer).mac
 
@@ -74,4 +105,8 @@ let epoch t ~peer:_ = t.inbound_epoch
 let refresh t = t.inbound_epoch <- t.inbound_epoch + 1
 
 let observe_epoch t ~peer epoch =
-  if epoch > peer_epoch t peer then Int_tbl.replace t.peer_epochs peer epoch
+  let i = peer_index t peer in
+  if i >= 0 && epoch > peer_epoch t i then begin
+    t.peer_epochs <- Dense.grow t.peer_epochs i 0;
+    t.peer_epochs.(i) <- epoch
+  end

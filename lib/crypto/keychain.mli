@@ -11,21 +11,40 @@
 
 type principal = int
 
+type deployment
+(** The principals of one cluster: replicas [0 .. replicas-1] and the
+    clients admitted so far at [client_base + i]. Every keychain of the
+    cluster shares one, so a client admitted later is known to all. *)
+
+val deployment : replicas:int -> client_base:int -> deployment
+(** No clients yet. Raises [Invalid_argument] unless
+    [1 <= replicas <= client_base]. *)
+
+val admit_client : deployment -> principal
+(** The next client principal, [client_base + clients admitted so far],
+    now part of the deployment. *)
+
 type t
 
-val create : master:string -> self:principal -> ?replica_bound:int -> unit -> t
-(** [replica_bound]: principals below it are replicas; epoch refreshes only
-    apply to them. Client-replica keys are refreshed by the clients on
-    their own schedule (as in the paper), so a replica's proactive recovery
-    never locks its clients out. Defaults to treating every peer as a
-    replica. *)
+val create : master:string -> self:principal -> deployment -> t
+(** Epoch refreshes apply to the deployment's replicas only. Client-replica
+    keys are refreshed by the clients on their own schedule (as in the
+    paper), so a replica's proactive recovery never locks its clients
+    out. *)
 
 val self : t -> principal
 
+val peer_index : t -> principal -> int
+(** The peer's dense index: a replica's id, [replicas + i] for the [i]-th
+    admitted client, [-1] for a principal outside the deployment. Per-peer
+    state is stored at this index, so it grows with the peers actually
+    used, not with the largest principal id. *)
+
 (** Each direction of each pairwise channel is a session: the key of the
     current epoch and its prepared MAC state, derived once per (peer,
-    epoch) and found again with one int-keyed probe that allocates
-    nothing. *)
+    epoch) and found again at the peer's index without allocating. The
+    lookups below raise [Invalid_argument] for a principal outside the
+    deployment. *)
 
 val send_session : t -> principal -> Mac.session
 (** Prepared key for messages this principal sends to [peer]. *)
@@ -49,4 +68,5 @@ val refresh : t -> unit
 
 val observe_epoch : t -> peer:principal -> int -> unit
 (** Record that [peer] refreshed to [epoch], so future sends to it use the
-    new key. Stale epochs are ignored. *)
+    new key. Stale epochs and principals outside the deployment are
+    ignored. *)

@@ -33,7 +33,6 @@ Fingerprint.parts_builder
 Message.digest_enc
 Message.digest_builder
 Message.batch_builder
-Message.pad_strings
 '
 
 found=$(cd "$root" && find lib -name '*.ml' | sort | xargs awk '

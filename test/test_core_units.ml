@@ -218,7 +218,7 @@ let log_model_prop =
       make ~print:(Print.list log_op_print)
         Gen.(list_size (int_bound 60) log_op_gen))
     (fun ops ->
-      let log = Log.create ~low:0 ~window:log_window () in
+      let log = Log.create ~low:0 ~window:log_window ~replicas:4 () in
       let model = ref Int_map.empty in
       let fail fmt = Printf.ksprintf QCheck.Test.fail_report fmt in
       let agree () =
@@ -278,6 +278,10 @@ let log_model_prop =
 
 (* --- transport ------------------------------------------------------------ *)
 
+(* A deployment of four replicas, for transports that talk among
+   themselves. *)
+let principals () = Keychain.deployment ~replicas:4 ~client_base:4
+
 type trig = {
   engine : Engine.t;
   net : Network.t;
@@ -293,7 +297,7 @@ let make_trig () =
     Array.init 3 (fun i ->
         let cpu = Cpu.create engine () in
         let node = Network.add_node net ~cpu ~name:(Printf.sprintf "n%d" i) () in
-        let keychain = Keychain.create ~master:"m" ~self:i () in
+        let keychain = Keychain.create ~master:"m" ~self:i (principals ()) in
         Transport.create net ~keychain ~node ())
   in
   Array.iteri
@@ -362,7 +366,7 @@ let test_transport_nonce_window () =
   let r = make_trig () in
   (* A fresh keychain with the sender's identity derives the same pairwise
      keys, letting us hand-roll datagrams with chosen nonces. *)
-  let kc0 = Keychain.create ~master:"m" ~self:0 () in
+  let kc0 = Keychain.create ~master:"m" ~self:0 (principals ()) in
   let deliver ?(corrupt = false) nonce =
     let module Enc = Bft_util.Codec.Enc in
     let enc = Enc.create () in
@@ -394,6 +398,84 @@ let test_transport_nonce_window () =
   check verdict_t "oldest in-window nonce accepted" Transport.Accepted
     (deliver 37L)
 
+(* A hand-rolled datagram from [kc]'s principal to [dst], with [nonce]. *)
+let datagram ~kc ~dst nonce =
+  let module Enc = Bft_util.Codec.Enc in
+  let enc = Enc.create () in
+  Message.encode_prefix_into enc ~sender:(Keychain.self kc) ~msg:sample_msg ~commits:[];
+  let auth =
+    Bft_crypto.Auth.generate kc ~nonce ~targets:[ dst ]
+      (Fingerprint.of_string (Enc.to_string enc))
+  in
+  Bft_crypto.Auth.encode enc auth;
+  let wire = Enc.to_string enc in
+  Message.receive ~size:(String.length wire) wire
+
+(* Verdicts of one sender's nonces at two receivers: 0, 63, 64 and 65
+   behind the highest, [Int64.max_int] and below, [Int64.min_int] and other
+   negative nonces, before and after the window has seen them. The table
+   was recorded from the boxed-record windows this storage replaced, host
+   shift semantics included; A = accepted, R = replayed. *)
+let test_transport_nonce_edges () =
+  let r = make_trig () in
+  let kc = Keychain.create ~master:"m" ~self:0 (principals ()) in
+  let h = 1000L and mx = Int64.max_int and mn = Int64.min_int in
+  let p62 = Int64.shift_left 1L 62 in
+  let sends =
+    [ (1, h); (1, Int64.sub h 63L); (1, Int64.sub h 64L); (1, Int64.sub h 65L);
+      (1, Int64.sub h 63L); (1, h); (1, 0L); (1, -1L); (1, mn);
+      (1, mx); (1, Int64.sub mx 63L); (1, Int64.sub mx 64L); (1, Int64.sub mx 65L);
+      (1, mx); (1, h); (1, 0L); (1, -1L); (1, mn); (1, Int64.add mn 1L);
+      (2, -5L); (2, -5L); (2, -100L); (2, mn); (2, 0L); (2, -63L); (2, -64L);
+      (2, 3L); (2, -60L); (2, p62); (2, Int64.add p62 1L);
+      (2, -1L); (2, 0L); (2, mn); (2, mx); (2, Int64.sub mx 1L); (2, 1L) ]
+  in
+  let verdicts =
+    List.map
+      (fun (dst, nonce) ->
+        match Transport.check r.transports.(dst) (datagram ~kc ~dst nonce) with
+        | Transport.Accepted -> 'A'
+        | Transport.Replayed -> 'R'
+        | Transport.Rejected -> 'X')
+      sends
+  in
+  check Alcotest.string "verdicts" "AARRRRRRRAARRRARRRAARRARARAAAAARRAAA"
+    (String.of_seq (List.to_seq verdicts))
+
+(* A datagram naming a sender outside the deployment (an unadmitted client,
+   a principal between the replicas and the client base, the largest wire
+   id) is rejected before any crypto, and the receiver keeps no state for
+   it. *)
+let test_transport_outside_sender () =
+  let net = Network.simulation ~rng:(Bft_util.Rng.of_int 3) () in
+  let engine = Network.engine net in
+  let deployment = Keychain.deployment ~replicas:4 ~client_base:10 in
+  let client = Keychain.admit_client deployment in
+  let node () = Network.add_node net ~cpu:(Cpu.create engine ()) ~name:"r" () in
+  let receiver =
+    Transport.create net ~keychain:(Keychain.create ~master:"m" ~self:1 deployment)
+      ~node:(node ()) ()
+  in
+  let words () =
+    ( Obj.reachable_words (Obj.repr receiver),
+      Obj.reachable_words (Obj.repr (Transport.keychain receiver)) )
+  in
+  let from principal nonce =
+    let kc = Keychain.create ~master:"m" ~self:principal deployment in
+    datagram ~kc ~dst:1 nonce
+  in
+  let admitted = from client 1L in
+  let outside = List.map (fun p -> from p 1L) [ client + 1; 7; 65535 ] in
+  let before = words () in
+  let busy = Cpu.total_busy (Transport.cpu receiver) in
+  List.iter
+    (fun rx -> check verdict_t "outside rejected" Transport.Rejected (Transport.check receiver rx))
+    outside;
+  check (Alcotest.pair Alcotest.int Alcotest.int) "no state kept" before (words ());
+  check (Alcotest.float 0.0) "no crypto charged" busy (Cpu.total_busy (Transport.cpu receiver));
+  check verdict_t "admitted client accepted" Transport.Accepted
+    (Transport.check receiver admitted)
+
 (* One multicast is decoded once: its three receivers share one envelope
    and its digests, yet each checks its own nonce and MAC tag, and the
    crypto tallies count the digest work of every receiver. *)
@@ -405,7 +487,9 @@ let test_multicast_decoded_once () =
     Array.init 4 (fun i ->
         let cpu = Cpu.create engine () in
         let node = Network.add_node net ~cpu ~name:(Printf.sprintf "n%d" i) () in
-        Transport.create net ~keychain:(Keychain.create ~master:"m" ~self:i ()) ~node ())
+        Transport.create net
+          ~keychain:(Keychain.create ~master:"m" ~self:i (principals ()))
+          ~node ())
   in
   let got = ref [] in
   for i = 1 to 3 do
@@ -476,9 +560,10 @@ let make_crig () =
     Array.init n (fun i ->
         { Transport.principal = i; node = replica_nodes.(i) })
   in
+  let deployment = Keychain.deployment ~replicas:n ~client_base:n in
   let replica_transports =
     Array.init n (fun i ->
-        let keychain = Keychain.create ~master ~self:i ~replica_bound:n () in
+        let keychain = Keychain.create ~master ~self:i deployment in
         Transport.create net ~keychain ~node:replica_nodes.(i) ())
   in
   let request_ts = ref 0L in
@@ -496,7 +581,9 @@ let make_crig () =
     replica_transports;
   let cpu = Cpu.create engine () in
   let cnode = Network.add_node net ~cpu ~name:"client" () in
-  let keychain = Keychain.create ~master ~self:n ~replica_bound:n () in
+  let keychain =
+    Keychain.create ~master ~self:(Keychain.admit_client deployment) deployment
+  in
   let transport = Transport.create net ~keychain ~node:cnode () in
   let dispatcher = Dispatcher.install net cnode in
   let client =
@@ -895,6 +982,10 @@ let () =
           Alcotest.test_case "charges cpu" `Quick test_transport_charges_cpu;
           Alcotest.test_case "nonce window drops replays" `Quick
             test_transport_nonce_window;
+          Alcotest.test_case "nonce verdicts at the edges" `Quick
+            test_transport_nonce_edges;
+          Alcotest.test_case "sender outside the deployment" `Quick
+            test_transport_outside_sender;
           Alcotest.test_case "one multicast, one decode" `Quick
             test_multicast_decoded_once;
         ] );

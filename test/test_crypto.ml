@@ -157,9 +157,12 @@ let mac_is_truncated_hmac_prop =
 
 (* --- keychain ------------------------------------------------------------ *)
 
+(* Principals 0 .. n-1, all replicas. *)
+let replicas n = Keychain.deployment ~replicas:n ~client_base:n
+
 let test_keychain_pairwise_agreement () =
-  let a = Keychain.create ~master:"m" ~self:0 () in
-  let b = Keychain.create ~master:"m" ~self:1 () in
+  let a = Keychain.create ~master:"m" ~self:0 (replicas 2) in
+  let b = Keychain.create ~master:"m" ~self:1 (replicas 2) in
   (* The key 0 uses to send to 1 must be the key 1 expects from 0. *)
   check Alcotest.string "0->1" (Keychain.send_key a 1) (Keychain.recv_key b 0);
   check Alcotest.string "1->0" (Keychain.send_key b 0) (Keychain.recv_key a 1);
@@ -167,8 +170,8 @@ let test_keychain_pairwise_agreement () =
     (Keychain.send_key a 1 <> Keychain.send_key b 0)
 
 let test_keychain_epoch_refresh () =
-  let a = Keychain.create ~master:"m" ~self:0 () in
-  let b = Keychain.create ~master:"m" ~self:1 () in
+  let a = Keychain.create ~master:"m" ~self:0 (replicas 2) in
+  let b = Keychain.create ~master:"m" ~self:1 (replicas 2) in
   let old_key = Keychain.send_key a 1 in
   Keychain.refresh b;
   (* Until 0 observes the new epoch it still uses the stale key... *)
@@ -181,11 +184,11 @@ let test_keychain_epoch_refresh () =
     (Keychain.recv_key b 0)
 
 let test_keychain_stale_epoch_ignored () =
-  let a = Keychain.create ~master:"m" ~self:0 () in
+  let a = Keychain.create ~master:"m" ~self:0 (replicas 2) in
   Keychain.observe_epoch a ~peer:1 5;
   Keychain.observe_epoch a ~peer:1 3;
   let key5 =
-    let b = Keychain.create ~master:"m" ~self:1 () in
+    let b = Keychain.create ~master:"m" ~self:1 (replicas 2) in
     for _ = 1 to 5 do
       Keychain.refresh b
     done;
@@ -195,7 +198,9 @@ let test_keychain_stale_epoch_ignored () =
 
 (* --- authenticators ------------------------------------------------------ *)
 
-let make_chains n = Array.init n (fun i -> Keychain.create ~master:"m" ~self:i ())
+let make_chains n =
+  let d = replicas n in
+  Array.init n (fun i -> Keychain.create ~master:"m" ~self:i d)
 
 let test_auth_vector () =
   let chains = make_chains 4 in
@@ -264,13 +269,13 @@ let test_auth_wire_size_all_entry_counts () =
       targets
   done
 
-(* Replicas 0-3 under [replica_bound:4] and a client principal 4. A
-   replica's refresh retires the tags its replica peers computed under the
-   old epoch until they observe the new one; client channels never move. *)
+(* Replicas 0-3 and a client principal 4. A replica's refresh retires the
+   tags its replica peers computed under the old epoch until they observe
+   the new one; client channels never move. *)
 let test_auth_across_refresh () =
-  let chains =
-    Array.init 5 (fun i -> Keychain.create ~master:"m" ~self:i ~replica_bound:4 ())
-  in
+  let d = replicas 4 in
+  ignore (Keychain.admit_client d : int);
+  let chains = Array.init 5 (fun i -> Keychain.create ~master:"m" ~self:i d) in
   let from_replica = Auth.single chains.(0) ~nonce:1L ~to_:1 "m" in
   let from_client = Auth.single chains.(4) ~nonce:1L ~to_:1 "m" in
   check Alcotest.bool "replica tag before refresh" true
@@ -316,7 +321,10 @@ let test_verify_allocates_nothing () =
   check Alcotest.bool "all verified" true !ok
 
 let test_session_lookup_allocates_nothing () =
-  let kc = Keychain.create ~master:"m" ~self:0 ~replica_bound:4 () in
+  (* Replicas 0-3; clients from 9, one admitted. *)
+  let d = Keychain.deployment ~replicas:4 ~client_base:9 in
+  ignore (Keychain.admit_client d : int);
+  let kc = Keychain.create ~master:"m" ~self:0 d in
   Keychain.observe_epoch kc ~peer:1 2;
   let chains = make_chains 2 in
   let auth = Auth.single chains.(1) ~nonce:5L ~to_:0 "msg" in
@@ -325,6 +333,25 @@ let test_session_lookup_allocates_nothing () =
   words "recv session" (fun () -> ignore (Keychain.recv_session kc 1 : Mac.session));
   words "client recv session" (fun () -> ignore (Keychain.recv_session kc 9 : Mac.session));
   words "auth check" (fun () -> ignore (Auth.check chains.(0) ~from:1 "msg" auth : bool))
+
+(* A warm, accepted nonce at a receiver: the check against the sender's
+   anti-replay window, then the record that slides it. *)
+let test_accepted_nonce_allocates_nothing () =
+  let module Nonce_window = Bft_core.Nonce_window in
+  let w = Nonce_window.create () in
+  Nonce_window.record w 3 1L;
+  (* Boxed beforehand: only the window's own work is measured. *)
+  let nonces = Array.init 1001 (fun i -> Int64.of_int (i + 2)) in
+  let next = ref 0 and accepted = ref 0 in
+  check (Alcotest.float 0.0) "check and record" 0.0
+    (minor_words_per_1000 (fun () ->
+         let nonce = nonces.(!next mod 1001) in
+         incr next;
+         if Nonce_window.status w 3 nonce = Nonce_window.Fresh then begin
+           Nonce_window.record w 3 nonce;
+           incr accepted
+         end));
+  check Alcotest.int "all accepted" 1001 !accepted
 
 (* --- fingerprints --------------------------------------------------------- *)
 
@@ -495,6 +522,8 @@ let () =
             test_verify_allocates_nothing;
           Alcotest.test_case "warm session lookup allocates nothing" `Quick
             test_session_lookup_allocates_nothing;
+          Alcotest.test_case "accepted nonce check allocates nothing" `Quick
+            test_accepted_nonce_allocates_nothing;
         ] );
       ( "fingerprint",
         [

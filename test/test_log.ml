@@ -17,7 +17,7 @@ let fresh_slot ?(seq = 1) ?(view = 0) ?(digest = d1) log =
   slot
 
 let test_watermarks () =
-  let log = Log.create ~low:0 ~window:16 () in
+  let log = Log.create ~low:0 ~window:16 ~replicas:4 () in
   check Alcotest.int "low" 0 (Log.low_watermark log);
   check Alcotest.int "high" 16 (Log.high_watermark log);
   check Alcotest.bool "0 out" false (Log.in_window log 0);
@@ -26,20 +26,20 @@ let test_watermarks () =
   check Alcotest.bool "17 out" false (Log.in_window log 17)
 
 let test_get_out_of_window () =
-  let log = Log.create ~low:10 ~window:4 () in
+  let log = Log.create ~low:10 ~window:4 ~replicas:4 () in
   Alcotest.check_raises "below" (Invalid_argument "Log.get: seq 10 outside (10, 14]")
     (fun () -> ignore (Log.get log 10));
   Alcotest.check_raises "above" (Invalid_argument "Log.get: seq 15 outside (10, 14]")
     (fun () -> ignore (Log.get log 15))
 
 let test_find_vs_get () =
-  let log = Log.create ~low:0 ~window:8 () in
+  let log = Log.create ~low:0 ~window:8 ~replicas:4 () in
   check Alcotest.bool "absent" true (Log.find log 3 = None);
   let slot = Log.get log 3 in
   check Alcotest.bool "same slot" true (Log.find log 3 = Some slot)
 
 let test_prepared_predicate () =
-  let log = Log.create ~low:0 ~window:8 () in
+  let log = Log.create ~low:0 ~window:8 ~replicas:4 () in
   let slot = fresh_slot log in
   check Alcotest.bool "not yet" false (Log.is_prepared slot ~f:1 0);
   Log.add_prepare slot 1 0 d1;
@@ -49,7 +49,7 @@ let test_prepared_predicate () =
   check Alcotest.bool "wrong view" false (Log.is_prepared slot ~f:1 1)
 
 let test_prepared_needs_matching_digest () =
-  let log = Log.create ~low:0 ~window:8 () in
+  let log = Log.create ~low:0 ~window:8 ~replicas:4 () in
   let slot = fresh_slot log in
   Log.add_prepare slot 1 0 d2;
   Log.add_prepare slot 2 0 d2;
@@ -57,7 +57,7 @@ let test_prepared_needs_matching_digest () =
     (Log.is_prepared slot ~f:1 0)
 
 let test_prepared_counts_distinct_replicas () =
-  let log = Log.create ~low:0 ~window:8 () in
+  let log = Log.create ~low:0 ~window:8 ~replicas:4 () in
   let slot = fresh_slot log in
   Log.add_prepare slot 1 0 d1;
   Log.add_prepare slot 1 0 d1;
@@ -65,7 +65,7 @@ let test_prepared_counts_distinct_replicas () =
     (Log.is_prepared slot ~f:1 0)
 
 let test_prepared_blocked_by_missing_bodies () =
-  let log = Log.create ~low:0 ~window:8 () in
+  let log = Log.create ~low:0 ~window:8 ~replicas:4 () in
   let slot = fresh_slot log in
   Log.set_missing log slot [ d2 ];
   Log.add_prepare slot 1 0 d1;
@@ -75,7 +75,7 @@ let test_prepared_blocked_by_missing_bodies () =
   check Alcotest.bool "unblocked" true (Log.is_prepared slot ~f:1 0)
 
 let test_committed_predicate () =
-  let log = Log.create ~low:0 ~window:8 () in
+  let log = Log.create ~low:0 ~window:8 ~replicas:4 () in
   let slot = fresh_slot log in
   Log.add_prepare slot 1 0 d1;
   Log.add_prepare slot 2 0 d1;
@@ -88,7 +88,7 @@ let test_committed_predicate () =
 let test_committed_without_local_prepares () =
   (* A commit certificate alone suffices (it proves a quorum prepared),
      but only with the batch body present. *)
-  let log = Log.create ~low:0 ~window:8 () in
+  let log = Log.create ~low:0 ~window:8 ~replicas:4 () in
   let slot = fresh_slot log in
   Log.add_commit slot 0 0 d1;
   Log.add_commit slot 1 0 d1;
@@ -104,7 +104,7 @@ let test_committed_without_local_prepares () =
   check Alcotest.bool "no pre-prepare" false (Log.is_committed bare ~f:1 0)
 
 let test_later_view_wins () =
-  let log = Log.create ~low:0 ~window:8 () in
+  let log = Log.create ~low:0 ~window:8 ~replicas:4 () in
   let slot = fresh_slot log in
   Log.add_prepare slot 1 1 d2;
   (* an older-view prepare must not overwrite the newer one *)
@@ -113,7 +113,7 @@ let test_later_view_wins () =
   check Alcotest.int "new view kept" 1 (Log.prepare_count slot 1 d2)
 
 let test_truncate () =
-  let log = Log.create ~low:0 ~window:8 () in
+  let log = Log.create ~low:0 ~window:8 ~replicas:4 () in
   for seq = 1 to 8 do
     ignore (Log.get log seq)
   done;
@@ -127,14 +127,14 @@ let test_truncate () =
   check Alcotest.int "no backward move" 4 (Log.low_watermark log)
 
 let test_iter_sorted () =
-  let log = Log.create ~low:0 ~window:16 () in
+  let log = Log.create ~low:0 ~window:16 ~replicas:4 () in
   List.iter (fun s -> ignore (Log.get log s)) [ 9; 2; 5 ];
   let seen = ref [] in
   Log.iter log (fun slot -> seen := slot.Log.seq :: !seen);
   check (Alcotest.list Alcotest.int) "ascending" [ 2; 5; 9 ] (List.rev !seen)
 
 let test_f2_quorums () =
-  let log = Log.create ~low:0 ~window:8 () in
+  let log = Log.create ~low:0 ~window:8 ~replicas:7 () in
   let slot = fresh_slot log in
   for r = 1 to 3 do
     Log.add_prepare slot r 0 d1

@@ -321,7 +321,10 @@ let transport_datagrams (env : Message.envelope) =
   let captured = ref [] in
   Network.set_handler net dst (fun ~src:_ dgram ->
       captured := dgram.Network.wire :: !captured);
-  let keychain = Bft_crypto.Keychain.create ~master:"m" ~self:env.sender () in
+  let keychain =
+    Bft_crypto.Keychain.create ~master:"m" ~self:env.sender
+      (Bft_crypto.Keychain.deployment ~replicas:4 ~client_base:4)
+  in
   let transport = Transport.create net ~keychain ~node:src () in
   Transport.multicast transport ~commits:env.commits
     ~dsts:[ { Transport.principal = (env.sender + 1) mod 4; node = dst } ]

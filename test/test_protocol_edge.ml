@@ -211,10 +211,11 @@ let test_two_byzantine_exceed_f_safety_preserved () =
 (* Clients derive their MAC keys from the cluster master, exactly like
    replicas, so any client principal can authenticate a PREPARE, COMMIT or
    piggybacked commit. Only replicas may vote. With replicas 2 and 3
-   crashed (beyond f = 1) nothing can commit; votes from principals 100+
-   must not fill the missing quorum members. [forge] selects the votes:
-   [`Direct] — two principals multicast PREPARE and COMMIT for seq 1;
-   [`Piggyback] — three principals piggyback a COMMIT on a PREPARE. *)
+   crashed (beyond f = 1) nothing can commit; votes from the cluster's
+   client principals must not fill the missing quorum members. [forge]
+   selects the votes: [`Direct] — two principals multicast PREPARE and
+   COMMIT for seq 1; [`Piggyback] — three principals piggyback a COMMIT on
+   a PREPARE. *)
 let non_replica_votes forge =
   let config = Config.make ~f:1 () in
   let cluster =
@@ -226,13 +227,17 @@ let non_replica_votes forge =
   Cluster.crash_replica cluster 3;
   let engine = Cluster.engine cluster in
   let net = Cluster.network cluster in
+  (* Principals the cluster admitted as clients, so the replicas hold keys
+     for them; each speaks here from a node of its own. *)
+  let admitted = Array.init 4 (fun _ -> Client.id (Cluster.add_client cluster)) in
+  let n = config.Config.n in
   let principal id =
     let name = Printf.sprintf "principal%d" id in
     let cpu = Bft_sim.Cpu.create engine () in
     let node = Bft_net.Network.add_node net ~cpu ~name () in
     let keychain =
       Bft_crypto.Keychain.create ~master:"m" ~self:id
-        ~replica_bound:config.Config.n ()
+        (Bft_crypto.Keychain.deployment ~replicas:n ~client_base:n)
     in
     Transport.create net ~keychain ~node ()
   in
@@ -242,7 +247,7 @@ let non_replica_votes forge =
   in
   let request =
     {
-      Message.client = 200;
+      Message.client = admitted.(0);
       timestamp = 1L;
       read_only = false;
       full_replies = false;
@@ -250,7 +255,7 @@ let non_replica_votes forge =
       op = Service.null_op ~read_only:false ~arg_size:0 ~result_size:0;
     }
   in
-  let client = principal 200 in
+  let client = principal admitted.(0) in
   Bft_sim.Engine.schedule engine ~delay:0.001 (fun () ->
       Transport.multicast client ~dsts (Message.Request request));
   let digest = Message.batch_digest [ Message.Full request ] in
@@ -259,8 +264,8 @@ let non_replica_votes forge =
   let votes =
     match forge with
     | `None -> []
-    | `Direct -> [ (100, false); (101, false) ]
-    | `Piggyback -> [ (100, true); (101, true); (102, true) ]
+    | `Direct -> [ (admitted.(1), false); (admitted.(2), false) ]
+    | `Piggyback -> [ (admitted.(1), true); (admitted.(2), true); (admitted.(3), true) ]
   in
   List.iter
     (fun (id, piggyback) ->

@@ -234,7 +234,8 @@ let forged_handoff ~opp_seq =
   let node = Bft_net.Network.add_node net ~cpu ~name:"byz" () in
   let keychain =
     Bft_crypto.Keychain.create ~master:"m" ~self:3
-      ~replica_bound:config.Config.n ()
+      (Bft_crypto.Keychain.deployment ~replicas:config.Config.n
+         ~client_base:config.Config.n)
   in
   let forged = Transport.create net ~keychain ~node () in
   let dsts =
