@@ -24,14 +24,21 @@ type client_entry = {
 type status = Normal | View_changing
 
 (* In-progress hierarchical state fetch: target page digests, pages
-   gathered so far (reused locally or fetched), and who to ask. *)
+   gathered so far (reused locally or fetched) at their index, and who to
+   ask. *)
 type fetch_ctx = {
   fx_seq : seqno;
   fx_digest : Fingerprint.t;  (** target checkpoint (state) digest *)
   fx_pages : Fingerprint.t array;
-  fx_have : (int, Payload.t) Hashtbl.t;
+  fx_have : Payload.t option array;
   fx_src : replica_id;
 }
+
+(* A STATE or STATE-META: checkpoint seq, state digest, and the digest of
+   the snapshot or the root of its page digests. *)
+type offer = seqno * Fingerprint.t * Fingerprint.t
+
+type 'a votes = 'a option array  (* each replica's vote at its id *)
 
 type t = {
   config : Config.t;
@@ -71,16 +78,16 @@ type t = {
   mutable stable_digest : Fingerprint.t;
   mutable stable_snapshot : Payload.t Lazy.t;
       (** captured, forced only to serve state transfer or a restart *)
-  own_checkpoints : (seqno, Fingerprint.t) Hashtbl.t;
-  checkpoint_snapshots : (seqno, Payload.t Lazy.t) Hashtbl.t;
-  checkpoint_msgs : (seqno, (replica_id, Fingerprint.t) Hashtbl.t) Hashtbl.t;
-  stable_certs : (seqno, Fingerprint.t) Hashtbl.t;
+  mutable own_checkpoints : (seqno * Fingerprint.t * Payload.t Lazy.t) list;
+      (** (seq, digest, snapshot) of ours above the stable one, ascending *)
+  checkpoint_msgs : Fingerprint.t votes Int_tbl.t;  (** by seq *)
+  stable_certs : Fingerprint.t Int_tbl.t;
   (* liveness *)
   waiting : float Fingerprint.Tbl.t;
       (** requests received directly from clients, not yet executed *)
   mutable vc_timer : Timer.t;
   mutable vc_attempts : int;
-  view_changes : (view, (replica_id, Message.view_change) Hashtbl.t) Hashtbl.t;
+  view_changes : Message.view_change votes Int_tbl.t;  (** by next view *)
   mutable nv_sent : view;  (** highest view we already sent NEW-VIEW for *)
   mutable last_nv : Message.new_view option;  (** for straggler catch-up *)
   mutable resend_timer : Timer.t;
@@ -98,8 +105,8 @@ type t = {
   (* state transfer / recovery *)
   mutable await_state : seqno option;
   mutable recovering : bool;
-  state_votes : (seqno * Fingerprint.t * Fingerprint.t, int * Payload.t) Hashtbl.t;
-  meta_votes : (seqno * Fingerprint.t * Fingerprint.t, int) Hashtbl.t;
+  state_offers : offer votes;  (** each replica's latest STATE *)
+  meta_offers : offer votes;  (** each replica's latest STATE-META *)
   mutable fetch_ctx : fetch_ctx option;
   mutable state_timer : Timer.t;
   mutable state_attempts : int;  (** consecutive state refetches without progress *)
@@ -343,21 +350,55 @@ let vc_timeout t =
   liveness_backoff ~base:t.config.Config.view_change_timeout
     ~attempts:t.vc_attempts
 
+(* --- votes ----------------------------------------------------------------
+
+   Certificates keep each replica's vote at the replica's id, [None] where
+   it has not voted, as [Log] keeps PREPAREs and COMMITs: a quorum is a
+   count of distinct replicas however often one of them repeats itself. *)
+
+(* The votes [table] holds for [key], created empty. *)
+let votes_at t table key =
+  match Int_tbl.find_opt table key with
+  | Some votes -> votes
+  | None ->
+    let votes = Array.make t.config.Config.n None in
+    Int_tbl.replace table key votes;
+    votes
+
+(* How many replicas vote for something satisfying [p]. *)
+let backing votes p =
+  Array.fold_left (fun n v -> match v with Some x when p x -> n + 1 | _ -> n) 0 votes
+
+let voters votes = backing votes (fun _ -> true)
+
+(* The first vote, in replica order, that at least [k] replicas share. *)
+let shared_vote votes ~equal k =
+  Array.find_map
+    (function Some v when backing votes (equal v) >= k -> Some v | _ -> None)
+    votes
+
+let same_offer ((s, d, p) : offer) ((s', d', p') : offer) =
+  Int.equal s s' && Fingerprint.equal d d' && Fingerprint.equal p p'
+
+let clear votes = Array.fill votes 0 (Array.length votes) None
+
 (* How many replicas' VIEW-CHANGE messages for our target view we hold. *)
 let vc_backing t =
-  match Hashtbl.find_opt t.view_changes t.target_view with
-  | Some table -> Hashtbl.length table
+  match Int_tbl.find_opt t.view_changes t.target_view with
+  | Some votes -> voters votes
   | None -> 0
 
-(* Garbage collection below a stable checkpoint: collect the doomed keys,
-   then delete in place — no [Hashtbl.copy] of the whole table per
-   checkpoint. All these tables use [Hashtbl.replace], so each key has at
-   most one binding. *)
-let drop_matching table keep =
-  let doomed =
-    Hashtbl.fold (fun k _ acc -> if keep k then acc else k :: acc) table []
-  in
-  List.iter (Hashtbl.remove table) doomed
+(* Our checkpoint at [seq]: its digest and snapshot. *)
+let own_checkpoint t seq =
+  List.find_map
+    (fun (s, digest, snap) -> if s = seq then Some (digest, snap) else None)
+    t.own_checkpoints
+
+(* [seq] has a stable certificate for [digest]. *)
+let certified t seq digest =
+  match Int_tbl.find_opt t.stable_certs seq with
+  | Some d -> Fingerprint.equal d digest
+  | None -> false
 
 (* How long stable-checkpoint certificates outlive the log window, in
    multiples of [log_window] below the latest stable sequence number. They
@@ -385,10 +426,9 @@ let rec prune_waiting t =
         || (r.Message.timestamp = ce.last_ts && not ce.cached_tentative))
     | None -> false
   in
-  let doomed =
-    Fingerprint.Tbl.fold (fun d _ acc -> if keep d then acc else d :: acc) t.waiting []
-  in
-  List.iter (Fingerprint.Tbl.remove t.waiting) doomed
+  Fingerprint.Tbl.filter_map_inplace
+    (fun d since -> if keep d then Some since else None)
+    t.waiting
 
 and arm_waiting_timer t =
   if
@@ -415,7 +455,7 @@ and resend_pending t =
   (* O(1): called on every message by [ensure_resend_timer]. *)
   t.status = View_changing
   || Fingerprint.Tbl.length t.waiting > 0
-  || Hashtbl.length t.own_checkpoints > 0
+  || not (List.is_empty t.own_checkpoints)
   || t.max_pp_seen > t.last_committed
 
 and ensure_resend_timer t =
@@ -464,11 +504,9 @@ and do_resends t =
   (match t.status with
   | View_changing -> (
     (* re-multicast our VIEW-CHANGE for the view we are moving to *)
-    match Hashtbl.find_opt t.view_changes t.target_view with
-    | Some table -> (
-      match Hashtbl.find_opt table t.id with
-      | Some vc -> out_multicast t (Message.View_change vc)
-      | None -> ())
+    match Int_tbl.find_opt t.view_changes t.target_view with
+    | Some votes ->
+      Option.iter (fun vc -> out_multicast t (Message.View_change vc)) votes.(t.id)
     | None -> ())
   | Normal ->
     (* drive the head-of-line slot *)
@@ -540,8 +578,8 @@ and do_resends t =
       done
     end;
     (* re-multicast unstable checkpoint votes *)
-    Hashtbl.iter
-      (fun seq digest ->
+    List.iter
+      (fun (seq, digest, _) ->
         if seq > t.last_stable then
           out_multicast t (Message.Checkpoint { seq; digest; replica = t.id }))
       t.own_checkpoints)
@@ -822,76 +860,65 @@ and take_checkpoint t seq =
   let table = client_table_encoding t in
   let digest = state_digest t table in
   t.service.Service.checkpoint_taken ();
-  Hashtbl.replace t.own_checkpoints seq digest;
-  Hashtbl.replace t.checkpoint_snapshots seq (snapshot_payload t table);
+  (* A state transfer can roll execution back below checkpoints of ours,
+     so one at [seq] may be there already. *)
+  t.own_checkpoints <-
+    List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+      ((seq, digest, snapshot_payload t table)
+      :: List.filter (fun (s, _, _) -> s <> seq) t.own_checkpoints);
   Metrics.incr t.metrics "checkpoint.taken";
   ensure_resend_timer t;
   record_checkpoint_vote t ~seq ~digest ~from:t.id;
   out_multicast t (Message.Checkpoint { seq; digest; replica = t.id });
   try_stabilize t seq
 
+(* The first CHECKPOINT a replica sends for [seq] is its vote. *)
 and record_checkpoint_vote t ~seq ~digest ~from =
-  let votes =
-    match Hashtbl.find_opt t.checkpoint_msgs seq with
-    | Some v -> v
-    | None ->
-      let v = Hashtbl.create 8 in
-      Hashtbl.replace t.checkpoint_msgs seq v;
-      v
-  in
-  if not (Hashtbl.mem votes from) then Hashtbl.replace votes from digest
+  let votes = votes_at t t.checkpoint_msgs seq in
+  if Option.is_none votes.(from) then votes.(from) <- Some digest
 
 and try_stabilize t seq =
-  match Hashtbl.find_opt t.checkpoint_msgs seq with
+  match Int_tbl.find_opt t.checkpoint_msgs seq with
   | None -> ()
-  | Some votes ->
-    let counts = Hashtbl.create 4 in
-    Hashtbl.iter
-      (fun _ d ->
-        Hashtbl.replace counts d
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts d)))
-      votes;
-    Hashtbl.iter
-      (fun digest count ->
-        if count >= quorum ~f:(f_of t) then begin
-          Hashtbl.replace t.stable_certs seq digest;
-          if seq > t.last_stable then begin
-            match Hashtbl.find_opt t.own_checkpoints seq with
-            | Some own when Fingerprint.equal own digest ->
-              make_stable t seq digest
-            | Some _ ->
-              (* Our state diverged from the quorum: refetch it. *)
-              Metrics.incr t.metrics "checkpoint.divergent";
-              request_state t ~target:seq
-            | None ->
-              (* We have not produced this checkpoint yet. If we are a full
-                 interval behind, catch up by state transfer. *)
-              if seq >= t.last_executed + t.config.Config.checkpoint_interval
-              then request_state t ~target:seq
-          end
-        end)
-      counts
+  | Some votes -> (
+    (* With n = 3f+1 at most one digest has 2f+1 votes. *)
+    match shared_vote votes ~equal:Fingerprint.equal (quorum ~f:(f_of t)) with
+    | None -> ()
+    | Some digest ->
+      Int_tbl.replace t.stable_certs seq digest;
+      if seq > t.last_stable then begin
+        match own_checkpoint t seq with
+        | Some (own, _) when Fingerprint.equal own digest -> make_stable t seq digest
+        | Some _ ->
+          (* Our state diverged from the quorum: refetch it. *)
+          Metrics.incr t.metrics "checkpoint.divergent";
+          request_state t ~target:seq
+        | None ->
+          (* We have not produced this checkpoint yet. If we are a full
+             interval behind, catch up by state transfer. *)
+          if seq >= t.last_executed + t.config.Config.checkpoint_interval
+          then request_state t ~target:seq
+      end)
 
 and make_stable t seq digest =
   t.last_stable <- seq;
   t.stable_digest <- digest;
-  (match Hashtbl.find_opt t.checkpoint_snapshots seq with
-  | Some snap -> t.stable_snapshot <- snap
+  (match own_checkpoint t seq with
+  | Some (_, snap) -> t.stable_snapshot <- snap
   | None -> ());
   Log.truncate t.log ~new_low:seq;
-  let drop_below table = drop_matching table (fun s -> s > seq) in
   emit_trace t ~seqno:seq ~view:t.view Trace.Checkpoint_stable;
-  drop_below t.own_checkpoints;
-  drop_below t.checkpoint_msgs;
-  drop_below t.checkpoint_snapshots;
-  (let doomed =
-     Fingerprint.Tbl.fold
-       (fun d (s, _, _) acc -> if s <= seq then d :: acc else acc)
-       t.batch_store []
-   in
-   List.iter (Fingerprint.Tbl.remove t.batch_store) doomed);
-  drop_matching t.stable_certs (fun s ->
-      s > seq - (stable_cert_retention_windows * t.config.Config.log_window));
+  t.own_checkpoints <- List.filter (fun (s, _, _) -> s > seq) t.own_checkpoints;
+  Int_tbl.filter_map_inplace
+    (fun s votes -> if s > seq then Some votes else None)
+    t.checkpoint_msgs;
+  Fingerprint.Tbl.filter_map_inplace
+    (fun _ ((s, _, _) as batch) -> if s > seq then Some batch else None)
+    t.batch_store;
+  let retained = seq - (stable_cert_retention_windows * t.config.Config.log_window) in
+  Int_tbl.filter_map_inplace
+    (fun s d -> if s > retained then Some d else None)
+    t.stable_certs;
   Metrics.incr t.metrics "checkpoint.stable";
   if is_orderer t then try_send_batch t
 
@@ -955,26 +982,18 @@ and on_get_state t (g : Message.get_state) =
     end
   end
 
-and on_state t (s : Message.state_resp) =
+and on_state t sender (s : Message.state_resp) =
   (* Accept snapshots at or past the awaited checkpoint. The awaited seq can
      be at or below last_executed when we are repairing divergent state
      rather than catching up, in which case adopting rolls us back onto the
      quorum's checkpoint. *)
   if state_interest t s.Message.seq then begin
-    let key = (s.Message.seq, s.Message.state_digest, Payload.digest s.Message.snapshot) in
-    let count, _ =
-      match Hashtbl.find_opt t.state_votes key with
-      | Some (c, p) -> (c + 1, p)
-      | None -> (1, s.Message.snapshot)
-    in
-    Hashtbl.replace t.state_votes key (count, s.Message.snapshot);
-    let certified =
-      match Hashtbl.find_opt t.stable_certs s.Message.seq with
-      | Some d -> Fingerprint.equal d s.Message.state_digest
-      | None -> false
-    in
-    if certified || count >= weak_quorum ~f:(f_of t) then
-      adopt_state t s.Message.seq s.Message.state_digest s.Message.snapshot
+    let offer = (s.Message.seq, s.Message.state_digest, Payload.digest s.Message.snapshot) in
+    t.state_offers.(sender) <- Some offer;
+    if
+      certified t s.Message.seq s.Message.state_digest
+      || backing t.state_offers (same_offer offer) >= weak_quorum ~f:(f_of t)
+    then adopt_state t s.Message.seq s.Message.state_digest s.Message.snapshot
   end
 
 and state_interest t seq =
@@ -984,16 +1003,12 @@ and state_interest t seq =
 and on_state_meta t sender (m : Message.state_meta) =
   if state_interest t m.Message.sm_seq && t.fetch_ctx = None then begin
     let pages = Array.of_list m.Message.sm_page_digests in
-    let key = (m.Message.sm_seq, m.Message.sm_state_digest, Merkle.root pages) in
-    let count = 1 + Option.value ~default:0 (Hashtbl.find_opt t.meta_votes key) in
-    Hashtbl.replace t.meta_votes key count;
-    let certified =
-      match Hashtbl.find_opt t.stable_certs m.Message.sm_seq with
-      | Some d -> Fingerprint.equal d m.Message.sm_state_digest
-      | None -> false
-    in
-    if certified || count >= weak_quorum ~f:(f_of t) then
-      begin_page_fetch t sender m.Message.sm_seq m.Message.sm_state_digest pages
+    let offer = (m.Message.sm_seq, m.Message.sm_state_digest, Merkle.root pages) in
+    t.meta_offers.(sender) <- Some offer;
+    if
+      certified t m.Message.sm_seq m.Message.sm_state_digest
+      || backing t.meta_offers (same_offer offer) >= weak_quorum ~f:(f_of t)
+    then begin_page_fetch t sender m.Message.sm_seq m.Message.sm_state_digest pages
   end
 
 and begin_page_fetch t src seq digest target_pages =
@@ -1005,26 +1020,27 @@ and begin_page_fetch t src seq digest target_pages =
   charge ~cat:Cpu.Digest t
     (Calibration.digest_cost (cal t)
        (Array.length target_pages * Fingerprint.size));
-  let have = Hashtbl.create 64 in
-  Array.iteri
-    (fun i d ->
-      if i < Array.length target_pages && Fingerprint.equal target_pages.(i) d
-      then Hashtbl.replace have i own.(i))
-    own_digests;
-  Metrics.incr ~by:(Hashtbl.length have) t.metrics "state.pages_reused";
-  let missing = ref [] in
-  Array.iteri
-    (fun i _ -> if not (Hashtbl.mem have i) then missing := i :: !missing)
-    target_pages;
+  let have =
+    Array.mapi
+      (fun i target ->
+        if i < Array.length own && Fingerprint.equal target own_digests.(i)
+        then Some own.(i)
+        else None)
+      target_pages
+  in
+  let missing =
+    List.filter (fun i -> Option.is_none have.(i)) (List.init (Array.length have) Fun.id)
+  in
+  Metrics.incr ~by:(Array.length have - List.length missing) t.metrics
+    "state.pages_reused";
   let ctx = { fx_seq = seq; fx_digest = digest; fx_pages = target_pages; fx_have = have; fx_src = src } in
   t.fetch_ctx <- Some ctx;
-  match !missing with
+  match missing with
   | [] -> finish_page_fetch t ctx
   | missing ->
     Metrics.incr ~by:(List.length missing) t.metrics "state.pages_requested";
     out_send t ~dst:t.replicas.(src)
-      (Message.Get_pages
-         { gp_seq = seq; gp_indexes = List.rev missing; gp_replica = t.id })
+      (Message.Get_pages { gp_seq = seq; gp_indexes = missing; gp_replica = t.id })
 
 and on_get_pages t (g : Message.get_pages) =
   if
@@ -1071,35 +1087,32 @@ and on_pages t (p : Message.pages_resp) =
           && i < Array.length ctx.fx_pages
           && Fingerprint.equal (Payload.digest page) ctx.fx_pages.(i)
         then begin
-          if not (Hashtbl.mem ctx.fx_have i) then begin
+          if Option.is_none ctx.fx_have.(i) then begin
             Metrics.incr t.metrics "state.pages_fetched";
-            Hashtbl.replace ctx.fx_have i page
+            ctx.fx_have.(i) <- Some page
           end
         end
         else Metrics.incr t.metrics "state.page_rejected")
       p.Message.pg_pages;
-    if Hashtbl.length ctx.fx_have = Array.length ctx.fx_pages then
-      finish_page_fetch t ctx
+    if Array.for_all Option.is_some ctx.fx_have then finish_page_fetch t ctx
   | _ -> ()
 
 and finish_page_fetch t ctx =
-  let pages =
-    Array.init (Array.length ctx.fx_pages) (fun i -> Hashtbl.find ctx.fx_have i)
-  in
+  let pages = Array.map Option.get ctx.fx_have in
   drop_page_fetch t;
   adopt_state t ctx.fx_seq ctx.fx_digest (Merkle.reassemble pages)
 
-(* Forget a page fetch in progress and the STATE-META votes behind it. *)
+(* Forget a page fetch in progress and the STATE-META offers behind it. *)
 and drop_page_fetch t =
   t.fetch_ctx <- None;
-  Hashtbl.reset t.meta_votes
+  clear t.meta_offers
 
 (* The awaited state arrived (or ours was validated): stop asking. *)
 and end_state_fetch t =
   t.await_state <- None;
   Timer.cancel t.state_timer;
   t.state_attempts <- 0;
-  Hashtbl.reset t.state_votes
+  clear t.state_offers
 
 and adopt_state t seq digest snapshot =
   if
@@ -1764,15 +1777,8 @@ and start_view_change t next_view =
     end
 
 and record_view_change t sender vc =
-  let table =
-    match Hashtbl.find_opt t.view_changes vc.Message.next_view with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Hashtbl.create 8 in
-      Hashtbl.replace t.view_changes vc.Message.next_view tbl;
-      tbl
-  in
-  if not (Hashtbl.mem table sender) then Hashtbl.replace table sender vc;
+  let votes = votes_at t t.view_changes vc.Message.next_view in
+  if Option.is_none votes.(sender) then votes.(sender) <- Some vc;
   maybe_arm_escalation t
 
 (* PBFT's escalation rule: once a quorum backs the view change, start a
@@ -1801,21 +1807,18 @@ and on_view_change t sender (vc : Message.view_change) =
     record_view_change t sender vc;
     (* Join rule: if f+1 replicas are already past our view, at least one
        correct replica timed out — follow the smallest such view. *)
-    let ahead = Hashtbl.create 8 in
-    Hashtbl.iter
-      (fun v table ->
-        if v > t.target_view then
-          Hashtbl.iter
-            (fun r _ ->
-              match Hashtbl.find_opt ahead r with
-              | Some v' when v' <= v -> ()
-              | _ -> Hashtbl.replace ahead r v)
-            table)
-      t.view_changes;
-    if Hashtbl.length ahead >= weak_quorum ~f:(f_of t) then begin
-      let min_view = Hashtbl.fold (fun _ v acc -> Stdlib.min v acc) ahead max_int in
-      start_view_change t min_view
-    end;
+    let ahead r =
+      Int_tbl.fold
+        (fun v votes past -> past || (v > t.target_view && Option.is_some votes.(r)))
+        t.view_changes false
+    in
+    if List.length (List.filter ahead (List.init t.config.Config.n Fun.id))
+       >= weak_quorum ~f:(f_of t)
+    then
+      start_view_change t
+        (Int_tbl.fold
+           (fun v _ low -> if v > t.target_view then Int.min v low else low)
+           t.view_changes max_int);
     check_new_view t vc.Message.next_view
   end
 
@@ -1824,10 +1827,10 @@ and check_new_view t next_view =
     primary_of_view ~n:t.config.Config.n next_view = t.id
     && next_view > t.view && next_view > t.nv_sent
   then
-    match Hashtbl.find_opt t.view_changes next_view with
-    | Some table
-      when Hashtbl.length table >= quorum ~f:(f_of t) && Hashtbl.mem table t.id ->
-      let vcs = Hashtbl.fold (fun _ vc acc -> vc :: acc) table [] in
+    match Int_tbl.find_opt t.view_changes next_view with
+    | Some votes
+      when voters votes >= quorum ~f:(f_of t) && Option.is_some votes.(t.id) ->
+      let vcs = List.filter_map Fun.id (Array.to_list votes) in
       let nv = build_new_view t next_view vcs in
       t.nv_sent <- next_view;
       t.last_nv <- Some nv;
@@ -1841,46 +1844,43 @@ and build_new_view t next_view vcs =
     List.fold_left (fun acc vc -> Stdlib.max acc vc.Message.last_stable) 0 vcs
   in
   (* For every sequence number above min_s, re-propose the batch prepared in
-     the highest view; gaps get the null request. *)
-  let best = Hashtbl.create 32 in
-  let max_s = ref min_s in
-  List.iter
-    (fun vc ->
-      List.iter
-        (fun (p : Message.prepared_proof) ->
-          if p.Message.seq > min_s then begin
-            max_s := Stdlib.max !max_s p.Message.seq;
-            match Hashtbl.find_opt best p.Message.seq with
-            | Some (q : Message.prepared_proof) when q.Message.view >= p.Message.view
-              -> ()
-            | _ -> Hashtbl.replace best p.Message.seq p
-          end)
-        vc.Message.prepared)
-    vcs;
-  let entries = ref [] in
-  for seq = !max_s downto min_s + 1 do
-    let entry =
-      match Hashtbl.find_opt best seq with
-      | Some proof ->
-        let body =
-          match Fingerprint.Tbl.find_opt t.batch_store proof.Message.digest with
-          | Some (_, entries, _) -> entries
-          | None -> []  (* unknown body: receivers fetch it *)
-        in
-        { Message.seq; digest = proof.Message.digest; entries = body }
-      | None ->
-        {
-          Message.seq;
-          digest = Message.batch_digest [ Message.Null_entry ];
-          entries = [ Message.Null_entry ];
-        }
-    in
-    entries := entry :: !entries
-  done;
-  let supporters =
-    List.map (fun (vc : Message.view_change) -> vc.Message.replica) vcs
+     the highest view, the first such proof in replica order; gaps get the
+     null request. [best.(i)] is for min_s + 1 + i. *)
+  let proofs =
+    List.concat_map (fun vc -> vc.Message.prepared) vcs
+    |> List.filter (fun (p : Message.prepared_proof) -> p.Message.seq > min_s)
   in
-  { Message.view = next_view; supporters; min_s; nv_entries = !entries }
+  let max_s =
+    List.fold_left (fun acc (p : Message.prepared_proof) -> Int.max acc p.Message.seq)
+      min_s proofs
+  in
+  let best = Array.make (max_s - min_s) None in
+  List.iter
+    (fun (p : Message.prepared_proof) ->
+      match best.(p.Message.seq - min_s - 1) with
+      | Some (q : Message.prepared_proof) when q.Message.view >= p.Message.view -> ()
+      | _ -> best.(p.Message.seq - min_s - 1) <- Some p)
+    proofs;
+  let entry i =
+    let seq = min_s + 1 + i in
+    match best.(i) with
+    | Some proof ->
+      let body =
+        match Fingerprint.Tbl.find_opt t.batch_store proof.Message.digest with
+        | Some (_, entries, _) -> entries
+        | None -> []  (* unknown body: receivers fetch it *)
+      in
+      { Message.seq; digest = proof.Message.digest; entries = body }
+    | None ->
+      { Message.seq; digest = Message.batch_digest [ Message.Null_entry ];
+        entries = [ Message.Null_entry ] }
+  in
+  {
+    Message.view = next_view;
+    supporters = List.map (fun (vc : Message.view_change) -> vc.Message.replica) vcs;
+    min_s;
+    nv_entries = List.init (max_s - min_s) entry;
+  }
 
 and on_new_view t sender (nv : Message.new_view) =
   match t.behavior with
@@ -1889,7 +1889,7 @@ and on_new_view t sender (nv : Message.new_view) =
     if
       sender = primary_of_view ~n:t.config.Config.n nv.Message.view
       && nv.Message.view > t.view
-      && List.length (List.sort_uniq compare nv.Message.supporters)
+      && List.length (List.sort_uniq Int.compare nv.Message.supporters)
          >= quorum ~f:(f_of t)
     then begin
       Metrics.incr t.metrics "newview.accepted";
@@ -1921,7 +1921,7 @@ and install_new_view t (nv : Message.new_view) =
      retransmitting, so live intent repopulates the table. Without this,
      stale records for assorted future views eventually satisfy the f+1
      join rule forever (a view-change ladder). *)
-  Hashtbl.reset t.view_changes;
+  Int_tbl.reset t.view_changes;
   t.nv_sent <- Stdlib.max t.nv_sent (if is_primary t then nv.Message.view else t.nv_sent);
   t.commit_backlog <- [];
   List.iter
@@ -2059,7 +2059,7 @@ and handle_message t rx sender msg =
   | Message.View_change vc -> on_view_change t sender vc
   | Message.New_view nv -> on_new_view t sender nv
   | Message.Get_state g -> if sender = g.Message.replica then on_get_state t g
-  | Message.State s -> on_state t s
+  | Message.State s -> on_state t sender s
   | Message.State_meta m -> on_state_meta t sender m
   | Message.Get_pages g -> if sender = g.Message.gp_replica then on_get_pages t g
   | Message.Pages p -> on_pages t p
@@ -2154,7 +2154,7 @@ let start_recovery t =
   out_multicast t (Message.New_key { nk_replica = t.id; epoch });
   rollback_tentative t;
   t.recovering <- true;
-  Hashtbl.reset t.state_votes;
+  clear t.state_offers;
   drop_page_fetch t;
   out_multicast t (Message.Get_state { from_seq = t.last_stable; replica = t.id });
   t.state_timer <-
@@ -2215,12 +2215,11 @@ let restart t =
   t.last_pp_seq <- t.last_stable;
   Fingerprint.Tbl.reset t.request_store;
   Fingerprint.Tbl.reset t.batch_store;
-  Hashtbl.reset t.own_checkpoints;
-  Hashtbl.reset t.checkpoint_snapshots;
-  Hashtbl.reset t.checkpoint_msgs;
+  t.own_checkpoints <- [];
+  Int_tbl.reset t.checkpoint_msgs;
   Fingerprint.Tbl.reset t.waiting;
   t.vc_attempts <- 0;
-  Hashtbl.reset t.view_changes;
+  Int_tbl.reset t.view_changes;
   t.last_nv <- None;
   t.resend_fast <- false;
   t.resend_stalls <- 0;
@@ -2249,7 +2248,7 @@ let client_replies t =
         (client, ce.last_ts, Payload.digest result) :: acc
       | _ -> acc)
     t.client_table []
-  |> List.sort compare
+  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
 
 let create ~config ~transport ~replicas ~lookup_client ~service ~rng ~dispatcher
     ?(behavior = Behavior.Correct) () =
@@ -2285,14 +2284,13 @@ let create ~config ~transport ~replicas ~lookup_client ~service ~rng ~dispatcher
       last_stable = 0;
       stable_digest = Fingerprint.zero;
       stable_snapshot = Lazy.from_val Payload.empty;
-      own_checkpoints = Hashtbl.create 8;
-      checkpoint_snapshots = Hashtbl.create 8;
-      checkpoint_msgs = Hashtbl.create 8;
-      stable_certs = Hashtbl.create 8;
+      own_checkpoints = [];
+      checkpoint_msgs = Int_tbl.create 8;
+      stable_certs = Int_tbl.create 8;
       waiting = Fingerprint.Tbl.create 32;
       vc_timer = Timer.never;
       vc_attempts = 0;
-      view_changes = Hashtbl.create 4;
+      view_changes = Int_tbl.create 4;
       nv_sent = 0;
       last_nv = None;
       resend_timer = Timer.never;
@@ -2306,8 +2304,8 @@ let create ~config ~transport ~replicas ~lookup_client ~service ~rng ~dispatcher
       flush_timer = Timer.never;
       await_state = None;
       recovering = false;
-      state_votes = Hashtbl.create 4;
-      meta_votes = Hashtbl.create 4;
+      state_offers = Array.make config.Config.n None;
+      meta_offers = Array.make config.Config.n None;
       fetch_ctx = None;
       state_timer = Timer.never;
       state_attempts = 0;
@@ -2325,6 +2323,6 @@ let create ~config ~transport ~replicas ~lookup_client ~service ~rng ~dispatcher
   let table = client_table_encoding t in
   t.stable_digest <- state_digest t table;
   t.stable_snapshot <- snapshot_payload t table;
-  Hashtbl.replace t.stable_certs 0 t.stable_digest;
+  Int_tbl.replace t.stable_certs 0 t.stable_digest;
   Dispatcher.register_default dispatcher (handle_envelope t);
   t

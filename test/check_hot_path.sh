@@ -1,13 +1,14 @@
 #!/bin/sh
 # Guard the per-message path against polymorphic hashing and comparison.
 #
-# The modules every datagram passes through must look peers up by direct
-# index or in monomorphic tables ([Hashtbl.Make]), and compare with typed
-# functions ([Int.compare], [Int64.compare], ...). This script strips
-# comments from each of them and reports every remaining use of the
-# polymorphic [Hashtbl] interface ([Hashtbl.create], [Hashtbl.find_opt],
-# [Hashtbl.hash], the type [Hashtbl.t], ...) or of [Stdlib.compare], bare
-# or qualified.
+# The modules every datagram passes through, the replica's handlers
+# included, must look peers up by direct index or in monomorphic tables
+# ([Hashtbl.Make]), keep quorum votes in arrays over replica ids, and
+# compare with typed functions ([Int.compare], [Int64.compare], ...).
+# This script strips comments from each of them and reports every
+# remaining use of the polymorphic [Hashtbl] interface ([Hashtbl.create],
+# [Hashtbl.find_opt], [Hashtbl.hash], the type [Hashtbl.t], ...) or of
+# [Stdlib.compare], bare or qualified.
 #
 # Prints one "path:line: text" per use and exits 1 if there is one.
 #
@@ -23,6 +24,7 @@ lib/core/transport.ml
 lib/core/log.ml
 lib/core/client.ml
 lib/core/dispatcher.ml
+lib/core/replica.ml
 '
 
 bad=0

@@ -300,6 +300,58 @@ let test_status_heals_idle_straggler () =
   Alcotest.(check bool) "straggler healed" true
     (Replica.last_committed (Cluster.replica rig.Harness.cluster 2) >= 5)
 
+(* State transfer adopts a checkpoint only on a stable certificate or on
+   f+1 distinct replicas making the same offer. Replica 3 is down while the
+   others pass a checkpoint, so it holds no certificate for it; it then
+   reboots on replica 0's side of a {0, 3} / {1, 2} split. Replica 0 answers
+   each of its GET-STATEs, but one replica's answers, however many, are not
+   f+1 replicas. [run] drives the cluster's operations and returns once
+   they are done. *)
+let lone_offer_adopts_nothing ~recv cluster run =
+  Cluster.crash_replica cluster 3;
+  run ();
+  let r0 = Cluster.replica cluster 0 and r3 = Cluster.replica cluster 3 in
+  check Alcotest.bool "the others passed a checkpoint" true
+    (Replica.last_stable r0 > 0);
+  Bft_net.Network.install_partition (Cluster.network cluster)
+    ~groups:[ [ 0; 3 ]; [ 1; 2 ] ];
+  Cluster.restart_replica cluster 3;
+  Cluster.run ~until:(Cluster.now cluster +. 30.0) cluster;
+  let count name = Metrics.count (Replica.metrics r3) name in
+  check Alcotest.bool ("replica 0 offered its state: " ^ recv) true
+    (count recv >= 2);
+  check Alcotest.int "nothing adopted" 0 (count "state.adopted");
+  check Alcotest.int "still at its own checkpoint" 0 (Replica.last_stable r3)
+
+let test_lone_state_offers () =
+  let config = Harness.default_config ~checkpoint_interval:8 ~log_window:16 () in
+  let rig = Harness.make ~config ~seed:7 () in
+  lone_offer_adopts_nothing ~recv:"recv.state" rig.Harness.cluster (fun () ->
+      check Alcotest.int "ops done" 40
+        (Harness.run_ops ~per_client:40 ~until:20.0 rig))
+
+let test_lone_state_meta_offers () =
+  let module Kv = Bft_services.Kv_store in
+  let config = Harness.default_config ~checkpoint_interval:4 ~log_window:8 () in
+  let cluster =
+    Cluster.create ~config ~seed:5 ~service:(fun _ -> Kv.service ()) ()
+  in
+  let client = Cluster.add_client cluster in
+  lone_offer_adopts_nothing ~recv:"recv.state-meta" cluster (fun () ->
+      let n = ref 0 in
+      (* 20 x 3 KB: past the 4 pages a STATE may carry whole *)
+      let rec loop k =
+        if k < 20 then
+          Client.invoke client
+            (Kv.op_payload (Kv.Put (Printf.sprintf "key%02d" k, String.make 3000 'a')))
+            (fun _ ->
+              incr n;
+              loop (k + 1))
+      in
+      loop 0;
+      Cluster.run ~until:20.0 cluster;
+      check Alcotest.int "writes done" 20 !n)
+
 (* --- replica-internal pins ------------------------------------------------
 
    The client-visible goldens cannot tell which internal path a replica
@@ -447,6 +499,10 @@ let () =
             test_restart_restores_captured_checkpoint;
           Alcotest.test_case "status heals idle straggler" `Quick
             test_status_heals_idle_straggler;
+          Alcotest.test_case "one replica's STATEs are no quorum" `Quick
+            test_lone_state_offers;
+          Alcotest.test_case "one replica's STATE-METAs are no quorum" `Quick
+            test_lone_state_meta_offers;
         ] );
       ( "replica internals",
         [
