@@ -39,11 +39,14 @@ let add_len b len =
   b.pos <- b.pos + 8;
   b.fed <- b.fed + len
 
-let add_part b part =
-  let len = String.length part in
+let add_substring b s ~off ~len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Fingerprint.add_substring";
   add_len b len;
-  Bytes.blit_string part 0 b.buf b.pos len;
+  Bytes.blit_string s off b.buf b.pos len;
   b.pos <- b.pos + len
+
+let add_part b part = add_substring b part ~off:0 ~len:(String.length part)
 
 let add_part_bytes b buf ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length buf - len then
@@ -56,13 +59,19 @@ let finish b =
   Tally.note_digest b.fed;
   Digest.subbytes b.buf 0 b.pos
 
-(* Module-level scratch for [of_parts]: its contents never outlive one
-   call, so no run can observe another's. *)
+(* Module-level scratch for [of_parts] and [of_pair]: its contents never
+   outlive one call, so no run can observe another's. *)
 let parts_builder = create_builder ()
 
 let of_parts parts =
   reset_builder parts_builder;
   List.iter (add_part parts_builder) parts;
+  finish parts_builder
+
+let of_pair a b ~off ~len =
+  reset_builder parts_builder;
+  add_part parts_builder a;
+  add_substring parts_builder b ~off ~len;
   finish parts_builder
 
 let equal = String.equal

@@ -19,6 +19,10 @@ val of_bytes : Bytes.t -> off:int -> len:int -> t
 val of_parts : string list -> t
 (** Digest of length-prefixed parts, so part boundaries are unambiguous. *)
 
+val of_pair : string -> string -> off:int -> len:int -> t
+(** [of_parts [ a; String.sub b off len ]] without the copy.
+    @raise Invalid_argument if the slice is out of range. *)
+
 (** Incremental form of [of_parts]: the same length-prefix framing, fed
     part by part and staged in a buffer that grows on demand. Builders are
     reusable scratch — [reset_builder], add parts, [finish]. *)

@@ -5,41 +5,76 @@ module Dec = Bft_util.Codec.Dec
 module Fingerprint = Bft_crypto.Fingerprint
 module Keyhash = Bft_util.Keyhash
 
-type op =
+type 'v operation =
   | Get of string
-  | Put of string * string
+  | Put of string * 'v
   | Delete of string
-  | Cas of { key : string; expected : string option; update : string }
+  | Cas of { key : string; expected : 'v option; update : 'v }
   | Prepare of {
       txn : string;
       decision : int;
       participants : int list;
-      ops : op list;
+      ops : 'v operation list;
     }
   | Commit of string
   | Abort of string
   | Txn_status of string
   | Snapshot_slot of { slot : int; slots : int }
-  | Install of { slot : int; slots : int; bindings : (string * string) list }
+  | Install of { slot : int; slots : int; bindings : (string * 'v) list }
   | Drop_slot of { slot : int; slots : int }
 
-type result =
-  | Value of string option
+type op = string operation
+
+type 'v outcome =
+  | Value of 'v option
   | Stored
   | Cas_result of bool
   | Error of string
   | Prepared of bool
-  | Bindings of (string * string) list
+  | Bindings of (string * 'v) list
   | Txn_state of { state : int; participants : int list }
+
+type result = string outcome
 
 let txn_unknown = 0
 let txn_prepared = 1
 let txn_committed = 2
 let txn_aborted = 3
 
+(* --- values ------------------------------------------------------------- *)
+
+(* A value inside the store: the [len] bytes at [off] in [src], the payload
+   the write arrived in. The replicas of a group that receive one multicast
+   request share its payload, so they share one copy of each value it
+   writes. *)
+type view = { src : string; off : int; len : int }
+
+let whole s = { src = s; off = 0; len = String.length s }
+
+let copy v = String.sub v.src v.off v.len
+
+let view_equal a b =
+  let rec same i =
+    i = a.len
+    || Char.equal a.src.[a.off + i] b.src.[b.off + i] && same (i + 1)
+  in
+  a.len = b.len && same 0
+
+(* How each representation of values is measured and written: strings for
+   clients, views inside the store. Both write the same bytes. *)
+type 'v repr = { length : 'v -> int; write : Enc.t -> 'v -> unit }
+
+let strings = { length = String.length; write = Enc.bytes }
+
+let views =
+  {
+    length = (fun v -> v.len);
+    write = (fun enc v -> Enc.bytes_sub enc v.src ~off:v.off ~len:v.len);
+  }
+
 (* --- wire codec ------------------------------------------------------- *)
 
-let rec encode_op enc op =
+let rec encode_op repr enc op =
   match op with
   | Get key ->
     Enc.u8 enc 0;
@@ -47,21 +82,21 @@ let rec encode_op enc op =
   | Put (key, value) ->
     Enc.u8 enc 1;
     Enc.bytes enc key;
-    Enc.bytes enc value
+    repr.write enc value
   | Delete key ->
     Enc.u8 enc 2;
     Enc.bytes enc key
   | Cas { key; expected; update } ->
     Enc.u8 enc 3;
     Enc.bytes enc key;
-    Enc.option enc Enc.bytes expected;
-    Enc.bytes enc update
+    Enc.option enc repr.write expected;
+    repr.write enc update
   | Prepare { txn; decision; participants; ops } ->
     Enc.u8 enc 4;
     Enc.bytes enc txn;
     Enc.u16 enc decision;
     Enc.list enc Enc.u16 participants;
-    Enc.list enc encode_op ops
+    Enc.list enc (encode_op repr) ops
   | Commit txn ->
     Enc.u8 enc 5;
     Enc.bytes enc txn
@@ -82,7 +117,7 @@ let rec encode_op enc op =
     Enc.list enc
       (fun enc (k, v) ->
         Enc.bytes enc k;
-        Enc.bytes enc v)
+        repr.write enc v)
       bindings
   | Drop_slot { slot; slots } ->
     Enc.u8 enc 10;
@@ -94,8 +129,8 @@ let rec encode_op enc op =
    a doubled 2 KB scratch buffer. *)
 let bytes_size s = 4 + String.length s
 
-let bindings_size bs =
-  List.fold_left (fun acc (k, v) -> acc + bytes_size k + bytes_size v) 4 bs
+let bindings_size repr bs =
+  List.fold_left (fun acc (k, v) -> acc + bytes_size k + 4 + repr.length v) 4 bs
 
 let rec op_size = function
   | Get key | Delete key -> 1 + bytes_size key
@@ -110,31 +145,32 @@ let rec op_size = function
     + List.fold_left (fun acc op -> acc + op_size op) 4 ops
   | Commit txn | Abort txn | Txn_status txn -> 1 + bytes_size txn
   | Snapshot_slot _ | Drop_slot _ -> 5
-  | Install { bindings; _ } -> 5 + bindings_size bindings
+  | Install { bindings; _ } -> 5 + bindings_size strings bindings
 
 let op_payload op =
   let enc = Enc.create ~initial:(op_size op) () in
-  encode_op enc op;
+  encode_op strings enc op;
   Payload.of_string (Enc.contents enc)
 
-let rec decode_op dec =
+(* The one decoder; [value] reads each value, as a copy or as a view. *)
+let rec decode_op value dec =
   match Dec.u8 dec with
   | 0 -> Get (Dec.bytes dec)
   | 1 ->
     let key = Dec.bytes dec in
-    let value = Dec.bytes dec in
-    Put (key, value)
+    let v = value dec in
+    Put (key, v)
   | 2 -> Delete (Dec.bytes dec)
   | 3 ->
     let key = Dec.bytes dec in
-    let expected = Dec.option dec Dec.bytes in
-    let update = Dec.bytes dec in
+    let expected = Dec.option dec value in
+    let update = value dec in
     Cas { key; expected; update }
   | 4 ->
     let txn = Dec.bytes dec in
     let decision = Dec.u16 dec in
     let participants = Dec.list dec Dec.u16 in
-    let ops = Dec.list dec decode_op in
+    let ops = Dec.list dec (decode_op value) in
     Prepare { txn; decision; participants; ops }
   | 5 -> Commit (Dec.bytes dec)
   | 6 -> Abort (Dec.bytes dec)
@@ -149,7 +185,7 @@ let rec decode_op dec =
     let bindings =
       Dec.list dec (fun dec ->
           let k = Dec.bytes dec in
-          let v = Dec.bytes dec in
+          let v = value dec in
           (k, v))
     in
     Install { slot; slots; bindings }
@@ -159,10 +195,10 @@ let rec decode_op dec =
     Drop_slot { slot; slots }
   | tag -> raise (Bft_util.Codec.Decode_error (Printf.sprintf "kv op tag %d" tag))
 
-let op_of_payload (p : Payload.t) =
-  let dec = Dec.of_string p.Payload.data in
+let decode value data =
+  let dec = Dec.of_string data in
   match
-    let op = decode_op dec in
+    let op = decode_op value dec in
     (* A corrupted or maliciously extended encoding must not silently
        decode as a valid shorter operation. *)
     Dec.expect_end dec;
@@ -171,21 +207,32 @@ let op_of_payload (p : Payload.t) =
   | op -> Some op
   | exception Bft_util.Codec.Decode_error _ -> None
 
-let result_size = function
+let op_of_payload (p : Payload.t) = decode Dec.bytes p.Payload.data
+
+(* The execution path's decoding: no value is copied. *)
+let view_op (p : Payload.t) =
+  let src = p.Payload.data in
+  decode
+    (fun dec ->
+      let off, len = Dec.bytes_span dec in
+      { src; off; len })
+    src
+
+let result_size repr = function
   | Value None -> 2
-  | Value (Some v) -> 2 + bytes_size v
+  | Value (Some v) -> 2 + 4 + repr.length v
   | Stored -> 1
   | Cas_result _ | Prepared _ -> 2
   | Error msg -> 1 + bytes_size msg
-  | Bindings bs -> 1 + bindings_size bs
+  | Bindings bs -> 1 + bindings_size repr bs
   | Txn_state { participants; _ } -> 2 + 4 + (2 * List.length participants)
 
-let result_payload result =
-  let enc = Enc.create ~initial:(result_size result) () in
+let encode_result repr result =
+  let enc = Enc.create ~initial:(result_size repr result) () in
   (match result with
   | Value v ->
     Enc.u8 enc 0;
-    Enc.option enc Enc.bytes v
+    Enc.option enc repr.write v
   | Stored -> Enc.u8 enc 1
   | Cas_result ok ->
     Enc.u8 enc 2;
@@ -201,13 +248,15 @@ let result_payload result =
     Enc.list enc
       (fun enc (k, v) ->
         Enc.bytes enc k;
-        Enc.bytes enc v)
+        repr.write enc v)
       bs
   | Txn_state { state; participants } ->
     Enc.u8 enc 6;
     Enc.u8 enc state;
     Enc.list enc Enc.u16 participants);
   Payload.of_string (Enc.contents enc)
+
+let result_payload = encode_result strings
 
 let result_of_payload (p : Payload.t) =
   let dec = Dec.of_string p.Payload.data in
@@ -247,17 +296,20 @@ let is_read_only_op = function
 
 (* --- replicated state ------------------------------------------------- *)
 
+(* The prepared writes are views of the PREPARE's payload until commit
+   applies them. *)
 type txn_record = {
   txr_decision : int;
   txr_participants : int list;
-  txr_ops : op list;
+  txr_ops : view operation list;
 }
 
 module Smap = Map.Make (String)
+module Stbl = Hashtbl.Make (String)
 
 (* A binding keeps its AdHash leaf, so replacing or removing it subtracts
    the leaf without hashing the old value again. *)
-type entry = { value : string; leaf : Fingerprint.t }
+type entry = { value : view; leaf : Fingerprint.t }
 
 (* The tables are persistent maps: a captured snapshot holds the version it
    saw while execution moves on (copy-on-write for free), and iteration is
@@ -270,7 +322,7 @@ type store = {
   mutable dirty : int;
   mutable locks : string Smap.t;  (* key -> holding transaction *)
   mutable prepared : txn_record Smap.t;  (* txn -> prepared record *)
-  decided : (string, bool) Hashtbl.t;  (* txn -> committed? *)
+  decided : bool Stbl.t;  (* txn -> committed? *)
   mutable decided_log : string list;  (* newest first, bounds [decided] *)
   mutable decided_count : int;
 }
@@ -290,7 +342,7 @@ let create_store () =
     dirty = 0;
     locks = Smap.empty;
     prepared = Smap.empty;
-    decided = Hashtbl.create 16;
+    decided = Stbl.create 16;
     decided_log = [];
     decided_count = 0;
   }
@@ -316,7 +368,7 @@ let account store key e sign =
   done;
   store.count <- store.count + sign;
   store.table_bytes <-
-    store.table_bytes + (sign * (8 + String.length key + String.length e.value))
+    store.table_bytes + (sign * (8 + String.length key + e.value.len))
 
 (* The only writers of [table]. Each returns the undo that puts the previous
    binding back, leaf and all. *)
@@ -340,28 +392,31 @@ and reinstate store key = function
   | None -> fun () -> ignore (unbind store key : Service.undo)
 
 let put store key value =
-  bind store key { value; leaf = Fingerprint.of_parts [ key; value ] }
+  let leaf = Fingerprint.of_pair key value.src ~off:value.off ~len:value.len in
+  bind store key { value; leaf }
 
 let find store key =
   match Smap.find_opt key store.table with
   | Some e -> Some e.value
   | None -> None
 
+let holds store key expected = Option.equal view_equal (find store key) expected
+
 (* --- operations -------------------------------------------------------- *)
 
 (* Record a terminal decision; returns the undo for tentative rollback.
    Undos run newest-first, so the entry to drop is always the log head. *)
 let record_decision store txn committed =
-  if Hashtbl.mem store.decided txn then no_undo
+  if Stbl.mem store.decided txn then no_undo
   else begin
-    Hashtbl.replace store.decided txn committed;
+    Stbl.replace store.decided txn committed;
     store.decided_log <- txn :: store.decided_log;
     store.decided_count <- store.decided_count + 1;
     if store.decided_count > 2 * decided_cap then begin
       let rec keep i = function
         | [] -> []
         | rest when i = decided_cap ->
-          List.iter (fun t -> Hashtbl.remove store.decided t) rest;
+          List.iter (fun t -> Stbl.remove store.decided t) rest;
           []
         | x :: rest -> x :: keep (i + 1) rest
       in
@@ -369,7 +424,7 @@ let record_decision store txn committed =
       store.decided_count <- decided_cap
     end;
     fun () ->
-      Hashtbl.remove store.decided txn;
+      Stbl.remove store.decided txn;
       match store.decided_log with
       | x :: rest when String.equal x txn ->
         store.decided_log <- rest;
@@ -398,7 +453,7 @@ let write_key = function
 let apply_write store op =
   match op with
   | Put (key, value) | Cas { key; update = value; _ } ->
-    store.dirty <- store.dirty + String.length key + String.length value;
+    store.dirty <- store.dirty + String.length key + value.len;
     put store key value
   | Delete key ->
     if Smap.mem key store.table then begin
@@ -417,7 +472,7 @@ let release_locks store txn =
   List.map fst (Smap.bindings released)
 
 let prepare store ~txn ~decision ~participants ~ops =
-  match Hashtbl.find_opt store.decided txn with
+  match Stbl.find_opt store.decided txn with
   (* The decision already happened (possibly recorded by a recovery-driven
      abort before this retransmitted PREPARE arrived): vote accordingly. *)
   | Some committed -> (Prepared committed, no_undo)
@@ -435,7 +490,7 @@ let prepare store ~txn ~decision ~participants ~ops =
             match op with
             | Put (key, _) | Delete key -> unlocked_or_ours key
             | Cas { key; expected; _ } ->
-              unlocked_or_ours key && find store key = expected
+              unlocked_or_ours key && holds store key expected
             | _ -> false (* only plain writes may ride in a transaction *))
           ops
       in
@@ -467,7 +522,7 @@ let prepare store ~txn ~decision ~participants ~ops =
     end
 
 let commit store txn =
-  match Hashtbl.find_opt store.decided txn with
+  match Stbl.find_opt store.decided txn with
   | Some true -> (Stored, no_undo)
   | Some false -> (Error "aborted", no_undo)
   | None -> (
@@ -488,7 +543,7 @@ let commit store txn =
       (Stored, undo))
 
 let abort store txn =
-  match Hashtbl.find_opt store.decided txn with
+  match Stbl.find_opt store.decided txn with
   | Some true -> (Error "committed", no_undo)
   | Some false -> (Stored, no_undo)
   | None ->
@@ -525,14 +580,14 @@ let execute store op =
     else (Stored, apply_write store op)
   | Cas { key; expected; _ } ->
     if Smap.mem key store.locks then (locked_error store key, no_undo)
-    else if find store key = expected then (Cas_result true, apply_write store op)
+    else if holds store key expected then (Cas_result true, apply_write store op)
     else (Cas_result false, no_undo)
   | Prepare { txn; decision; participants; ops } ->
     prepare store ~txn ~decision ~participants ~ops
   | Commit txn -> commit store txn
   | Abort txn -> abort store txn
   | Txn_status txn -> (
-    match Hashtbl.find_opt store.decided txn with
+    match Stbl.find_opt store.decided txn with
     | Some true -> (Txn_state { state = txn_committed; participants = [] }, no_undo)
     | Some false -> (Txn_state { state = txn_aborted; participants = [] }, no_undo)
     | None -> (
@@ -556,7 +611,9 @@ let execute store op =
       List.exists (fun (k, _) -> Keyhash.slot_of_key ~slots k <> slot) bindings
     then (Error "binding outside slot", no_undo)
     else
-      (Stored, undo_all (List.map (fun (k, v) -> apply_write store (Put (k, v))) bindings))
+      (* Copied, so a binding never pins the whole snapshot it came in. *)
+      let install (k, v) = apply_write store (Put (k, whole (copy v))) in
+      (Stored, undo_all (List.map install bindings))
   | Drop_slot { slot; slots } ->
     if slots <= 0 || slot < 0 || slot >= slots then (Error "bad slot", no_undo)
     else
@@ -580,7 +637,7 @@ let encode_bindings enc table =
   Smap.iter
     (fun k e ->
       Enc.bytes enc k;
-      Enc.bytes enc e.value)
+      views.write enc e.value)
     table
 
 (* Locks, prepared records and decisions: small, and encoded eagerly. *)
@@ -596,12 +653,12 @@ let txn_sections store =
       Enc.bytes enc txn;
       Enc.u16 enc r.txr_decision;
       Enc.list enc Enc.u16 r.txr_participants;
-      Enc.list enc encode_op r.txr_ops)
+      Enc.list enc (encode_op views) r.txr_ops)
     (Smap.bindings store.prepared);
   Enc.list enc
     (fun enc txn ->
       Enc.bytes enc txn;
-      Enc.bool enc (Hashtbl.find store.decided txn))
+      Enc.bool enc (Stbl.find store.decided txn))
     store.decided_log;
   Enc.to_string enc
 
@@ -651,14 +708,16 @@ let restore_store store data =
   store.table_bytes <- 0;
   store.locks <- Smap.empty;
   store.prepared <- Smap.empty;
-  Hashtbl.reset store.decided;
+  Stbl.reset store.decided;
   store.decided_log <- [];
   store.decided_count <- 0;
   store.dirty <- 0;
   let dec = Dec.of_string data in
+  (* Copies, so that no view pins the snapshot. *)
+  let copied dec = whole (Dec.bytes dec) in
   let read_binding () =
     let k = Dec.bytes dec in
-    let v = Dec.bytes dec in
+    let v = copied dec in
     ignore (put store k v : Service.undo)
   in
   if is_sectioned data then begin
@@ -678,7 +737,7 @@ let restore_store store data =
           let txn = Dec.bytes dec in
           let txr_decision = Dec.u16 dec in
           let txr_participants = Dec.list dec Dec.u16 in
-          let txr_ops = Dec.list dec decode_op in
+          let txr_ops = Dec.list dec (decode_op copied) in
           (txn, { txr_decision; txr_participants; txr_ops }))
     in
     List.iter (fun (t, r) -> store.prepared <- Smap.add t r store.prepared) prepared;
@@ -688,7 +747,7 @@ let restore_store store data =
           let committed = Dec.bool dec in
           (txn, committed))
     in
-    List.iter (fun (t, c) -> Hashtbl.replace store.decided t c) decided;
+    List.iter (fun (t, c) -> Stbl.replace store.decided t c) decided;
     store.decided_log <- List.map fst decided;
     store.decided_count <- List.length decided
   end
@@ -699,13 +758,13 @@ let restore_store store data =
 
 (* --- auditing hooks (tests and chaos campaigns) ------------------------ *)
 
-let store_find = find
+let store_find store key = Option.map copy (find store key)
 
 let store_locks store = Smap.bindings store.locks
 
 let store_prepared_txns store = List.map fst (Smap.bindings store.prepared)
 
-let store_decision store txn = Hashtbl.find_opt store.decided txn
+let store_decision store txn = Stbl.find_opt store.decided txn
 
 let size store = store.count
 
@@ -717,14 +776,14 @@ let service_of_store store =
   {
     Service.execute =
       (fun ~client:_ ~op ->
-        match op_of_payload op with
+        match view_op op with
         | None -> (result_payload (Error "undecodable operation"), no_undo)
         | Some op ->
           let result, undo = execute store op in
-          (result_payload result, undo));
+          (encode_result views result, undo));
     is_read_only =
       (fun op ->
-        match op_of_payload op with
+        match view_op op with
         | Some op -> is_read_only_op op
         | None -> false);
     execute_cost =

@@ -26,36 +26,52 @@
     Checkpoints cost O(modified) on the host: the state digest is an AdHash
     (a sum of per-binding MD5 leaves modulo 2{^128}, kept up to date by
     every write), and [capture] holds the persistent binding map as of the
-    call, encoding it only if the snapshot is forced. *)
+    call, encoding it only if the snapshot is forced.
 
-type op =
+    A binding's value is a view (source string, offset, length) of the
+    bytes the write arrived in, not a copy: a Put's or a Cas's request
+    payload, or the PREPARE payload of a transaction, whose prepared record
+    keeps that view until commit applies it. The replicas of a group that
+    receive one multicast request share its payload, so they share one copy
+    of each value. Leaf digests, snapshots, Get results and Cas tests read
+    a view in place. [Install] and [restore] copy their values, so a view
+    never pins a whole snapshot; {!store_find} returns a copy. *)
+
+(** Operations and results are written over their values' type ['v]:
+    clients use strings ({!op}, {!result}); inside the store, values are
+    views of the request bytes. *)
+type 'v operation =
   | Get of string
-  | Put of string * string
+  | Put of string * 'v
   | Delete of string
-  | Cas of { key : string; expected : string option; update : string }
+  | Cas of { key : string; expected : 'v option; update : 'v }
       (** compare-and-swap: atomic test of the current binding *)
   | Prepare of {
       txn : string;
       decision : int;  (** group whose PBFT log serializes the decision *)
       participants : int list;
-      ops : op list;  (** plain writes only: Put / Delete / Cas *)
+      ops : 'v operation list;  (** plain writes only: Put / Delete / Cas *)
     }
   | Commit of string
   | Abort of string
   | Txn_status of string
   | Snapshot_slot of { slot : int; slots : int }
-  | Install of { slot : int; slots : int; bindings : (string * string) list }
+  | Install of { slot : int; slots : int; bindings : (string * 'v) list }
   | Drop_slot of { slot : int; slots : int }
 
-type result =
-  | Value of string option  (** for Get *)
+type op = string operation
+
+type 'v outcome =
+  | Value of 'v option  (** for Get *)
   | Stored  (** for Put / Delete / Commit / Abort / Install / Drop_slot *)
   | Cas_result of bool  (** whether the swap happened *)
   | Error of string
   | Prepared of bool  (** the replica's vote *)
-  | Bindings of (string * string) list  (** for Snapshot_slot *)
+  | Bindings of (string * 'v) list  (** for Snapshot_slot *)
   | Txn_state of { state : int; participants : int list }
       (** for Txn_status; [participants] only while prepared *)
+
+type result = string outcome
 
 val txn_prepared : int
 

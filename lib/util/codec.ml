@@ -63,6 +63,13 @@ module Enc = struct
     Bytes.blit_string s 0 t.buf t.len n;
     t.len <- t.len + n
 
+  let bytes_sub t s ~off ~len =
+    if off < 0 || len < 0 || off > String.length s - len then invalid_arg "Enc.bytes_sub";
+    u32 t len;
+    reserve t len;
+    Bytes.blit_string s off t.buf t.len len;
+    t.len <- t.len + len
+
   let bytes t s =
     u32 t (String.length s);
     raw t s
@@ -152,6 +159,13 @@ module Dec = struct
   let bytes t =
     let n = u32 t in
     raw t n
+
+  let bytes_span t =
+    let n = u32 t in
+    need t n;
+    let off = t.pos in
+    t.pos <- t.pos + n;
+    (off, n)
 
   let bool t =
     match u8 t with

@@ -29,6 +29,10 @@ module Enc : sig
   val bytes : t -> string -> unit
   (** Length-prefixed byte string. *)
 
+  val bytes_sub : t -> string -> off:int -> len:int -> unit
+  (** [bytes t (String.sub s off len)] without the copy.
+      @raise Invalid_argument if the slice is out of range. *)
+
   val raw : t -> string -> unit
   (** Raw bytes, no length prefix. *)
 
@@ -64,6 +68,11 @@ module Dec : sig
   val int : t -> int
   val f64 : t -> float
   val bytes : t -> string
+
+  val bytes_span : t -> int * int
+  (** Like [bytes], but returns the offset and length of the bytes in the
+      decoder's source string instead of a copy of them. *)
+
   val raw : t -> int -> string
   val bool : t -> bool
   val option : t -> (t -> 'a) -> 'a option

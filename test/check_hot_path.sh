@@ -2,9 +2,11 @@
 # Guard the per-message path against polymorphic hashing and comparison.
 #
 # The modules every datagram passes through, the replica's handlers
-# included, must look peers up by direct index or in monomorphic tables
-# ([Hashtbl.Make]), keep quorum votes in arrays over replica ids, and
-# compare with typed functions ([Int.compare], [Int64.compare], ...).
+# included, and the key-value store every KV request executes in, must
+# look peers up by direct index or in monomorphic tables ([Hashtbl.Make],
+# [Map.Make]), keep quorum votes in arrays over replica ids, and compare
+# with typed functions ([Int.compare], [Int64.compare], [String.equal],
+# ...).
 # This script strips comments from each of them and reports every
 # remaining use of the polymorphic [Hashtbl] interface ([Hashtbl.create],
 # [Hashtbl.find_opt], [Hashtbl.hash], the type [Hashtbl.t], ...) or of
@@ -25,6 +27,7 @@ lib/core/log.ml
 lib/core/client.ml
 lib/core/dispatcher.ml
 lib/core/replica.ml
+lib/services/kv_store.ml
 '
 
 bad=0

@@ -86,6 +86,66 @@ let test_cross_shard_commit () =
   no_leftover_txn_state stores;
   check Alcotest.int "one txn committed" 1 (Txn.committed h)
 
+(* The replicas of a group share the values a multicast write carries:
+   each store's bindings point into the one request payload (or PREPARE
+   payload) that every replica of the group received, so four stores hold
+   about one copy of the values, not four. Their digests and snapshot bytes
+   are pinned to what the store produced when each replica kept a copy of
+   every value: reading values in place changes no byte. *)
+let test_replicas_share_values () =
+  let rig, stores = rig_with_stores ~seed:25 ~groups:2 () in
+  let value i = Printf.sprintf "%04d" i ^ String.make 1020 (Char.chr (97 + (i mod 26))) in
+  let key i = Printf.sprintf "share-%d" i in
+  let proxy = Proxy.create rig in
+  let rec put i =
+    if i < 64 then
+      Proxy.invoke proxy (Kv.Put (key i, value i)) (fun o ->
+          check Alcotest.bool "put stored" true (o.Proxy.result = Kv.Stored);
+          put (i + 1))
+  in
+  put 0;
+  Rig.run ~until:10.0 rig;
+  let k1, k2 = cross_group_keys rig in
+  let outcome = ref None in
+  Txn.exec (Txn.create rig)
+    [ Kv.Put (k1, value 100); Kv.Put (k2, value 101) ]
+    (fun o -> outcome := Some o);
+  Rig.run ~until:30.0 rig;
+  check Alcotest.bool "txn committed" true (!outcome = Some Txn.Committed);
+  let written =
+    (k1, value 100) :: (k2, value 101) :: List.init 64 (fun i -> (key i, value i))
+  in
+  let pinned =
+    [
+      (0, "ee9568dcaa699761700fb66534cfbb40", "558efb75310eb2e5ad62ee1d4a000e2c");
+      (1, "4e6054701cddb95dc58aa39bb52d7d36", "38fefe2a4a3670e2e9f9b28f383f8a06");
+    ]
+  in
+  List.iter
+    (fun (g, digest, snapshot) ->
+      let group = stores.(g) in
+      Array.iter
+        (fun store ->
+          List.iter
+            (fun (k, v) ->
+              if Router.group_of_key (Rig.router rig) k = g then
+                check
+                  (Alcotest.option Alcotest.string)
+                  k (Some v) (Kv.store_find store k))
+            written;
+          let svc = Kv.service_of_store store in
+          check Alcotest.string "state digest" digest
+            (Digest.to_hex (svc.Service.state_digest ()));
+          let forced = Lazy.force (svc.Service.capture ()).Service.payload in
+          check Alcotest.string "snapshot bytes" snapshot
+            (Digest.to_hex (Digest.string forced.Payload.data)))
+        group;
+      let one = Obj.reachable_words (Obj.repr group.(0)) in
+      let four = Obj.reachable_words (Obj.repr group) in
+      if 2 * four >= 3 * one then
+        Alcotest.failf "group %d: four stores hold %d words, one store %d" g four one)
+    pinned
+
 (* The prepare deadline is a timer the votes cancel: once a transaction
    commits, nothing of it stays queued in the engine until the deadline
    would have fired ([prepare_timeout], 2 s here). *)
@@ -326,6 +386,8 @@ let () =
             test_cross_shard_abort_is_atomic;
           Alcotest.test_case "coordinator crash recovery" `Quick
             test_coordinator_crash_recovery;
+          Alcotest.test_case "replicas share written values" `Quick
+            test_replicas_share_values;
         ] );
       ( "reshard",
         [

@@ -275,6 +275,44 @@ let test_restart_restores_captured_checkpoint () =
            (svc.Service.state_digest ())))
     services
 
+let test_restart_keeps_trail_to_checkpoint () =
+  (* The execution trail past the stable checkpoint is volatile: a restart
+     keeps the records at or below the checkpoint, and the batches the
+     replica executes again after the reboot append theirs once each, in
+     order, so the trail ends as the other replicas' does. *)
+  let module Kv = Bft_services.Kv_store in
+  let config = Harness.default_config ~checkpoint_interval:4 ~log_window:8 () in
+  let cluster = Cluster.create ~config ~seed:5 ~service:(fun _ -> Kv.service ()) () in
+  let client = Cluster.add_client cluster in
+  let rec writes k =
+    if k < 10 then
+      Client.invoke client
+        (Kv.op_payload (Kv.Put (Printf.sprintf "key%d" k, "v")))
+        (fun _ -> writes (k + 1))
+  in
+  writes 0;
+  Cluster.run ~until:10.0 cluster;
+  let r0 = Cluster.replica cluster 0 and r3 = Cluster.replica cluster 3 in
+  let stable = Replica.last_stable r3 in
+  let before = Replica.executed_digests r3 in
+  let trail = Alcotest.(list (pair int string)) in
+  check Alcotest.bool "finalized batches above the checkpoint" true
+    (List.exists (fun (seq, _) -> seq > stable) before);
+  Cluster.restart_replica cluster 3;
+  check trail "restart keeps the records at or below the checkpoint"
+    (List.filter (fun (seq, _) -> seq <= stable) before)
+    (Replica.executed_digests r3);
+  Cluster.run ~until:30.0 cluster;
+  check Alcotest.int "caught up" (Replica.last_executed r0) (Replica.last_executed r3);
+  check trail "the re-executed batches follow, in order" before
+    (Replica.executed_digests r3);
+  check trail "as the other replicas executed them" (Replica.executed_digests r0)
+    (Replica.executed_digests r3);
+  check
+    Alcotest.(list (pair int int))
+    "no batch executed twice" []
+    (Audit.unique_execution (Array.to_list (Cluster.replicas cluster)))
+
 let test_status_heals_idle_straggler () =
   (* A replica partitioned briefly misses commits; nobody is under load
      afterwards, so only the status subsystem can heal it. *)
@@ -497,6 +535,8 @@ let () =
             test_hierarchical_state_transfer;
           Alcotest.test_case "restart forces its checkpoint" `Quick
             test_restart_restores_captured_checkpoint;
+          Alcotest.test_case "restart keeps the trail to its checkpoint" `Quick
+            test_restart_keeps_trail_to_checkpoint;
           Alcotest.test_case "status heals idle straggler" `Quick
             test_status_heals_idle_straggler;
           Alcotest.test_case "one replica's STATEs are no quorum" `Quick
