@@ -228,6 +228,7 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
   in
   let client_peers = Int_tbl.create 64 in
   let lookup_client c = Int_tbl.find_opt client_peers c in
+  let trail = Trail.group () in
   let replicas =
     Array.init n (fun i ->
         let keychain = Keychain.create ~master ~self:i principals in
@@ -242,7 +243,7 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
         Replica.create ~config ~transport ~replicas:replica_peers ~lookup_client
           ~service:(service i)
           ~rng:(Rng.split root_rng (Printf.sprintf "replica%d" i))
-          ~dispatcher ~behavior ())
+          ~dispatcher ~behavior ~trail ())
   in
   {
     engine;

@@ -61,10 +61,7 @@ type t = {
   (* execution *)
   mutable last_executed : seqno;  (** includes tentative executions *)
   mutable last_committed : seqno;  (** finally executed and committed *)
-  mutable trail : Bytes.t;
-      (** one [trail_record] per finalized batch, oldest first: its seq as
-          a 64-bit integer, then its digest *)
-  mutable trail_len : int;  (** records in [trail] *)
+  trail : Trail.t;  (** every finalized batch, over the group's digest table *)
   client_table : client_entry Int_tbl.t;
   mutable deferred_ro : (Message.request * Payload.t) list;  (** newest first *)
   (* primary batching *)
@@ -221,36 +218,8 @@ let behavior t = t.behavior
 let service t = t.service
 
 (* The execution trail. The audits read it whole and only [restart] trims
-   it, so each finalized batch costs one flat 24-byte record. *)
-let trail_record = 8 + Fingerprint.size
-
-let trail_seq t i = Int64.to_int (Bytes.get_int64_le t.trail (i * trail_record))
-
-let executed_digests t =
-  List.init t.trail_len (fun i ->
-      (trail_seq t i, Bytes.sub_string t.trail ((i * trail_record) + 8) Fingerprint.size))
-
-let append_trail t seq d =
-  let pos = t.trail_len * trail_record in
-  if pos + trail_record > Bytes.length t.trail then begin
-    let grown = Bytes.create (Int.max (64 * trail_record) (2 * Bytes.length t.trail)) in
-    Bytes.blit t.trail 0 grown 0 pos;
-    t.trail <- grown
-  end;
-  Bytes.set_int64_le t.trail pos (Int64.of_int seq);
-  Bytes.blit_string d 0 t.trail (pos + 8) Fingerprint.size;
-  t.trail_len <- t.trail_len + 1
-
-(* Keep the records at or below [seq], in order. *)
-let trim_trail t seq =
-  let kept = ref 0 in
-  for i = 0 to t.trail_len - 1 do
-    if trail_seq t i <= seq then begin
-      Bytes.blit t.trail (i * trail_record) t.trail (!kept * trail_record) trail_record;
-      incr kept
-    end
-  done;
-  t.trail_len <- !kept
+   it. *)
+let executed_digests t = Trail.to_list t.trail
 
 let engine t = Transport.engine t.transport
 
@@ -829,7 +798,7 @@ and finalize_slot t (slot : Log.slot) =
       if ce.last_ts = r.Message.timestamp then ce.cached_tentative <- false)
     (resolve_entries t slot);
   (match slot.Log.pp_digest with
-  | Some d -> append_trail t slot.Log.seq d
+  | Some d -> Trail.append t.trail slot.Log.seq d
   | None -> ());
   (* Clean up executed request bodies, inline ones included. *)
   (match slot.Log.pre_prepare with
@@ -2239,7 +2208,7 @@ let restart t =
      their entries must go with them — otherwise the chaos checker's
      unique-execution invariant would see the legitimate re-execution as
      a duplicate. *)
-  trim_trail t t.last_stable;
+  Trail.trim t.trail t.last_stable;
   t.status <- Normal;
   t.target_view <- t.view;
   t.deferred_ro <- [];
@@ -2284,7 +2253,7 @@ let client_replies t =
   |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
 
 let create ~config ~transport ~replicas ~lookup_client ~service ~rng ~dispatcher
-    ?(behavior = Behavior.Correct) () =
+    ?(behavior = Behavior.Correct) ~trail () =
   let t =
     {
       config;
@@ -2306,8 +2275,7 @@ let create ~config ~transport ~replicas ~lookup_client ~service ~rng ~dispatcher
         Log.create ~low:0 ~window:config.Config.log_window ~replicas:config.Config.n ();
       last_executed = 0;
       last_committed = 0;
-      trail = Bytes.empty;
-      trail_len = 0;
+      trail = Trail.create trail;
       client_table = Int_tbl.create 64;
       deferred_ro = [];
       pending = Queue.create ();

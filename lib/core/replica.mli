@@ -32,8 +32,11 @@ val create :
   rng:Bft_util.Rng.t ->
   dispatcher:Dispatcher.t ->
   ?behavior:Behavior.t ->
+  trail:Trail.group ->
   unit ->
   t
+(** [trail] is the execution-trail digest table the replicas of one group
+    share (see {!Trail}). *)
 
 val id : t -> Types.replica_id
 

@@ -15,7 +15,9 @@ type t = {
   node : Network.node_id;
   pk_mode : bool;
   mutable nonce : int64;
-  scratch : Bft_util.Codec.Enc.t; (* wire assembly buffer, one per sender *)
+  scratch : Bft_util.Codec.Enc.t;
+      (* wire assembly buffer, one per sender; starts small and grows to
+         the largest wire this sender built *)
   windows : Nonce_window.t; (* by sender index *)
   mutable corrupt_auth : bool;
 }
@@ -27,7 +29,7 @@ let create net ~keychain ~node ?(public_key_signatures = false) () =
     node;
     pk_mode = public_key_signatures;
     nonce = 0L;
-    scratch = Bft_util.Codec.Enc.create ~initial:1024 ();
+    scratch = Bft_util.Codec.Enc.create ();
     windows = Nonce_window.create ();
     corrupt_auth = false;
   }

@@ -14,7 +14,11 @@ type principal = int
 type deployment
 (** The principals of one cluster: replicas [0 .. replicas-1] and the
     clients admitted so far at [client_base + i]. Every keychain of the
-    cluster shares one, so a client admitted later is known to all. *)
+    cluster shares one, so a client admitted later is known to all.
+
+    It also holds the channels: one per direction of each pair, per master
+    secret, which both ends of the pair read. Keychains built from
+    different masters never share a channel. *)
 
 val deployment : replicas:int -> client_base:int -> deployment
 (** No clients yet. Raises [Invalid_argument] unless
@@ -40,9 +44,15 @@ val peer_index : t -> principal -> int
     state is stored at this index, so it grows with the peers actually
     used, not with the largest principal id. *)
 
-(** Each direction of each pairwise channel is a session: the key of the
-    current epoch and its prepared MAC state, derived once per (peer,
-    epoch) and found again at the peer's index without allocating. The
+(** Each direction of each pairwise channel is stored once, at a slot of
+    the deployment both of its ends read: the epoch it was derived for and
+    the 32-byte prepared MAC state of its key ({!Mac.session}). A lookup
+    under the slot's epoch is an array load and allocates nothing; an end
+    asking under another epoch derives the channel again and replaces the
+    slot. Clients never talk to clients, so every stored pair has a replica
+    end; a pair without a slot (two clients, or a keychain whose own
+    principal is outside the deployment) derives its session on every call
+    and keeps nothing. The
     lookups below raise [Invalid_argument] for a principal outside the
     deployment. *)
 
@@ -52,11 +62,13 @@ val send_session : t -> principal -> Mac.session
 val recv_session : t -> principal -> Mac.session
 (** Prepared key under which messages from [peer] must be authenticated. *)
 
-(** Key this principal uses to authenticate messages it sends to [peer]. *)
 val send_key : t -> principal -> string
+(** Key this principal uses to authenticate messages it sends to [peer],
+    derived on each call (channels keep only the prepared state). *)
 
-(** Key under which messages from [peer] must be authenticated. *)
 val recv_key : t -> principal -> string
+(** Key under which messages from [peer] must be authenticated, derived on
+    each call. *)
 
 val epoch : t -> peer:principal -> int
 (** Epoch of the inbound key currently accepted from [peer]. *)

@@ -2,8 +2,8 @@ type tag = string
 
 let tag_size = 8
 
-(* The MD5 states after the inner and outer pad blocks of one key, laid out
-   by the C stub. Immutable once [prepare] has filled it. *)
+(* The MD5 chaining values after the inner and outer pad blocks of one key,
+   32 bytes laid out by the C stub. Immutable once [prepare] has filled it. *)
 type session = Bytes.t
 
 external prepared_size : unit -> int = "bft_mac_prepared_size" [@@noalloc]

@@ -8,10 +8,12 @@
     computation is negligible" property is preserved regardless of the host
     primitive.
 
-    Host cost: a {!session} holds the MD5 states after the key's inner and
-    outer pad blocks, prepared once per key by a C stub over the runtime's
-    MD5. A tag then hashes only the nonce, the message and the inner digest
-    — two MD5 blocks for a 16-byte message — reading the message in place. *)
+    Host cost: a {!session} holds the MD5 chaining values after the key's
+    inner and outer pad blocks, 32 bytes prepared once per key by a C stub
+    over the runtime's MD5. After one whole block a context is only its
+    chaining value, so a tag resumes both contexts from those 32 bytes and
+    hashes only the nonce, the message and the inner digest — two MD5
+    blocks for a 16-byte message — reading the message in place. *)
 
 type tag = string
 (** 8 bytes. *)
@@ -19,7 +21,8 @@ type tag = string
 val tag_size : int
 
 type session
-(** A prepared key. *)
+(** A prepared key: 32 bytes, never mutated, so any number of holders may
+    share one (both ends of a {!Keychain} channel do). *)
 
 val prepare : string -> session
 

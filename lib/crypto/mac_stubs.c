@@ -1,12 +1,12 @@
 /* Truncated HMAC-MD5 tags from prepared per-key MD5 states.
 
-   A prepared key holds two MD5 contexts: one that has absorbed the
-   64-byte inner pad [key ^ ipad] and one that has absorbed the outer pad
-   [key ^ opad]. Each pad is exactly one MD5 block, so both contexts sit
-   on a block boundary with an empty input buffer. A tag then copies the
-   two contexts and hashes [nonce_le || msg] and the 16-byte inner digest:
-   the pad blocks are never hashed again, and the message is read straight
-   from the OCaml string.
+   A prepared key is the MD5 chaining value after the 64-byte inner pad
+   [key ^ ipad] and the one after the outer pad [key ^ opad]. Each pad is
+   exactly one MD5 block, so after it a context is fully described by its
+   chaining value: the bit count is 512 and the input buffer is empty. A
+   tag resumes both contexts from those 32 bytes and hashes
+   [nonce_le || msg] and the 16-byte inner digest: the pad blocks are never
+   hashed again, and the message is read straight from the OCaml string.
 
    No entry point allocates on the OCaml heap, raises, or calls back into
    OCaml, so every one is declared [@@noalloc]; the [_byte] variants are
@@ -22,8 +22,8 @@
 #define TAG_LEN 8
 
 struct prepared {
-  struct MD5Context inner;
-  struct MD5Context outer;
+  uint32_t inner[4];
+  uint32_t outer[4];
 };
 
 /* Size of the byte buffer [Mac.prepare] allocates for a prepared key. */
@@ -33,34 +33,51 @@ value bft_mac_prepared_size(value unit)
   return Val_long(sizeof(struct prepared));
 }
 
+static void absorb_pad(uint32_t state[4], value pad)
+{
+  struct MD5Context ctx;
+  caml_MD5Init(&ctx);
+  caml_MD5Update(&ctx, (unsigned char *)String_val(pad), PAD_LEN);
+  memcpy(state, ctx.buf, sizeof ctx.buf);
+}
+
 /* [ipad] and [opad] are the 64-byte pads of a normalised key. */
 value bft_mac_prepare(value ipad, value opad, value dst)
 {
   struct prepared p;
-  caml_MD5Init(&p.inner);
-  caml_MD5Update(&p.inner, (unsigned char *)String_val(ipad), PAD_LEN);
-  caml_MD5Init(&p.outer);
-  caml_MD5Update(&p.outer, (unsigned char *)String_val(opad), PAD_LEN);
+  absorb_pad(p.inner, ipad);
+  absorb_pad(p.outer, opad);
   memcpy(Bytes_val(dst), &p, sizeof p);
   return Val_unit;
+}
+
+/* The context right after one pad block with chaining value [state]. */
+static void resume(struct MD5Context *ctx, const uint32_t state[4])
+{
+  memcpy(ctx->buf, state, sizeof ctx->buf);
+  ctx->bits[0] = PAD_LEN * 8;
+  ctx->bits[1] = 0;
 }
 
 static void tag16(value prepared, int64_t nonce, value msg,
                   unsigned char out[16])
 {
   struct prepared p;
+  struct MD5Context ctx;
   unsigned char nonce_le[8];
   unsigned char inner[16];
   int i;
   memcpy(&p, Bytes_val(prepared), sizeof p);
   for (i = 0; i < 8; i++)
     nonce_le[i] = (unsigned char)((uint64_t)nonce >> (8 * i));
-  caml_MD5Update(&p.inner, nonce_le, sizeof nonce_le);
-  caml_MD5Update(&p.inner, (unsigned char *)String_val(msg),
+  resume(&ctx, p.inner);
+  caml_MD5Update(&ctx, nonce_le, sizeof nonce_le);
+  caml_MD5Update(&ctx, (unsigned char *)String_val(msg),
                  caml_string_length(msg));
-  caml_MD5Final(inner, &p.inner);
-  caml_MD5Update(&p.outer, inner, sizeof inner);
-  caml_MD5Final(out, &p.outer);
+  caml_MD5Final(inner, &ctx);
+  resume(&ctx, p.outer);
+  caml_MD5Update(&ctx, inner, sizeof inner);
+  caml_MD5Final(out, &ctx);
 }
 
 value bft_mac_tag_into(value prepared, int64_t nonce, value msg, value dst)

@@ -323,7 +323,7 @@ type store = {
   mutable locks : string Smap.t;  (* key -> holding transaction *)
   mutable prepared : txn_record Smap.t;  (* txn -> prepared record *)
   decided : bool Stbl.t;  (* txn -> committed? *)
-  mutable decided_log : string list;  (* newest first, bounds [decided] *)
+  mutable decided_log : (string * bool) list;  (* newest first, bounds [decided] *)
   mutable decided_count : int;
 }
 
@@ -410,13 +410,13 @@ let record_decision store txn committed =
   if Stbl.mem store.decided txn then no_undo
   else begin
     Stbl.replace store.decided txn committed;
-    store.decided_log <- txn :: store.decided_log;
+    store.decided_log <- (txn, committed) :: store.decided_log;
     store.decided_count <- store.decided_count + 1;
     if store.decided_count > 2 * decided_cap then begin
       let rec keep i = function
         | [] -> []
         | rest when i = decided_cap ->
-          List.iter (fun t -> Stbl.remove store.decided t) rest;
+          List.iter (fun (t, _) -> Stbl.remove store.decided t) rest;
           []
         | x :: rest -> x :: keep (i + 1) rest
       in
@@ -426,7 +426,7 @@ let record_decision store txn committed =
     fun () ->
       Stbl.remove store.decided txn;
       match store.decided_log with
-      | x :: rest when String.equal x txn ->
+      | (x, _) :: rest when String.equal x txn ->
         store.decided_log <- rest;
         store.decided_count <- store.decided_count - 1
       | _ -> ()
@@ -640,7 +640,8 @@ let encode_bindings enc table =
       views.write enc e.value)
     table
 
-(* Locks, prepared records and decisions: small, and encoded eagerly. *)
+(* Locks, prepared records and decisions: small, and encoded eagerly. Each
+   decision carries its flag in [decided_log], so one walk writes them. *)
 let txn_sections store =
   let enc = Enc.create () in
   Enc.list enc
@@ -655,10 +656,11 @@ let txn_sections store =
       Enc.list enc Enc.u16 r.txr_participants;
       Enc.list enc (encode_op views) r.txr_ops)
     (Smap.bindings store.prepared);
-  Enc.list enc
-    (fun enc txn ->
+  Enc.u32 enc store.decided_count;
+  List.iter
+    (fun (txn, committed) ->
       Enc.bytes enc txn;
-      Enc.bool enc (Stbl.find store.decided txn))
+      Enc.bool enc committed)
     store.decided_log;
   Enc.to_string enc
 
@@ -748,7 +750,7 @@ let restore_store store data =
           (txn, committed))
     in
     List.iter (fun (t, c) -> Stbl.replace store.decided t c) decided;
-    store.decided_log <- List.map fst decided;
+    store.decided_log <- decided;
     store.decided_count <- List.length decided
   end
   else

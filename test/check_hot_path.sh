@@ -2,7 +2,8 @@
 # Guard the per-message path against polymorphic hashing and comparison.
 #
 # The modules every datagram passes through, the replica's handlers
-# included, and the key-value store every KV request executes in, must
+# included, the execution trail every finalized batch is appended to, and
+# the key-value store every KV request executes in, must
 # look peers up by direct index or in monomorphic tables ([Hashtbl.Make],
 # [Map.Make]), keep quorum votes in arrays over replica ids, and compare
 # with typed functions ([Int.compare], [Int64.compare], [String.equal],
@@ -27,6 +28,7 @@ lib/core/log.ml
 lib/core/client.ml
 lib/core/dispatcher.ml
 lib/core/replica.ml
+lib/core/trail.ml
 lib/services/kv_store.ml
 '
 

@@ -276,6 +276,59 @@ let log_model_prop =
         ops;
       true)
 
+(* --- execution trail -------------------------------------------------------- *)
+
+(* One step of one of four replicas sharing a trail group: finalize the
+   seq [delta] past its last one (a gap after a state transfer when
+   [delta] > 1, a repeat or an out-of-order seq when [delta] <= 0) with the
+   common digest ([variant] 0) or a divergent one; or restart, trimming to
+   [back] below its last seq. *)
+type trail_op = Finalize of int * int * int | Restart of int * int
+
+let trail_op_print = function
+  | Finalize (r, delta, variant) -> Printf.sprintf "r%d finalize %+d v%d" r delta variant
+  | Restart (r, back) -> Printf.sprintf "r%d restart -%d" r back
+
+let trail_op_gen =
+  QCheck.Gen.(
+    let replica = int_bound 3 in
+    frequency
+      [
+        ( 10,
+          map3
+            (fun r delta variant -> Finalize (r, delta, variant))
+            replica
+            (frequency [ (8, return 1); (2, int_range 2 6); (2, int_range (-4) 0) ])
+            (frequency [ (8, return 0); (1, int_range 1 2) ]) );
+        (1, map2 (fun r back -> Restart (r, back)) replica (int_bound 8));
+      ])
+
+let trail_model_prop =
+  QCheck.Test.make ~name:"shared trail matches a list per replica" ~count:300
+    QCheck.(
+      make ~print:(Print.list trail_op_print) Gen.(list_size (int_bound 80) trail_op_gen))
+    (fun ops ->
+      let group = Trail.group () in
+      let trails = Array.init 4 (fun _ -> Trail.create group) in
+      let models = Array.make 4 [] (* newest first *) and last = Array.make 4 0 in
+      let digest seq variant = Fingerprint.of_string (Printf.sprintf "%d/%d" seq variant) in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Finalize (r, delta, variant) ->
+            let seq = Int.max 0 (last.(r) + delta) in
+            let d = digest seq variant in
+            Trail.append trails.(r) seq d;
+            models.(r) <- (seq, d) :: models.(r);
+            last.(r) <- seq
+          | Restart (r, back) ->
+            let stable = Int.max 0 (last.(r) - back) in
+            Trail.trim trails.(r) stable;
+            models.(r) <- List.filter (fun (seq, _) -> seq <= stable) models.(r);
+            last.(r) <- stable);
+          Array.for_all2 (fun trail model -> Trail.to_list trail = List.rev model) trails models)
+        ops)
+
 (* --- transport ------------------------------------------------------------ *)
 
 (* A deployment of four replicas, for transports that talk among
@@ -973,6 +1026,7 @@ let () =
           q merkle_roundtrip_prop;
         ] );
       ("log", [ q log_model_prop ]);
+      ("trail", [ q trail_model_prop ]);
       ( "transport",
         [
           Alcotest.test_case "send verifies" `Quick test_transport_send_verifies;

@@ -297,6 +297,107 @@ let test_auth_across_refresh () =
   check Alcotest.bool "other receivers unaffected" true
     (Auth.check chains.(2) ~from:0 "m" (Auth.single chains.(0) ~nonce:4L ~to_:2 "m"))
 
+(* --- shared channels --------------------------------------------------------- *)
+
+(* Four replicas and 512 admitted clients, each of which MACs once to every
+   replica and is answered: both ends of a channel read one 32-byte
+   session, so the keychains cost under 100 words per principal. *)
+let test_keychain_words_per_principal () =
+  let replicas = 4 and clients = 512 in
+  let d = Keychain.deployment ~replicas ~client_base:replicas in
+  let servers = Array.init replicas (fun i -> Keychain.create ~master:"m" ~self:i d) in
+  let users =
+    Array.init clients (fun _ -> Keychain.create ~master:"m" ~self:(Keychain.admit_client d) d)
+  in
+  let verified = ref true and shared = ref true in
+  Array.iter
+    (fun user ->
+      let c = Keychain.self user in
+      Array.iteri
+        (fun i server ->
+          let request = Auth.single user ~nonce:1L ~to_:i "request" in
+          let reply = Auth.single server ~nonce:1L ~to_:c "reply" in
+          verified :=
+            !verified
+            && Auth.check server ~from:c "request" request
+            && Auth.check user ~from:i "reply" reply;
+          shared :=
+            !shared
+            && Keychain.send_session user i == Keychain.recv_session server c
+            && Keychain.send_session server c == Keychain.recv_session user i)
+        servers)
+    users;
+  check Alcotest.bool "every tag verifies" true !verified;
+  let words = Obj.reachable_words (Obj.repr (servers, users)) in
+  let per_principal = words / (replicas + clients) in
+  if per_principal > 100 then
+    Alcotest.failf "%d words per principal (%d in all), over 100" per_principal words;
+  check Alcotest.bool "both ends hold one session" true !shared
+
+let test_keychain_masters_never_share () =
+  let d = replicas 2 in
+  let a = Keychain.create ~master:"m" ~self:0 d in
+  let b = Keychain.create ~master:"m" ~self:1 d in
+  let stranger = Keychain.create ~master:"other" ~self:0 d in
+  check Alcotest.bool "one master, one session" true
+    (Keychain.send_session a 1 == Keychain.recv_session b 0);
+  check Alcotest.bool "another master, another session" false
+    (Keychain.send_session stranger 1 == Keychain.recv_session b 0);
+  check Alcotest.bool "another master's tag fails" false
+    (Auth.check b ~from:0 "m" (Auth.single stranger ~nonce:1L ~to_:1 "m"));
+  check Alcotest.bool "the master's own tag passes" true
+    (Auth.check b ~from:0 "m" (Auth.single a ~nonce:2L ~to_:1 "m"))
+
+(* A keychain whose own principal is outside the deployment has no slot:
+   its lookups from a replica and from a client, under its first epoch
+   and after a refresh, derive its own keys per call and leave every
+   stored channel as it was, so the other pairs still verify. *)
+let test_keychain_outsider_keeps_nothing () =
+  let d = Keychain.deployment ~replicas:4 ~client_base:4 in
+  let servers = Array.init 4 (fun i -> Keychain.create ~master:"m" ~self:i d) in
+  let user = Keychain.create ~master:"m" ~self:(Keychain.admit_client d) d in
+  let c = Keychain.self user in
+  let stored () =
+    List.concat_map
+      (fun i ->
+        Keychain.send_session user i
+        :: Keychain.recv_session user i
+        :: List.map (fun j -> Keychain.send_session servers.(i) j) [ 0; 1; 2; 3 ])
+      [ 0; 1; 2; 3 ]
+  in
+  let before = stored () in
+  let outsider = Keychain.create ~master:"m" ~self:(c + 1000) d in
+  let own_keys = ref true in
+  let lookups () =
+    List.iter
+      (fun peer ->
+        let tag = Mac.compute ~key:(Keychain.recv_key outsider peer) ~nonce:1L "m" in
+        let own = Mac.verify_with (Keychain.recv_session outsider peer) ~nonce:1L "m" tag in
+        own_keys := !own_keys && own)
+      [ 0; 1; 2; 3; c ]
+  in
+  lookups ();
+  Keychain.refresh outsider;
+  lookups ();
+  check Alcotest.bool "the outsider's sessions are its own keys" true !own_keys;
+  check Alcotest.bool "every stored channel unchanged" true
+    (List.for_all2 ( == ) before (stored ()));
+  let verifies = ref true in
+  Array.iteri
+    (fun i server ->
+      Array.iteri
+        (fun j peer ->
+          if i <> j then
+            verifies :=
+              !verifies && Auth.check peer ~from:i "m" (Auth.single server ~nonce:1L ~to_:j "m"))
+        servers;
+      verifies :=
+        !verifies
+        && Auth.check server ~from:c "m" (Auth.single user ~nonce:1L ~to_:i "m")
+        && Auth.check user ~from:i "m" (Auth.single server ~nonce:1L ~to_:c "m"))
+    servers;
+  check Alcotest.bool "the other pairs still verify" true !verifies
+
 (* --- allocation ------------------------------------------------------------ *)
 
 (* Minor-heap words 1000 calls of [f] allocate, net of an empty loop. *)
@@ -503,6 +604,15 @@ let () =
           Alcotest.test_case "epoch refresh" `Quick test_keychain_epoch_refresh;
           Alcotest.test_case "stale epoch ignored" `Quick
             test_keychain_stale_epoch_ignored;
+          Alcotest.test_case "masters never share a channel" `Quick
+            test_keychain_masters_never_share;
+          Alcotest.test_case "an outsider keeps no channel" `Quick
+            test_keychain_outsider_keeps_nothing;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "words per principal" `Quick
+            test_keychain_words_per_principal;
         ] );
       ( "auth",
         [
