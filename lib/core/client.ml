@@ -14,6 +14,48 @@ type outcome = {
   rejected : bool;
 }
 
+type counter =
+  | Started
+  | Completed
+  | Retransmitted
+  | Shed
+  | Shed_retry
+  | Rejected
+  | Reply_stale
+  | Busy_stale
+  | Unexpected
+  | Replay_dropped
+  | Auth_failed
+
+let counter_index = function
+  | Started -> 0
+  | Completed -> 1
+  | Retransmitted -> 2
+  | Shed -> 3
+  | Shed_retry -> 4
+  | Rejected -> 5
+  | Reply_stale -> 6
+  | Busy_stale -> 7
+  | Unexpected -> 8
+  | Replay_dropped -> 9
+  | Auth_failed -> 10
+
+(* Metric names, by [counter_index]. *)
+let counter_names =
+  [|
+    "ops.started";
+    "ops.completed";
+    "ops.retransmitted";
+    "ops.shed";
+    "ops.shed_retry";
+    "ops.rejected";
+    "reply.stale";
+    "busy.stale";
+    "unexpected";
+    "auth.replay_dropped";
+    "auth.failed";
+  |]
+
 type reply_record = {
   rr_tentative : bool;
   rr_digest : Fingerprint.t;
@@ -56,14 +98,25 @@ type t = {
   mutable next_ts : int64;
   mutable pending : pending option;
   last_views : int array;  (** last view reported by each replica *)
-  metrics : Metrics.t;
+  counts : int array;  (** by [counter_index] *)
   mutable latency_probe : float -> unit;
       (** health-monitor hook, called with each completed op's latency *)
 }
 
 let id t = Transport.principal t.transport
 
-let metrics t = t.metrics
+let count t c = t.counts.(counter_index c)
+
+let bump t c =
+  let i = counter_index c in
+  t.counts.(i) <- t.counts.(i) + 1
+
+let metrics t =
+  let m = Metrics.create () in
+  Array.iteri
+    (fun i n -> if n > 0 then Metrics.incr ~by:n m counter_names.(i))
+    t.counts;
+  m
 
 let set_latency_probe t probe = t.latency_probe <- probe
 
@@ -162,7 +215,7 @@ let rec arm_timer t p =
 and retransmit t p =
   Timer.cancel p.timer;
   p.retries <- p.retries + 1;
-  Metrics.incr t.metrics "ops.retransmitted";
+  bump t Retransmitted;
   emit_trace t ~req_id:(trace_req t p) Trace.Client_retransmit;
   p.full_replies <- true;
   if p.as_read_only then begin
@@ -183,11 +236,11 @@ and retransmit t p =
    per-client timestamp makes that harmless, and the callback's [rejected]
    flag tells the application the result was not observed. *)
 let handle_busy t p =
-  Metrics.incr t.metrics "ops.shed";
+  bump t Shed;
   Timer.cancel p.timer;
   if p.busy_retries >= t.config.Config.shed_retry_budget then begin
     t.pending <- None;
-    Metrics.incr t.metrics "ops.rejected";
+    bump t Rejected;
     let latency = Engine.now (Transport.engine t.transport) -. p.started in
     emit_trace t ~req_id:(trace_req t p) ~detail:"rejected" Trace.Client_deliver;
     p.callback
@@ -209,7 +262,7 @@ let handle_busy t p =
       Timer.start (Transport.engine t.transport) ~delay (fun () ->
           match t.pending with
           | Some p' when p' == p ->
-            Metrics.incr t.metrics "ops.shed_retry";
+            bump t Shed_retry;
             transmit t p;
             arm_timer t p
           | _ -> ())
@@ -301,7 +354,7 @@ let check_acceptance t p ~digest (tally : tally) =
       Timer.cancel p.timer;
       t.pending <- None;
       let view = quorum_view t p ~digest in
-      Metrics.incr t.metrics "ops.completed";
+      bump t Completed;
       let latency = Engine.now (Transport.engine t.transport) -. p.started in
       t.latency_probe latency;
       emit_trace t ~req_id:(trace_req t p)
@@ -357,7 +410,7 @@ let create ~config ~transport ~replicas ~rng ~dispatcher () =
       next_ts = 0L;
       pending = None;
       last_views = Array.make config.Config.n 0;
-      metrics = Metrics.create ();
+      counts = Array.make (Array.length counter_names) 0;
       latency_probe = ignore;
     }
   in
@@ -369,7 +422,7 @@ let create ~config ~transport ~replicas ~rng ~dispatcher () =
       | Message.Reply r -> (
         match t.pending with
         | Some p when r.Message.timestamp = p.ts -> handle_reply t p r
-        | _ -> Metrics.incr t.metrics "reply.stale")
+        | _ -> bump t Reply_stale)
       | Message.Busy b -> (
         match t.pending with
         | Some p
@@ -377,10 +430,10 @@ let create ~config ~transport ~replicas ~rng ~dispatcher () =
                && env.Message.sender = b.Message.bz_replica
                && b.Message.bz_replica = shedding_orderer t ->
           handle_busy t p
-        | _ -> Metrics.incr t.metrics "busy.stale")
-      | _ -> Metrics.incr t.metrics "unexpected")
-    | Transport.Replayed -> Metrics.incr t.metrics "auth.replay_dropped"
-    | Transport.Rejected -> Metrics.incr t.metrics "auth.failed"
+        | _ -> bump t Busy_stale)
+      | _ -> bump t Unexpected)
+    | Transport.Replayed -> bump t Replay_dropped
+    | Transport.Rejected -> bump t Auth_failed
   in
   Dispatcher.register_client dispatcher (id t) sink;
   t
@@ -411,7 +464,7 @@ let invoke t ?(read_only = false) op callback =
     }
   in
   t.pending <- Some p;
-  Metrics.incr t.metrics "ops.started";
+  bump t Started;
   emit_trace t ~req_id:(trace_req t p)
     ~detail:(if read_only then "read-only" else "read-write")
     Trace.Client_send;

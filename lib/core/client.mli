@@ -54,7 +54,24 @@ val retry_backoff :
     from the given RNG — deterministic for a given RNG state. Cap 16 is
     used for loss retransmissions, cap 64 for shed (BUSY) retries. *)
 
+(** What a client counts; {!metrics} names each. *)
+type counter =
+  | Started  (** ops.started: operations invoked *)
+  | Completed  (** ops.completed *)
+  | Retransmitted  (** ops.retransmitted: retransmission timeouts *)
+  | Shed  (** ops.shed: credible BUSY replies absorbed *)
+  | Shed_retry  (** ops.shed_retry: re-sends after a BUSY backoff *)
+  | Rejected  (** ops.rejected: operations that ran out of shed retries *)
+  | Reply_stale  (** reply.stale: replies for no outstanding operation *)
+  | Busy_stale  (** busy.stale: BUSY replies not credible or not current *)
+  | Unexpected  (** unexpected: other authenticated messages *)
+  | Replay_dropped  (** auth.replay_dropped *)
+  | Auth_failed  (** auth.failed *)
+
+val count : t -> counter -> int
+
 val metrics : t -> Metrics.t
+(** The non-zero counters under their names, built afresh on each call. *)
 
 val set_latency_probe : t -> (float -> unit) -> unit
 (** Install a hook called with each completed operation's latency, in

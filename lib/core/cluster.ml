@@ -1,10 +1,12 @@
 module Engine = Bft_sim.Engine
+module Timer = Bft_sim.Timer
 module Cpu = Bft_sim.Cpu
 module Calibration = Bft_sim.Calibration
 module Network = Bft_net.Network
 module Keychain = Bft_crypto.Keychain
 module Fingerprint = Bft_crypto.Fingerprint
 module Monitor = Bft_trace.Monitor
+module Trace = Bft_trace.Trace
 module Rng = Bft_util.Rng
 module Int_tbl = Bft_util.Dense.Int_tbl
 
@@ -24,6 +26,7 @@ type t = {
   root_rng : Rng.t;
   replicas : Replica.t array;
   replica_peers : Transport.peer array;
+  replica_transports : Transport.t array;
   client_machines : client_machine array;
   principals : Keychain.deployment;  (* shared by every keychain below *)
   client_peers : Transport.peer Int_tbl.t;
@@ -59,7 +62,9 @@ let restart_replica t i =
   Network.set_up t.network (replica_node t i) true;
   Replica.restart t.replicas.(i)
 
-let set_behavior t i b = Replica.set_behavior t.replicas.(i) b
+let set_behavior t i b =
+  Replica.set_behavior t.replicas.(i) b;
+  Transport.set_corrupt_auth t.replica_transports.(i) (b = Behavior.Forge_auth)
 
 let profile t = Network.profile t.network
 
@@ -85,8 +90,8 @@ let series_names t =
     @ [ "clients.started"; "clients.completed"; "clients.retransmitted" ])
 
 (* A client-side counter summed over every client created so far. *)
-let client_count t name =
-  List.fold_left (fun acc c -> acc + Metrics.count (Client.metrics c) name) 0 t.clients
+let client_count t counter =
+  List.fold_left (fun acc c -> acc + Client.count c counter) 0 t.clients
 
 let series_values t =
   let fi = float_of_int in
@@ -109,9 +114,9 @@ let series_values t =
                 ])
               t.replicas))
     @ [
-        fi (client_count t "ops.started");
-        fi (client_count t "ops.completed");
-        fi (client_count t "ops.retransmitted");
+        fi (client_count t Client.Started);
+        fi (client_count t Client.Completed);
+        fi (client_count t Client.Retransmitted);
       ])
 
 (* Run [f] every [interval] virtual seconds for as long as [while_] holds. *)
@@ -163,8 +168,8 @@ let health_gauges t =
   in
   {
     Monitor.g_time = Engine.now t.engine;
-    g_completed = client_count t "ops.completed";
-    g_rejected = client_count t "ops.rejected";
+    g_completed = client_count t Client.Completed;
+    g_rejected = client_count t Client.Rejected;
     g_replicas;
   }
 
@@ -181,6 +186,50 @@ let attach_monitor ?(while_ = fun () -> true) ?(meta = []) t mon =
   t.monitors <- mon :: t.monitors;
   List.iter (fun c -> Client.set_latency_probe c (monitor_probe t)) t.clients;
   every t ~interval:0.05 ~while_ (fun () -> Monitor.observe mon (health_gauges t))
+
+(* --- replica effects ----------------------------------------------------- *)
+
+let timer_slot = function
+  | Replica.Vc_timer -> 0
+  | Replica.Resend_timer -> 1
+  | Replica.Flush_timer -> 2
+  | Replica.State_timer -> 3
+
+(* Replica [self]'s effects, over its transport, its machine's CPU, the
+   network's engine and trace sink; an engine event per timer slot. *)
+let replica_env network ~transport ~peers ~self =
+  let engine = Network.engine network and trace = Network.trace network in
+  let node = Transport.node transport in
+  let cpu = Network.node_cpu network node in
+  let others =
+    List.filter (fun (p : Transport.peer) -> p.principal <> self) (Array.to_list peers)
+  in
+  let other_nodes = List.map (fun (p : Transport.peer) -> p.node) others in
+  let timers = Array.make 4 Timer.never in
+  {
+    Replica.send = (fun dst msg -> Transport.send transport ~dst msg);
+    multicast =
+      (fun ~commits msg -> Transport.multicast transport ~commits ~dsts:others msg);
+    replay =
+      (fun ~wire ~size ->
+        Network.multicast network ~src:node ~dsts:other_nodes ~size wire);
+    check = Transport.check transport;
+    arm =
+      (fun timer ~delay fn ->
+        let i = timer_slot timer in
+        timers.(i) <- Timer.restart engine timers.(i) ~delay fn);
+    cancel = (fun timer -> Timer.cancel timers.(timer_slot timer));
+    armed = (fun timer -> Timer.active timers.(timer_slot timer));
+    after = (fun ~delay fn -> Engine.schedule engine ~delay fn);
+    charge = (fun ?cat cost -> Cpu.charge ?cat cpu cost);
+    now = (fun () -> Engine.now engine);
+    cpu_now = (fun () -> Cpu.virtual_now cpu);
+    trace =
+      (fun ~vtime ~node ?seqno ?view ?req_id ?detail kind ->
+        if Trace.enabled trace then
+          Trace.emit trace ~vtime:(vtime ()) ~node ?seqno ?view ?req_id ?detail
+            kind);
+  }
 
 let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
     ?(client_machine_speed = 1.0) ?(behaviors = [])
@@ -229,7 +278,7 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
   let client_peers = Int_tbl.create 64 in
   let lookup_client c = Int_tbl.find_opt client_peers c in
   let trail = Trail.group () in
-  let replicas =
+  let members =
     Array.init n (fun i ->
         let keychain = Keychain.create ~master ~self:i principals in
         let transport =
@@ -240,11 +289,25 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
         let behavior =
           Option.value ~default:Behavior.Correct (List.assoc_opt i behaviors)
         in
-        Replica.create ~config ~transport ~replicas:replica_peers ~lookup_client
-          ~service:(service i)
-          ~rng:(Rng.split root_rng (Printf.sprintf "replica%d" i))
-          ~dispatcher ~behavior ~trail ())
+        (match behavior with
+        | Behavior.Crash_at when_ ->
+          Engine.schedule_at engine when_ (fun () ->
+              Network.set_up network replica_nodes.(i) false)
+        | _ -> ());
+        Transport.set_corrupt_auth transport (behavior = Behavior.Forge_auth);
+        let replica =
+          Replica.create ~config
+            ~env:(replica_env network ~transport ~peers:replica_peers ~self:i)
+            ~keychain ~cal ~replicas:replica_peers ~lookup_client
+            ~service:(service i)
+            ~rng:(Rng.split root_rng (Printf.sprintf "replica%d" i))
+            ~behavior ~trail ()
+        in
+        Dispatcher.register_default dispatcher (Replica.receive replica);
+        (replica, transport))
   in
+  let replicas = Array.map fst members
+  and replica_transports = Array.map snd members in
   {
     engine;
     cal;
@@ -256,6 +319,7 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
     root_rng;
     replicas;
     replica_peers;
+    replica_transports;
     client_machines;
     principals;
     client_peers;

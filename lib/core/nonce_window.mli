@@ -1,7 +1,7 @@
 (** Anti-replay windows, one per sender.
 
     A window holds the highest nonce accepted from its sender plus a
-    bitmap over the {!size} nonces below it. Senders draw nonces from a
+    bitmap over the 64 nonces below it. Senders draw nonces from a
     per-transport monotonic counter and the simulated network delivers each
     (src, dst) link in FIFO order, so a bounded window cannot reject a
     first delivery; anything below the window is necessarily a replay.
@@ -14,9 +14,6 @@
 type t
 
 val create : unit -> t
-
-val size : int
-(** Nonces tracked below the highest: 64. *)
 
 type status =
   | Fresh  (** never seen: above the window, or in it and unmarked *)

@@ -1,9 +1,6 @@
 open Types
-module Engine = Bft_sim.Engine
-module Timer = Bft_sim.Timer
 module Cpu = Bft_sim.Cpu
 module Calibration = Bft_sim.Calibration
-module Network = Bft_net.Network
 module Fingerprint = Bft_crypto.Fingerprint
 module Keychain = Bft_crypto.Keychain
 module Rng = Bft_util.Rng
@@ -40,9 +37,36 @@ type offer = seqno * Fingerprint.t * Fingerprint.t
 
 type 'a votes = 'a option array  (* each replica's vote at its id *)
 
+type timer = Vc_timer | Resend_timer | Flush_timer | State_timer
+
+type env = {
+  send : Transport.peer -> Message.t -> unit;
+  multicast : commits:Message.commit list -> Message.t -> unit;
+  replay : wire:string -> size:int -> unit;
+  check : Message.received -> Transport.verdict;
+  arm : timer -> delay:float -> (unit -> unit) -> unit;
+  cancel : timer -> unit;
+  armed : timer -> bool;
+  after : delay:float -> (unit -> unit) -> unit;
+  charge : ?cat:Cpu.category -> float -> unit;
+  now : unit -> float;
+  cpu_now : unit -> float;
+  trace :
+    vtime:(unit -> float) ->
+    node:int ->
+    ?seqno:int ->
+    ?view:int ->
+    ?req_id:int64 ->
+    ?detail:string ->
+    Trace.kind ->
+    unit;
+}
+
 type t = {
   config : Config.t;
-  transport : Transport.t;
+  env : env;
+  keychain : Keychain.t;
+  cal : Calibration.t;
   replicas : Transport.peer array;
   lookup_client : client_id -> Transport.peer option;
   service : Service.t;
@@ -85,12 +109,10 @@ type t = {
   (* liveness *)
   waiting : float Fingerprint.Tbl.t;
       (** requests received directly from clients, not yet executed *)
-  mutable vc_timer : Timer.t;
   mutable vc_attempts : int;
   view_changes : Message.view_change votes Int_tbl.t;  (** by next view *)
   mutable nv_sent : view;  (** highest view we already sent NEW-VIEW for *)
   mutable last_nv : Message.new_view option;  (** for straggler catch-up *)
-  mutable resend_timer : Timer.t;
   mutable resend_fast : bool;  (** the armed tick uses the fast period *)
   mutable resend_stalls : int;  (** consecutive ticks without progress *)
   mutable resend_progress_mark : seqno;  (** last_committed at last tick *)
@@ -101,14 +123,12 @@ type t = {
           view-changing: proof the rest of the cluster is not following *)
   (* piggybacked commits *)
   mutable commit_backlog : Message.commit list;  (** newest first *)
-  mutable flush_timer : Timer.t;
   (* state transfer / recovery *)
   mutable await_state : seqno option;
   mutable recovering : bool;
   state_offers : offer votes;  (** each replica's latest STATE *)
   meta_offers : offer votes;  (** each replica's latest STATE-META *)
   mutable fetch_ctx : fetch_ctx option;
-  mutable state_timer : Timer.t;
   mutable state_attempts : int;  (** consecutive state refetches without progress *)
 }
 
@@ -221,17 +241,9 @@ let service t = t.service
    it. *)
 let executed_digests t = Trail.to_list t.trail
 
-let engine t = Transport.engine t.transport
-
-let cal t = Transport.calibration t.transport
-
-let charge ?cat t cost = Cpu.charge ?cat (Transport.cpu t.transport) cost
+let charge ?cat t cost = t.env.charge ?cat cost
 
 let f_of t = t.config.Config.f
-
-let peers_except_self t =
-  Array.to_list t.replicas
-  |> List.filter (fun (p : Transport.peer) -> p.principal <> t.id)
 
 let muted t = match t.behavior with Behavior.Mute -> true | _ -> false
 
@@ -242,11 +254,7 @@ let muted t = match t.behavior with Behavior.Mute -> true | _ -> false
    charges accrue, and the per-phase breakdown needs to see crypto and
    execution costs inside the handler. *)
 let emit_trace t ?seqno ?view ?req_id ?detail kind =
-  let trc = Network.trace (Transport.network t.transport) in
-  if Trace.enabled trc then
-    Trace.emit trc
-      ~vtime:(Cpu.virtual_now (Transport.cpu t.transport))
-      ~node:t.id ?seqno ?view ?req_id ?detail kind
+  t.env.trace ~vtime:t.env.cpu_now ~node:t.id ?seqno ?view ?req_id ?detail kind
 
 let trace_req (r : Message.request) =
   Trace.req_id ~client:r.Message.client ~ts:r.Message.timestamp
@@ -256,20 +264,21 @@ let trace_req (r : Message.request) =
 let take_backlog t =
   let commits = List.rev t.commit_backlog in
   t.commit_backlog <- [];
-  Timer.cancel t.flush_timer;
+  t.env.cancel Flush_timer;
   commits
 
-let out_multicast t ?(dsts = peers_except_self t) msg =
+(* Multicasts go to every other replica. *)
+let out_multicast t msg =
   if not (muted t) then begin
     let commits =
       if t.config.Config.piggyback_commits then take_backlog t else []
     in
     if commits <> [] then
       Metrics.incr ~by:(List.length commits) t.metrics "piggy.attached";
-    Transport.multicast t.transport ~commits ~dsts msg
+    t.env.multicast ~commits msg
   end
 
-let out_send t ~dst msg = if not (muted t) then Transport.send t.transport ~dst msg
+let out_send t ~dst msg = if not (muted t) then t.env.send dst msg
 
 let client_entry t client =
   match Int_tbl.find_opt t.client_table client with
@@ -304,7 +313,7 @@ let client_table_encoding t =
 
 let state_digest t table =
   charge ~cat:Cpu.Digest t
-    (Calibration.digest_cost (cal t)
+    (Calibration.digest_cost t.cal
        (t.service.Service.modified_since_checkpoint () + String.length table));
   Fingerprint.of_parts [ t.service.Service.state_digest (); table ]
 
@@ -314,7 +323,7 @@ let state_digest t table =
 let snapshot_payload t table =
   let svc = t.service.Service.capture () in
   let length = 4 + String.length table + 4 + svc.Service.length in
-  charge ~cat:Cpu.Encode t (float_of_int length *. (cal t).Calibration.byte_touch_cost);
+  charge ~cat:Cpu.Encode t (float_of_int length *. t.cal.Calibration.byte_touch_cost);
   lazy
     (let enc = Enc.create ~initial:length () in
      Enc.bytes enc table;
@@ -337,7 +346,7 @@ let restore_snapshot t (p : Payload.t) =
   done;
   t.service.Service.restore { Payload.data = svc_data; pad = p.Payload.pad };
   charge ~cat:Cpu.Decode t
-    (float_of_int (Payload.size p) *. (cal t).Calibration.byte_touch_cost)
+    (float_of_int (Payload.size p) *. t.cal.Calibration.byte_touch_cost)
 
 (* --- liveness timer --------------------------------------------------- *)
 
@@ -436,16 +445,15 @@ and arm_waiting_timer t =
   if
     t.status = Normal
     && Fingerprint.Tbl.length t.waiting > 0
-    && not (Timer.active t.vc_timer)
+    && not (t.env.armed Vc_timer)
   then
-    t.vc_timer <-
-      Timer.start (engine t) ~delay:(vc_timeout t) (fun () ->
-          prune_waiting t;
-          if t.status = Normal && Fingerprint.Tbl.length t.waiting > 0 then begin
-            Metrics.incr t.metrics "viewchange.timeout";
-            start_view_change t (t.view + 1)
-          end
-          else arm_waiting_timer t)
+    t.env.arm Vc_timer ~delay:(vc_timeout t) (fun () ->
+        prune_waiting t;
+        if t.status = Normal && Fingerprint.Tbl.length t.waiting > 0 then begin
+          Metrics.incr t.metrics "viewchange.timeout";
+          start_view_change t (t.view + 1)
+        end
+        else arm_waiting_timer t)
 
 (* --- message retransmission (PBFT's status mechanism, simplified) -----
 
@@ -466,9 +474,8 @@ and ensure_resend_timer t =
      heals a straggler. A slow tick already armed is accelerated when work
      appears. *)
   let pending = resend_pending t in
-  if (not (Timer.active t.resend_timer)) || (pending && not t.resend_fast)
+  if (not (t.env.armed Resend_timer)) || (pending && not t.resend_fast)
   then begin
-    Timer.cancel t.resend_timer;
     t.resend_fast <- pending;
     (* Back off when retransmission makes no progress (e.g. too many peers
        are actually down), so a wedged cluster does not chatter forever. *)
@@ -477,10 +484,9 @@ and ensure_resend_timer t =
       else 6.0
     in
     let delay = t.config.Config.client_retry_timeout *. backoff in
-    t.resend_timer <-
-      Timer.start (engine t) ~delay (fun () ->
-          if resend_pending t then do_resends t else multicast_status t;
-          ensure_resend_timer t)
+    t.env.arm Resend_timer ~delay (fun () ->
+        if resend_pending t then do_resends t else multicast_status t;
+        ensure_resend_timer t)
   end
 
 and multicast_status t =
@@ -603,7 +609,7 @@ and multicast_proposal t seq entries =
    ousted every timeout period). *)
 and maybe_cancel_waiting_timer t =
   if t.status = Normal then begin
-    Timer.cancel t.vc_timer;
+    t.env.cancel Vc_timer;
     arm_waiting_timer t
   end
 
@@ -628,7 +634,7 @@ and send_reply t (r : Message.request) result ~tentative =
        hashes the full reply message. *)
     if not full then
       charge ~cat:Cpu.Digest t
-        (Calibration.digest_cost (cal t) (Payload.size result));
+        (Calibration.digest_cost t.cal (Payload.size result));
     let body =
       if full then Message.Full_result result
       else Message.Result_digest (Payload.digest result)
@@ -645,7 +651,7 @@ and send_reply t (r : Message.request) result ~tentative =
         client = r.Message.client;
         replica = t.id;
         tentative;
-        epoch = Keychain.epoch (Transport.keychain t.transport) ~peer:0;
+        epoch = Keychain.epoch t.keychain ~peer:0;
         body;
       }
     in
@@ -749,7 +755,7 @@ and execute_request t (r : Message.request) ~tentative undos =
     charge ~cat:Cpu.Exec t (t.service.Service.execute_cost r.Message.op);
     let result, undo = t.service.Service.execute ~client:r.Message.client ~op:r.Message.op in
     charge ~cat:Cpu.Exec t
-      (float_of_int (Payload.size result) *. (cal t).Calibration.byte_touch_cost);
+      (float_of_int (Payload.size result) *. t.cal.Calibration.byte_touch_cost);
     emit_trace t ~view:t.view ~req_id:(trace_req r)
       ~detail:(if tentative then "tentative" else "final")
       Trace.Exec_request;
@@ -936,16 +942,15 @@ and request_state t ~target =
         ~base:(2.0 *. t.config.Config.client_retry_timeout)
         ~attempts:t.state_attempts
     in
-    t.state_timer <-
-      Timer.restart (engine t) t.state_timer ~delay (fun () ->
-          match t.await_state with
-          | Some target ->
-            t.state_attempts <- t.state_attempts + 1;
-            Metrics.incr t.metrics "state.refetch";
-            t.await_state <- None;
-            drop_page_fetch t;
-            request_state t ~target
-          | None -> ())
+    t.env.arm State_timer ~delay (fun () ->
+        match t.await_state with
+        | Some target ->
+          t.state_attempts <- t.state_attempts + 1;
+          Metrics.incr t.metrics "state.refetch";
+          t.await_state <- None;
+          drop_page_fetch t;
+          request_state t ~target
+        | None -> ())
   end
 
 and on_get_state t (g : Message.get_state) =
@@ -971,7 +976,7 @@ and on_get_state t (g : Message.get_state) =
          the pages it lacks. *)
       let digests = Merkle.page_digests (Merkle.paginate snapshot) in
       charge ~cat:Cpu.Digest t
-        (Calibration.digest_cost (cal t) (Payload.size snapshot) /. 4.0);
+        (Calibration.digest_cost t.cal (Payload.size snapshot) /. 4.0);
       out_send t
         ~dst:t.replicas.(g.Message.replica)
         (Message.State_meta
@@ -1020,7 +1025,7 @@ and begin_page_fetch t src seq digest target_pages =
   in
   let own_digests = Merkle.page_digests own in
   charge ~cat:Cpu.Digest t
-    (Calibration.digest_cost (cal t)
+    (Calibration.digest_cost t.cal
        (Array.length target_pages * Fingerprint.size));
   let have =
     Array.mapi
@@ -1112,7 +1117,7 @@ and drop_page_fetch t =
 (* The awaited state arrived (or ours was validated): stop asking. *)
 and end_state_fetch t =
   t.await_state <- None;
-  Timer.cancel t.state_timer;
+  t.env.cancel State_timer;
   t.state_attempts <- 0;
   clear t.state_offers
 
@@ -1258,14 +1263,12 @@ and send_pre_prepare t seq entries digests =
     (* Equivocate: half the backups see a different batch for this seq. *)
     let pp = { Message.view = t.view; seq; entries } in
     let alt = { Message.view = t.view; seq; entries = [ Message.Null_entry ] } in
-    List.iter
+    Array.iter
       (fun (p : Transport.peer) ->
-        let msg =
-          if p.principal mod 2 = 1 then Message.Pre_prepare alt
-          else Message.Pre_prepare pp
-        in
-        out_send t ~dst:p msg)
-      (peers_except_self t)
+        if p.principal <> t.id then
+          out_send t ~dst:p
+            (Message.Pre_prepare (if p.principal mod 2 = 1 then alt else pp)))
+      t.replicas
   | _ -> multicast_proposal t seq entries);
   Metrics.incr t.metrics "preprepare.sent";
   emit_trace t ~seqno:seq ~view:t.view
@@ -1340,10 +1343,9 @@ and broadcast_commit t (slot : Log.slot) =
     let c = { Message.view = t.view; seq = slot.Log.seq; digest; replica = t.id } in
     if t.config.Config.piggyback_commits then begin
       t.commit_backlog <- c :: t.commit_backlog;
-      if not (Timer.active t.flush_timer) then
-        t.flush_timer <-
-          Timer.start (engine t) ~delay:Config.commit_flush_delay
-            (fun () -> flush_commits t)
+      if not (t.env.armed Flush_timer) then
+        t.env.arm Flush_timer ~delay:Config.commit_flush_delay (fun () ->
+            flush_commits t)
     end
     else out_multicast t (Message.Commit c);
     Metrics.incr t.metrics "commit.sent";
@@ -1353,9 +1355,7 @@ and flush_commits t =
   match take_backlog t with
   | [] -> ()
   | first :: rest ->
-    if not (muted t) then
-      Transport.multicast t.transport ~commits:rest ~dsts:(peers_except_self t)
-        (Message.Commit first)
+    if not (muted t) then t.env.multicast ~commits:rest (Message.Commit first)
 
 and check_committed t (slot : Log.slot) =
   let committed =
@@ -1432,7 +1432,7 @@ and accept_pre_prepare t sender (pp : Message.pre_prepare) digests digest =
              have not arrived shortly. *)
           Metrics.incr t.metrics "preprepare.awaiting_bodies";
           let seq = pp.Message.seq and v = t.view in
-          Engine.schedule (engine t) ~delay:0.004 (fun () ->
+          t.env.after ~delay:0.004 (fun () ->
               if t.view = v then
                 match Log.find t.log seq with
                 | Some { Log.missing_bodies = _ :: _; _ } ->
@@ -1553,7 +1553,7 @@ and maybe_abandon_view_change t =
        with a flat window, attempt k's retry fires after the abandonment
        deadline has already passed, so evidence arriving mid-backoff would
        flap the replica between Normal and View_changing forever. *)
-    && Engine.now (engine t) -. t.vc_started_at > 2.0 *. vc_timeout t
+    && t.env.now () -. t.vc_started_at > 2.0 *. vc_timeout t
     && backing < quorum ~f:(f_of t)
     && (evidence >= weak_quorum ~f:(f_of t)
        || (evidence >= 1 && backing < weak_quorum ~f:(f_of t)))
@@ -1562,7 +1562,7 @@ and maybe_abandon_view_change t =
     t.status <- Normal;
     t.target_view <- t.view;
     Int_tbl.reset t.vc_evidence;
-    Timer.cancel t.vc_timer;
+    t.env.cancel Vc_timer;
     arm_waiting_timer t;
     ensure_resend_timer t;
     advance t
@@ -1647,7 +1647,7 @@ and on_request t rx sender (r : Message.request) =
          && not (orders_for t r.Message.client)
       then begin
         Fingerprint.Tbl.replace t.waiting (Message.received_request_digest rx)
-          (Engine.now (engine t));
+          (t.env.now ());
         arm_waiting_timer t;
         ensure_resend_timer t
       end
@@ -1663,7 +1663,7 @@ and on_request t rx sender (r : Message.request) =
         t.service.Service.execute ~client:r.Message.client ~op:r.Message.op
       in
       charge ~cat:Cpu.Digest t
-        (Calibration.digest_cost (cal t) (Payload.size result));
+        (Calibration.digest_cost t.cal (Payload.size result));
       Metrics.incr t.metrics "exec.read_only";
       emit_trace t ~view:t.view ~req_id:(trace_req r) ~detail:"read-only"
         Trace.Exec_request;
@@ -1690,7 +1690,7 @@ and on_request t rx sender (r : Message.request) =
       end
       else begin
         (* Backup: remember the request and watch the primary. *)
-        Fingerprint.Tbl.replace t.waiting digest (Engine.now (engine t));
+        Fingerprint.Tbl.replace t.waiting digest (t.env.now ());
         arm_waiting_timer t;
         ensure_resend_timer t
       end
@@ -1738,11 +1738,11 @@ and start_view_change t next_view =
   | Behavior.Stale_view -> ()
   | _ ->
     if next_view > t.target_view then begin
-      Timer.cancel t.vc_timer;
+      t.env.cancel Vc_timer;
       rollback_tentative t;
       t.status <- View_changing;
       t.target_view <- next_view;
-      t.vc_started_at <- Engine.now (engine t);
+      t.vc_started_at <- t.env.now ();
       Int_tbl.reset t.vc_evidence;
       t.vc_attempts <- t.vc_attempts + 1;
       Metrics.incr t.metrics "viewchange.started";
@@ -1786,15 +1786,14 @@ and record_view_change t sender vc =
 (* PBFT's escalation rule: once a quorum backs the view change, start a
    timer; if the new primary produces no NEW-VIEW in time, move on. *)
 and maybe_arm_escalation t =
-  if t.status = View_changing && not (Timer.active t.vc_timer) then begin
+  if t.status = View_changing && not (t.env.armed Vc_timer) then begin
     if vc_backing t >= quorum ~f:(f_of t) then begin
       let next_view = t.target_view in
-      t.vc_timer <-
-        Timer.start (engine t) ~delay:(vc_timeout t) (fun () ->
-            if t.status = View_changing && t.view < next_view then begin
-              Metrics.incr t.metrics "viewchange.stalled";
-              start_view_change t (next_view + 1)
-            end)
+      t.env.arm Vc_timer ~delay:(vc_timeout t) (fun () ->
+          if t.status = View_changing && t.view < next_view then begin
+            Metrics.incr t.metrics "viewchange.stalled";
+            start_view_change t (next_view + 1)
+          end)
     end
   end
 
@@ -1901,7 +1900,7 @@ and on_new_view t sender (nv : Message.new_view) =
 
 and install_new_view t (nv : Message.new_view) =
   rollback_tentative t;
-  Timer.cancel t.vc_timer;
+  t.env.cancel Vc_timer;
   let min_s = nv.Message.min_s in
   let old_log = t.log in
   (* The new log is based at the new-view's checkpoint; if our own stable
@@ -2034,8 +2033,7 @@ and on_status t sender (st : Message.status) =
   end
 
 and on_new_key t (k : Message.new_key) =
-  Keychain.observe_epoch (Transport.keychain t.transport) ~peer:k.Message.nk_replica
-    k.Message.epoch
+  Keychain.observe_epoch t.keychain ~peer:k.Message.nk_replica k.Message.epoch
 
 (* [msg] is [rx]'s message or one of the commits piggybacked on it. *)
 and handle_message t rx sender msg =
@@ -2072,8 +2070,8 @@ and handle_message t rx sender msg =
   | Message.Busy _ -> Metrics.incr t.metrics "unexpected.busy"
 
 (* Replay attack: keep a ring of authenticated datagrams exactly as they
-   arrived and occasionally re-inject one onto the wire, bypassing the
-   transport (the original sender's MAC vector is still valid for every
+   arrived and occasionally put one back on the wire unchanged
+   ([env.replay]; the original sender's MAC vector is still valid for every
    receiver the datagram was multicast to). Correct replicas must shrug
    these off via duplicate suppression and timestamp checks. *)
 let maybe_replay t ~wire ~size =
@@ -2082,21 +2080,16 @@ let maybe_replay t ~wire ~size =
   t.replay_len <- Stdlib.min (t.replay_len + 1) (Array.length t.replay_ring);
   if Rng.bernoulli t.rng 0.25 then begin
     let old_wire, old_size = t.replay_ring.(Rng.int t.rng t.replay_len) in
-    let net = Transport.network t.transport in
-    let dsts =
-      peers_except_self t |> List.map (fun (p : Transport.peer) -> p.node)
-    in
     Metrics.incr t.metrics "replay.injected";
-    Network.multicast net ~src:(Transport.node t.transport) ~dsts ~size:old_size
-      old_wire
+    t.env.replay ~wire:old_wire ~size:old_size
   end
 
-let handle_envelope t (rx : Message.received) =
+let receive t (rx : Message.received) =
   let env = rx.Message.rx_env in
   (match t.behavior with
   | Behavior.Slow extra -> charge t extra
   | _ -> ());
-  match Transport.check t.transport rx with
+  match t.env.check rx with
   | Transport.Accepted ->
     (match t.behavior with
     | Behavior.Replay ->
@@ -2151,25 +2144,23 @@ let dump t =
 
 let start_recovery t =
   Metrics.incr t.metrics "recovery.started";
-  Keychain.refresh (Transport.keychain t.transport);
-  let epoch = Keychain.epoch (Transport.keychain t.transport) ~peer:0 in
+  Keychain.refresh t.keychain;
+  let epoch = Keychain.epoch t.keychain ~peer:0 in
   out_multicast t (Message.New_key { nk_replica = t.id; epoch });
   rollback_tentative t;
   t.recovering <- true;
   clear t.state_offers;
   drop_page_fetch t;
   out_multicast t (Message.Get_state { from_seq = t.last_stable; replica = t.id });
-  t.state_timer <-
-    Timer.restart (engine t) t.state_timer
-      ~delay:(2.0 *. t.config.Config.client_retry_timeout) (fun () ->
-        if t.recovering then
-          out_multicast t
-            (Message.Get_state { from_seq = t.last_stable; replica = t.id }))
+  t.env.arm State_timer ~delay:(2.0 *. t.config.Config.client_retry_timeout)
+    (fun () ->
+      if t.recovering then
+        out_multicast t
+          (Message.Get_state { from_seq = t.last_stable; replica = t.id }))
 
-(* Runtime behaviour switch (chaos plans). Behaviours that leave residue
-   outside the replica record are reconciled here: [Forge_auth] sets a
-   transport flag that must be cleared when switching back, and a pending
-   [Crash_at] cannot be un-scheduled so it is refused. *)
+(* Runtime behaviour switch (chaos plans). A pending [Crash_at] cannot be
+   un-scheduled, so it is refused both ways; the transport's [Forge_auth]
+   flag is the caller's to set. *)
 let set_behavior t b =
   (match b with
   | Behavior.Crash_at _ ->
@@ -2181,7 +2172,6 @@ let set_behavior t b =
     invalid_arg "Replica.set_behavior: replica has a scheduled crash"
   | _ -> ());
   t.behavior <- b;
-  Transport.set_corrupt_auth t.transport (b = Behavior.Forge_auth);
   Metrics.incr t.metrics ("behavior." ^ Behavior.to_string b);
   (* A formerly mute replica may sit on armed timers whose ticks were
      swallowed; nudge the retransmission machinery so it rejoins. *)
@@ -2194,10 +2184,10 @@ let set_behavior t b =
    replica then runs proactive recovery to refresh keys and re-validate or
    re-fetch state from the quorum. *)
 let restart t =
-  Timer.cancel t.vc_timer;
-  Timer.cancel t.resend_timer;
-  Timer.cancel t.flush_timer;
-  Timer.cancel t.state_timer;
+  t.env.cancel Vc_timer;
+  t.env.cancel Resend_timer;
+  t.env.cancel Flush_timer;
+  t.env.cancel State_timer;
   restore_snapshot t (Lazy.force t.stable_snapshot);
   t.log <- Log.create ~low:t.last_stable ~window:t.config.Config.log_window
       ~replicas:t.config.Config.n ();
@@ -2252,12 +2242,14 @@ let client_replies t =
     t.client_table []
   |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
 
-let create ~config ~transport ~replicas ~lookup_client ~service ~rng ~dispatcher
+let create ~config ~env ~keychain ~cal ~replicas ~lookup_client ~service ~rng
     ?(behavior = Behavior.Correct) ~trail () =
   let t =
     {
       config;
-      transport;
+      env;
+      keychain;
+      cal;
       replicas;
       lookup_client;
       service;
@@ -2267,7 +2259,7 @@ let create ~config ~transport ~replicas ~lookup_client ~service ~rng ~dispatcher
       replay_len = 0;
       replay_pos = 0;
       metrics = Metrics.create ();
-      id = Transport.principal transport;
+      id = Keychain.self keychain;
       view = 0;
       status = Normal;
       target_view = 0;
@@ -2290,12 +2282,10 @@ let create ~config ~transport ~replicas ~lookup_client ~service ~rng ~dispatcher
       checkpoint_msgs = Int_tbl.create 8;
       stable_certs = Int_tbl.create 8;
       waiting = Fingerprint.Tbl.create 32;
-      vc_timer = Timer.never;
       vc_attempts = 0;
       view_changes = Int_tbl.create 4;
       nv_sent = 0;
       last_nv = None;
-      resend_timer = Timer.never;
       resend_fast = false;
       resend_stalls = 0;
       resend_progress_mark = 0;
@@ -2303,22 +2293,14 @@ let create ~config ~transport ~replicas ~lookup_client ~service ~rng ~dispatcher
       vc_started_at = 0.0;
       vc_evidence = Int_tbl.create 8;
       commit_backlog = [];
-      flush_timer = Timer.never;
       await_state = None;
       recovering = false;
       state_offers = Array.make config.Config.n None;
       meta_offers = Array.make config.Config.n None;
       fetch_ctx = None;
-      state_timer = Timer.never;
       state_attempts = 0;
     }
   in
-  (match behavior with
-  | Behavior.Crash_at when_ ->
-    Engine.schedule_at (engine t) when_ (fun () ->
-        Network.set_up (Transport.network transport) (Transport.node transport) false)
-  | Behavior.Forge_auth -> Transport.set_corrupt_auth transport true
-  | _ -> ());
   (* Start the status heartbeat. *)
   ensure_resend_timer t;
   (* The initial state (seq 0) counts as a stable checkpoint. *)
@@ -2326,5 +2308,4 @@ let create ~config ~transport ~replicas ~lookup_client ~service ~rng ~dispatcher
   t.stable_digest <- state_digest t table;
   t.stable_snapshot <- snapshot_payload t table;
   Int_tbl.replace t.stable_certs 0 t.stable_digest;
-  Dispatcher.register_default dispatcher (handle_envelope t);
   t

@@ -44,8 +44,6 @@ let engine t = Network.engine t.net
 
 let network t = t.net
 
-let calibration t = Network.calibration t.net
-
 let keychain t = t.keychain
 
 let set_corrupt_auth t b = t.corrupt_auth <- b
@@ -57,7 +55,7 @@ let next_nonce t =
 (* Authentication covers the digest of the envelope prefix, so big payloads
    are hashed once and MACed cheaply — the scheme the paper relies on. *)
 let charge_send_crypto t ~size ~targets =
-  let cal = calibration t in
+  let cal = Network.calibration t.net in
   let c = cpu t in
   Cpu.charge ~cat:Cpu.Digest c (Calibration.digest_cost cal size);
   if t.pk_mode then
@@ -69,7 +67,7 @@ let charge_send_crypto t ~size ~targets =
   end
 
 let charge_recv_crypto t ~size =
-  let cal = calibration t in
+  let cal = Network.calibration t.net in
   let c = cpu t in
   Cpu.charge ~cat:Cpu.Digest c (Calibration.digest_cost cal size);
   if t.pk_mode then

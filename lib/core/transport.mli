@@ -38,8 +38,6 @@ val engine : t -> Bft_sim.Engine.t
 
 val network : t -> Bft_net.Network.t
 
-val calibration : t -> Bft_sim.Calibration.t
-
 val keychain : t -> Bft_crypto.Keychain.t
 
 val send : t -> dst:peer -> Message.t -> unit

@@ -1,7 +1,6 @@
 module Client = Bft_core.Client
 module Cluster = Bft_core.Cluster
 module Config = Bft_core.Config
-module Metrics = Bft_core.Metrics
 module Engine = Bft_sim.Engine
 module Rng = Bft_util.Rng
 module Kv = Bft_services.Kv_store
@@ -14,10 +13,9 @@ type t = {
   rng : Rng.t;
   retry_budget : int;  (* proxy-level re-invokes after a rejection *)
   base_backoff : float;
-  started : int array;
   completed : int array;
-  sheds : int array;  (* operations that ended rejected, per group *)
-  shed_attempts : int array;  (* rejected attempts (incl. retried), per group *)
+  mutable sheds : int;  (* operations that ended rejected *)
+  mutable shed_attempts : int;  (* rejected attempts, retried ones included *)
   shed_retries : int array;  (* proxy-level retries spent, per group *)
   mutable busy : bool;
 }
@@ -47,10 +45,9 @@ let create ?(retry_budget = 2) rig =
     rng = Rig.fork_rng rig (Printf.sprintf "proxy.backoff.%d" ordinal);
     retry_budget;
     base_backoff = (Rig.config rig).Config.client_retry_timeout;
-    started = Array.make capacity 0;
     completed = Array.make capacity 0;
-    sheds = Array.make capacity 0;
-    shed_attempts = Array.make capacity 0;
+    sheds = 0;
+    shed_attempts = 0;
     shed_retries = Array.make capacity 0;
     busy = false;
   }
@@ -66,8 +63,6 @@ let group_of_op t op =
   match key_of_op op with
   | Some key -> Router.group_of_key (Rig.router t.rig) key
   | None -> invalid_arg "Proxy: only single-key operations route by key"
-
-let busy t = t.busy
 
 let invoke t op callback =
   if t.busy then invalid_arg "Proxy.invoke: operation already outstanding";
@@ -92,7 +87,6 @@ let invoke t op callback =
       let held = if read_only then None else Some slot in
       Option.iter (fun s -> Rig.acquire_slot t.rig s) held;
       let group = Router.group_of_key router key in
-      t.started.(group) <- t.started.(group) + 1;
       let finish result raw =
         Option.iter (fun s -> Rig.release_slot t.rig s) held;
         t.busy <- false;
@@ -110,7 +104,7 @@ let invoke t op callback =
         Client.invoke t.clients.(group) ~read_only (Kv.op_payload op)
           (fun raw ->
             if raw.Client.rejected then begin
-              t.shed_attempts.(group) <- t.shed_attempts.(group) + 1;
+              t.shed_attempts <- t.shed_attempts + 1;
               if n < t.retry_budget then begin
                 t.shed_retries.(group) <- t.shed_retries.(group) + 1;
                 let delay =
@@ -120,7 +114,7 @@ let invoke t op callback =
                 Engine.schedule t.engine ~delay (fun () -> attempt (n + 1))
               end
               else begin
-                t.sheds.(group) <- t.sheds.(group) + 1;
+                t.sheds <- t.sheds + 1;
                 finish (Kv.Error "busy") raw
               end
             end
@@ -136,21 +130,17 @@ let ordinal t = t.ordinal
 let next_backoff t ~attempt =
   Client.retry_backoff ~base:t.base_backoff ~cap:64.0 ~rng:t.rng ~attempt
 
-let started t = Array.copy t.started
-
 let completed t = Array.copy t.completed
 
 let total_completed t = Array.fold_left ( + ) 0 t.completed
 
-let sheds t = Array.copy t.sheds
-
 let shed_retries t = Array.copy t.shed_retries
 
-let total_sheds t = Array.fold_left ( + ) 0 t.sheds
+let total_sheds t = t.sheds
 
-let total_shed_attempts t = Array.fold_left ( + ) 0 t.shed_attempts
+let total_shed_attempts t = t.shed_attempts
 
 let retransmissions t =
   Array.fold_left
-    (fun acc c -> acc + Metrics.count (Client.metrics c) "ops.retransmitted")
+    (fun acc c -> acc + Client.count c Client.Retransmitted)
     0 t.clients

@@ -5,7 +5,7 @@
     operation to the group that owns the key ({!Router.group_of_key}), so
     callers keep the familiar closed-loop client shape — invoke, wait for
     the callback, invoke again — without knowing the deployment is sharded.
-    Per-group start/completion tallies are kept so benchmarks can report
+    Per-group completion tallies are kept so benchmarks can report
     how evenly the keyspace load spread.
 
     Routing re-reads the rig's live router on every dispatch, and mutating
@@ -46,17 +46,12 @@ val invoke : t -> Bft_services.Kv_store.op -> (outcome -> unit) -> unit
 val group_of_op : t -> Bft_services.Kv_store.op -> int
 (** Where {!invoke} would send this operation (under the current router). *)
 
-val busy : t -> bool
-
 val ordinal : t -> int
 (** The per-rig ordinal labelling this proxy's backoff RNG stream. *)
 
 val next_backoff : t -> attempt:int -> float
 (** Draw the next jittered backoff from the proxy's live RNG stream (test
     hook: consumes from the same stream {!invoke} uses). *)
-
-val started : t -> int array
-(** Per-group count of operations started through this proxy. *)
 
 val completed : t -> int array
 
@@ -65,14 +60,12 @@ val total_completed : t -> int
 val retransmissions : t -> int
 (** Total client-side retransmissions, summed over the per-group clients. *)
 
-val sheds : t -> int array
-(** Per-group count of {e operations} that exhausted the proxy's retry
-    budget and completed as [Error "busy"] — comparable to the clients'
-    own [ops.rejected] tallies. *)
-
 val shed_retries : t -> int array
 (** Per-group count of proxy-level re-invokes spent on rejections. *)
 
 val total_sheds : t -> int
+(** Operations that exhausted the proxy's retry budget and completed as
+    [Error "busy"] — comparable to the clients' own [ops.rejected]
+    tallies. *)
 
 val total_shed_attempts : t -> int

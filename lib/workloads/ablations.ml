@@ -108,7 +108,7 @@ let recovery ?(quick = false) () =
     let completed, _stalled =
       Microbench.measure_window (Cluster.engine cluster) ~warmup:0.4 ~window
         (fun () ->
-          List.map (fun c -> Metrics.count (Client.metrics c) "ops.completed") clients)
+          List.map (fun c -> Client.count c Client.Completed) clients)
     in
     let recoveries =
       match scheduler with

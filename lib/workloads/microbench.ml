@@ -174,9 +174,6 @@ let closed_loop ?at_window engine ~seed ~warmup ~window ~loops counts =
     loops;
   measure_window ?at_window engine ~warmup ~window counts
 
-let count_all metrics name clients =
-  List.fold_left (fun acc c -> acc + Metrics.count (metrics c) name) 0 clients
-
 let bft_throughput ?(config = Config.make ~f:1 ()) ?(seed = 42) ?(warmup = 0.5)
     ?(window = 1.0) ?(cal = Calibration.default)
     ?(trace = Bft_trace.Trace.nil) ?monitor ~arg ~res ~read_only ~clients () =
@@ -196,13 +193,15 @@ let bft_throughput ?(config = Config.make ~f:1 ()) ?(seed = 42) ?(warmup = 0.5)
   let completed, stalled =
     closed_loop (Cluster.engine cluster) ~seed ~warmup ~window
       ~loops:(List.map loop client_list) (fun () ->
-        List.map (fun c -> Metrics.count (Client.metrics c) "ops.completed") client_list)
+        List.map (fun c -> Client.count c Client.Completed) client_list)
   in
   {
     ops_per_sec = float_of_int completed /. window;
     completed;
     stalled_clients = stalled;
-    retransmissions = count_all Client.metrics "ops.retransmitted" client_list;
+    retransmissions =
+      List.fold_left (fun acc c -> acc + Client.count c Client.Retransmitted) 0
+        client_list;
     drops_by_node = drops_by_node (Cluster.network cluster);
   }
 
@@ -390,6 +389,9 @@ let norep_throughput ?(seed = 42) ?(warmup = 0.5) ?(window = 1.0) ?(retry = fals
     completed;
     stalled_clients = stalled;
     retransmissions =
-      count_all Norep.Client.metrics "ops.retransmitted" client_list;
+      List.fold_left
+        (fun acc c ->
+          acc + Metrics.count (Norep.Client.metrics c) "ops.retransmitted")
+        0 client_list;
     drops_by_node = drops_by_node rig.Norep.network;
   }

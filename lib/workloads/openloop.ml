@@ -13,7 +13,6 @@ module Config = Bft_core.Config
 module Cluster = Bft_core.Cluster
 module Client = Bft_core.Client
 module Replica = Bft_core.Replica
-module Metrics = Bft_core.Metrics
 module Service = Bft_core.Service
 module Monitor = Bft_trace.Monitor
 module Rng = Bft_util.Rng
@@ -221,7 +220,7 @@ let run ?config ?(seed = 42) ?(stubs = 32) ?(duration = 10.0)
   in
   let retransmissions =
     List.fold_left
-      (fun acc c -> acc + Metrics.count (Client.metrics c) "ops.retransmitted")
+      (fun acc c -> acc + Client.count c Client.Retransmitted)
       0 stubs
   in
   {

@@ -1,0 +1,91 @@
+#!/bin/sh
+# Guard the replica's effects seam.
+#
+# lib/core/replica.ml acts on the world only through its [env] record
+# (Replica.env), which Cluster builds over the simulator. This script
+# strips comments from replica.ml and reports every use of a value of
+# Engine, Timer, Network, Transport, Dispatcher or Cpu (the [val]s their
+# .mli files declare), every Trace.emit or Trace.enabled, and every way
+# around the check: a module alias that renames one of those modules, or
+# an [open], [include] or local open of one. Type names, constructors and
+# record fields stay allowed ([Transport.peer], [Cpu.Digest],
+# [p.Transport.principal]).
+#
+# Prints one "path:line: text" per use and exits 1 if there is one.
+#
+# Usage: test/check_seam.sh [ROOT]
+set -eu
+
+root=${1:-$(dirname "$0")/..}
+file=$root/lib/core/replica.ml
+
+vals() {
+  sed -n 's/^val \([a-z_][A-Za-z0-9_'\'']*\).*/\1/p' "$root/$1" | tr '\n' '|' | sed 's/|$//'
+}
+
+for f in lib/sim/engine.mli lib/sim/timer.mli lib/net/network.mli \
+  lib/core/transport.mli lib/core/dispatcher.mli lib/sim/cpu.mli "$file"; do
+  case $f in /*) p=$f ;; *) p=$root/$f ;; esac
+  if [ ! -f "$p" ]; then
+    echo "$p: missing"
+    exit 1
+  fi
+done
+
+awk \
+  -v engine="$(vals lib/sim/engine.mli)" \
+  -v timer="$(vals lib/sim/timer.mli)" \
+  -v network="$(vals lib/net/network.mli)" \
+  -v transport="$(vals lib/core/transport.mli)" \
+  -v dispatcher="$(vals lib/core/dispatcher.mli)" \
+  -v cpu="$(vals lib/sim/cpu.mli)" '
+  BEGIN {
+    id = "[A-Za-z0-9_'\'']"
+    mods = "(Engine|Timer|Network|Transport|Dispatcher|Cpu)"
+    use["Engine"] = engine; use["Timer"] = timer; use["Network"] = network
+    use["Transport"] = transport; use["Dispatcher"] = dispatcher; use["Cpu"] = cpu
+    use["Trace"] = "emit|enabled"
+  }
+  # A use of one of [m]s values: not a field access ("x.M.f") and not a
+  # field label in a record construction or pattern ("{ M.f = ...",
+  # "{ M.f; ...").
+  function calls(text, m,   rest, before, after) {
+    rest = text
+    while (match(rest, "(^|[^A-Za-z0-9_'\''])((Bft_sim|Bft_net|Bft_core|Bft_trace)\\.)?" m "\\.(" use[m] ")([^A-Za-z0-9_'\'']|$)")) {
+      before = substr(rest, 1, RSTART - (substr(rest, RSTART, 1) ~ /[A-Z]/))
+      after = substr(rest, RSTART + RLENGTH - 1)
+      rest = after
+      if (before ~ /\.$/) continue
+      if (before ~ /(^|[{;])[ \t]*$/ && after ~ /^[ \t]*([;}]|=[^=])/) continue
+      return 1
+    }
+    return 0
+  }
+  {
+    out = ""
+    line = $0
+    while (line != "") {
+      if (depth > 0) {
+        o = index(line, "(*"); c = index(line, "*)")
+        if (c == 0 && o == 0) { line = ""; break }
+        if (o > 0 && (c == 0 || o < c)) { depth++; line = substr(line, o + 2) }
+        else { depth--; line = substr(line, c + 2) }
+      } else {
+        o = index(line, "(*")
+        if (o == 0) { out = out line; line = "" }
+        else { out = out substr(line, 1, o - 1) " "; depth = 1; line = substr(line, o + 2) }
+      }
+    }
+    bad = 0
+    for (m in use) if (calls(out, m)) bad = 1
+    # An alias must keep the name, or the checks above cannot see through it.
+    if (match(out, "module[ \t]+" id "+[ \t]*=[ \t]*[A-Za-z0-9_.]*" mods "[ \t]*$")) {
+      alias = out; sub(/^.*module[ \t]+/, "", alias); sub(/[ \t]*=.*$/, "", alias)
+      target = out; sub(/[ \t]*$/, "", target); sub(/^.*[ .=]/, "", target)
+      if (alias != target) bad = 1
+    }
+    if (out ~ "(^|[^A-Za-z0-9_'\''])(open|include)!?[ \t]+([A-Za-z0-9_]+\\.)*(" substr(mods, 2, length(mods) - 2) "|Bft_sim|Bft_net)([^A-Za-z0-9_'\'']|$)") bad = 1
+    if (out ~ "(^|[^A-Za-z0-9_'\''])" mods "\\.\\(") bad = 1
+    if (bad) { print FILENAME ":" FNR ": " $0; found = 1 }
+  }
+  END { exit found }' "$file"

@@ -15,6 +15,27 @@ let test_basic_commit_flow () =
   check (Alcotest.list Alcotest.int) "view 0" [ 0; 0; 0; 0 ] (Harness.views rig);
   Harness.check_agreement rig
 
+(* A client's counters live in a fixed array; [Client.metrics] names the
+   non-zero ones, so summing its counters reads what the array holds. *)
+let test_client_counters () =
+  let rig = Harness.make () in
+  let client = rig.Harness.clients.(0) in
+  check Alcotest.(list (pair string int)) "nothing counted yet" []
+    (Metrics.counters (Client.metrics client));
+  ignore (Harness.run_ops ~per_client:3 rig : int);
+  check Alcotest.int "started" 3 (Client.count client Client.Started);
+  check Alcotest.int "completed" 3 (Client.count client Client.Completed);
+  check Alcotest.(list (pair string int)) "metrics: the non-zero counters"
+    (List.filter
+       (fun (_, v) -> v > 0)
+       [
+         ("ops.completed", 3);
+         ("ops.retransmitted", Client.count client Client.Retransmitted);
+         ("ops.started", 3);
+         ("reply.stale", Client.count client Client.Reply_stale);
+       ])
+    (Metrics.counters (Client.metrics client))
+
 let test_result_payload_size () =
   let rig = Harness.make () in
   let client = rig.Harness.clients.(0) in
@@ -288,6 +309,7 @@ let () =
       ( "normal case",
         [
           Alcotest.test_case "basic commit flow" `Quick test_basic_commit_flow;
+          Alcotest.test_case "client counters" `Quick test_client_counters;
           Alcotest.test_case "result payload size" `Quick test_result_payload_size;
           Alcotest.test_case "read-only bypasses ordering" `Quick
             test_read_only_no_sequence;
