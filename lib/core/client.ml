@@ -1,7 +1,4 @@
 open Types
-module Timer = Bft_sim.Timer
-module Engine = Bft_sim.Engine
-module Network = Bft_net.Network
 module Fingerprint = Bft_crypto.Fingerprint
 module Rng = Bft_util.Rng
 module Trace = Bft_trace.Trace
@@ -87,12 +84,12 @@ type pending = {
   mutable busy_retries : int;  (** BUSY replies absorbed for this op *)
   replies : reply_record option array;  (** at each replica's id *)
   mutable tallies : (Fingerprint.t * tally) list;  (** one per result digest *)
-  mutable timer : Timer.t;
 }
 
 type t = {
   config : Config.t;
-  transport : Transport.t;
+  env : Env.t;
+  id : client_id;
   replicas : Transport.peer array;
   rng : Rng.t;
   mutable next_ts : int64;
@@ -103,7 +100,7 @@ type t = {
       (** health-monitor hook, called with each completed op's latency *)
 }
 
-let id t = Transport.principal t.transport
+let id t = t.id
 
 let count t c = t.counts.(counter_index c)
 
@@ -124,11 +121,7 @@ let set_latency_probe t probe = t.latency_probe <- probe
    latency samples use — so a folded timeline sums exactly to the
    reported end-to-end latency. *)
 let emit_trace t ~req_id ?detail kind =
-  let trc = Network.trace (Transport.network t.transport) in
-  if Trace.enabled trc then
-    Trace.emit trc
-      ~vtime:(Engine.now (Transport.engine t.transport))
-      ~node:(id t) ~req_id ?detail kind
+  t.env.trace ~vtime:t.env.now ~node:t.id ~req_id ?detail kind
 
 let trace_req t (p : pending) = Trace.req_id ~client:(id t) ~ts:p.ts
 
@@ -171,8 +164,6 @@ let shedding_orderer t =
   | Config.Single_primary -> primary_of_view ~n:t.config.Config.n (view_estimate t)
   | Config.Rotating _ -> (id t + view_estimate t) mod t.config.Config.n
 
-let all_peers t = Array.to_list t.replicas
-
 let request_of t p =
   {
     Message.client = id t;
@@ -191,8 +182,8 @@ let transmit t p =
     || (t.config.Config.separate_request_transmission
        && Payload.size p.op > Config.inline_threshold)
   in
-  if multicast_it then Transport.multicast t.transport ~dsts:(all_peers t) msg
-  else Transport.send t.transport ~dst:(home_peer t) msg
+  if multicast_it then t.env.multicast ~commits:[] msg
+  else t.env.send (home_peer t) msg
 
 (* Jittered exponential backoff: [base * min(cap, 2^attempt)], then
    stretched by a seeded jitter factor in [1.0, 1.25) so that a burst of
@@ -208,12 +199,10 @@ let rec arm_timer t p =
     retry_backoff ~base:t.config.Config.client_retry_timeout ~cap:16.0
       ~rng:t.rng ~attempt:p.retries
   in
-  p.timer <-
-    Timer.start (Transport.engine t.transport) ~delay (fun () ->
-        match t.pending with Some p' when p' == p -> retransmit t p | _ -> ())
+  t.env.arm Resend_timer ~delay (fun () ->
+      match t.pending with Some p' when p' == p -> retransmit t p | _ -> ())
 
 and retransmit t p =
-  Timer.cancel p.timer;
   p.retries <- p.retries + 1;
   bump t Retransmitted;
   emit_trace t ~req_id:(trace_req t p) Trace.Client_retransmit;
@@ -237,11 +226,11 @@ and retransmit t p =
    flag tells the application the result was not observed. *)
 let handle_busy t p =
   bump t Shed;
-  Timer.cancel p.timer;
   if p.busy_retries >= t.config.Config.shed_retry_budget then begin
+    t.env.cancel Resend_timer;
     t.pending <- None;
     bump t Rejected;
-    let latency = Engine.now (Transport.engine t.transport) -. p.started in
+    let latency = t.env.now () -. p.started in
     emit_trace t ~req_id:(trace_req t p) ~detail:"rejected" Trace.Client_deliver;
     p.callback
       {
@@ -258,14 +247,13 @@ let handle_busy t p =
       retry_backoff ~base:t.config.Config.client_retry_timeout ~cap:64.0
         ~rng:t.rng ~attempt:p.busy_retries
     in
-    p.timer <-
-      Timer.start (Transport.engine t.transport) ~delay (fun () ->
-          match t.pending with
-          | Some p' when p' == p ->
-            bump t Shed_retry;
-            transmit t p;
-            arm_timer t p
-          | _ -> ())
+    t.env.arm Resend_timer ~delay (fun () ->
+        match t.pending with
+        | Some p' when p' == p ->
+          bump t Shed_retry;
+          transmit t p;
+          arm_timer t p
+        | _ -> ())
   end
 
 let rec find_tally digest = function
@@ -351,11 +339,11 @@ let check_acceptance t p ~digest (tally : tally) =
          replier costs nothing and only a faulty one costs a timeout. *)
       ()
     | Some result ->
-      Timer.cancel p.timer;
+      t.env.cancel Resend_timer;
       t.pending <- None;
       let view = quorum_view t p ~digest in
       bump t Completed;
-      let latency = Engine.now (Transport.engine t.transport) -. p.started in
+      let latency = t.env.now () -. p.started in
       t.latency_probe latency;
       emit_trace t ~req_id:(trace_req t p)
         ~detail:(string_of_int p.retries)
@@ -400,43 +388,40 @@ let handle_reply t p (r : Message.reply) =
       check_acceptance t p ~digest:record.rr_digest (tally_add p record)
   end
 
-let create ~config ~transport ~replicas ~rng ~dispatcher () =
-  let t =
-    {
-      config;
-      transport;
-      replicas;
-      rng;
-      next_ts = 0L;
-      pending = None;
-      last_views = Array.make config.Config.n 0;
-      counts = Array.make (Array.length counter_names) 0;
-      latency_probe = ignore;
-    }
-  in
-  let sink (rx : Message.received) =
-    let env = rx.Message.rx_env in
-    match Transport.check transport rx with
-    | Transport.Accepted -> (
-      match env.Message.msg with
-      | Message.Reply r -> (
-        match t.pending with
-        | Some p when r.Message.timestamp = p.ts -> handle_reply t p r
-        | _ -> bump t Reply_stale)
-      | Message.Busy b -> (
-        match t.pending with
-        | Some p
-          when b.Message.bz_timestamp = p.ts
-               && env.Message.sender = b.Message.bz_replica
-               && b.Message.bz_replica = shedding_orderer t ->
-          handle_busy t p
-        | _ -> bump t Busy_stale)
-      | _ -> bump t Unexpected)
-    | Transport.Replayed -> bump t Replay_dropped
-    | Transport.Rejected -> bump t Auth_failed
-  in
-  Dispatcher.register_client dispatcher (id t) sink;
-  t
+let create ~config ~env ~id ~replicas ~rng () =
+  {
+    config;
+    env;
+    id;
+    replicas;
+    rng;
+    next_ts = 0L;
+    pending = None;
+    last_views = Array.make config.Config.n 0;
+    counts = Array.make (Array.length counter_names) 0;
+    latency_probe = ignore;
+  }
+
+let receive t (rx : Message.received) =
+  let envelope = rx.Message.rx_env in
+  match t.env.check rx with
+  | Transport.Accepted -> (
+    match envelope.Message.msg with
+    | Message.Reply r -> (
+      match t.pending with
+      | Some p when r.Message.timestamp = p.ts -> handle_reply t p r
+      | _ -> bump t Reply_stale)
+    | Message.Busy b -> (
+      match t.pending with
+      | Some p
+        when b.Message.bz_timestamp = p.ts
+             && envelope.Message.sender = b.Message.bz_replica
+             && b.Message.bz_replica = shedding_orderer t ->
+        handle_busy t p
+      | _ -> bump t Busy_stale)
+    | _ -> bump t Unexpected)
+  | Transport.Replayed -> bump t Replay_dropped
+  | Transport.Rejected -> bump t Auth_failed
 
 let invoke t ?(read_only = false) op callback =
   if busy t then invalid_arg "Client.invoke: operation already outstanding";
@@ -455,12 +440,11 @@ let invoke t ?(read_only = false) op callback =
       full_replies = false;
       replier;
       callback;
-      started = Engine.now (Transport.engine t.transport);
+      started = t.env.now ();
       retries = 0;
       busy_retries = 0;
       replies = Array.make t.config.Config.n None;
       tallies = [];
-      timer = Timer.never;
     }
   in
   t.pending <- Some p;

@@ -11,7 +11,13 @@
 
     Retransmissions ask every replica for a full reply; a read-only
     operation that times out (e.g. because of concurrent writes) is
-    retransmitted as a regular read-write operation, as in the paper. *)
+    retransmitted as a regular read-write operation, as in the paper.
+
+    The client acts only through its {!Env.t} record, which {!Cluster}
+    builds: it sends and multicasts requests, checks inbound
+    authenticators, arms its retransmission timer and BUSY backoff in the
+    [Resend_timer] slot, reads the clock and emits trace events by calling
+    its members. Its machine's dispatcher delivers to {!receive}. *)
 
 type t
 
@@ -32,12 +38,18 @@ type outcome = {
 
 val create :
   config:Config.t ->
-  transport:Transport.t ->
+  env:Env.t ->
+  id:Types.client_id ->
   replicas:Transport.peer array ->
   rng:Bft_util.Rng.t ->
-  dispatcher:Dispatcher.t ->
   unit ->
   t
+(** Client principal [id], whose requests go to [replicas] (indexed by
+    replica id) through [env]. *)
+
+val receive : t -> Message.received -> unit
+(** Handle one inbound datagram: the sink its machine's dispatcher
+    delivers to under [id]. *)
 
 val id : t -> Types.client_id
 

@@ -30,6 +30,8 @@ type t = {
   client_machines : client_machine array;
   principals : Keychain.deployment;  (* shared by every keychain below *)
   client_peers : Transport.peer Int_tbl.t;
+  client_env : transport:Transport.t -> Env.t;
+      (* a client's effects; every client multicasts to the same replicas *)
   mutable clients : Client.t list;  (* newest first *)
   mutable monitors : Monitor.t list;  (* attached health monitors *)
 }
@@ -70,54 +72,41 @@ let profile t = Network.profile t.network
 
 (* --- time-series sampling --------------------------------------------- *)
 
-(* Fixed column set: network totals, per-replica protocol gauges and CPU
-   busy time, and client-side op counters summed over all clients created
-   so far. Names depend only on the configuration, so same-seed runs
-   produce identical series. *)
-let series_names t =
-  let n = t.config.Config.n in
-  let p = t.name_prefix in
-  Array.of_list
-    ([ "net.sent"; "net.delivered"; "net.dropped"; "net.bytes" ]
-    @ List.concat
-        (List.init n (fun i ->
-             [
-               Printf.sprintf "%sr%d.view" p i;
-               Printf.sprintf "%sr%d.executed" p i;
-               Printf.sprintf "%sr%d.committed" p i;
-               Printf.sprintf "%sr%d.busy" p i;
-             ]))
-    @ [ "clients.started"; "clients.completed"; "clients.retransmitted" ])
-
 (* A client-side counter summed over every client created so far. *)
 let client_count t counter =
   List.fold_left (fun acc c -> acc + Client.count c counter) 0 t.clients
 
-let series_values t =
-  let fi = float_of_int in
-  Array.of_list
-    ([
-       fi (Network.sent_datagrams t.network);
-       fi (Network.delivered_datagrams t.network);
-       fi (Network.dropped_datagrams t.network);
-       fi (Network.bytes_on_wire t.network);
-     ]
-    @ List.concat
-        (Array.to_list
-           (Array.mapi
-              (fun i r ->
-                [
-                  fi (Replica.view r);
-                  fi (Replica.last_executed r);
-                  fi (Replica.last_committed r);
-                  Cpu.total_busy (Network.node_cpu t.network (replica_node t i));
-                ])
-              t.replicas))
-    @ [
-        fi (client_count t Client.Started);
-        fi (client_count t Client.Completed);
-        fi (client_count t Client.Retransmitted);
-      ])
+(* Fixed column set, each column a (name, read) pair: network totals,
+   per-replica protocol gauges and CPU busy time, and client-side op
+   counters summed over all clients created so far. Names depend only on
+   the configuration, so same-seed runs produce identical series. *)
+let series_columns t =
+  let fi = float_of_int and net = t.network in
+  [
+    ("net.sent", fun () -> fi (Network.sent_datagrams net));
+    ("net.delivered", fun () -> fi (Network.delivered_datagrams net));
+    ("net.dropped", fun () -> fi (Network.dropped_datagrams net));
+    ("net.bytes", fun () -> fi (Network.bytes_on_wire net));
+  ]
+  @ List.concat
+      (List.init t.config.Config.n (fun i ->
+           let r = t.replicas.(i) and cpu = Network.node_cpu net (replica_node t i) in
+           let col what read = (Printf.sprintf "%sr%d.%s" t.name_prefix i what, read) in
+           [
+             col "view" (fun () -> fi (Replica.view r));
+             col "executed" (fun () -> fi (Replica.last_executed r));
+             col "committed" (fun () -> fi (Replica.last_committed r));
+             col "busy" (fun () -> Cpu.total_busy cpu);
+           ]))
+  @ List.map
+      (fun (name, counter) -> (name, fun () -> fi (client_count t counter)))
+      [
+        ("clients.started", Client.Started);
+        ("clients.completed", Client.Completed);
+        ("clients.retransmitted", Client.Retransmitted);
+      ]
+
+let series_names t = Array.of_list (List.map fst (series_columns t))
 
 (* Run [f] every [interval] virtual seconds for as long as [while_] holds. *)
 let every t ~interval ~while_ f =
@@ -131,9 +120,10 @@ let every t ~interval ~while_ f =
 
 let sample_series ?(while_ = fun () -> true) t series ~interval =
   if interval <= 0.0 then invalid_arg "Cluster.sample_series: interval";
+  let reads = Array.of_list (List.map snd (series_columns t)) in
   every t ~interval ~while_ (fun () ->
       Bft_trace.Series.record series ~vtime:(Engine.now t.engine)
-        (series_values t))
+        (Array.map (fun read -> read ()) reads))
 
 (* --- health monitoring ------------------------------------------------ *)
 
@@ -187,49 +177,59 @@ let attach_monitor ?(while_ = fun () -> true) ?(meta = []) t mon =
   List.iter (fun c -> Client.set_latency_probe c (monitor_probe t)) t.clients;
   every t ~interval:0.05 ~while_ (fun () -> Monitor.observe mon (health_gauges t))
 
-(* --- replica effects ----------------------------------------------------- *)
+(* --- principal effects --------------------------------------------------- *)
 
 let timer_slot = function
-  | Replica.Vc_timer -> 0
-  | Replica.Resend_timer -> 1
-  | Replica.Flush_timer -> 2
-  | Replica.State_timer -> 3
+  | Env.Vc_timer -> 0
+  | Env.Resend_timer -> 1
+  | Env.Flush_timer -> 2
+  | Env.State_timer -> 3
 
-(* Replica [self]'s effects, over its transport, its machine's CPU, the
-   network's engine and trace sink; an engine event per timer slot. *)
-let replica_env network ~transport ~peers ~self =
-  let engine = Network.engine network and trace = Network.trace network in
-  let node = Transport.node transport in
-  let cpu = Network.node_cpu network node in
-  let others =
-    List.filter (fun (p : Transport.peer) -> p.principal <> self) (Array.to_list peers)
+(* Every principal's effects over [network]: [principal_env network
+   ~transport ~others] is the record of [transport]'s principal, replica
+   or client, over that transport, its machine's CPU, the network's engine
+   and trace sink, with an engine event per timer slot; [others] are the
+   replicas it multicasts to. The members that read only the engine or the
+   trace sink are built once per network and shared by every record. *)
+let principal_env network =
+  let engine = Network.engine network and sink = Network.trace network in
+  let after ~delay fn = Engine.schedule engine ~delay fn
+  and now () = Engine.now engine
+  and trace ~vtime ~node ?seqno ?view ?req_id ?detail kind =
+    if Trace.enabled sink then
+      Trace.emit sink ~vtime:(vtime ()) ~node ?seqno ?view ?req_id ?detail kind
   in
-  let other_nodes = List.map (fun (p : Transport.peer) -> p.node) others in
-  let timers = Array.make 4 Timer.never in
-  {
-    Replica.send = (fun dst msg -> Transport.send transport ~dst msg);
-    multicast =
-      (fun ~commits msg -> Transport.multicast transport ~commits ~dsts:others msg);
-    replay =
-      (fun ~wire ~size ->
-        Network.multicast network ~src:node ~dsts:other_nodes ~size wire);
-    check = Transport.check transport;
-    arm =
-      (fun timer ~delay fn ->
-        let i = timer_slot timer in
-        timers.(i) <- Timer.restart engine timers.(i) ~delay fn);
-    cancel = (fun timer -> Timer.cancel timers.(timer_slot timer));
-    armed = (fun timer -> Timer.active timers.(timer_slot timer));
-    after = (fun ~delay fn -> Engine.schedule engine ~delay fn);
-    charge = (fun ?cat cost -> Cpu.charge ?cat cpu cost);
-    now = (fun () -> Engine.now engine);
-    cpu_now = (fun () -> Cpu.virtual_now cpu);
-    trace =
-      (fun ~vtime ~node ?seqno ?view ?req_id ?detail kind ->
-        if Trace.enabled trace then
-          Trace.emit trace ~vtime:(vtime ()) ~node ?seqno ?view ?req_id ?detail
-            kind);
-  }
+  fun ~transport ~others ->
+    let node = Transport.node transport in
+    let cpu = Network.node_cpu network node in
+    let timers = Array.make 4 Timer.never in
+    {
+      Env.send = (fun dst msg -> Transport.send transport ~dst msg);
+      multicast =
+        (fun ~commits msg -> Transport.multicast transport ~commits ~dsts:others msg);
+      replay =
+        (fun ~wire ~size ->
+          let dsts = List.map (fun (p : Transport.peer) -> p.node) others in
+          Network.multicast network ~src:node ~dsts ~size wire);
+      check = Transport.check transport;
+      arm =
+        (fun timer ~delay fn ->
+          let i = timer_slot timer in
+          timers.(i) <- Timer.restart engine timers.(i) ~delay fn);
+      cancel =
+        (fun timer ->
+          (* Dropping the cancelled timer lets its callback, and whatever
+             that holds (a client's completed operation), die young. *)
+          let i = timer_slot timer in
+          Timer.cancel timers.(i);
+          timers.(i) <- Timer.never);
+      armed = (fun timer -> Timer.active timers.(timer_slot timer));
+      after;
+      charge = (fun ?cat cost -> Cpu.charge ?cat cpu cost);
+      now;
+      cpu_now = (fun () -> Cpu.virtual_now cpu);
+      trace;
+    }
 
 let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
     ?(client_machine_speed = 1.0) ?(behaviors = [])
@@ -278,6 +278,8 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
   let client_peers = Int_tbl.create 64 in
   let lookup_client c = Int_tbl.find_opt client_peers c in
   let trail = Trail.group () in
+  let principal_env = principal_env network in
+  let all_replicas = Array.to_list replica_peers in
   let members =
     Array.init n (fun i ->
         let keychain = Keychain.create ~master ~self:i principals in
@@ -295,9 +297,12 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
               Network.set_up network replica_nodes.(i) false)
         | _ -> ());
         Transport.set_corrupt_auth transport (behavior = Behavior.Forge_auth);
+        let others =
+          List.filter (fun (p : Transport.peer) -> p.principal <> i) all_replicas
+        in
         let replica =
           Replica.create ~config
-            ~env:(replica_env network ~transport ~peers:replica_peers ~self:i)
+            ~env:(principal_env ~transport ~others)
             ~keychain ~cal ~replicas:replica_peers ~lookup_client
             ~service:(service i)
             ~rng:(Rng.split root_rng (Printf.sprintf "replica%d" i))
@@ -323,6 +328,7 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
     client_machines;
     principals;
     client_peers;
+    client_env = principal_env ~others:all_replicas;
     clients = [];
     monitors = [];
   }
@@ -339,10 +345,13 @@ let add_client t =
       ~public_key_signatures:t.config.Config.public_key_signatures ()
   in
   let client =
-    Client.create ~config:t.config ~transport ~replicas:t.replica_peers
+    Client.create ~config:t.config
+      ~env:(t.client_env ~transport)
+      ~id:principal ~replicas:t.replica_peers
       ~rng:(Rng.split t.root_rng (Printf.sprintf "client%d" principal))
-      ~dispatcher:machine.cm_dispatcher ()
+      ()
   in
+  Dispatcher.register_client machine.cm_dispatcher principal (Client.receive client);
   t.clients <- client :: t.clients;
   Client.set_latency_probe client (monitor_probe t);
   client

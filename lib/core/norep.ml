@@ -11,12 +11,11 @@ let encode msg =
   let wire = Message.encode_envelope env in
   (wire, Message.envelope_size env wire)
 
-let serve network node metrics handle =
+let serve network node handle =
   Network.set_handler network node (fun ~src dgram ->
       match Message.decode_envelope dgram.Network.wire with
       | { Message.msg = Message.Request r; _ } -> handle ~src r
-      | _ | (exception Bft_util.Codec.Decode_error _) ->
-        Metrics.incr metrics "malformed")
+      | _ | (exception Bft_util.Codec.Decode_error _) -> ())
 
 let send_reply network ~src ~dst (r : Message.request) result =
   let reply =
@@ -38,7 +37,6 @@ module Server = struct
     network : Network.t;
     node : Network.node_id;
     service : Service.t;
-    metrics : Metrics.t;
   }
 
   let handle t ~src (r : Message.request) =
@@ -48,12 +46,11 @@ module Server = struct
     let result, _undo =
       t.service.Service.execute ~client:r.Message.client ~op:r.Message.op
     in
-    Metrics.incr t.metrics "ops.executed";
     send_reply t.network ~src:t.node ~dst:src r result
 
   let create ~network ~node ~service () =
-    let t = { network; node; service; metrics = Metrics.create () } in
-    serve network node t.metrics (handle t);
+    let t = { network; node; service } in
+    serve network node (handle t);
     t
 end
 
@@ -77,15 +74,18 @@ module Client = struct
     retry_timeout : float option;
     mutable next_ts : int64;
     mutable pending : pending option;
-    metrics : Metrics.t;
+    mutable completed : int;
+    mutable retransmitted : int;
   }
 
-  let metrics t = t.metrics
+  let completed t = t.completed
+
+  let retransmitted t = t.retransmitted
 
   let complete t p (result : Payload.t) =
     Timer.cancel p.timer;
     t.pending <- None;
-    Metrics.incr t.metrics "ops.completed";
+    t.completed <- t.completed + 1;
     let latency = Engine.now (Network.engine t.network) -. p.started in
     p.callback { result; latency; retries = p.retries }
 
@@ -95,7 +95,7 @@ module Client = struct
       match r.Message.body with
       | Message.Full_result result -> complete t p result
       | Message.Result_digest _ -> ())
-    | _ -> Metrics.incr t.metrics "reply.stale"
+    | _ -> ()
 
   let send_request t p =
     let r =
@@ -120,7 +120,7 @@ module Client = struct
             match t.pending with
             | Some p' when p' == p ->
               p.retries <- p.retries + 1;
-              Metrics.incr t.metrics "ops.retransmitted";
+              t.retransmitted <- t.retransmitted + 1;
               send_request t p;
               arm_timer t p
             | _ -> ())
@@ -140,7 +140,6 @@ module Client = struct
       }
     in
     t.pending <- Some p;
-    Metrics.incr t.metrics "ops.started";
     send_request t p;
     arm_timer t p
 
@@ -154,7 +153,8 @@ module Client = struct
         retry_timeout;
         next_ts = 0L;
         pending = None;
-        metrics = Metrics.create ();
+        completed = 0;
+        retransmitted = 0;
       }
     in
     Dispatcher.register_client dispatcher id (fun rx ->

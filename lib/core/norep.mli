@@ -11,12 +11,11 @@
 val serve :
   Bft_net.Network.t ->
   Bft_net.Network.node_id ->
-  Metrics.t ->
   (src:Bft_net.Network.node_id -> Message.request -> unit) ->
   unit
 (** Make [node] an unreplicated server: decode each datagram and pass its
-    request, with the sending node, to the callback; anything else counts
-    as ["malformed"] in the metrics. *)
+    request, with the sending node, to the callback; anything else is
+    dropped. *)
 
 val send_reply :
   Bft_net.Network.t ->
@@ -63,7 +62,11 @@ module Client : sig
 
   val invoke : t -> Payload.t -> (outcome -> unit) -> unit
 
-  val metrics : t -> Metrics.t
+  val completed : t -> int
+  (** Operations completed. *)
+
+  val retransmitted : t -> int
+  (** Retransmission timeouts. *)
 end
 
 (** One unreplicated deployment: a server machine and its client

@@ -37,34 +37,9 @@ type offer = seqno * Fingerprint.t * Fingerprint.t
 
 type 'a votes = 'a option array  (* each replica's vote at its id *)
 
-type timer = Vc_timer | Resend_timer | Flush_timer | State_timer
-
-type env = {
-  send : Transport.peer -> Message.t -> unit;
-  multicast : commits:Message.commit list -> Message.t -> unit;
-  replay : wire:string -> size:int -> unit;
-  check : Message.received -> Transport.verdict;
-  arm : timer -> delay:float -> (unit -> unit) -> unit;
-  cancel : timer -> unit;
-  armed : timer -> bool;
-  after : delay:float -> (unit -> unit) -> unit;
-  charge : ?cat:Cpu.category -> float -> unit;
-  now : unit -> float;
-  cpu_now : unit -> float;
-  trace :
-    vtime:(unit -> float) ->
-    node:int ->
-    ?seqno:int ->
-    ?view:int ->
-    ?req_id:int64 ->
-    ?detail:string ->
-    Trace.kind ->
-    unit;
-}
-
 type t = {
   config : Config.t;
-  env : env;
+  env : Env.t;
   keychain : Keychain.t;
   cal : Calibration.t;
   replicas : Transport.peer array;

@@ -23,60 +23,9 @@
 
 type t
 
-(** {1 Effects}
-
-    The replica acts on the world only through an {!env} record: it sends
-    and multicasts datagrams, arms timers, charges CPU, reads clocks,
-    emits trace events and checks inbound authenticators by calling its
-    members. It calls no function of the engine, timers, CPU model,
-    network, transport or dispatcher, and emits no trace event itself
-    (test/check_seam.sh keeps it so); cost figures ({!Bft_sim.Calibration}),
-    the keychain and the CPU categories stay plain values. {!Cluster}
-    builds the record over the replica's {!Transport}, machine CPU, engine
-    and trace sink; a test can build one over a driver of its own. Each
-    member runs its effect when called, so effects happen in call order. *)
-
-(** The replica's four timers. The driver keeps at most one armed timer per
-    slot; what a timer is stays the driver's. *)
-type timer = Vc_timer | Resend_timer | Flush_timer | State_timer
-
-type env = {
-  send : Transport.peer -> Message.t -> unit;
-  multicast : commits:Message.commit list -> Message.t -> unit;
-      (** to every other replica, with piggybacked [commits] *)
-  replay : wire:string -> size:int -> unit;
-      (** put an old datagram back on the wire, as it arrived, to every
-          other replica ([Behavior.Replay]) *)
-  check : Message.received -> Transport.verdict;
-      (** verify this replica's tag in an inbound authenticator *)
-  arm : timer -> delay:float -> (unit -> unit) -> unit;
-      (** cancel the slot's armed timer, if any, and arm it afresh *)
-  cancel : timer -> unit;  (** a no-op unless the slot is armed *)
-  armed : timer -> bool;  (** false from the moment the timer fires *)
-  after : delay:float -> (unit -> unit) -> unit;
-      (** a one-shot that cannot be cancelled *)
-  charge : ?cat:Bft_sim.Cpu.category -> float -> unit;
-      (** add seconds of CPU work to the running handler, in [cat]
-          (default [Other]) *)
-  now : unit -> float;  (** the engine clock *)
-  cpu_now : unit -> float;
-      (** the machine CPU's virtual clock: [now] plus the work charged so far *)
-  trace :
-    vtime:(unit -> float) ->
-    node:int ->
-    ?seqno:int ->
-    ?view:int ->
-    ?req_id:int64 ->
-    ?detail:string ->
-    Bft_trace.Trace.kind ->
-    unit;
-      (** record one protocol event, stamped with [vtime ()]; a disabled
-          sink calls nothing *)
-}
-
 val create :
   config:Config.t ->
-  env:env ->
+  env:Env.t ->
   keychain:Bft_crypto.Keychain.t ->
   cal:Bft_sim.Calibration.t ->
   replicas:Transport.peer array ->
@@ -87,10 +36,11 @@ val create :
   trail:Trail.group ->
   unit ->
   t
-(** The replica's id is [keychain]'s principal. [trail] is the
-    execution-trail digest table the replicas of one group share (see
-    {!Trail}). [behavior]'s effects outside the replica — the crash of
-    [Crash_at], the transport flag of [Forge_auth] — are the caller's. *)
+(** The replica acts only through [env] ({!Env}). Its id is [keychain]'s
+    principal. [trail] is the execution-trail digest table the replicas of
+    one group share (see {!Trail}). [behavior]'s effects outside the
+    replica — the crash of [Crash_at], the transport flag of [Forge_auth] —
+    are the caller's. *)
 
 val receive : t -> Message.received -> unit
 (** Handle one inbound datagram: the sink its machine's dispatcher

@@ -40,10 +40,6 @@ let node t = t.node
 
 let cpu t = Network.node_cpu t.net t.node
 
-let engine t = Network.engine t.net
-
-let network t = t.net
-
 let keychain t = t.keychain
 
 let set_corrupt_auth t b = t.corrupt_auth <- b

@@ -34,10 +34,6 @@ val node : t -> Bft_net.Network.node_id
 
 val cpu : t -> Bft_sim.Cpu.t
 
-val engine : t -> Bft_sim.Engine.t
-
-val network : t -> Bft_net.Network.t
-
 val keychain : t -> Bft_crypto.Keychain.t
 
 val send : t -> dst:peer -> Message.t -> unit

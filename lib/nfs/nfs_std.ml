@@ -100,5 +100,5 @@ let create ~network ~node ?(params = Nfs_service.default_params) () =
       disk_busy_total = 0.0;
     }
   in
-  Norep.serve network node t.metrics (handle t);
+  Norep.serve network node (handle t);
   t

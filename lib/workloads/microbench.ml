@@ -376,9 +376,7 @@ let norep_throughput ?(seed = 42) ?(warmup = 0.5) ?(window = 1.0) ?(retry = fals
       ~seed ~warmup ~window
       ~loops:(List.map loop client_list)
       (fun () ->
-        List.map
-          (fun c -> Metrics.count (Norep.Client.metrics c) "ops.completed")
-          client_list)
+        List.map Norep.Client.completed client_list)
   in
   let ops_per_sec =
     if (not retry) && stalled * 4 > clients then nan
@@ -389,9 +387,6 @@ let norep_throughput ?(seed = 42) ?(warmup = 0.5) ?(window = 1.0) ?(retry = fals
     completed;
     stalled_clients = stalled;
     retransmissions =
-      List.fold_left
-        (fun acc c ->
-          acc + Metrics.count (Norep.Client.metrics c) "ops.retransmitted")
-        0 client_list;
+      List.fold_left (fun acc c -> acc + Norep.Client.retransmitted c) 0 client_list;
     drops_by_node = drops_by_node rig.Norep.network;
   }

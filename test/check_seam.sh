@@ -1,9 +1,9 @@
 #!/bin/sh
-# Guard the replica's effects seam.
+# Guard the principals' effects seam.
 #
-# lib/core/replica.ml acts on the world only through its [env] record
-# (Replica.env), which Cluster builds over the simulator. This script
-# strips comments from replica.ml and reports every use of a value of
+# lib/core/replica.ml and lib/core/client.ml act on the world only through
+# their effects record (Env.t), which Cluster builds over the simulator.
+# This script strips comments from both and reports every use of a value of
 # Engine, Timer, Network, Transport, Dispatcher or Cpu (the [val]s their
 # .mli files declare), every Trace.emit or Trace.enabled, and every way
 # around the check: a module alias that renames one of those modules, or
@@ -17,14 +17,14 @@
 set -eu
 
 root=${1:-$(dirname "$0")/..}
-file=$root/lib/core/replica.ml
+files="$root/lib/core/replica.ml $root/lib/core/client.ml"
 
 vals() {
   sed -n 's/^val \([a-z_][A-Za-z0-9_'\'']*\).*/\1/p' "$root/$1" | tr '\n' '|' | sed 's/|$//'
 }
 
 for f in lib/sim/engine.mli lib/sim/timer.mli lib/net/network.mli \
-  lib/core/transport.mli lib/core/dispatcher.mli lib/sim/cpu.mli "$file"; do
+  lib/core/transport.mli lib/core/dispatcher.mli lib/sim/cpu.mli $files; do
   case $f in /*) p=$f ;; *) p=$root/$f ;; esac
   if [ ! -f "$p" ]; then
     echo "$p: missing"
@@ -61,6 +61,7 @@ awk \
     }
     return 0
   }
+  FNR == 1 { depth = 0 }
   {
     out = ""
     line = $0
@@ -88,4 +89,4 @@ awk \
     if (out ~ "(^|[^A-Za-z0-9_'\''])" mods "\\.\\(") bad = 1
     if (bad) { print FILENAME ":" FNR ": " $0; found = 1 }
   }
-  END { exit found }' "$file"
+  END { exit found }' $files

@@ -1,19 +1,22 @@
-(* The replica under an asynchronous driver: no engine and no CPU model.
+(* Replicas and clients under an asynchronous driver: no engine and no CPU
+   model.
 
-   [Replica.env] is the replica's only way to act, so this driver replaces
-   the timed simulator with the asynchronous model the paper's safety
-   argument is made for: a logical clock, a multiset of datagrams in
+   An {!Env.t} record is each principal's only way to act, so this driver
+   replaces the timed simulator with the asynchronous model the paper's
+   safety argument is made for: a logical clock, a multiset of datagrams in
    flight and the armed timers. Any datagram in flight may be delivered
    next; a timer fires only when nothing is in flight. Datagrams go through
    the real codec ([Message.encode_envelope], then [Message.receive]); the
    driver's authenticator check accepts them all.
 
-   Four replicas serve two clients the driver plays itself, each sending
-   two requests. Seeded random schedules check that every request
-   executes, that every replica executes the same batches and that each
-   client collects matching replies. A hand-written schedule shows what
-   the commit quorum is for: the PREPAREs for seq 1 reach only replica 3
-   while the others change view and order another request there. *)
+   Four replicas serve two real clients ([Client.t]), each over a record
+   from the same builder. Seeded random schedules, in which each client
+   issues a read-only and then a read-write operation, check that every
+   operation completes, that every replica executes the same batches and
+   that every replica's client table ends at each client's read-write
+   timestamp. A hand-written schedule shows what the commit quorum is for:
+   the PREPAREs for seq 1 reach only replica 3 while the others change view
+   and order another request there. *)
 
 open Bft_core
 module Fingerprint = Bft_crypto.Fingerprint
@@ -29,7 +32,7 @@ let n = (3 * f) + 1
 (* Client principals follow the replicas'. *)
 let client_a = n
 
-let client_b = n + 1
+let clients = 2
 
 type datagram = {
   id : int;  (* send order *)
@@ -40,20 +43,8 @@ type datagram = {
   size : int;
 }
 
-type timer_key =
-  | Replica_timer of int * Replica.timer
-  | One_shot of int
-  | Client_timer of int
-
-type client = {
-  principal : int;
-  requests : int;  (* to send, one at a time *)
-  mutable ts : int64;  (* the outstanding (or last) request *)
-  mutable completed : int;
-  replies : (Fingerprint.t * bool) option array;  (* for [ts], by replica *)
-  mutable accepted : (int64 * Fingerprint.t * int) list;
-      (* (ts, result digest, matching replies), newest first *)
-}
+(* A principal's timer slot, or a one-shot. *)
+type timer_key = Slot of int * Env.timer | One_shot of int
 
 type world = {
   mutable clock : float;
@@ -62,11 +53,13 @@ type world = {
   mutable timers : (timer_key * float * (unit -> unit)) list;  (* arm order *)
   mutable one_shots : int;
   mutable replicas : Replica.t array;
-  clients : client array;
-  config : Config.t;
+  mutable clients : Client.t array;  (* principal [n + i] at [i] *)
+  todo : (bool * Payload.t) list array;
+      (* each client's operations still to invoke: (read-only, op) *)
+  outcomes : Client.outcome list array;  (* each client's, newest first *)
 }
 
-(* --- the driver's side of [Replica.env] -------------------------------- *)
+(* --- the driver's side of [Env.t] -------------------------------------- *)
 
 let post w ~src ~dst ~commits msg =
   let env =
@@ -91,11 +84,12 @@ let arm w key ~delay fn =
 
 let armed w key = List.exists (fun (k, _, _) -> k = key) w.timers
 
+(* Every replica but [self]: all of them, for a client. *)
 let others self = List.filter (fun j -> j <> self) (List.init n Fun.id)
 
-let replica_env w i =
+let env w i =
   {
-    Replica.send =
+    Env.send =
       (fun (dst : Transport.peer) msg -> post w ~src:i ~dst:dst.principal ~commits:[] msg);
     multicast =
       (fun ~commits msg ->
@@ -109,9 +103,9 @@ let replica_env w i =
             w.sent <- w.sent + 1)
           (others i));
     check = (fun _ -> Transport.Accepted);
-    arm = (fun timer ~delay fn -> arm w (Replica_timer (i, timer)) ~delay fn);
-    cancel = (fun timer -> cancel w (Replica_timer (i, timer)));
-    armed = (fun timer -> armed w (Replica_timer (i, timer)));
+    arm = (fun timer ~delay fn -> arm w (Slot (i, timer)) ~delay fn);
+    cancel = (fun timer -> cancel w (Slot (i, timer)));
+    armed = (fun timer -> armed w (Slot (i, timer)));
     after =
       (fun ~delay fn ->
         w.one_shots <- w.one_shots + 1;
@@ -124,61 +118,16 @@ let replica_env w i =
 
 (* --- clients ------------------------------------------------------------- *)
 
-let op = Service.null_op ~read_only:false ~arg_size:8 ~result_size:8
-
-(* Requests go to every replica, as a real client's retransmissions do:
-   the backups then watch the primary. *)
-let rec send_request w c ~full_replies =
-  let request =
-    {
-      Message.client = c.principal;
-      timestamp = c.ts;
-      read_only = false;
-      full_replies;
-      replier = (if full_replies then -1 else (c.principal + Int64.to_int c.ts) mod n);
-      op;
-    }
-  in
-  List.iter
-    (fun dst -> post w ~src:c.principal ~dst ~commits:[] (Message.Request request))
-    (List.init n Fun.id);
-  arm w (Client_timer c.principal) ~delay:w.config.Config.client_retry_timeout
-    (fun () -> resend w c)
-
-and resend w c = send_request w c ~full_replies:true
-
-let start_next w c =
-  c.ts <- Int64.add c.ts 1L;
-  Array.fill c.replies 0 n None;
-  send_request w c ~full_replies:false
-
-(* The real client's acceptance rule: f+1 matching committed replies, or
-   2f+1 matching replies some of which are tentative. *)
-let on_reply w c (r : Message.reply) =
-  if r.Message.timestamp = c.ts && c.completed < c.requests then begin
-    let digest =
-      match r.Message.body with
-      | Message.Full_result p -> Payload.digest p
-      | Message.Result_digest d -> d
-    in
-    (match c.replies.(r.Message.replica) with
-    | Some (_, false) when r.Message.tentative -> ()
-    | _ -> c.replies.(r.Message.replica) <- Some (digest, r.Message.tentative));
-    let matching committed_only =
-      Array.fold_left
-        (fun k -> function
-          | Some (d, tentative) when Fingerprint.equal d digest ->
-            if committed_only && tentative then k else k + 1
-          | _ -> k)
-        0 c.replies
-    in
-    if matching true >= f + 1 || matching false >= (2 * f) + 1 then begin
-      c.accepted <- (c.ts, digest, matching false) :: c.accepted;
-      c.completed <- c.completed + 1;
-      cancel w (Client_timer c.principal);
-      if c.completed < c.requests then start_next w c
-    end
-  end
+(* Invoke client [i]'s next operation, if any; its callback invokes the one
+   after it. *)
+let rec invoke_next w i =
+  match w.todo.(i) with
+  | [] -> ()
+  | (read_only, op) :: rest ->
+    w.todo.(i) <- rest;
+    Client.invoke w.clients.(i) ~read_only op (fun o ->
+        w.outcomes.(i) <- o :: w.outcomes.(i);
+        invoke_next w i)
 
 (* --- delivery and timers ---------------------------------------------- *)
 
@@ -186,28 +135,16 @@ let deliver w d =
   w.flight <- List.filter (fun d' -> d'.id <> d.id) w.flight;
   let rx = Message.receive ~size:d.size d.wire in
   if d.dst < n then Replica.receive w.replicas.(d.dst) rx
-  else
-    match rx.Message.rx_env.Message.msg with
-    | Message.Reply r -> on_reply w w.clients.(d.dst - n) r
-    | _ -> ()
+  else Client.receive w.clients.(d.dst - n) rx
 
 let fire w (key, deadline, fn) =
   cancel w key;
   w.clock <- Float.max w.clock deadline;
   fn ()
 
-let create ?(unsafe_no_commit_quorum = false) () =
+(* Each client is to invoke [ops] in turn. *)
+let create ?(unsafe_no_commit_quorum = false) ops =
   let config = Config.make ~f ~unsafe_no_commit_quorum () in
-  let client principal =
-    {
-      principal;
-      requests = 2;
-      ts = 0L;
-      completed = 0;
-      replies = Array.make n None;
-      accepted = [];
-    }
-  in
   let w =
     {
       clock = 0.0;
@@ -216,30 +153,39 @@ let create ?(unsafe_no_commit_quorum = false) () =
       timers = [];
       one_shots = 0;
       replicas = [||];
-      clients = [| client client_a; client client_b |];
-      config;
+      clients = [||];
+      todo = Array.make clients ops;
+      outcomes = Array.make clients [];
     }
   in
   let principals = Keychain.deployment ~replicas:n ~client_base:n in
-  Array.iter (fun _ -> ignore (Keychain.admit_client principals : int)) w.clients;
+  for _ = 1 to clients do
+    ignore (Keychain.admit_client principals : int)
+  done;
   let peer principal = { Transport.principal; node = principal } in
   let replicas = Array.init n peer in
-  let lookup_client c =
-    if c >= n && c < n + Array.length w.clients then Some (peer c) else None
-  in
+  let lookup_client c = if c >= n && c < n + clients then Some (peer c) else None in
   let trail = Trail.group () in
   let root = Rng.of_int 7 in
   w.replicas <-
     Array.init n (fun i ->
-        Replica.create ~config ~env:(replica_env w i)
+        Replica.create ~config ~env:(env w i)
           ~keychain:(Keychain.create ~master:"async" ~self:i principals)
           ~cal:Bft_sim.Calibration.default ~replicas ~lookup_client
           ~service:(Service.null ())
           ~rng:(Rng.split root (Printf.sprintf "replica%d" i))
           ~trail ());
+  w.clients <-
+    Array.init clients (fun i ->
+        let id = n + i in
+        Client.create ~config ~env:(env w id) ~id ~replicas
+          ~rng:(Rng.split root (Printf.sprintf "client%d" id))
+          ());
   w
 
-let all_done w = Array.for_all (fun c -> c.completed = c.requests) w.clients
+let all_done w =
+  Array.for_all (fun ops -> ops = []) w.todo
+  && Array.for_all (fun c -> not (Client.busy c)) w.clients
 
 let settled w =
   all_done w
@@ -279,39 +225,41 @@ let pp_trail r =
 
 (* --- seeded random schedules ------------------------------------------- *)
 
+let read_only_op = Service.null_op ~read_only:true ~arg_size:8 ~result_size:8
+
+let read_write_op = Service.null_op ~read_only:false ~arg_size:8 ~result_size:8
+
 let test_random_schedules () =
   for seed = 1 to 100 do
-    let w = create () in
+    let w = create [ (true, read_only_op); (false, read_write_op) ] in
     let rng = Rng.of_int seed in
-    Array.iter (start_next w) w.clients;
+    for i = 0 to clients - 1 do
+      invoke_next w i
+    done;
     let ok = run w rng ~max_steps:20_000 ~until:settled in
     let label what = Printf.sprintf "seed %d: %s" seed what in
     if not ok then
       Alcotest.failf "seed %d: no agreement on every request after 20000 steps\n%s"
         seed
         (String.concat "\n" (Array.to_list (Array.map pp_trail w.replicas)));
-    (* Every request executed and answered: each client accepted both, on
-       f+1 matching replies or more, and the replicas' client table holds
-       each client's last timestamp as finally executed. *)
-    Array.iter
-      (fun c ->
-        check Alcotest.int (label "requests accepted") c.requests
-          (List.length c.accepted);
+    (* Both operations of each client completed and were not rejected, and
+       every replica's client table holds each client's read-write
+       timestamp (2: the read-only operation took 1) as finally executed. *)
+    Array.iteri
+      (fun i outcomes ->
+        check Alcotest.int
+          (label (Printf.sprintf "client %d's operations completed" i))
+          2 (List.length outcomes);
         List.iter
-          (fun (ts, _, matching) ->
-            check Alcotest.bool
-              (label (Printf.sprintf "client %d ts %Ld: f+1 matching" c.principal ts))
-              true (matching >= f + 1))
-          c.accepted)
-      w.clients;
+          (fun o -> check Alcotest.bool (label "not rejected") false o.Client.rejected)
+          outcomes)
+      w.outcomes;
     Array.iteri
       (fun i r ->
         check
           Alcotest.(list (pair int int64))
           (label (Printf.sprintf "replica %d's last request per client" i))
-          (List.map
-             (fun c -> (c.principal, Int64.of_int c.requests))
-             (Array.to_list w.clients))
+          (List.map (fun c -> (Client.id c, 2L)) (Array.to_list w.clients))
           (List.map (fun (c, ts, _) -> (c, ts)) (Replica.client_replies r)))
       w.replicas
   done
@@ -344,6 +292,14 @@ let fire_timer w key =
 
 let seq1 r = List.assoc_opt 1 (Replica.executed_digests r)
 
+(* Larger than [Config.inline_threshold], so the real client multicasts it
+   on its first transmission (separate request transmission): the schedule
+   below needs client A's request at every replica, and client B's at every
+   replica but 3, without firing either client's [Resend_timer]. *)
+let big_op =
+  Service.null_op ~read_only:false ~arg_size:(Config.inline_threshold + 1)
+    ~result_size:8
+
 (* View 0, primary 0. Client A's request reaches every replica; the
    PRE-PREPARE reaches the backups, and the PREPAREs of replicas 1 and 2
    reach replica 3 alone, which prepares seq 1. Replicas 1 and 2 time out
@@ -356,22 +312,21 @@ let seq1 r = List.assoc_opt 1 (Replica.executed_digests r)
    copies of two PREPAREs for three replicas, and every message for one
    replica, through a whole view change. *)
 let split_seq1 ~unsafe_no_commit_quorum =
-  let w = create ~unsafe_no_commit_quorum () in
-  let a = w.clients.(0) and b = w.clients.(1) in
-  start_next w a;
+  let w = create ~unsafe_no_commit_quorum [ (false, big_op) ] in
+  invoke_next w 0;
   deliver_all w (fun d -> d.src = client_a);
   deliver_all w (fun d -> d.src = 0 && is_pre_prepare d);
   deliver_all w (fun d -> is_prepare d && d.dst = 3 && d.src <> 3);
   check Alcotest.int "replica 3 executed seq 1" 1
     (Replica.last_executed w.replicas.(3));
-  fire_timer w (Replica_timer (1, Replica.Vc_timer));
-  fire_timer w (Replica_timer (2, Replica.Vc_timer));
+  fire_timer w (Slot (1, Env.Vc_timer));
+  fire_timer w (Slot (2, Env.Vc_timer));
   deliver_all w (fun d -> is_view_change d && d.dst = 0);
   deliver_all w (fun d -> is_view_change d && d.dst = 1);
   deliver_all w (fun d -> is_new_view d && d.dst <> 3);
   check Alcotest.(list int) "view 1 at replicas 0-2" [ 1; 1; 1; 0 ]
     (Array.to_list (Array.map Replica.view w.replicas));
-  start_next w b;
+  invoke_next w 1;
   deliver_all w (fun d -> d.dst <> 3);
   List.iter
     (fun i ->

@@ -588,104 +588,80 @@ let test_multicast_decoded_once () =
 
 (* --- client reply quorums ------------------------------------------------- *)
 
-(* A real client wired to fake replica transports, so tests can race
-   hand-crafted tentative and committed replies against each other. *)
-type crig = {
-  c_engine : Engine.t;
-  c_replicas : Transport.t array;
-  c_client : Client.t;
-  c_client_peer : Transport.peer;
-  c_request_ts : int64 ref;
-}
+(* A real client over a fake effects record: no network, engine or
+   transport, and timers that never fire. Hand-crafted replies go straight
+   to [Client.receive], so tests can race tentative and committed replies
+   against each other. *)
+type crig = { c_client : Client.t; c_request_ts : int64 ref }
 
 let make_crig () =
-  let net = Network.simulation ~rng:(Bft_util.Rng.of_int 7) () in
-  let engine = Network.engine net in
   let config = Config.make ~f:1 () in
   let n = config.Config.n in
-  let master = "race-master" in
-  let replica_nodes =
-    Array.init n (fun i ->
-        let cpu = Cpu.create engine () in
-        Network.add_node net ~cpu ~name:(Printf.sprintf "r%d" i) ())
-  in
-  let replica_peers =
-    Array.init n (fun i ->
-        { Transport.principal = i; node = replica_nodes.(i) })
-  in
-  let deployment = Keychain.deployment ~replicas:n ~client_base:n in
-  let replica_transports =
-    Array.init n (fun i ->
-        let keychain = Keychain.create ~master ~self:i deployment in
-        Transport.create net ~keychain ~node:replica_nodes.(i) ())
-  in
   let request_ts = ref 0L in
-  Array.iteri
-    (fun i transport ->
-      let dispatcher = Dispatcher.install net replica_nodes.(i) in
-      Dispatcher.register_default dispatcher (fun rx ->
-          if
-            Transport.check transport rx
-            = Transport.Accepted
-          then
-            match rx.Message.rx_env.Message.msg with
-            | Message.Request r -> request_ts := r.Message.timestamp
-            | _ -> ()))
-    replica_transports;
-  let cpu = Cpu.create engine () in
-  let cnode = Network.add_node net ~cpu ~name:"client" () in
-  let keychain =
-    Keychain.create ~master ~self:(Keychain.admit_client deployment) deployment
+  let sent = function
+    | Message.Request r -> request_ts := r.Message.timestamp
+    | _ -> ()
   in
-  let transport = Transport.create net ~keychain ~node:cnode () in
-  let dispatcher = Dispatcher.install net cnode in
-  let client =
-    Client.create ~config ~transport ~replicas:replica_peers
-      ~rng:(Bft_util.Rng.of_int 9) ~dispatcher ()
+  let env =
+    {
+      Env.send = (fun _ msg -> sent msg);
+      multicast = (fun ~commits:_ msg -> sent msg);
+      replay = (fun ~wire:_ ~size:_ -> ());
+      check = (fun _ -> Transport.Accepted);
+      arm = (fun _ ~delay:_ _ -> ());
+      cancel = ignore;
+      armed = (fun _ -> false);
+      after = (fun ~delay:_ _ -> ());
+      charge = (fun ?cat:_ _ -> ());
+      now = (fun () -> 0.0);
+      cpu_now = (fun () -> 0.0);
+      trace = (fun ~vtime:_ ~node:_ ?seqno:_ ?view:_ ?req_id:_ ?detail:_ _ -> ());
+    }
   in
+  let replicas = Array.init n (fun i -> { Transport.principal = i; node = i }) in
   {
-    c_engine = engine;
-    c_replicas = replica_transports;
-    c_client = client;
-    c_client_peer = { Transport.principal = n; node = cnode };
+    c_client =
+      Client.create ~config ~env ~id:n ~replicas ~rng:(Bft_util.Rng.of_int 9) ();
     c_request_ts = request_ts;
   }
 
-(* Bounded run, well under the client retry timeout, so crafted replies are
-   delivered without the client's retransmission timer firing. *)
-let cstep rig =
-  Engine.run ~until:(Engine.now rig.c_engine +. 0.005) rig.c_engine
-
 let send_reply rig ~replica ~tentative body =
-  Transport.send rig.c_replicas.(replica) ~dst:rig.c_client_peer
-    (Message.Reply
-       {
-         Message.view = 0;
-         timestamp = !(rig.c_request_ts);
-         client = Client.id rig.c_client;
-         replica;
-         tentative;
-         epoch = 0;
-         body;
-       })
+  let reply =
+    {
+      Message.view = 0;
+      timestamp = !(rig.c_request_ts);
+      client = Client.id rig.c_client;
+      replica;
+      tentative;
+      epoch = 0;
+      body;
+    }
+  in
+  let env =
+    {
+      Message.sender = replica;
+      msg = Message.Reply reply;
+      commits = [];
+      auth = { Bft_crypto.Auth.nonce = 0L; entries = [] };
+    }
+  in
+  let wire = Message.encode_envelope env in
+  Client.receive rig.c_client
+    (Message.receive ~size:(Message.envelope_size env wire) wire)
 
 let test_client_committed_beats_corrupt_tentative () =
   let rig = make_crig () in
   let got = ref None in
   Client.invoke rig.c_client (Payload.of_string "op") (fun o -> got := Some o);
-  cstep rig;
-  check Alcotest.bool "request reached replicas" true
+  check Alcotest.bool "request sent" true
     (!(rig.c_request_ts) <> 0L);
   let winner = Payload.of_string "winner" and bogus = Payload.of_string "bogus" in
   (* A faulty replica races a corrupt tentative full reply in first. *)
   send_reply rig ~replica:3 ~tentative:true (Message.Full_result bogus);
-  cstep rig;
   check Alcotest.bool "one tentative is not a quorum" true (!got = None);
   send_reply rig ~replica:0 ~tentative:false (Message.Full_result winner);
-  cstep rig;
   check Alcotest.bool "one committed is not a quorum" true (!got = None);
   send_reply rig ~replica:1 ~tentative:false (Message.Full_result winner);
-  cstep rig;
   match !got with
   | Some o ->
     check Alcotest.string "committed result wins, not the corrupt tentative"
@@ -696,20 +672,16 @@ let test_client_tentative_upgrade_to_committed () =
   let rig = make_crig () in
   let got = ref None in
   Client.invoke rig.c_client (Payload.of_string "op") (fun o -> got := Some o);
-  cstep rig;
   let winner = Payload.of_string "winner" in
   let digest = Payload.digest winner in
   send_reply rig ~replica:2 ~tentative:true (Message.Full_result winner);
   send_reply rig ~replica:1 ~tentative:true (Message.Result_digest digest);
-  cstep rig;
   check Alcotest.bool "two tentative replies are not enough" true (!got = None);
   (* The same replicas commit: each reply upgrades in place rather than
      double-counting, so the tally is 2 committed out of 2 total. *)
   send_reply rig ~replica:2 ~tentative:false (Message.Full_result winner);
-  cstep rig;
   check Alcotest.bool "one committed is not enough" true (!got = None);
   send_reply rig ~replica:1 ~tentative:false (Message.Result_digest digest);
-  cstep rig;
   match !got with
   | Some o ->
     check Alcotest.string "full body from the upgraded replica" "winner"
@@ -720,14 +692,11 @@ let test_client_tentative_strong_quorum () =
   let rig = make_crig () in
   let got = ref None in
   Client.invoke rig.c_client (Payload.of_string "op") (fun o -> got := Some o);
-  cstep rig;
   let winner = Payload.of_string "winner" in
   send_reply rig ~replica:1 ~tentative:true (Message.Full_result winner);
   send_reply rig ~replica:2 ~tentative:true (Message.Result_digest (Payload.digest winner));
-  cstep rig;
   check Alcotest.bool "2f tentative replies are not enough" true (!got = None);
   send_reply rig ~replica:3 ~tentative:true (Message.Result_digest (Payload.digest winner));
-  cstep rig;
   match !got with
   | Some o ->
     check Alcotest.string "2f+1 tentative replies accept" "winner"
