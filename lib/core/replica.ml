@@ -37,31 +37,15 @@ type offer = seqno * Fingerprint.t * Fingerprint.t
 
 type 'a votes = 'a option array  (* each replica's vote at its id *)
 
-type t = {
-  config : Config.t;
-  env : Env.t;
-  keychain : Keychain.t;
-  cal : Calibration.t;
-  replicas : Transport.peer array;
-  lookup_client : client_id -> Transport.peer option;
-  service : Service.t;
-  rng : Rng.t;
-  mutable behavior : Behavior.t;
-  (* Replay attack: ring of recently received authenticated datagrams *)
-  replay_ring : (string * int) array;
-  mutable replay_len : int;
-  mutable replay_pos : int;
-  metrics : Metrics.t;
-  id : replica_id;
-  mutable view : view;
+(* What a reboot loses: everything here is rebuilt by [volatile], by
+   [create] for a fresh replica and by [restart] over the durable part. *)
+type volatile = {
   mutable status : status;
   mutable target_view : view;  (** view we are moving to (= view in Normal) *)
   mutable log : Log.t;
   (* execution *)
   mutable last_executed : seqno;  (** includes tentative executions *)
   mutable last_committed : seqno;  (** finally executed and committed *)
-  trail : Trail.t;  (** every finalized batch, over the group's digest table *)
-  client_table : client_entry Int_tbl.t;
   mutable deferred_ro : (Message.request * Payload.t) list;  (** newest first *)
   (* primary batching *)
   pending : (Message.request * Fingerprint.t) Queue.t;
@@ -72,27 +56,23 @@ type t = {
   request_store : Message.request Fingerprint.Tbl.t;
   batch_store : (seqno * Message.batch_entry list * Fingerprint.t list) Fingerprint.Tbl.t;
       (** batch digest -> seq, entries and their entry digests *)
-  (* checkpoints *)
-  mutable last_stable : seqno;
-  mutable stable_digest : Fingerprint.t;
-  mutable stable_snapshot : Payload.t Lazy.t;
-      (** captured, forced only to serve state transfer or a restart *)
+  (* checkpoints above the stable one *)
   mutable own_checkpoints : (seqno * Fingerprint.t * Payload.t Lazy.t) list;
       (** (seq, digest, snapshot) of ours above the stable one, ascending *)
   checkpoint_msgs : Fingerprint.t votes Int_tbl.t;  (** by seq *)
-  stable_certs : Fingerprint.t Int_tbl.t;
   (* liveness *)
   waiting : float Fingerprint.Tbl.t;
       (** requests received directly from clients, not yet executed *)
   mutable vc_attempts : int;
   view_changes : Message.view_change votes Int_tbl.t;  (** by next view *)
-  mutable nv_sent : view;  (** highest view we already sent NEW-VIEW for *)
   mutable last_nv : Message.new_view option;  (** for straggler catch-up *)
   mutable resend_fast : bool;  (** the armed tick uses the fast period *)
   mutable resend_stalls : int;  (** consecutive ticks without progress *)
   mutable resend_progress_mark : seqno;  (** last_committed at last tick *)
   mutable max_pp_seen : seqno;  (** highest slot with a pre-prepare *)
   mutable vc_started_at : float;
+      (** read only while [View_changing], which [start_view_change] enters
+          after writing it; a rebooted replica starts [Normal] *)
   vc_evidence : unit Int_tbl.t;
       (** senders of current-view normal-case traffic observed while we are
           view-changing: proof the rest of the cluster is not following *)
@@ -105,7 +85,87 @@ type t = {
   meta_offers : offer votes;  (** each replica's latest STATE-META *)
   mutable fetch_ctx : fetch_ctx option;
   mutable state_attempts : int;  (** consecutive state refetches without progress *)
+  (* Replay attack: ring of recently received authenticated datagrams *)
+  replay_ring : (string * int) array;
+  mutable replay_len : int;
+  mutable replay_pos : int;
 }
+
+type t = {
+  config : Config.t;
+  env : Env.t;
+  keychain : Keychain.t;
+  cal : Calibration.t;
+  replicas : Transport.peer array;
+  lookup_client : client_id -> Transport.peer option;
+  service : Service.t;
+  rng : Rng.t;
+  mutable behavior : Behavior.t;
+  metrics : Metrics.t;
+  id : replica_id;
+  (* Durable: what BFT-PR keeps on disk, so a reboot keeps it. [view]: a
+     rebooted replica must not return to a view it left. The stable
+     checkpoint ([last_stable], [stable_digest], [stable_snapshot],
+     captured and forced only to serve state transfer or a restart) is
+     what it reboots from, and [client_table] is as its snapshot restores
+     it. [stable_certs]: a quorum proved each, and one STATE that matches
+     one is enough to adopt it ([certified]). [nv_sent]: a primary sends
+     one NEW-VIEW per view; the record is kept with [view], which it never
+     exceeds. [trail], over the group's digest table: every finalized
+     batch up to [last_stable]; later slots execute again. *)
+  mutable view : view;
+  mutable last_stable : seqno;
+  mutable stable_digest : Fingerprint.t;
+  mutable stable_snapshot : Payload.t Lazy.t;
+  stable_certs : Fingerprint.t Int_tbl.t;
+  mutable nv_sent : view;  (** highest view we sent NEW-VIEW for *)
+  client_table : client_entry Int_tbl.t;
+  trail : Trail.t;
+  mutable v : volatile;
+}
+
+(* An empty log whose low watermark is [low]. *)
+let empty_log config ~low =
+  Log.create ~low ~window:config.Config.log_window ~replicas:config.Config.n ()
+
+(* The volatile part of a replica at checkpoint [low] in [view]: nothing
+   pending, executed up to [low], [Normal]. *)
+let volatile config ~low ~view =
+  {
+    status = Normal;
+    target_view = view;
+    log = empty_log config ~low;
+    last_executed = low;
+    last_committed = low;
+    deferred_ro = [];
+    pending = Queue.create ();
+    queued_ts = Int_tbl.create 64;
+    last_pp_seq = low;
+    request_store = Fingerprint.Tbl.create 128;
+    batch_store = Fingerprint.Tbl.create 128;
+    own_checkpoints = [];
+    checkpoint_msgs = Int_tbl.create 8;
+    waiting = Fingerprint.Tbl.create 32;
+    vc_attempts = 0;
+    view_changes = Int_tbl.create 4;
+    last_nv = None;
+    resend_fast = false;
+    resend_stalls = 0;
+    resend_progress_mark = low;
+    max_pp_seen = low;
+    vc_started_at = 0.0;
+    vc_evidence = Int_tbl.create 8;
+    commit_backlog = [];
+    await_state = None;
+    recovering = false;
+    state_offers = Array.make config.Config.n None;
+    meta_offers = Array.make config.Config.n None;
+    fetch_ctx = None;
+    state_attempts = 0;
+    replay_ring = Array.make 32 ("", 0);
+    replay_len = 0;
+    replay_pos = 0;
+  }
 
 let id t = t.id
 
@@ -165,7 +225,7 @@ let ordered_pre_prepare t seq entries =
     {
       opp_view = t.view;
       opp_seq = seq;
-      opp_close = t.last_committed;
+      opp_close = t.v.last_committed;
       opp_entries = entries;
     }
 
@@ -183,11 +243,11 @@ let home_orderer t client =
 let orders_for t client = home_orderer t client = t.id
 
 (* Health-monitor gauge: who must propose the next uncommitted slot. *)
-let ordering_owner t = seq_owner t (t.last_committed + 1)
+let ordering_owner t = seq_owner t (t.v.last_committed + 1)
 
-let last_executed t = t.last_executed
+let last_executed t = t.v.last_executed
 
-let last_committed t = t.last_committed
+let last_committed t = t.v.last_committed
 
 let last_stable t = t.last_stable
 
@@ -195,15 +255,15 @@ let metrics t = t.metrics
 
 (* Health-monitor gauges: cheap reads over live protocol state. *)
 
-let queue_depth t = Queue.length t.pending
+let queue_depth t = Queue.length t.v.pending
 
 let sheds t = Metrics.count t.metrics "admission.shed"
 
-let backlog t = Fingerprint.Tbl.length t.waiting
+let backlog t = Fingerprint.Tbl.length t.v.waiting
 
 let log_depth t =
   let n = ref 0 in
-  Log.iter t.log (fun _ -> incr n);
+  Log.iter t.v.log (fun _ -> incr n);
   !n
 
 let stable_digest t = t.stable_digest
@@ -237,8 +297,8 @@ let trace_req (r : Message.request) =
 (* --- piggybacked commits -------------------------------------------- *)
 
 let take_backlog t =
-  let commits = List.rev t.commit_backlog in
-  t.commit_backlog <- [];
+  let commits = List.rev t.v.commit_backlog in
+  t.v.commit_backlog <- [];
   t.env.cancel Flush_timer;
   commits
 
@@ -334,7 +394,7 @@ let liveness_backoff ~base ~attempts =
 
 let vc_timeout t =
   liveness_backoff ~base:t.config.Config.view_change_timeout
-    ~attempts:t.vc_attempts
+    ~attempts:t.v.vc_attempts
 
 (* --- votes ----------------------------------------------------------------
 
@@ -370,7 +430,7 @@ let clear votes = Array.fill votes 0 (Array.length votes) None
 
 (* How many replicas' VIEW-CHANGE messages for our target view we hold. *)
 let vc_backing t =
-  match Int_tbl.find_opt t.view_changes t.target_view with
+  match Int_tbl.find_opt t.v.view_changes t.v.target_view with
   | Some votes -> voters votes
   | None -> 0
 
@@ -378,7 +438,7 @@ let vc_backing t =
 let own_checkpoint t seq =
   List.find_map
     (fun (s, digest, snap) -> if s = seq then Some (digest, snap) else None)
-    t.own_checkpoints
+    t.v.own_checkpoints
 
 (* [seq] has a stable certificate for [digest]. *)
 let certified t seq digest =
@@ -402,7 +462,7 @@ let stable_cert_retention_windows = 4
    request body is gone (executed and garbage-collected). *)
 let rec prune_waiting t =
   let keep digest =
-    match Fingerprint.Tbl.find_opt t.request_store digest with
+    match Fingerprint.Tbl.find_opt t.v.request_store digest with
     | Some (r : Message.request) ->
       let ce = client_entry t r.Message.client in
       (* Satisfied only once executed *finally*: a tentative execution can
@@ -414,17 +474,17 @@ let rec prune_waiting t =
   in
   Fingerprint.Tbl.filter_map_inplace
     (fun d since -> if keep d then Some since else None)
-    t.waiting
+    t.v.waiting
 
 and arm_waiting_timer t =
   if
-    t.status = Normal
-    && Fingerprint.Tbl.length t.waiting > 0
+    t.v.status = Normal
+    && Fingerprint.Tbl.length t.v.waiting > 0
     && not (t.env.armed Vc_timer)
   then
     t.env.arm Vc_timer ~delay:(vc_timeout t) (fun () ->
         prune_waiting t;
-        if t.status = Normal && Fingerprint.Tbl.length t.waiting > 0 then begin
+        if t.v.status = Normal && Fingerprint.Tbl.length t.v.waiting > 0 then begin
           Metrics.incr t.metrics "viewchange.timeout";
           start_view_change t (t.view + 1)
         end
@@ -438,10 +498,10 @@ and arm_waiting_timer t =
    and any checkpoint votes that have not become stable. *)
 and resend_pending t =
   (* O(1): called on every message by [ensure_resend_timer]. *)
-  t.status = View_changing
-  || Fingerprint.Tbl.length t.waiting > 0
-  || not (List.is_empty t.own_checkpoints)
-  || t.max_pp_seen > t.last_committed
+  t.v.status = View_changing
+  || Fingerprint.Tbl.length t.v.waiting > 0
+  || not (List.is_empty t.v.own_checkpoints)
+  || t.v.max_pp_seen > t.v.last_committed
 
 and ensure_resend_timer t =
   (* The tick runs forever: fast while useful work is pending, slow (status
@@ -449,13 +509,13 @@ and ensure_resend_timer t =
      heals a straggler. A slow tick already armed is accelerated when work
      appears. *)
   let pending = resend_pending t in
-  if (not (t.env.armed Resend_timer)) || (pending && not t.resend_fast)
+  if (not (t.env.armed Resend_timer)) || (pending && not t.v.resend_fast)
   then begin
-    t.resend_fast <- pending;
+    t.v.resend_fast <- pending;
     (* Back off when retransmission makes no progress (e.g. too many peers
        are actually down), so a wedged cluster does not chatter forever. *)
     let backoff =
-      if pending then Float.min 8.0 (1.0 +. (float_of_int t.resend_stalls /. 3.0))
+      if pending then Float.min 8.0 (1.0 +. (float_of_int t.v.resend_stalls /. 3.0))
       else 6.0
     in
     let delay = t.config.Config.client_retry_timeout *. backoff in
@@ -470,31 +530,31 @@ and multicast_status t =
        {
          st_view = t.view;
          st_stable = t.last_stable;
-         st_committed = t.last_committed;
-         st_vc = (t.status = View_changing);
+         st_committed = t.v.last_committed;
+         st_vc = (t.v.status = View_changing);
          st_replica = t.id;
        })
 
 and do_resends t =
   Metrics.incr t.metrics "resend.tick";
-  if t.last_committed > t.resend_progress_mark then begin
-    t.resend_progress_mark <- t.last_committed;
-    t.resend_stalls <- 0
+  if t.v.last_committed > t.v.resend_progress_mark then begin
+    t.v.resend_progress_mark <- t.v.last_committed;
+    t.v.resend_stalls <- 0
   end
-  else t.resend_stalls <- t.resend_stalls + 1;
+  else t.v.resend_stalls <- t.v.resend_stalls + 1;
   maybe_abandon_view_change t;
   multicast_status t;
-  (match t.status with
+  (match t.v.status with
   | View_changing -> (
     (* re-multicast our VIEW-CHANGE for the view we are moving to *)
-    match Int_tbl.find_opt t.view_changes t.target_view with
+    match Int_tbl.find_opt t.v.view_changes t.v.target_view with
     | Some votes ->
       Option.iter (fun vc -> out_multicast t (Message.View_change vc)) votes.(t.id)
     | None -> ())
   | Normal ->
     (* drive the head-of-line slot *)
-    let next = t.last_committed + 1 in
-    (match Log.find t.log next with
+    let next = t.v.last_committed + 1 in
+    (match Log.find t.v.log next with
     | Some ({ Log.pre_prepare = Some (v, entries); _ } as slot) when v = t.view ->
       if slot.Log.proposer = t.id then multicast_proposal t next entries
       else if slot.Log.own_prepare_sent then (
@@ -513,7 +573,7 @@ and do_resends t =
       (* we never saw the pre-prepare: ask its proposer for it if later
          slots prove the sequence number was used *)
       let later = ref false in
-      Log.iter t.log (fun slot ->
+      Log.iter t.v.log (fun slot ->
           if slot.Log.seq > next && slot.Log.pre_prepare <> None then later := true);
       if !later && seq_owner t next <> t.id then fetch_batch t next);
     (* Rotating mode: if any epoch-first proposal of ours is still
@@ -524,9 +584,9 @@ and do_resends t =
        their abandoned slots until the slower primary reclaim fired. *)
     if rotating t then begin
       let best = ref None in
-      Log.iter t.log (fun slot ->
+      Log.iter t.v.log (fun slot ->
           if
-            slot.Log.seq > t.last_committed + 1
+            slot.Log.seq > t.v.last_committed + 1
             && (not slot.Log.committed)
             && slot.Log.proposer = t.id
             && opens_own_epoch t slot.Log.seq
@@ -549,11 +609,11 @@ and do_resends t =
        null batches from the primary for slots it does not own). A failed
        recurring owner thus costs one retransmission delay, not a view
        change per epoch it owns. *)
-    if rotating t && is_primary t && t.resend_stalls >= 1 then begin
-      let upto = Stdlib.min t.max_pp_seen (Log.high_watermark t.log) in
-      for s = t.last_committed + 1 to upto do
-        if Log.in_window t.log s then
-          match Log.find t.log s with
+    if rotating t && is_primary t && t.v.resend_stalls >= 1 then begin
+      let upto = Stdlib.min t.v.max_pp_seen (Log.high_watermark t.v.log) in
+      for s = t.v.last_committed + 1 to upto do
+        if Log.in_window t.v.log s then
+          match Log.find t.v.log s with
           | Some { Log.pp_digest = Some _; _ } -> ()
           | _ ->
             Metrics.incr t.metrics "rotate.reclaim";
@@ -565,7 +625,7 @@ and do_resends t =
       (fun (seq, digest, _) ->
         if seq > t.last_stable then
           out_multicast t (Message.Checkpoint { seq; digest; replica = t.id }))
-      t.own_checkpoints)
+      t.v.own_checkpoints)
 
 (* Multicast a proposal of ours. The epoch-first PRE-PREPARE is the
    rotating-mode handoff: it goes out as ORDERED-PRE-PREPARE carrying our
@@ -583,7 +643,7 @@ and multicast_proposal t seq entries =
    keeps the old deadline, otherwise a loaded-but-live primary would be
    ousted every timeout period). *)
 and maybe_cancel_waiting_timer t =
-  if t.status = Normal then begin
+  if t.v.status = Normal then begin
     t.env.cancel Vc_timer;
     arm_waiting_timer t
   end
@@ -650,7 +710,7 @@ and send_busy t (r : Message.request) =
         bz_timestamp = r.Message.timestamp;
         bz_client = r.Message.client;
         bz_replica = t.id;
-        bz_queue = Queue.length t.pending;
+        bz_queue = Queue.length t.v.pending;
       }
     in
     if not (muted t) then
@@ -664,25 +724,25 @@ and send_busy t (r : Message.request) =
    timestamp (the full-replies re-propose path must not touch it). *)
 and admit_request t (r : Message.request) digest ~record_ts =
   let limit = t.config.Config.admission_queue_limit in
-  if limit > 0 && Queue.length t.pending >= limit then begin
+  if limit > 0 && Queue.length t.v.pending >= limit then begin
     match t.config.Config.shed_policy with
     | Config.Reject_new -> send_busy t r
     | Config.Drop_oldest ->
-      let victim, _ = Queue.pop t.pending in
+      let victim, _ = Queue.pop t.v.pending in
       (* Roll the victim's queued timestamp back so its retransmission
          passes the freshness check and re-enters admission. *)
-      Int_tbl.replace t.queued_ts victim.Message.client
+      Int_tbl.replace t.v.queued_ts victim.Message.client
         (Int64.sub victim.Message.timestamp 1L);
       send_busy t victim;
       if record_ts then
-        Int_tbl.replace t.queued_ts r.Message.client r.Message.timestamp;
-      Queue.add (r, digest) t.pending;
+        Int_tbl.replace t.v.queued_ts r.Message.client r.Message.timestamp;
+      Queue.add (r, digest) t.v.pending;
       try_send_batch t
   end
   else begin
     if record_ts then
-      Int_tbl.replace t.queued_ts r.Message.client r.Message.timestamp;
-    Queue.add (r, digest) t.pending;
+      Int_tbl.replace t.v.queued_ts r.Message.client r.Message.timestamp;
+    Queue.add (r, digest) t.v.pending;
     try_send_batch t
   end
 
@@ -712,7 +772,7 @@ and resolve_entries t (slot : Log.slot) =
         match entry with
         | Message.Full r -> (r, d) :: acc
         | Message.Summary _ -> (
-          match Fingerprint.Tbl.find_opt t.request_store d with
+          match Fingerprint.Tbl.find_opt t.v.request_store d with
           | Some r -> (r, d) :: acc
           | None -> acc)
         | Message.Null_entry -> acc)
@@ -755,12 +815,12 @@ and execute_slot t (slot : Log.slot) ~tentative =
   let undos = ref [] in
   List.iter
     (fun (r, digest) ->
-      Fingerprint.Tbl.remove t.waiting digest;
+      Fingerprint.Tbl.remove t.v.waiting digest;
       execute_request t r ~tentative undos)
     (resolve_entries t slot);
   slot.Log.undos <- !undos;
   slot.Log.executed <- true;
-  t.last_executed <- slot.Log.seq;
+  t.v.last_executed <- slot.Log.seq;
   Metrics.incr t.metrics (if tentative then "exec.tentative" else "exec.final");
   emit_trace t ~seqno:slot.Log.seq ~view:t.view
     (if tentative then Trace.Exec_tentative else Trace.Exec_final);
@@ -769,9 +829,9 @@ and execute_slot t (slot : Log.slot) ~tentative =
 and finalize_slot t (slot : Log.slot) =
   slot.Log.finalized <- true;
   slot.Log.undos <- [];
-  t.last_committed <- slot.Log.seq;
-  t.vc_attempts <- 0;
-  t.resend_stalls <- 0;
+  t.v.last_committed <- slot.Log.seq;
+  t.v.vc_attempts <- 0;
+  t.v.resend_stalls <- 0;
   (* cached replies for this batch are now backed by a commit certificate *)
   List.iter
     (fun ((r : Message.request), _) ->
@@ -787,7 +847,7 @@ and finalize_slot t (slot : Log.slot) =
     List.iter2
       (fun entry d ->
         match entry with
-        | Message.Summary _ | Message.Full _ -> Fingerprint.Tbl.remove t.request_store d
+        | Message.Summary _ | Message.Full _ -> Fingerprint.Tbl.remove t.v.request_store d
         | Message.Null_entry -> ())
       entries slot.Log.entry_digests
   | None -> ());
@@ -796,19 +856,19 @@ and finalize_slot t (slot : Log.slot) =
     take_checkpoint t slot.Log.seq
 
 and flush_deferred_ro t =
-  if t.last_executed = t.last_committed && t.deferred_ro <> [] then begin
-    let ros = List.rev t.deferred_ro in
-    t.deferred_ro <- [];
+  if t.v.last_executed = t.v.last_committed && t.v.deferred_ro <> [] then begin
+    let ros = List.rev t.v.deferred_ro in
+    t.v.deferred_ro <- [];
     List.iter (fun (r, result) -> send_reply t r result ~tentative:false) ros
   end
 
 and advance t =
-  if t.await_state = None && t.status = Normal then begin
+  if t.v.await_state = None && t.v.status = Normal then begin
     let progress = ref true in
     while !progress do
       progress := false;
-      let next = t.last_committed + 1 in
-      (match Log.find t.log next with
+      let next = t.v.last_committed + 1 in
+      (match Log.find t.v.log next with
       | Some slot when slot.Log.committed && slot.Log.pre_prepare <> None
                        && slot.Log.missing_bodies = [] ->
         if slot.Log.executed then begin
@@ -816,7 +876,7 @@ and advance t =
           finalize_slot t slot;
           progress := true
         end
-        else if t.last_executed = next - 1 then begin
+        else if t.v.last_executed = next - 1 then begin
           execute_slot t slot ~tentative:false;
           finalize_slot t slot;
           progress := true
@@ -824,9 +884,9 @@ and advance t =
       | _ -> ());
       (* Tentative execution: at most one uncommitted batch deep. *)
       if (not !progress) && t.config.Config.tentative_execution then begin
-        let next = t.last_executed + 1 in
-        if next = t.last_committed + 1 then
-          match Log.find t.log next with
+        let next = t.v.last_executed + 1 in
+        if next = t.v.last_committed + 1 then
+          match Log.find t.v.log next with
           | Some slot
             when (not slot.Log.executed) && Log.is_prepared slot ~f:(f_of t) t.view ->
             execute_slot t slot ~tentative:true;
@@ -845,10 +905,10 @@ and take_checkpoint t seq =
   t.service.Service.checkpoint_taken ();
   (* A state transfer can roll execution back below checkpoints of ours,
      so one at [seq] may be there already. *)
-  t.own_checkpoints <-
+  t.v.own_checkpoints <-
     List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
       ((seq, digest, snapshot_payload t table)
-      :: List.filter (fun (s, _, _) -> s <> seq) t.own_checkpoints);
+      :: List.filter (fun (s, _, _) -> s <> seq) t.v.own_checkpoints);
   Metrics.incr t.metrics "checkpoint.taken";
   ensure_resend_timer t;
   record_checkpoint_vote t ~seq ~digest ~from:t.id;
@@ -857,11 +917,11 @@ and take_checkpoint t seq =
 
 (* The first CHECKPOINT a replica sends for [seq] is its vote. *)
 and record_checkpoint_vote t ~seq ~digest ~from =
-  let votes = votes_at t t.checkpoint_msgs seq in
+  let votes = votes_at t t.v.checkpoint_msgs seq in
   if Option.is_none votes.(from) then votes.(from) <- Some digest
 
 and try_stabilize t seq =
-  match Int_tbl.find_opt t.checkpoint_msgs seq with
+  match Int_tbl.find_opt t.v.checkpoint_msgs seq with
   | None -> ()
   | Some votes -> (
     (* With n = 3f+1 at most one digest has 2f+1 votes. *)
@@ -879,7 +939,7 @@ and try_stabilize t seq =
         | None ->
           (* We have not produced this checkpoint yet. If we are a full
              interval behind, catch up by state transfer. *)
-          if seq >= t.last_executed + t.config.Config.checkpoint_interval
+          if seq >= t.v.last_executed + t.config.Config.checkpoint_interval
           then request_state t ~target:seq
       end)
 
@@ -889,15 +949,15 @@ and make_stable t seq digest =
   (match own_checkpoint t seq with
   | Some (_, snap) -> t.stable_snapshot <- snap
   | None -> ());
-  Log.truncate t.log ~new_low:seq;
+  Log.truncate t.v.log ~new_low:seq;
   emit_trace t ~seqno:seq ~view:t.view Trace.Checkpoint_stable;
-  t.own_checkpoints <- List.filter (fun (s, _, _) -> s > seq) t.own_checkpoints;
+  t.v.own_checkpoints <- List.filter (fun (s, _, _) -> s > seq) t.v.own_checkpoints;
   Int_tbl.filter_map_inplace
     (fun s votes -> if s > seq then Some votes else None)
-    t.checkpoint_msgs;
+    t.v.checkpoint_msgs;
   Fingerprint.Tbl.filter_map_inplace
     (fun _ ((s, _, _) as batch) -> if s > seq then Some batch else None)
-    t.batch_store;
+    t.v.batch_store;
   let retained = seq - (stable_cert_retention_windows * t.config.Config.log_window) in
   Int_tbl.filter_map_inplace
     (fun s d -> if s > retained then Some d else None)
@@ -908,21 +968,21 @@ and make_stable t seq digest =
 (* --- state transfer ---------------------------------------------------- *)
 
 and request_state t ~target =
-  if t.await_state = None || Option.get t.await_state < target then begin
-    t.await_state <- Some target;
+  if t.v.await_state = None || Option.get t.v.await_state < target then begin
+    t.v.await_state <- Some target;
     Metrics.incr t.metrics "state.requested";
     out_multicast t (Message.Get_state { from_seq = t.last_stable; replica = t.id });
     let delay =
       liveness_backoff
         ~base:(2.0 *. t.config.Config.client_retry_timeout)
-        ~attempts:t.state_attempts
+        ~attempts:t.v.state_attempts
     in
     t.env.arm State_timer ~delay (fun () ->
-        match t.await_state with
+        match t.v.await_state with
         | Some target ->
-          t.state_attempts <- t.state_attempts + 1;
+          t.v.state_attempts <- t.v.state_attempts + 1;
           Metrics.incr t.metrics "state.refetch";
-          t.await_state <- None;
+          t.v.await_state <- None;
           drop_page_fetch t;
           request_state t ~target
         | None -> ())
@@ -971,25 +1031,25 @@ and on_state t sender (s : Message.state_resp) =
      quorum's checkpoint. *)
   if state_interest t s.Message.seq then begin
     let offer = (s.Message.seq, s.Message.state_digest, Payload.digest s.Message.snapshot) in
-    t.state_offers.(sender) <- Some offer;
+    t.v.state_offers.(sender) <- Some offer;
     if
       certified t s.Message.seq s.Message.state_digest
-      || backing t.state_offers (same_offer offer) >= weak_quorum ~f:(f_of t)
+      || backing t.v.state_offers (same_offer offer) >= weak_quorum ~f:(f_of t)
     then adopt_state t s.Message.seq s.Message.state_digest s.Message.snapshot
   end
 
 and state_interest t seq =
-  (match t.await_state with Some tgt -> seq >= tgt | None -> false)
-  || (t.recovering && seq >= t.last_stable)
+  (match t.v.await_state with Some tgt -> seq >= tgt | None -> false)
+  || (t.v.recovering && seq >= t.last_stable)
 
 and on_state_meta t sender (m : Message.state_meta) =
-  if state_interest t m.Message.sm_seq && t.fetch_ctx = None then begin
+  if state_interest t m.Message.sm_seq && t.v.fetch_ctx = None then begin
     let pages = Array.of_list m.Message.sm_page_digests in
     let offer = (m.Message.sm_seq, m.Message.sm_state_digest, Merkle.root pages) in
-    t.meta_offers.(sender) <- Some offer;
+    t.v.meta_offers.(sender) <- Some offer;
     if
       certified t m.Message.sm_seq m.Message.sm_state_digest
-      || backing t.meta_offers (same_offer offer) >= weak_quorum ~f:(f_of t)
+      || backing t.v.meta_offers (same_offer offer) >= weak_quorum ~f:(f_of t)
     then begin_page_fetch t sender m.Message.sm_seq m.Message.sm_state_digest pages
   end
 
@@ -1016,7 +1076,7 @@ and begin_page_fetch t src seq digest target_pages =
   Metrics.incr ~by:(Array.length have - List.length missing) t.metrics
     "state.pages_reused";
   let ctx = { fx_seq = seq; fx_digest = digest; fx_pages = target_pages; fx_have = have; fx_src = src } in
-  t.fetch_ctx <- Some ctx;
+  t.v.fetch_ctx <- Some ctx;
   match missing with
   | [] -> finish_page_fetch t ctx
   | missing ->
@@ -1058,7 +1118,7 @@ and on_get_pages t (g : Message.get_pages) =
   end
 
 and on_pages t (p : Message.pages_resp) =
-  match t.fetch_ctx with
+  match t.v.fetch_ctx with
   | Some ctx when ctx.fx_seq = p.Message.pg_seq ->
     List.iter
       (fun (i, page) ->
@@ -1086,24 +1146,24 @@ and finish_page_fetch t ctx =
 
 (* Forget a page fetch in progress and the STATE-META offers behind it. *)
 and drop_page_fetch t =
-  t.fetch_ctx <- None;
-  clear t.meta_offers
+  t.v.fetch_ctx <- None;
+  clear t.v.meta_offers
 
 (* The awaited state arrived (or ours was validated): stop asking. *)
 and end_state_fetch t =
-  t.await_state <- None;
+  t.v.await_state <- None;
   t.env.cancel State_timer;
-  t.state_attempts <- 0;
-  clear t.state_offers
+  t.v.state_attempts <- 0;
+  clear t.v.state_offers
 
 and adopt_state t seq digest snapshot =
   if
-    t.recovering && seq <= t.last_executed && seq = t.last_stable
+    t.v.recovering && seq <= t.v.last_executed && seq = t.last_stable
     && Fingerprint.equal digest t.stable_digest
   then begin
     (* Our state already matches the quorum's checkpoint: recovery only
        needed to validate it, not to roll anything back. *)
-    t.recovering <- false;
+    t.v.recovering <- false;
     end_state_fetch t;
     Metrics.incr t.metrics "recovery.completed";
     Metrics.incr t.metrics "state.validated"
@@ -1118,15 +1178,14 @@ and adopt_state_restore t seq digest snapshot =
     t.last_stable <- seq;
     t.stable_digest <- digest;
     t.stable_snapshot <- Lazy.from_val snapshot;
-    t.log <- Log.create ~low:seq ~window:t.config.Config.log_window
-      ~replicas:t.config.Config.n ();
-    t.last_executed <- seq;
-    t.last_committed <- seq;
-    t.deferred_ro <- [];
+    t.v.log <- empty_log t.config ~low:seq;
+    t.v.last_executed <- seq;
+    t.v.last_committed <- seq;
+    t.v.deferred_ro <- [];
     end_state_fetch t;
     drop_page_fetch t;
-    if t.recovering then begin
-      t.recovering <- false;
+    if t.v.recovering then begin
+      t.v.recovering <- false;
       Metrics.incr t.metrics "recovery.completed"
     end;
     Metrics.incr t.metrics "state.adopted";
@@ -1141,13 +1200,13 @@ and request_wire_size (r : Message.request) =
   32 + String.length r.Message.op.Payload.data + r.Message.op.Payload.pad
 
 and try_send_batch t =
-  if is_orderer t && t.status = Normal && not (Queue.is_empty t.pending) then begin
+  if is_orderer t && t.v.status = Normal && not (Queue.is_empty t.v.pending) then begin
     let cfg = t.config in
     let next_seq =
       if rotating t then
         (* Only slots in our epochs; skip to the next epoch we own. *)
-        next_owned_seq t (Stdlib.max t.last_pp_seq t.last_stable)
-      else Stdlib.max (t.last_pp_seq + 1) (t.last_stable + 1)
+        next_owned_seq t (Stdlib.max t.v.last_pp_seq t.last_stable)
+      else Stdlib.max (t.v.last_pp_seq + 1) (t.last_stable + 1)
     in
     let window_open =
       (not cfg.Config.batching)
@@ -1169,16 +1228,16 @@ and try_send_batch t =
            slot commits (reclaim and view change guarantee it), execution
            catches up, and the window re-opens — and is what keeps
            requests accumulating into full batches under load. *)
-        next_seq <= t.last_executed + (cfg.Config.batch_window * cfg.Config.n)
-        || t.max_pp_seen <= t.last_executed
-      else t.last_pp_seq < t.last_executed + cfg.Config.batch_window
+        next_seq <= t.v.last_executed + (cfg.Config.batch_window * cfg.Config.n)
+        || t.v.max_pp_seen <= t.v.last_executed
+      else t.v.last_pp_seq < t.v.last_executed + cfg.Config.batch_window
     in
-    if window_open && Log.in_window t.log next_seq then begin
-      match Log.find t.log next_seq with
+    if window_open && Log.in_window t.v.log next_seq then begin
+      match Log.find t.v.log next_seq with
       | Some { Log.pp_digest = Some _; _ } when rotating t ->
         (* Someone already proposed here (NEW-VIEW re-proposal or a primary
            reclaim): move our cursor past it. *)
-        t.last_pp_seq <- Stdlib.max t.last_pp_seq next_seq;
+        t.v.last_pp_seq <- Stdlib.max t.v.last_pp_seq next_seq;
         try_send_batch t
       | _ ->
         send_assembled_batch t next_seq;
@@ -1194,8 +1253,8 @@ and send_assembled_batch t seq =
   let cfg = t.config in
   let entries = ref [] and digests = ref [] and bytes = ref 0 and count = ref 0 in
   let continue = ref true in
-  while !continue && not (Queue.is_empty t.pending) do
-    let r, digest = Queue.peek t.pending in
+  while !continue && not (Queue.is_empty t.v.pending) do
+    let r, digest = Queue.peek t.v.pending in
     let summarize =
       cfg.Config.separate_request_transmission
       && Payload.size r.Message.op > Config.inline_threshold
@@ -1208,7 +1267,7 @@ and send_assembled_batch t seq =
          || not cfg.Config.batching)
     then continue := false
     else begin
-      ignore (Queue.pop t.pending);
+      ignore (Queue.pop t.v.pending);
       bytes := !bytes + sz;
       incr count;
       let entry = if summarize then Message.Summary digest else Message.Full r in
@@ -1222,17 +1281,17 @@ and send_assembled_batch t seq =
 
 and send_pre_prepare t seq entries digests =
   let digest = Message.batch_digest_of_entry_digests digests in
-  let slot = Log.get t.log seq in
+  let slot = Log.get t.v.log seq in
   slot.Log.pp_digest <- Some digest;
   slot.Log.proposer <- t.id;
   (* Our own proposal never waits for a body: we summarized only requests
      we received. *)
   learn_batch ~missing:[] t slot t.view entries digests;
-  Fingerprint.Tbl.replace t.batch_store digest (seq, entries, digests);
+  Fingerprint.Tbl.replace t.v.batch_store digest (seq, entries, digests);
   (* [max]: a rotating-mode primary reclaim can propose below our own
      cursor; the cursor must never move backwards. *)
-  t.last_pp_seq <- Stdlib.max t.last_pp_seq seq;
-  t.max_pp_seen <- Stdlib.max t.max_pp_seen seq;
+  t.v.last_pp_seq <- Stdlib.max t.v.last_pp_seq seq;
+  t.v.max_pp_seen <- Stdlib.max t.v.max_pp_seen seq;
   (match t.behavior with
   | Behavior.Two_faced ->
     (* Equivocate: half the backups see a different batch for this seq. *)
@@ -1257,7 +1316,7 @@ and send_pre_prepare t seq entries digests =
 and compute_missing t entries =
   List.filter_map
     (function
-      | Message.Summary d when not (Fingerprint.Tbl.mem t.request_store d) -> Some d
+      | Message.Summary d when not (Fingerprint.Tbl.mem t.v.request_store d) -> Some d
       | Message.Summary _ | Message.Full _ | Message.Null_entry -> None)
     entries
 
@@ -1270,10 +1329,10 @@ and learn_batch ?missing t (slot : Log.slot) view entries digests =
   List.iter2
     (fun entry d ->
       match entry with
-      | Message.Full r -> Fingerprint.Tbl.replace t.request_store d r
+      | Message.Full r -> Fingerprint.Tbl.replace t.v.request_store d r
       | Message.Summary _ | Message.Null_entry -> ())
     entries digests;
-  Log.set_missing t.log slot
+  Log.set_missing t.v.log slot
     (match missing with Some m -> m | None -> compute_missing t entries)
 
 (* Every body of [slot]'s batch is present: keep the batch for NEW-VIEW
@@ -1282,7 +1341,8 @@ and learn_batch ?missing t (slot : Log.slot) view entries digests =
 and batch_complete t (slot : Log.slot) =
   (match (slot.Log.pp_digest, slot.Log.pre_prepare) with
   | Some d, Some (_, entries) ->
-    Fingerprint.Tbl.replace t.batch_store d (slot.Log.seq, entries, slot.Log.entry_digests)
+    Fingerprint.Tbl.replace t.v.batch_store d
+      (slot.Log.seq, entries, slot.Log.entry_digests)
   | _ -> ());
   if slot.Log.proposer <> t.id then send_prepare t slot;
   check_prepared t slot
@@ -1317,7 +1377,7 @@ and broadcast_commit t (slot : Log.slot) =
     Log.add_commit slot t.id t.view digest;
     let c = { Message.view = t.view; seq = slot.Log.seq; digest; replica = t.id } in
     if t.config.Config.piggyback_commits then begin
-      t.commit_backlog <- c :: t.commit_backlog;
+      t.v.commit_backlog <- c :: t.v.commit_backlog;
       if not (t.env.armed Flush_timer) then
         t.env.arm Flush_timer ~delay:Config.commit_flush_delay (fun () ->
             flush_commits t)
@@ -1355,7 +1415,7 @@ and on_pre_prepare t sender (pp : Message.pre_prepare) digests =
    computed once by the caller. *)
 and accept_pre_prepare t sender (pp : Message.pre_prepare) digests digest =
   note_vc_evidence t sender pp.Message.view;
-  match Log.find t.log pp.Message.seq with
+  match Log.find t.v.log pp.Message.seq with
   | Some ({ Log.pp_digest = Some d; _ } as slot)
     when Fingerprint.equal d digest && pp.Message.entries <> [] ->
     (* A retransmitted/fetched body for a batch we already know by digest:
@@ -1370,7 +1430,7 @@ and accept_pre_prepare t sender (pp : Message.pre_prepare) digests digest =
     end
   | existing -> (
     if
-      t.status = Normal && pp.Message.view = t.view
+      t.v.status = Normal && pp.Message.view = t.view
       && (sender = seq_owner t pp.Message.seq
          (* Mencius-style reclaim: the view primary may null-fill a stalled
             owner's slots. Only the null batch is acceptable from it, so it
@@ -1378,7 +1438,7 @@ and accept_pre_prepare t sender (pp : Message.pre_prepare) digests digest =
          || rotating t
             && sender = primary_id t
             && pp.Message.entries = [ Message.Null_entry ])
-      && Log.in_window t.log pp.Message.seq
+      && Log.in_window t.v.log pp.Message.seq
     then
       match existing with
       | Some { Log.pp_digest = Some d; _ } when not (Fingerprint.equal d digest) ->
@@ -1391,13 +1451,13 @@ and accept_pre_prepare t sender (pp : Message.pre_prepare) digests digest =
            primary is resending because it lacks our commit: echo it. *)
         echo_commit_if_finalized t sender slot
       | _ ->
-        let slot = Log.get t.log pp.Message.seq in
+        let slot = Log.get t.v.log pp.Message.seq in
         slot.Log.pp_digest <- Some digest;
         slot.Log.proposer <- sender;
         learn_batch t slot t.view pp.Message.entries digests;
         Metrics.incr t.metrics "preprepare.accepted";
         emit_trace t ~seqno:pp.Message.seq ~view:t.view Trace.Preprepare_accepted;
-        t.max_pp_seen <- Stdlib.max t.max_pp_seen pp.Message.seq;
+        t.v.max_pp_seen <- Stdlib.max t.v.max_pp_seen pp.Message.seq;
         ensure_resend_timer t;
         if slot.Log.missing_bodies = [] then batch_complete t slot
         else begin
@@ -1409,7 +1469,7 @@ and accept_pre_prepare t sender (pp : Message.pre_prepare) digests digest =
           let seq = pp.Message.seq and v = t.view in
           t.env.after ~delay:0.004 (fun () ->
               if t.view = v then
-                match Log.find t.log seq with
+                match Log.find t.v.log seq with
                 | Some { Log.missing_bodies = _ :: _; _ } ->
                   Metrics.incr t.metrics "fetch.sent";
                   fetch_batch t seq
@@ -1421,13 +1481,13 @@ and accept_pre_prepare t sender (pp : Message.pre_prepare) digests digest =
 and resolve_missing t digest =
   List.iter
     (fun seq ->
-      match Log.find t.log seq with
+      match Log.find t.v.log seq with
       | Some ({ Log.pre_prepare = Some (_, entries); _ } as slot)
         when List.exists (Fingerprint.equal digest) slot.Log.missing_bodies ->
-        Log.set_missing t.log slot (compute_missing t entries);
+        Log.set_missing t.v.log slot (compute_missing t entries);
         if slot.Log.missing_bodies = [] then batch_complete t slot
       | _ -> ())
-    (Log.waiting_for t.log digest);
+    (Log.waiting_for t.v.log digest);
   advance t
 
 (* Rotating mode: an epoch-first PRE-PREPARE from an epoch owner. Process
@@ -1446,7 +1506,7 @@ and on_ordered_pre_prepare t sender (o : Message.ordered_pre_prepare) digests =
     }
     digests digest;
   let embedded_accepted () =
-    match Log.find t.log o.Message.opp_seq with
+    match Log.find t.v.log o.Message.opp_seq with
     | Some { Log.pp_digest = Some d; proposer; _ } ->
       proposer = sender && Fingerprint.equal d digest
     | _ -> false
@@ -1458,7 +1518,7 @@ and on_ordered_pre_prepare t sender (o : Message.ordered_pre_prepare) digests =
      [opp_seq] and make every correct replica burn its owned slots on
      fill traffic. *)
   if
-    rotating t && t.status = Normal
+    rotating t && t.v.status = Normal
     && o.Message.opp_view = t.view
     && sender = seq_owner t o.Message.opp_seq
     && o.Message.opp_seq = epoch_first_seq t o.Message.opp_seq
@@ -1475,13 +1535,13 @@ and on_ordered_pre_prepare t sender (o : Message.ordered_pre_prepare) digests =
       ref
         (next_owned_seq t
            (Stdlib.max o.Message.opp_close
-              (Stdlib.max t.last_pp_seq t.last_stable)))
+              (Stdlib.max t.v.last_pp_seq t.last_stable)))
     in
-    while !s < first && Log.in_window t.log !s do
-      (match Log.find t.log !s with
+    while !s < first && Log.in_window t.v.log !s do
+      (match Log.find t.v.log !s with
       | Some { Log.pp_digest = Some _; _ } -> ()
       | _ ->
-        if Queue.is_empty t.pending then begin
+        if Queue.is_empty t.v.pending then begin
           Metrics.incr t.metrics "rotate.null_fill";
           send_pre_prepare t !s [ Message.Null_entry ] [ Fingerprint.zero ]
         end
@@ -1507,8 +1567,8 @@ and echo_commit_if_finalized t sender (slot : Log.slot) =
 
 and note_vc_evidence t sender view =
   (* [view = -1] encodes "sender is itself view-changing": not evidence. *)
-  if t.status = View_changing && view = t.view then begin
-    Int_tbl.replace t.vc_evidence sender ();
+  if t.v.status = View_changing && view = t.view then begin
+    Int_tbl.replace t.v.vc_evidence sender ();
     maybe_abandon_view_change t
   end
 
@@ -1520,23 +1580,23 @@ and note_vc_evidence t sender view =
    delayed in the network (it remains valid if a NEW-VIEW later uses it). *)
 and maybe_abandon_view_change t =
   let backing = vc_backing t in
-  let evidence = Int_tbl.length t.vc_evidence in
+  let evidence = Int_tbl.length t.v.vc_evidence in
   if
-    t.status = View_changing
+    t.v.status = View_changing
     (* The window scales with the same capped exponential backoff as the
        view-change retries themselves ([vc_timeout] reads [vc_attempts]):
        with a flat window, attempt k's retry fires after the abandonment
        deadline has already passed, so evidence arriving mid-backoff would
        flap the replica between Normal and View_changing forever. *)
-    && t.env.now () -. t.vc_started_at > 2.0 *. vc_timeout t
+    && t.env.now () -. t.v.vc_started_at > 2.0 *. vc_timeout t
     && backing < quorum ~f:(f_of t)
     && (evidence >= weak_quorum ~f:(f_of t)
        || (evidence >= 1 && backing < weak_quorum ~f:(f_of t)))
   then begin
     Metrics.incr t.metrics "viewchange.abandoned";
-    t.status <- Normal;
-    t.target_view <- t.view;
-    Int_tbl.reset t.vc_evidence;
+    t.v.status <- Normal;
+    t.v.target_view <- t.view;
+    Int_tbl.reset t.v.vc_evidence;
     t.env.cancel Vc_timer;
     arm_waiting_timer t;
     ensure_resend_timer t;
@@ -1546,14 +1606,14 @@ and maybe_abandon_view_change t =
 and on_prepare t sender (p : Message.prepare) =
   note_vc_evidence t sender p.Message.view;
   if
-    t.status = Normal && p.Message.view = t.view
+    t.v.status = Normal && p.Message.view = t.view
     (* In rotating mode any replica can be a proposer, so prepares are
        accepted from everyone; [Log.is_prepared] excludes the recorded
        proposer's own prepare at certificate-count time instead. *)
     && (rotating t || sender <> primary_id t)
-    && Log.in_window t.log p.Message.seq
+    && Log.in_window t.v.log p.Message.seq
   then begin
-    let slot = Log.get t.log p.Message.seq in
+    let slot = Log.get t.v.log p.Message.seq in
     Log.add_prepare slot sender p.Message.view p.Message.digest;
     echo_commit_if_finalized t sender slot;
     if not slot.Log.finalized then ensure_resend_timer t;
@@ -1563,10 +1623,10 @@ and on_prepare t sender (p : Message.prepare) =
 and on_commit t sender (c : Message.commit) =
   note_vc_evidence t sender c.Message.view;
   if
-    t.status = Normal && c.Message.view = t.view
-    && Log.in_window t.log c.Message.seq
+    t.v.status = Normal && c.Message.view = t.view
+    && Log.in_window t.v.log c.Message.seq
   then begin
-    let slot = Log.get t.log c.Message.seq in
+    let slot = Log.get t.v.log c.Message.seq in
     Log.add_commit slot sender c.Message.view c.Message.digest;
     if not slot.Log.finalized then ensure_resend_timer t;
     check_committed t slot
@@ -1574,7 +1634,7 @@ and on_commit t sender (c : Message.commit) =
 
 and on_fetch_batch t (fb : Message.fetch_batch) =
   if fb.Message.fb_replica >= 0 && fb.Message.fb_replica < t.config.Config.n then
-    match Log.find t.log fb.Message.fb_seq with
+    match Log.find t.v.log fb.Message.fb_seq with
     | Some { Log.pre_prepare = Some (_, entries); missing_bodies = []; _ } ->
       send_resolved t ~dst:fb.Message.fb_replica ~view:fb.Message.fb_view
         fb.Message.fb_seq entries
@@ -1592,7 +1652,7 @@ and send_resolved t ~dst ~view seq entries =
     List.map
       (function
         | Message.Summary d as e -> (
-          match Fingerprint.Tbl.find_opt t.request_store d with
+          match Fingerprint.Tbl.find_opt t.v.request_store d with
           | Some r -> Message.Full r
           | None -> e)
         | (Message.Full _ | Message.Null_entry) as e -> e)
@@ -1621,7 +1681,7 @@ and on_request t rx sender (r : Message.request) =
       if ce.last_ts = r.Message.timestamp && ce.cached_tentative
          && not (orders_for t r.Message.client)
       then begin
-        Fingerprint.Tbl.replace t.waiting (Message.received_request_digest rx)
+        Fingerprint.Tbl.replace t.v.waiting (Message.received_request_digest rx)
           (t.env.now ());
         arm_waiting_timer t;
         ensure_resend_timer t
@@ -1642,16 +1702,16 @@ and on_request t rx sender (r : Message.request) =
       Metrics.incr t.metrics "exec.read_only";
       emit_trace t ~view:t.view ~req_id:(trace_req r) ~detail:"read-only"
         Trace.Exec_request;
-      if t.last_executed = t.last_committed && t.status = Normal then
+      if t.v.last_executed = t.v.last_committed && t.v.status = Normal then
         send_reply t r result ~tentative:false
-      else t.deferred_ro <- (r, result) :: t.deferred_ro
+      else t.v.deferred_ro <- (r, result) :: t.v.deferred_ro
     end
     else begin
       let digest = Message.received_request_digest rx in
-      Fingerprint.Tbl.replace t.request_store digest r;
+      Fingerprint.Tbl.replace t.v.request_store digest r;
       resolve_missing t digest;
-      if orders_for t r.Message.client && t.status = Normal then begin
-        let queued = Int_tbl.find_opt t.queued_ts r.Message.client in
+      if orders_for t r.Message.client && t.v.status = Normal then begin
+        let queued = Int_tbl.find_opt t.v.queued_ts r.Message.client in
         let fresh =
           match queued with Some ts -> r.Message.timestamp > ts | None -> true
         in
@@ -1659,13 +1719,13 @@ and on_request t rx sender (r : Message.request) =
         else if r.Message.full_replies then begin
           (* Retransmission of something we may have lost in a view change:
              if it is no longer in flight, propose it again. *)
-          if not (in_flight t digest) && not (Queue.fold (fun acc ((q : Message.request), _) -> acc || (q.Message.client = r.Message.client && q.Message.timestamp = r.Message.timestamp)) false t.pending) then
+          if not (in_flight t digest) && not (Queue.fold (fun acc ((q : Message.request), _) -> acc || (q.Message.client = r.Message.client && q.Message.timestamp = r.Message.timestamp)) false t.v.pending) then
             admit_request t r digest ~record_ts:false
         end
       end
       else begin
         (* Backup: remember the request and watch the primary. *)
-        Fingerprint.Tbl.replace t.waiting digest (t.env.now ());
+        Fingerprint.Tbl.replace t.v.waiting digest (t.env.now ());
         arm_waiting_timer t;
         ensure_resend_timer t
       end
@@ -1674,7 +1734,7 @@ and on_request t rx sender (r : Message.request) =
 
 and in_flight t digest =
   let found = ref false in
-  Log.iter t.log (fun slot ->
+  Log.iter t.v.log (fun slot ->
       if
         (not slot.Log.executed)
         && List.exists (Fingerprint.equal digest) slot.Log.entry_digests
@@ -1687,9 +1747,9 @@ and rollback_tentative t =
   (* Deferred read-only results read tentative state: once that state rolls
      back they must never be sent (the client times out and falls back to
      the read-write path, as designed). *)
-  if t.last_executed > t.last_committed then t.deferred_ro <- [];
-  while t.last_executed > t.last_committed do
-    (match Log.find t.log t.last_executed with
+  if t.v.last_executed > t.v.last_committed then t.v.deferred_ro <- [];
+  while t.v.last_executed > t.v.last_committed do
+    (match Log.find t.v.log t.v.last_executed with
     | Some slot ->
       List.iter (fun undo -> undo ()) slot.Log.undos;
       slot.Log.undos <- [];
@@ -1700,30 +1760,31 @@ and rollback_tentative t =
          the log. Checkpoints are only taken in [finalize_slot], so every
          truncation point [make_stable] uses satisfies
          last_stable <= last_committed < here <= last_executed; the other
-         log replacements ([adopt_state_restore], [restart]) equalize
-         last_executed and last_committed first, and [install_new_view]
+         log replacements ([adopt_state_restore], [restart]'s fresh
+         [volatile]) equalize last_executed and last_committed, and
+         [install_new_view]
          rolls back before swapping the log. Silently skipping would leak
          the slot's undos and leave tentative service state behind. *)
       assert false);
-    t.last_executed <- t.last_executed - 1
+    t.v.last_executed <- t.v.last_executed - 1
   done
 
 and start_view_change t next_view =
   match t.behavior with
   | Behavior.Stale_view -> ()
   | _ ->
-    if next_view > t.target_view then begin
+    if next_view > t.v.target_view then begin
       t.env.cancel Vc_timer;
       rollback_tentative t;
-      t.status <- View_changing;
-      t.target_view <- next_view;
-      t.vc_started_at <- t.env.now ();
-      Int_tbl.reset t.vc_evidence;
-      t.vc_attempts <- t.vc_attempts + 1;
+      t.v.status <- View_changing;
+      t.v.target_view <- next_view;
+      t.v.vc_started_at <- t.env.now ();
+      Int_tbl.reset t.v.vc_evidence;
+      t.v.vc_attempts <- t.v.vc_attempts + 1;
       Metrics.incr t.metrics "viewchange.started";
       emit_trace t ~view:next_view Trace.Viewchange_start;
       let prepared = ref [] in
-      Log.iter t.log (fun slot ->
+      Log.iter t.v.log (fun slot ->
           match (slot.Log.prepared_at, slot.Log.pre_prepare, slot.Log.pp_digest) with
           | Some v, _, Some digest ->
             prepared := { Message.view = v; seq = slot.Log.seq; digest } :: !prepared
@@ -1754,18 +1815,18 @@ and start_view_change t next_view =
     end
 
 and record_view_change t sender vc =
-  let votes = votes_at t t.view_changes vc.Message.next_view in
+  let votes = votes_at t t.v.view_changes vc.Message.next_view in
   if Option.is_none votes.(sender) then votes.(sender) <- Some vc;
   maybe_arm_escalation t
 
 (* PBFT's escalation rule: once a quorum backs the view change, start a
    timer; if the new primary produces no NEW-VIEW in time, move on. *)
 and maybe_arm_escalation t =
-  if t.status = View_changing && not (t.env.armed Vc_timer) then begin
+  if t.v.status = View_changing && not (t.env.armed Vc_timer) then begin
     if vc_backing t >= quorum ~f:(f_of t) then begin
-      let next_view = t.target_view in
+      let next_view = t.v.target_view in
       t.env.arm Vc_timer ~delay:(vc_timeout t) (fun () ->
-          if t.status = View_changing && t.view < next_view then begin
+          if t.v.status = View_changing && t.view < next_view then begin
             Metrics.incr t.metrics "viewchange.stalled";
             start_view_change t (next_view + 1)
           end)
@@ -1775,7 +1836,7 @@ and maybe_arm_escalation t =
 and on_view_change t sender (vc : Message.view_change) =
   (* A replica still asking for an old view missed our NEW-VIEW: repeat it. *)
   (if sender = vc.Message.replica && vc.Message.next_view <= t.view then
-     match t.last_nv with
+     match t.v.last_nv with
      | Some nv when nv.Message.view >= vc.Message.next_view && sender <> t.id ->
        out_send t ~dst:t.replicas.(sender) (Message.New_view nv)
      | _ -> ());
@@ -1785,16 +1846,16 @@ and on_view_change t sender (vc : Message.view_change) =
        correct replica timed out — follow the smallest such view. *)
     let ahead r =
       Int_tbl.fold
-        (fun v votes past -> past || (v > t.target_view && Option.is_some votes.(r)))
-        t.view_changes false
+        (fun v votes past -> past || (v > t.v.target_view && Option.is_some votes.(r)))
+        t.v.view_changes false
     in
     if List.length (List.filter ahead (List.init t.config.Config.n Fun.id))
        >= weak_quorum ~f:(f_of t)
     then
       start_view_change t
         (Int_tbl.fold
-           (fun v _ low -> if v > t.target_view then Int.min v low else low)
-           t.view_changes max_int);
+           (fun v _ low -> if v > t.v.target_view then Int.min v low else low)
+           t.v.view_changes max_int);
     check_new_view t vc.Message.next_view
   end
 
@@ -1803,13 +1864,13 @@ and check_new_view t next_view =
     primary_of_view ~n:t.config.Config.n next_view = t.id
     && next_view > t.view && next_view > t.nv_sent
   then
-    match Int_tbl.find_opt t.view_changes next_view with
+    match Int_tbl.find_opt t.v.view_changes next_view with
     | Some votes
       when voters votes >= quorum ~f:(f_of t) && Option.is_some votes.(t.id) ->
       let vcs = List.filter_map Fun.id (Array.to_list votes) in
       let nv = build_new_view t next_view vcs in
       t.nv_sent <- next_view;
-      t.last_nv <- Some nv;
+      t.v.last_nv <- Some nv;
       out_multicast t (Message.New_view nv);
       Metrics.incr t.metrics "newview.sent";
       install_new_view t nv
@@ -1842,7 +1903,7 @@ and build_new_view t next_view vcs =
     match best.(i) with
     | Some proof ->
       let body =
-        match Fingerprint.Tbl.find_opt t.batch_store proof.Message.digest with
+        match Fingerprint.Tbl.find_opt t.v.batch_store proof.Message.digest with
         | Some (_, entries, _) -> entries
         | None -> []  (* unknown body: receivers fetch it *)
       in
@@ -1869,7 +1930,7 @@ and on_new_view t sender (nv : Message.new_view) =
          >= quorum ~f:(f_of t)
     then begin
       Metrics.incr t.metrics "newview.accepted";
-      t.last_nv <- Some nv;
+      t.v.last_nv <- Some nv;
       install_new_view t nv
     end
 
@@ -1877,17 +1938,14 @@ and install_new_view t (nv : Message.new_view) =
   rollback_tentative t;
   t.env.cancel Vc_timer;
   let min_s = nv.Message.min_s in
-  let old_log = t.log in
+  let old_log = t.v.log in
   (* The new log is based at the new-view's checkpoint; if our own stable
      checkpoint is newer we keep it (we are ahead of the quorum minimum). *)
-  t.log <-
-    Log.create ~low:(Stdlib.max min_s t.last_stable)
-      ~window:t.config.Config.log_window
-      ~replicas:t.config.Config.n ();
+  t.v.log <- empty_log t.config ~low:(Stdlib.max min_s t.last_stable);
   t.view <- nv.Message.view;
-  t.target_view <- nv.Message.view;
-  t.status <- Normal;
-  Int_tbl.reset t.vc_evidence;
+  t.v.target_view <- nv.Message.view;
+  t.v.status <- Normal;
+  Int_tbl.reset t.v.vc_evidence;
   (* Note: vc_attempts is NOT reset here. The timeout only shrinks again
      when requests actually execute; resetting on every NEW-VIEW would let
      a lossy network sustain a view-change storm whose period never grows
@@ -1897,18 +1955,18 @@ and install_new_view t (nv : Message.new_view) =
      retransmitting, so live intent repopulates the table. Without this,
      stale records for assorted future views eventually satisfy the f+1
      join rule forever (a view-change ladder). *)
-  Int_tbl.reset t.view_changes;
+  Int_tbl.reset t.v.view_changes;
   t.nv_sent <- Stdlib.max t.nv_sent (if is_primary t then nv.Message.view else t.nv_sent);
-  t.commit_backlog <- [];
+  t.v.commit_backlog <- [];
   List.iter
     (fun (e : Message.new_view_entry) ->
-      if e.Message.seq > Log.low_watermark t.log && Log.in_window t.log e.Message.seq
+      if e.Message.seq > Log.low_watermark t.v.log && Log.in_window t.v.log e.Message.seq
       then begin
-        let slot = Log.get t.log e.Message.seq in
+        let slot = Log.get t.v.log e.Message.seq in
         (* Our own NEW-VIEW re-proposes the bodies of [batch_store], whose
            digests are already known. *)
         let entries, digests =
-          match Fingerprint.Tbl.find_opt t.batch_store e.Message.digest with
+          match Fingerprint.Tbl.find_opt t.v.batch_store e.Message.digest with
           | Some (_, body, digests)
             when e.Message.entries = [] || e.Message.entries == body ->
             (body, digests)
@@ -1919,10 +1977,10 @@ and install_new_view t (nv : Message.new_view) =
         (* NEW-VIEW re-proposals come from the new primary regardless of
            which epoch owner proposed them originally. *)
         slot.Log.proposer <- primary_id t;
-        t.max_pp_seen <- Stdlib.max t.max_pp_seen e.Message.seq;
+        t.v.max_pp_seen <- Stdlib.max t.v.max_pp_seen e.Message.seq;
         if entries <> [] then begin
           learn_batch t slot t.view entries digests;
-          Fingerprint.Tbl.replace t.batch_store e.Message.digest
+          Fingerprint.Tbl.replace t.v.batch_store e.Message.digest
             (e.Message.seq, entries, digests)
         end
         else
@@ -1957,10 +2015,10 @@ and install_new_view t (nv : Message.new_view) =
         other replicas may have finalized a different batch there. In
         rotating mode every replica is an orderer, so everyone advances its
         proposal cursor past the NEW-VIEW's re-proposals. *)
-     t.last_pp_seq <- Stdlib.max t.last_pp_seq (Stdlib.max top t.last_executed));
+     t.v.last_pp_seq <- Stdlib.max t.v.last_pp_seq (Stdlib.max top t.v.last_executed));
   (* If the quorum's checkpoint is ahead of us we must fetch state before
      executing anything in the new view. *)
-  if min_s > t.last_executed then request_state t ~target:min_s;
+  if min_s > t.v.last_executed then request_state t ~target:min_s;
   Metrics.incr t.metrics "newview.installed";
   emit_trace t ~view:t.view Trace.Viewchange_end;
   arm_waiting_timer t;
@@ -1974,18 +2032,18 @@ and on_status t sender (st : Message.status) =
       (if st.Message.st_vc then -1 else st.Message.st_view);
     (* A peer stuck in an older view missed the NEW-VIEW: repeat it. *)
     (if st.Message.st_view < t.view then
-       match t.last_nv with
+       match t.v.last_nv with
        | Some nv when nv.Message.view = t.view ->
          out_send t ~dst:t.replicas.(sender) (Message.New_view nv)
        | _ -> ());
     if st.Message.st_view = t.view && not st.Message.st_vc then begin
       (* Resend the certificates for the next few slots the peer lacks. *)
-      if st.Message.st_committed < t.last_committed then begin
+      if st.Message.st_committed < t.v.last_committed then begin
         let upto =
-          Stdlib.min t.last_committed (st.Message.st_committed + 4)
+          Stdlib.min t.v.last_committed (st.Message.st_committed + 4)
         in
         for seq = st.Message.st_committed + 1 to upto do
-          match Log.find t.log seq with
+          match Log.find t.v.log seq with
           | Some ({ Log.pre_prepare = Some (v, entries); missing_bodies = []; _ } as slot)
             when v = t.view ->
             Metrics.incr t.metrics "status.retransmit";
@@ -2050,11 +2108,11 @@ and handle_message t rx sender msg =
    receiver the datagram was multicast to). Correct replicas must shrug
    these off via duplicate suppression and timestamp checks. *)
 let maybe_replay t ~wire ~size =
-  t.replay_ring.(t.replay_pos) <- (wire, size);
-  t.replay_pos <- (t.replay_pos + 1) mod Array.length t.replay_ring;
-  t.replay_len <- Stdlib.min (t.replay_len + 1) (Array.length t.replay_ring);
+  t.v.replay_ring.(t.v.replay_pos) <- (wire, size);
+  t.v.replay_pos <- (t.v.replay_pos + 1) mod Array.length t.v.replay_ring;
+  t.v.replay_len <- Stdlib.min (t.v.replay_len + 1) (Array.length t.v.replay_ring);
   if Rng.bernoulli t.rng 0.25 then begin
-    let old_wire, old_size = t.replay_ring.(Rng.int t.rng t.replay_len) in
+    let old_wire, old_size = t.v.replay_ring.(Rng.int t.rng t.v.replay_len) in
     Metrics.incr t.metrics "replay.injected";
     t.env.replay ~wire:old_wire ~size:old_size
   end
@@ -2087,17 +2145,17 @@ let receive t (rx : Message.received) =
 let dump t =
   let b = Buffer.create 256 in
   Printf.bprintf b "replica %d: view=%d status=%s target=%d\n" t.id t.view
-    (match t.status with Normal -> "normal" | View_changing -> "view-changing")
-    t.target_view;
+    (match t.v.status with Normal -> "normal" | View_changing -> "view-changing")
+    t.v.target_view;
   Printf.bprintf b "  exec=%d committed=%d stable=%d pp_seq=%d low=%d high=%d\n"
-    t.last_executed t.last_committed t.last_stable t.last_pp_seq
-    (Log.low_watermark t.log) (Log.high_watermark t.log);
+    t.v.last_executed t.v.last_committed t.last_stable t.v.last_pp_seq
+    (Log.low_watermark t.v.log) (Log.high_watermark t.v.log);
   Printf.bprintf b "  pending=%d waiting=%d await_state=%s recovering=%b attempts=%d\n"
-    (Queue.length t.pending) (Fingerprint.Tbl.length t.waiting)
-    (match t.await_state with None -> "-" | Some s -> string_of_int s)
-    t.recovering t.vc_attempts;
-  Log.iter t.log (fun slot ->
-      if slot.Log.seq <= t.last_committed + 3 then
+    (Queue.length t.v.pending) (Fingerprint.Tbl.length t.v.waiting)
+    (match t.v.await_state with None -> "-" | Some s -> string_of_int s)
+    t.v.recovering t.v.vc_attempts;
+  Log.iter t.v.log (fun slot ->
+      if slot.Log.seq <= t.v.last_committed + 3 then
         Printf.bprintf b
           "  slot %d: pp=%s digest=%s missing=%d prepares=%d commits=%d \
            prepared@=%s committed=%b exec=%b final=%b own_p=%b own_c=%b\n"
@@ -2123,13 +2181,13 @@ let start_recovery t =
   let epoch = Keychain.epoch t.keychain ~peer:0 in
   out_multicast t (Message.New_key { nk_replica = t.id; epoch });
   rollback_tentative t;
-  t.recovering <- true;
-  clear t.state_offers;
+  t.v.recovering <- true;
+  clear t.v.state_offers;
   drop_page_fetch t;
   out_multicast t (Message.Get_state { from_seq = t.last_stable; replica = t.id });
   t.env.arm State_timer ~delay:(2.0 *. t.config.Config.client_retry_timeout)
     (fun () ->
-      if t.recovering then
+      if t.v.recovering then
         out_multicast t
           (Message.Get_state { from_seq = t.last_stable; replica = t.id }))
 
@@ -2152,53 +2210,23 @@ let set_behavior t b =
      swallowed; nudge the retransmission machinery so it rejoins. *)
   if Behavior.is_correct b then ensure_resend_timer t
 
-(* Reboot from the last stable checkpoint: everything volatile — the log
-   above the checkpoint, certificates, queued work, timers — is gone, as it
-   would be for a real process restart; the stable checkpoint, the keychain
-   and the replica's view number survive (BFT-PR keeps them on disk). The
-   replica then runs proactive recovery to refresh keys and re-validate or
-   re-fetch state from the quorum. *)
+(* Reboot from the last stable checkpoint, as a real process restart
+   would: the volatile part is rebuilt from scratch and the timers are
+   gone. What survives is the durable part of [t], which BFT-PR keeps on
+   disk: the view, the stable checkpoint (seq, digest, snapshot, and the
+   client table it restores), the stable certificates, the last NEW-VIEW
+   sent, the keychain, and the trail up to the checkpoint — slots finalized
+   past it execute again, and the unique-execution audit must not count
+   that as a duplicate. The replica then runs proactive recovery to
+   refresh keys and re-validate or re-fetch state from the quorum. *)
 let restart t =
   t.env.cancel Vc_timer;
   t.env.cancel Resend_timer;
   t.env.cancel Flush_timer;
   t.env.cancel State_timer;
   restore_snapshot t (Lazy.force t.stable_snapshot);
-  t.log <- Log.create ~low:t.last_stable ~window:t.config.Config.log_window
-      ~replicas:t.config.Config.n ();
-  t.last_executed <- t.last_stable;
-  t.last_committed <- t.last_stable;
-  (* The audit trail is volatile too: slots finalized past the stable
-     checkpoint are rolled back by the reboot and will execute again, so
-     their entries must go with them — otherwise the chaos checker's
-     unique-execution invariant would see the legitimate re-execution as
-     a duplicate. *)
+  t.v <- volatile t.config ~low:t.last_stable ~view:t.view;
   Trail.trim t.trail t.last_stable;
-  t.status <- Normal;
-  t.target_view <- t.view;
-  t.deferred_ro <- [];
-  Queue.clear t.pending;
-  Int_tbl.reset t.queued_ts;
-  t.last_pp_seq <- t.last_stable;
-  Fingerprint.Tbl.reset t.request_store;
-  Fingerprint.Tbl.reset t.batch_store;
-  t.own_checkpoints <- [];
-  Int_tbl.reset t.checkpoint_msgs;
-  Fingerprint.Tbl.reset t.waiting;
-  t.vc_attempts <- 0;
-  Int_tbl.reset t.view_changes;
-  t.last_nv <- None;
-  t.resend_fast <- false;
-  t.resend_stalls <- 0;
-  t.resend_progress_mark <- t.last_stable;
-  t.max_pp_seen <- t.last_stable;
-  Int_tbl.reset t.vc_evidence;
-  t.commit_backlog <- [];
-  (* [start_recovery] below drops the votes and any page fetch. *)
-  t.await_state <- None;
-  t.state_attempts <- 0;
-  t.replay_len <- 0;
-  t.replay_pos <- 0;
   Metrics.incr t.metrics "restart";
   start_recovery t;
   ensure_resend_timer t
@@ -2230,50 +2258,17 @@ let create ~config ~env ~keychain ~cal ~replicas ~lookup_client ~service ~rng
       service;
       rng;
       behavior;
-      replay_ring = Array.make 32 ("", 0);
-      replay_len = 0;
-      replay_pos = 0;
       metrics = Metrics.create ();
       id = Keychain.self keychain;
       view = 0;
-      status = Normal;
-      target_view = 0;
-      log =
-        Log.create ~low:0 ~window:config.Config.log_window ~replicas:config.Config.n ();
-      last_executed = 0;
-      last_committed = 0;
-      trail = Trail.create trail;
-      client_table = Int_tbl.create 64;
-      deferred_ro = [];
-      pending = Queue.create ();
-      queued_ts = Int_tbl.create 64;
-      last_pp_seq = 0;
-      request_store = Fingerprint.Tbl.create 128;
-      batch_store = Fingerprint.Tbl.create 128;
       last_stable = 0;
       stable_digest = Fingerprint.zero;
       stable_snapshot = Lazy.from_val Payload.empty;
-      own_checkpoints = [];
-      checkpoint_msgs = Int_tbl.create 8;
       stable_certs = Int_tbl.create 8;
-      waiting = Fingerprint.Tbl.create 32;
-      vc_attempts = 0;
-      view_changes = Int_tbl.create 4;
       nv_sent = 0;
-      last_nv = None;
-      resend_fast = false;
-      resend_stalls = 0;
-      resend_progress_mark = 0;
-      max_pp_seen = 0;
-      vc_started_at = 0.0;
-      vc_evidence = Int_tbl.create 8;
-      commit_backlog = [];
-      await_state = None;
-      recovering = false;
-      state_offers = Array.make config.Config.n None;
-      meta_offers = Array.make config.Config.n None;
-      fetch_ctx = None;
-      state_attempts = 0;
+      client_table = Int_tbl.create 64;
+      trail = Trail.create trail;
+      v = volatile config ~low:0 ~view:0;
     }
   in
   (* Start the status heartbeat. *)

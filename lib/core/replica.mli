@@ -102,9 +102,15 @@ val start_recovery : t -> unit
 (** Proactive recovery: refresh session keys and revalidate/refetch state. *)
 
 val restart : t -> unit
-(** Reboot from the last stable checkpoint: volatile state (log above the
-    checkpoint, certificates, queued requests, timers) is discarded; the
-    stable checkpoint, keychain and view survive. Ends by running
+(** Reboot from the last stable checkpoint. Everything volatile (the log,
+    certificates in progress, queued requests and bodies, view-change and
+    state-transfer progress, timers) is rebuilt as {!create} builds it, at
+    the checkpoint. What BFT-PR keeps on disk survives: the view, so the
+    replica never returns to a view it left; the stable checkpoint (seq,
+    digest and snapshot), which restores the client table and the service;
+    the stable certificates, which a quorum proved; the last view it sent
+    NEW-VIEW for; the keychain; and the execution trail up to the
+    checkpoint, since later slots execute again. Ends by running
     {!start_recovery} so the replica re-validates or re-fetches state. The
     caller is responsible for having brought the network node back up. *)
 

@@ -8,6 +8,8 @@
 #
 #   examples                      examples.txt
 #   chaos seed 1, rotating 11     chaos_seed1.txt, chaos_rotating_seed11.txt
+#   chaos seed 3, 30 campaigns    chaos_seed3.txt (6 of its plans restart a
+#                                 replica)
 #   chaos unsafe seed 42          must exit 1; stdout and shrunk plan pinned
 #   txn, four runs                txn_seed1.jsonl
 #   overload                      overload_seed42.jsonl
@@ -52,6 +54,10 @@ diff -u "$golden/examples.txt" "$out/examples.txt"
 pin chaos seed 1
 timeout 300 "$lab" chaos --campaigns 5 --seed 1 > "$out/chaos_seed1.txt"
 diff -u "$golden/chaos_seed1.txt" "$out/chaos_seed1.txt"
+
+pin chaos seed 3: restart-heavy
+timeout 300 "$lab" chaos --campaigns 30 --seed 3 > "$out/chaos_seed3.txt"
+diff -u "$golden/chaos_seed3.txt" "$out/chaos_seed3.txt"
 
 pin chaos rotating seed 11
 timeout 300 "$lab" chaos --rotating --campaigns 6 --seed 11 \

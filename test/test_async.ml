@@ -14,9 +14,12 @@
    issues a read-only and then a read-write operation, check that every
    operation completes, that every replica executes the same batches and
    that every replica's client table ends at each client's read-write
-   timestamp. A hand-written schedule shows what the commit quorum is for:
-   the PREPAREs for seq 1 reach only replica 3 while the others change view
-   and order another request there. *)
+   timestamp. Another hundred reboot replica 3 between two rounds of
+   read-write operations ([Replica.restart]) and check that it keeps
+   nothing above its stable checkpoint and then catches up. A hand-written
+   schedule shows what the commit quorum is for: the PREPAREs for seq 1
+   reach only replica 3 while the others change view and order another
+   request there. *)
 
 open Bft_core
 module Fingerprint = Bft_crypto.Fingerprint
@@ -229,19 +232,22 @@ let read_only_op = Service.null_op ~read_only:true ~arg_size:8 ~result_size:8
 
 let read_write_op = Service.null_op ~read_only:false ~arg_size:8 ~result_size:8
 
+(* Every client invokes [ops] in turn; the run must then settle. *)
+let settle w rng ~seed ops =
+  for i = 0 to clients - 1 do
+    w.todo.(i) <- ops;
+    invoke_next w i
+  done;
+  if not (run w rng ~max_steps:20_000 ~until:settled) then
+    Alcotest.failf "seed %d: no agreement on every request after 20000 steps\n%s"
+      seed
+      (String.concat "\n" (Array.to_list (Array.map pp_trail w.replicas)))
+
 let test_random_schedules () =
   for seed = 1 to 100 do
-    let w = create [ (true, read_only_op); (false, read_write_op) ] in
-    let rng = Rng.of_int seed in
-    for i = 0 to clients - 1 do
-      invoke_next w i
-    done;
-    let ok = run w rng ~max_steps:20_000 ~until:settled in
+    let w = create [] in
+    settle w (Rng.of_int seed) ~seed [ (true, read_only_op); (false, read_write_op) ];
     let label what = Printf.sprintf "seed %d: %s" seed what in
-    if not ok then
-      Alcotest.failf "seed %d: no agreement on every request after 20000 steps\n%s"
-        seed
-        (String.concat "\n" (Array.to_list (Array.map pp_trail w.replicas)));
     (* Both operations of each client completed and were not rejected, and
        every replica's client table holds each client's read-write
        timestamp (2: the read-only operation took 1) as finally executed. *)
@@ -262,6 +268,33 @@ let test_random_schedules () =
           (List.map (fun c -> (Client.id c, 2L)) (Array.to_list w.clients))
           (List.map (fun (c, ts, _) -> (c, ts)) (Replica.client_replies r)))
       w.replicas
+  done
+
+(* A reboot between two rounds of read-write operations, with no engine:
+   right after [Replica.restart] replica 3 holds nothing above its stable
+   checkpoint, and the second round brings its trail level with the
+   others'. *)
+let test_restart () =
+  for seed = 1 to 100 do
+    let w = create [] in
+    let rng = Rng.of_int seed in
+    settle w rng ~seed [ (false, read_write_op) ];
+    let r = w.replicas.(3) in
+    Replica.restart r;
+    let label what = Printf.sprintf "seed %d: %s" seed what in
+    let stable = Replica.last_stable r in
+    check Alcotest.int (label "executed up to the checkpoint") stable
+      (Replica.last_executed r);
+    List.iter
+      (fun (what, depth) -> check Alcotest.int (label what) 0 depth)
+      [
+        ("log depth", Replica.log_depth r);
+        ("queue depth", Replica.queue_depth r);
+        ("backlog", Replica.backlog r);
+      ];
+    check Alcotest.bool (label "trail ends at the checkpoint") true
+      (List.for_all (fun (s, _) -> s <= stable) (Replica.executed_digests r));
+    settle w rng ~seed [ (false, read_write_op) ]
   done
 
 (* --- a hand-written schedule ------------------------------------------- *)
@@ -372,5 +405,6 @@ let () =
             test_split_seq1_unsafe;
           Alcotest.test_case "seq 1 split: tentative execution rolls back" `Quick
             test_split_seq1_safe;
+          Alcotest.test_case "restart between two rounds" `Quick test_restart;
         ] );
     ]
