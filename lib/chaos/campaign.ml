@@ -185,7 +185,6 @@ let run ?(ordering = Config.Single_primary) ?(unsafe_no_commit_quorum = false)
   in
   (* plan execution *)
   let ever_byz = Array.make n false in
-  let cur_behavior = Array.make n Behavior.Correct in
   let crashed = Array.make n false in
   let apply = function
     | Plan.Crash r ->
@@ -221,7 +220,6 @@ let run ?(ordering = Config.Single_primary) ?(unsafe_no_commit_quorum = false)
     | Plan.Set_dup p -> Network.set_duplication network p
     | Plan.Behavior_switch (r, b) ->
       if not (Behavior.is_correct b) then ever_byz.(r) <- true;
-      cur_behavior.(r) <- b;
       Cluster.set_behavior cluster r b
     | Plan.Client_burst k ->
       for j = 0 to k - 1 do
@@ -249,10 +247,8 @@ let run ?(ordering = Config.Single_primary) ?(unsafe_no_commit_quorum = false)
       crashed.(r) <- false;
       Cluster.restart_replica cluster r
     end;
-    if cur_behavior.(r) <> Behavior.Correct then begin
-      cur_behavior.(r) <- Behavior.Correct;
+    if Replica.behavior (Cluster.replica cluster r) <> Behavior.Correct then
       Cluster.set_behavior cluster r Behavior.Correct
-    end
   done;
   let replicas = Cluster.replicas cluster in
   let audited =

@@ -115,6 +115,8 @@ let of_string s =
   in
   go [] 1 lines
 
+(* Every comparison below is written so that NaN fails it: a NaN time,
+   rate or duration would otherwise pass and never let a run finish. *)
 let validate ~n t =
   let check_id r what =
     if r < 0 || r >= n then
@@ -122,15 +124,20 @@ let validate ~n t =
     else Ok ()
   in
   let check_prob p what =
-    if p < 0.0 || p > 1.0 then
+    if not (p >= 0.0 && p <= 1.0) then
       Error (Printf.sprintf "%s: probability %g outside [0, 1]" what p)
+    else Ok ()
+  in
+  let check_positive x what =
+    if not (x > 0.0 && Float.is_finite x) then
+      Error (Printf.sprintf "%s must be positive and finite, not %g" what x)
     else Ok ()
   in
   let ( let* ) = Result.bind in
   let check_event e =
     let* () =
-      if e.at < 0.0 then
-        Error (Printf.sprintf "event at %g: negative time" e.at)
+      if not (e.at >= 0.0 && Float.is_finite e.at) then
+        Error (Printf.sprintf "event at %g: time must be non-negative and finite" e.at)
       else Ok ()
     in
     match e.action with
@@ -143,18 +150,19 @@ let validate ~n t =
     | Client_burst k ->
       if k <= 0 then Error "burst: size must be positive" else Ok ()
     | Load_spike { rate; duration } ->
-      if rate <= 0.0 then Error "spike: rate must be positive"
-      else if duration <= 0.0 then Error "spike: duration must be positive"
-      else Ok ()
+      let* () = check_positive rate "spike: rate" in
+      check_positive duration "spike: duration"
     | Load_ramp { rate_to; duration } ->
-      if rate_to <= 0.0 then Error "ramp: target rate must be positive"
-      else if duration <= 0.0 then Error "ramp: duration must be positive"
-      else Ok ()
+      let* () = check_positive rate_to "ramp: target rate" in
+      check_positive duration "ramp: duration"
     | Behavior_switch (r, b) ->
       let* () = check_id r "behavior" in
       (match b with
       | Behavior.Crash_at _ ->
         Error "behavior: crash-at is not switchable (use crash/restart events)"
+      | Behavior.Slow s when not (s >= 0.0 && Float.is_finite s) ->
+        Error
+          (Printf.sprintf "behavior: slow takes non-negative finite seconds, not %g" s)
       | _ -> Ok ())
     | Partition groups ->
       let ids = List.concat groups in

@@ -4,7 +4,8 @@
     concrete arbitrary behaviours the test suite exercises against the
     protocol's safety and liveness claims. Behaviours can be installed at
     replica construction or switched at runtime by a chaos plan
-    ({!Replica.set_behavior}). *)
+    ({!Cluster.set_behavior}). [Mute], [Slow], [Replay] and [Inflate_view]
+    are wire faults ({!env}); the rest act in {!Cluster} or {!Replica}. *)
 
 type t =
   | Correct
@@ -34,3 +35,27 @@ val to_string : t -> string
 (** Stable encoding for fault-plan files; inverse of {!of_string}. *)
 
 val of_string : string -> t option
+
+(** {1 Wire faults} *)
+
+type ring
+(** The last 32 datagrams a [Replay] replica accepted. *)
+
+val ring : unit -> ring
+
+val forget : ring -> unit
+(** Empty the ring, as a reboot does. *)
+
+val env :
+  current:(unit -> t) ->
+  rng:Bft_util.Rng.t ->
+  ring:ring ->
+  inject:(wire:string -> size:int -> unit) ->
+  Env.t ->
+  Env.t
+(** A replica's effects under the behaviour [current ()] returns at each
+    call: [Mute] drops [send], [multicast] and the [Reply_sent] trace;
+    [Slow s] charges [s] seconds before [check]; [Replay] keeps each
+    [Accepted] datagram in [ring] and, with p = 0.25 drawn from [rng],
+    passes one from it to [inject]; [Inflate_view k] adds [k] to an
+    outgoing REPLY's view. *)

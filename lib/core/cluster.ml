@@ -1,5 +1,4 @@
 module Engine = Bft_sim.Engine
-module Timer = Bft_sim.Timer
 module Cpu = Bft_sim.Cpu
 module Calibration = Bft_sim.Calibration
 module Network = Bft_net.Network
@@ -27,6 +26,7 @@ type t = {
   replicas : Replica.t array;
   replica_peers : Transport.peer array;
   replica_transports : Transport.t array;
+  replay_rings : Behavior.ring array;
   client_machines : client_machine array;
   principals : Keychain.deployment;  (* shared by every keychain below *)
   client_peers : Transport.peer Int_tbl.t;
@@ -62,6 +62,7 @@ let crash_replica t i = Network.set_up t.network (replica_node t i) false
 
 let restart_replica t i =
   Network.set_up t.network (replica_node t i) true;
+  Behavior.forget t.replay_rings.(i);
   Replica.restart t.replicas.(i)
 
 let set_behavior t i b =
@@ -200,30 +201,26 @@ let principal_env network =
       Trace.emit sink ~vtime:(vtime ()) ~node ?seqno ?view ?req_id ?detail kind
   in
   fun ~transport ~others ->
-    let node = Transport.node transport in
-    let cpu = Network.node_cpu network node in
-    let timers = Array.make 4 Timer.never in
+    let cpu = Network.node_cpu network (Transport.node transport) in
+    let timers = Array.make 4 Engine.no_event in
     {
       Env.send = (fun dst msg -> Transport.send transport ~dst msg);
       multicast =
         (fun ~commits msg -> Transport.multicast transport ~commits ~dsts:others msg);
-      replay =
-        (fun ~wire ~size ->
-          let dsts = List.map (fun (p : Transport.peer) -> p.node) others in
-          Network.multicast network ~src:node ~dsts ~size wire);
       check = Transport.check transport;
       arm =
         (fun timer ~delay fn ->
           let i = timer_slot timer in
-          timers.(i) <- Timer.restart engine timers.(i) ~delay fn);
+          Engine.cancel timers.(i);
+          timers.(i) <- Engine.schedule_event engine ~delay fn);
       cancel =
         (fun timer ->
-          (* Dropping the cancelled timer lets its callback, and whatever
+          (* Dropping the cancelled event lets its callback, and whatever
              that holds (a client's completed operation), die young. *)
           let i = timer_slot timer in
-          Timer.cancel timers.(i);
-          timers.(i) <- Timer.never);
-      armed = (fun timer -> Timer.active timers.(timer_slot timer));
+          Engine.cancel timers.(i);
+          timers.(i) <- Engine.no_event);
+      armed = (fun timer -> Engine.is_scheduled timers.(timer_slot timer));
       after;
       charge = (fun ?cat cost -> Cpu.charge ?cat cpu cost);
       now;
@@ -280,6 +277,7 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
   let trail = Trail.group () in
   let principal_env = principal_env network in
   let all_replicas = Array.to_list replica_peers in
+  let replay_rings = Array.init n (fun _ -> Behavior.ring ()) in
   let members =
     Array.init n (fun i ->
         let keychain = Keychain.create ~master ~self:i principals in
@@ -300,14 +298,29 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
         let others =
           List.filter (fun (p : Transport.peer) -> p.principal <> i) all_replicas
         in
-        let replica =
-          Replica.create ~config
-            ~env:(principal_env ~transport ~others)
-            ~keychain ~cal ~replicas:replica_peers ~lookup_client
-            ~service:(service i)
-            ~rng:(Rng.split root_rng (Printf.sprintf "replica%d" i))
-            ~behavior ~trail ()
+        let other_nodes = List.map (fun (p : Transport.peer) -> p.node) others in
+        (* The wire faults read the replica's behaviour at every call, so
+           [set_behavior] switches them too, and count its replays; neither
+           runs before [create] returns. *)
+        let rec replica =
+          lazy
+            (Replica.create ~config
+               ~env:
+                 (Behavior.env
+                    ~current:(fun () -> Replica.behavior (Lazy.force replica))
+                    ~rng:(Rng.split root_rng (Printf.sprintf "replica%d" i))
+                    ~ring:replay_rings.(i)
+                    ~inject:(fun ~wire ~size ->
+                      Metrics.incr
+                        (Replica.metrics (Lazy.force replica))
+                        "replay.injected";
+                      Network.multicast network ~src:replica_nodes.(i)
+                        ~dsts:other_nodes ~size wire)
+                    (principal_env ~transport ~others))
+               ~keychain ~cal ~replicas:replica_peers ~lookup_client
+               ~service:(service i) ~behavior ~trail ())
         in
+        let replica = Lazy.force replica in
         Dispatcher.register_default dispatcher (Replica.receive replica);
         (replica, transport))
   in
@@ -325,6 +338,7 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
     replicas;
     replica_peers;
     replica_transports;
+    replay_rings;
     client_machines;
     principals;
     client_peers;

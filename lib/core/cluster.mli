@@ -70,10 +70,14 @@ val crash_replica : t -> Types.replica_id -> unit
 
 val restart_replica : t -> Types.replica_id -> unit
 (** Bring the machine back up and reboot the replica from its last stable
-    checkpoint ({!Replica.restart}). *)
+    checkpoint ({!Replica.restart}); a replaying replica's ring of old
+    datagrams is emptied too. *)
 
 val set_behavior : t -> Types.replica_id -> Behavior.t -> unit
-(** Switch a replica's injected behaviour mid-run ({!Replica.set_behavior}). *)
+(** Switch a replica's injected behaviour mid-run ({!Replica.set_behavior}):
+    the one switch, since its wire faults ({!Behavior.env}) read the
+    replica's behaviour at every call and the [Forge_auth] transport flag
+    is set here. *)
 
 val rng : t -> string -> Bft_util.Rng.t
 (** Derive a labelled RNG from the cluster seed (for workloads). *)

@@ -8,9 +8,10 @@
     emits a trace event itself (test/check_seam.sh keeps it so); cost
     figures ({!Bft_sim.Calibration}), the keychain and the CPU categories
     stay plain values. {!Cluster} builds every principal's record, with one
-    builder, over its {!Transport}, machine CPU, engine and trace sink; a
-    test can build one over a driver of its own. Each member runs its
-    effect when called, so effects happen in call order. *)
+    builder, over its {!Transport}, machine CPU, engine and trace sink, and
+    wraps a replica's with the wire faults of its behaviour
+    ({!Behavior.env}); a test can build one over a driver of its own. Each
+    member runs its effect when called, so effects happen in call order. *)
 
 (** Four timer slots. The driver keeps at most one armed timer per slot
     and principal; what a timer is stays the principal's. A replica uses
@@ -22,9 +23,6 @@ type t = {
   send : Transport.peer -> Message.t -> unit;
   multicast : commits:Message.commit list -> Message.t -> unit;
       (** to every replica but this principal, with piggybacked [commits] *)
-  replay : wire:string -> size:int -> unit;
-      (** put an old datagram back on the wire, as it arrived, to every
-          replica but this principal ([Behavior.Replay]) *)
   check : Message.received -> Transport.verdict;
       (** verify this principal's tag in an inbound authenticator *)
   arm : timer -> delay:float -> (unit -> unit) -> unit;

@@ -1,6 +1,5 @@
 module Network = Bft_net.Network
 module Engine = Bft_sim.Engine
-module Timer = Bft_sim.Timer
 module Cpu = Bft_sim.Cpu
 module Auth = Bft_crypto.Auth
 
@@ -63,7 +62,7 @@ module Client = struct
     callback : outcome -> unit;
     started : float;
     mutable retries : int;
-    mutable timer : Timer.t;
+    mutable timer : Engine.event;
   }
 
   type t = {
@@ -83,7 +82,7 @@ module Client = struct
   let retransmitted t = t.retransmitted
 
   let complete t p (result : Payload.t) =
-    Timer.cancel p.timer;
+    Engine.cancel p.timer;
     t.pending <- None;
     t.completed <- t.completed + 1;
     let latency = Engine.now (Network.engine t.network) -. p.started in
@@ -116,7 +115,7 @@ module Client = struct
     | None -> ()
     | Some delay ->
       p.timer <-
-        Timer.start (Network.engine t.network) ~delay (fun () ->
+        Engine.schedule_event (Network.engine t.network) ~delay (fun () ->
             match t.pending with
             | Some p' when p' == p ->
               p.retries <- p.retries + 1;
@@ -136,7 +135,7 @@ module Client = struct
         callback;
         started = Engine.now (Network.engine t.network);
         retries = 0;
-        timer = Timer.never;
+        timer = Engine.no_event;
       }
     in
     t.pending <- Some p;

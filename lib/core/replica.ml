@@ -3,7 +3,6 @@ module Cpu = Bft_sim.Cpu
 module Calibration = Bft_sim.Calibration
 module Fingerprint = Bft_crypto.Fingerprint
 module Keychain = Bft_crypto.Keychain
-module Rng = Bft_util.Rng
 module Enc = Bft_util.Codec.Enc
 module Dec = Bft_util.Codec.Dec
 module Trace = Bft_trace.Trace
@@ -85,10 +84,6 @@ type volatile = {
   meta_offers : offer votes;  (** each replica's latest STATE-META *)
   mutable fetch_ctx : fetch_ctx option;
   mutable state_attempts : int;  (** consecutive state refetches without progress *)
-  (* Replay attack: ring of recently received authenticated datagrams *)
-  replay_ring : (string * int) array;
-  mutable replay_len : int;
-  mutable replay_pos : int;
 }
 
 type t = {
@@ -99,7 +94,6 @@ type t = {
   replicas : Transport.peer array;
   lookup_client : client_id -> Transport.peer option;
   service : Service.t;
-  rng : Rng.t;
   mutable behavior : Behavior.t;
   metrics : Metrics.t;
   id : replica_id;
@@ -162,9 +156,6 @@ let volatile config ~low ~view =
     meta_offers = Array.make config.Config.n None;
     fetch_ctx = None;
     state_attempts = 0;
-    replay_ring = Array.make 32 ("", 0);
-    replay_len = 0;
-    replay_pos = 0;
   }
 
 let id t = t.id
@@ -280,8 +271,6 @@ let charge ?cat t cost = t.env.charge ?cat cost
 
 let f_of t = t.config.Config.f
 
-let muted t = match t.behavior with Behavior.Mute -> true | _ -> false
-
 (* --- protocol tracing ------------------------------------------------- *)
 
 (* Events are stamped with the CPU's virtual time, not the engine clock:
@@ -304,16 +293,12 @@ let take_backlog t =
 
 (* Multicasts go to every other replica. *)
 let out_multicast t msg =
-  if not (muted t) then begin
-    let commits =
-      if t.config.Config.piggyback_commits then take_backlog t else []
-    in
-    if commits <> [] then
-      Metrics.incr ~by:(List.length commits) t.metrics "piggy.attached";
-    t.env.multicast ~commits msg
-  end
-
-let out_send t ~dst msg = if not (muted t) then t.env.send dst msg
+  let commits =
+    if t.config.Config.piggyback_commits then take_backlog t else []
+  in
+  if commits <> [] then
+    Metrics.incr ~by:(List.length commits) t.metrics "piggy.attached";
+  t.env.multicast ~commits msg
 
 let client_entry t client =
   match Int_tbl.find_opt t.client_table client with
@@ -674,14 +659,9 @@ and send_reply t (r : Message.request) result ~tentative =
       if full then Message.Full_result result
       else Message.Result_digest (Payload.digest result)
     in
-    let reported_view =
-      match t.behavior with
-      | Behavior.Inflate_view k -> t.view + k
-      | _ -> t.view
-    in
     let reply =
       {
-        Message.view = reported_view;
+        Message.view = t.view;
         timestamp = r.Message.timestamp;
         client = r.Message.client;
         replica = t.id;
@@ -690,11 +670,10 @@ and send_reply t (r : Message.request) result ~tentative =
         body;
       }
     in
-    if not (muted t) then
-      emit_trace t ~view:t.view ~req_id:(trace_req r)
-        ~detail:(if tentative then "tentative" else "final")
-        Trace.Reply_sent;
-    out_send t ~dst (Message.Reply reply)
+    emit_trace t ~view:t.view ~req_id:(trace_req r)
+      ~detail:(if tentative then "tentative" else "final")
+      Trace.Reply_sent;
+    t.env.send dst (Message.Reply reply)
 
 (* Admission control (overload protection): tell the client explicitly
    that its request was shed instead of silently queueing it. The envelope
@@ -713,10 +692,9 @@ and send_busy t (r : Message.request) =
         bz_queue = Queue.length t.v.pending;
       }
     in
-    if not (muted t) then
-      emit_trace t ~view:t.view ~req_id:(trace_req r) ~detail:"busy"
-        Trace.Reply_sent;
-    out_send t ~dst (Message.Busy busy)
+    emit_trace t ~view:t.view ~req_id:(trace_req r) ~detail:"busy"
+      Trace.Reply_sent;
+    t.env.send dst (Message.Busy busy)
 
 (* Bounded admission queue: admit [r] to the primary's pending queue,
    shedding per the configured policy when full. [record_ts] marks the
@@ -997,8 +975,7 @@ and on_get_state t (g : Message.get_state) =
   then begin
     let snapshot = Lazy.force t.stable_snapshot in
     if Payload.size snapshot <= 4 * Merkle.page_size then
-      out_send t
-        ~dst:t.replicas.(g.Message.replica)
+      t.env.send t.replicas.(g.Message.replica)
         (Message.State
            {
              seq = t.last_stable;
@@ -1012,8 +989,7 @@ and on_get_state t (g : Message.get_state) =
       let digests = Merkle.page_digests (Merkle.paginate snapshot) in
       charge ~cat:Cpu.Digest t
         (Calibration.digest_cost t.cal (Payload.size snapshot) /. 4.0);
-      out_send t
-        ~dst:t.replicas.(g.Message.replica)
+      t.env.send t.replicas.(g.Message.replica)
         (Message.State_meta
            {
              sm_seq = t.last_stable;
@@ -1081,7 +1057,7 @@ and begin_page_fetch t src seq digest target_pages =
   | [] -> finish_page_fetch t ctx
   | missing ->
     Metrics.incr ~by:(List.length missing) t.metrics "state.pages_requested";
-    out_send t ~dst:t.replicas.(src)
+    t.env.send t.replicas.(src)
       (Message.Get_pages { gp_seq = seq; gp_indexes = missing; gp_replica = t.id })
 
 and on_get_pages t (g : Message.get_pages) =
@@ -1111,8 +1087,7 @@ and on_get_pages t (g : Message.get_pages) =
     in
     List.iter
       (fun chunk ->
-        out_send t
-          ~dst:t.replicas.(g.Message.gp_replica)
+        t.env.send t.replicas.(g.Message.gp_replica)
           (Message.Pages { pg_seq = g.Message.gp_seq; pg_pages = chunk }))
       (chunks [] selected)
   end
@@ -1300,7 +1275,7 @@ and send_pre_prepare t seq entries digests =
     Array.iter
       (fun (p : Transport.peer) ->
         if p.principal <> t.id then
-          out_send t ~dst:p
+          t.env.send p
             (Message.Pre_prepare (if p.principal mod 2 = 1 then alt else pp)))
       t.replicas
   | _ -> multicast_proposal t seq entries);
@@ -1389,8 +1364,7 @@ and broadcast_commit t (slot : Log.slot) =
 and flush_commits t =
   match take_backlog t with
   | [] -> ()
-  | first :: rest ->
-    if not (muted t) then t.env.multicast ~commits:rest (Message.Commit first)
+  | first :: rest -> t.env.multicast ~commits:rest (Message.Commit first)
 
 and check_committed t (slot : Log.slot) =
   let committed =
@@ -1561,7 +1535,7 @@ and echo_commit_if_finalized t sender (slot : Log.slot) =
   if slot.Log.finalized && sender <> t.id then
     match slot.Log.pp_digest with
     | Some digest ->
-      out_send t ~dst:t.replicas.(sender)
+      t.env.send t.replicas.(sender)
         (Message.Commit { view = t.view; seq = slot.Log.seq; digest; replica = t.id })
     | None -> ()
 
@@ -1658,7 +1632,7 @@ and send_resolved t ~dst ~view seq entries =
         | (Message.Full _ | Message.Null_entry) as e -> e)
       entries
   in
-  out_send t ~dst:t.replicas.(dst)
+  t.env.send t.replicas.(dst)
     (Message.Pre_prepare { view; seq; entries = resolved })
 
 (* --- requests ----------------------------------------------------------- *)
@@ -1838,7 +1812,7 @@ and on_view_change t sender (vc : Message.view_change) =
   (if sender = vc.Message.replica && vc.Message.next_view <= t.view then
      match t.v.last_nv with
      | Some nv when nv.Message.view >= vc.Message.next_view && sender <> t.id ->
-       out_send t ~dst:t.replicas.(sender) (Message.New_view nv)
+       t.env.send t.replicas.(sender) (Message.New_view nv)
      | _ -> ());
   if sender = vc.Message.replica && vc.Message.next_view > t.view then begin
     record_view_change t sender vc;
@@ -2034,7 +2008,7 @@ and on_status t sender (st : Message.status) =
     (if st.Message.st_view < t.view then
        match t.v.last_nv with
        | Some nv when nv.Message.view = t.view ->
-         out_send t ~dst:t.replicas.(sender) (Message.New_view nv)
+         t.env.send t.replicas.(sender) (Message.New_view nv)
        | _ -> ());
     if st.Message.st_view = t.view && not st.Message.st_vc then begin
       (* Resend the certificates for the next few slots the peer lacks. *)
@@ -2050,7 +2024,7 @@ and on_status t sender (st : Message.status) =
             send_resolved t ~dst:sender ~view:t.view seq entries;
             (match slot.Log.pp_digest with
             | Some digest when slot.Log.own_commit_sent || slot.Log.finalized ->
-              out_send t ~dst:t.replicas.(sender)
+              t.env.send t.replicas.(sender)
                 (Message.Commit { view = t.view; seq; digest; replica = t.id })
             | _ -> ())
           | _ -> ()
@@ -2059,7 +2033,7 @@ and on_status t sender (st : Message.status) =
       (* Behind our stable checkpoint: help it assemble the stable
          certificate so it can state-transfer. *)
       if st.Message.st_stable < t.last_stable then
-        out_send t ~dst:t.replicas.(sender)
+        t.env.send t.replicas.(sender)
           (Message.Checkpoint
              { seq = t.last_stable; digest = t.stable_digest; replica = t.id })
     end
@@ -2102,32 +2076,10 @@ and handle_message t rx sender msg =
   | Message.Status st -> on_status t sender st
   | Message.Busy _ -> Metrics.incr t.metrics "unexpected.busy"
 
-(* Replay attack: keep a ring of authenticated datagrams exactly as they
-   arrived and occasionally put one back on the wire unchanged
-   ([env.replay]; the original sender's MAC vector is still valid for every
-   receiver the datagram was multicast to). Correct replicas must shrug
-   these off via duplicate suppression and timestamp checks. *)
-let maybe_replay t ~wire ~size =
-  t.v.replay_ring.(t.v.replay_pos) <- (wire, size);
-  t.v.replay_pos <- (t.v.replay_pos + 1) mod Array.length t.v.replay_ring;
-  t.v.replay_len <- Stdlib.min (t.v.replay_len + 1) (Array.length t.v.replay_ring);
-  if Rng.bernoulli t.rng 0.25 then begin
-    let old_wire, old_size = t.v.replay_ring.(Rng.int t.rng t.v.replay_len) in
-    Metrics.incr t.metrics "replay.injected";
-    t.env.replay ~wire:old_wire ~size:old_size
-  end
-
 let receive t (rx : Message.received) =
   let env = rx.Message.rx_env in
-  (match t.behavior with
-  | Behavior.Slow extra -> charge t extra
-  | _ -> ());
   match t.env.check rx with
   | Transport.Accepted ->
-    (match t.behavior with
-    | Behavior.Replay ->
-      maybe_replay t ~wire:rx.Message.rx_wire ~size:rx.Message.rx_size
-    | _ -> ());
     Metrics.incr t.metrics (Message.recv_counter env.Message.msg);
     (* Piggybacked commits: only the sender's own commits are credible,
        and only a replica's ([handle_message] drops the rest). *)
@@ -2245,7 +2197,7 @@ let client_replies t =
     t.client_table []
   |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
 
-let create ~config ~env ~keychain ~cal ~replicas ~lookup_client ~service ~rng
+let create ~config ~env ~keychain ~cal ~replicas ~lookup_client ~service
     ?(behavior = Behavior.Correct) ~trail () =
   let t =
     {
@@ -2256,7 +2208,6 @@ let create ~config ~env ~keychain ~cal ~replicas ~lookup_client ~service ~rng
       replicas;
       lookup_client;
       service;
-      rng;
       behavior;
       metrics = Metrics.create ();
       id = Keychain.self keychain;

@@ -31,16 +31,17 @@ val create :
   replicas:Transport.peer array ->
   lookup_client:(Types.client_id -> Transport.peer option) ->
   service:Service.t ->
-  rng:Bft_util.Rng.t ->
   ?behavior:Behavior.t ->
   trail:Trail.group ->
   unit ->
   t
 (** The replica acts only through [env] ({!Env}). Its id is [keychain]'s
     principal. [trail] is the execution-trail digest table the replicas of
-    one group share (see {!Trail}). [behavior]'s effects outside the
-    replica — the crash of [Crash_at], the transport flag of [Forge_auth] —
-    are the caller's. *)
+    one group share (see {!Trail}). The replica itself acts out only the
+    behaviours that need protocol state ([Two_faced], [Corrupt_replies],
+    [Stale_view]); the others are the caller's: the crash of [Crash_at]
+    and the transport flag of [Forge_auth], and the wire faults that
+    {!Behavior.env} wraps [env] with. *)
 
 val receive : t -> Message.received -> unit
 (** Handle one inbound datagram: the sink its machine's dispatcher

@@ -2,7 +2,6 @@ module Client = Bft_core.Client
 module Cluster = Bft_core.Cluster
 module Config = Bft_core.Config
 module Engine = Bft_sim.Engine
-module Timer = Bft_sim.Timer
 module Rng = Bft_util.Rng
 module Kv = Bft_services.Kv_store
 
@@ -245,7 +244,7 @@ let exec t ops callback =
        when they resolve the transaction, so it leaves the engine's queue
        then instead of idling there for [prepare_timeout]. *)
     let deadline =
-      Timer.start t.engine ~delay:t.prepare_timeout (fun () ->
+      Engine.schedule_event t.engine ~delay:t.prepare_timeout (fun () ->
           if (not !resolved) && not t.dead then begin
             resolved := true;
             decide_abort "prepare timeout"
@@ -272,13 +271,13 @@ let exec t ops callback =
                   end
                   else begin
                     resolved := true;
-                    Timer.cancel deadline;
+                    Engine.cancel deadline;
                     decide_commit ()
                   end
                 end
                 else begin
                   resolved := true;
-                  Timer.cancel deadline;
+                  Engine.cancel deadline;
                   decide_abort "prepare voted no"
                 end
             end))

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Guard the per-message path against polymorphic hashing and comparison.
 #
-# The modules every datagram passes through, the replica's handlers
-# included, the execution trail every finalized batch is appended to, and
+# The modules every datagram passes through, the replica's handlers and
+# the wire-fault wrapper around its effects (behavior.ml) included, the
+# execution trail every finalized batch is appended to, and
 # the key-value store every KV request executes in, must
 # look peers up by direct index or in monomorphic tables ([Hashtbl.Make],
 # [Map.Make]), keep quorum votes in arrays over replica ids, and compare
@@ -28,6 +29,7 @@ lib/core/log.ml
 lib/core/client.ml
 lib/core/dispatcher.ml
 lib/core/replica.ml
+lib/core/behavior.ml
 lib/core/trail.ml
 lib/services/kv_store.ml
 '

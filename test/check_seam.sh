@@ -2,14 +2,15 @@
 # Guard the principals' effects seam.
 #
 # lib/core/replica.ml and lib/core/client.ml act on the world only through
-# their effects record (Env.t), which Cluster builds over the simulator.
-# This script strips comments from both and reports every use of a value of
-# Engine, Timer, Network, Transport, Dispatcher or Cpu (the [val]s their
-# .mli files declare), every Trace.emit or Trace.enabled, and every way
-# around the check: a module alias that renames one of those modules, or
-# an [open], [include] or local open of one. Type names, constructors and
-# record fields stay allowed ([Transport.peer], [Cpu.Digest],
-# [p.Transport.principal]).
+# their effects record (Env.t), which Cluster builds over the simulator and
+# lib/core/behavior.ml wraps with a replica's wire faults. This script
+# strips comments from the three and reports every use of a value of
+# Engine, Network, Transport, Dispatcher or Cpu (the [val]s their .mli
+# files declare), and in replica.ml of Rng, every Trace.emit or
+# Trace.enabled, and every way around the check: a module alias that
+# renames one of those modules, or an [open], [include] or local open of
+# one. Type names, constructors and record fields stay allowed
+# ([Transport.peer], [Cpu.Digest], [p.Transport.principal]).
 #
 # Prints one "path:line: text" per use and exits 1 if there is one.
 #
@@ -17,15 +18,15 @@
 set -eu
 
 root=${1:-$(dirname "$0")/..}
-files="$root/lib/core/replica.ml $root/lib/core/client.ml"
+files="$root/lib/core/replica.ml $root/lib/core/client.ml $root/lib/core/behavior.ml"
 
 vals() {
   sed -n 's/^val \([a-z_][A-Za-z0-9_'\'']*\).*/\1/p' "$root/$1" | tr '\n' '|' | sed 's/|$//'
 }
 
-for f in lib/sim/engine.mli lib/sim/timer.mli lib/net/network.mli \
-  lib/core/transport.mli lib/core/dispatcher.mli lib/sim/cpu.mli $files; do
-  case $f in /*) p=$f ;; *) p=$root/$f ;; esac
+for f in lib/sim/engine.mli lib/net/network.mli lib/core/transport.mli \
+  lib/core/dispatcher.mli lib/sim/cpu.mli lib/util/rng.mli $files; do
+  case $f in "$root"/*) p=$f ;; *) p=$root/$f ;; esac
   if [ ! -f "$p" ]; then
     echo "$p: missing"
     exit 1
@@ -34,24 +35,23 @@ done
 
 awk \
   -v engine="$(vals lib/sim/engine.mli)" \
-  -v timer="$(vals lib/sim/timer.mli)" \
   -v network="$(vals lib/net/network.mli)" \
   -v transport="$(vals lib/core/transport.mli)" \
   -v dispatcher="$(vals lib/core/dispatcher.mli)" \
-  -v cpu="$(vals lib/sim/cpu.mli)" '
+  -v cpu="$(vals lib/sim/cpu.mli)" \
+  -v rng="$(vals lib/util/rng.mli)" '
   BEGIN {
     id = "[A-Za-z0-9_'\'']"
-    mods = "(Engine|Timer|Network|Transport|Dispatcher|Cpu)"
-    use["Engine"] = engine; use["Timer"] = timer; use["Network"] = network
+    use["Engine"] = engine; use["Network"] = network
     use["Transport"] = transport; use["Dispatcher"] = dispatcher; use["Cpu"] = cpu
-    use["Trace"] = "emit|enabled"
+    use["Trace"] = "emit|enabled"; use["Rng"] = rng
   }
   # A use of one of [m]s values: not a field access ("x.M.f") and not a
   # field label in a record construction or pattern ("{ M.f = ...",
   # "{ M.f; ...").
   function calls(text, m,   rest, before, after) {
     rest = text
-    while (match(rest, "(^|[^A-Za-z0-9_'\''])((Bft_sim|Bft_net|Bft_core|Bft_trace)\\.)?" m "\\.(" use[m] ")([^A-Za-z0-9_'\'']|$)")) {
+    while (match(rest, "(^|[^A-Za-z0-9_'\''])((Bft_sim|Bft_net|Bft_core|Bft_trace|Bft_util)\\.)?" m "\\.(" use[m] ")([^A-Za-z0-9_'\'']|$)")) {
       before = substr(rest, 1, RSTART - (substr(rest, RSTART, 1) ~ /[A-Z]/))
       after = substr(rest, RSTART + RLENGTH - 1)
       rest = after
@@ -61,7 +61,12 @@ awk \
     }
     return 0
   }
-  FNR == 1 { depth = 0 }
+  # The modules this file must not use, and the libraries that hold them.
+  FNR == 1 {
+    depth = 0; names = "Engine|Network|Transport|Dispatcher|Cpu"; libs = "Bft_sim|Bft_net"
+    if (FILENAME ~ /(^|\/)replica\.ml$/) { names = names "|Rng"; libs = libs "|Bft_util" }
+    mods = "(" names ")"
+  }
   {
     out = ""
     line = $0
@@ -78,14 +83,14 @@ awk \
       }
     }
     bad = 0
-    for (m in use) if (calls(out, m)) bad = 1
+    for (m in use) if ((m != "Rng" || names ~ /Rng/) && calls(out, m)) bad = 1
     # An alias must keep the name, or the checks above cannot see through it.
     if (match(out, "module[ \t]+" id "+[ \t]*=[ \t]*[A-Za-z0-9_.]*" mods "[ \t]*$")) {
       alias = out; sub(/^.*module[ \t]+/, "", alias); sub(/[ \t]*=.*$/, "", alias)
       target = out; sub(/[ \t]*$/, "", target); sub(/^.*[ .=]/, "", target)
       if (alias != target) bad = 1
     }
-    if (out ~ "(^|[^A-Za-z0-9_'\''])(open|include)!?[ \t]+([A-Za-z0-9_]+\\.)*(" substr(mods, 2, length(mods) - 2) "|Bft_sim|Bft_net)([^A-Za-z0-9_'\'']|$)") bad = 1
+    if (out ~ "(^|[^A-Za-z0-9_'\''])(open|include)!?[ \t]+([A-Za-z0-9_]+\\.)*(" names "|" libs ")([^A-Za-z0-9_'\'']|$)") bad = 1
     if (out ~ "(^|[^A-Za-z0-9_'\''])" mods "\\.\\(") bad = 1
     if (bad) { print FILENAME ":" FNR ": " $0; found = 1 }
   }

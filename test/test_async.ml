@@ -16,10 +16,12 @@
    that every replica's client table ends at each client's read-write
    timestamp. Another hundred reboot replica 3 between two rounds of
    read-write operations ([Replica.restart]) and check that it keeps
-   nothing above its stable checkpoint and then catches up. A hand-written
-   schedule shows what the commit quorum is for: the PREPAREs for seq 1
-   reach only replica 3 while the others change view and order another
-   request there. *)
+   nothing above its stable checkpoint and then catches up. Three hundred
+   more run replica 3 mute, replaying or inflating its replies' view,
+   through the wire-fault wrapper [Cluster] gives every replica
+   ([Behavior.env]). A hand-written schedule shows what the commit quorum
+   is for: the PREPAREs for seq 1 reach only replica 3 while the others
+   change view and order another request there. *)
 
 open Bft_core
 module Fingerprint = Bft_crypto.Fingerprint
@@ -53,6 +55,7 @@ type world = {
   mutable clock : float;
   mutable flight : datagram list;  (* newest first *)
   mutable sent : int;
+  mutable from_3 : datagram list;  (* what replica 3 put in flight, newest first *)
   mutable timers : (timer_key * float * (unit -> unit)) list;  (* arm order *)
   mutable one_shots : int;
   mutable replicas : Replica.t array;
@@ -64,6 +67,11 @@ type world = {
 
 (* --- the driver's side of [Env.t] -------------------------------------- *)
 
+let put w d =
+  w.flight <- d :: w.flight;
+  w.sent <- w.sent + 1;
+  if d.src = 3 then w.from_3 <- d :: w.from_3
+
 let post w ~src ~dst ~commits msg =
   let env =
     {
@@ -74,10 +82,7 @@ let post w ~src ~dst ~commits msg =
     }
   in
   let wire = Message.encode_envelope env in
-  w.flight <-
-    { id = w.sent; src; dst; env; wire; size = Message.envelope_size env wire }
-    :: w.flight;
-  w.sent <- w.sent + 1
+  put w { id = w.sent; src; dst; env; wire; size = Message.envelope_size env wire }
 
 let cancel w key = w.timers <- List.filter (fun (k, _, _) -> k <> key) w.timers
 
@@ -97,14 +102,6 @@ let env w i =
     multicast =
       (fun ~commits msg ->
         List.iter (fun dst -> post w ~src:i ~dst ~commits msg) (others i));
-    replay =
-      (fun ~wire ~size ->
-        List.iter
-          (fun dst ->
-            let env = Message.decode_envelope wire in
-            w.flight <- { id = w.sent; src = i; dst; env; wire; size } :: w.flight;
-            w.sent <- w.sent + 1)
-          (others i));
     check = (fun _ -> Transport.Accepted);
     arm = (fun timer ~delay fn -> arm w (Slot (i, timer)) ~delay fn);
     cancel = (fun timer -> cancel w (Slot (i, timer)));
@@ -118,6 +115,20 @@ let env w i =
     cpu_now = (fun () -> w.clock);
     trace = (fun ~vtime:_ ~node:_ ?seqno:_ ?view:_ ?req_id:_ ?detail:_ _ -> ());
   }
+
+(* Replica [i]'s record, wrapped with the wire faults of its behaviour as
+   [Cluster] wraps it; a replayed datagram goes back in flight, as it
+   arrived, to every other replica. *)
+let replica_env w i rng =
+  Behavior.env
+    ~current:(fun () -> Replica.behavior w.replicas.(i))
+    ~rng ~ring:(Behavior.ring ())
+    ~inject:(fun ~wire ~size ->
+      let env = Message.decode_envelope wire in
+      List.iter
+        (fun dst -> put w { id = w.sent; src = i; dst; env; wire; size })
+        (others i))
+    (env w i)
 
 (* --- clients ------------------------------------------------------------- *)
 
@@ -145,14 +156,16 @@ let fire w (key, deadline, fn) =
   w.clock <- Float.max w.clock deadline;
   fn ()
 
-(* Each client is to invoke [ops] in turn. *)
-let create ?(unsafe_no_commit_quorum = false) ops =
+(* Each client is to invoke [ops] in turn; replica 3 behaves as
+   [byzantine]. *)
+let create ?(unsafe_no_commit_quorum = false) ?(byzantine = Behavior.Correct) ops =
   let config = Config.make ~f ~unsafe_no_commit_quorum () in
   let w =
     {
       clock = 0.0;
       flight = [];
       sent = 0;
+      from_3 = [];
       timers = [];
       one_shots = 0;
       replicas = [||];
@@ -172,11 +185,12 @@ let create ?(unsafe_no_commit_quorum = false) ops =
   let root = Rng.of_int 7 in
   w.replicas <-
     Array.init n (fun i ->
-        Replica.create ~config ~env:(env w i)
+        Replica.create ~config
+          ~env:(replica_env w i (Rng.split root (Printf.sprintf "replica%d" i)))
           ~keychain:(Keychain.create ~master:"async" ~self:i principals)
           ~cal:Bft_sim.Calibration.default ~replicas ~lookup_client
           ~service:(Service.null ())
-          ~rng:(Rng.split root (Printf.sprintf "replica%d" i))
+          ~behavior:(if i = 3 then byzantine else Behavior.Correct)
           ~trail ());
   w.clients <-
     Array.init clients (fun i ->
@@ -239,15 +253,19 @@ let settle w rng ~seed ops =
     invoke_next w i
   done;
   if not (run w rng ~max_steps:20_000 ~until:settled) then
-    Alcotest.failf "seed %d: no agreement on every request after 20000 steps\n%s"
+    Alcotest.failf
+      "seed %d, replica 3 %s: no agreement on every request after 20000 steps\n%s"
       seed
+      (Behavior.to_string (Replica.behavior w.replicas.(3)))
       (String.concat "\n" (Array.to_list (Array.map pp_trail w.replicas)))
 
-let test_random_schedules () =
+let random_schedules ?(byzantine = Behavior.Correct) () =
   for seed = 1 to 100 do
-    let w = create [] in
+    let w = create ~byzantine [] in
     settle w (Rng.of_int seed) ~seed [ (true, read_only_op); (false, read_write_op) ];
-    let label what = Printf.sprintf "seed %d: %s" seed what in
+    let label what =
+      Printf.sprintf "seed %d, replica 3 %s: %s" seed (Behavior.to_string byzantine) what
+    in
     (* Both operations of each client completed and were not rejected, and
        every replica's client table holds each client's read-write
        timestamp (2: the read-only operation took 1) as finally executed. *)
@@ -267,8 +285,37 @@ let test_random_schedules () =
           (label (Printf.sprintf "replica %d's last request per client" i))
           (List.map (fun c -> (Client.id c, 2L)) (Array.to_list w.clients))
           (List.map (fun (c, ts, _) -> (c, ts)) (Replica.client_replies r)))
-      w.replicas
+      w.replicas;
+    let sent p = List.exists p w.from_3 in
+    match byzantine with
+    | Behavior.Mute ->
+      check Alcotest.int (label "replica 3 sent nothing") 0 (List.length w.from_3)
+    | Behavior.Replay ->
+      check Alcotest.bool (label "replica 3 replayed") true
+        (sent (fun d -> d.env.Message.sender <> 3))
+    | Behavior.Inflate_view k ->
+      check Alcotest.bool (label "replica 3 inflated a reply's view") true
+        (sent (fun d ->
+             match d.env.Message.msg with
+             | Message.Reply r -> r.Message.view >= k
+             | _ -> false));
+      Array.iter
+        (List.iter (fun o ->
+             check Alcotest.bool (label "no outcome in an inflated view") true
+               (o.Client.view < k)))
+        w.outcomes
+    | _ -> ()
   done
+
+let test_random_schedules () = random_schedules ()
+
+(* The first Byzantine principal with no engine: replica 3's wire faults
+   wrap this driver's record, and the three correct replicas must still
+   complete every operation, agree, and keep replica 3 level with them. *)
+let test_byzantine_schedules () =
+  List.iter
+    (fun byzantine -> random_schedules ~byzantine ())
+    [ Behavior.Mute; Behavior.Replay; Behavior.Inflate_view 1_000_000 ]
 
 (* A reboot between two rounds of read-write operations, with no engine:
    right after [Replica.restart] replica 3 holds nothing above its stable
@@ -406,5 +453,7 @@ let () =
           Alcotest.test_case "seq 1 split: tentative execution rolls back" `Quick
             test_split_seq1_safe;
           Alcotest.test_case "restart between two rounds" `Quick test_restart;
+          Alcotest.test_case "replica 3 mute, replaying or inflating views" `Quick
+            test_byzantine_schedules;
         ] );
     ]

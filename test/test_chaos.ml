@@ -80,6 +80,19 @@ let validate_rejects () =
         action = Plan.Behavior_switch (1, Bft_core.Behavior.Crash_at 1.0);
       };
     ];
+  (* Values the engine cannot run: a negative CPU charge, or no end. *)
+  let slow s = Plan.Behavior_switch (1, Bft_core.Behavior.Slow s) in
+  List.iter
+    (fun (what, at, action) -> expect_error what [ { Plan.at; action } ])
+    [
+      ("negative slow", 0.5, slow (-0.5));
+      ("NaN slow", 0.5, slow Float.nan);
+      ("NaN time", Float.nan, Plan.Crash 1);
+      ("infinite time", Float.infinity, Plan.Heal);
+      ("NaN probability", 0.1, Plan.Set_dup Float.nan);
+      ("NaN rate", 0.5, Plan.Load_spike { rate = Float.nan; duration = 1.0 });
+      ("infinite duration", 0.5, Plan.Load_ramp { rate_to = 1.; duration = Float.infinity });
+    ];
   match
     Plan.validate ~n:4
       [ { Plan.at = 0.1; action = Plan.Partition [ [ 0 ]; [ 1; 2; 3 ] ] } ]

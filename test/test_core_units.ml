@@ -606,7 +606,6 @@ let make_crig () =
     {
       Env.send = (fun _ msg -> sent msg);
       multicast = (fun ~commits:_ msg -> sent msg);
-      replay = (fun ~wire:_ ~size:_ -> ());
       check = (fun _ -> Transport.Accepted);
       arm = (fun _ ~delay:_ _ -> ());
       cancel = ignore;

@@ -1,7 +1,6 @@
 (* Tests for the discrete-event engine, timers, CPU model and calibration. *)
 
 module Engine = Bft_sim.Engine
-module Timer = Bft_sim.Timer
 module Cpu = Bft_sim.Cpu
 module Calibration = Bft_sim.Calibration
 
@@ -89,49 +88,50 @@ let test_engine_step () =
 let test_timer_fires () =
   let e = Engine.create () in
   let fired = ref false in
-  let _t = Timer.start e ~delay:1.0 (fun () -> fired := true) in
+  let _ev = Engine.schedule_event e ~delay:1.0 (fun () -> fired := true) in
   Engine.run e;
   check Alcotest.bool "fired" true !fired
 
 let test_timer_cancel () =
   let e = Engine.create () in
   let fired = ref false in
-  let t = Timer.start e ~delay:1.0 (fun () -> fired := true) in
-  Timer.cancel t;
+  let ev = Engine.schedule_event e ~delay:1.0 (fun () -> fired := true) in
+  Engine.cancel ev;
   Engine.run e;
   check Alcotest.bool "cancelled" false !fired;
-  check Alcotest.bool "inactive" false (Timer.active t)
+  check Alcotest.bool "inactive" false (Engine.is_scheduled ev)
 
 let test_timer_restart () =
   let e = Engine.create () in
   let hits = ref [] in
-  let t = Timer.start e ~delay:1.0 (fun () -> hits := "old" :: !hits) in
-  let _t2 = Timer.restart e t ~delay:2.0 (fun () -> hits := "new" :: !hits) in
+  let ev = Engine.schedule_event e ~delay:1.0 (fun () -> hits := "old" :: !hits) in
+  Engine.cancel ev;
+  let _ev2 = Engine.schedule_event e ~delay:2.0 (fun () -> hits := "new" :: !hits) in
   Engine.run e;
   check (Alcotest.list Alcotest.string) "only new" [ "new" ] !hits
 
 let test_timer_never () =
-  check Alcotest.bool "never inactive" false (Timer.active Timer.never)
+  check Alcotest.bool "never inactive" false (Engine.is_scheduled Engine.no_event)
 
 let test_timer_cancel_leaves_queue () =
-  (* A cancelled timer leaves the event queue at once. *)
+  (* A cancelled event leaves the queue at once. *)
   let e = Engine.create () in
   let timers =
     List.init 1000 (fun i ->
-        Timer.start e ~delay:(float_of_int (i mod 7)) (fun () ->
+        Engine.schedule_event e ~delay:(float_of_int (i mod 7)) (fun () ->
             Alcotest.fail "cancelled timer fired"))
   in
   check Alcotest.int "queued" 1000 (Engine.pending e);
-  List.iter Timer.cancel timers;
+  List.iter Engine.cancel timers;
   check Alcotest.int "none left" 0 (Engine.pending e);
   (* survivors of a partial cancel still fire in time, then FIFO, order *)
   let fired = ref [] in
   let timers =
     List.init 10 (fun i ->
-        Timer.start e ~delay:(float_of_int (i mod 3)) (fun () ->
+        Engine.schedule_event e ~delay:(float_of_int (i mod 3)) (fun () ->
             fired := i :: !fired))
   in
-  List.iteri (fun i t -> if i mod 2 = 1 then Timer.cancel t) timers;
+  List.iteri (fun i t -> if i mod 2 = 1 then Engine.cancel t) timers;
   check Alcotest.int "half left" 5 (Engine.pending e);
   Engine.run e;
   check (Alcotest.list Alcotest.int) "order" [ 0; 6; 4; 2; 8 ] (List.rev !fired)
