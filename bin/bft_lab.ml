@@ -102,7 +102,7 @@ let ranged conv (what, ok) name default ~doc =
 let any_int = ("an integer", fun _ -> true)
 let size = ("a non-negative integer", fun v -> v >= 0)
 let count = ("a positive integer", fun v -> v >= 1)
-let positive = ("a positive number", fun v -> v > 0.0)
+let positive = ("a positive number", fun v -> Float.is_finite v && v > 0.0)
 let int_arg range = ranged Arg.int range
 let float_arg range = ranged Arg.float range
 

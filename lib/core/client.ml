@@ -90,7 +90,6 @@ type t = {
   config : Config.t;
   env : Env.t;
   id : client_id;
-  replicas : Transport.peer array;
   rng : Rng.t;
   mutable next_ts : int64;
   mutable pending : pending option;
@@ -144,25 +143,14 @@ let view_estimate t =
   in
   pick 0
 
-let primary_peer t = t.replicas.(primary_of_view ~n:t.config.Config.n (view_estimate t))
-
-(* Where a fresh request goes. In rotating-ordering mode clients are
-   spread over the orderers by the same (client + view) mod n map the
-   replicas use, so ingestion cost is divided n ways instead of
-   concentrating on the view primary. Retransmissions multicast (see
-   [retransmit]), so a wrong estimate costs one timeout, never liveness. *)
-let home_peer t =
-  match t.config.Config.ordering with
-  | Config.Single_primary -> primary_peer t
-  | Config.Rotating _ ->
-    t.replicas.((id t + view_estimate t) mod t.config.Config.n)
-
-(* The replica whose BUSY (admission-control shed) replies are credible:
-   the one our fresh requests are routed to. *)
-let shedding_orderer t =
-  match t.config.Config.ordering with
-  | Config.Single_primary -> primary_of_view ~n:t.config.Config.n (view_estimate t)
-  | Config.Rotating _ -> (id t + view_estimate t) mod t.config.Config.n
+(* The orderer our fresh requests are routed to, and the one replica
+   whose BUSY (admission-control shed) replies are credible. In
+   rotating-ordering mode clients are spread over the orderers, so
+   ingestion cost is divided n ways instead of concentrating on the view
+   primary. Retransmissions multicast (see [retransmit]), so a wrong view
+   estimate costs one timeout, never liveness. *)
+let home_orderer t =
+  Config.home_orderer t.config ~view:(view_estimate t) ~client:(id t)
 
 let request_of t p =
   {
@@ -183,7 +171,7 @@ let transmit t p =
        && Payload.size p.op > Config.inline_threshold)
   in
   if multicast_it then t.env.multicast ~commits:[] msg
-  else t.env.send (home_peer t) msg
+  else t.env.send (home_orderer t) msg
 
 (* Jittered exponential backoff: [base * min(cap, 2^attempt)], then
    stretched by a seeded jitter factor in [1.0, 1.25) so that a burst of
@@ -388,12 +376,11 @@ let handle_reply t p (r : Message.reply) =
       check_acceptance t p ~digest:record.rr_digest (tally_add p record)
   end
 
-let create ~config ~env ~id ~replicas ~rng () =
+let create ~config ~env ~id ~rng () =
   {
     config;
     env;
     id;
-    replicas;
     rng;
     next_ts = 0L;
     pending = None;
@@ -416,7 +403,7 @@ let receive t (rx : Message.received) =
       | Some p
         when b.Message.bz_timestamp = p.ts
              && envelope.Message.sender = b.Message.bz_replica
-             && b.Message.bz_replica = shedding_orderer t ->
+             && b.Message.bz_replica = home_orderer t ->
         handle_busy t p
       | _ -> bump t Busy_stale)
     | _ -> bump t Unexpected)

@@ -40,12 +40,12 @@ val create :
   config:Config.t ->
   env:Env.t ->
   id:Types.client_id ->
-  replicas:Transport.peer array ->
   rng:Bft_util.Rng.t ->
   unit ->
   t
-(** Client principal [id], whose requests go to [replicas] (indexed by
-    replica id) through [env]. *)
+(** Client principal [id], which acts through [env] and sends its
+    requests to the replicas [0 .. n-1] by id: a fresh request to
+    {!Config.home_orderer} over its view estimate. *)
 
 val receive : t -> Message.received -> unit
 (** Handle one inbound datagram: the sink its machine's dispatcher

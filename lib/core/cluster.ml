@@ -24,14 +24,13 @@ type t = {
   client_principal_base : int;
   root_rng : Rng.t;
   replicas : Replica.t array;
-  replica_peers : Transport.peer array;
+  book : Transport.peer Int_tbl.t;
+      (* the address book: the machine of every replica and admitted client *)
   replica_transports : Transport.t array;
   replay_rings : Behavior.ring array;
   client_machines : client_machine array;
   principals : Keychain.deployment;  (* shared by every keychain below *)
-  client_peers : Transport.peer Int_tbl.t;
-  client_env : transport:Transport.t -> Env.t;
-      (* a client's effects; every client multicasts to the same replicas *)
+  env : transport:Transport.t -> Env.t;  (* every principal's effects *)
   mutable clients : Client.t list;  (* newest first *)
   mutable monitors : Monitor.t list;  (* attached health monitors *)
 }
@@ -56,7 +55,7 @@ let correct_replicas t =
   Array.to_list t.replicas
   |> List.filter (fun r -> Behavior.is_correct (Replica.behavior r))
 
-let replica_node t i = t.replica_peers.(i).Transport.node
+let replica_node t i = (Int_tbl.find t.book i).Transport.node
 
 let crash_replica t i = Network.set_up t.network (replica_node t i) false
 
@@ -186,25 +185,41 @@ let timer_slot = function
   | Env.Flush_timer -> 2
   | Env.State_timer -> 3
 
-(* Every principal's effects over [network]: [principal_env network
-   ~transport ~others] is the record of [transport]'s principal, replica
-   or client, over that transport, its machine's CPU, the network's engine
-   and trace sink, with an engine event per timer slot; [others] are the
-   replicas it multicasts to. The members that read only the engine or the
-   trace sink are built once per network and shared by every record. *)
-let principal_env network =
+(* Every principal's effects over [network]: [principal_env network ~book
+   ~n ~transport] is the record of [transport]'s principal, replica or
+   client, over that transport, its machine's CPU, the network's engine and
+   trace sink, with an engine event per timer slot. [book] maps each
+   principal to its machine: [send] looks its destination up there, and
+   [multicast] goes to the replicas [0 .. n-1] but this principal. The
+   members that read only the engine or the trace sink, and the replica
+   list every client multicasts to, are built once, when [principal_env
+   network ~book ~n] is applied (with the replicas in [book]), and shared
+   by every record. *)
+let principal_env network ~book ~n =
   let engine = Network.engine network and sink = Network.trace network in
+  let replicas = List.init n (Int_tbl.find book) in
   let after ~delay fn = Engine.schedule engine ~delay fn
   and now () = Engine.now engine
   and trace ~vtime ~node ?seqno ?view ?req_id ?detail kind =
     if Trace.enabled sink then
       Trace.emit sink ~vtime:(vtime ()) ~node ?seqno ?view ?req_id ?detail kind
   in
-  fun ~transport ~others ->
+  fun ~transport ->
     let cpu = Network.node_cpu network (Transport.node transport) in
+    let self = Transport.principal transport in
+    let others =
+      if self < n then List.filter (fun (p : Transport.peer) -> p.principal <> self) replicas
+      else replicas
+    in
     let timers = Array.make 4 Engine.no_event in
     {
-      Env.send = (fun dst msg -> Transport.send transport ~dst msg);
+      Env.send =
+        (fun dst msg ->
+          (* A principal with no machine (never admitted, or outside the
+             deployment) has nowhere to receive: the send is dropped. *)
+          match Int_tbl.find book dst with
+          | peer -> Transport.send transport ~dst:peer msg
+          | exception Not_found -> ());
       multicast =
         (fun ~commits msg -> Transport.multicast transport ~commits ~dsts:others msg);
       check = Transport.check transport;
@@ -261,9 +276,10 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
         let cpu = Cpu.create engine () in
         Network.add_node network ~cpu ~name ())
   in
-  let replica_peers =
-    Array.init n (fun i -> { Transport.principal = i; node = replica_nodes.(i) })
-  in
+  let book = Int_tbl.create 64 in
+  Array.iteri
+    (fun i node -> Int_tbl.replace book i { Transport.principal = i; node })
+    replica_nodes;
   (* Client machines (the paper used 5, two of them 700 MHz). *)
   let client_machines =
     Array.init (Stdlib.max 1 client_machines) (fun i ->
@@ -272,11 +288,8 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
         let node = Network.add_node network ~cpu ~name () in
         { cm_node = node; cm_dispatcher = Dispatcher.install network node })
   in
-  let client_peers = Int_tbl.create 64 in
-  let lookup_client c = Int_tbl.find_opt client_peers c in
   let trail = Trail.group () in
-  let principal_env = principal_env network in
-  let all_replicas = Array.to_list replica_peers in
+  let env = principal_env network ~book ~n in
   let replay_rings = Array.init n (fun _ -> Behavior.ring ()) in
   let members =
     Array.init n (fun i ->
@@ -295,10 +308,9 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
               Network.set_up network replica_nodes.(i) false)
         | _ -> ());
         Transport.set_corrupt_auth transport (behavior = Behavior.Forge_auth);
-        let others =
-          List.filter (fun (p : Transport.peer) -> p.principal <> i) all_replicas
+        let other_nodes =
+          List.filter (fun node -> node <> replica_nodes.(i)) (Array.to_list replica_nodes)
         in
-        let other_nodes = List.map (fun (p : Transport.peer) -> p.node) others in
         (* The wire faults read the replica's behaviour at every call, so
            [set_behavior] switches them too, and count its replays; neither
            runs before [create] returns. *)
@@ -316,8 +328,8 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
                         "replay.injected";
                       Network.multicast network ~src:replica_nodes.(i)
                         ~dsts:other_nodes ~size wire)
-                    (principal_env ~transport ~others))
-               ~keychain ~cal ~replicas:replica_peers ~lookup_client
+                    (env ~transport))
+               ~keychain ~cal
                ~service:(service i) ~behavior ~trail ())
         in
         let replica = Lazy.force replica in
@@ -336,13 +348,12 @@ let create ?(cal = Calibration.default) ?(seed = 42) ?(client_machines = 5)
     client_principal_base;
     root_rng;
     replicas;
-    replica_peers;
+    book;
     replica_transports;
     replay_rings;
     client_machines;
     principals;
-    client_peers;
-    client_env = principal_env ~others:all_replicas;
+    env;
     clients = [];
     monitors = [];
   }
@@ -351,8 +362,7 @@ let add_client t =
   let principal = Keychain.admit_client t.principals in
   let idx = principal - t.client_principal_base in
   let machine = t.client_machines.(idx mod Array.length t.client_machines) in
-  Int_tbl.replace t.client_peers principal
-    { Transport.principal; node = machine.cm_node };
+  Int_tbl.replace t.book principal { Transport.principal; node = machine.cm_node };
   let keychain = Keychain.create ~master:t.master ~self:principal t.principals in
   let transport =
     Transport.create t.network ~keychain ~node:machine.cm_node
@@ -360,8 +370,8 @@ let add_client t =
   in
   let client =
     Client.create ~config:t.config
-      ~env:(t.client_env ~transport)
-      ~id:principal ~replicas:t.replica_peers
+      ~env:(t.env ~transport)
+      ~id:principal
       ~rng:(Rng.split t.root_rng (Printf.sprintf "client%d" principal))
       ()
   in

@@ -81,3 +81,8 @@ let validate t =
     | Rotating { epoch_length } ->
       if epoch_length < 1 then Error "epoch length must be positive"
       else Ok ()
+
+let home_orderer t ~view ~client =
+  match t.ordering with
+  | Single_primary -> Types.primary_of_view ~n:t.n view
+  | Rotating _ -> (client + view) mod t.n

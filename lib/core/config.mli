@@ -107,3 +107,10 @@ val make :
     paper measured but did not ship), K = 128, L = 256. *)
 
 val validate : t -> (unit, string) result
+
+val home_orderer : t -> view:Types.view -> client:Types.client_id -> Types.replica_id
+(** The orderer [client]'s fresh requests go to in [view]: the view's
+    primary, or [(client + view) mod n] under [Rotating], so a view change
+    re-homes the clients of a failed orderer. The replicas and the client
+    (over its view estimate) both decide by this function, and a client
+    credits a BUSY only from it. *)

@@ -7,8 +7,11 @@
     of the engine, timers, CPU model, network, transport or dispatcher, nor
     emits a trace event itself (test/check_seam.sh keeps it so); cost
     figures ({!Bft_sim.Calibration}), the keychain and the CPU categories
-    stay plain values. {!Cluster} builds every principal's record, with one
-    builder, over its {!Transport}, machine CPU, engine and trace sink, and
+    stay plain values. A principal names every other by its id alone,
+    never by a machine: which machine a principal runs on is the business
+    of the record's builder, which keeps the address book. {!Cluster}
+    builds every principal's record, with one builder, over its
+    {!Transport}, machine CPU, engine, trace sink and address book, and
     wraps a replica's with the wire faults of its behaviour
     ({!Behavior.env}); a test can build one over a driver of its own. Each
     member runs its effect when called, so effects happen in call order. *)
@@ -20,7 +23,9 @@
 type timer = Vc_timer | Resend_timer | Flush_timer | State_timer
 
 type t = {
-  send : Transport.peer -> Message.t -> unit;
+  send : int -> Message.t -> unit;
+      (** to the principal with this id; the builder drops a send to a
+          principal that runs on no machine *)
   multicast : commits:Message.commit list -> Message.t -> unit;
       (** to every replica but this principal, with piggybacked [commits] *)
   check : Message.received -> Transport.verdict;

@@ -91,8 +91,6 @@ type t = {
   env : Env.t;
   keychain : Keychain.t;
   cal : Calibration.t;
-  replicas : Transport.peer array;
-  lookup_client : client_id -> Transport.peer option;
   service : Service.t;
   mutable behavior : Behavior.t;
   metrics : Metrics.t;
@@ -223,15 +221,9 @@ let ordered_pre_prepare t seq entries =
 (* In rotating mode every replica is an orderer (of its own slots). *)
 let is_orderer t = rotating t || is_primary t
 
-(* The ordering replica a client's fresh requests are routed to. The map
-   shifts with the view so a view change re-homes the clients of a failed
-   orderer; clients compute the same function over their view estimate. *)
-let home_orderer t client =
-  match t.config.Config.ordering with
-  | Config.Single_primary -> primary_id t
-  | Config.Rotating _ -> (client + t.view) mod t.config.Config.n
-
-let orders_for t client = home_orderer t client = t.id
+(* Whether a client's fresh requests are routed to us; clients decide by
+   the same function over their view estimate. *)
+let orders_for t client = Config.home_orderer t.config ~view:t.view ~client = t.id
 
 (* Health-monitor gauge: who must propose the next uncommitted slot. *)
 let ordering_owner t = seq_owner t (t.v.last_committed + 1)
@@ -636,65 +628,59 @@ and maybe_cancel_waiting_timer t =
 (* --- replies ----------------------------------------------------------- *)
 
 and send_reply t (r : Message.request) result ~tentative =
-  match t.lookup_client r.Message.client with
-  | None -> Metrics.incr t.metrics "reply.unknown_client"
-  | Some dst ->
-    let result =
-      match t.behavior with
-      | Behavior.Corrupt_replies ->
-        { Payload.data = result.Payload.data ^ "\xde\xad"; pad = result.Payload.pad }
-      | _ -> result
-    in
-    let full =
-      r.Message.full_replies || r.Message.replier = t.id || r.Message.replier < 0
-      || not t.config.Config.digest_replies
-    in
-    (* Non-designated replicas digest the result to build the digest reply;
-       the designated replier's digest is charged by the transport when it
-       hashes the full reply message. *)
-    if not full then
-      charge ~cat:Cpu.Digest t
-        (Calibration.digest_cost t.cal (Payload.size result));
-    let body =
-      if full then Message.Full_result result
-      else Message.Result_digest (Payload.digest result)
-    in
-    let reply =
-      {
-        Message.view = t.view;
-        timestamp = r.Message.timestamp;
-        client = r.Message.client;
-        replica = t.id;
-        tentative;
-        epoch = Keychain.epoch t.keychain ~peer:0;
-        body;
-      }
-    in
-    emit_trace t ~view:t.view ~req_id:(trace_req r)
-      ~detail:(if tentative then "tentative" else "final")
-      Trace.Reply_sent;
-    t.env.send dst (Message.Reply reply)
+  let result =
+    match t.behavior with
+    | Behavior.Corrupt_replies ->
+      { Payload.data = result.Payload.data ^ "\xde\xad"; pad = result.Payload.pad }
+    | _ -> result
+  in
+  let full =
+    r.Message.full_replies || r.Message.replier = t.id || r.Message.replier < 0
+    || not t.config.Config.digest_replies
+  in
+  (* Non-designated replicas digest the result to build the digest reply;
+     the designated replier's digest is charged by the transport when it
+     hashes the full reply message. *)
+  if not full then
+    charge ~cat:Cpu.Digest t
+      (Calibration.digest_cost t.cal (Payload.size result));
+  let body =
+    if full then Message.Full_result result
+    else Message.Result_digest (Payload.digest result)
+  in
+  let reply =
+    {
+      Message.view = t.view;
+      timestamp = r.Message.timestamp;
+      client = r.Message.client;
+      replica = t.id;
+      tentative;
+      epoch = Keychain.epoch t.keychain ~peer:0;
+      body;
+    }
+  in
+  emit_trace t ~view:t.view ~req_id:(trace_req r)
+    ~detail:(if tentative then "tentative" else "final")
+    Trace.Reply_sent;
+  t.env.send r.Message.client (Message.Reply reply)
 
 (* Admission control (overload protection): tell the client explicitly
    that its request was shed instead of silently queueing it. The envelope
    MAC vector authenticates the BUSY like any other protocol message. *)
 and send_busy t (r : Message.request) =
   Metrics.incr t.metrics "admission.shed";
-  match t.lookup_client r.Message.client with
-  | None -> Metrics.incr t.metrics "reply.unknown_client"
-  | Some dst ->
-    let busy =
-      {
-        Message.bz_view = t.view;
-        bz_timestamp = r.Message.timestamp;
-        bz_client = r.Message.client;
-        bz_replica = t.id;
-        bz_queue = Queue.length t.v.pending;
-      }
-    in
-    emit_trace t ~view:t.view ~req_id:(trace_req r) ~detail:"busy"
-      Trace.Reply_sent;
-    t.env.send dst (Message.Busy busy)
+  let busy =
+    {
+      Message.bz_view = t.view;
+      bz_timestamp = r.Message.timestamp;
+      bz_client = r.Message.client;
+      bz_replica = t.id;
+      bz_queue = Queue.length t.v.pending;
+    }
+  in
+  emit_trace t ~view:t.view ~req_id:(trace_req r) ~detail:"busy"
+    Trace.Reply_sent;
+  t.env.send r.Message.client (Message.Busy busy)
 
 (* Bounded admission queue: admit [r] to the primary's pending queue,
    shedding per the configured policy when full. [record_ts] marks the
@@ -975,7 +961,7 @@ and on_get_state t (g : Message.get_state) =
   then begin
     let snapshot = Lazy.force t.stable_snapshot in
     if Payload.size snapshot <= 4 * Merkle.page_size then
-      t.env.send t.replicas.(g.Message.replica)
+      t.env.send g.Message.replica
         (Message.State
            {
              seq = t.last_stable;
@@ -989,7 +975,7 @@ and on_get_state t (g : Message.get_state) =
       let digests = Merkle.page_digests (Merkle.paginate snapshot) in
       charge ~cat:Cpu.Digest t
         (Calibration.digest_cost t.cal (Payload.size snapshot) /. 4.0);
-      t.env.send t.replicas.(g.Message.replica)
+      t.env.send g.Message.replica
         (Message.State_meta
            {
              sm_seq = t.last_stable;
@@ -1057,7 +1043,7 @@ and begin_page_fetch t src seq digest target_pages =
   | [] -> finish_page_fetch t ctx
   | missing ->
     Metrics.incr ~by:(List.length missing) t.metrics "state.pages_requested";
-    t.env.send t.replicas.(src)
+    t.env.send src
       (Message.Get_pages { gp_seq = seq; gp_indexes = missing; gp_replica = t.id })
 
 and on_get_pages t (g : Message.get_pages) =
@@ -1087,7 +1073,7 @@ and on_get_pages t (g : Message.get_pages) =
     in
     List.iter
       (fun chunk ->
-        t.env.send t.replicas.(g.Message.gp_replica)
+        t.env.send g.Message.gp_replica
           (Message.Pages { pg_seq = g.Message.gp_seq; pg_pages = chunk }))
       (chunks [] selected)
   end
@@ -1272,12 +1258,10 @@ and send_pre_prepare t seq entries digests =
     (* Equivocate: half the backups see a different batch for this seq. *)
     let pp = { Message.view = t.view; seq; entries } in
     let alt = { Message.view = t.view; seq; entries = [ Message.Null_entry ] } in
-    Array.iter
-      (fun (p : Transport.peer) ->
-        if p.principal <> t.id then
-          t.env.send p
-            (Message.Pre_prepare (if p.principal mod 2 = 1 then alt else pp)))
-      t.replicas
+    for i = 0 to t.config.Config.n - 1 do
+      if i <> t.id then
+        t.env.send i (Message.Pre_prepare (if i mod 2 = 1 then alt else pp))
+    done
   | _ -> multicast_proposal t seq entries);
   Metrics.incr t.metrics "preprepare.sent";
   emit_trace t ~seqno:seq ~view:t.view
@@ -1535,7 +1519,7 @@ and echo_commit_if_finalized t sender (slot : Log.slot) =
   if slot.Log.finalized && sender <> t.id then
     match slot.Log.pp_digest with
     | Some digest ->
-      t.env.send t.replicas.(sender)
+      t.env.send sender
         (Message.Commit { view = t.view; seq = slot.Log.seq; digest; replica = t.id })
     | None -> ()
 
@@ -1632,7 +1616,7 @@ and send_resolved t ~dst ~view seq entries =
         | (Message.Full _ | Message.Null_entry) as e -> e)
       entries
   in
-  t.env.send t.replicas.(dst)
+  t.env.send dst
     (Message.Pre_prepare { view; seq; entries = resolved })
 
 (* --- requests ----------------------------------------------------------- *)
@@ -1812,7 +1796,7 @@ and on_view_change t sender (vc : Message.view_change) =
   (if sender = vc.Message.replica && vc.Message.next_view <= t.view then
      match t.v.last_nv with
      | Some nv when nv.Message.view >= vc.Message.next_view && sender <> t.id ->
-       t.env.send t.replicas.(sender) (Message.New_view nv)
+       t.env.send sender (Message.New_view nv)
      | _ -> ());
   if sender = vc.Message.replica && vc.Message.next_view > t.view then begin
     record_view_change t sender vc;
@@ -2008,7 +1992,7 @@ and on_status t sender (st : Message.status) =
     (if st.Message.st_view < t.view then
        match t.v.last_nv with
        | Some nv when nv.Message.view = t.view ->
-         t.env.send t.replicas.(sender) (Message.New_view nv)
+         t.env.send sender (Message.New_view nv)
        | _ -> ());
     if st.Message.st_view = t.view && not st.Message.st_vc then begin
       (* Resend the certificates for the next few slots the peer lacks. *)
@@ -2024,7 +2008,7 @@ and on_status t sender (st : Message.status) =
             send_resolved t ~dst:sender ~view:t.view seq entries;
             (match slot.Log.pp_digest with
             | Some digest when slot.Log.own_commit_sent || slot.Log.finalized ->
-              t.env.send t.replicas.(sender)
+              t.env.send sender
                 (Message.Commit { view = t.view; seq; digest; replica = t.id })
             | _ -> ())
           | _ -> ()
@@ -2033,7 +2017,7 @@ and on_status t sender (st : Message.status) =
       (* Behind our stable checkpoint: help it assemble the stable
          certificate so it can state-transfer. *)
       if st.Message.st_stable < t.last_stable then
-        t.env.send t.replicas.(sender)
+        t.env.send sender
           (Message.Checkpoint
              { seq = t.last_stable; digest = t.stable_digest; replica = t.id })
     end
@@ -2197,7 +2181,7 @@ let client_replies t =
     t.client_table []
   |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
 
-let create ~config ~env ~keychain ~cal ~replicas ~lookup_client ~service
+let create ~config ~env ~keychain ~cal ~service
     ?(behavior = Behavior.Correct) ~trail () =
   let t =
     {
@@ -2205,8 +2189,6 @@ let create ~config ~env ~keychain ~cal ~replicas ~lookup_client ~service
       env;
       keychain;
       cal;
-      replicas;
-      lookup_client;
       service;
       behavior;
       metrics = Metrics.create ();

@@ -28,14 +28,13 @@ val create :
   env:Env.t ->
   keychain:Bft_crypto.Keychain.t ->
   cal:Bft_sim.Calibration.t ->
-  replicas:Transport.peer array ->
-  lookup_client:(Types.client_id -> Transport.peer option) ->
   service:Service.t ->
   ?behavior:Behavior.t ->
   trail:Trail.group ->
   unit ->
   t
-(** The replica acts only through [env] ({!Env}). Its id is [keychain]'s
+(** The replica acts only through [env] ({!Env}), and names the replicas
+    and clients it sends to by their ids alone. Its id is [keychain]'s
     principal. [trail] is the execution-trail digest table the replicas of
     one group share (see {!Trail}). The replica itself acts out only the
     behaviours that need protocol state ([Two_faced], [Corrupt_replies],

@@ -1,8 +1,8 @@
 (** Shared identifier types for the BFT protocol. *)
 
 type replica_id = int
-(** Replicas are numbered [0 .. n-1]; they double as network node ids and
-    keychain principals. *)
+(** Replicas are numbered [0 .. n-1]; they double as keychain principals.
+    Which machine a principal runs on is {!Cluster}'s business. *)
 
 type client_id = int
 (** Clients are principals numbered from [n] upwards. *)

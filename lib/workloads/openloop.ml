@@ -30,20 +30,25 @@ type process =
     }
   | Ramp of { rate_to : float; start : float; duration : float }
 
+(* Each test below holds only for a wanted value: NaN fails every
+   comparison, and infinity fails [Float.is_finite]. *)
+let positive x = x > 0.0 && Float.is_finite x
+
 let validate_process = function
   | Poisson { rate } ->
-    if rate <= 0.0 then Error "poisson rate must be positive" else Ok ()
+    if positive rate then Ok () else Error "poisson rate must be positive and finite"
   | Square_wave { base_rate; burst_rate; period; duty } ->
-    if base_rate < 0.0 then Error "base rate must be non-negative"
-    else if burst_rate <= 0.0 then Error "burst rate must be positive"
-    else if period <= 0.0 then Error "period must be positive"
-    else if duty <= 0.0 || duty >= 1.0 then
+    if not (base_rate >= 0.0 && Float.is_finite base_rate) then
+      Error "base rate must be non-negative and finite"
+    else if not (positive burst_rate) then
+      Error "burst rate must be positive and finite"
+    else if not (positive period) then Error "period must be positive and finite"
+    else if not (duty > 0.0 && duty < 1.0) then
       Error "duty must be strictly between 0 and 1"
     else Ok ()
   | Ramp { rate_to; duration; _ } ->
-    if rate_to <= 0.0 || duration <= 0.0 then
-      Error "ramp rate and duration must be positive"
-    else Ok ()
+    if positive rate_to && positive duration then Ok ()
+    else Error "ramp rate and duration must be positive and finite"
 
 (* The constant-rate segment containing [now]: its rate and the instant it
    ends (for a ramp, of its thinning envelope). Comparisons are on absolute
@@ -180,7 +185,8 @@ let run ?config ?(seed = 42) ?(stubs = 32) ?(duration = 10.0)
   | Ok () -> ()
   | Error e -> invalid_arg ("Openloop.run: " ^ e));
   if stubs < 1 then invalid_arg "Openloop.run: stubs must be positive";
-  if duration <= 0.0 then invalid_arg "Openloop.run: duration must be positive";
+  if not (positive duration) then
+    invalid_arg "Openloop.run: duration must be positive and finite";
   let config =
     match config with Some c -> c | None -> Config.make ~f:1 ()
   in

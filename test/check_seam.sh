@@ -2,15 +2,19 @@
 # Guard the principals' effects seam.
 #
 # lib/core/replica.ml and lib/core/client.ml act on the world only through
-# their effects record (Env.t), which Cluster builds over the simulator and
-# lib/core/behavior.ml wraps with a replica's wire faults. This script
-# strips comments from the three and reports every use of a value of
-# Engine, Network, Transport, Dispatcher or Cpu (the [val]s their .mli
-# files declare), and in replica.ml of Rng, every Trace.emit or
-# Trace.enabled, and every way around the check: a module alias that
+# their effects record (lib/core/env.mli), which Cluster builds over the
+# simulator and lib/core/behavior.ml wraps with a replica's wire faults.
+# A principal names another by its id; which machine runs it is the
+# record builder's business. This script strips comments from the four
+# and reports every use of a value of Engine, Network, Transport,
+# Dispatcher or Cpu (the [val]s their .mli files declare), and in
+# replica.ml of Rng, every Trace.emit or Trace.enabled, every mention of a
+# machine (Transport.peer or its fields Transport.node and
+# Transport.principal, a [.node] or [.principal] field read, or
+# Network.node_id), and every way around the check: a module alias that
 # renames one of those modules, or an [open], [include] or local open of
-# one. Type names, constructors and record fields stay allowed
-# ([Transport.peer], [Cpu.Digest], [p.Transport.principal]).
+# one. Other type names and constructors stay allowed
+# ([Transport.verdict], [Transport.Accepted], [Cpu.Digest]).
 #
 # Prints one "path:line: text" per use and exits 1 if there is one.
 #
@@ -18,7 +22,8 @@
 set -eu
 
 root=${1:-$(dirname "$0")/..}
-files="$root/lib/core/replica.ml $root/lib/core/client.ml $root/lib/core/behavior.ml"
+files="$root/lib/core/replica.ml $root/lib/core/client.ml $root/lib/core/behavior.ml
+  $root/lib/core/env.mli"
 
 vals() {
   sed -n 's/^val \([a-z_][A-Za-z0-9_'\'']*\).*/\1/p' "$root/$1" | tr '\n' '|' | sed 's/|$//'
@@ -83,6 +88,10 @@ awk \
       }
     }
     bad = 0
+    # A machine: the peer record, its fields, or a node id.
+    if (out ~ "(^|[^A-Za-z0-9_'\''])Transport\\.(peer|node|principal)([^A-Za-z0-9_'\'']|$)") bad = 1
+    if (out ~ "[A-Za-z0-9_'\'')]\\.(node|principal)([^A-Za-z0-9_'\'']|$)") bad = 1
+    if (out ~ "(^|[^A-Za-z0-9_'\''])Network\\.node_id([^A-Za-z0-9_'\'']|$)") bad = 1
     for (m in use) if ((m != "Rng" || names ~ /Rng/) && calls(out, m)) bad = 1
     # An alias must keep the name, or the checks above cannot see through it.
     if (match(out, "module[ \t]+" id "+[ \t]*=[ \t]*[A-Za-z0-9_.]*" mods "[ \t]*$")) {

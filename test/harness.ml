@@ -52,6 +52,26 @@ let sum_metric rig name =
     0
     (Cluster.replicas rig.cluster)
 
+(* A transport holding principal [id]'s keys, derived from the master
+   secret "m" the cluster was created with, on a node of its own in
+   [cluster]'s network: a forger that knows that principal's keys. *)
+let impostor cluster id =
+  let engine = Cluster.engine cluster and net = Cluster.network cluster in
+  let n = Array.length (Cluster.replicas cluster) in
+  let cpu = Bft_sim.Cpu.create engine () in
+  let node =
+    Bft_net.Network.add_node net ~cpu ~name:(Printf.sprintf "principal%d" id) ()
+  in
+  let keychain =
+    Bft_crypto.Keychain.create ~master:"m" ~self:id
+      (Bft_crypto.Keychain.deployment ~replicas:n ~client_base:n)
+  in
+  Transport.create net ~keychain ~node ()
+
+(* Replicas [0 .. k-1] of [cluster] as transport destinations. *)
+let replica_peers cluster k =
+  List.init k (fun i -> { Transport.principal = i; node = Cluster.replica_node cluster i })
+
 (* Safety: the finally-executed (seq, batch digest) sequences of correct
    replicas must be prefix-compatible — no two correct replicas ever execute
    different batches at the same sequence number. *)

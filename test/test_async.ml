@@ -97,8 +97,7 @@ let others self = List.filter (fun j -> j <> self) (List.init n Fun.id)
 
 let env w i =
   {
-    Env.send =
-      (fun (dst : Transport.peer) msg -> post w ~src:i ~dst:dst.principal ~commits:[] msg);
+    Env.send = (fun dst msg -> post w ~src:i ~dst ~commits:[] msg);
     multicast =
       (fun ~commits msg ->
         List.iter (fun dst -> post w ~src:i ~dst ~commits msg) (others i));
@@ -178,9 +177,6 @@ let create ?(unsafe_no_commit_quorum = false) ?(byzantine = Behavior.Correct) op
   for _ = 1 to clients do
     ignore (Keychain.admit_client principals : int)
   done;
-  let peer principal = { Transport.principal; node = principal } in
-  let replicas = Array.init n peer in
-  let lookup_client c = if c >= n && c < n + clients then Some (peer c) else None in
   let trail = Trail.group () in
   let root = Rng.of_int 7 in
   w.replicas <-
@@ -188,14 +184,14 @@ let create ?(unsafe_no_commit_quorum = false) ?(byzantine = Behavior.Correct) op
         Replica.create ~config
           ~env:(replica_env w i (Rng.split root (Printf.sprintf "replica%d" i)))
           ~keychain:(Keychain.create ~master:"async" ~self:i principals)
-          ~cal:Bft_sim.Calibration.default ~replicas ~lookup_client
+          ~cal:Bft_sim.Calibration.default
           ~service:(Service.null ())
           ~behavior:(if i = 3 then byzantine else Behavior.Correct)
           ~trail ());
   w.clients <-
     Array.init clients (fun i ->
         let id = n + i in
-        Client.create ~config ~env:(env w id) ~id ~replicas
+        Client.create ~config ~env:(env w id) ~id
           ~rng:(Rng.split root (Printf.sprintf "client%d" id))
           ());
   w

@@ -617,10 +617,8 @@ let make_crig () =
       trace = (fun ~vtime:_ ~node:_ ?seqno:_ ?view:_ ?req_id:_ ?detail:_ _ -> ());
     }
   in
-  let replicas = Array.init n (fun i -> { Transport.principal = i; node = i }) in
   {
-    c_client =
-      Client.create ~config ~env ~id:n ~replicas ~rng:(Bft_util.Rng.of_int 9) ();
+    c_client = Client.create ~config ~env ~id:n ~rng:(Bft_util.Rng.of_int 9) ();
     c_request_ts = request_ts;
   }
 

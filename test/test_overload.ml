@@ -63,23 +63,35 @@ let test_validate_process () =
     | Ok () -> Alcotest.failf "%s: expected a validation error" what
     | Error _ -> ()
   in
+  let wave ?(base_rate = 0.0) ?(burst_rate = 10.0) ?(period = 1.0) ?(duty = 0.5) () =
+    Openloop.Square_wave { base_rate; burst_rate; period; duty }
+  and ramp ?(rate_to = 10.0) ?(duration = 1.0) () =
+    Openloop.Ramp { rate_to; start = 1.0; duration }
+  in
   bad "zero poisson rate" (Openloop.Poisson { rate = 0.0 });
-  bad "negative base rate"
-    (Openloop.Square_wave
-       { base_rate = -1.0; burst_rate = 10.0; period = 1.0; duty = 0.5 });
-  bad "zero period"
-    (Openloop.Square_wave
-       { base_rate = 0.0; burst_rate = 10.0; period = 0.0; duty = 0.5 });
-  bad "duty of one"
-    (Openloop.Square_wave
-       { base_rate = 0.0; burst_rate = 10.0; period = 1.0; duty = 1.0 });
-  bad "zero ramp duration"
-    (Openloop.Ramp { rate_to = 10.0; start = 1.0; duration = 0.0 });
-  match
-    Openloop.validate_process
-      (Openloop.Square_wave
-         { base_rate = 0.0; burst_rate = 10.0; period = 1.0; duty = 0.5 })
-  with
+  bad "negative base rate" (wave ~base_rate:(-1.0) ());
+  bad "zero period" (wave ~period:0.0 ());
+  bad "duty of one" (wave ~duty:1.0 ());
+  bad "zero ramp duration" (ramp ~duration:0.0 ());
+  (* NaN and infinity are refused too: NaN passes no comparison. *)
+  bad "nan poisson rate" (Openloop.Poisson { rate = Float.nan });
+  bad "infinite poisson rate" (Openloop.Poisson { rate = Float.infinity });
+  bad "nan base rate" (wave ~base_rate:Float.nan ());
+  bad "infinite burst rate" (wave ~burst_rate:Float.infinity ());
+  bad "nan period" (wave ~period:Float.nan ());
+  bad "infinite period" (wave ~period:Float.infinity ());
+  bad "nan duty" (wave ~duty:Float.nan ());
+  bad "nan ramp rate" (ramp ~rate_to:Float.nan ());
+  bad "infinite ramp duration" (ramp ~duration:Float.infinity ());
+  (* [run] refuses an endless or undefined horizon before it builds a
+     cluster: with [infinity] the arrivals would never stop. *)
+  List.iter
+    (fun duration ->
+      Alcotest.check_raises (Printf.sprintf "run for %g" duration)
+        (Invalid_argument "Openloop.run: duration must be positive and finite")
+        (fun () -> ignore (Openloop.run ~duration (wave ()) ())))
+    [ Float.infinity; Float.nan ];
+  match Openloop.validate_process (wave ()) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "valid process rejected: %s" e
 

@@ -226,25 +226,10 @@ let non_replica_votes forge =
   Cluster.crash_replica cluster 2;
   Cluster.crash_replica cluster 3;
   let engine = Cluster.engine cluster in
-  let net = Cluster.network cluster in
   (* Principals the cluster admitted as clients, so the replicas hold keys
      for them; each speaks here from a node of its own. *)
   let admitted = Array.init 4 (fun _ -> Client.id (Cluster.add_client cluster)) in
-  let n = config.Config.n in
-  let principal id =
-    let name = Printf.sprintf "principal%d" id in
-    let cpu = Bft_sim.Cpu.create engine () in
-    let node = Bft_net.Network.add_node net ~cpu ~name () in
-    let keychain =
-      Bft_crypto.Keychain.create ~master:"m" ~self:id
-        (Bft_crypto.Keychain.deployment ~replicas:n ~client_base:n)
-    in
-    Transport.create net ~keychain ~node ()
-  in
-  let dsts =
-    List.init 2 (fun i ->
-        { Transport.principal = i; node = Cluster.replica_node cluster i })
-  in
+  let dsts = Harness.replica_peers cluster 2 in
   let request =
     {
       Message.client = admitted.(0);
@@ -255,7 +240,7 @@ let non_replica_votes forge =
       op = Service.null_op ~read_only:false ~arg_size:0 ~result_size:0;
     }
   in
-  let client = principal admitted.(0) in
+  let client = Harness.impostor cluster admitted.(0) in
   Bft_sim.Engine.schedule engine ~delay:0.001 (fun () ->
       Transport.multicast client ~dsts (Message.Request request));
   let digest = Message.batch_digest [ Message.Full request ] in
@@ -269,7 +254,7 @@ let non_replica_votes forge =
   in
   List.iter
     (fun (id, piggyback) ->
-      let voter = principal id in
+      let voter = Harness.impostor cluster id in
       Bft_sim.Engine.schedule engine ~delay:0.01 (fun () ->
           if piggyback then
             Transport.multicast voter ~commits:[ commit id ] ~dsts (prepare id)
@@ -299,6 +284,51 @@ let test_non_replica_votes_ignored () =
         replicas)
     [ ("direct", `Direct); ("piggyback", `Piggyback) ]
 
+(* A batch may order a request whose client runs on no machine: the
+   primary vouches for the request, not for its client. Here a transport
+   holding replica 0's keys (the view-0 primary) proposes, at seq 1, the
+   full request of principal 999, which is outside the deployment. Every
+   replica executes it, its replies go nowhere, and the real client's next
+   operation still completes (the real primary's cursor is still at seq 0,
+   so its proposal conflicts at the backups and a view change re-homes
+   the request). *)
+let test_reply_to_unknown_principal () =
+  let config = Config.make ~f:1 () in
+  let cluster =
+    Cluster.create ~config ~seed:5 ~master:"m"
+      ~service:(fun _ -> Service.null ())
+      ()
+  in
+  let client = Cluster.add_client cluster in
+  let primary = Harness.impostor cluster 0 and stranger = 999 in
+  let request =
+    {
+      Message.client = stranger;
+      timestamp = 1L;
+      read_only = false;
+      full_replies = false;
+      replier = -1;
+      op = Service.null_op ~read_only:false ~arg_size:8 ~result_size:8;
+    }
+  in
+  Bft_sim.Engine.schedule (Cluster.engine cluster) ~delay:0.001 (fun () ->
+      Transport.multicast primary ~dsts:(Harness.replica_peers cluster config.Config.n)
+        (Message.Pre_prepare { view = 0; seq = 1; entries = [ Message.Full request ] }));
+  Cluster.run ~until:1.0 cluster;
+  let replicas = Array.to_list (Cluster.replicas cluster) in
+  let served r = List.exists (fun (c, _, _) -> c = stranger) (Replica.client_replies r) in
+  check Alcotest.(list bool) "every replica executed the stranger's request"
+    [ true; true; true; true ] (List.map served replicas);
+  let completed = ref 0 in
+  Client.invoke client
+    (Service.null_op ~read_only:false ~arg_size:8 ~result_size:8)
+    (fun _ -> incr completed);
+  Cluster.run ~until:30.0 cluster;
+  check Alcotest.int "the real client's operation completes" 1 !completed;
+  let trails = List.map Replica.executed_digests replicas in
+  check Alcotest.bool "both batches executed" true (List.length (List.hd trails) >= 2);
+  check Alcotest.bool "equal trails" true (List.for_all (( = ) (List.hd trails)) trails)
+
 let () =
   Alcotest.run "protocol-edge"
     [
@@ -326,6 +356,8 @@ let () =
             test_checkpoint_divergence_repair;
           Alcotest.test_case "non-replica votes ignored" `Quick
             test_non_replica_votes_ignored;
+          Alcotest.test_case "reply to an unknown principal" `Quick
+            test_reply_to_unknown_principal;
           Alcotest.test_case "beyond f: safety preserved" `Quick
             test_two_byzantine_exceed_f_safety_preserved;
         ] );

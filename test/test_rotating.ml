@@ -228,23 +228,10 @@ let forged_handoff ~opp_seq =
       ~service:(fun _ -> Counter.service ())
       ()
   in
-  let engine = Cluster.engine cluster in
-  let net = Cluster.network cluster in
-  let cpu = Bft_sim.Cpu.create engine () in
-  let node = Bft_net.Network.add_node net ~cpu ~name:"byz" () in
-  let keychain =
-    Bft_crypto.Keychain.create ~master:"m" ~self:3
-      (Bft_crypto.Keychain.deployment ~replicas:config.Config.n
-         ~client_base:config.Config.n)
-  in
-  let forged = Transport.create net ~keychain ~node () in
-  let dsts =
-    List.init 3 (fun i ->
-        { Transport.principal = i; node = Cluster.replica_node cluster i })
-  in
+  let forged = Harness.impostor cluster 3 and dsts = Harness.replica_peers cluster 3 in
   (* Inject before replica 3's first real message so the forged nonce is
      fresh at every receiver. *)
-  Bft_sim.Engine.schedule engine ~delay:0.001 (fun () ->
+  Bft_sim.Engine.schedule (Cluster.engine cluster) ~delay:0.001 (fun () ->
       Transport.multicast forged ~dsts
         (Message.Ordered_pre_prepare
            {
