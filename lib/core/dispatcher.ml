@@ -10,11 +10,15 @@ type t = {
 }
 
 (* A datagram is decoded once, by whichever of its receivers' dispatchers
-   gets it first; the others share the result. *)
+   gets it first; the others share the result, and with it what the
+   sender recorded in the datagram's origin. *)
 type Network.memo += Received of Message.received | Undecodable
 
 let decode (dgram : Network.datagram) =
-  match Message.receive ~size:dgram.Network.size dgram.Network.wire with
+  match
+    Message.receive ~origin:dgram.Network.origin ~size:dgram.Network.size
+      dgram.Network.wire
+  with
   | rx -> Received rx
   | exception Bft_util.Codec.Decode_error _ -> Undecodable
 

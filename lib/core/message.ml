@@ -556,9 +556,10 @@ let decode_envelope s = fst (decode_envelope_ex s)
    [Tally], so operation counts do not depend on how many receivers share
    one datagram. *)
 type received_memo = {
-  mutable prefix_fp : Fingerprint.t option;
+  mutable prefix_fp : Fingerprint.t;  (* [""] until known *)
   mutable digests : (Fingerprint.t list * int list) option;
       (* the carried requests' digests, and the bytes each one digested *)
+  mutable batch : Fingerprint.t;  (* [""] until known *)
 }
 
 type received = {
@@ -566,27 +567,40 @@ type received = {
   rx_wire : string;
   rx_size : int;
   rx_prefix_len : int;
+  rx_origin : Auth.origin option;
   rx_memo : received_memo;
 }
 
-let receive ~size wire =
+type Bft_net.Network.origin +=
+  | Built of { wire : string; prefix_len : int; auth : Auth.origin }
+
+let receive ?(origin = Bft_net.Network.Unrecorded) ~size wire =
   let env, prefix_len = decode_envelope_ex wire in
+  (* The sender's prefix digest is this wire's if it was taken over this
+     very string and over as many bytes. *)
+  let prefix_fp, rx_origin =
+    match origin with
+    | Built o when o.wire == wire && o.prefix_len = prefix_len ->
+      (Auth.covered o.auth, Some o.auth)
+    | _ -> ("", None)
+  in
   {
     rx_env = env;
     rx_wire = wire;
     rx_size = size;
     rx_prefix_len = prefix_len;
-    rx_memo = { prefix_fp = None; digests = None };
+    rx_origin;
+    rx_memo = { prefix_fp; digests = None; batch = "" };
   }
 
 let prefix_fingerprint rx =
   match rx.rx_memo.prefix_fp with
-  | Some fp ->
-    Bft_crypto.Tally.note_digest rx.rx_prefix_len;
-    fp
-  | None ->
+  | "" ->
     let fp = Fingerprint.of_substring rx.rx_wire ~off:0 ~len:rx.rx_prefix_len in
-    rx.rx_memo.prefix_fp <- Some fp;
+    rx.rx_memo.prefix_fp <- fp;
+    fp
+  | fp ->
+    Bft_crypto.Tally.note_digest rx.rx_prefix_len;
     fp
 
 let received_digests rx =
@@ -622,6 +636,16 @@ let received_entry_digests rx =
   match rx.rx_env.msg with
   | Pre_prepare _ | Ordered_pre_prepare _ -> received_digests rx
   | _ -> invalid_arg "Message.received_entry_digests: not a pre-prepare"
+
+let received_batch_digest rx digests =
+  match rx.rx_memo.batch with
+  | "" ->
+    let d = batch_digest_of_entry_digests digests in
+    rx.rx_memo.batch <- d;
+    d
+  | d ->
+    Bft_crypto.Tally.note_digest (Fingerprint.size * List.length digests);
+    d
 
 let envelope_size env wire = String.length wire + padding env.msg
 

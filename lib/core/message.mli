@@ -214,11 +214,24 @@ type received = private {
   rx_wire : string;  (** the exact received bytes *)
   rx_size : int;  (** modelled size *)
   rx_prefix_len : int;  (** bytes the authenticator covers *)
+  rx_origin : Bft_crypto.Auth.origin option;
+      (** what the sender computed for the authenticator, when the
+          datagram records it (see {!Built}) *)
   rx_memo : received_memo;
 }
 
-val receive : size:int -> string -> received
-(** Decode a wire of modelled [size].
+type Bft_net.Network.origin +=
+  | Built of { wire : string; prefix_len : int; auth : Bft_crypto.Auth.origin }
+        (** [wire] as its sender's transport built it: the
+            authenticator's origin, whose message is the digest of
+            [wire]'s first [prefix_len] bytes. A wire re-sent by anyone
+            else (a replay) carries none. *)
+
+val receive : ?origin:Bft_net.Network.origin -> size:int -> string -> received
+(** Decode a wire of modelled [size], sent with [origin] (default
+    {!Bft_net.Network.Unrecorded}). A {!Built} origin for this very string
+    (physically) and the decoded prefix supplies the prefix digest and
+    {!field-rx_origin}; any other origin is ignored, and both are computed.
     @raise Bft_util.Codec.Decode_error on malformed input. *)
 
 val prefix_fingerprint : received -> Fingerprint.t
@@ -233,6 +246,12 @@ val received_entry_digests : received -> Fingerprint.t list
 (** [List.map entry_digest entries] of a received PRE-PREPARE or ordered
     PRE-PREPARE.
     @raise Invalid_argument for any other message. *)
+
+val received_batch_digest : received -> Fingerprint.t list -> Fingerprint.t
+(** [received_batch_digest rx digests] is
+    [batch_digest_of_entry_digests digests], where [digests] is
+    [received_entry_digests rx]: the batch digest of a received
+    PRE-PREPARE or ordered PRE-PREPARE, shared like the entry digests. *)
 
 val envelope_size : envelope -> string -> int
 (** Modeled datagram size for an encoded envelope: wire length plus

@@ -1363,14 +1363,8 @@ and check_committed t (slot : Log.slot) =
     advance t
   end
 
-(* [digests] are the entries' digests, shared with the datagram's other
-   receivers. *)
-and on_pre_prepare t sender (pp : Message.pre_prepare) digests =
-  accept_pre_prepare t sender pp digests
-    (Message.batch_digest_of_entry_digests digests)
-
 (* [digests] and [digest] are the entries' digests and the batch digest,
-   computed once by the caller. *)
+   shared with the datagram's other receivers. *)
 and accept_pre_prepare t sender (pp : Message.pre_prepare) digests digest =
   note_vc_evidence t sender pp.Message.view;
   match Log.find t.v.log pp.Message.seq with
@@ -1454,8 +1448,7 @@ and resolve_missing t digest =
    (opp_close, epoch_first) that nobody proposed yet would otherwise
    block global execution order until our next batch. Claim those slots
    now — with real batches if work is pending, null requests otherwise. *)
-and on_ordered_pre_prepare t sender (o : Message.ordered_pre_prepare) digests =
-  let digest = Message.batch_digest_of_entry_digests digests in
+and on_ordered_pre_prepare t sender (o : Message.ordered_pre_prepare) digests digest =
   accept_pre_prepare t sender
     {
       Message.view = o.Message.opp_view;
@@ -2036,9 +2029,11 @@ and handle_message t rx sender msg =
        checkpoint or take part in view changes and state transfer. *)
     Metrics.incr t.metrics "auth.not_replica"
   | Message.Pre_prepare pp ->
-    on_pre_prepare t sender pp (Message.received_entry_digests rx)
+    let digests = Message.received_entry_digests rx in
+    accept_pre_prepare t sender pp digests (Message.received_batch_digest rx digests)
   | Message.Ordered_pre_prepare o ->
-    on_ordered_pre_prepare t sender o (Message.received_entry_digests rx)
+    let digests = Message.received_entry_digests rx in
+    on_ordered_pre_prepare t sender o digests (Message.received_batch_digest rx digests)
   | Message.Prepare p -> on_prepare t sender p
   | Message.Commit c -> on_commit t sender c
   | Message.Checkpoint c ->

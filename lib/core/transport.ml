@@ -9,6 +9,23 @@ type peer = { principal : int; node : Network.node_id }
 
 type verdict = Accepted | Replayed | Rejected
 
+(* A multicast's destinations resolved to MAC targets and machines. *)
+type group = {
+  dsts : peer list;
+  targets : int list;
+  count : int;
+  nodes : Network.node_id list;  (* sorted, each machine once *)
+}
+
+let resolve dsts =
+  let targets = List.map (fun (p : peer) -> p.principal) dsts in
+  {
+    dsts;
+    targets;
+    count = List.length targets;
+    nodes = List.sort_uniq Int.compare (List.map (fun (p : peer) -> p.node) dsts);
+  }
+
 type t = {
   net : Network.t;
   keychain : Keychain.t;
@@ -20,6 +37,10 @@ type t = {
          the largest wire this sender built *)
   windows : Nonce_window.t; (* by sender index *)
   mutable corrupt_auth : bool;
+  mutable group : group;
+      (* the last multicast's; a principal multicasts to one list, so the
+         next multicast to that very list reuses it *)
+  fp_mac_cost : float;  (* [Calibration.mac_cost] of one fingerprint, boxed once *)
 }
 
 let create net ~keychain ~node ?(public_key_signatures = false) () =
@@ -32,6 +53,8 @@ let create net ~keychain ~node ?(public_key_signatures = false) () =
     scratch = Bft_util.Codec.Enc.create ();
     windows = Nonce_window.create ();
     corrupt_auth = false;
+    group = resolve [];
+    fp_mac_cost = Calibration.mac_cost (Network.calibration net) Fingerprint.size;
   }
 
 let principal t = Keychain.self t.keychain
@@ -49,60 +72,66 @@ let next_nonce t =
   t.nonce
 
 (* Authentication covers the digest of the envelope prefix, so big payloads
-   are hashed once and MACed cheaply — the scheme the paper relies on. *)
+   are hashed once and MACed cheaply — the scheme the paper relies on. The
+   digest cost is [Calibration.digest_cost], charged without boxing. *)
+let charge_digest t c ~size =
+  let cal = Network.calibration t.net in
+  Cpu.charge_bytes ~cat:Cpu.Digest c ~base:cal.Calibration.digest_base_cost
+    ~per_byte:cal.Calibration.digest_byte_cost size
+
 let charge_send_crypto t ~size ~targets =
   let cal = Network.calibration t.net in
   let c = cpu t in
-  Cpu.charge ~cat:Cpu.Digest c (Calibration.digest_cost cal size);
+  charge_digest t c ~size;
   if t.pk_mode then
     Cpu.charge ~cat:Cpu.Mac_gen c cal.Calibration.pk_sign_cost
   else begin
+    (* One target charges the boxed cost itself: [1.0 *. x] is [x]. *)
     Cpu.charge ~cat:Cpu.Mac_gen c
-      (float_of_int targets *. Calibration.mac_cost cal Fingerprint.size);
+      (if targets = 1 then t.fp_mac_cost else float_of_int targets *. t.fp_mac_cost);
     Cpu.charge ~cat:Cpu.Other c cal.Calibration.protocol_op_cost
   end
 
 let charge_recv_crypto t ~size =
   let cal = Network.calibration t.net in
   let c = cpu t in
-  Cpu.charge ~cat:Cpu.Digest c (Calibration.digest_cost cal size);
+  charge_digest t c ~size;
   if t.pk_mode then
     Cpu.charge ~cat:Cpu.Mac_verify c cal.Calibration.pk_verify_cost
   else begin
-    Cpu.charge ~cat:Cpu.Mac_verify c
-      (Calibration.mac_cost cal Fingerprint.size);
+    Cpu.charge ~cat:Cpu.Mac_verify c t.fp_mac_cost;
     Cpu.charge ~cat:Cpu.Other c cal.Calibration.protocol_op_cost
   end
 
-let build t ~commits ~targets msg =
-  (* Assemble the whole wire in the per-transport scratch buffer: encode
-     the prefix, fingerprint it in place, then append the authenticator —
-     the only string allocated is the final wire. *)
+(* Build the wire for [targets] and put it on the network towards
+   [nodes]. The whole wire is assembled in the per-transport scratch
+   buffer: encode the prefix, fingerprint it in place, then append the
+   authenticator — the only string allocated is the final wire. The
+   datagram records the prefix digest and the true tags, taken before a
+   forger corrupts them, so its receivers need not recompute them. *)
+let transmit t ~commits ~targets ~count ~nodes msg =
   let enc = t.scratch in
   Message.encode_prefix_into enc ~sender:(principal t) ~msg ~commits;
   let module Enc = Bft_util.Codec.Enc in
-  let fp =
-    Fingerprint.of_bytes (Enc.unsafe_bytes enc) ~off:0 ~len:(Enc.length enc)
+  let prefix_len = Enc.length enc in
+  let fp = Fingerprint.of_bytes (Enc.unsafe_bytes enc) ~off:0 ~len:prefix_len in
+  let auth =
+    Auth.seal enc t.keychain ~nonce:(next_nonce t) ~targets ~corrupt:t.corrupt_auth fp
   in
-  let auth = Auth.generate t.keychain ~nonce:(next_nonce t) ~targets fp in
-  let auth = if t.corrupt_auth then Auth.corrupt auth else auth in
-  Auth.encode enc auth;
   let wire = Enc.to_string enc in
-  (wire, String.length wire + Message.padding msg)
+  let size = String.length wire + Message.padding msg in
+  charge_send_crypto t ~size ~targets:count;
+  Network.multicast t.net ~src:t.node ~dsts:nodes ~size
+    ~origin:(Message.Built { wire; prefix_len; auth })
+    wire
 
 let send t ~dst msg =
-  let wire, size = build t ~commits:[] ~targets:[ dst.principal ] msg in
-  charge_send_crypto t ~size ~targets:1;
-  Network.send t.net ~src:t.node ~dst:dst.node ~size wire
+  transmit t ~commits:[] ~targets:[ dst.principal ] ~count:1 ~nodes:[ dst.node ] msg
 
 let multicast t ?(commits = []) ~dsts msg =
-  let targets = List.map (fun (p : peer) -> p.principal) dsts in
-  let wire, size = build t ~commits ~targets msg in
-  charge_send_crypto t ~size ~targets:(List.length targets);
-  let nodes =
-    List.sort_uniq Int.compare (List.map (fun (p : peer) -> p.node) dsts)
-  in
-  Network.multicast t.net ~src:t.node ~dsts:nodes ~size wire
+  if t.group.dsts != dsts then t.group <- resolve dsts;
+  let g = t.group in
+  transmit t ~commits ~targets:g.targets ~count:g.count ~nodes:g.nodes msg
 
 let check t (rx : Message.received) =
   let env = rx.Message.rx_env in
@@ -123,11 +152,14 @@ let check t (rx : Message.received) =
     | Nonce_window.Fresh ->
       charge_recv_crypto t ~size:rx.Message.rx_size;
       (* The prefix digest is the datagram's, shared with its other
-         receivers; the tag checked below is this receiver's own. *)
+         receivers; the tag checked below is this receiver's own, against
+         the sender's true tag when the datagram recorded it under this
+         receiver's current session. *)
       let fp = Message.prefix_fingerprint rx in
       (* In pk mode the "signature" is modeled by the same MAC vector; cost
          is what differs. *)
-      if Auth.check t.keychain ~from fp env.Message.auth then begin
+      if Auth.check ?origin:rx.Message.rx_origin t.keychain ~from fp env.Message.auth
+      then begin
         Nonce_window.record t.windows sender nonce;
         Accepted
       end

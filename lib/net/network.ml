@@ -3,6 +3,7 @@ module Cpu = Bft_sim.Cpu
 module Calibration = Bft_sim.Calibration
 module Rng = Bft_util.Rng
 module Trace = Bft_trace.Trace
+module Int_tbl = Bft_util.Dense.Int_tbl
 
 type node_id = int
 
@@ -10,7 +11,11 @@ type memo = ..
 
 type memo += Unset
 
-type datagram = { wire : string; size : int; mutable memo : memo }
+type origin = ..
+
+type origin += Unrecorded
+
+type datagram = { wire : string; size : int; origin : origin; mutable memo : memo }
 
 let memo d derive =
   match d.memo with
@@ -48,7 +53,7 @@ type t = {
   mutable node_count : int;
   mutable loss : float;  (* uniform datagram drop probability *)
   mutable duplication : float;
-  blocked : (int, unit) Hashtbl.t;
+  blocked : unit Int_tbl.t;
       (* partitioned host pairs, indexed symmetrically (see [pair_key]):
          membership is O(1) per (src, dst) instead of an O(pairs) scan per
          datagram, which matters once sharded topologies put dozens of
@@ -71,7 +76,7 @@ let simulation ?(cal = Calibration.default) ?(trace = Trace.nil) ~rng () =
     node_count = 0;
     loss = 0.0;
     duplication = 0.0;
-    blocked = Hashtbl.create 64;
+    blocked = Int_tbl.create 64;
     sent = 0;
     dropped = 0;
     delivered = 0;
@@ -138,7 +143,7 @@ let is_up t id = (get t id).up
    directions, as a real switch or cable fault would. The pair is indexed
    under a single order-independent key. *)
 let pair_key a b =
-  let lo = Stdlib.min a b and hi = Stdlib.max a b in
+  let lo = Int.min a b and hi = Int.max a b in
   (hi lsl 24) lor lo
 
 let set_loss t p =
@@ -149,7 +154,7 @@ let set_duplication t p =
   if p < 0.0 || p > 1.0 then invalid_arg "Network.set_duplication";
   t.duplication <- p
 
-let blocked t ~src ~dst = Hashtbl.mem t.blocked (pair_key src dst)
+let blocked t ~src ~dst = Int_tbl.mem t.blocked (pair_key src dst)
 
 let install_partition t ~groups =
   List.iter
@@ -157,26 +162,25 @@ let install_partition t ~groups =
          if id < 0 || id >= t.node_count then
            invalid_arg "Network.install_partition: bad node id"))
     groups;
-  Hashtbl.reset t.blocked;
+  Int_tbl.reset t.blocked;
   let rec cross = function
     | [] -> ()
     | g :: rest ->
       List.iter
         (fun a ->
           List.iter
-            (List.iter (fun b -> Hashtbl.replace t.blocked (pair_key a b) ()))
+            (List.iter (fun b -> Int_tbl.replace t.blocked (pair_key a b) ()))
             rest)
         g;
       cross rest
   in
   cross groups
 
-let heal_partition t = Hashtbl.reset t.blocked
+let heal_partition t = Int_tbl.reset t.blocked
 
 let charge_recv t node size =
-  Cpu.charge ~cat:Cpu.Decode node.cpu
-    (t.cal.Calibration.udp_recv_cost
-    +. (float_of_int size *. t.cal.Calibration.byte_touch_cost))
+  Cpu.charge_bytes ~cat:Cpu.Decode node.cpu ~base:t.cal.Calibration.udp_recv_cost
+    ~per_byte:t.cal.Calibration.byte_touch_cost size
 
 let drop t (node : node) ~id ~overflow ~why =
   t.dropped <- t.dropped + 1;
@@ -196,9 +200,8 @@ let deliver t ~src ~dst dgram ~arrival =
   if backlog > receiver.recv_buffer then
     drop t receiver ~id:dst ~overflow:true ~why:"overflow"
   else begin
-    let serialization = Calibration.transmission_time t.cal size in
-    receiver.ingress_free <- start +. serialization;
-    let ready = start +. serialization in
+    let ready = start +. Calibration.transmission_time t.cal size in
+    receiver.ingress_free <- ready;
     Engine.schedule_at t.engine ready (fun () ->
         if receiver.up then begin
           t.delivered <- t.delivered + 1;
@@ -221,11 +224,12 @@ let unlucky t p = p > 0.0 && Rng.bernoulli t.rng p
 (* Serialize once on the sender's egress link, then fan out. Every
    destination, loopback and duplicate of this transmit receives the one
    [dgram], so what a receiver derives from its bytes alone ([memo]) is
-   derived once. A re-sent wire is a new transmit with an empty memo. *)
-let transmit t ~src ~dsts ~wire ~size =
+   derived once. A re-sent wire is a new transmit with an empty memo and
+   no [origin]. *)
+let transmit t ~src ~dsts ~origin ~wire ~size =
   let sender = get t src in
   if sender.up then begin
-    let dgram = { wire; size; memo = Unset } in
+    let dgram = { wire; size; origin; memo = Unset } in
     let departure = Float.max (Cpu.virtual_now sender.cpu) sender.egress_free in
     let serialization = Calibration.transmission_time t.cal size in
     sender.egress_free <- departure +. serialization;
@@ -293,19 +297,18 @@ let transmit t ~src ~dsts ~wire ~size =
   end
 
 let charge_send t node size =
-  Cpu.charge ~cat:Cpu.Encode node.cpu
-    (t.cal.Calibration.udp_send_cost
-    +. (float_of_int size *. t.cal.Calibration.byte_touch_cost))
+  Cpu.charge_bytes ~cat:Cpu.Encode node.cpu ~base:t.cal.Calibration.udp_send_cost
+    ~per_byte:t.cal.Calibration.byte_touch_cost size
 
 let send t ~src ~dst ?size wire =
   let size = Option.value ~default:(String.length wire) size in
   charge_send t (get t src) size;
-  transmit t ~src ~dsts:[ dst ] ~wire ~size
+  transmit t ~src ~dsts:[ dst ] ~origin:Unrecorded ~wire ~size
 
-let multicast t ~src ~dsts ?size wire =
+let multicast t ~src ~dsts ?size ?(origin = Unrecorded) wire =
   let size = Option.value ~default:(String.length wire) size in
   charge_send t (get t src) size;
-  transmit t ~src ~dsts ~wire ~size
+  transmit t ~src ~dsts ~origin ~wire ~size
 
 let sent_datagrams t = t.sent
 

@@ -23,11 +23,24 @@ type memo = ..
     message, its digests). Each layer that derives something adds its own
     constructor. *)
 
-type datagram = private { wire : string; size : int; mutable memo : memo }
+type origin = ..
+(** What the sender computed over the wire that its receivers may reuse
+    (the prefix digest, the true MAC tags), recorded by the layer that
+    built the wire with its own constructor. *)
+
+type origin += Unrecorded  (** Nothing recorded: receivers compute everything. *)
+
+type datagram = private {
+  wire : string;
+  size : int;
+  origin : origin;  (** as given to {!multicast} *)
+  mutable memo : memo;
+}
 (** One transmitted datagram. Every destination of one {!send} or
     {!multicast} — loopback and injected duplicates included — receives
-    the same value, so its memo is shared by every receiver of that
-    transmit and of nothing else: a wire sent again is a new datagram. *)
+    the same value, so its origin and memo are shared by every receiver of
+    that transmit and of nothing else: a wire sent again is a new datagram,
+    with an origin only if its sender gives one. *)
 
 val memo : datagram -> (datagram -> memo) -> memo
 (** [memo d derive] is [derive d] for the first caller on [d]; every
@@ -97,10 +110,13 @@ val heal_partition : t -> unit
 val send : t -> src:node_id -> dst:node_id -> ?size:int -> string -> unit
 (** Charge the sender's CPU for the send, serialize on its egress link, and
     deliver (or drop). [size] defaults to the wire string length and must be
-    at least it conceptually (unchecked — callers model padding). *)
+    at least it conceptually (unchecked — callers model padding). The
+    datagram records no origin. *)
 
-val multicast : t -> src:node_id -> dsts:node_id list -> ?size:int -> string -> unit
-(** One egress serialization and one CPU send charge; per-receiver ingress. *)
+val multicast :
+  t -> src:node_id -> dsts:node_id list -> ?size:int -> ?origin:origin -> string -> unit
+(** One egress serialization and one CPU send charge; per-receiver ingress.
+    [origin] defaults to {!Unrecorded}. *)
 
 val trace : t -> Bft_trace.Trace.t
 (** The sink given to {!simulation}; when live, datagram enqueue/

@@ -35,22 +35,11 @@ type t = {
   speed : float;
   pending : (unit -> unit) Queue.t;
   mutable pumping : bool;
+  mutable pump : unit -> unit;  (* [pump t], built once *)
   clock : clock;
   mutable in_handler : bool;
   busy_by_cat : float array; (* busy seconds per category; the fold IS total_busy *)
 }
-
-let create engine ?(speed = 1.0) () =
-  if speed <= 0.0 then invalid_arg "Cpu.create: speed";
-  {
-    engine;
-    speed;
-    pending = Queue.create ();
-    pumping = false;
-    clock = { busy_until = 0.0; handler_start = 0.0; accum = 0.0 };
-    in_handler = false;
-    busy_by_cat = Array.make num_categories 0.0;
-  }
 
 let busy_until t = t.clock.busy_until
 
@@ -59,7 +48,9 @@ let virtual_now t =
   if t.in_handler then c.handler_start +. (c.accum /. t.speed)
   else Float.max (Engine.now t.engine) c.busy_until
 
-let charge ?(cat = Other) t seconds =
+(* Inlined into both entry points, so a cost computed by [charge_bytes]
+   is never boxed. *)
+let[@inline] add t cat seconds =
   if seconds < 0.0 then invalid_arg "Cpu.charge: negative";
   let c = t.clock in
   if t.in_handler then c.accum <- c.accum +. seconds
@@ -70,27 +61,52 @@ let charge ?(cat = Other) t seconds =
   let i = category_index cat in
   t.busy_by_cat.(i) <- t.busy_by_cat.(i) +. (seconds /. t.speed)
 
-let rec pump t () =
-  match Queue.take_opt t.pending with
-  | None -> t.pumping <- false
-  | Some handler ->
+let charge ?(cat = Other) t seconds = add t cat seconds
+
+let charge_bytes ?(cat = Other) t ~base ~per_byte bytes =
+  add t cat (base +. (float_of_int bytes *. per_byte))
+
+(* The running handler is done: the CPU stays busy until its start plus
+   the work it charged. *)
+let finish_handler t =
+  let c = t.clock in
+  let finish = c.handler_start +. (c.accum /. t.speed) in
+  t.in_handler <- false;
+  c.busy_until <- Float.max c.busy_until finish
+
+let pump t () =
+  if Queue.is_empty t.pending then t.pumping <- false
+  else begin
+    let handler = Queue.take t.pending in
     let c = t.clock in
-    let start = Float.max (Engine.now t.engine) c.busy_until in
-    c.handler_start <- start;
+    c.handler_start <- Float.max (Engine.now t.engine) c.busy_until;
     t.in_handler <- true;
     c.accum <- 0.0;
-    let finish_handler () =
-      let finish = start +. (c.accum /. t.speed) in
-      t.in_handler <- false;
-      c.busy_until <- Float.max c.busy_until finish
-    in
     (try handler ()
      with e ->
-       finish_handler ();
+       finish_handler t;
        raise e);
-    finish_handler ();
+    finish_handler t;
     if Queue.is_empty t.pending then t.pumping <- false
-    else Engine.schedule_at t.engine t.clock.busy_until (pump t)
+    else Engine.schedule_at t.engine t.clock.busy_until t.pump
+  end
+
+let create engine ?(speed = 1.0) () =
+  if speed <= 0.0 then invalid_arg "Cpu.create: speed";
+  let t =
+    {
+      engine;
+      speed;
+      pending = Queue.create ();
+      pumping = false;
+      pump = ignore;
+      clock = { busy_until = 0.0; handler_start = 0.0; accum = 0.0 };
+      in_handler = false;
+      busy_by_cat = Array.make num_categories 0.0;
+    }
+  in
+  t.pump <- pump t;
+  t
 
 let dispatch t handler =
   Queue.add handler t.pending;
@@ -98,7 +114,7 @@ let dispatch t handler =
     t.pumping <- true;
     Engine.schedule_at t.engine
       (Float.max (Engine.now t.engine) t.clock.busy_until)
-      (pump t)
+      t.pump
   end
 
 (* Total busy time is *defined* as the fold over the per-category array, so

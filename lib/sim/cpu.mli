@@ -45,6 +45,13 @@ val charge : ?cat:category -> t -> float -> unit
     to [cat] (default [Other]). Calling it outside a handler makes the CPU
     busy for that long starting now. *)
 
+val charge_bytes :
+  ?cat:category -> t -> base:float -> per_byte:float -> int -> unit
+(** [charge_bytes ?cat t ~base ~per_byte n] is
+    [charge ?cat t (base +. (float_of_int n *. per_byte))], the shape of
+    every per-byte cost in {!Calibration}, without boxing the sum: a
+    charge of a computed cost allocates nothing. *)
+
 val virtual_now : t -> float
 (** Inside a handler: start time plus work accumulated so far. Outside:
     [max (Engine.now) busy_until]. *)

@@ -1,30 +1,45 @@
 module Heap = Bft_util.Heap
 module Trace = Bft_trace.Trace
 
+(* Two queues, one order: [queue] holds deliveries, CPU pumps and every
+   other closure that is never withdrawn; [timers] holds the cancellable
+   events of [schedule_event]. Both number their insertions from one
+   counter, and [next] takes the head that is first by (time, number), so
+   events fire in exactly the order one queue would give them. *)
 type t = {
   mutable clock : float;
   queue : (unit -> unit) Heap.t;
+  timers : (unit -> unit) Heap.t;
   mutable stopped : bool;
   mutable trace : Trace.t;
 }
 
 let create () =
-  { clock = 0.0; queue = Heap.create (); stopped = false; trace = Trace.nil }
+  let queue = Heap.create () in
+  {
+    clock = 0.0;
+    queue;
+    timers = Heap.create ~tied_to:queue ();
+    stopped = false;
+    trace = Trace.nil;
+  }
 
 let now t = t.clock
 
 let set_trace t trace = t.trace <- trace
 
-let enqueue t time fn = Heap.add t.queue ~priority:(Float.max time t.clock) fn
+(* [Float.max time t.clock] without boxing a new float: [time] itself
+   unless it is in the past. *)
+let clamp t time = if time < t.clock then t.clock else time
 
-let schedule_at t time fn = ignore (enqueue t time fn : _ Heap.entry)
+let schedule_at t time fn = Heap.push t.queue ~priority:(clamp t time) fn
 
 let schedule t ~delay fn = schedule_at t (t.clock +. delay) fn
 
 type event = { heap : (unit -> unit) Heap.t; entry : (unit -> unit) Heap.entry }
 
 let schedule_event t ~delay fn =
-  { heap = t.queue; entry = enqueue t (t.clock +. delay) fn }
+  { heap = t.timers; entry = Heap.add t.timers ~priority:(clamp t (t.clock +. delay)) fn }
 
 let cancel ev = Heap.remove ev.heap ev.entry
 
@@ -36,20 +51,32 @@ let no_event =
   Heap.remove heap entry;
   { heap; entry }
 
-let pending t = Heap.length t.queue
+let pending t = Heap.length t.queue + Heap.length t.timers
 
-(* The caller has checked that the queue is not empty. *)
-let fire_next t time =
-  let fn = Heap.pop t.queue in
-  t.clock <- Float.max t.clock time;
+(* The queue whose head fires next; the caller has checked that one of
+   them is not empty. *)
+let next t =
+  if Heap.is_empty t.timers then t.queue
+  else if Heap.is_empty t.queue || Heap.head_before t.timers t.queue then t.timers
+  else t.queue
+
+let is_idle t = Heap.is_empty t.queue && Heap.is_empty t.timers
+
+(* [time] is [heap]'s head's. No queued event is earlier than the clock,
+   so the clock moves to [time]; a NaN time sets it to NaN, as
+   [Float.max] would. *)
+let fire_next t heap time =
+  let fn = Heap.pop heap in
+  if not (time < t.clock) then t.clock <- time;
   if Trace.sim_events t.trace then
     Trace.emit t.trace ~vtime:t.clock ~node:(-1) Trace.Sim_fire;
   fn ()
 
 let step t =
-  if Heap.is_empty t.queue then false
+  if is_idle t then false
   else begin
-    fire_next t (Heap.min_priority t.queue);
+    let heap = next t in
+    fire_next t heap (Heap.min_priority heap);
     true
   end
 
@@ -61,15 +88,16 @@ let run ?until ?max_events t =
   in
   let continue = ref true in
   while !continue && (not t.stopped) && budget_left () do
-    if Heap.is_empty t.queue then continue := false
+    if is_idle t then continue := false
     else begin
-      let time = Heap.min_priority t.queue in
+      let heap = next t in
+      let time = Heap.min_priority heap in
       match until with
       | Some limit when time > limit ->
         t.clock <- Float.max t.clock limit;
         continue := false
       | _ ->
-        fire_next t time;
+        fire_next t heap time;
         incr fired
     end
   done;

@@ -3,7 +3,14 @@
     The engine owns a virtual clock (seconds) and a priority queue of
     events; events at equal times fire in schedule order, which makes every
     run deterministic. All protocol code in this repository executes inside
-    engine events — there are no threads. *)
+    engine events — there are no threads.
+
+    The queue is two heaps that number their insertions from one counter:
+    one for {!schedule} and {!schedule_at}, one for the cancellable events
+    of {!schedule_event}. The engine fires whichever head is first by
+    (time, insertion number), which is the order one heap would give, so
+    the split is invisible to every caller. It keeps the heap of in-flight
+    deliveries and CPU work small while many timers wait. *)
 
 type t
 
@@ -37,7 +44,8 @@ val no_event : event
 (** An event that is never scheduled. *)
 
 val pending : t -> int
-(** Number of queued events. Cancelled events are not counted. *)
+(** Number of queued events, in both heaps. Cancelled events are not
+    counted. *)
 
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Process events in time order until the queue drains, the clock would

@@ -2,7 +2,10 @@
 
     Elements are ordered by a client-supplied priority and, for equal
     priorities, by insertion order, so iteration over equal-priority
-    elements is FIFO (this is what makes the simulator deterministic). *)
+    elements is FIFO (this is what makes the simulator deterministic).
+
+    Priorities and insertion numbers are kept in flat arrays beside the
+    elements, so an ordering test reads no boxed float. *)
 
 type 'a t
 
@@ -10,7 +13,10 @@ type 'a entry
 (** A queued element's handle: it records its own position, so {!remove}
     needs no search. *)
 
-val create : unit -> 'a t
+val create : ?tied_to:'b t -> unit -> 'a t
+(** An empty heap. With [tied_to], it numbers insertions from the same
+    counter as that heap, so the elements of both are in one insertion
+    order and {!head_before} compares across them. *)
 
 val length : 'a t -> int
 
@@ -36,3 +42,9 @@ val pop : 'a t -> 'a
 (** [min_priority h] is the priority of the minimum element. Raises
     [Not_found] on an empty heap. *)
 val min_priority : 'a t -> float
+
+(** [head_before a b] is whether the minimum of [a] orders before the
+    minimum of [b] (by priority, then insertion number): across heaps
+    created {!create}[ ~tied_to], the element both would pop first if they
+    were one heap. Raises [Invalid_argument] if either is empty. *)
+val head_before : 'a t -> 'b t -> bool

@@ -1,9 +1,11 @@
 #!/bin/sh
 # Guard the per-message path against polymorphic hashing and comparison.
 #
-# The modules every datagram passes through, the replica's handlers and
-# the wire-fault wrapper around its effects (behavior.ml) included, the
-# execution trail every finalized batch is appended to, and
+# The modules every datagram passes through (the event heap and engine,
+# the CPU model, the network, MACs and authenticators, the codec of
+# messages and payloads, the transport and dispatcher), the replica's
+# handlers and the wire-fault wrapper around its effects (behavior.ml)
+# included, the execution trail every finalized batch is appended to, and
 # the key-value store every KV request executes in, must
 # look peers up by direct index or in monomorphic tables ([Hashtbl.Make],
 # [Map.Make]), keep quorum votes in arrays over replica ids, and compare
@@ -22,7 +24,14 @@ set -eu
 root=${1:-$(dirname "$0")/..}
 
 files='
+lib/util/heap.ml
+lib/sim/engine.ml
+lib/sim/cpu.ml
+lib/net/network.ml
+lib/crypto/auth.ml
 lib/crypto/keychain.ml
+lib/core/message.ml
+lib/core/payload.ml
 lib/core/nonce_window.ml
 lib/core/transport.ml
 lib/core/log.ml

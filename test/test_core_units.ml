@@ -338,6 +338,7 @@ let principals () = Keychain.deployment ~replicas:4 ~client_base:4
 type trig = {
   engine : Engine.t;
   net : Network.t;
+  deployment : Keychain.deployment;  (* the transports' *)
   transports : Transport.t array;
   received : (int * Message.envelope) list ref;
 }
@@ -346,11 +347,12 @@ let make_trig () =
   let net = Network.simulation ~rng:(Bft_util.Rng.of_int 3) () in
   let engine = Network.engine net in
   let received = ref [] in
+  let deployment = principals () in
   let transports =
     Array.init 3 (fun i ->
         let cpu = Cpu.create engine () in
         let node = Network.add_node net ~cpu ~name:(Printf.sprintf "n%d" i) () in
-        let keychain = Keychain.create ~master:"m" ~self:i (principals ()) in
+        let keychain = Keychain.create ~master:"m" ~self:i deployment in
         Transport.create net ~keychain ~node ())
   in
   Array.iteri
@@ -360,7 +362,7 @@ let make_trig () =
           if Transport.check transport rx = Transport.Accepted
           then received := (i, rx.Message.rx_env) :: !received))
     transports;
-  { engine; net; transports; received }
+  { engine; net; deployment; transports; received }
 
 let peer_of r i = { Transport.principal = i; node = Transport.node r.transports.(i) }
 
@@ -585,6 +587,192 @@ let test_multicast_decoded_once () =
     check Alcotest.int "a replay digests nothing" 0
       (Tally.diff (Tally.snapshot ()) before).Tally.digest_ops
   | _ -> Alcotest.fail "expected one delivery at each of three receivers"
+
+(* --- recorded tags ----------------------------------------------------------- *)
+
+(* A transport records in each datagram the prefix digest and the true tag
+   of every target, and a receiver whose inbound session is the one a tag
+   was computed under compares instead of computing a MAC. Every verdict
+   below is the one the MAC gives. *)
+
+module Auth = Bft_crypto.Auth
+
+(* The wire [kc]'s principal builds for [dst] with [nonce], as its
+   transport does, and the origin it records; [corrupt] flips the tags
+   after they are recorded, as a forger's transport does. *)
+let built ?(corrupt = false) ?(msg = sample_msg) ?(also = []) ~kc ~dst nonce =
+  let module Enc = Bft_util.Codec.Enc in
+  let enc = Enc.create () in
+  Message.encode_prefix_into enc ~sender:(Keychain.self kc) ~msg ~commits:[];
+  let prefix_len = Enc.length enc in
+  let fp = Fingerprint.of_string (Enc.to_string enc) in
+  let auth = Auth.seal enc kc ~nonce ~targets:(dst :: also) ~corrupt fp in
+  let wire = Enc.to_string enc in
+  (wire, Message.Built { wire; prefix_len; auth })
+
+let received ?origin wire = Message.receive ?origin ~size:(String.length wire) wire
+
+(* [make_trig] with every delivery to transport 1 captured, unchecked. *)
+let capturing_trig () =
+  let r = make_trig () in
+  let captured = ref [] in
+  let dispatcher = Dispatcher.install r.net (Transport.node r.transports.(1)) in
+  Dispatcher.register_default dispatcher (fun rx -> captured := rx :: !captured);
+  (r, captured)
+
+let take captured =
+  match !captured with
+  | [ rx ] ->
+    captured := [];
+    rx
+  | l -> Alcotest.failf "expected one capture, got %d" (List.length l)
+
+let recorded rx = Option.is_some rx.Message.rx_origin
+
+let test_recorded_forgeries_rejected () =
+  let r, captured = capturing_trig () in
+  let receiver = r.transports.(1) in
+  let kc = Keychain.create ~master:"m" ~self:0 r.deployment in
+  (* A forger's transport: the datagram records true tags, the wire
+     carries flipped ones. *)
+  Transport.set_corrupt_auth r.transports.(0) true;
+  Transport.send r.transports.(0) ~dst:(peer_of r 1) sample_msg;
+  Engine.run r.engine;
+  let rx = take captured in
+  check Alcotest.bool "forger's datagram recorded" true (recorded rx);
+  check verdict_t "set_corrupt_auth rejected" Transport.Rejected (Transport.check receiver rx);
+  let wire, origin = built ~corrupt:true ~kc ~dst:1 7L in
+  let rx = received ~origin wire in
+  check Alcotest.bool "recorded" true (recorded rx);
+  check verdict_t "Auth.corrupt rejected" Transport.Rejected (Transport.check receiver rx);
+  (* The forgery did not use up its nonce. *)
+  let wire, origin = built ~kc ~dst:1 7L in
+  check verdict_t "then the genuine wire accepted" Transport.Accepted
+    (Transport.check receiver (received ~origin wire));
+  (* Another wire's origin, same sender, session and nonce: the wire's own
+     tag decides either way. *)
+  let msg = Message.Checkpoint { Message.seq = 2; digest = Fingerprint.zero; replica = 0 } in
+  let other = snd (built ~msg ~kc ~dst:1 8L) in
+  check verdict_t "genuine under a foreign origin" Transport.Accepted
+    (Transport.check receiver (received ~origin:other (fst (built ~kc ~dst:1 8L))));
+  check verdict_t "corrupt under a foreign origin" Transport.Rejected
+    (Transport.check receiver (received ~origin:other (fst (built ~corrupt:true ~kc ~dst:1 9L))))
+
+(* A replayed wire is a new transmit with no origin: its receiver computes
+   the MAC, so only a genuine tag passes. *)
+let test_replayed_wire_recomputes () =
+  let r, captured = capturing_trig () in
+  let receiver = r.transports.(1) in
+  let node i = Transport.node r.transports.(i) in
+  let replay rx =
+    (* What [Behavior]'s Replay does with a wire it kept. *)
+    Network.send r.net ~src:(node 2) ~dst:(node 1) ~size:rx.Message.rx_size rx.Message.rx_wire;
+    Engine.run r.engine;
+    take captured
+  in
+  Transport.send r.transports.(0) ~dst:(peer_of r 1) sample_msg;
+  Engine.run r.engine;
+  let original = take captured in
+  let again = replay original in
+  check Alcotest.bool "replay records nothing" false (recorded again);
+  check verdict_t "genuine replay accepted once" Transport.Accepted (Transport.check receiver again);
+  check verdict_t "then replayed" Transport.Replayed (Transport.check receiver (replay original));
+  Transport.set_corrupt_auth r.transports.(0) true;
+  Transport.send r.transports.(0) ~dst:(peer_of r 1) sample_msg;
+  Engine.run r.engine;
+  let forged = replay (take captured) in
+  check Alcotest.bool "forged replay records nothing" false (recorded forged);
+  check verdict_t "forged replay rejected" Transport.Rejected (Transport.check receiver forged)
+
+(* A datagram built under the receiver's old inbound epoch and checked
+   after the receiver refreshed its keys (what [Replica.start_recovery]
+   does first): its recorded tag is true, but for a session the receiver
+   no longer accepts. *)
+let test_old_epoch_rejected () =
+  let r, captured = capturing_trig () in
+  let receiver = r.transports.(1) in
+  Transport.multicast r.transports.(0) ~dsts:[ peer_of r 1 ] sample_msg;
+  Transport.multicast r.transports.(0) ~dsts:[ peer_of r 1 ] sample_msg;
+  Engine.run r.engine;
+  let second, first =
+    match !captured with [ b; a ] -> (b, a) | _ -> Alcotest.fail "expected two captures"
+  in
+  check Alcotest.bool "recorded" true (recorded first && recorded second);
+  check verdict_t "current epoch accepted" Transport.Accepted (Transport.check receiver first);
+  Keychain.refresh (Transport.keychain receiver);
+  check verdict_t "old epoch rejected" Transport.Rejected (Transport.check receiver second)
+
+(* The crypto tallies of a datagram's receivers are those of receivers
+   that compute everything: the same wire, multicast with its origin and
+   re-sent without, counts the same MAC verifications and digest work. *)
+let test_recorded_tallies_per_receiver () =
+  let module Tally = Bft_crypto.Tally in
+  let receive_all ~send =
+    let r = make_trig () in
+    let verdicts = ref [] in
+    for i = 1 to 2 do
+      let transport = r.transports.(i) in
+      let dispatcher = Dispatcher.install r.net (Transport.node transport) in
+      Dispatcher.register_default dispatcher (fun rx ->
+          verdicts := (recorded rx, Transport.check transport rx) :: !verdicts)
+    done;
+    send r;
+    let before = Tally.snapshot () in
+    Engine.run r.engine;
+    (Tally.diff (Tally.snapshot ()) before, !verdicts)
+  in
+  let multicast ?origin r wire =
+    let node i = Transport.node r.transports.(i) in
+    Network.multicast r.net ~src:(node 0) ~dsts:[ node 1; node 2 ] ?origin wire
+  in
+  let wire = ref "" in
+  let with_origin, hits =
+    receive_all ~send:(fun r ->
+        let kc = Keychain.create ~master:"m" ~self:0 r.deployment in
+        let w, origin = built ~kc ~dst:1 ~also:[ 2 ] 3L in
+        wire := w;
+        multicast ~origin r w)
+  in
+  (* The same bytes, in a deployment of the same keys. *)
+  let without_origin, misses = receive_all ~send:(fun r -> multicast r !wire) in
+  check Alcotest.(list (pair bool verdict_t)) "recorded, accepted"
+    [ (true, Transport.Accepted); (true, Transport.Accepted) ] hits;
+  check Alcotest.(list (pair bool verdict_t)) "recomputed, accepted"
+    [ (false, Transport.Accepted); (false, Transport.Accepted) ] misses;
+  let counts (t : Tally.snapshot) =
+    [ t.Tally.mac_verify_ops; t.mac_verify_bytes; t.digest_ops; t.digest_bytes; t.mac_gen_ops ]
+  in
+  check Alcotest.(list int) "same tallies" (counts without_origin) (counts with_origin);
+  check Alcotest.int "one verification per receiver" 2 with_origin.Tally.mac_verify_ops
+
+(* Minor-heap words 1000 calls of [f] allocate, net of an empty loop. *)
+let minor_words_per_1000 f =
+  let loop g =
+    g ();
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      g ()
+    done;
+    Gc.minor_words () -. before
+  in
+  loop f -. loop (fun () -> ())
+
+let test_recorded_check_allocates_nothing () =
+  let r = make_trig () in
+  let receiver = r.transports.(1) in
+  let kc = Keychain.create ~master:"m" ~self:0 r.deployment in
+  let rxs =
+    Array.init 1001 (fun i ->
+        let wire, origin = built ~kc ~dst:1 (Int64.of_int (i + 1)) in
+        received ~origin wire)
+  in
+  let next = ref 0 and accepted = ref 0 in
+  check (Alcotest.float 0.0) "Transport.check" 0.0
+    (minor_words_per_1000 (fun () ->
+         let rx = rxs.(!next mod 1001) in
+         incr next;
+         if Transport.check receiver rx = Transport.Accepted then incr accepted));
+  check Alcotest.int "all accepted" 1001 !accepted
 
 (* --- client reply quorums ------------------------------------------------- *)
 
@@ -1008,6 +1196,15 @@ let () =
             test_transport_outside_sender;
           Alcotest.test_case "one multicast, one decode" `Quick
             test_multicast_decoded_once;
+        ] );
+      ( "recorded tags",
+        [
+          Alcotest.test_case "forgeries rejected" `Quick test_recorded_forgeries_rejected;
+          Alcotest.test_case "replayed wire recomputes" `Quick test_replayed_wire_recomputes;
+          Alcotest.test_case "old epoch rejected" `Quick test_old_epoch_rejected;
+          Alcotest.test_case "tallies per receiver" `Quick test_recorded_tallies_per_receiver;
+          Alcotest.test_case "check allocates nothing" `Quick
+            test_recorded_check_allocates_nothing;
         ] );
       ( "client quorums",
         [

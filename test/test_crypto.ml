@@ -269,6 +269,30 @@ let test_auth_wire_size_all_entry_counts () =
       targets
   done
 
+(* [seal], the transport's one-pass form, writes the bytes of [encode]
+   over [generate] (over [corrupt] of it for a forger), for every entry
+   count. *)
+let test_auth_seal_bytes () =
+  let n = 8 in
+  let chains = make_chains n in
+  let bytes f =
+    let enc = Bft_util.Codec.Enc.create () in
+    f enc;
+    Bft_util.Codec.Enc.to_string enc
+  in
+  for k = 0 to n - 1 do
+    let targets = List.init k (fun i -> i + 1) and nonce = Int64.of_int (200 + k) in
+    let auth = Auth.generate chains.(0) ~nonce ~targets "msg" in
+    List.iter
+      (fun (corrupt, expected) ->
+        check Alcotest.string
+          (Printf.sprintf "%d entries, corrupt %b" k corrupt)
+          (bytes (fun enc -> Auth.encode enc expected))
+          (bytes (fun enc ->
+               ignore (Auth.seal enc chains.(0) ~nonce ~targets ~corrupt "msg" : Auth.origin))))
+      [ (false, auth); (true, Auth.corrupt auth) ]
+  done
+
 (* Replicas 0-3 and a client principal 4. A replica's refresh retires the
    tags its replica peers computed under the old epoch until they observe
    the new one; client channels never move. *)
@@ -623,6 +647,7 @@ let () =
             test_auth_wire_roundtrip;
           Alcotest.test_case "wire size for 1..n entries" `Quick
             test_auth_wire_size_all_entry_counts;
+          Alcotest.test_case "seal writes generate's bytes" `Quick test_auth_seal_bytes;
           Alcotest.test_case "round trip across refresh" `Quick
             test_auth_across_refresh;
         ] );

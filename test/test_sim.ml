@@ -163,6 +163,83 @@ let test_cluster_queue_bounded () =
   let pending = Engine.pending (Cluster.engine cluster) in
   if pending >= 200 then Alcotest.failf "%d events pending" pending
 
+(* Seeded random sequences of every way to queue, withdraw and fire
+   events, many of them at equal times in both of the engine's queues (the
+   cancellable events of [schedule_event] and the rest). The firing order,
+   the clock and [pending] must equal a model that keeps one list sorted
+   by (time, insertion index). *)
+type model_event = {
+  time : float;
+  index : int;
+  mutable state : [ `Queued | `Fired | `Cancelled ];
+}
+
+let test_engine_one_order () =
+  for seed = 1 to 200 do
+    let rng = Random.State.make [| seed |] in
+    let e = Engine.create () in
+    let fired = ref [] and expected = ref [] in
+    let model = ref [] and clock = ref 0.0 and count = ref 0 in
+    let events = ref [||] in
+    let add time =
+      let ev = { time = Float.max time !clock; index = !count; state = `Queued } in
+      incr count;
+      model := ev :: !model;
+      (ev, fun () -> fired := ev.index :: !fired)
+    in
+    let queued () = List.filter (fun ev -> ev.state = `Queued) !model in
+    let run_model limit =
+      let due =
+        List.filter (fun ev -> ev.time <= limit) (queued ())
+        |> List.sort (fun a b ->
+               match Float.compare a.time b.time with 0 -> Int.compare a.index b.index | c -> c)
+      in
+      List.iter
+        (fun ev ->
+          ev.state <- `Fired;
+          expected := ev.index :: !expected;
+          clock := Float.max !clock ev.time)
+        due;
+      clock := Float.max !clock limit
+    in
+    let half () = 0.5 *. float_of_int (Random.State.int rng 4) in
+    for _ = 1 to 200 do
+      (match Random.State.int rng 10 with
+      | 0 | 1 ->
+        let delay = half () in
+        let _, fn = add (!clock +. delay) in
+        Engine.schedule e ~delay fn
+      | 2 | 3 ->
+        let time = !clock +. half () -. 0.5 in
+        let _, fn = add time in
+        Engine.schedule_at e time fn
+      | 4 | 5 | 6 ->
+        let delay = half () in
+        let ev, fn = add (!clock +. delay) in
+        events := Array.append !events [| (ev, Engine.schedule_event e ~delay fn) |]
+      | 7 | 8 ->
+        (* Any event so far, queued, fired or cancelled already. *)
+        if Array.length !events > 0 then begin
+          let ev, handle = !events.(Random.State.int rng (Array.length !events)) in
+          Engine.cancel handle;
+          if ev.state = `Queued then ev.state <- `Cancelled;
+          check Alcotest.bool "cancelled" false (Engine.is_scheduled handle)
+        end
+      | _ ->
+        let limit = !clock +. half () in
+        Engine.run ~until:limit e;
+        run_model limit);
+      check Alcotest.int "pending" (List.length (queued ())) (Engine.pending e);
+      check (Alcotest.float 0.0) "clock" !clock (Engine.now e)
+    done;
+    Engine.run e;
+    run_model infinity;
+    check Alcotest.int "drained" 0 (Engine.pending e);
+    check (Alcotest.list Alcotest.int)
+      (Printf.sprintf "firing order, seed %d" seed)
+      (List.rev !expected) (List.rev !fired)
+  done
+
 (* --- cpu ------------------------------------------------------------------- *)
 
 let test_cpu_serializes_handlers () =
@@ -261,6 +338,7 @@ let () =
           Alcotest.test_case "stop" `Quick test_engine_stop;
           Alcotest.test_case "max events" `Quick test_engine_max_events;
           Alcotest.test_case "step" `Quick test_engine_step;
+          Alcotest.test_case "two queues, one order" `Quick test_engine_one_order;
         ] );
       ( "timer",
         [
